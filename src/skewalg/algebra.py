@@ -41,6 +41,10 @@ class Algebra:
         for plane in self.structure:
             if len(plane) != self.dim or any(len(row) != self.dim for row in plane):
                 raise DimensionMismatch("structure constants are not dim^3")
+        # the nonzero constants (k, c) of each b_i * b_j, for `multiply`
+        self._terms = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
+            for plane in self.structure)
         self.unit = self.element(unit)
         if basis_names is None:
             basis_names = tuple("b%d" % i for i in range(self.dim))
@@ -88,33 +92,23 @@ class Algebra:
     def zero(self) -> tuple:
         return vzero(self.field, self.dim)
 
-    def from_named(self, parts: dict) -> tuple:
-        """Element from {basis_name: coefficient}."""
-        idx = {n: i for i, n in enumerate(self.basis_names)}
-        out = [self.field.zero] * self.dim
-        for name, c in parts.items():
-            out[idx[name]] = self.field.coerce(c)
-        return tuple(out)
-
     # -- multiplication ----------------------------------------------------
 
     def multiply(self, x, y) -> tuple:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("element does not match algebra dimension")
-        zero = self.field.zero
-        out = [zero] * self.dim
+        out = [self.field.zero] * self.dim
+        support = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
-            if xi == zero:
+            if not xi:
                 continue
-            plane = self.structure[i]
-            for j, yj in enumerate(y):
-                if yj == zero:
-                    continue
-                c = xi * yj
-                row = plane[j]
-                for k in range(self.dim):
-                    if row[k] != zero:
-                        out[k] = out[k] + c * row[k]
+            plane = self._terms[i]
+            for j, yj in support:
+                terms = plane[j]
+                if terms:
+                    c = xi * yj
+                    for k, t in terms:
+                        out[k] = out[k] + c * t
         return tuple(out)
 
     def left_mul_matrix(self, x) -> Matrix:

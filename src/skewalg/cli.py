@@ -148,7 +148,11 @@ def cmd_separability(args) -> tuple:
     if verdict.certificate is not None:
         ok = ok and verdict.certificate.ok
     if args.oracle:
-        ring = build_skew_ring(pa)
+        # a certified verdict already built the ring for this instance
+        if verdict.certificate is not None:
+            ring = verdict.certificate.tensor.ring
+        else:
+            ring = build_skew_ring(pa)
         oracle = oracle_separability(pa, ring)
         agree = oracle.separable == verdict.separable
         report["oracle"] = {"separable": oracle.separable,

@@ -1,10 +1,13 @@
-"""Exact dense linear algebra over the rationals and over prime fields GF(p).
+"""Exact linear algebra over the rationals and over prime fields GF(p).
 
 Everything in this module is exact: scalars are either `fractions.Fraction`
 (arbitrary precision, kept in lowest terms with positive denominator by the
-stdlib) or `ModP` residues.  All matrices are dense and immutable; row
-reduction uses deterministic leftmost-pivot elimination so that every
-downstream basis, solution set and certificate is byte-reproducible.
+stdlib) or `ModP` residues.  Vectors are plain tuples and matrices are
+immutable tuples of rows, but the kernels are sparse in effect: a zero
+scalar is falsy, and products, eliminations and combinations skip zero
+entries by truthiness instead of computing with them.  Row reduction uses
+deterministic leftmost-pivot elimination so that every downstream basis,
+solution set and certificate is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -22,14 +25,34 @@ class DimensionMismatch(LinalgError):
     pass
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality for n < MAX_MODULUS; larger n is a ValueError."""
+    if n >= MAX_MODULUS:
+        raise ValueError("modulus %d is too large (must be below %d)" % (n, MAX_MODULUS))
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -114,12 +137,14 @@ class ModP:
 class Field:
     """The scalar domain: the rationals (p is None) or GF(p) for a prime p."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "zero", "one")
 
     def __init__(self, p: int | None = None):
         if p is not None and not _is_prime(p):
             raise ValueError("modulus %r is not prime" % (p,))
         self.p = p
+        self.zero = self.from_int(0)
+        self.one = self.from_int(1)
 
     @classmethod
     def rationals(cls) -> "Field":
@@ -132,14 +157,6 @@ class Field:
     @property
     def is_rational(self) -> bool:
         return self.p is None
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else ModP(0, self.p)
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else ModP(1, self.p)
 
     def from_int(self, n: int):
         return Fraction(n) if self.p is None else ModP(n, self.p)
@@ -204,8 +221,7 @@ def vzero(field: Field, n: int) -> tuple:
 
 
 def is_zero_vector(field: Field, v: Sequence) -> bool:
-    z = field.zero
-    return all(a == z for a in v)
+    return not any(v)
 
 
 class Matrix:
@@ -257,7 +273,9 @@ class Matrix:
         """Matrix times column vector."""
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length %d != %d columns" % (len(v), self.ncols))
-        return tuple(sum((r[j] * v[j] for j in range(self.ncols)), self.field.zero)
+        support = [(j, x) for j, x in enumerate(v) if x]
+        zero = self.field.zero
+        return tuple(sum((r[j] * x for j, x in support if r[j]), zero)
                      for r in self.data)
 
     def __mul__(self, other):
@@ -269,8 +287,13 @@ class Matrix:
         zero = self.field.zero
         out = []
         for r in self.data:
-            out.append([sum((r[k] * other.data[k][j] for k in range(self.ncols)), zero)
-                        for j in range(other.ncols)])
+            acc = [zero] * other.ncols
+            for x, row in zip(r, other.data):
+                if x:
+                    for j, y in enumerate(row):
+                        if y:
+                            acc[j] = acc[j] + x * y
+            out.append(acc)
         return Matrix(self.field, out)
 
     def __add__(self, other):
@@ -311,8 +334,7 @@ class Matrix:
         return Matrix(self.field, [a + b for a, b in zip(self.data, other.data)])
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(all(x == z for x in r) for r in self.data)
+        return not any(any(r) for r in self.data)
 
     def rref(self) -> "Matrix":
         """Reduced row echelon form, same shape, row space preserved."""
@@ -351,6 +373,22 @@ class Matrix:
         return "Matrix(%s, %r)" % (self.field, [[str(x) for x in r] for r in self.data])
 
 
+def _eliminate(rows, pivots, v) -> list:
+    """Clear each pivot coordinate of v with its reduced echelon row.
+
+    A row is zero left of its pivot, so each pass starts at the pivot column.
+    """
+    out = list(v)
+    for r, p in zip(rows, pivots):
+        c = out[p]
+        if c:
+            for j in range(p, len(r)):
+                rj = r[j]
+                if rj:
+                    out[j] = out[j] - c * rj
+    return out
+
+
 class Echelonizer:
     """Maintains a reduced row echelon basis under row insertion.
 
@@ -368,14 +406,7 @@ class Echelonizer:
         self.pivots: list[int] = []
 
     def reduce(self, row: Sequence) -> list:
-        out = list(row)
-        zero = self.field.zero
-        for r, p in zip(self.rows, self.pivots):
-            c = out[p]
-            if c != zero:
-                for j in range(p, self.ncols):
-                    out[j] = out[j] - c * r[j]
-        return out
+        return _eliminate(self.rows, self.pivots, row)
 
     def insert(self, row: Sequence) -> bool:
         """Insert a row; returns True if it enlarged the span."""
@@ -383,24 +414,23 @@ class Echelonizer:
             raise DimensionMismatch("row width %d != %d" % (len(row), self.ncols))
         out = self.reduce(row)
         zero = self.field.zero
-        piv = next((j for j in range(self.ncols) if out[j] != zero), None)
+        piv = next((j for j, x in enumerate(out) if x), None)
         if piv is None:
             return False
         inv = self.field.one / out[piv]
-        new = tuple(x * inv for x in out)
+        new = tuple(x * inv if x else zero for x in out)
         # clear the new pivot column in the old rows
         for k, r in enumerate(self.rows):
             c = r[piv]
-            if c != zero:
-                self.rows[k] = tuple(a - c * b for a, b in zip(r, new))
+            if c:
+                self.rows[k] = tuple(a - c * b if b else a for a, b in zip(r, new))
         at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
         self.rows.insert(at, new)
         self.pivots.insert(at, piv)
         return True
 
     def contains(self, row: Sequence) -> bool:
-        zero = self.field.zero
-        return all(x == zero for x in self.reduce(row))
+        return not any(self.reduce(row))
 
     def to_echelon(self) -> "Echelon":
         return Echelon(self.field, self.ncols, tuple(self.rows), tuple(self.pivots))
@@ -421,14 +451,7 @@ class Echelon:
 
     def reduce(self, v: Sequence) -> tuple:
         """Residual of v after eliminating all pivot coordinates."""
-        out = list(v)
-        zero = self.field.zero
-        for r, p in zip(self.rows, self.pivots):
-            c = out[p]
-            if c != zero:
-                for j in range(self.ncols):
-                    out[j] = out[j] - c * r[j]
-        return tuple(out)
+        return tuple(_eliminate(self.rows, self.pivots, v))
 
     def contains(self, v: Sequence) -> bool:
         return is_zero_vector(self.field, self.reduce(v))
@@ -445,9 +468,10 @@ class Echelon:
             raise DimensionMismatch("coefficient count mismatch")
         out = [self.field.zero] * self.ncols
         for c, r in zip(coeffs, self.rows):
-            if c != self.field.zero:
-                for j in range(self.ncols):
-                    out[j] = out[j] + c * r[j]
+            if c:
+                for j, x in enumerate(r):
+                    if x:
+                        out[j] = out[j] + c * x
         return tuple(out)
 
     def __eq__(self, other):

@@ -107,7 +107,16 @@ class ComponentIdeal:
 
 
 class SkewRing:
-    """Built by `build_skew_ring`; verifies associativity on basis triples."""
+    """Built by `build_skew_ring`; verifies associativity on basis triples.
+
+    The multiplication table is sparse: `_table[i][j]` maps each ring
+    coordinate k to the nonzero coefficient of b_k in b_i * b_j, and a
+    product of basis elements on non-composable morphisms is the empty dict.
+    Every product over the table, and the associativity audit over all
+    dim^3 basis triples, skips zero coefficients by truthiness instead of
+    multiplying them out.  `product_coords` and `multiplication_rows` still
+    return dense coordinates.
+    """
 
     def __init__(self, action: PartialAction):
         self.action = action
@@ -122,7 +131,6 @@ class SkewRing:
         self.starts = starts
         self.dim = len(basis)
         self.field = action.algebra.field
-        self._table: list = [[None] * self.dim for _ in range(self.dim)]
         self._build_table()
         self._check_associativity()
         self._unit: SkewRingElement | None = None
@@ -134,37 +142,46 @@ class SkewRing:
         act = self.action
         alg = act.algebra
         g_oid = act.groupoid
-        zero = self.zero_coords()
-        for i, (g, u) in enumerate(self.basis):
+        table = []
+        for g, u in self.basis:
             ginv = g_oid.inv(g)
             pulled = act.alpha(ginv, u)  # alpha_{g^-1}(a_g)
-            for j, (h, w) in enumerate(self.basis):
+            row = []
+            for h, w in self.basis:
                 if g_oid.src[g] != g_oid.tgt[h]:
-                    self._table[i][j] = zero
+                    row.append({})
                     continue
                 gh = g_oid.compose[(g, h)]
                 prod = act.alpha(g, alg.multiply(pulled, w))
-                self._table[i][j] = self._scatter(gh, prod)
-        for i in range(self.dim):
-            self._table[i] = tuple(self._table[i])
-        self._table = tuple(self._table)
+                row.append(self._scatter(gh, prod))
+            table.append(tuple(row))
+        self._table = tuple(table)
 
-    def _scatter(self, g, v) -> tuple:
-        """Ring coordinates of the element v*d_g (v must lie in A_g)."""
-        out = [self.field.zero] * self.dim
+    def _scatter(self, g, v) -> dict:
+        """Sparse ring coordinates of the element v*d_g (v must lie in A_g)."""
         local = self.action.ideal(g).coords(v)
         at = self.starts[g]
-        for k, c in enumerate(local):
-            out[at + k] = c
-        return tuple(out)
+        return {at + k: c for k, c in enumerate(local) if c}
+
+    def _combine(self, terms) -> dict:
+        """Sum of c * t over (c, sparse t) pairs, with zero entries dropped."""
+        zero = self.field.zero
+        out: dict = {}
+        for c, t in terms:
+            for k, tk in t.items():
+                out[k] = out.get(k, zero) + c * tk
+        return {k: v for k, v in out.items() if v}
 
     def _check_associativity(self) -> None:
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self._table[i][j]
-                for k in range(self.dim):
-                    left = self.mul_coords(ij, self.basis_coords(k))
-                    right = self.mul_coords(self.basis_coords(i), self._table[j][k])
+        table = self._table
+        for i, row_i in enumerate(table):
+            for j, ij in enumerate(row_i):
+                for k, jk in enumerate(table[j]):
+                    if not ij and not jk:
+                        continue  # both sides are 0
+                    # (b_i b_j) b_k against b_i (b_j b_k)
+                    left = self._combine((c, table[m][k]) for m, c in ij.items())
+                    right = self._combine((c, row_i[m]) for m, c in jk.items())
                     if left != right:
                         raise SkewRingError(
                             "skew product not associative at basis triple "
@@ -198,7 +215,7 @@ class SkewRing:
             ideal = self.action.ideal(g)
             at = self.starts[g]
             local = coords[at:at + ideal.dim]
-            if any(c != self.field.zero for c in local):
+            if any(local):
                 parts[g] = ideal.combine(local)
         return SkewRingElement(self, parts, check=False)
 
@@ -209,22 +226,23 @@ class SkewRing:
 
     def product_coords(self, i: int, j: int) -> tuple:
         """Coordinates of the product of basis elements i and j."""
-        return self._table[i][j]
+        out = [self.field.zero] * self.dim
+        for k, c in self._table[i][j].items():
+            out[k] = c
+        return tuple(out)
 
     def mul_coords(self, x, y) -> tuple:
-        zero = self.field.zero
-        out = [zero] * self.dim
+        out = [self.field.zero] * self.dim
+        support = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
-            if xi == zero:
+            if not xi:
                 continue
             row = self._table[i]
-            for j, yj in enumerate(y):
-                if yj == zero:
-                    continue
-                c = xi * yj
+            for j, yj in support:
                 t = row[j]
-                for k, tk in enumerate(t):
-                    if tk != zero:
+                if t:
+                    c = xi * yj
+                    for k, tk in t.items():
                         out[k] = out[k] + c * tk
         return tuple(out)
 
@@ -312,7 +330,7 @@ class SkewRing:
                 for q in range(self.dim):
                     for prod in (self.mul_coords(self.basis_coords(p), self.basis_coords(q)),
                                  self.mul_coords(self.basis_coords(q), self.basis_coords(p))):
-                        if any(c != self.field.zero and k not in pos_set
+                        if any(c and k not in pos_set
                                for k, c in enumerate(prod)):
                             raise SkewRingError("component block is not a two-sided ideal")
             u = SkewRingElement(
@@ -347,7 +365,7 @@ class SkewRing:
                 rows.append({
                     "left": [g, [str(c) for c in u]],
                     "right": [h, [str(c) for c in w]],
-                    "product": [str(c) for c in self._table[i][j]],
+                    "product": [str(c) for c in self.product_coords(i, j)],
                 })
         return rows
 
@@ -478,9 +496,8 @@ class TensorOverA:
         """The multiplication map must annihilate the whole relation span."""
         for blk in self.blocks:
             for row in blk.echelon.rows:
-                sparse = {blk.coords[j]: c for j, c in enumerate(row)
-                          if c != self.ring.field.zero}
-                if any(c != self.ring.field.zero for c in self.multiply_ambient(sparse)):
+                sparse = {blk.coords[j]: c for j, c in enumerate(row) if c}
+                if any(self.multiply_ambient(sparse)):
                     raise SkewRingError(
                         "multiplication does not factor through the tensor quotient")
 
@@ -492,23 +509,23 @@ class TensorOverA:
         yc = self.ring.coords_of(y)
         zero = self.ring.field.zero
         for p, c in enumerate(xc):
-            if c != zero and p not in self._lpos_index:
+            if c and p not in self._lpos_index:
                 raise SkewRingError("left factor leaves the selected ideal")
         for p, c in enumerate(yc):
-            if c != zero and p not in self._rpos_index:
+            if c and p not in self._rpos_index:
                 raise SkewRingError("right factor leaves the selected ideal")
         out: dict = {}
         for p, c in enumerate(xc):
-            if c == zero:
+            if not c:
                 continue
             li = self._lpos_index[p]
             for q, d in enumerate(yc):
-                if d == zero:
+                if not d:
                     continue
                 coord = li * self.n_right + self._rpos_index[q]
                 prev = out.get(coord, zero)
                 val = prev + c * d
-                if val == zero:
+                if not val:
                     out.pop(coord, None)
                 else:
                     out[coord] = val
@@ -517,8 +534,7 @@ class TensorOverA:
     def project(self, ambient) -> tuple:
         """Quotient coordinates of an ambient vector (dense list or sparse dict)."""
         if not isinstance(ambient, dict):
-            ambient = {c: v for c, v in enumerate(ambient)
-                       if v != self.ring.field.zero}
+            ambient = {c: v for c, v in enumerate(ambient) if v}
         zero = self.ring.field.zero
         per_block: dict = {}
         for c, v in ambient.items():
@@ -539,10 +555,9 @@ class TensorOverA:
 
     def lift(self, qcoords) -> dict:
         """Canonical ambient representative (sparse) of quotient coordinates."""
-        zero = self.ring.field.zero
         out: dict = {}
         for k, v in enumerate(qcoords):
-            if v == zero:
+            if not v:
                 continue
             bi, f = self.q_index[k]
             out[self.blocks[bi].coords[f]] = v
@@ -558,14 +573,13 @@ class TensorOverA:
         ring = self.ring
         zero = ring.field.zero
         if not isinstance(ambient, dict):
-            ambient = {c: v for c, v in enumerate(ambient) if v != zero}
+            ambient = {c: v for c, v in enumerate(ambient) if v}
         out = [zero] * ring.dim
         for c, v in ambient.items():
             li, ri = divmod(c, self.n_right)
             prod = ring._table[self.left_positions[li]][self.right_positions[ri]]
-            for k, t in enumerate(prod):
-                if t != zero:
-                    out[k] = out[k] + v * t
+            for k, t in prod.items():
+                out[k] = out[k] + v * t
         return tuple(out)
 
     def left_apply_ambient(self, b_coords, ambient) -> dict:
@@ -573,22 +587,18 @@ class TensorOverA:
         ring = self.ring
         zero = ring.field.zero
         out: dict = {}
+        support = [(i, bi) for i, bi in enumerate(b_coords) if bi]
         for c, v in ambient.items():
             li, ri = divmod(c, self.n_right)
             p = self.left_positions[li]
-            for i, bi in enumerate(b_coords):
-                if bi == zero:
-                    continue
-                prod = ring._table[i][p]
-                for k, t in enumerate(prod):
-                    if t == zero:
-                        continue
+            for i, bi in support:
+                for k, t in ring._table[i][p].items():
                     li2 = self._lpos_index.get(k)
                     if li2 is None:
                         raise SkewRingError("left action leaves the selected ideal")
                     coord = li2 * self.n_right + ri
                     val = out.get(coord, zero) + v * bi * t
-                    if val == zero:
+                    if not val:
                         out.pop(coord, None)
                     else:
                         out[coord] = val
@@ -599,22 +609,18 @@ class TensorOverA:
         ring = self.ring
         zero = ring.field.zero
         out: dict = {}
+        support = [(j, bj) for j, bj in enumerate(b_coords) if bj]
         for c, v in ambient.items():
             li, ri = divmod(c, self.n_right)
             p = self.right_positions[ri]
-            for j, bj in enumerate(b_coords):
-                if bj == zero:
-                    continue
-                prod = ring._table[p][j]
-                for k, t in enumerate(prod):
-                    if t == zero:
-                        continue
+            for j, bj in support:
+                for k, t in ring._table[p][j].items():
                     ri2 = self._rpos_index.get(k)
                     if ri2 is None:
                         raise SkewRingError("right action leaves the selected ideal")
                     coord = li * self.n_right + ri2
                     val = out.get(coord, zero) + v * bj * t
-                    if val == zero:
+                    if not val:
                         out.pop(coord, None)
                     else:
                         out[coord] = val

@@ -1,0 +1,110 @@
+"""Golden digests of CLI reports.
+
+Every shipped instance goes through each report-producing command, and the
+seed-one fuzz corpus is run once; each (exit code, sha256 of stdout) must
+match the digest recorded here.  The digests were taken before the sparse
+exact kernel replaced the dense loops, so a representation change that
+alters any report byte fails this test.  `instance.path` is dropped before
+hashing, so the digest does not depend on where the checkout lives.
+
+To print the current digests in the same layout (only for a deliberate
+change of report format, never to make a failing test pass):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from skewalg.cli import main
+
+INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
+
+COMMANDS = (
+    ("validate",),
+    ("traces",),
+    ("separability", "--oracle"),
+    ("separability", "--global"),
+    ("separability", "--isotropy"),
+    ("skew-table",),
+)
+
+FUZZ = ("fuzz", "--seed", "1", "--count", "25")
+
+GOLDEN = {
+    "validate pair_swap_global_q.json": (0, "477d70491602f2070d5b2450b991183dfffb1df2c46e39517aeaa7b8e30e7572"),
+    "traces pair_swap_global_q.json": (0, "bc97e077fa111ccd877acc731899ecbc90457a45fcf1260b77b13dd6a584b6de"),
+    "separability pair_swap_global_q.json --oracle": (0, "9694ab24066743e745cd4e8d0ed5cf95493399e097e3098f10df59fc3e1feecf"),
+    "separability pair_swap_global_q.json --global": (0, "bfcd2acf41ee759b6f41fe67fb0cc6072b6a4e50ae49df08f5b5f7762c4d276c"),
+    "separability pair_swap_global_q.json --isotropy": (0, "81436043966d9ead537b7a7d1495f41a1db4a2c85ff9039099c45d9fd56fd78d"),
+    "skew-table pair_swap_global_q.json": (0, "216fc69ba771d1c9f57c2f9ddbd931574d696494a1ca1272652014de9c8cd9b5"),
+    "validate partial_bridge_q.json": (0, "1b162aae83e95cd121b15ef37e2c99ea3953cf81727b745646f669e82edfc00c"),
+    "traces partial_bridge_q.json": (0, "033389d004025de46d0f00750d1370f81347875b9720355a13f31346bd45139f"),
+    "separability partial_bridge_q.json --oracle": (0, "ec13a7c551aa48212babbacdb29e5b80410db0aedbbacc4eec3be6f80ae0aabb"),
+    "separability partial_bridge_q.json --global": (1, "78fb2c15f22af4fc1b2df6d5ed05c4e6411ec5d681f4e9f48857a918731df928"),
+    "separability partial_bridge_q.json --isotropy": (1, "eb92e2db7957d5125fa5e7f81420aaadf1ba0d9ff017e32f54ba5705490b659e"),
+    "skew-table partial_bridge_q.json": (0, "f98539bf80331bba5bc1d46416e8dbc3ba93edb6e39d525f9b75256470cbe7f9"),
+    "validate z2_flip_gf2.json": (0, "878179379bed8eaec26eac0283559d83ba46ffd7ea7e1889e643d47397dd8bd6"),
+    "traces z2_flip_gf2.json": (0, "62284e9361cc8a1879ecf1cd64881e3d91e3a4b83fda028e6df5d035f54f9d31"),
+    "separability z2_flip_gf2.json --oracle": (0, "4e9e4f98afc20093709b90c01dd9423d0deffe1e93c17e7577ef8df3983c49d5"),
+    "separability z2_flip_gf2.json --global": (1, "78fb2c15f22af4fc1b2df6d5ed05c4e6411ec5d681f4e9f48857a918731df928"),
+    "separability z2_flip_gf2.json --isotropy": (0, "23957cd23d37dd90e1018cab527454aac86694ec288f42c31fee5c8820991ca0"),
+    "skew-table z2_flip_gf2.json": (0, "3d349d9137b1348e84ec53e4aa0b9a0c7f27b1da19247bb6da42458e57802b00"),
+    "validate z2_flip_gf3.json": (0, "cfd3a5466acbd9b95a7f6f6ae4f4312e7c34137adc35cc0e8dae0ae997d8fac5"),
+    "traces z2_flip_gf3.json": (0, "0daf2b9ba8737a398e3765122bc5c3b040ea0a70a06a5a19d4b2176a018dc6e7"),
+    "separability z2_flip_gf3.json --oracle": (0, "4a1f1026fffae1736cb2ca431cf83973c179794f1ca6b2dfaa4997965184da64"),
+    "separability z2_flip_gf3.json --global": (1, "78fb2c15f22af4fc1b2df6d5ed05c4e6411ec5d681f4e9f48857a918731df928"),
+    "separability z2_flip_gf3.json --isotropy": (1, "eb92e2db7957d5125fa5e7f81420aaadf1ba0d9ff017e32f54ba5705490b659e"),
+    "skew-table z2_flip_gf3.json": (0, "5bc17a19b8f2b721bf3d3a240a865cc7aa11566c4eab1584be7b82ccd19f84a4"),
+    "validate z2_flip_q.json": (0, "27c153984d98bd1ac50a641a81983ad110e3e6bdbdd720528cb1b7e201dd95de"),
+    "traces z2_flip_q.json": (0, "bbf11b29bb906597e1e2c484fcf5a31cdf2515d4d247145251eec9f08eeed147"),
+    "separability z2_flip_q.json --oracle": (0, "5495590f663c58e69decf59b8ba1bd92be113213545346c5dc9bf22d36763662"),
+    "separability z2_flip_q.json --global": (1, "78fb2c15f22af4fc1b2df6d5ed05c4e6411ec5d681f4e9f48857a918731df928"),
+    "separability z2_flip_q.json --isotropy": (1, "eb92e2db7957d5125fa5e7f81420aaadf1ba0d9ff017e32f54ba5705490b659e"),
+    "skew-table z2_flip_q.json": (0, "fde629829c3e5c1db6fb0222c6e57db3af5112739659724d0d341f9aedd08b66"),
+    "fuzz --seed 1 --count 25": (0, "98d8e192a469eadb94913a2e3a3047049d36a5580b10b03a314d7b7b43e3be4c"),
+}
+
+
+def _jobs() -> list:
+    jobs = []
+    for path in sorted(INSTANCE_DIR.glob("*.json")):
+        for cmd in COMMANDS:
+            jobs.append((cmd[0], str(path)) + cmd[1:])
+    jobs.append(FUZZ)
+    return jobs
+
+
+def _key(argv) -> str:
+    return " ".join(Path(a).name if a.endswith(".json") else a for a in argv)
+
+
+def _digest(argv) -> tuple:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    report = json.loads(buf.getvalue())
+    report.get("instance", {}).pop("path", None)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return code, hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv", _jobs(), ids=_key)
+def test_report_matches_golden_digest(argv):
+    assert _digest(argv) == GOLDEN[_key(argv)]
+
+
+def test_golden_covers_every_job():
+    assert sorted(GOLDEN) == sorted(_key(a) for a in _jobs())
+
+
+if __name__ == "__main__":
+    for argv in _jobs():
+        code, digest = _digest(argv)
+        sys.stdout.write('    "%s": (%d, "%s"),\n' % (_key(argv), code, digest))

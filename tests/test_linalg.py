@@ -1,3 +1,5 @@
+import json
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -5,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewalg.linalg import (AffineSolutionSet, DimensionMismatch, Field,
-                            LinalgError, Matrix, ModP, echelon, intersect,
-                            kernel, rref, solve_affine)
+from skewalg.cli import main
+from skewalg.linalg import (MAX_MODULUS, AffineSolutionSet, DimensionMismatch,
+                            Field, LinalgError, Matrix, ModP, echelon,
+                            intersect, kernel, rref, solve_affine)
+
+from conftest import instance_data
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -25,6 +30,37 @@ def test_prime_field_requires_prime_modulus():
     with pytest.raises(ValueError):
         Field.prime(1)
     Field.prime(101)
+
+
+def test_large_prime_moduli_are_decided_quickly():
+    started = time.perf_counter()
+    assert Field.prime(10**18 + 3).p == 10**18 + 3
+    assert Field.prime(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - started < 1.0
+
+
+def test_composite_moduli_are_rejected():
+    # 561 is a Carmichael number; 10**18 + 1 = 101 * 9901 * ...
+    for n in (561, 10**18 + 1, 41 * 41, 3215031751):
+        with pytest.raises(ValueError, match="not prime"):
+            Field.prime(n)
+
+
+def test_modulus_beyond_the_primality_bound_is_rejected():
+    with pytest.raises(ValueError, match="too large"):
+        Field.prime(MAX_MODULUS)
+    with pytest.raises(ValueError, match="too large"):
+        Field.prime(10**30 + 57)
+
+
+def test_oversized_prime_field_instance_exits_two(tmp_path, capsys):
+    data = instance_data("z2_flip_gf2.json")
+    data["field"] = {"prime": 10**25 + 13}
+    path = tmp_path / "huge_modulus.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["type"] == "InstanceFormatError"
 
 
 def test_modp_arithmetic():

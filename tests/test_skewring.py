@@ -3,8 +3,8 @@ import random
 import pytest
 
 from skewalg import Field, Matrix
-from skewalg.skew_ring import (SkewRingError, TensorTooLarge, build_skew_ring,
-                               tensor_over)
+from skewalg.skew_ring import (SkewRing, SkewRingError, TensorTooLarge,
+                               build_skew_ring, tensor_over)
 
 Q = Field.rationals()
 
@@ -64,6 +64,23 @@ def test_non_composable_product_vanishes(bridge):
     ring = build_skew_ring(bridge)
     x = ring.element({"g": [0, 0, 1, 0]})
     assert (x * x).is_zero()
+
+
+def test_sparse_table_matches_the_element_product(bridge, flip_q, flip_gf3, pair_swap):
+    # the table path (sparse, zero-skipping) against SkewRing.mul (alpha maps)
+    rng = random.Random(3)
+    for pa in (bridge, flip_q, flip_gf3, pair_swap):
+        ring = build_skew_ring(pa)
+        for i in range(ring.dim):
+            for j in range(ring.dim):
+                prod = ring.basis_element(i) * ring.basis_element(j)
+                assert ring.product_coords(i, j) == prod.coords()
+        field = ring.field
+        for _ in range(20):
+            xc = tuple(field.from_int(rng.randint(-2, 2)) for _ in range(ring.dim))
+            yc = tuple(field.from_int(rng.randint(-2, 2)) for _ in range(ring.dim))
+            x, y = ring.from_coords(xc), ring.from_coords(yc)
+            assert ring.mul_coords(xc, yc) == (x * y).coords()
 
 
 def test_coefficient_outside_ideal_is_rejected(bridge):
@@ -291,3 +308,19 @@ def test_skew_table_identity_rows(bridge):
     for p in range(ring.dim):
         assert ring.mul_coords(unit_coords, ring.basis_coords(p)) == \
             ring.basis_coords(p)
+
+
+class _SwappedTable(SkewRing):
+    """A ring whose table has the products b0*b0 and b1*b1 exchanged."""
+
+    def _build_table(self):
+        super()._build_table()
+        table = [list(row) for row in self._table]
+        table[0][0], table[1][1] = table[1][1], table[0][0]
+        self._table = tuple(tuple(row) for row in table)
+
+
+def test_associativity_audit_rejects_a_corrupted_table(bridge):
+    with pytest.raises(SkewRingError,
+                       match=r"not associative at basis triple \(0, 0, 1\)"):
+        _SwappedTable(bridge)
