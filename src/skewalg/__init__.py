@@ -18,13 +18,13 @@ from .separability import (ComponentVerdict, EmptyHomSet, IsotropyIso,
                            TraceMap, TransportResult, WitnessInvalid,
                            build_certificate, check_sufficient_condition,
                            decide_global, decide_separability, extract_witness,
-                           invariant_subring, isotropy_transport_psi,
+                           invariant_subring, is_witness, isotropy_transport_psi,
                            isotropy_witness_transport,
                            normal_form_coefficients, oracle_separability,
                            trace_between, trace_into, trace_invariant_suite,
                            trace_total)
 from .skew_ring import (ComponentIdeal, SkewRing, SkewRingElement,
                         SkewRingError, TensorOverA, TensorTooLarge,
-                        build_skew_ring, tensor_over)
+                        build_skew_ring, tensor_over, tensor_square)
 
 __version__ = "0.1.0"

@@ -25,8 +25,8 @@ from .instances import InstanceFormatError, load_instance
 from .groupoid import GroupoidError, validate_groupoid
 from .linalg import LinalgError
 from .partial_action import ActionError, invariant_suite
-from .separability import (NotGlobal, SeparabilityError, decide_global,
-                           decide_separability, extract_witness,
+from .separability import (SeparabilityError, decide_global,
+                           decide_separability, extract_witness, is_witness,
                            isotropy_transport_psi, isotropy_witness_transport,
                            oracle_separability, trace_between, trace_into,
                            trace_invariant_suite, trace_total)
@@ -148,12 +148,7 @@ def cmd_separability(args) -> tuple:
     if verdict.certificate is not None:
         ok = ok and verdict.certificate.ok
     if args.oracle:
-        # a certified verdict already built the ring for this instance
-        if verdict.certificate is not None:
-            ring = verdict.certificate.tensor.ring
-        else:
-            ring = build_skew_ring(pa)
-        oracle = oracle_separability(pa, ring)
+        oracle = oracle_separability(pa)
         agree = oracle.separable == verdict.separable
         report["oracle"] = {"separable": oracle.separable,
                             "tensor_dim": oracle.tensor.dim,
@@ -161,10 +156,7 @@ def cmd_separability(args) -> tuple:
         ok = ok and agree
         if oracle.separable:
             a = extract_witness(pa, oracle.tensor, oracle.solutions.particular)
-            alg = pa.algebra
-            extracted_ok = alg.commutes_with_all(a) and all(
-                trace_into(pa, e).matrix.apply(a) == pa.obj_idem(e)
-                for e in pa.groupoid.objects)
+            extracted_ok = is_witness(pa, a)
             report["oracle"]["extracted_witness"] = _vec(a)
             report["oracle"]["extracted_witness_ok"] = extracted_ok
             ok = ok and extracted_ok

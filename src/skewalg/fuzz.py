@@ -13,9 +13,8 @@ from __future__ import annotations
 import random
 
 from .instances import parse_instance
-from .separability import (decide_separability, extract_witness,
-                           oracle_separability, trace_into)
-from .skew_ring import build_skew_ring
+from .separability import (decide_separability, extract_witness, is_witness,
+                           oracle_separability)
 
 
 def _divisors(m: int) -> list:
@@ -185,10 +184,9 @@ def run_differential(data: dict) -> dict:
         record["violations"] = [v.message for v in report.violations]
         record["agree"] = False
         return record
-    ring = build_skew_ring(pa)
-    record["ring_dim"] = ring.dim
     verdict = decide_separability(pa)
-    oracle = oracle_separability(pa, ring)
+    oracle = oracle_separability(pa)
+    record["ring_dim"] = oracle.tensor.ring.dim
     record["decide_separable"] = verdict.separable
     record["oracle_separable"] = oracle.separable
     record["agree"] = verdict.separable == oracle.separable
@@ -197,10 +195,7 @@ def run_differential(data: dict) -> dict:
         record["agree"] = record["agree"] and verdict.certificate.ok
     if oracle.separable:
         a = extract_witness(pa, oracle.tensor, oracle.solutions.particular)
-        alg = pa.algebra
-        extraction_ok = alg.commutes_with_all(a) and all(
-            trace_into(pa, e).matrix.apply(a) == pa.obj_idem(e)
-            for e in pa.groupoid.objects)
+        extraction_ok = is_witness(pa, a)
         record["extracted_witness_ok"] = extraction_ok
         record["agree"] = record["agree"] and extraction_ok
     return record

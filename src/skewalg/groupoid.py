@@ -79,9 +79,6 @@ class Groupoid:
     def is_identity(self, g) -> bool:
         return self.identity.get(self.src.get(g)) == g and self.src[g] == self.tgt[g]
 
-    def is_composable(self, g, h) -> bool:
-        return self.src[g] == self.tgt[h]
-
     def mul(self, g, h):
         """The product g*h ("h first"); defined iff src(g) == tgt(h)."""
         try:

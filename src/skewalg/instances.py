@@ -18,7 +18,7 @@ Layout:
 
 Identity morphisms are implicit ("id:<object>") but their "dom" entries are
 required, since they define the object ideals A_e.  Scalars are written as
-strings ("3/4", "2") or plain integers.
+strings ("3/4", "2") or plain integers; exponent notation is rejected.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int too long to convert
             raise InstanceFormatError("not valid JSON: %s" % (exc,)) from exc
     return parse_instance(data)
 

@@ -154,10 +154,6 @@ class Field:
     def prime(cls, p: int) -> "Field":
         return cls(p)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.p is None
-
     def from_int(self, n: int):
         return Fraction(n) if self.p is None else ModP(n, self.p)
 
@@ -169,6 +165,9 @@ class Field:
             raise ValueError("cannot parse scalar from %r" % (text,))
         text = text.strip()
         if self.p is None:
+            # "1e9999999" would name a number too large to parse or print
+            if "e" in text.lower():
+                raise ValueError("exponent notation is not a scalar: %r" % (text,))
             return Fraction(text)
         if "/" in text:
             num, den = text.split("/", 1)
@@ -210,10 +209,6 @@ def vadd(u: Sequence, v: Sequence) -> tuple:
 
 def vsub(u: Sequence, v: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, u: Sequence) -> tuple:
-    return tuple(c * a for a in u)
 
 
 def vzero(field: Field, n: int) -> tuple:
@@ -317,17 +312,6 @@ class Matrix:
     def __hash__(self):
         return hash((self.field, self.data))
 
-    def scale(self, c) -> "Matrix":
-        return Matrix(self.field, [vscale(c, r) for r in self.data])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.col(j) for j in range(self.ncols)])
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.ncols:
-            raise DimensionMismatch("vstack column mismatch")
-        return Matrix(self.field, self.data + other.data)
-
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise DimensionMismatch("hstack row mismatch")
@@ -356,9 +340,6 @@ class Matrix:
 
     def rank(self) -> int:
         return len(self.pivots())
-
-    def kernel_basis(self) -> tuple:
-        return kernel(self)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -504,21 +485,25 @@ def rref(m: Matrix) -> Matrix:
     return m.rref()
 
 
+def _null_space(field: Field, red_rows, pivots, ncols: int) -> Echelon:
+    """Null space of the first `ncols` columns of a matrix in RREF (rows, pivots)."""
+    zero, one = field.zero, field.one
+    piv = set(pivots)
+    vecs = []
+    for f in range(ncols):
+        if f in piv:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for r, p in zip(red_rows, pivots):
+            v[p] = -r[f]
+        vecs.append(v)
+    return echelon(field, vecs, ncols)
+
+
 def kernel(m: Matrix) -> tuple:
     """Canonical basis of the null space {x : m.apply(x) == 0}."""
-    red = m.rref()
-    piv = set(m.pivots())
-    free = [j for j in range(m.ncols) if j not in piv]
-    piv_list = m.pivots()
-    zero, one = m.field.zero, m.field.one
-    vecs = []
-    for f in free:
-        v = [zero] * m.ncols
-        v[f] = one
-        for r, p in zip(red.data, piv_list):
-            v[p] = -r[f]
-        vecs.append(tuple(v))
-    return echelon(m.field, vecs, m.ncols).rows
+    return _null_space(m.field, m.rref().data, m.pivots(), m.ncols).rows
 
 
 @dataclass(frozen=True)
@@ -559,13 +544,11 @@ def solve_affine(a: Matrix, b: Sequence) -> AffineSolutionSet:
     field = a.field
     aug = Matrix(field, [row + (field.coerce(x),) for row, x in zip(a.data, b)],
                  ncols=a.ncols + 1)
-    red = aug.rref()
-    if a.ncols in aug.pivots():
+    red, pivots = aug.rref().data, aug.pivots()
+    if a.ncols in pivots:
         return AffineSolutionSet(None, ())
-    zero = field.zero
-    part = [zero] * a.ncols
-    for r, p in zip(red.data, aug.pivots()):
+    part = [field.zero] * a.ncols
+    for r, p in zip(red, pivots):
         part[p] = r[a.ncols]
-    kern = kernel(a)
-    ke = echelon(field, kern, a.ncols)
+    ke = _null_space(field, red, pivots, a.ncols)
     return AffineSolutionSet(ke.reduce(part), ke.rows)

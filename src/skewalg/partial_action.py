@@ -75,6 +75,7 @@ class PartialAction:
         self._ideals: dict = {}
         self._restricted: dict = {}
         self._report: ActionReport | None = None
+        self._square = None           # skew_ring.tensor_square's cache
 
     # -- accessors ---------------------------------------------------------
 

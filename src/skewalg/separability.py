@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .linalg import (AffineSolutionSet, Echelon, Matrix, echelon, kernel,
                      solve_affine, vadd)
 from .partial_action import PartialAction
-from .skew_ring import SkewRing, TensorOverA, build_skew_ring, tensor_over
+from .skew_ring import SkewRing, TensorOverA, build_skew_ring, tensor_square
 
 
 class SeparabilityError(Exception):
@@ -54,33 +54,38 @@ class TraceMap:
         return self.matrix.apply(v)
 
 
+def _trace_sum(pa: PartialAction, source, target) -> TraceMap:
+    """Sum of alpha_g(a 1_{g^-1}) over arrows g from source to target (None: any)."""
+    g_oid = pa.groupoid
+    m = Matrix.zeros(pa.algebra.field, pa.algebra.dim, pa.algebra.dim)
+    for g in g_oid.morphisms:
+        if source in (None, g_oid.src[g]) and target in (None, g_oid.tgt[g]):
+            m = m + pa.matrix(g)
+    return TraceMap(source, target, m)
+
+
 def trace_between(pa: PartialAction, i, j) -> TraceMap:
     """t_{i,j}: a |-> sum of alpha_g(a 1_{g^-1}) over arrows g from i to j."""
-    hom = pa.groupoid.hom_set(i, j)
-    if not hom:
+    if not pa.groupoid.hom_set(i, j):
         raise EmptyHomSet("no arrows from %r to %r (different components)" % (i, j))
-    m = Matrix.zeros(pa.algebra.field, pa.algebra.dim, pa.algebra.dim)
-    for g in hom:
-        m = m + pa.matrix(g)
-    return TraceMap(i, j, m)
+    return _trace_sum(pa, i, j)
 
 
 def trace_into(pa: PartialAction, j) -> TraceMap:
     """t_j = sum over sources i of t_{i,j} (arrows with target j)."""
     pa.groupoid.check_object(j)
-    m = Matrix.zeros(pa.algebra.field, pa.algebra.dim, pa.algebra.dim)
-    for g in pa.groupoid.morphisms:
-        if pa.groupoid.tgt[g] == j:
-            m = m + pa.matrix(g)
-    return TraceMap(None, j, m)
+    return _trace_sum(pa, None, j)
 
 
 def trace_total(pa: PartialAction) -> TraceMap:
     """The full trace: sum of alpha_g(a 1_{g^-1}) over every morphism."""
-    m = Matrix.zeros(pa.algebra.field, pa.algebra.dim, pa.algebra.dim)
-    for g in pa.groupoid.morphisms:
-        m = m + pa.matrix(g)
-    return TraceMap(None, None, m)
+    return _trace_sum(pa, None, None)
+
+
+def is_witness(pa: PartialAction, a) -> bool:
+    """a is central and t_e(a) = 1_e at every object e."""
+    return pa.algebra.commutes_with_all(a) and all(
+        trace_into(pa, e).matrix.apply(a) == pa.obj_idem(e) for e in pa.groupoid.objects)
 
 
 def invariant_subring(pa: PartialAction, i, j) -> Echelon:
@@ -161,19 +166,21 @@ def _component_family(pa: PartialAction, cls, objects_to_solve) -> tuple:
     sol = solve_affine(Matrix(alg.field, rows, ncols=len(center)), rhs)
     if sol.is_empty:
         return AffineSolutionSet(None, ()), basis
-    part = cmat.apply(sol.particular)
-    kern = [cmat.apply(k) for k in sol.kernel_basis]
-    ke = echelon(alg.field, kern, alg.dim)
-    return AffineSolutionSet(ke.reduce(part), ke.rows), basis
+    return _canonical_family(alg.field, alg.dim, cmat.apply(sol.particular),
+                             [cmat.apply(k) for k in sol.kernel_basis]), basis
+
+
+def _canonical_family(field, dim, particular, kernel_vectors) -> AffineSolutionSet:
+    """particular + span(kernel_vectors), in canonical AffineSolutionSet form."""
+    ke = echelon(field, kernel_vectors, dim)
+    return AffineSolutionSet(ke.reduce(particular), ke.rows)
 
 
 def _embed_family(family: AffineSolutionSet, basis: Echelon, field, dim) -> AffineSolutionSet:
     if family.is_empty:
         return family
-    part = basis.combine(family.particular)
-    kern = [basis.combine(k) for k in family.kernel_basis]
-    ke = echelon(field, kern, dim)
-    return AffineSolutionSet(ke.reduce(part), ke.rows)
+    return _canonical_family(field, dim, basis.combine(family.particular),
+                             [basis.combine(k) for k in family.kernel_basis])
 
 
 def _decide(pa: PartialAction, transversal_only: bool) -> SeparabilityVerdict:
@@ -200,15 +207,12 @@ def _decide(pa: PartialAction, transversal_only: bool) -> SeparabilityVerdict:
     if transversal_only:
         # solving at one object of a global connected action already forces
         # the whole system; re-check so the certificate precondition is explicit
-        for e in pa.groupoid.objects:
-            if trace_into(pa, e).matrix.apply(witness) != pa.obj_idem(e):
-                raise SeparabilityError(
-                    "single-object witness fails the full trace system")
-    ke = echelon(alg.field, kern, alg.dim)
-    witness = ke.reduce(witness)  # canonical representative of the witness family
-    family = AffineSolutionSet(witness, ke.rows)
-    cert = build_certificate(pa, witness, family=family)
-    return SeparabilityVerdict(True, tuple(per), witness, cert)
+        if not is_witness(pa, witness):
+            raise SeparabilityError(
+                "single-object witness fails the full trace system")
+    family = _canonical_family(alg.field, alg.dim, witness, kern)
+    cert = build_certificate(pa, family.particular, family=family)
+    return SeparabilityVerdict(True, tuple(per), family.particular, cert)
 
 
 def decide_separability(pa: PartialAction) -> SeparabilityVerdict:
@@ -223,8 +227,7 @@ def decide_global(pa: PartialAction) -> SeparabilityVerdict:
     return _decide(pa, transversal_only=True)
 
 
-def build_certificate(pa: PartialAction, a, ring: SkewRing | None = None,
-                      tensor: TensorOverA | None = None,
+def build_certificate(pa: PartialAction, a,
                       family: AffineSolutionSet | None = None) -> SeparabilityCertificate:
     """The separability idempotent attached to a central witness a.
 
@@ -236,15 +239,10 @@ def build_certificate(pa: PartialAction, a, ring: SkewRing | None = None,
     pa.require_decomposition()
     alg = pa.algebra
     a = alg.element(a)
-    if not alg.commutes_with_all(a):
-        raise WitnessInvalid("witness is not central")
-    for e in pa.groupoid.objects:
-        if trace_into(pa, e).matrix.apply(a) != pa.obj_idem(e):
-            raise WitnessInvalid("witness fails t(a) = 1 at object %r" % (e,))
-    if ring is None:
-        ring = build_skew_ring(pa)
-    if tensor is None:
-        tensor = tensor_over(ring, ring)
+    if not is_witness(pa, a):
+        raise WitnessInvalid("witness is not central with t_e(a) = 1_e at every object")
+    tensor = tensor_square(pa)
+    ring = tensor.ring
     ambient: dict = {}
     zero = alg.field.zero
     for g in pa.groupoid.morphisms:
@@ -274,7 +272,7 @@ def build_certificate(pa: PartialAction, a, ring: SkewRing | None = None,
     return SeparabilityCertificate(a, family, tensor, q, tensor.summands(q), checks)
 
 
-def oracle_separability(pa: PartialAction, ring: SkewRing | None = None) -> OracleResult:
+def oracle_separability(pa: PartialAction) -> OracleResult:
     """Directly solve m(x) = 1 and bx = xb in the tensor square of the ring.
 
     This is the definition of a separability element, so it is an oracle for
@@ -282,9 +280,8 @@ def oracle_separability(pa: PartialAction, ring: SkewRing | None = None) -> Orac
     """
     pa.ensure_valid()
     pa.require_decomposition()
-    if ring is None:
-        ring = build_skew_ring(pa)
-    tensor = tensor_over(ring, ring)
+    tensor = tensor_square(pa)
+    ring = tensor.ring
     field = ring.field
     rows: list = []
     rhs: list = []
@@ -483,16 +480,14 @@ def trace_invariant_suite(pa: PartialAction) -> dict:
                     lx, rx = alg.left_mul_matrix(x), alg.right_mul_matrix(x)
                     if t * lx != lx * t or t * rx != rx * t:
                         bimodule_linear = False
-    total = trace_total(pa).matrix
+    into = {j: trace_into(pa, j).matrix for j in g_oid.objects}
     acc = Matrix.zeros(alg.field, alg.dim, alg.dim)
     for j in g_oid.objects:
-        acc = acc + trace_into(pa, j).matrix
-    if acc != total:
+        acc = acc + into[j]
+    if acc != trace_total(pa).matrix:
         sum_decomposition = False
     for g in g_oid.morphisms:
-        i, j = g_oid.src[g], g_oid.tgt[g]
-        ti = trace_into(pa, i).matrix
-        tj = trace_into(pa, j).matrix
+        ti, tj = into[g_oid.src[g]], into[g_oid.tgt[g]]
         if pa.matrix(g) * ti != alg.right_mul_matrix(pa.idem(g)) * tj:
             trace_translation = False
     return {

@@ -697,3 +697,11 @@ def tensor_over(left, right, mid=None) -> TensorOverA:
         mid_rows = alg.ideal_basis(u).basis.rows
         label = "A[%s]" % ",".join(str(o) for o in objs)
     return TensorOverA(ring, lpos, rpos, mid_rows, label)
+
+
+def tensor_square(action: PartialAction) -> TensorOverA:
+    """(A*G) (x)_A (A*G), built once per action; its `.ring` is the skew ring."""
+    if action._square is None:
+        ring = build_skew_ring(action)
+        action._square = tensor_over(ring, ring)
+    return action._square

@@ -44,7 +44,7 @@ def test_acceptance_1_bridge_reproduction():
     for lam in (Fraction(0), Fraction(1), Fraction(2)):
         a = fam.element((lam,))
         ok = ok and a == (1, lam, 1 - lam, 1)
-        cert = build_certificate(pa, a, ring=ring, tensor=tensor)
+        cert = build_certificate(pa, a)
         # the hand-written idempotent with parameter lam
         ambient: dict = {}
         for x, y in (

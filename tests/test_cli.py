@@ -1,8 +1,11 @@
 import json
+import random
 
 from skewalg.cli import main
+from skewalg.fuzz import random_skeleton, run_differential, skeleton_to_instance
+from skewalg.skew_ring import SkewRing, TensorOverA
 
-from conftest import instance_data, instance_path
+from conftest import INSTANCE_DIR, instance_data, instance_path
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +51,26 @@ def test_unreadable_file_exits_two(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "validate", str(tmp_path / "missing.json"))
     assert code == 2
     assert not json.loads(out)["ok"]
+
+
+def test_oversized_json_integer_exits_two(capsys, tmp_path):
+    # json.load itself refuses integers past the int-to-string digit limit
+    text = instance_path("partial_bridge_q.json").read_text()
+    bad = tmp_path / "long_int.json"
+    bad.write_text(text.replace('"diagonal": 4', '"diagonal": ' + "4" * 5000, 1))
+    code, out, _ = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InstanceFormatError"
+
+
+def test_exponent_scalar_exits_two(capsys, tmp_path):
+    data = instance_data("partial_bridge_q.json")
+    data["action"]["g"]["map"][2][1] = "1e5000"
+    bad = tmp_path / "exponent.json"
+    bad.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InstanceFormatError"
 
 
 def test_invalid_action_fails_commands_that_need_it(capsys, tmp_path):
@@ -238,3 +261,34 @@ def test_fuzz_count_zero_is_an_empty_pass(capsys):
     report = json.loads(out)
     assert report["instances"] == []
     assert report["all_agree"]
+
+
+def _count_builds(monkeypatch) -> dict:
+    """Count SkewRing and TensorOverA constructions from now on."""
+    counts = {SkewRing: 0, TensorOverA: 0}
+    for cls in counts:
+        def counted(self, *args, init=cls.__init__, cls=cls, **kwargs):
+            counts[cls] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
+def test_separability_oracle_builds_one_ring_and_one_square(capsys, monkeypatch):
+    counts = _count_builds(monkeypatch)
+    for path in sorted(INSTANCE_DIR.glob("*.json")):
+        code, _, _ = run_cli(capsys, "separability", str(path), "--oracle")
+        assert code == 0
+        assert counts == {SkewRing: 1, TensorOverA: 1}, path.name
+        counts.update({SkewRing: 0, TensorOverA: 0})
+
+
+def test_differential_builds_one_ring_and_one_square(monkeypatch):
+    counts = _count_builds(monkeypatch)
+    rng = random.Random(1)
+    for _ in range(3):
+        skel = random_skeleton(rng)
+        for fdesc in ("Q", "GF(2)"):
+            assert run_differential(skeleton_to_instance(skel, fdesc))["agree"]
+            assert counts == {SkewRing: 1, TensorOverA: 1}
+            counts.update({SkewRing: 0, TensorOverA: 0})

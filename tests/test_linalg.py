@@ -226,6 +226,7 @@ def test_solutions_substitute_exactly(mb):
     sol = solve_affine(m, b)
     if sol.is_empty:
         return
+    assert sol.kernel_basis == kernel(m)
     assert m.apply(sol.particular) == b
     for k in sol.kernel_basis:
         shifted = tuple(p + x for p, x in zip(sol.particular, k))

@@ -15,7 +15,7 @@ from skewalg.separability import (EmptyHomSet, NotConnected, NotGlobal,
                                   oracle_separability, trace_between,
                                   trace_into, trace_invariant_suite,
                                   trace_total)
-from skewalg.skew_ring import build_skew_ring, tensor_over
+from skewalg.skew_ring import tensor_square
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
@@ -136,12 +136,12 @@ def test_certificates_match_the_hand_built_idempotents(bridge):
     #   + (1-l) v2 d_ginv (x) v3 d_g + a2 d_e2 (x) 1_2 d_e2
     v = decide_separability(bridge)
     fam = v.certificate.witness_family
-    ring = build_skew_ring(bridge)
-    tensor = tensor_over(ring, ring)
+    tensor = tensor_square(bridge)
+    ring = tensor.ring
     for lam in (Fraction(0), Fraction(1), Fraction(2)):
         a = fam.element((lam,))
         assert a == (1, lam, 1 - lam, 1)
-        cert = build_certificate(bridge, a, ring=ring, tensor=tensor)
+        cert = build_certificate(bridge, a)
         assert cert.ok
         ambient = {}
         pairs = [
@@ -211,8 +211,8 @@ def test_oracle_agrees_on_worked_instances(bridge, flip_q, flip_gf2, flip_gf3,
 
 
 def test_trivial_oracle_solution_is_unit_tensor_unit(trivial_q):
-    ring = build_skew_ring(trivial_q)
-    res = oracle_separability(trivial_q, ring)
+    res = oracle_separability(trivial_q)
+    ring = res.tensor.ring
     assert res.separable
     expected = res.tensor.project(res.tensor.pure_tensor(ring.unit(), ring.unit()))
     assert res.solutions.particular == expected
@@ -227,8 +227,8 @@ def test_oracle_solution_reduces_to_a_family_member(bridge):
     fam = decide_separability(bridge).certificate.witness_family
     lam = a[1]
     assert fam.element((lam,)) == a
-    ring = res.tensor.ring
-    cert = build_certificate(bridge, a, ring=ring, tensor=res.tensor)
+    cert = build_certificate(bridge, a)
+    assert cert.tensor is res.tensor
     assert cert.element == tuple(res.solutions.particular)
 
 
