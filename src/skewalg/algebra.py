@@ -2,8 +2,11 @@
 
 An algebra of dimension n over a Field is the data c[i][j][k] with
 b_i * b_j = sum_k c[i][j][k] b_k, plus the coefficient vector of the unit.
-Associativity on all basis triples and the two-sided unit law are checked at
-construction time.  Elements are plain coefficient tuples.
+Elements are plain coefficient tuples.  The constants are also kept as a
+sparse table whose entry [i][j] maps each k to a nonzero c[i][j][k];
+`table_product` and `nonassociative_triple` are the one product and the one
+associativity audit over such tables, for this module and the skew ring
+A*G alike.  The unit law and associativity are checked at construction.
 """
 
 from __future__ import annotations
@@ -11,7 +14,51 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import (DimensionMismatch, Echelon, Field, Matrix, echelon,
-                     is_zero_vector, kernel, vadd, vzero)
+                     kernel, vadd, vzero)
+
+
+def table_product(table, x, y, zero) -> tuple:
+    """Coordinates of x*y over a sparse structure-constant table."""
+    out = [zero] * len(table)
+    support = [(j, yj) for j, yj in enumerate(y) if yj]
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = table[i]
+        for j, yj in support:
+            t = row[j]
+            if t:
+                c = xi * yj
+                for k, tk in t.items():
+                    out[k] = out[k] + c * tk
+    return tuple(out)
+
+
+def nonassociative_triple(table, zero):
+    """The first basis triple (i, j, k), in lexicographic order, where
+    (b_i b_j) b_k != b_i (b_j b_k) over a sparse table, or None.
+
+    A triple where b_i b_j and b_j b_k both vanish has both sides 0 and is
+    skipped.
+    """
+
+    def combine(terms) -> dict:
+        out: dict = {}
+        for c, t in terms:
+            for k, tk in t.items():
+                out[k] = out.get(k, zero) + c * tk
+        return {k: v for k, v in out.items() if v}
+
+    for i, row_i in enumerate(table):
+        for j, ij in enumerate(row_i):
+            for k, jk in enumerate(table[j]):
+                if not ij and not jk:
+                    continue
+                left = combine((c, table[m][k]) for m, c in ij.items())
+                right = combine((c, row_i[m]) for m, c in jk.items())
+                if left != right:
+                    return i, j, k
+    return None
 
 
 class AlgebraError(Exception):
@@ -41,9 +88,8 @@ class Algebra:
         for plane in self.structure:
             if len(plane) != self.dim or any(len(row) != self.dim for row in plane):
                 raise DimensionMismatch("structure constants are not dim^3")
-        # the nonzero constants (k, c) of each b_i * b_j, for `multiply`
-        self._terms = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
+        self._table = tuple(
+            tuple({k: c for k, c in enumerate(row) if c} for row in plane)
             for plane in self.structure)
         self.unit = self.element(unit)
         if basis_names is None:
@@ -65,17 +111,13 @@ class Algebra:
 
     def _check_laws(self) -> None:
         basis = [self.basis_vector(i) for i in range(self.dim)]
-        for i, bi in enumerate(basis):
+        for bi in basis:
             if self.multiply(self.unit, bi) != bi or self.multiply(bi, self.unit) != bi:
                 raise AlgebraError("declared unit is not a two-sided identity")
-        for i, bi in enumerate(basis):
-            for j, bj in enumerate(basis):
-                ij = self.multiply(bi, bj)
-                for k, bk in enumerate(basis):
-                    if self.multiply(ij, bk) != self.multiply(bi, self.multiply(bj, bk)):
-                        raise AlgebraError(
-                            "multiplication not associative at basis triple "
-                            "(%d, %d, %d)" % (i, j, k))
+        bad = nonassociative_triple(self._table, self.field.zero)
+        if bad is not None:
+            raise AlgebraError(
+                "multiplication not associative at basis triple (%d, %d, %d)" % bad)
 
     # -- elements ---------------------------------------------------------
 
@@ -97,19 +139,7 @@ class Algebra:
     def multiply(self, x, y) -> tuple:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("element does not match algebra dimension")
-        out = [self.field.zero] * self.dim
-        support = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            plane = self._terms[i]
-            for j, yj in support:
-                terms = plane[j]
-                if terms:
-                    c = xi * yj
-                    for k, t in terms:
-                        out[k] = out[k] + c * t
-        return tuple(out)
+        return table_product(self._table, x, y, self.field.zero)
 
     def left_mul_matrix(self, x) -> Matrix:
         """Matrix of y -> x*y on coefficient columns."""
@@ -163,8 +193,7 @@ class Algebra:
                 return False
         for a in range(len(idems)):
             for b in range(len(idems)):
-                if a != b and not is_zero_vector(
-                        self.field, self.multiply(idems[a], idems[b])):
+                if a != b and any(self.multiply(idems[a], idems[b])):
                     return False
             total = vadd(total, idems[a])
         return total == self.unit

@@ -18,7 +18,10 @@ Layout:
 
 Identity morphisms are implicit ("id:<object>") but their "dom" entries are
 required, since they define the object ideals A_e.  Scalars are written as
-strings ("3/4", "2") or plain integers; exponent notation is rejected.
+strings ("3/4", "2") or plain integers; exponent notation is rejected.  The
+algebra dimension ("diagonal" n, or the length of "structure") must be a
+JSON integer from 0 to MAX_ALGEBRA_DIM; it is checked before anything of
+size dim^3 is built.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ from .algebra import Algebra
 from .groupoid import build_groupoid
 from .linalg import Field, Matrix
 from .partial_action import PartialAction
+
+
+# A dimension-n algebra has n^3 structure constants: 128^3 is about 2.1M.
+MAX_ALGEBRA_DIM = 128
 
 
 class InstanceFormatError(Exception):
@@ -52,6 +59,14 @@ def parse_field(desc) -> Field:
     if isinstance(desc, dict) and "prime" in desc:
         return Field.prime(int(desc["prime"]))
     raise InstanceFormatError("unrecognised field descriptor %r" % (desc,))
+
+
+def _algebra_dim(n) -> int:
+    if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= MAX_ALGEBRA_DIM:
+        raise InstanceFormatError(
+            "algebra dimension must be an integer from 0 to %d, got %.40r"
+            % (MAX_ALGEBRA_DIM, n))
+    return n
 
 
 def _parse_vector(field: Field, raw, dim: int) -> tuple:
@@ -76,9 +91,10 @@ def parse_instance(data: dict) -> Instance:
                                   [tuple(p) for p in gdata.get("inverse", [])])
         adata = data["algebra"]
         if "diagonal" in adata:
-            algebra = Algebra.diagonal(field, int(adata["diagonal"]),
+            algebra = Algebra.diagonal(field, _algebra_dim(adata["diagonal"]),
                                        adata.get("basis_names"))
         else:
+            _algebra_dim(len(adata["structure"]))
             structure = [[[field.parse(c) for c in row] for row in plane]
                          for plane in adata["structure"]]
             algebra = Algebra(field, structure,

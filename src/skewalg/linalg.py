@@ -7,7 +7,10 @@ immutable tuples of rows, but the kernels are sparse in effect: a zero
 scalar is falsy, and products, eliminations and combinations skip zero
 entries by truthiness instead of computing with them.  Row reduction uses
 deterministic leftmost-pivot elimination so that every downstream basis,
-solution set and certificate is byte-reproducible.
+solution set and certificate is byte-reproducible.  Every elimination
+(`kernel`, `solve_affine`, `Matrix.rank`, `Matrix.inverse`, `Matrix.rref`)
+goes through `echelon`, which returns the nonzero rows and pivots; only the
+public `Matrix.rref` pads them back to the original shape.
 """
 
 from __future__ import annotations
@@ -207,22 +210,14 @@ def vadd(u: Sequence, v: Sequence) -> tuple:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vsub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vzero(field: Field, n: int) -> tuple:
     return (field.zero,) * n
-
-
-def is_zero_vector(field: Field, v: Sequence) -> bool:
-    return not any(v)
 
 
 class Matrix:
     """An immutable dense matrix over one Field."""
 
-    __slots__ = ("field", "nrows", "ncols", "data", "_rref", "_pivots")
+    __slots__ = ("field", "nrows", "ncols", "data")
 
     def __init__(self, field: Field, data: Iterable[Iterable], ncols: int | None = None):
         rows = tuple(tuple(field.coerce(x) for x in row) for row in data)
@@ -238,8 +233,6 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = width
         self.data = rows
-        self._rref = None
-        self._pivots = None
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -257,9 +250,6 @@ class Matrix:
             return cls(field, [])
         n = len(cols[0])
         return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
-
-    def row(self, i: int) -> tuple:
-        return self.data[i]
 
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.data)
@@ -303,7 +293,8 @@ class Matrix:
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("shape mismatch in subtraction")
-        return Matrix(self.field, [vsub(a, b) for a, b in zip(self.data, other.data)])
+        return Matrix(self.field, [tuple(x - y for x, y in zip(a, b))
+                                   for a, b in zip(self.data, other.data)])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -312,43 +303,30 @@ class Matrix:
     def __hash__(self):
         return hash((self.field, self.data))
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.nrows != other.nrows:
-            raise DimensionMismatch("hstack row mismatch")
-        return Matrix(self.field, [a + b for a, b in zip(self.data, other.data)])
-
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.data)
 
     def rref(self) -> "Matrix":
         """Reduced row echelon form, same shape, row space preserved."""
-        if self._rref is None:
-            ech = Echelonizer(self.field, self.ncols)
-            for r in self.data:
-                ech.insert(r)
-            rows = list(ech.rows)
-            pad = vzero(self.field, self.ncols)
-            while len(rows) < self.nrows:
-                rows.append(pad)
-            self._rref = Matrix(self.field, rows)
-            self._pivots = tuple(ech.pivots)
-        return self._rref
-
-    def pivots(self) -> tuple:
-        self.rref()
-        return self._pivots
+        red = echelon(self.field, self.data, self.ncols)
+        pad = [vzero(self.field, self.ncols)] * (self.nrows - red.dim)
+        return Matrix(self.field, list(red.rows) + pad, ncols=self.ncols)
 
     def rank(self) -> int:
-        return len(self.pivots())
+        return echelon(self.field, self.data, self.ncols).dim
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise DimensionMismatch("only square matrices invert")
         n = self.nrows
-        red = self.hstack(Matrix.identity(self.field, n)).rref()
-        if red.pivots()[:n] != tuple(range(n)) or len(red.pivots()) != n:
+        one, zero = self.field.one, self.field.zero
+        # [M | I] has rank n; M is invertible iff the pivots are the first n columns
+        red = echelon(self.field,
+                      (r + tuple(one if i == j else zero for j in range(n))
+                       for i, r in enumerate(self.data)), 2 * n)
+        if red.pivots != tuple(range(n)):
             raise LinalgError("matrix is singular")
-        return Matrix(self.field, [r[n:] for r in red.data])
+        return Matrix(self.field, [r[n:] for r in red.rows])
 
     def __repr__(self):
         return "Matrix(%s, %r)" % (self.field, [[str(x) for x in r] for r in self.data])
@@ -386,14 +364,11 @@ class Echelonizer:
         self.rows: list[tuple] = []
         self.pivots: list[int] = []
 
-    def reduce(self, row: Sequence) -> list:
-        return _eliminate(self.rows, self.pivots, row)
-
     def insert(self, row: Sequence) -> bool:
         """Insert a row; returns True if it enlarged the span."""
         if len(row) != self.ncols:
             raise DimensionMismatch("row width %d != %d" % (len(row), self.ncols))
-        out = self.reduce(row)
+        out = _eliminate(self.rows, self.pivots, row)
         zero = self.field.zero
         piv = next((j for j, x in enumerate(out) if x), None)
         if piv is None:
@@ -409,9 +384,6 @@ class Echelonizer:
         self.rows.insert(at, new)
         self.pivots.insert(at, piv)
         return True
-
-    def contains(self, row: Sequence) -> bool:
-        return not any(self.reduce(row))
 
     def to_echelon(self) -> "Echelon":
         return Echelon(self.field, self.ncols, tuple(self.rows), tuple(self.pivots))
@@ -435,7 +407,7 @@ class Echelon:
         return tuple(_eliminate(self.rows, self.pivots, v))
 
     def contains(self, v: Sequence) -> bool:
-        return is_zero_vector(self.field, self.reduce(v))
+        return not any(self.reduce(v))
 
     def coords(self, v: Sequence) -> tuple:
         """Coordinates of v in this basis (pivot entries); v must lie in the span."""
@@ -503,7 +475,8 @@ def _null_space(field: Field, red_rows, pivots, ncols: int) -> Echelon:
 
 def kernel(m: Matrix) -> tuple:
     """Canonical basis of the null space {x : m.apply(x) == 0}."""
-    return _null_space(m.field, m.rref().data, m.pivots(), m.ncols).rows
+    red = echelon(m.field, m.data, m.ncols)
+    return _null_space(m.field, red.rows, red.pivots, m.ncols).rows
 
 
 @dataclass(frozen=True)
@@ -542,13 +515,12 @@ def solve_affine(a: Matrix, b: Sequence) -> AffineSolutionSet:
     if len(b) != a.nrows:
         raise DimensionMismatch("rhs length %d != %d rows" % (len(b), a.nrows))
     field = a.field
-    aug = Matrix(field, [row + (field.coerce(x),) for row, x in zip(a.data, b)],
-                 ncols=a.ncols + 1)
-    red, pivots = aug.rref().data, aug.pivots()
-    if a.ncols in pivots:
+    red = echelon(field, (row + (field.coerce(x),) for row, x in zip(a.data, b)),
+                  a.ncols + 1)
+    if a.ncols in red.pivots:
         return AffineSolutionSet(None, ())
     part = [field.zero] * a.ncols
-    for r, p in zip(red, pivots):
+    for r, p in zip(red.rows, red.pivots):
         part[p] = r[a.ncols]
-    ke = _null_space(field, red, pivots, a.ncols)
+    ke = _null_space(field, red.rows, red.pivots, a.ncols)
     return AffineSolutionSet(ke.reduce(part), ke.rows)

@@ -301,13 +301,15 @@ def validate_partial_action(pa: PartialAction) -> ActionReport:
     if iso_ok != set(g_oid.morphisms):
         return ActionReport(tuple(bad))
 
+    # every restricted map is invertible once each morphism passed iso_ok
+    inverses = {h: pa.restricted_matrix(h).inverse() for h in g_oid.morphisms}
     for g, h in g_oid.composable_pairs():
         gh = g_oid.compose[(g, h)]
         ginv, hinv = g_oid.inv(g), g_oid.inv(h)
         # central idempotents: A*a intersect A*b equals A*(a*b)
         meet = alg.multiply(pa.idem(ginv), pa.idem(h))
         meet_basis = alg.ideal_basis(meet).basis
-        inv_h = pa.restricted_matrix(h).inverse()
+        inv_h = inverses[h]
         h_ideal, hinv_ideal = pa.ideal(h), pa.ideal(hinv)
         pulled = [hinv_ideal.combine(inv_h.apply(h_ideal.coords(d)))
                   for d in meet_basis.rows]

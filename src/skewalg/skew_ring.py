@@ -14,7 +14,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .linalg import Echelonizer, Matrix, is_zero_vector, vadd
+from .algebra import nonassociative_triple, table_product
+from .linalg import Echelonizer, Matrix, vadd
 from .partial_action import NotUnitalAction, PartialAction
 
 DEFAULT_MAX_TENSOR_DIM = 4096
@@ -39,7 +40,7 @@ class SkewRingElement:
         clean = {}
         for g, v in parts.items():
             v = alg.element(v)
-            if is_zero_vector(alg.field, v):
+            if not any(v):
                 continue
             if check and alg.multiply(v, ring.action.idem(g)) != v:
                 raise SkewRingError(
@@ -109,13 +110,15 @@ class ComponentIdeal:
 class SkewRing:
     """Built by `build_skew_ring`; verifies associativity on basis triples.
 
-    The multiplication table is sparse: `_table[i][j]` maps each ring
-    coordinate k to the nonzero coefficient of b_k in b_i * b_j, and a
-    product of basis elements on non-composable morphisms is the empty dict.
-    Every product over the table, and the associativity audit over all
-    dim^3 basis triples, skips zero coefficients by truthiness instead of
-    multiplying them out.  `product_coords` and `multiplication_rows` still
-    return dense coordinates.
+    The multiplication table is in the sparse format of `algebra`:
+    `_table[i][j]` maps each ring coordinate k to the nonzero coefficient of
+    b_k in b_i * b_j, and a product of basis elements on non-composable
+    morphisms is the empty dict.  `mul_coords` is `algebra.table_product`
+    and the audit over all dim^3 basis triples is
+    `algebra.nonassociative_triple`, the same functions `Algebra` uses.
+    `mul` multiplies elements straight from the action and is the reference
+    the table is tested against.  `product_coords` and
+    `multiplication_rows` return dense coordinates.
     """
 
     def __init__(self, action: PartialAction):
@@ -163,29 +166,11 @@ class SkewRing:
         at = self.starts[g]
         return {at + k: c for k, c in enumerate(local) if c}
 
-    def _combine(self, terms) -> dict:
-        """Sum of c * t over (c, sparse t) pairs, with zero entries dropped."""
-        zero = self.field.zero
-        out: dict = {}
-        for c, t in terms:
-            for k, tk in t.items():
-                out[k] = out.get(k, zero) + c * tk
-        return {k: v for k, v in out.items() if v}
-
     def _check_associativity(self) -> None:
-        table = self._table
-        for i, row_i in enumerate(table):
-            for j, ij in enumerate(row_i):
-                for k, jk in enumerate(table[j]):
-                    if not ij and not jk:
-                        continue  # both sides are 0
-                    # (b_i b_j) b_k against b_i (b_j b_k)
-                    left = self._combine((c, table[m][k]) for m, c in ij.items())
-                    right = self._combine((c, row_i[m]) for m, c in jk.items())
-                    if left != right:
-                        raise SkewRingError(
-                            "skew product not associative at basis triple "
-                            "(%d, %d, %d)" % (i, j, k))
+        bad = nonassociative_triple(self._table, self.field.zero)
+        if bad is not None:
+            raise SkewRingError(
+                "skew product not associative at basis triple (%d, %d, %d)" % bad)
 
     # -- coordinates ---------------------------------------------------------
 
@@ -232,19 +217,7 @@ class SkewRing:
         return tuple(out)
 
     def mul_coords(self, x, y) -> tuple:
-        out = [self.field.zero] * self.dim
-        support = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self._table[i]
-            for j, yj in support:
-                t = row[j]
-                if t:
-                    c = xi * yj
-                    for k, tk in t.items():
-                        out[k] = out[k] + c * tk
-        return tuple(out)
+        return table_product(self._table, x, y, self.field.zero)
 
     def mul(self, x: SkewRingElement, y: SkewRingElement) -> SkewRingElement:
         act = self.action
@@ -427,11 +400,9 @@ class TensorOverA:
                 self._coord_block[c] = (bi, li_local)
         self._build_relations()
         self._check_mult_well_defined()
-        self.q_index = []             # (block index, local free index)
-        for bi, blk in enumerate(self.blocks):
-            for f in blk.free:
-                self.q_index.append((bi, f))
-        self.dim = len(self.q_index)
+        # the ambient coordinate that lifts each quotient coordinate
+        self.q_coords = tuple(blk.coords[f] for blk in self.blocks for f in blk.free)
+        self.dim = len(self.q_coords)
         self._q_offset = {}
         at = 0
         for bi, blk in enumerate(self.blocks):
@@ -531,10 +502,8 @@ class TensorOverA:
                     out[coord] = val
         return out
 
-    def project(self, ambient) -> tuple:
-        """Quotient coordinates of an ambient vector (dense list or sparse dict)."""
-        if not isinstance(ambient, dict):
-            ambient = {c: v for c, v in enumerate(ambient) if v}
+    def project(self, ambient: dict) -> tuple:
+        """Quotient coordinates of a sparse ambient vector {coordinate: value}."""
         zero = self.ring.field.zero
         per_block: dict = {}
         for c, v in ambient.items():
@@ -555,25 +524,14 @@ class TensorOverA:
 
     def lift(self, qcoords) -> dict:
         """Canonical ambient representative (sparse) of quotient coordinates."""
-        out: dict = {}
-        for k, v in enumerate(qcoords):
-            if not v:
-                continue
-            bi, f = self.q_index[k]
-            out[self.blocks[bi].coords[f]] = v
-        return out
-
-    def reduce(self, ambient) -> dict:
-        return self.lift(self.project(ambient))
+        return {self.q_coords[k]: v for k, v in enumerate(qcoords) if v}
 
     # -- induced maps ------------------------------------------------------------
 
-    def multiply_ambient(self, ambient) -> tuple:
-        """Ring coordinates of the image of an ambient vector under b (x) b' -> b b'."""
+    def multiply_ambient(self, ambient: dict) -> tuple:
+        """Ring coordinates of a sparse ambient vector's image under b (x) b' -> b b'."""
         ring = self.ring
         zero = ring.field.zero
-        if not isinstance(ambient, dict):
-            ambient = {c: v for c, v in enumerate(ambient) if v}
         out = [zero] * ring.dim
         for c, v in ambient.items():
             li, ri = divmod(c, self.n_right)
@@ -626,25 +584,23 @@ class TensorOverA:
                         out[coord] = val
         return out
 
+    def _matrix_of(self, image) -> Matrix:
+        """Matrix whose column k is `image` of the lift of quotient basis vector k."""
+        one = self.ring.field.one
+        return Matrix.from_cols(self.ring.field,
+                                [image({c: one}) for c in self.q_coords])
+
     def mult_matrix(self) -> Matrix:
         """The induced map (quotient coords) -> (ring coords)."""
-        cols = [self.multiply_ambient(self.lift(self._unit_q(k)))
-                for k in range(self.dim)]
-        return Matrix.from_cols(self.ring.field, cols)
+        return self._matrix_of(self.multiply_ambient)
 
     def left_matrix(self, b_coords) -> Matrix:
-        cols = [self.project(self.left_apply_ambient(b_coords, self.lift(self._unit_q(k))))
-                for k in range(self.dim)]
-        return Matrix.from_cols(self.ring.field, cols)
+        return self._matrix_of(
+            lambda v: self.project(self.left_apply_ambient(b_coords, v)))
 
     def right_matrix(self, b_coords) -> Matrix:
-        cols = [self.project(self.right_apply_ambient(b_coords, self.lift(self._unit_q(k))))
-                for k in range(self.dim)]
-        return Matrix.from_cols(self.ring.field, cols)
-
-    def _unit_q(self, k: int) -> tuple:
-        return tuple(self.ring.field.one if i == k else self.ring.field.zero
-                     for i in range(self.dim))
+        return self._matrix_of(
+            lambda v: self.project(self.right_apply_ambient(b_coords, v)))
 
     # -- serialization ------------------------------------------------------------
 

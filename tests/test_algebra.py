@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,16 +13,16 @@ def diag4():
     return Algebra.diagonal(Q, 4, ["v1", "v2", "v3", "v4"])
 
 
-def matrix_algebra_2x2():
-    """M_2(Q) with basis E11, E12, E21, E22: E_ab * E_cd = delta_bc E_ad."""
+def matrix_algebra_2x2(field=Q):
+    """M_2 with basis E11, E12, E21, E22: E_ab * E_cd = delta_bc E_ad."""
     idx = {(a, b): 2 * a + b for a in range(2) for b in range(2)}
-    zero, one = Q.zero, Q.one
+    zero, one = field.zero, field.one
     structure = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
     for (a, b), i in idx.items():
         for (c, d), j in idx.items():
             if b == c:
                 structure[i][j][idx[(a, d)]] = one
-    return Algebra(Q, structure, [1, 0, 0, 1], ["E11", "E12", "E21", "E22"])
+    return Algebra(field, structure, [1, 0, 0, 1], ["E11", "E12", "E21", "E22"])
 
 
 # -- multiplication ---------------------------------------------------------------
@@ -54,6 +55,20 @@ def test_matrix_algebra_multiplication():
     assert m.multiply(e12, e12) == m.zero()
 
 
+@pytest.mark.parametrize("field", [Q, Field.prime(3)], ids=str)
+def test_multiply_matches_the_structure_constants(field):
+    # the sparse table product against sum_ij x_i y_j structure[i][j][k]
+    m = matrix_algebra_2x2(field)
+    rng = random.Random(7)
+    for _ in range(40):
+        x = m.element([rng.randint(-3, 3) for _ in range(4)])
+        y = m.element([rng.randint(-3, 3) for _ in range(4)])
+        dense = tuple(sum((x[i] * y[j] * m.structure[i][j][k]
+                           for i in range(4) for j in range(4)), field.zero)
+                      for k in range(4))
+        assert m.multiply(x, y) == dense
+
+
 # -- construction-time checks --------------------------------------------------------
 
 def test_non_associative_structure_is_rejected():
@@ -63,7 +78,7 @@ def test_non_associative_structure_is_rejected():
         [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
         [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
     ]
-    with pytest.raises(AlgebraError, match="associative"):
+    with pytest.raises(AlgebraError, match=r"at basis triple \(1, 1, 1\)"):
         Algebra(Q, structure, [1, 0, 0])
 
 

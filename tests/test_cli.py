@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from skewalg.cli import main
 from skewalg.fuzz import random_skeleton, run_differential, skeleton_to_instance
 from skewalg.skew_ring import SkewRing, TensorOverA
@@ -61,6 +63,26 @@ def test_oversized_json_integer_exits_two(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "validate", str(bad))
     assert code == 2
     assert json.loads(out)["error"]["type"] == "InstanceFormatError"
+
+
+@pytest.mark.parametrize("algebra", [
+    {"diagonal": -2},
+    {"diagonal": 2.5},
+    {"diagonal": True},
+    {"diagonal": 10**9},
+    {"structure": [[]] * 129, "unit": []},
+], ids=["negative", "fraction", "bool", "huge", "long-structure"])
+def test_hostile_algebra_dimension_exits_two(capsys, tmp_path, algebra):
+    # rejected before any structure of size dim^3 is built
+    data = instance_data("z2_flip_q.json")
+    data["algebra"] = algebra
+    bad = tmp_path / "dim.json"
+    bad.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "InstanceFormatError"
+    assert "algebra dimension must be an integer from 0 to 128" in error["message"]
 
 
 def test_exponent_scalar_exits_two(capsys, tmp_path):

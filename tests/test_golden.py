@@ -3,8 +3,9 @@
 Every shipped instance goes through each report-producing command, and the
 seed-one fuzz corpus is run once; each (exit code, sha256 of stdout) must
 match the digest recorded here.  The digests were taken before the sparse
-exact kernel replaced the dense loops, so a representation change that
-alters any report byte fails this test.  `instance.path` is dropped before
+exact kernel replaced the dense loops (those of plain `separability` and
+`components` before A and A*G came to share one table product), so a
+representation change that alters any report byte fails this test.  `instance.path` is dropped before
 hashing, so the digest does not depend on where the checkout lives.
 
 To print the current digests in the same layout (only for a deliberate
@@ -33,6 +34,8 @@ COMMANDS = (
     ("separability", "--global"),
     ("separability", "--isotropy"),
     ("skew-table",),
+    ("separability",),
+    ("components",),
 )
 
 FUZZ = ("fuzz", "--seed", "1", "--count", "25")
@@ -44,30 +47,40 @@ GOLDEN = {
     "separability pair_swap_global_q.json --global": (0, "bfcd2acf41ee759b6f41fe67fb0cc6072b6a4e50ae49df08f5b5f7762c4d276c"),
     "separability pair_swap_global_q.json --isotropy": (0, "81436043966d9ead537b7a7d1495f41a1db4a2c85ff9039099c45d9fd56fd78d"),
     "skew-table pair_swap_global_q.json": (0, "216fc69ba771d1c9f57c2f9ddbd931574d696494a1ca1272652014de9c8cd9b5"),
+    "separability pair_swap_global_q.json": (0, "7c4088d54fb45638cfb91d8ac2e792f3f26e3c12bb67bc7ada4778e6cde3761e"),
+    "components pair_swap_global_q.json": (0, "c518222212f5dca4c31aef8ad5b283877751adb4185820aee9fe44f22cd4dfa4"),
     "validate partial_bridge_q.json": (0, "1b162aae83e95cd121b15ef37e2c99ea3953cf81727b745646f669e82edfc00c"),
     "traces partial_bridge_q.json": (0, "033389d004025de46d0f00750d1370f81347875b9720355a13f31346bd45139f"),
     "separability partial_bridge_q.json --oracle": (0, "ec13a7c551aa48212babbacdb29e5b80410db0aedbbacc4eec3be6f80ae0aabb"),
     "separability partial_bridge_q.json --global": (1, "78fb2c15f22af4fc1b2df6d5ed05c4e6411ec5d681f4e9f48857a918731df928"),
     "separability partial_bridge_q.json --isotropy": (1, "eb92e2db7957d5125fa5e7f81420aaadf1ba0d9ff017e32f54ba5705490b659e"),
     "skew-table partial_bridge_q.json": (0, "f98539bf80331bba5bc1d46416e8dbc3ba93edb6e39d525f9b75256470cbe7f9"),
+    "separability partial_bridge_q.json": (0, "28aa4f8104a8749456300b7b40562c54ca2969087f4fccccf429b6625699a158"),
+    "components partial_bridge_q.json": (0, "9ff5fc0e7ba8cc2c60d9100904327635bbbf053ec93830c7c965f874eb8d54e7"),
     "validate z2_flip_gf2.json": (0, "878179379bed8eaec26eac0283559d83ba46ffd7ea7e1889e643d47397dd8bd6"),
     "traces z2_flip_gf2.json": (0, "62284e9361cc8a1879ecf1cd64881e3d91e3a4b83fda028e6df5d035f54f9d31"),
     "separability z2_flip_gf2.json --oracle": (0, "4e9e4f98afc20093709b90c01dd9423d0deffe1e93c17e7577ef8df3983c49d5"),
     "separability z2_flip_gf2.json --global": (1, "78fb2c15f22af4fc1b2df6d5ed05c4e6411ec5d681f4e9f48857a918731df928"),
     "separability z2_flip_gf2.json --isotropy": (0, "23957cd23d37dd90e1018cab527454aac86694ec288f42c31fee5c8820991ca0"),
     "skew-table z2_flip_gf2.json": (0, "3d349d9137b1348e84ec53e4aa0b9a0c7f27b1da19247bb6da42458e57802b00"),
+    "separability z2_flip_gf2.json": (0, "cf2c5b86c38c79687b78a3c6719b8a12362358e745a6e4875b2e9fdf5f844f53"),
+    "components z2_flip_gf2.json": (0, "5271cfd14860bb470e921549d2533e5913813b7b4de318de7ab568dec3447118"),
     "validate z2_flip_gf3.json": (0, "cfd3a5466acbd9b95a7f6f6ae4f4312e7c34137adc35cc0e8dae0ae997d8fac5"),
     "traces z2_flip_gf3.json": (0, "0daf2b9ba8737a398e3765122bc5c3b040ea0a70a06a5a19d4b2176a018dc6e7"),
     "separability z2_flip_gf3.json --oracle": (0, "4a1f1026fffae1736cb2ca431cf83973c179794f1ca6b2dfaa4997965184da64"),
     "separability z2_flip_gf3.json --global": (1, "78fb2c15f22af4fc1b2df6d5ed05c4e6411ec5d681f4e9f48857a918731df928"),
     "separability z2_flip_gf3.json --isotropy": (1, "eb92e2db7957d5125fa5e7f81420aaadf1ba0d9ff017e32f54ba5705490b659e"),
     "skew-table z2_flip_gf3.json": (0, "5bc17a19b8f2b721bf3d3a240a865cc7aa11566c4eab1584be7b82ccd19f84a4"),
+    "separability z2_flip_gf3.json": (0, "2dfd5861abebd065a0cb5a391ecf86f3c6ad172b5a308dc4c13d78aa470a6350"),
+    "components z2_flip_gf3.json": (0, "61cd814419c768daec3029bcf367a0888c567e8b9d2ef8332956912b19ddd9ad"),
     "validate z2_flip_q.json": (0, "27c153984d98bd1ac50a641a81983ad110e3e6bdbdd720528cb1b7e201dd95de"),
     "traces z2_flip_q.json": (0, "bbf11b29bb906597e1e2c484fcf5a31cdf2515d4d247145251eec9f08eeed147"),
     "separability z2_flip_q.json --oracle": (0, "5495590f663c58e69decf59b8ba1bd92be113213545346c5dc9bf22d36763662"),
     "separability z2_flip_q.json --global": (1, "78fb2c15f22af4fc1b2df6d5ed05c4e6411ec5d681f4e9f48857a918731df928"),
     "separability z2_flip_q.json --isotropy": (1, "eb92e2db7957d5125fa5e7f81420aaadf1ba0d9ff017e32f54ba5705490b659e"),
     "skew-table z2_flip_q.json": (0, "fde629829c3e5c1db6fb0222c6e57db3af5112739659724d0d341f9aedd08b66"),
+    "separability z2_flip_q.json": (0, "0207168b7ca1ea11909f2afe7858a1da2560ad4acddab7146ba4873139d9967a"),
+    "components z2_flip_q.json": (0, "d07e0cfe945ffcb337d2457339e699d602f474be7f411c3abdac3e3bdfe25ecb"),
     "fuzz --seed 1 --count 25": (0, "98d8e192a469eadb94913a2e3a3047049d36a5580b10b03a314d7b7b43e3be4c"),
 }
 
