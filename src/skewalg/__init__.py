@@ -6,7 +6,7 @@ from .groupoid import (ComponentPartition, Groupoid, GroupoidError,
                        GroupoidReport, UnknownObject, build_groupoid,
                        validate_groupoid)
 from .linalg import (AffineSolutionSet, DimensionMismatch, Echelon, Field,
-                     LinalgError, Matrix, ModP, echelon, intersect, kernel,
+                     LinalgError, Matrix, echelon, intersect, kernel,
                      rref, solve_affine)
 from .partial_action import (ActionError, ActionReport, DecompositionRequired,
                              NotUnitalAction, OverlappingObjects,

@@ -17,9 +17,9 @@ from .linalg import (DimensionMismatch, Echelon, Field, Matrix, echelon,
                      kernel, vadd, vzero)
 
 
-def table_product(table, x, y, zero) -> tuple:
+def table_product(table, x, y, field) -> tuple:
     """Coordinates of x*y over a sparse structure-constant table."""
-    out = [zero] * len(table)
+    out = [field.zero] * len(table)
     support = [(j, yj) for j, yj in enumerate(y) if yj]
     for i, xi in enumerate(x):
         if not xi:
@@ -30,11 +30,11 @@ def table_product(table, x, y, zero) -> tuple:
             if t:
                 c = xi * yj
                 for k, tk in t.items():
-                    out[k] = out[k] + c * tk
-    return tuple(out)
+                    out[k] += c * tk
+    return field.reduce_vec(out)
 
 
-def nonassociative_triple(table, zero):
+def nonassociative_triple(table, field):
     """The first basis triple (i, j, k), in lexicographic order, where
     (b_i b_j) b_k != b_i (b_j b_k) over a sparse table, or None.
 
@@ -42,12 +42,14 @@ def nonassociative_triple(table, zero):
     skipped.
     """
 
+    zero = field.zero
+
     def combine(terms) -> dict:
         out: dict = {}
         for c, t in terms:
             for k, tk in t.items():
                 out[k] = out.get(k, zero) + c * tk
-        return {k: v for k, v in out.items() if v}
+        return field.reduce_dict(out)
 
     for i, row_i in enumerate(table):
         for j, ij in enumerate(row_i):
@@ -114,7 +116,7 @@ class Algebra:
         for bi in basis:
             if self.multiply(self.unit, bi) != bi or self.multiply(bi, self.unit) != bi:
                 raise AlgebraError("declared unit is not a two-sided identity")
-        bad = nonassociative_triple(self._table, self.field.zero)
+        bad = nonassociative_triple(self._table, self.field)
         if bad is not None:
             raise AlgebraError(
                 "multiplication not associative at basis triple (%d, %d, %d)" % bad)
@@ -139,17 +141,17 @@ class Algebra:
     def multiply(self, x, y) -> tuple:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("element does not match algebra dimension")
-        return table_product(self._table, x, y, self.field.zero)
+        return table_product(self._table, x, y, self.field)
 
     def left_mul_matrix(self, x) -> Matrix:
         """Matrix of y -> x*y on coefficient columns."""
         cols = [self.multiply(x, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix.from_cols(self.field, cols)
+        return Matrix._trusted(self.field, tuple(zip(*cols)), self.dim)
 
     def right_mul_matrix(self, x) -> Matrix:
         """Matrix of y -> y*x on coefficient columns."""
         cols = [self.multiply(self.basis_vector(j), x) for j in range(self.dim)]
-        return Matrix.from_cols(self.field, cols)
+        return Matrix._trusted(self.field, tuple(zip(*cols)), self.dim)
 
     def commutes_with_all(self, x) -> bool:
         return all(self.multiply(x, self.basis_vector(i)) ==
@@ -195,7 +197,7 @@ class Algebra:
             for b in range(len(idems)):
                 if a != b and any(self.multiply(idems[a], idems[b])):
                     return False
-            total = vadd(total, idems[a])
+            total = vadd(self.field, total, idems[a])
         return total == self.unit
 
     # -- subalgebras on idempotents ------------------------------------------

@@ -3,7 +3,7 @@
 Layout:
 
     {
-      "field": "Q" | "GF(p)" | {"prime": p},
+      "field": "Q" | "GF(p)" | {"prime": p},       # p a JSON integer
       "groupoid": {
         "objects": ["e1", ...],
         "morphisms": [{"name": "g", "src": "e1", "tgt": "e2"}, ...],
@@ -57,7 +57,10 @@ def parse_field(desc) -> Field:
     if isinstance(desc, str) and desc.startswith("GF(") and desc.endswith(")"):
         return Field.prime(int(desc[3:-1]))
     if isinstance(desc, dict) and "prime" in desc:
-        return Field.prime(int(desc["prime"]))
+        p = desc["prime"]
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise InstanceFormatError("prime must be a JSON integer, got %.40r" % (p,))
+        return Field.prime(p)
     raise InstanceFormatError("unrecognised field descriptor %r" % (desc,))
 
 

@@ -1,13 +1,22 @@
 """Exact linear algebra over the rationals and over prime fields GF(p).
 
-Everything in this module is exact: scalars are either `fractions.Fraction`
+Everything in this module is exact.  A scalar of Q is a `fractions.Fraction`
 (arbitrary precision, kept in lowest terms with positive denominator by the
-stdlib) or `ModP` residues.  Vectors are plain tuples and matrices are
-immutable tuples of rows, but the kernels are sparse in effect: a zero
-scalar is falsy, and products, eliminations and combinations skip zero
-entries by truthiness instead of computing with them.  Row reduction uses
-deterministic leftmost-pivot elimination so that every downstream basis,
-solution set and certificate is byte-reproducible.  Every elimination
+stdlib); a scalar of GF(p) is a plain `int` in range(p).  `Field` owns what
+Python ints cannot do alone: reduction mod p and inversion.  Each kernel that
+adds or multiplies scalars reduces its own output once, through
+`Field.reduce_vec` or `Field.reduce_dict` (over Q these only build the tuple
+or drop zeros), so a zero scalar is always falsy and `str()` prints the
+residue.  Scalars from outside are checked by `Field.coerce` once, where
+they enter: `Field.parse`, the public `Matrix(...)` and `Matrix.from_cols`,
+and `Algebra(...)`/`Algebra.element`; matrices the package builds from field
+arithmetic skip that check.
+
+Vectors are plain tuples and matrices are immutable tuples of rows, but the
+kernels are sparse in effect: products, eliminations and combinations skip
+zero entries by truthiness instead of computing with them.  Row reduction
+uses deterministic leftmost-pivot elimination so that every downstream
+basis, solution set and certificate is byte-reproducible.  Every elimination
 (`kernel`, `solve_affine`, `Matrix.rank`, `Matrix.inverse`, `Matrix.rref`)
 goes through `echelon`, which returns the nonzero rows and pivots; only the
 public `Matrix.rref` pads them back to the original shape.
@@ -59,86 +68,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class ModP:
-    """A residue modulo a prime p.  Mixed-modulus arithmetic is an error."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _lift(self, other) -> "ModP":
-        if isinstance(other, ModP):
-            if other.p != self.p:
-                raise ValueError("mixed moduli: %d vs %d" % (self.p, other.p))
-            return other
-        if isinstance(other, int):
-            return ModP(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModP(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModP(self.value - other.value, self.p)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModP(other.value - self.value, self.p)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModP(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
-        # p prime, so a^(p-2) inverts a
-        return ModP(self.value * pow(other.value, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return ModP(-self.value, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, ModP):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return "ModP(%d, %d)" % (self.value, self.p)
-
-    def __str__(self):
-        return str(self.value)
-
-
 class Field:
-    """The scalar domain: the rationals (p is None) or GF(p) for a prime p."""
+    """The scalar domain: Q (p is None, scalars are Fractions) or GF(p) for a
+    prime p (scalars are plain ints in range(p)).
+
+    `inv` inverts; `reduce_vec` and `reduce_dict` bring a kernel's unreduced
+    output into the field, one call per vector or dict.
+    """
 
     __slots__ = ("p", "zero", "one")
 
@@ -158,7 +94,29 @@ class Field:
         return cls(p)
 
     def from_int(self, n: int):
-        return Fraction(n) if self.p is None else ModP(n, self.p)
+        return Fraction(n) if self.p is None else n % self.p
+
+    def inv(self, x):
+        """The inverse of a nonzero scalar; ZeroDivisionError on 0."""
+        if self.p is None:
+            return 1 / x
+        if not x % self.p:
+            raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
+        return pow(x, -1, self.p)
+
+    def reduce_vec(self, values) -> tuple:
+        """The tuple of `values`, each brought into the field."""
+        if self.p is None:
+            return tuple(values)
+        p = self.p
+        return tuple([x % p for x in values])
+
+    def reduce_dict(self, sparse: dict) -> dict:
+        """`sparse` with each value brought into the field and zeros dropped."""
+        if self.p is None:
+            return {k: v for k, v in sparse.items() if v}
+        p = self.p
+        return {k: r for k, v in sparse.items() if (r := v % p)}
 
     def parse(self, text):
         """Parse "3/4", "-2" or a plain int into a scalar of this field."""
@@ -174,20 +132,17 @@ class Field:
             return Fraction(text)
         if "/" in text:
             num, den = text.split("/", 1)
-            return ModP(int(num), self.p) / ModP(int(den), self.p)
-        return ModP(int(text), self.p)
+            return int(num) * self.inv(int(den)) % self.p
+        return int(text) % self.p
 
     def show(self, x) -> str:
         return str(x)
 
     def coerce(self, x):
-        """Accept ints and same-field scalars; reject everything else."""
+        """Accept ints and scalars of this field; reject everything else."""
         if isinstance(x, int):
             return self.from_int(x)
-        if self.p is None:
-            if isinstance(x, Fraction):
-                return x
-        elif isinstance(x, ModP) and x.p == self.p:
+        if self.p is None and isinstance(x, Fraction):
             return x
         raise ValueError("scalar %r does not belong to %s" % (x, self))
 
@@ -206,8 +161,8 @@ class Field:
 
 # -- vectors are plain tuples of scalars -------------------------------------
 
-def vadd(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
+def vadd(field: Field, u: Sequence, v: Sequence) -> tuple:
+    return field.reduce_vec(a + b for a, b in zip(u, v))
 
 
 def vzero(field: Field, n: int) -> tuple:
@@ -215,7 +170,11 @@ def vzero(field: Field, n: int) -> tuple:
 
 
 class Matrix:
-    """An immutable dense matrix over one Field."""
+    """An immutable dense matrix over one Field.
+
+    The constructor and `from_cols` coerce every entry; `_trusted` wraps rows
+    the package built from field arithmetic as they are.
+    """
 
     __slots__ = ("field", "nrows", "ncols", "data")
 
@@ -233,6 +192,16 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = width
         self.data = rows
+
+    @classmethod
+    def _trusted(cls, field: Field, rows: tuple, ncols: int) -> "Matrix":
+        """A matrix of reduced scalar tuples of equal length `ncols`, unchecked."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.nrows = len(rows)
+        m.ncols = ncols
+        m.data = rows
+        return m
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -260,8 +229,8 @@ class Matrix:
             raise DimensionMismatch("vector length %d != %d columns" % (len(v), self.ncols))
         support = [(j, x) for j, x in enumerate(v) if x]
         zero = self.field.zero
-        return tuple(sum((r[j] * x for j, x in support if r[j]), zero)
-                     for r in self.data)
+        return self.field.reduce_vec(sum((r[j] * x for j, x in support if r[j]), zero)
+                                     for r in self.data)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -269,32 +238,37 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch("%dx%d times %dx%d" %
                                     (self.nrows, self.ncols, other.nrows, other.ncols))
-        zero = self.field.zero
+        field = self.field
         out = []
         for r in self.data:
-            acc = [zero] * other.ncols
+            acc = [field.zero] * other.ncols
             for x, row in zip(r, other.data):
                 if x:
                     for j, y in enumerate(row):
                         if y:
-                            acc[j] = acc[j] + x * y
-            out.append(acc)
-        return Matrix(self.field, out)
+                            acc[j] += x * y
+            out.append(field.reduce_vec(acc))
+        return Matrix._trusted(field, tuple(out), other.ncols)
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("shape mismatch in addition")
-        return Matrix(self.field, [vadd(a, b) for a, b in zip(self.data, other.data)])
+        field = self.field
+        return Matrix._trusted(field, tuple(
+            field.reduce_vec(x + y if y else x for x, y in zip(a, b))
+            for a, b in zip(self.data, other.data)), self.ncols)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("shape mismatch in subtraction")
-        return Matrix(self.field, [tuple(x - y for x, y in zip(a, b))
-                                   for a, b in zip(self.data, other.data)])
+        field = self.field
+        return Matrix._trusted(field, tuple(
+            field.reduce_vec(x - y if y else x for x, y in zip(a, b))
+            for a, b in zip(self.data, other.data)), self.ncols)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -309,8 +283,8 @@ class Matrix:
     def rref(self) -> "Matrix":
         """Reduced row echelon form, same shape, row space preserved."""
         red = echelon(self.field, self.data, self.ncols)
-        pad = [vzero(self.field, self.ncols)] * (self.nrows - red.dim)
-        return Matrix(self.field, list(red.rows) + pad, ncols=self.ncols)
+        pad = (vzero(self.field, self.ncols),) * (self.nrows - red.dim)
+        return Matrix._trusted(self.field, red.rows + pad, self.ncols)
 
     def rank(self) -> int:
         return echelon(self.field, self.data, self.ncols).dim
@@ -326,26 +300,30 @@ class Matrix:
                        for i, r in enumerate(self.data)), 2 * n)
         if red.pivots != tuple(range(n)):
             raise LinalgError("matrix is singular")
-        return Matrix(self.field, [r[n:] for r in red.rows])
+        return Matrix._trusted(self.field, tuple(r[n:] for r in red.rows), n)
 
     def __repr__(self):
         return "Matrix(%s, %r)" % (self.field, [[str(x) for x in r] for r in self.data])
 
 
-def _eliminate(rows, pivots, v) -> list:
+def _eliminate(field: Field, rows, pivots, v) -> tuple:
     """Clear each pivot coordinate of v with its reduced echelon row.
 
     A row is zero left of its pivot, so each pass starts at the pivot column.
+    Over GF(p) the entries stay unreduced ints until the final `reduce_vec`;
+    each pivot coefficient is reduced before it is tested, so `if c` stays an
+    exact zero test.
     """
+    p = field.p
     out = list(v)
-    for r, p in zip(rows, pivots):
-        c = out[p]
+    for r, piv in zip(rows, pivots):
+        c = out[piv] if p is None else out[piv] % p
         if c:
-            for j in range(p, len(r)):
+            for j in range(piv, len(r)):
                 rj = r[j]
                 if rj:
-                    out[j] = out[j] - c * rj
-    return out
+                    out[j] -= c * rj
+    return field.reduce_vec(out)
 
 
 class Echelonizer:
@@ -368,18 +346,19 @@ class Echelonizer:
         """Insert a row; returns True if it enlarged the span."""
         if len(row) != self.ncols:
             raise DimensionMismatch("row width %d != %d" % (len(row), self.ncols))
-        out = _eliminate(self.rows, self.pivots, row)
-        zero = self.field.zero
+        field = self.field
+        out = _eliminate(field, self.rows, self.pivots, row)
         piv = next((j for j, x in enumerate(out) if x), None)
         if piv is None:
             return False
-        inv = self.field.one / out[piv]
-        new = tuple(x * inv if x else zero for x in out)
+        inv = field.inv(out[piv])
+        new = field.reduce_vec(x * inv if x else x for x in out)
         # clear the new pivot column in the old rows
         for k, r in enumerate(self.rows):
             c = r[piv]
             if c:
-                self.rows[k] = tuple(a - c * b if b else a for a, b in zip(r, new))
+                self.rows[k] = field.reduce_vec(a - c * b if b else a
+                                                for a, b in zip(r, new))
         at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
         self.rows.insert(at, new)
         self.pivots.insert(at, piv)
@@ -404,7 +383,7 @@ class Echelon:
 
     def reduce(self, v: Sequence) -> tuple:
         """Residual of v after eliminating all pivot coordinates."""
-        return tuple(_eliminate(self.rows, self.pivots, v))
+        return _eliminate(self.field, self.rows, self.pivots, v)
 
     def contains(self, v: Sequence) -> bool:
         return not any(self.reduce(v))
@@ -424,8 +403,8 @@ class Echelon:
             if c:
                 for j, x in enumerate(r):
                     if x:
-                        out[j] = out[j] + c * x
-        return tuple(out)
+                        out[j] += c * x
+        return self.field.reduce_vec(out)
 
     def __eq__(self, other):
         return (isinstance(other, Echelon) and self.field == other.field
@@ -446,8 +425,9 @@ def intersect(a: Echelon, b: Echelon) -> Echelon:
     if a.dim == 0 or b.dim == 0:
         return echelon(a.field, [], a.ncols)
     # v = x*A = y*B  <=>  (x, y) in ker [A^T | -B^T]
-    cols = [list(r) for r in a.rows] + [[-x for x in r] for r in b.rows]
-    m = Matrix.from_cols(a.field, cols)
+    field = a.field
+    cols = list(a.rows) + [field.reduce_vec(-x for x in r) for r in b.rows]
+    m = Matrix._trusted(field, tuple(zip(*cols)), len(cols))
     vecs = [a.combine(k[: a.dim]) for k in kernel(m)]
     return echelon(a.field, vecs, a.ncols)
 
@@ -469,7 +449,7 @@ def _null_space(field: Field, red_rows, pivots, ncols: int) -> Echelon:
         v[f] = one
         for r, p in zip(red_rows, pivots):
             v[p] = -r[f]
-        vecs.append(v)
+        vecs.append(field.reduce_vec(v))
     return echelon(field, vecs, ncols)
 
 
@@ -486,11 +466,12 @@ class AffineSolutionSet:
     Canonical form: kernel_basis is a reduced echelon basis and the particular
     solution has zero entries at every kernel pivot coordinate, so two equal
     solution sets always compare equal.  `particular` is None iff the system
-    is inconsistent.
+    is inconsistent.  `field` is the field the scalars belong to.
     """
 
     particular: tuple | None
     kernel_basis: tuple
+    field: Field = Field.rationals()
 
     @property
     def is_empty(self) -> bool:
@@ -506,8 +487,8 @@ class AffineSolutionSet:
         out = list(self.particular)
         for c, k in zip(coeffs, self.kernel_basis):
             for j in range(len(out)):
-                out[j] = out[j] + c * k[j]
-        return tuple(out)
+                out[j] += c * k[j]
+        return self.field.reduce_vec(out)
 
 
 def solve_affine(a: Matrix, b: Sequence) -> AffineSolutionSet:
@@ -518,9 +499,9 @@ def solve_affine(a: Matrix, b: Sequence) -> AffineSolutionSet:
     red = echelon(field, (row + (field.coerce(x),) for row, x in zip(a.data, b)),
                   a.ncols + 1)
     if a.ncols in red.pivots:
-        return AffineSolutionSet(None, ())
+        return AffineSolutionSet(None, (), field)
     part = [field.zero] * a.ncols
     for r, p in zip(red.rows, red.pivots):
         part[p] = r[a.ncols]
     ke = _null_space(field, red.rows, red.pivots, a.ncols)
-    return AffineSolutionSet(ke.reduce(part), ke.rows)
+    return AffineSolutionSet(ke.reduce(part), ke.rows, field)

@@ -75,7 +75,7 @@ class PartialAction:
         self._ideals: dict = {}
         self._restricted: dict = {}
         self._report: ActionReport | None = None
-        self._square = None           # skew_ring.tensor_square's cache
+        self._square = None           # skew_ring.tensor_square's weak reference
 
     # -- accessors ---------------------------------------------------------
 
@@ -143,7 +143,7 @@ class PartialAction:
             raise ActionError("%r is not a connected component class" % (class_objects,))
         u = self.algebra.zero()
         for f in class_objects:
-            u = vadd(u, self.obj_idem(f))
+            u = vadd(self.algebra.field, u, self.obj_idem(f))
         return self._restrict(self.groupoid.full_subgroupoid(class_objects), u)
 
     def isotropy_action(self, e) -> "PartialAction":
@@ -269,7 +269,7 @@ def validate_partial_action(pa: PartialAction) -> ActionReport:
             flag("NotRingIso", "morphism %r has no usable inverse" % (g,))
             continue
         comp = alg.right_mul_matrix(
-            tuple(a - b for a, b in zip(one, pa.idem(ginv))))
+            alg.field.reduce_vec(a - b for a, b in zip(one, pa.idem(ginv))))
         if not (m * comp).is_zero():
             flag("NotRingIso",
                  "map of %s does not annihilate the complement of its domain ideal" % (g,))

@@ -151,7 +151,7 @@ def _component_family(pa: PartialAction, cls, objects_to_solve) -> tuple:
     sub = pa.restrict_to_component(cls)
     u = pa.algebra.zero()
     for f in cls:
-        u = vadd(u, pa.obj_idem(f))
+        u = vadd(pa.algebra.field, u, pa.obj_idem(f))
     basis = pa.algebra.ideal_basis(u).basis
     alg = sub.algebra
     center = alg.center_basis()
@@ -165,7 +165,7 @@ def _component_family(pa: PartialAction, cls, objects_to_solve) -> tuple:
         rhs.extend(sub.obj_idem(f))
     sol = solve_affine(Matrix(alg.field, rows, ncols=len(center)), rhs)
     if sol.is_empty:
-        return AffineSolutionSet(None, ()), basis
+        return AffineSolutionSet(None, (), alg.field), basis
     return _canonical_family(alg.field, alg.dim, cmat.apply(sol.particular),
                              [cmat.apply(k) for k in sol.kernel_basis]), basis
 
@@ -173,7 +173,7 @@ def _component_family(pa: PartialAction, cls, objects_to_solve) -> tuple:
 def _canonical_family(field, dim, particular, kernel_vectors) -> AffineSolutionSet:
     """particular + span(kernel_vectors), in canonical AffineSolutionSet form."""
     ke = echelon(field, kernel_vectors, dim)
-    return AffineSolutionSet(ke.reduce(particular), ke.rows)
+    return AffineSolutionSet(ke.reduce(particular), ke.rows, field)
 
 
 def _embed_family(family: AffineSolutionSet, basis: Echelon, field, dim) -> AffineSolutionSet:
@@ -200,7 +200,7 @@ def _decide(pa: PartialAction, transversal_only: bool) -> SeparabilityVerdict:
         if full.is_empty:
             separable = False
         else:
-            witness = vadd(witness, full.particular)
+            witness = vadd(alg.field, witness, full.particular)
             kern.extend(full.kernel_basis)
     if not separable:
         return SeparabilityVerdict(False, tuple(per), None, None)
@@ -250,12 +250,8 @@ def build_certificate(pa: PartialAction, a,
         left = ring.element({g: pa.alpha(g, a)})
         right = ring.element({ginv: pa.idem(ginv)})
         for c, v in tensor.pure_tensor(left, right).items():
-            val = ambient.get(c, zero) + v
-            if val == zero:
-                ambient.pop(c, None)
-            else:
-                ambient[c] = val
-    q = tensor.project(ambient)
+            ambient[c] = ambient.get(c, zero) + v
+    q = tensor.project(alg.field.reduce_dict(ambient))
     lifted = tensor.lift(q)
     unit_coords = ring.coords_of(ring.unit())
     checks = {
@@ -268,7 +264,7 @@ def build_certificate(pa: PartialAction, a,
             for p in range(ring.dim)),
     }
     if family is None:
-        family = AffineSolutionSet(a, ())
+        family = AffineSolutionSet(a, (), alg.field)
     return SeparabilityCertificate(a, family, tensor, q, tensor.summands(q), checks)
 
 
@@ -293,7 +289,7 @@ def oracle_separability(pa: PartialAction) -> OracleResult:
         delta = tensor.left_matrix(b) - tensor.right_matrix(b)
         rows.extend(delta.data)
         rhs.extend([field.zero] * tensor.dim)
-    sol = solve_affine(Matrix(field, rows, ncols=tensor.dim), rhs)
+    sol = solve_affine(Matrix._trusted(field, tuple(rows), tensor.dim), rhs)
     return OracleResult(not sol.is_empty, tensor, sol)
 
 
@@ -305,15 +301,16 @@ def normal_form_coefficients(pa: PartialAction, tensor: TensorOverA, qcoords) ->
     normal form of the element.
     """
     alg = pa.algebra
+    field = alg.field
     out: dict = {}
     for c, v in tensor.lift(qcoords).items():
         li, ri = divmod(c, tensor.n_right)
         g, u = tensor.ring.basis[tensor.left_positions[li]]
         h, w = tensor.ring.basis[tensor.right_positions[ri]]
         coeff = alg.multiply(u, pa.alpha(g, w))
-        coeff = tuple(v * x for x in coeff)
+        coeff = field.reduce_vec(v * x for x in coeff)
         key = (g, h)
-        out[key] = vadd(out[key], coeff) if key in out else coeff
+        out[key] = vadd(field, out[key], coeff) if key in out else coeff
     return out
 
 
@@ -324,7 +321,7 @@ def extract_witness(pa: PartialAction, tensor: TensorOverA, qcoords) -> tuple:
     for e in pa.groupoid.objects:
         i = pa.groupoid.identity[e]
         if (i, i) in coeffs:
-            a = vadd(a, coeffs[(i, i)])
+            a = vadd(pa.algebra.field, a, coeffs[(i, i)])
     return a
 
 
@@ -385,7 +382,7 @@ def isotropy_witness_transport(pa: PartialAction, class_objects, witness) -> Tra
         g = hom[0]
         arrows[kobj] = g
         bk = alg.multiply(b, pa.obj_idem(kobj))
-        a = vadd(a, pa.alpha(pa.groupoid.inv(g), bk))
+        a = vadd(alg.field, a, pa.alpha(pa.groupoid.inv(g), bk))
     checks = {
         "witness_central": alg.commutes_with_all(a),
         "single_object_trace": trace_between(pa, i, i).matrix.apply(a) == pa.obj_idem(i),

@@ -12,6 +12,7 @@ reduced-echelon elimination.  Balancing generators never mix different
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass
 
 from .algebra import nonassociative_triple, table_product
@@ -57,14 +58,16 @@ class SkewRingElement:
 
     def __add__(self, other):
         self._same_ring(other)
+        field = self.ring.field
         out = dict(self.parts)
         for g, v in other.parts.items():
-            out[g] = vadd(out[g], v) if g in out else v
+            out[g] = vadd(field, out[g], v) if g in out else v
         return SkewRingElement(self.ring, out, check=False)
 
     def __neg__(self):
+        field = self.ring.field
         return SkewRingElement(
-            self.ring, {g: tuple(-x for x in v) for g, v in self.parts.items()},
+            self.ring, {g: field.reduce_vec(-x for x in v) for g, v in self.parts.items()},
             check=False)
 
     def __sub__(self, other):
@@ -136,7 +139,7 @@ class SkewRing:
         self.field = action.algebra.field
         self._build_table()
         self._check_associativity()
-        self._unit: SkewRingElement | None = None
+        self._unit_checked = False
         self._embed_checked = False
 
     # -- construction ------------------------------------------------------
@@ -167,7 +170,7 @@ class SkewRing:
         return {at + k: c for k, c in enumerate(local) if c}
 
     def _check_associativity(self) -> None:
-        bad = nonassociative_triple(self._table, self.field.zero)
+        bad = nonassociative_triple(self._table, self.field)
         if bad is not None:
             raise SkewRingError(
                 "skew product not associative at basis triple (%d, %d, %d)" % bad)
@@ -217,7 +220,7 @@ class SkewRing:
         return tuple(out)
 
     def mul_coords(self, x, y) -> tuple:
-        return table_product(self._table, x, y, self.field.zero)
+        return table_product(self._table, x, y, self.field)
 
     def mul(self, x: SkewRingElement, y: SkewRingElement) -> SkewRingElement:
         act = self.action
@@ -231,22 +234,25 @@ class SkewRing:
                     continue
                 gh = g_oid.compose[(g, h)]
                 v = act.alpha(g, alg.multiply(pulled, b))
-                acc[gh] = vadd(acc[gh], v) if gh in acc else v
+                acc[gh] = vadd(self.field, acc[gh], v) if gh in acc else v
         return SkewRingElement(self, acc, check=False)
 
     def unit(self) -> SkewRingElement:
-        """sum_e 1_e d_e, checked to be a two-sided identity on the basis."""
-        if self._unit is None:
-            g_oid = self.action.groupoid
-            parts = {g_oid.identity[e]: self.action.obj_idem(e)
-                     for e in g_oid.objects}
-            u = SkewRingElement(self, parts, check=False)
+        """sum_e 1_e d_e, checked to be a two-sided identity on the basis.
+
+        Built on each call: a cached element would point back at its ring,
+        and the cycle would keep the ring alive until a full GC pass.
+        """
+        g_oid = self.action.groupoid
+        parts = {g_oid.identity[e]: self.action.obj_idem(e) for e in g_oid.objects}
+        u = SkewRingElement(self, parts, check=False)
+        if not self._unit_checked:
             for i in range(self.dim):
                 b = self.basis_element(i)
                 if u * b != b or b * u != b:
                     raise SkewRingError("unit candidate fails on basis element %d" % i)
-            self._unit = u
-        return self._unit
+            self._unit_checked = True
+        return u
 
     def embed(self, a) -> SkewRingElement:
         """The ring embedding a |-> sum_e (a 1_e) d_e of A into the skew ring."""
@@ -438,11 +444,11 @@ class TensorOverA:
         ring = self.ring
         act = ring.action
         alg = act.algebra
-        zero = ring.field.zero
+        field = ring.field
         for blk in self.blocks:
             nu, nw = len(blk.left_local), len(blk.right_local)
             width = nu * nw
-            ech = Echelonizer(ring.field, width)
+            ech = Echelonizer(field, width)
             g_ideal = act.ideal(blk.g)
             h_ideal = act.ideal(blk.h)
             for a in self.mid_rows:
@@ -453,12 +459,12 @@ class TensorOverA:
                 la = [h_ideal.coords(alg.multiply(a, w)) for w in h_ideal.rows]
                 for ui in range(nu):
                     for wi in range(nw):
-                        row = [zero] * width
+                        row = [field.zero] * width
                         for ui2 in range(nu):
                             row[ui2 * nw + wi] = row[ui2 * nw + wi] + ra[ui][ui2]
                         for wi2 in range(nw):
                             row[ui * nw + wi2] = row[ui * nw + wi2] - la[wi][wi2]
-                        ech.insert(row)
+                        ech.insert(field.reduce_vec(row))
             blk.echelon = ech.to_echelon()
             piv = set(blk.echelon.pivots)
             blk.free = tuple(j for j in range(width) if j not in piv)
@@ -478,7 +484,8 @@ class TensorOverA:
         """Ambient (sparse) representation of x (x) y."""
         xc = self.ring.coords_of(x)
         yc = self.ring.coords_of(y)
-        zero = self.ring.field.zero
+        field = self.ring.field
+        zero = field.zero
         for p, c in enumerate(xc):
             if c and p not in self._lpos_index:
                 raise SkewRingError("left factor leaves the selected ideal")
@@ -494,13 +501,8 @@ class TensorOverA:
                 if not d:
                     continue
                 coord = li * self.n_right + self._rpos_index[q]
-                prev = out.get(coord, zero)
-                val = prev + c * d
-                if not val:
-                    out.pop(coord, None)
-                else:
-                    out[coord] = val
-        return out
+                out[coord] = out.get(coord, zero) + c * d
+        return field.reduce_dict(out)
 
     def project(self, ambient: dict) -> tuple:
         """Quotient coordinates of a sparse ambient vector {coordinate: value}."""
@@ -531,14 +533,13 @@ class TensorOverA:
     def multiply_ambient(self, ambient: dict) -> tuple:
         """Ring coordinates of a sparse ambient vector's image under b (x) b' -> b b'."""
         ring = self.ring
-        zero = ring.field.zero
-        out = [zero] * ring.dim
+        out = [ring.field.zero] * ring.dim
         for c, v in ambient.items():
             li, ri = divmod(c, self.n_right)
             prod = ring._table[self.left_positions[li]][self.right_positions[ri]]
             for k, t in prod.items():
-                out[k] = out[k] + v * t
-        return tuple(out)
+                out[k] += v * t
+        return ring.field.reduce_vec(out)
 
     def left_apply_ambient(self, b_coords, ambient) -> dict:
         """Ambient action of ring multiplication by b on the left tensor leg."""
@@ -555,12 +556,8 @@ class TensorOverA:
                     if li2 is None:
                         raise SkewRingError("left action leaves the selected ideal")
                     coord = li2 * self.n_right + ri
-                    val = out.get(coord, zero) + v * bi * t
-                    if not val:
-                        out.pop(coord, None)
-                    else:
-                        out[coord] = val
-        return out
+                    out[coord] = out.get(coord, zero) + v * bi * t
+        return ring.field.reduce_dict(out)
 
     def right_apply_ambient(self, b_coords, ambient) -> dict:
         """Ambient action of ring multiplication by b on the right tensor leg."""
@@ -577,18 +574,14 @@ class TensorOverA:
                     if ri2 is None:
                         raise SkewRingError("right action leaves the selected ideal")
                     coord = li * self.n_right + ri2
-                    val = out.get(coord, zero) + v * bj * t
-                    if not val:
-                        out.pop(coord, None)
-                    else:
-                        out[coord] = val
-        return out
+                    out[coord] = out.get(coord, zero) + v * bj * t
+        return ring.field.reduce_dict(out)
 
     def _matrix_of(self, image) -> Matrix:
         """Matrix whose column k is `image` of the lift of quotient basis vector k."""
-        one = self.ring.field.one
-        return Matrix.from_cols(self.ring.field,
-                                [image({c: one}) for c in self.q_coords])
+        field = self.ring.field
+        cols = [image({c: field.one}) for c in self.q_coords]
+        return Matrix._trusted(field, tuple(zip(*cols)), len(cols))
 
     def mult_matrix(self) -> Matrix:
         """The induced map (quotient coords) -> (ring coords)."""
@@ -614,7 +607,7 @@ class TensorOverA:
             li, ri = divmod(c, self.n_right)
             g, u = ring.basis[self.left_positions[li]]
             h, w = ring.basis[self.right_positions[ri]]
-            out.append((g, tuple(v * x for x in u), h, w))
+            out.append((g, ring.field.reduce_vec(v * x for x in u), h, w))
         return tuple(out)
 
 
@@ -649,15 +642,22 @@ def tensor_over(left, right, mid=None) -> TensorOverA:
         objs = mid.objects if isinstance(mid, ComponentIdeal) else tuple(mid)
         u = alg.zero()
         for f in objs:
-            u = vadd(u, ring.action.obj_idem(f))
+            u = vadd(alg.field, u, ring.action.obj_idem(f))
         mid_rows = alg.ideal_basis(u).basis.rows
         label = "A[%s]" % ",".join(str(o) for o in objs)
     return TensorOverA(ring, lpos, rpos, mid_rows, label)
 
 
 def tensor_square(action: PartialAction) -> TensorOverA:
-    """(A*G) (x)_A (A*G), built once per action; its `.ring` is the skew ring."""
-    if action._square is None:
+    """(A*G) (x)_A (A*G); its `.ring` is the skew ring.
+
+    The action keeps only a weak reference to the square (the square's ring
+    points back at the action), so one square is shared for as long as a
+    caller such as a certificate or an oracle result holds it.
+    """
+    square = action._square() if action._square is not None else None
+    if square is None:
         ring = build_skew_ring(action)
-        action._square = tensor_over(ring, ring)
-    return action._square
+        square = tensor_over(ring, ring)
+        action._square = weakref.ref(square)
+    return square

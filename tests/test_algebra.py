@@ -63,9 +63,9 @@ def test_multiply_matches_the_structure_constants(field):
     for _ in range(40):
         x = m.element([rng.randint(-3, 3) for _ in range(4)])
         y = m.element([rng.randint(-3, 3) for _ in range(4)])
-        dense = tuple(sum((x[i] * y[j] * m.structure[i][j][k]
-                           for i in range(4) for j in range(4)), field.zero)
-                      for k in range(4))
+        dense = field.reduce_vec(sum((x[i] * y[j] * m.structure[i][j][k]
+                                      for i in range(4) for j in range(4)), field.zero)
+                                 for k in range(4))
         assert m.multiply(x, y) == dense
 
 

@@ -85,6 +85,18 @@ def test_hostile_algebra_dimension_exits_two(capsys, tmp_path, algebra):
     assert "algebra dimension must be an integer from 0 to 128" in error["message"]
 
 
+@pytest.mark.parametrize("prime", [2.5, True, "5"], ids=["fraction", "bool", "string"])
+def test_non_integer_prime_exits_two(capsys, tmp_path, prime):
+    # int() would truncate 2.5 to GF(2) and read "5" as GF(5)
+    data = instance_data("z2_flip_gf2.json")
+    data["field"] = {"prime": prime}
+    bad = tmp_path / "prime.json"
+    bad.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InstanceFormatError"
+
+
 def test_exponent_scalar_exits_two(capsys, tmp_path):
     data = instance_data("partial_bridge_q.json")
     data["action"]["g"]["map"][2][1] = "1e5000"

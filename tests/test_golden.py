@@ -4,8 +4,9 @@ Every shipped instance goes through each report-producing command, and the
 seed-one fuzz corpus is run once; each (exit code, sha256 of stdout) must
 match the digest recorded here.  The digests were taken before the sparse
 exact kernel replaced the dense loops (those of plain `separability` and
-`components` before A and A*G came to share one table product), so a
-representation change that alters any report byte fails this test.  `instance.path` is dropped before
+`components` before A and A*G came to share one table product, those of
+`rotated_swap_gf5.json` while GF(p) scalars were still `ModP` objects), so
+a representation change that alters any report byte fails this test.  `instance.path` is dropped before
 hashing, so the digest does not depend on where the checkout lives.
 
 To print the current digests in the same layout (only for a deliberate
@@ -57,6 +58,14 @@ GOLDEN = {
     "skew-table partial_bridge_q.json": (0, "f98539bf80331bba5bc1d46416e8dbc3ba93edb6e39d525f9b75256470cbe7f9"),
     "separability partial_bridge_q.json": (0, "28aa4f8104a8749456300b7b40562c54ca2969087f4fccccf429b6625699a158"),
     "components partial_bridge_q.json": (0, "9ff5fc0e7ba8cc2c60d9100904327635bbbf053ec93830c7c965f874eb8d54e7"),
+    "validate rotated_swap_gf5.json": (0, "80ab9f189323a0f12f8d112ee344397f73f07bf163876394e38688186460d3ef"),
+    "traces rotated_swap_gf5.json": (0, "9f9f013373ee969759dd62a8cdb86bac670d87fba17ccee362f2a04bed6fe9e6"),
+    "separability rotated_swap_gf5.json --oracle": (0, "0a001eb5cf2a2d87afabc7e97bf6e93acf2470fa9f18e3eca966391bd6df0844"),
+    "separability rotated_swap_gf5.json --global": (0, "3cff9ffa79ef95d93c5d519fb5034a326449b731fd754c9ba550720d76c09d83"),
+    "separability rotated_swap_gf5.json --isotropy": (0, "c01c38d3b678e8ba6915c72685926eb56d75f55672e021468980b310be2d3734"),
+    "skew-table rotated_swap_gf5.json": (0, "ec265c070b727d978ceea0beb6203cdd0d22c58c986030425d0ccc877fb222a1"),
+    "separability rotated_swap_gf5.json": (0, "93322c6afef2608fe7259e5cd998d18d371202560835c6d8a32a45f535f94936"),
+    "components rotated_swap_gf5.json": (0, "227b96424eeeff8d2611974d5db79b7e8fc2d970950e6cb3026793803b46afd4"),
     "validate z2_flip_gf2.json": (0, "878179379bed8eaec26eac0283559d83ba46ffd7ea7e1889e643d47397dd8bd6"),
     "traces z2_flip_gf2.json": (0, "62284e9361cc8a1879ecf1cd64881e3d91e3a4b83fda028e6df5d035f54f9d31"),
     "separability z2_flip_gf2.json --oracle": (0, "4e9e4f98afc20093709b90c01dd9423d0deffe1e93c17e7577ef8df3983c49d5"),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from skewalg.cli import main
 from skewalg.linalg import (MAX_MODULUS, AffineSolutionSet, DimensionMismatch,
-                            Field, LinalgError, Matrix, ModP, echelon,
+                            Field, LinalgError, Matrix, echelon,
                             intersect, kernel, rref, solve_affine)
 
 from conftest import instance_data
@@ -64,16 +64,11 @@ def test_oversized_prime_field_instance_exits_two(tmp_path, capsys):
 
 
 def test_modp_arithmetic():
-    a, b = ModP(5, 7), ModP(4, 7)
-    assert a + b == ModP(2, 7)
-    assert a - b == ModP(1, 7)
-    assert a * b == ModP(6, 7)
-    assert a / b == ModP(3, 7)  # 3*4 = 12 = 5 mod 7
-    assert -a == ModP(2, 7)
-    with pytest.raises(ValueError):
-        a + ModP(1, 5)
+    f7 = Field.prime(7)
+    a, b = f7.from_int(5), f7.from_int(4)
+    assert f7.reduce_vec((a + b, a - b, a * b, a * f7.inv(b), -a)) == (2, 1, 6, 3, 2)
     with pytest.raises(ZeroDivisionError):
-        a / ModP(0, 7)
+        f7.inv(f7.zero)
 
 
 def test_scalar_parsing_round_trip():
@@ -82,16 +77,22 @@ def test_scalar_parsing_round_trip():
     assert Q.parse(5) == Fraction(5)
     assert Q.show(Fraction(3, 4)) == "3/4"
     f5 = Field.prime(5)
-    assert f5.parse("7") == ModP(2, 5)
-    assert f5.parse("1/2") == ModP(3, 5)
-    assert f5.show(ModP(3, 5)) == "3"
+    assert f5.parse("7") == 2
+    assert f5.parse("1/2") == 3
+    assert f5.show(3) == "3"
+    with pytest.raises(ZeroDivisionError, match=r"division by zero in GF\(5\)"):
+        f5.parse("1/5")
 
 
 def test_coerce_rejects_foreign_scalars():
     with pytest.raises(ValueError):
-        Q.coerce(ModP(1, 3))
+        Q.coerce(0.5)
     with pytest.raises(ValueError):
         Field.prime(3).coerce(Fraction(1, 2))
+    with pytest.raises(ValueError):
+        Matrix(Field.prime(3), [[0.5]])
+    with pytest.raises(ValueError):
+        Matrix.from_cols(Field.prime(3), [[Fraction(1, 2)]])
 
 
 # -- rref ----------------------------------------------------------------------
@@ -249,6 +250,37 @@ def test_gf_p_rank_nullity(mb, p):
     f = Field.prime(p)
     mm = Matrix(f, [[f.from_int(x.numerator) for x in row] for row in m.data])
     assert mm.rank() + len(kernel(mm)) == mm.ncols
+
+
+def _residues(p, *vectors) -> bool:
+    return all(type(x) is int and 0 <= x < p for v in vectors for x in v)
+
+
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 4), st.integers(1, 4),
+       st.lists(st.integers(-20, 20), min_size=56, max_size=56))
+@settings(max_examples=80, deadline=None)
+def test_gf_p_kernels_return_residues(p, n, k, pool):
+    # every scalar a GF(p) kernel returns is a plain int in range(p)
+    f = Field.prime(p)
+    it = iter(pool)
+    a = Matrix(f, [[next(it) for _ in range(k)] for _ in range(n)])
+    b = Matrix(f, [[next(it) for _ in range(k)] for _ in range(n)])
+    c = Matrix(f, [[next(it) for _ in range(n)] for _ in range(k)])
+    v = tuple(f.from_int(next(it)) for _ in range(k))
+    rhs = [next(it) for _ in range(n)]
+    assert _residues(p, *a.data, *b.data, *c.data, v)
+    for m in (a * c, c * a, a + b, a - b, a.rref()):
+        assert _residues(p, *m.data)
+    assert _residues(p, a.apply(v), *kernel(a))
+    sq = a * c
+    if sq.rank() == n:
+        inv = sq.inverse()
+        assert _residues(p, *inv.data)
+        assert inv * sq == Matrix.identity(f, n)
+    sol = solve_affine(a, rhs)
+    if not sol.is_empty:
+        assert _residues(p, sol.particular, *sol.kernel_basis)
+        assert _residues(p, sol.element([f.from_int(x) for x in pool[: sol.dim]]))
 
 
 def test_prime_field_solver_matches_exhaustive_enumeration():

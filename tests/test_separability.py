@@ -37,7 +37,7 @@ def test_bridge_pairwise_trace_sum(bridge):
     a = bridge.algebra.element([5, 7, 11, 13])
     t12 = trace_between(bridge, "e1", "e2")
     t22 = trace_between(bridge, "e2", "e2")
-    assert vadd(t12(a), t22(a)) == trace_into(bridge, "e2")(a)
+    assert vadd(bridge.algebra.field, t12(a), t22(a)) == trace_into(bridge, "e2")(a)
 
 
 def test_flip_traces_double_the_coefficient(flip_q):
@@ -358,7 +358,7 @@ def rotated_swap_action(field=Q):
                        [("s", "sinv")])
     structure = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]   # x * x = 1
     a = Algebra(field, structure, [1, 0], ["one", "x"])
-    half = field.one / (field.one + field.one)
+    half = field.inv(field.from_int(2))
     idems = {"id:o1": (half, half), "id:o2": (half, -half),
              "s": (half, -half), "sinv": (half, half)}
     maps = {"s": Matrix(field, [[half, half], [-half, -half]]),
@@ -401,7 +401,7 @@ def test_rotated_swap_over_odd_prime_fields():
         assert pa.is_global()
         v = decide_separability(pa)
         assert v.separable
-        assert v.witness == (f.one / (f.one + f.one), f.zero)
+        assert v.witness == (f.inv(f.from_int(2)), f.zero)
         assert v.certificate.ok
         assert oracle_separability(pa).separable
         assert decide_global(pa).separable
@@ -456,3 +456,52 @@ def test_direct_system_agrees_on_worked_instances(bridge, flip_q, flip_gf2,
     for pa in (bridge, flip_q, flip_gf2, glued_double, pair_swap):
         assert direct_full_system_separable(pa) == decide_separability(pa).separable
     assert direct_full_system_separable(rotated_swap_action())
+
+
+# -- GF(p) scalars and object lifetime ---------------------------------------------------------
+
+def _scalars_of_family(fam):
+    if fam.is_empty:
+        return []
+    return [fam.particular, *fam.kernel_basis]
+
+
+@pytest.mark.parametrize("name,p", [("z2_flip_gf3.json", 3), ("rotated_swap_gf5.json", 5)])
+def test_certificate_and_oracle_scalars_are_residues(name, p):
+    from conftest import load_action
+
+    pa = load_action(name)
+    verdict = decide_separability(pa)
+    oracle = oracle_separability(pa)
+    assert verdict.separable and oracle.separable
+    cert = verdict.certificate
+    vectors = [verdict.witness, cert.witness, cert.element,
+               *_scalars_of_family(cert.witness_family),
+               *_scalars_of_family(oracle.solutions)]
+    for comp in verdict.per_component:
+        vectors.extend(_scalars_of_family(comp.witness_family))
+    for _, u, _, w in cert.summands:
+        vectors.extend((u, w))
+    assert all(type(x) is int and 0 <= x < p for v in vectors for x in v)
+
+
+def test_separability_objects_are_freed_by_reference_counting():
+    # no reference cycle may keep an op's action, ring or tensor square alive
+    import gc
+    import weakref
+    from conftest import INSTANCE_DIR
+    from skewalg.instances import load_instance
+
+    gc.collect()
+    gc.disable()
+    try:
+        for path in sorted(INSTANCE_DIR.glob("*.json")):
+            pa = load_instance(path).action
+            verdict = decide_separability(pa)
+            oracle = oracle_separability(pa)
+            refs = [weakref.ref(x) for x in
+                    (pa, pa.algebra, oracle.tensor, oracle.tensor.ring)]
+            del pa, verdict, oracle
+            assert all(r() is None for r in refs), path.name
+    finally:
+        gc.enable()
