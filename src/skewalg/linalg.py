@@ -218,7 +218,8 @@ class Matrix:
         if not cols:
             return cls(field, [])
         n = len(cols[0])
-        return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
+        return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)],
+                   ncols=len(cols))
 
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.data)

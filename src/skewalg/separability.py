@@ -296,19 +296,21 @@ def oracle_separability(pa: PartialAction) -> OracleResult:
 def normal_form_coefficients(pa: PartialAction, tensor: TensorOverA, qcoords) -> dict:
     """Rewrite a tensor element as sum of a_{g,h} d_g (x) 1_h d_{h}.
 
-    Every pure tensor u d_g (x) w d_h equals (u alpha_g(w 1_{g^-1})) d_g (x) 1_h d_h
-    in the quotient; accumulating those coefficients gives the (g, h) |-> a_{g,h}
-    normal form of the element.
+    Every pure tensor u d_g (x) w d_h equals psi(u d_g (x) w d_h) d_g (x) 1_h d_h
+    in the quotient, psi = u alpha_g(w 1_{g^-1}); accumulating the psi-images
+    of the quotient basis (`tensor.q_psi`) gives the (g, h) |-> a_{g,h} normal
+    form of the element.
     """
-    alg = pa.algebra
-    field = alg.field
+    field = pa.algebra.field
+    ring = tensor.ring
     out: dict = {}
-    for c, v in tensor.lift(qcoords).items():
-        li, ri = divmod(c, tensor.n_right)
-        g, u = tensor.ring.basis[tensor.left_positions[li]]
-        h, w = tensor.ring.basis[tensor.right_positions[ri]]
-        coeff = alg.multiply(u, pa.alpha(g, w))
-        coeff = field.reduce_vec(v * x for x in coeff)
+    for k, v in enumerate(qcoords):
+        if not v:
+            continue
+        li, ri = divmod(tensor.q_coords[k], tensor.n_right)
+        g = ring.basis[tensor.left_positions[li]][0]
+        h = ring.basis[tensor.right_positions[ri]][0]
+        coeff = field.reduce_vec(v * x for x in tensor.q_psi[k])
         key = (g, h)
         out[key] = vadd(field, out[key], coeff) if key in out else coeff
     return out

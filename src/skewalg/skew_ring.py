@@ -2,11 +2,15 @@
 
 The ring is the direct sum over morphisms g of the ideals A_g, with
 (a_g d_g)(b_h d_h) = alpha_g(alpha_{g^-1}(a_g) b_h) d_{gh} on composable
-pairs and 0 otherwise.  Tensor squares are realised concretely: the plain
-pairwise tensor space modulo the span of the balancing relations
-(b.a (x) b') - (b (x) a.b'), with canonical representatives chosen by
-reduced-echelon elimination.  Balancing generators never mix different
-(morphism, morphism) blocks, so the relation span is stored blockwise.
+pairs and 0 otherwise.  Tensor squares over A are realised concretely in
+the normal form psi(u d_g (x) w d_h) = u alpha_g(w 1_{g^-1}), which maps the
+(g, h) block of the quotient isomorphically onto the ideal A e_{g,h},
+e_{g,h} = alpha_g(1_{g^-1} 1_h), and kills the block unless src g = tgt h.
+Canonical representatives are the basis pairs chosen greedily from the right
+whose psi-images are independent: the free columns of the reduced echelon
+form of the balancing relations (b.a (x) b') - (b (x) a.b'), which are never
+built.  Construction checks that every basis-pair product is its psi-image
+at d_{gh}, so multiplication factors through the quotient.
 """
 
 from __future__ import annotations
@@ -361,34 +365,25 @@ def build_skew_ring(action: PartialAction) -> SkewRing:
 # -- tensor squares over A ------------------------------------------------------
 
 
-class _Block:
-    __slots__ = ("g", "h", "left_local", "right_local", "coords", "echelon", "free")
-
-    def __init__(self, g, h, left_local, right_local, coords):
-        self.g = g
-        self.h = h
-        self.left_local = left_local
-        self.right_local = right_local
-        self.coords = coords          # ambient coordinates, (u, w) lexicographic
-        self.echelon = None           # local relation echelon
-        self.free = None              # local free coordinate indices
-
-
 class TensorOverA:
-    """B_left (x)_mid B_right as an explicit quotient with canonical lifts.
+    """B_left (x)_A B_right in the psi normal form, with canonical lifts.
 
-    `left`/`right` select ring basis positions (the whole ring or one
-    component block); `mid_rows` is a basis of the algebra being balanced
-    over, as ambient algebra coefficient vectors.
+    `left_positions`/`right_positions` select ring basis positions (the whole
+    ring or one component block).  Ambient coordinate li * n_right + ri is the
+    basis pair (u d_g, w d_h); its (g, h) block of the quotient is psi's image
+    A e_{g,h}, with inverse a |-> a d_g (x) 1_h d_h.  Scanning a composable
+    block from the right, each pair whose psi-image is independent of those to
+    its right is free: these are the free columns of the leftmost-pivot
+    echelon form of the balancing relations, so `q_coords`, `lift` and
+    `summands` are the canonical ones of the quotient by relations.  `project`
+    sums, per ambient coordinate, the coordinates of its psi-image in the
+    basis of free psi-images (`q_psi`), stored at construction.
     """
 
-    def __init__(self, ring: SkewRing, left_positions, right_positions,
-                 mid_rows, mid_label: str):
+    def __init__(self, ring: SkewRing, left_positions, right_positions):
         self.ring = ring
         self.left_positions = tuple(left_positions)
         self.right_positions = tuple(right_positions)
-        self.mid_rows = tuple(mid_rows)
-        self.mid_label = mid_label
         self.n_left = len(self.left_positions)
         self.n_right = len(self.right_positions)
         self.ambient_dim = self.n_left * self.n_right
@@ -399,84 +394,77 @@ class TensorOverA:
                 % (self.ambient_dim, cap))
         self._lpos_index = {p: i for i, p in enumerate(self.left_positions)}
         self._rpos_index = {p: i for i, p in enumerate(self.right_positions)}
-        self.blocks = self._make_blocks()
-        self._coord_block = {}
-        for bi, blk in enumerate(self.blocks):
-            for li_local, c in enumerate(blk.coords):
-                self._coord_block[c] = (bi, li_local)
-        self._build_relations()
-        self._check_mult_well_defined()
-        # the ambient coordinate that lifts each quotient coordinate
-        self.q_coords = tuple(blk.coords[f] for blk in self.blocks for f in blk.free)
+        q_coords: list = []
+        q_psi: list = []
+        self._q_of: dict = {}         # ambient coordinate -> ((quotient k, value), ...)
+        g_oid = ring.action.groupoid
+        right_runs = _morphism_runs(ring, self.right_positions)
+        for g, lls in _morphism_runs(ring, self.left_positions):
+            for h, rls in right_runs:
+                if g_oid.src[g] == g_oid.tgt[h]:
+                    lifts, psi = self._read_block(g, lls, h, rls, len(q_coords))
+                    q_coords.extend(lifts)
+                    q_psi.extend(psi)
+        self.q_coords = tuple(q_coords)   # ambient coordinate lifting each quotient one
+        self.q_psi = tuple(q_psi)         # psi-image of each quotient basis vector
         self.dim = len(self.q_coords)
-        self._q_offset = {}
-        at = 0
-        for bi, blk in enumerate(self.blocks):
-            self._q_offset[bi] = at
-            at += len(blk.free)
 
     # -- construction -------------------------------------------------------
 
-    def _make_blocks(self) -> list:
-        ring = self.ring
-        by_morph_left: list = []
-        for i, p in enumerate(self.left_positions):
-            g = ring.basis[p][0]
-            if by_morph_left and by_morph_left[-1][0] == g:
-                by_morph_left[-1][1].append(i)
-            else:
-                by_morph_left.append((g, [i]))
-        by_morph_right: list = []
-        for i, p in enumerate(self.right_positions):
-            h = ring.basis[p][0]
-            if by_morph_right and by_morph_right[-1][0] == h:
-                by_morph_right[-1][1].append(i)
-            else:
-                by_morph_right.append((h, [i]))
-        blocks = []
-        for g, lls in by_morph_left:
-            for h, rls in by_morph_right:
-                coords = tuple(li * self.n_right + ri for li in lls for ri in rls)
-                blocks.append(_Block(g, h, tuple(lls), tuple(rls), coords))
-        return blocks
-
-    def _build_relations(self) -> None:
+    def _read_block(self, g, lls, h, rls, off: int) -> tuple:
+        """(lifts, psi-images) of the free columns of block (g, h), whose
+        quotient coordinates start at `off`; records each ambient coordinate's
+        quotient coordinates in `_q_of`."""
         ring = self.ring
         act = ring.action
-        alg = act.algebra
         field = ring.field
-        for blk in self.blocks:
-            nu, nw = len(blk.left_local), len(blk.right_local)
-            width = nu * nw
-            ech = Echelonizer(field, width)
-            g_ideal = act.ideal(blk.g)
-            h_ideal = act.ideal(blk.h)
-            for a in self.mid_rows:
-                # right bimodule action on the left leg: u . a
-                moved = act.alpha(blk.g, a)
-                ra = [g_ideal.coords(alg.multiply(u, moved)) for u in g_ideal.rows]
-                # left bimodule action on the right leg: a . w
-                la = [h_ideal.coords(alg.multiply(a, w)) for w in h_ideal.rows]
-                for ui in range(nu):
-                    for wi in range(nw):
-                        row = [field.zero] * width
-                        for ui2 in range(nu):
-                            row[ui2 * nw + wi] = row[ui2 * nw + wi] + ra[ui][ui2]
-                        for wi2 in range(nw):
-                            row[ui * nw + wi2] = row[ui * nw + wi2] - la[wi][wi2]
-                        ech.insert(field.reduce_vec(row))
-            blk.echelon = ech.to_echelon()
-            piv = set(blk.echelon.pivots)
-            blk.free = tuple(j for j in range(width) if j not in piv)
-
-    def _check_mult_well_defined(self) -> None:
-        """The multiplication map must annihilate the whole relation span."""
-        for blk in self.blocks:
-            for row in blk.echelon.rows:
-                sparse = {blk.coords[j]: c for j, c in enumerate(row) if c}
-                if any(self.multiply_ambient(sparse)):
+        gh = act.groupoid.compose[(g, h)]
+        target = act.ideal(gh)
+        moved = [act.alpha(g, ring.basis[self.right_positions[ri]][1]) for ri in rls]
+        coords, kinds = [], []        # per basis pair (u, w), lexicographic
+        kind_of: dict = {}            # psi-image -> its index in `images`
+        images, products = [], []     # distinct psi-images y; ring coordinates of y d_{gh}
+        for li in lls:
+            p = self.left_positions[li]
+            u = ring.basis[p][1]
+            for ri, m in zip(rls, moved):
+                y = act.algebra.multiply(u, m)
+                k = kind_of.setdefault(y, len(images))
+                if k == len(images):
+                    images.append(y)
+                    products.append(ring._scatter(gh, y) if target.contains(y) else None)
+                if ring._table[p][self.right_positions[ri]] != products[k]:
                     raise SkewRingError(
                         "multiplication does not factor through the tensor quotient")
+                coords.append(li * self.n_right + ri)
+                kinds.append(k)
+        # greedy from the right; only the rightmost pair with a given image can be free
+        ech = Echelonizer(field, act.algebra.dim)
+        free = []
+        tried = set()
+        for j in range(len(coords) - 1, -1, -1):
+            k = kinds[j]
+            if k not in tried:
+                tried.add(k)
+                if any(images[k]) and ech.insert(images[k]):
+                    free.append(j)
+        if not free:
+            return (), ()
+        free.reverse()
+        # y = sum_i y[p_i] r_i over the echelon rows r_i (pivots p_i), and
+        # psi(e_f) = sum_i C[f][i] r_i, so y's quotient coordinates are (y[p_i])_i C^-1
+        pivots = ech.pivots
+
+        def at_pivots(rows) -> Matrix:
+            return Matrix._trusted(field, tuple(tuple(y[p] for p in pivots) for y in rows),
+                                   len(pivots))
+
+        q = at_pivots(images) * at_pivots([images[kinds[f]] for f in free]).inverse()
+        q_of = [tuple((off + i, t) for i, t in enumerate(row) if t) for row in q.data]
+        for c, k in zip(coords, kinds):
+            if q_of[k]:
+                self._q_of[c] = q_of[k]
+        return [coords[f] for f in free], [images[kinds[f]] for f in free]
 
     # -- coordinates -----------------------------------------------------------
 
@@ -506,22 +494,14 @@ class TensorOverA:
 
     def project(self, ambient: dict) -> tuple:
         """Quotient coordinates of a sparse ambient vector {coordinate: value}."""
-        zero = self.ring.field.zero
-        per_block: dict = {}
+        field = self.ring.field
+        acc: dict = {}
         for c, v in ambient.items():
-            bi, local = self._coord_block[c]
-            per_block.setdefault(bi, {})[local] = v
-        out = [zero] * self.dim
-        for bi, localvals in per_block.items():
-            blk = self.blocks[bi]
-            width = len(blk.coords)
-            local = [zero] * width
-            for j, v in localvals.items():
-                local[j] = v
-            reduced = blk.echelon.reduce(local)
-            off = self._q_offset[bi]
-            for k, f in enumerate(blk.free):
-                out[off + k] = reduced[f]
+            for k, t in self._q_of.get(c, ()):
+                acc[k] = acc[k] + v * t if k in acc else v * t
+        out = [field.zero] * self.dim
+        for k, v in field.reduce_dict(acc).items():
+            out[k] = v
         return tuple(out)
 
     def lift(self, qcoords) -> dict:
@@ -624,28 +604,22 @@ def _positions_of(ring: SkewRing, part) -> tuple:
     raise SkewRingError("tensor factor must be a SkewRing or ComponentIdeal")
 
 
-def tensor_over(left, right, mid=None) -> TensorOverA:
-    """Tensor product over A (mid=None) or over a component subalgebra.
+def _morphism_runs(ring: SkewRing, positions) -> list:
+    """[(g, indices into positions)] for the runs of positions on one morphism."""
+    runs: list = []
+    for i, p in enumerate(positions):
+        g = ring.basis[p][0]
+        if runs and runs[-1][0] == g:
+            runs[-1][1].append(i)
+        else:
+            runs.append((g, [i]))
+    return runs
 
-    `left` and `right` are the ring itself or component ideals of it; `mid`
-    is None for the full coefficient algebra, or a tuple of objects (or a
-    ComponentIdeal) selecting the component subalgebra A_[e].
-    """
+
+def tensor_over(left, right) -> TensorOverA:
+    """Tensor product over A of the ring or component ideals of it."""
     ring = left if isinstance(left, SkewRing) else left.unit.ring
-    lpos = _positions_of(ring, left)
-    rpos = _positions_of(ring, right)
-    alg = ring.action.algebra
-    if mid is None:
-        mid_rows = tuple(alg.basis_vector(i) for i in range(alg.dim))
-        label = "A"
-    else:
-        objs = mid.objects if isinstance(mid, ComponentIdeal) else tuple(mid)
-        u = alg.zero()
-        for f in objs:
-            u = vadd(alg.field, u, ring.action.obj_idem(f))
-        mid_rows = alg.ideal_basis(u).basis.rows
-        label = "A[%s]" % ",".join(str(o) for o in objs)
-    return TensorOverA(ring, lpos, rpos, mid_rows, label)
+    return TensorOverA(ring, _positions_of(ring, left), _positions_of(ring, right))
 
 
 def tensor_square(action: PartialAction) -> TensorOverA:

@@ -1,11 +1,13 @@
 import copy
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from skewalg import Field, PartialAction, glue_components
 from skewalg.instances import load_instance, parse_instance
+from skewalg.linalg import echelon, vadd
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -93,3 +95,78 @@ def trivial_group_on_field(field: Field) -> PartialAction:
 @pytest.fixture(scope="session")
 def trivial_q():
     return trivial_group_on_field(Field.rationals())
+
+
+def component_algebra_rows(pa: PartialAction, objects) -> tuple:
+    """A basis of the component subalgebra A_[e] = A * sum of 1_f over `objects`."""
+    alg = pa.algebra
+    u = alg.zero()
+    for f in objects:
+        u = vadd(alg.field, u, pa.obj_idem(f))
+    return alg.ideal_basis(u).basis.rows
+
+
+def relation_quotient(ring, lpos, rpos, mid_rows):
+    """Reference for `TensorOverA`: the quotient by the balancing relations.
+
+    The ambient space is the pairs (lpos[li], rpos[ri]), numbered
+    li * len(rpos) + ri; for each (g, h) block of it and each a in `mid_rows`
+    the relations (u d_g . a) (x) w d_h - u d_g (x) (a . w d_h) are eliminated
+    in one leftmost-pivot echelon form.  Returns `dim`, `q_coords` (the free
+    columns, blockwise, as ambient coordinates) and `project` (quotient
+    coordinates of a sparse ambient vector, the residue at the free columns).
+    """
+    act = ring.action
+    alg = act.algebra
+    field = ring.field
+    nr = len(rpos)
+
+    def runs(positions):
+        out: list = []
+        for i, p in enumerate(positions):
+            g = ring.basis[p][0]
+            if out and out[-1][0] == g:
+                out[-1][1].append(i)
+            else:
+                out.append((g, [i]))
+        return out
+
+    blocks = []
+    for g, lls in runs(lpos):
+        for h, rls in runs(rpos):
+            nu, nw = len(lls), len(rls)
+            g_ideal, h_ideal = act.ideal(g), act.ideal(h)
+            rows = []
+            for a in mid_rows:
+                moved = act.alpha(g, a)
+                ra = [g_ideal.coords(alg.multiply(u, moved)) for u in g_ideal.rows]
+                la = [h_ideal.coords(alg.multiply(a, w)) for w in h_ideal.rows]
+                for ui in range(nu):
+                    for wi in range(nw):
+                        row = [field.zero] * (nu * nw)
+                        for ui2 in range(nu):
+                            row[ui2 * nw + wi] += ra[ui][ui2]
+                        for wi2 in range(nw):
+                            row[ui * nw + wi2] -= la[wi][wi2]
+                        rows.append(field.reduce_vec(row))
+            ech = echelon(field, rows, nu * nw)
+            coords = tuple(li * nr + ri for li in lls for ri in rls)
+            free = tuple(j for j in range(nu * nw) if j not in set(ech.pivots))
+            blocks.append((coords, ech, free))
+    local_of = {c: (bi, j) for bi, (coords, _, _) in enumerate(blocks)
+                for j, c in enumerate(coords)}
+    q_coords = tuple(coords[f] for coords, _, free in blocks for f in free)
+
+    def project(ambient: dict) -> tuple:
+        out = []
+        for bi, (coords, ech, free) in enumerate(blocks):
+            local = [field.zero] * len(coords)
+            for c, v in ambient.items():
+                b, j = local_of[c]
+                if b == bi:
+                    local[j] = v
+            reduced = ech.reduce(local)
+            out.extend(reduced[f] for f in free)
+        return tuple(out)
+
+    return SimpleNamespace(dim=len(q_coords), q_coords=q_coords, project=project)

@@ -19,7 +19,8 @@ from skewalg.separability import (build_certificate, decide_global,
                                   trace_into, trace_invariant_suite)
 from skewalg.skew_ring import build_skew_ring, tensor_over
 
-from conftest import instance_data, load_action, renamed_instance
+from conftest import (component_algebra_rows, instance_data, load_action,
+                      relation_quotient, renamed_instance)
 
 Q = Field.rationals()
 
@@ -109,7 +110,8 @@ def _theorem_style_checks(pa) -> bool:
     total = 0
     for i, blk in enumerate(blocks):
         over_a = tensor_over(blk, blk).dim
-        over_own = tensor_over(blk, blk, mid=blk).dim
+        over_own = relation_quotient(ring, blk.positions, blk.positions,
+                                     component_algebra_rows(pa, blk.objects)).dim
         ok = ok and over_a == over_own
         total += over_own
         for j, other in enumerate(blocks):

@@ -162,6 +162,15 @@ def test_traces_command(capsys):
     assert all(report["invariants"].values())
 
 
+def test_oversized_tensor_square_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("SKEWALG_MAX_DIM", "10")
+    code, out, _ = run_cli(capsys, "separability", str(instance_path("partial_bridge_q.json")))
+    assert code == 2
+    report = json.loads(out)
+    assert not report["ok"]
+    assert report["error"]["type"] == "TensorTooLarge"
+
+
 def test_separability_command_with_oracle(capsys):
     code, out, _ = run_cli(capsys, "separability",
                            str(instance_path("partial_bridge_q.json")), "--oracle")

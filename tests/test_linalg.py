@@ -206,6 +206,14 @@ def test_matrix_inverse():
         mat(Q, [[1, 2], [2, 4]]).inverse()
 
 
+def test_from_cols_keeps_the_column_count_of_empty_columns():
+    m = Matrix.from_cols(Q, [(), ()])
+    assert (m.nrows, m.ncols) == (0, 2)
+    assert m == Matrix(Q, [], ncols=2)
+    assert m.apply((1, 1)) == ()
+    assert Matrix.from_cols(Q, [(1, 2), (3, 4)]).data == ((1, 3), (2, 4))
+
+
 # -- property tests -------------------------------------------------------------------
 
 small_fraction = st.integers(-6, 6).map(Fraction)

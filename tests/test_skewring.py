@@ -2,9 +2,15 @@ import random
 
 import pytest
 
-from skewalg import Field, Matrix
+from skewalg import Field, Matrix, PartialAction, build_groupoid
+from skewalg.fuzz import random_skeleton, skeleton_to_instance
+from skewalg.instances import parse_instance
 from skewalg.skew_ring import (SkewRing, SkewRingError, TensorTooLarge,
                                build_skew_ring, tensor_over)
+
+from conftest import (INSTANCE_DIR, component_algebra_rows, load_action,
+                      relation_quotient)
+from test_algebra import matrix_algebra_2x2
 
 Q = Field.rationals()
 
@@ -232,15 +238,56 @@ def test_bridge_tensor_dimension_matches_dense_oracle(bridge):
 
 
 def test_component_tensor_dimensions(glued_double):
+    # B_[e] (x)_A B_[e] has the dimension of B_[e] (x)_{A_[e]} B_[e], the
+    # latter from the balancing relations over A_[e]'s basis
     ring = build_skew_ring(glued_double)
     blocks = ring.component_ideals()
     total = 0
     for blk in blocks:
         over_a = tensor_over(blk, blk).dim
-        over_comp = tensor_over(blk, blk, mid=blk).dim
+        over_comp = relation_quotient(ring, blk.positions, blk.positions,
+                                      component_algebra_rows(glued_double, blk.objects)).dim
         assert over_a == over_comp
         total += over_comp
     assert tensor_over(ring, ring).dim == total
+
+
+def _trivial_action_on(alg) -> PartialAction:
+    """One object, only its identity, acting on alg."""
+    return PartialAction(build_groupoid(["e"], [], [], []), alg,
+                         {"id:e": list(alg.unit)}, {})
+
+
+def _closed_form_corpus():
+    yield from (load_action(p.name) for p in sorted(INSTANCE_DIR.glob("*.json")))
+    rng = random.Random(1)
+    for _ in range(25):
+        skel = random_skeleton(rng)
+        for field in ("Q", "GF(2)", "GF(3)"):
+            yield parse_instance(skeleton_to_instance(skel, field)).action
+    for field in (Q, Field.prime(3)):
+        yield _trivial_action_on(matrix_algebra_2x2(field))
+
+
+def test_closed_form_matches_relation_quotient():
+    # the psi normal form against the quotient by the balancing relations:
+    # same dimension, free columns and projection of random sparse vectors
+    rng = random.Random(31)
+    count = 0
+    for pa in _closed_form_corpus():
+        ring = build_skew_ring(pa)
+        alg = pa.algebra
+        t = tensor_over(ring, ring)
+        ref = relation_quotient(ring, range(ring.dim), range(ring.dim),
+                                [alg.basis_vector(i) for i in range(alg.dim)])
+        assert (t.dim, t.q_coords) == (ref.dim, ref.q_coords)
+        for _ in range(8):
+            ambient = {rng.randrange(t.ambient_dim): ring.field.from_int(rng.randint(1, 5))
+                       for _ in range(rng.randint(1, 6))}
+            ambient = ring.field.reduce_dict(ambient)
+            assert t.project(ambient) == ref.project(ambient)
+        count += 1
+    assert count == 6 + 75 + 2
 
 
 def test_project_lift_round_trip(bridge):
