@@ -13,17 +13,16 @@ from .partial_action import (ActionError, ActionReport, DecompositionRequired,
                              PartialAction, glue_components, invariant_suite,
                              validate_partial_action)
 from .separability import (ComponentVerdict, EmptyHomSet, IsotropyIso,
-                           NotConnected, NotGlobal, OracleResult,
-                           SeparabilityCertificate, SeparabilityVerdict,
-                           TraceMap, TransportResult, WitnessInvalid,
-                           build_certificate, check_sufficient_condition,
-                           decide_global, decide_separability, extract_witness,
+                           NotGlobal, OracleResult, SeparabilityCertificate,
+                           SeparabilityVerdict, TraceMap, TransportResult,
+                           WitnessInvalid, build_certificate, decide_global,
+                           decide_separability, extract_witness,
                            invariant_subring, is_witness, isotropy_transport_psi,
                            isotropy_witness_transport,
                            normal_form_coefficients, oracle_separability,
                            trace_between, trace_into, trace_invariant_suite,
                            trace_total)
-from .skew_ring import (ComponentIdeal, SkewRing, SkewRingElement,
+from .skew_ring import (InvalidSizeCap, SkewRing, SkewRingElement,
                         SkewRingError, TensorOverA, TensorTooLarge,
                         build_skew_ring, tensor_over, tensor_square)
 

@@ -30,7 +30,8 @@ from .separability import (SeparabilityError, decide_global,
                            isotropy_transport_psi, isotropy_witness_transport,
                            oracle_separability, trace_between, trace_into,
                            trace_invariant_suite, trace_total)
-from .skew_ring import SkewRingError, TensorTooLarge, build_skew_ring
+from .skew_ring import (InvalidSizeCap, SkewRingError, TensorTooLarge,
+                        build_skew_ring)
 
 MAP_CONVENTION = "annihilate_complement"
 
@@ -252,7 +253,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, code = _HANDLERS[args.command](args)
-    except (InstanceFormatError, OSError, TensorTooLarge) as exc:
+    except (InstanceFormatError, OSError, InvalidSizeCap, TensorTooLarge) as exc:
         report = {"command": args.command, "ok": False,
                   "error": {"type": type(exc).__name__, "message": str(exc)}}
         code = 2

@@ -135,9 +135,6 @@ class Field:
             return int(num) * self.inv(int(den)) % self.p
         return int(text) % self.p
 
-    def show(self, x) -> str:
-        return str(x)
-
     def coerce(self, x):
         """Accept ints and scalars of this field; reject everything else."""
         if isinstance(x, int):

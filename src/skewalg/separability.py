@@ -32,10 +32,6 @@ class NotGlobal(SeparabilityError):
     pass
 
 
-class NotConnected(SeparabilityError):
-    pass
-
-
 class WitnessInvalid(SeparabilityError):
     pass
 
@@ -146,7 +142,7 @@ def _component_family(pa: PartialAction, cls, objects_to_solve) -> tuple:
     """Solve t_f(a) = 1_f (f in objects_to_solve) over the component's center.
 
     Returns (family, basis) where `family` is canonical in the component
-    subalgebra's coordinates and `basis` embeds those into the full algebra.
+    subalgebra's coordinates and `basis` maps those into the full algebra.
     """
     sub = pa.restrict_to_component(cls)
     u = pa.algebra.zero()
@@ -176,7 +172,7 @@ def _canonical_family(field, dim, particular, kernel_vectors) -> AffineSolutionS
     return AffineSolutionSet(ke.reduce(particular), ke.rows, field)
 
 
-def _embed_family(family: AffineSolutionSet, basis: Echelon, field, dim) -> AffineSolutionSet:
+def _full_family(family: AffineSolutionSet, basis: Echelon, field, dim) -> AffineSolutionSet:
     if family.is_empty:
         return family
     return _canonical_family(field, dim, basis.combine(family.particular),
@@ -195,7 +191,7 @@ def _decide(pa: PartialAction, transversal_only: bool) -> SeparabilityVerdict:
     for cls in partition.classes:
         solve_at = (cls[0],) if transversal_only else cls
         family, basis = _component_family(pa, cls, solve_at)
-        full = _embed_family(family, basis, alg.field, alg.dim)
+        full = _full_family(family, basis, alg.field, alg.dim)
         per.append(ComponentVerdict(cls, not full.is_empty, full, solve_at))
         if full.is_empty:
             separable = False
@@ -307,9 +303,9 @@ def normal_form_coefficients(pa: PartialAction, tensor: TensorOverA, qcoords) ->
     for k, v in enumerate(qcoords):
         if not v:
             continue
-        li, ri = divmod(tensor.q_coords[k], tensor.n_right)
-        g = ring.basis[tensor.left_positions[li]][0]
-        h = ring.basis[tensor.right_positions[ri]][0]
+        p, q = divmod(tensor.q_coords[k], tensor.n)
+        g = ring.basis[p][0]
+        h = ring.basis[q][0]
         coeff = field.reduce_vec(v * x for x in tensor.q_psi[k])
         key = (g, h)
         out[key] = vadd(field, out[key], coeff) if key in out else coeff
@@ -325,27 +321,6 @@ def extract_witness(pa: PartialAction, tensor: TensorOverA, qcoords) -> tuple:
         if (i, i) in coeffs:
             a = vadd(pa.algebra.field, a, coeffs[(i, i)])
     return a
-
-
-def check_sufficient_condition(pa: PartialAction, k) -> bool:
-    """Solvability at one object k plus arrows carrying 1_{g_j} = 1_j everywhere.
-
-    Sufficient for separability, not necessary: a partial domain can make the
-    arrow condition fail on instances that are nevertheless separable.
-    """
-    pa.ensure_valid()
-    pa.require_decomposition()
-    partition = pa.groupoid.connected_components()
-    if len(partition.classes) != 1:
-        raise NotConnected("sufficient condition applies to connected instances")
-    pa.groupoid.check_object(k)
-    family, _ = _component_family(pa, partition.classes[0], (k,))
-    if family.is_empty:
-        return False
-    for j in pa.groupoid.objects:
-        if not any(pa.idem(g) == pa.obj_idem(j) for g in pa.groupoid.hom_set(k, j)):
-            return False
-    return True
 
 
 # -- global actions: isotropy transport --------------------------------------------

@@ -1,8 +1,8 @@
-"""The partial skew groupoid ring A*G and its tensor squares over A.
+"""The partial skew groupoid ring A*G and its tensor square over A.
 
 The ring is the direct sum over morphisms g of the ideals A_g, with
 (a_g d_g)(b_h d_h) = alpha_g(alpha_{g^-1}(a_g) b_h) d_{gh} on composable
-pairs and 0 otherwise.  Tensor squares over A are realised concretely in
+pairs and 0 otherwise.  The tensor square over A is realised concretely in
 the normal form psi(u d_g (x) w d_h) = u alpha_g(w 1_{g^-1}), which maps the
 (g, h) block of the quotient isomorphically onto the ideal A e_{g,h},
 e_{g,h} = alpha_g(1_{g^-1} 1_h), and kills the block unless src g = tgt h.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 import weakref
-from dataclasses import dataclass
 
 from .algebra import nonassociative_triple, table_product
 from .linalg import Echelonizer, Matrix, vadd
@@ -31,6 +30,10 @@ class SkewRingError(Exception):
 
 
 class TensorTooLarge(SkewRingError):
+    pass
+
+
+class InvalidSizeCap(SkewRingError):
     pass
 
 
@@ -83,9 +86,6 @@ class SkewRingElement:
             return self.ring.mul(self, other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        return NotImplemented
-
     def __eq__(self, other):
         return (isinstance(other, SkewRingElement) and self.ring is other.ring
                 and self.parts == other.parts)
@@ -105,19 +105,12 @@ class SkewRingElement:
         return "SkewRingElement(%s)" % " + ".join(bits)
 
 
-@dataclass(frozen=True)
-class ComponentIdeal:
-    """One block B_[e] of the ring, with its identity element u_[e]."""
-
-    objects: tuple
-    positions: tuple
-    unit: SkewRingElement
-
-
 class SkewRing:
     """Built by `build_skew_ring`; verifies associativity on basis triples.
 
-    The multiplication table is in the sparse format of `algebra`:
+    The basis runs over the morphisms in groupoid order: positions
+    `starts[g]` to `starts[g] + dim A_g - 1` hold the ideal basis of A_g,
+    times d_g.  The multiplication table is in the sparse format of `algebra`:
     `_table[i][j]` maps each ring coordinate k to the nonzero coefficient of
     b_k in b_i * b_j, and a product of basis elements on non-composable
     morphisms is the empty dict.  `mul_coords` is `algebra.table_product`
@@ -144,7 +137,6 @@ class SkewRing:
         self._build_table()
         self._check_associativity()
         self._unit_checked = False
-        self._embed_checked = False
 
     # -- construction ------------------------------------------------------
 
@@ -181,9 +173,6 @@ class SkewRing:
 
     # -- coordinates ---------------------------------------------------------
 
-    def zero_coords(self) -> tuple:
-        return (self.field.zero,) * self.dim
-
     def basis_coords(self, i: int) -> tuple:
         return tuple(self.field.one if j == i else self.field.zero
                      for j in range(self.dim))
@@ -200,16 +189,6 @@ class SkewRing:
             for k, c in enumerate(local):
                 out[at + k] = c
         return tuple(out)
-
-    def from_coords(self, coords) -> SkewRingElement:
-        parts = {}
-        for g in self.action.groupoid.morphisms:
-            ideal = self.action.ideal(g)
-            at = self.starts[g]
-            local = coords[at:at + ideal.dim]
-            if any(local):
-                parts[g] = ideal.combine(local)
-        return SkewRingElement(self, parts, check=False)
 
     def element(self, parts: dict) -> SkewRingElement:
         return SkewRingElement(self, parts)
@@ -258,88 +237,6 @@ class SkewRing:
             self._unit_checked = True
         return u
 
-    def embed(self, a) -> SkewRingElement:
-        """The ring embedding a |-> sum_e (a 1_e) d_e of A into the skew ring."""
-        alg = self.action.algebra
-        a = alg.element(a)
-        if not self._embed_checked:
-            self._embed_checked = True
-            for i in range(alg.dim):
-                x = alg.basis_vector(i)
-                for j in range(alg.dim):
-                    y = alg.basis_vector(j)
-                    lhs = self._embed_raw(alg.multiply(x, y))
-                    if lhs != self._embed_raw(x) * self._embed_raw(y):
-                        raise SkewRingError("embedding is not multiplicative")
-        return self._embed_raw(a)
-
-    def _embed_raw(self, a) -> SkewRingElement:
-        g_oid = self.action.groupoid
-        alg = self.action.algebra
-        parts = {g_oid.identity[e]: alg.multiply(a, self.action.obj_idem(e))
-                 for e in g_oid.objects}
-        return SkewRingElement(self, parts, check=False)
-
-    def left_act(self, a, x: SkewRingElement) -> SkewRingElement:
-        """Bimodule action a . (a_g d_g) = (a a_g) d_g."""
-        alg = self.action.algebra
-        a = alg.element(a)
-        return SkewRingElement(
-            self, {g: alg.multiply(a, v) for g, v in x.parts.items()}, check=False)
-
-    def right_act(self, x: SkewRingElement, a) -> SkewRingElement:
-        """Bimodule action (a_g d_g) . a = a_g alpha_g(a 1_{g^-1}) d_g."""
-        alg = self.action.algebra
-        a = alg.element(a)
-        return SkewRingElement(
-            self,
-            {g: alg.multiply(v, self.action.alpha(g, a)) for g, v in x.parts.items()},
-            check=False)
-
-    # -- component structure -----------------------------------------------------
-
-    def component_ideals(self) -> tuple:
-        """The blocks B_[e] with their identities; all block laws re-verified."""
-        g_oid = self.action.groupoid
-        partition = g_oid.connected_components()
-        out = []
-        units = []
-        for cls in partition.classes:
-            inside = set(cls)
-            positions = tuple(p for p, (g, _) in enumerate(self.basis)
-                              if g_oid.tgt[g] in inside)
-            pos_set = set(positions)
-            for p in positions:
-                for q in range(self.dim):
-                    for prod in (self.mul_coords(self.basis_coords(p), self.basis_coords(q)),
-                                 self.mul_coords(self.basis_coords(q), self.basis_coords(p))):
-                        if any(c and k not in pos_set
-                               for k, c in enumerate(prod)):
-                            raise SkewRingError("component block is not a two-sided ideal")
-            u = SkewRingElement(
-                self, {g_oid.identity[f]: self.action.obj_idem(f) for f in cls},
-                check=False)
-            uc = self.coords_of(u)
-            for q in range(self.dim):
-                b = self.basis_coords(q)
-                if self.mul_coords(uc, b) != self.mul_coords(b, uc):
-                    raise SkewRingError("component unit is not central")
-                expected = b if q in pos_set else self.zero_coords()
-                if self.mul_coords(b, uc) != expected:
-                    raise SkewRingError("B*u_i does not match the component block")
-            out.append(ComponentIdeal(cls, positions, u))
-            units.append(u)
-        total = units[0]
-        for u in units[1:]:
-            total = total + u
-        if total != self.unit():
-            raise SkewRingError("component units do not sum to the ring unit")
-        for a in range(len(units)):
-            for b in range(len(units)):
-                if a != b and not (units[a] * units[b]).is_zero():
-                    raise SkewRingError("component units are not orthogonal")
-        return tuple(out)
-
     def multiplication_rows(self) -> list:
         """All basis-pair products, for the CLI table export."""
         rows = []
@@ -362,47 +259,59 @@ def build_skew_ring(action: PartialAction) -> SkewRing:
     return SkewRing(action)
 
 
-# -- tensor squares over A ------------------------------------------------------
+# -- the tensor square over A ----------------------------------------------------
+
+
+def _check_cap(ambient_dim: int) -> None:
+    """Refuse a tensor square with more basis pairs than SKEWALG_MAX_DIM."""
+    raw = os.environ.get("SKEWALG_MAX_DIM")
+    try:
+        cap = DEFAULT_MAX_TENSOR_DIM if raw is None else int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise InvalidSizeCap(
+            "SKEWALG_MAX_DIM must be a non-negative integer, got %r" % raw[:40])
+    if ambient_dim > cap:
+        raise TensorTooLarge(
+            "tensor ambient dimension %d exceeds cap %d (SKEWALG_MAX_DIM)"
+            % (ambient_dim, cap))
 
 
 class TensorOverA:
-    """B_left (x)_A B_right in the psi normal form, with canonical lifts.
+    """(A*G) (x)_A (A*G) in the psi normal form, with canonical lifts.
 
-    `left_positions`/`right_positions` select ring basis positions (the whole
-    ring or one component block).  Ambient coordinate li * n_right + ri is the
-    basis pair (u d_g, w d_h); its (g, h) block of the quotient is psi's image
-    A e_{g,h}, with inverse a |-> a d_g (x) 1_h d_h.  Scanning a composable
-    block from the right, each pair whose psi-image is independent of those to
-    its right is free: these are the free columns of the leftmost-pivot
-    echelon form of the balancing relations, so `q_coords`, `lift` and
-    `summands` are the canonical ones of the quotient by relations.  `project`
-    sums, per ambient coordinate, the coordinates of its psi-image in the
-    basis of free psi-images (`q_psi`), stored at construction.
+    Ambient coordinate p * n + q, n = `ring.dim`, is the basis pair
+    (u d_g, w d_h) = (ring.basis[p], ring.basis[q]).  Its (g, h) block of the
+    quotient is psi's image A e_{g,h}, with inverse a |-> a d_g (x) 1_h d_h,
+    and only composable blocks (src g = tgt h) are nonzero.  Scanning a
+    composable block from the right, each pair whose psi-image is independent
+    of those to its right is free: these are the free columns of the
+    leftmost-pivot echelon form of the balancing relations, so `q_coords`,
+    `lift` and `summands` are the canonical ones of the quotient by
+    relations.  `project` sums, per ambient coordinate, the coordinates of its
+    psi-image in the basis of free psi-images (`q_psi`), stored at
+    construction.
     """
 
-    def __init__(self, ring: SkewRing, left_positions, right_positions):
+    def __init__(self, ring: SkewRing):
         self.ring = ring
-        self.left_positions = tuple(left_positions)
-        self.right_positions = tuple(right_positions)
-        self.n_left = len(self.left_positions)
-        self.n_right = len(self.right_positions)
-        self.ambient_dim = self.n_left * self.n_right
-        cap = int(os.environ.get("SKEWALG_MAX_DIM", DEFAULT_MAX_TENSOR_DIM))
-        if self.ambient_dim > cap:
-            raise TensorTooLarge(
-                "tensor ambient dimension %d exceeds cap %d (SKEWALG_MAX_DIM)"
-                % (self.ambient_dim, cap))
-        self._lpos_index = {p: i for i, p in enumerate(self.left_positions)}
-        self._rpos_index = {p: i for i, p in enumerate(self.right_positions)}
+        self.n = ring.dim
+        self.ambient_dim = self.n * self.n
+        _check_cap(self.ambient_dim)
+        act = ring.action
+        g_oid = act.groupoid
         q_coords: list = []
         q_psi: list = []
         self._q_of: dict = {}         # ambient coordinate -> ((quotient k, value), ...)
-        g_oid = ring.action.groupoid
-        right_runs = _morphism_runs(ring, self.right_positions)
-        for g, lls in _morphism_runs(ring, self.left_positions):
-            for h, rls in right_runs:
+        # a block (g, h) with A_g = 0 is empty; skipping it also skips
+        # applying alpha_g to the basis of A_h
+        runs = [(g, range(at, at + act.ideal(g).dim))
+                for g, at in ring.starts.items() if act.ideal(g).dim]
+        for g, ps in runs:
+            for h, qs in runs:
                 if g_oid.src[g] == g_oid.tgt[h]:
-                    lifts, psi = self._read_block(g, lls, h, rls, len(q_coords))
+                    lifts, psi = self._read_block(g, ps, h, qs, len(q_coords))
                     q_coords.extend(lifts)
                     q_psi.extend(psi)
         self.q_coords = tuple(q_coords)   # ambient coordinate lifting each quotient one
@@ -411,7 +320,7 @@ class TensorOverA:
 
     # -- construction -------------------------------------------------------
 
-    def _read_block(self, g, lls, h, rls, off: int) -> tuple:
+    def _read_block(self, g, ps, h, qs, off: int) -> tuple:
         """(lifts, psi-images) of the free columns of block (g, h), whose
         quotient coordinates start at `off`; records each ambient coordinate's
         quotient coordinates in `_q_of`."""
@@ -420,23 +329,22 @@ class TensorOverA:
         field = ring.field
         gh = act.groupoid.compose[(g, h)]
         target = act.ideal(gh)
-        moved = [act.alpha(g, ring.basis[self.right_positions[ri]][1]) for ri in rls]
+        moved = [act.alpha(g, ring.basis[q][1]) for q in qs]
         coords, kinds = [], []        # per basis pair (u, w), lexicographic
         kind_of: dict = {}            # psi-image -> its index in `images`
         images, products = [], []     # distinct psi-images y; ring coordinates of y d_{gh}
-        for li in lls:
-            p = self.left_positions[li]
+        for p in ps:
             u = ring.basis[p][1]
-            for ri, m in zip(rls, moved):
+            for q, m in zip(qs, moved):
                 y = act.algebra.multiply(u, m)
                 k = kind_of.setdefault(y, len(images))
                 if k == len(images):
                     images.append(y)
                     products.append(ring._scatter(gh, y) if target.contains(y) else None)
-                if ring._table[p][self.right_positions[ri]] != products[k]:
+                if ring._table[p][q] != products[k]:
                     raise SkewRingError(
                         "multiplication does not factor through the tensor quotient")
-                coords.append(li * self.n_right + ri)
+                coords.append(p * self.n + q)
                 kinds.append(k)
         # greedy from the right; only the rightmost pair with a given image can be free
         ech = Echelonizer(field, act.algebra.dim)
@@ -474,21 +382,14 @@ class TensorOverA:
         yc = self.ring.coords_of(y)
         field = self.ring.field
         zero = field.zero
-        for p, c in enumerate(xc):
-            if c and p not in self._lpos_index:
-                raise SkewRingError("left factor leaves the selected ideal")
-        for p, c in enumerate(yc):
-            if c and p not in self._rpos_index:
-                raise SkewRingError("right factor leaves the selected ideal")
         out: dict = {}
         for p, c in enumerate(xc):
             if not c:
                 continue
-            li = self._lpos_index[p]
             for q, d in enumerate(yc):
                 if not d:
                     continue
-                coord = li * self.n_right + self._rpos_index[q]
+                coord = p * self.n + q
                 out[coord] = out.get(coord, zero) + c * d
         return field.reduce_dict(out)
 
@@ -515,9 +416,8 @@ class TensorOverA:
         ring = self.ring
         out = [ring.field.zero] * ring.dim
         for c, v in ambient.items():
-            li, ri = divmod(c, self.n_right)
-            prod = ring._table[self.left_positions[li]][self.right_positions[ri]]
-            for k, t in prod.items():
+            p, q = divmod(c, self.n)
+            for k, t in ring._table[p][q].items():
                 out[k] += v * t
         return ring.field.reduce_vec(out)
 
@@ -528,14 +428,10 @@ class TensorOverA:
         out: dict = {}
         support = [(i, bi) for i, bi in enumerate(b_coords) if bi]
         for c, v in ambient.items():
-            li, ri = divmod(c, self.n_right)
-            p = self.left_positions[li]
+            p, q = divmod(c, self.n)
             for i, bi in support:
                 for k, t in ring._table[i][p].items():
-                    li2 = self._lpos_index.get(k)
-                    if li2 is None:
-                        raise SkewRingError("left action leaves the selected ideal")
-                    coord = li2 * self.n_right + ri
+                    coord = k * self.n + q
                     out[coord] = out.get(coord, zero) + v * bi * t
         return ring.field.reduce_dict(out)
 
@@ -546,14 +442,10 @@ class TensorOverA:
         out: dict = {}
         support = [(j, bj) for j, bj in enumerate(b_coords) if bj]
         for c, v in ambient.items():
-            li, ri = divmod(c, self.n_right)
-            p = self.right_positions[ri]
+            p, q = divmod(c, self.n)
             for j, bj in support:
-                for k, t in ring._table[p][j].items():
-                    ri2 = self._rpos_index.get(k)
-                    if ri2 is None:
-                        raise SkewRingError("right action leaves the selected ideal")
-                    coord = li * self.n_right + ri2
+                for k, t in ring._table[q][j].items():
+                    coord = p * self.n + k
                     out[coord] = out.get(coord, zero) + v * bj * t
         return ring.field.reduce_dict(out)
 
@@ -584,42 +476,16 @@ class TensorOverA:
         out = []
         for c in sorted(lifted):
             v = lifted[c]
-            li, ri = divmod(c, self.n_right)
-            g, u = ring.basis[self.left_positions[li]]
-            h, w = ring.basis[self.right_positions[ri]]
+            p, q = divmod(c, self.n)
+            g, u = ring.basis[p]
+            h, w = ring.basis[q]
             out.append((g, ring.field.reduce_vec(v * x for x in u), h, w))
         return tuple(out)
 
 
-def _positions_of(ring: SkewRing, part) -> tuple:
-    if isinstance(part, SkewRing):
-        # two builds over the same action give literally the same basis
-        if part is not ring and part.action is not ring.action:
-            raise SkewRingError("tensor factors must come from one ring")
-        return tuple(range(ring.dim))
-    if isinstance(part, ComponentIdeal):
-        if part.unit.ring is not ring and part.unit.ring.action is not ring.action:
-            raise SkewRingError("tensor factors must come from one ring")
-        return part.positions
-    raise SkewRingError("tensor factor must be a SkewRing or ComponentIdeal")
-
-
-def _morphism_runs(ring: SkewRing, positions) -> list:
-    """[(g, indices into positions)] for the runs of positions on one morphism."""
-    runs: list = []
-    for i, p in enumerate(positions):
-        g = ring.basis[p][0]
-        if runs and runs[-1][0] == g:
-            runs[-1][1].append(i)
-        else:
-            runs.append((g, [i]))
-    return runs
-
-
-def tensor_over(left, right) -> TensorOverA:
-    """Tensor product over A of the ring or component ideals of it."""
-    ring = left if isinstance(left, SkewRing) else left.unit.ring
-    return TensorOverA(ring, _positions_of(ring, left), _positions_of(ring, right))
+def tensor_over(ring: SkewRing) -> TensorOverA:
+    """The tensor square (A*G) (x)_A (A*G) of the ring."""
+    return TensorOverA(ring)
 
 
 def tensor_square(action: PartialAction) -> TensorOverA:
@@ -627,11 +493,14 @@ def tensor_square(action: PartialAction) -> TensorOverA:
 
     The action keeps only a weak reference to the square (the square's ring
     points back at the action), so one square is shared for as long as a
-    caller such as a certificate or an oracle result holds it.
+    caller such as a certificate or an oracle result holds it.  The size cap
+    is checked against (sum_g dim A_g)^2, read off the action's cached ideals,
+    before the ring is built; callers validate the action first.
     """
     square = action._square() if action._square is not None else None
     if square is None:
+        _check_cap(sum(action.ideal(g).dim for g in action.groupoid.morphisms) ** 2)
         ring = build_skew_ring(action)
-        square = tensor_over(ring, ring)
+        square = tensor_over(ring)
         action._square = weakref.ref(square)
     return square

@@ -5,7 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from skewalg import Field, PartialAction, glue_components
+from skewalg import (Field, PartialAction, build_skew_ring, glue_components,
+                     tensor_over)
 from skewalg.instances import load_instance, parse_instance
 from skewalg.linalg import echelon, vadd
 
@@ -104,6 +105,87 @@ def component_algebra_rows(pa: PartialAction, objects) -> tuple:
     for f in objects:
         u = vadd(alg.field, u, pa.obj_idem(f))
     return alg.ideal_basis(u).basis.rows
+
+
+def from_coords(ring, coords):
+    """The ring element with the given ring coordinates."""
+    parts = {}
+    for g, at in ring.starts.items():
+        ideal = ring.action.ideal(g)
+        local = coords[at:at + ideal.dim]
+        if any(local):
+            parts[g] = ideal.combine(local)
+    return ring.element(parts)
+
+
+def embedded(ring, a):
+    """The image sum_e (a 1_e) d_e of a under the embedding of A into the ring."""
+    pa = ring.action
+    g_oid = pa.groupoid
+    return ring.element({g_oid.identity[e]: pa.algebra.multiply(a, pa.obj_idem(e))
+                         for e in g_oid.objects})
+
+
+def component_blocks(ring) -> list:
+    """(objects, positions, u_[e]) for each block B_[e] of the ring: the basis
+    positions on arrows whose target lies in the class, and the unit
+    u_[e] = sum of 1_f d_f over its objects f."""
+    g_oid = ring.action.groupoid
+    out = []
+    for cls in g_oid.connected_components().classes:
+        positions = tuple(p for p, (g, _) in enumerate(ring.basis) if g_oid.tgt[g] in cls)
+        unit = ring.element({g_oid.identity[f]: ring.action.obj_idem(f) for f in cls})
+        out.append((cls, positions, unit))
+    return out
+
+
+def component_decomposition_failures(pa: PartialAction) -> list:
+    """The laws of A*G = sum of the blocks B_[e] that fail on pa ([] if none).
+
+    The units u_[e] are central, idempotent and orthogonal, sum to the ring
+    unit, and cut out their blocks (b u_[e] is b on the block and 0 off it).
+    Over the balancing relations, B_[e] (x)_A B_[e] has the dimension of
+    B_[e] (x)_{A_[e]} B_[e] and of the square of the component's own ring,
+    cross blocks B_[e] (x)_A B_[f] are 0, and the blocks' dimensions add up
+    to the dimension of the whole square.
+    """
+    ring = build_skew_ring(pa)
+    alg = pa.algebra
+    a_rows = [alg.basis_vector(i) for i in range(alg.dim)]
+    blocks = component_blocks(ring)
+    failures = []
+    if sorted(p for _, pos, _ in blocks for p in pos) != list(range(ring.dim)):
+        failures.append("blocks do not partition the basis")
+    total = ring.element({})
+    dims = 0
+    for i, (cls, pos, u) in enumerate(blocks):
+        if u * u != u:
+            failures.append("u%s is not idempotent" % (cls,))
+        for p in range(ring.dim):
+            b = ring.basis_element(p)
+            if u * b != b * u:
+                failures.append("u%s is not central" % (cls,))
+            if b * u != (b if p in pos else ring.element({})):
+                failures.append("u%s does not cut out its block" % (cls,))
+        over_a = relation_quotient(ring, pos, pos, a_rows).dim
+        over_own = relation_quotient(ring, pos, pos, component_algebra_rows(pa, cls)).dim
+        own_square = tensor_over(build_skew_ring(pa.restrict_to_component(cls))).dim
+        if not over_a == over_own == own_square:
+            failures.append("block %s squares to %d over A, %d over A_[e], %d in its "
+                            "own ring" % (cls, over_a, over_own, own_square))
+        dims += over_a
+        for j, (other, opos, v) in enumerate(blocks):
+            if i != j:
+                if not (u * v).is_zero():
+                    failures.append("u%s u%s != 0" % (cls, other))
+                if relation_quotient(ring, pos, opos, a_rows).dim:
+                    failures.append("B%s (x) B%s != 0" % (cls, other))
+        total = total + u
+    if total != ring.unit():
+        failures.append("block units do not sum to the ring unit")
+    if tensor_over(ring).dim != dims:
+        failures.append("block squares do not add up to the whole square")
+    return failures
 
 
 def relation_quotient(ring, lpos, rpos, mid_rows):

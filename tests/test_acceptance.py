@@ -17,10 +17,9 @@ from skewalg.separability import (build_certificate, decide_global,
                                   isotropy_witness_transport,
                                   oracle_separability, trace_between,
                                   trace_into, trace_invariant_suite)
-from skewalg.skew_ring import build_skew_ring, tensor_over
 
-from conftest import (component_algebra_rows, instance_data, load_action,
-                      relation_quotient, renamed_instance)
+from conftest import (component_decomposition_failures, instance_data,
+                      load_action, renamed_instance)
 
 Q = Field.rationals()
 
@@ -103,21 +102,7 @@ def test_acceptance_3_decide_vs_oracle_fuzz():
 def _theorem_style_checks(pa) -> bool:
     ok = all(invariant_suite(pa).values())          # inverse/intersection/composite
     ok = ok and all(trace_invariant_suite(pa).values())
-    ring = build_skew_ring(pa)
-    blocks = ring.component_ideals()                 # re-verifies ideal/unit laws
-    covered = sorted(p for blk in blocks for p in blk.positions)
-    ok = ok and covered == list(range(ring.dim))
-    total = 0
-    for i, blk in enumerate(blocks):
-        over_a = tensor_over(blk, blk).dim
-        over_own = relation_quotient(ring, blk.positions, blk.positions,
-                                     component_algebra_rows(pa, blk.objects)).dim
-        ok = ok and over_a == over_own
-        total += over_own
-        for j, other in enumerate(blocks):
-            if i != j:
-                ok = ok and tensor_over(blk, other).dim == 0
-    ok = ok and tensor_over(ring, ring).dim == total
+    ok = ok and component_decomposition_failures(pa) == []
     # component reduction: the overall verdict is the conjunction of the
     # per-component verdicts, each matching an independent restricted decision
     verdict = decide_separability(pa)

@@ -171,6 +171,16 @@ def test_oversized_tensor_square_exits_two(capsys, monkeypatch):
     assert report["error"]["type"] == "TensorTooLarge"
 
 
+def test_malformed_size_cap_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("SKEWALG_MAX_DIM", "abc")
+    code, out, _ = run_cli(capsys, "separability", str(instance_path("partial_bridge_q.json")))
+    assert code == 2
+    report = json.loads(out)
+    assert not report["ok"]
+    assert report["error"]["type"] == "InvalidSizeCap"
+    assert "SKEWALG_MAX_DIM" in report["error"]["message"]
+
+
 def test_separability_command_with_oracle(capsys):
     code, out, _ = run_cli(capsys, "separability",
                            str(instance_path("partial_bridge_q.json")), "--oracle")

@@ -75,11 +75,9 @@ def test_scalar_parsing_round_trip():
     assert Q.parse("3/4") == Fraction(3, 4)
     assert Q.parse("-2") == Fraction(-2)
     assert Q.parse(5) == Fraction(5)
-    assert Q.show(Fraction(3, 4)) == "3/4"
     f5 = Field.prime(5)
     assert f5.parse("7") == 2
     assert f5.parse("1/2") == 3
-    assert f5.show(3) == "3"
     with pytest.raises(ZeroDivisionError, match=r"division by zero in GF\(5\)"):
         f5.parse("1/5")
 

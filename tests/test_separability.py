@@ -5,9 +5,8 @@ import pytest
 
 from skewalg import Field, Matrix
 from skewalg.linalg import echelon, intersect, vadd
-from skewalg.separability import (EmptyHomSet, NotConnected, NotGlobal,
-                                  WitnessInvalid, build_certificate,
-                                  check_sufficient_condition, decide_global,
+from skewalg.separability import (EmptyHomSet, NotGlobal, WitnessInvalid,
+                                  build_certificate, decide_global,
                                   decide_separability, extract_witness,
                                   invariant_subring, isotropy_transport_psi,
                                   isotropy_witness_transport,
@@ -242,32 +241,6 @@ def test_extraction_satisfies_the_diagonal_identity(bridge):
         diag = coeffs.get((s_id, s_id), bridge.algebra.zero())
         got = coeffs.get((g, g_oid.inv(g)), bridge.algebra.zero())
         assert bridge.alpha(g, diag) == got
-
-
-# -- sufficient condition ---------------------------------------------------------------------
-
-def test_sufficient_condition_fails_on_partial_bridge(bridge):
-    # separable, yet no arrow into e2 carries the full object idempotent:
-    # sufficiency only, not necessity
-    assert decide_separability(bridge).separable
-    assert not check_sufficient_condition(bridge, "e1")
-
-
-def test_sufficient_condition_holds_for_global_swap(pair_swap):
-    assert check_sufficient_condition(pair_swap, "e1")
-    assert check_sufficient_condition(pair_swap, "e2")
-
-
-def test_sufficient_condition_on_one_object_is_the_group_criterion(flip_q, flip_gf2):
-    iso_q = flip_q.isotropy_action("e1")
-    assert check_sufficient_condition(iso_q, "e1")
-    iso_2 = flip_gf2.isotropy_action("e1")
-    assert not check_sufficient_condition(iso_2, "e1")
-
-
-def test_sufficient_condition_needs_connected_input(glued_double):
-    with pytest.raises(NotConnected):
-        check_sufficient_condition(glued_double, "L.e1")
 
 
 # -- global actions ----------------------------------------------------------------------------

@@ -5,11 +5,13 @@ import pytest
 from skewalg import Field, Matrix, PartialAction, build_groupoid
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
-from skewalg.skew_ring import (SkewRing, SkewRingError, TensorTooLarge,
-                               build_skew_ring, tensor_over)
+from skewalg.skew_ring import (InvalidSizeCap, SkewRing, SkewRingError,
+                               TensorTooLarge, build_skew_ring, tensor_over,
+                               tensor_square)
 
-from conftest import (INSTANCE_DIR, component_algebra_rows, load_action,
-                      relation_quotient)
+from conftest import (INSTANCE_DIR, component_blocks,
+                      component_decomposition_failures, embedded, from_coords,
+                      load_action, relation_quotient)
 from test_algebra import matrix_algebra_2x2
 
 Q = Field.rationals()
@@ -17,11 +19,15 @@ Q = Field.rationals()
 
 def random_element(ring, rng):
     coords = tuple(Q.from_int(rng.randint(-4, 4)) for _ in range(ring.dim))
-    return ring.from_coords(coords)
+    return from_coords(ring, coords)
 
 
 def dense_tensor_quotient_dim(ring) -> int:
-    """Independent oracle: raw balancing generators, one dense rref, no blocks."""
+    """Independent oracle: raw balancing generators, one dense rref, no blocks.
+
+    The bimodule actions b . a and a . b' are the ring products with the
+    embedded element sum_e (a 1_e) d_e.
+    """
     alg = ring.action.algebra
     n = ring.dim * ring.dim
     zero = ring.field.zero
@@ -31,9 +37,9 @@ def dense_tensor_quotient_dim(ring) -> int:
         for q in range(ring.dim):
             bp = ring.basis_element(q)
             for t in range(alg.dim):
-                a = alg.basis_vector(t)
-                left = ring.coords_of(ring.right_act(b, a))    # b . a
-                right = ring.coords_of(ring.left_act(a, bp))   # a . b'
+                a = embedded(ring, alg.basis_vector(t))
+                left = (b * a).coords()     # b . a
+                right = (a * bp).coords()   # a . b'
                 row = [zero] * n
                 for i, c in enumerate(left):
                     row[i * ring.dim + q] = row[i * ring.dim + q] + c
@@ -85,7 +91,7 @@ def test_sparse_table_matches_the_element_product(bridge, flip_q, flip_gf3, pair
         for _ in range(20):
             xc = tuple(field.from_int(rng.randint(-2, 2)) for _ in range(ring.dim))
             yc = tuple(field.from_int(rng.randint(-2, 2)) for _ in range(ring.dim))
-            x, y = ring.from_coords(xc), ring.from_coords(yc)
+            x, y = from_coords(ring, xc), from_coords(ring, yc)
             assert ring.mul_coords(xc, yc) == (x * y).coords()
 
 
@@ -100,7 +106,7 @@ def test_coords_round_trip(bridge):
     rng = random.Random(3)
     for _ in range(20):
         x = random_element(ring, rng)
-        assert ring.from_coords(ring.coords_of(x)) == x
+        assert from_coords(ring, ring.coords_of(x)) == x
 
 
 # -- unit and embedding -----------------------------------------------------------------
@@ -123,12 +129,12 @@ def test_unit_fixes_100_random_elements(bridge):
 
 def test_embedding_of_unit_is_ring_unit(bridge):
     ring = build_skew_ring(bridge)
-    assert ring.embed(bridge.algebra.unit) == ring.unit()
+    assert embedded(ring, bridge.algebra.unit) == ring.unit()
 
 
 def test_embedding_of_diagonal_idempotent(bridge):
     ring = build_skew_ring(bridge)
-    assert ring.embed([0, 1, 0, 0]) == ring.element({"id:e1": [0, 1, 0, 0]})
+    assert embedded(ring, [0, 1, 0, 0]) == ring.element({"id:e1": [0, 1, 0, 0]})
 
 
 def test_embedding_is_multiplicative_on_random_pairs(bridge):
@@ -138,26 +144,28 @@ def test_embedding_is_multiplicative_on_random_pairs(bridge):
     for _ in range(30):
         x = alg.element([rng.randint(-4, 4) for _ in range(alg.dim)])
         y = alg.element([rng.randint(-4, 4) for _ in range(alg.dim)])
-        assert ring.embed(alg.multiply(x, y)) == ring.embed(x) * ring.embed(y)
+        assert embedded(ring, alg.multiply(x, y)) == \
+            embedded(ring, x) * embedded(ring, y)
 
 
-# -- bimodule actions --------------------------------------------------------------------
+# -- bimodule actions: multiplication by embedded elements -------------------------------
 
 def test_right_action_through_the_arrow(bridge):
     # (v3 d_g) . v2 = v3 alpha_g(v2) d_g = v3 d_g
     ring = build_skew_ring(bridge)
     x = ring.element({"g": [0, 0, 1, 0]})
-    assert ring.right_act(x, [0, 1, 0, 0]) == x
+    assert x * embedded(ring, [0, 1, 0, 0]) == x
     # and through a coefficient it does not see: (v3 d_g) . v3 = 0
-    assert ring.right_act(x, [0, 0, 1, 0]).is_zero()
+    assert (x * embedded(ring, [0, 0, 1, 0])).is_zero()
 
 
 def test_left_action_by_unit_is_identity(bridge):
     ring = build_skew_ring(bridge)
+    one = embedded(ring, bridge.algebra.unit)
     rng = random.Random(13)
     for _ in range(20):
         x = random_element(ring, rng)
-        assert ring.left_act(bridge.algebra.unit, x) == x
+        assert one * x == x
 
 
 def test_module_laws_randomized(bridge):
@@ -168,88 +176,94 @@ def test_module_laws_randomized(bridge):
         a = alg.element([rng.randint(-3, 3) for _ in range(alg.dim)])
         b = alg.element([rng.randint(-3, 3) for _ in range(alg.dim)])
         x = random_element(ring, rng)
-        assert ring.left_act(a, ring.left_act(b, x)) == \
-            ring.left_act(alg.multiply(a, b), x)
-        assert ring.right_act(ring.right_act(x, a), b) == \
-            ring.right_act(x, alg.multiply(a, b))
-        assert ring.right_act(ring.left_act(a, x), b) == \
-            ring.left_act(a, ring.right_act(x, b))
+        ea, eb, eab = embedded(ring, a), embedded(ring, b), \
+            embedded(ring, alg.multiply(a, b))
+        assert ea * (eb * x) == eab * x
+        assert (x * ea) * eb == x * eab
+        assert (ea * x) * eb == ea * (x * eb)
 
 
 def test_bimodule_action_matches_embedding(bridge):
-    # the (aabim) actions are exactly ring multiplication by the embedded element
+    # the (aabim) actions a . (a_g d_g) = (a a_g) d_g and
+    # (a_g d_g) . a = a_g alpha_g(a 1_{g^-1}) d_g are exactly ring
+    # multiplication by the embedded element
     ring = build_skew_ring(bridge)
     alg = bridge.algebra
     rng = random.Random(19)
     for _ in range(20):
         a = alg.element([rng.randint(-3, 3) for _ in range(alg.dim)])
         x = random_element(ring, rng)
-        assert ring.left_act(a, x) == ring.embed(a) * x
-        assert ring.right_act(x, a) == x * ring.embed(a)
+        left = {g: alg.multiply(a, v) for g, v in x.parts.items()}
+        right = {g: alg.multiply(v, bridge.alpha(g, a)) for g, v in x.parts.items()}
+        assert ring.element(left) == embedded(ring, a) * x
+        assert ring.element(right) == x * embedded(ring, a)
 
 
-# -- component ideals ----------------------------------------------------------------------
+# -- component blocks B_[e] ------------------------------------------------------------------
 
 def test_connected_instance_has_one_component_ideal(bridge):
     ring = build_skew_ring(bridge)
-    ideals = ring.component_ideals()
-    assert len(ideals) == 1
-    assert ideals[0].positions == tuple(range(ring.dim))
-    assert ideals[0].unit == ring.unit()
+    blocks = component_blocks(ring)
+    assert len(blocks) == 1
+    _, positions, unit = blocks[0]
+    assert positions == tuple(range(ring.dim))
+    assert unit == ring.unit()
+    assert component_decomposition_failures(bridge) == []
 
 
 def test_glued_double_has_two_orthogonal_blocks(glued_double):
     ring = build_skew_ring(glued_double)
-    ideals = ring.component_ideals()
-    assert len(ideals) == 2
-    assert len(ideals[0].positions) == 6
-    assert len(ideals[1].positions) == 6
-    u1, u2 = ideals[0].unit, ideals[1].unit
+    blocks = component_blocks(ring)
+    assert len(blocks) == 2
+    (_, pos1, u1), (_, pos2, u2) = blocks
+    assert len(pos1) == 6
+    assert len(pos2) == 6
     assert (u1 * u2).is_zero()
     assert (u2 * u1).is_zero()
     assert u1 * u1 == u1
     assert u2 * u2 == u2
     assert u1 + u2 == ring.unit()
-    assert sorted(ideals[0].positions + ideals[1].positions) == list(range(ring.dim))
+    assert sorted(pos1 + pos2) == list(range(ring.dim))
+    for p in range(ring.dim):
+        b = ring.basis_element(p)
+        assert u1 * b == b * u1
+        assert u2 * b == b * u2
 
 
 # -- tensor squares --------------------------------------------------------------------------
 
 def test_cross_component_tensor_vanishes(glued_double):
     ring = build_skew_ring(glued_double)
-    b1, b2 = ring.component_ideals()
-    assert tensor_over(b1, b2).dim == 0
-    assert tensor_over(b2, b1).dim == 0
+    alg = glued_double.algebra
+    a_rows = [alg.basis_vector(i) for i in range(alg.dim)]
+    (_, pos1, _), (_, pos2, _) = component_blocks(ring)
+    assert relation_quotient(ring, pos1, pos2, a_rows).dim == 0
+    assert relation_quotient(ring, pos2, pos1, a_rows).dim == 0
 
 
 def test_field_tensor_field_is_one_dimensional(trivial_q):
     ring = build_skew_ring(trivial_q)
-    t = tensor_over(ring, ring)
+    t = tensor_over(ring)
     assert t.ambient_dim == 1
     assert t.dim == 1
 
 
 def test_bridge_tensor_dimension_matches_dense_oracle(bridge):
     ring = build_skew_ring(bridge)
-    t = tensor_over(ring, ring)
+    t = tensor_over(ring)
     assert t.ambient_dim == 36
     assert dense_tensor_quotient_dim(ring) == t.dim
     assert t.dim == 10
 
 
-def test_component_tensor_dimensions(glued_double):
-    # B_[e] (x)_A B_[e] has the dimension of B_[e] (x)_{A_[e]} B_[e], the
-    # latter from the balancing relations over A_[e]'s basis
+def test_component_tensor_dimensions(glued_double, flip_q, pair_swap):
+    # per block: B_[e] (x)_A B_[e], B_[e] (x)_{A_[e]} B_[e] and the square of
+    # the component's own ring agree; cross blocks vanish; the blocks add up
+    # to the whole square; the units are central orthogonal idempotents
+    for pa in (glued_double, flip_q, pair_swap):
+        assert component_decomposition_failures(pa) == []
     ring = build_skew_ring(glued_double)
-    blocks = ring.component_ideals()
-    total = 0
-    for blk in blocks:
-        over_a = tensor_over(blk, blk).dim
-        over_comp = relation_quotient(ring, blk.positions, blk.positions,
-                                      component_algebra_rows(glued_double, blk.objects)).dim
-        assert over_a == over_comp
-        total += over_comp
-    assert tensor_over(ring, ring).dim == total
+    assert tensor_over(ring).dim == 2 * 10
 
 
 def _trivial_action_on(alg) -> PartialAction:
@@ -277,7 +291,7 @@ def test_closed_form_matches_relation_quotient():
     for pa in _closed_form_corpus():
         ring = build_skew_ring(pa)
         alg = pa.algebra
-        t = tensor_over(ring, ring)
+        t = tensor_over(ring)
         ref = relation_quotient(ring, range(ring.dim), range(ring.dim),
                                 [alg.basis_vector(i) for i in range(alg.dim)])
         assert (t.dim, t.q_coords) == (ref.dim, ref.q_coords)
@@ -292,7 +306,7 @@ def test_closed_form_matches_relation_quotient():
 
 def test_project_lift_round_trip(bridge):
     ring = build_skew_ring(bridge)
-    t = tensor_over(ring, ring)
+    t = tensor_over(ring)
     rng = random.Random(23)
     for _ in range(10):
         q = tuple(Q.from_int(rng.randint(-4, 4)) for _ in range(t.dim))
@@ -301,7 +315,7 @@ def test_project_lift_round_trip(bridge):
 
 def test_left_action_on_quotient_is_multiplicative(bridge):
     ring = build_skew_ring(bridge)
-    t = tensor_over(ring, ring)
+    t = tensor_over(ring)
     rng = random.Random(29)
     for _ in range(5):
         x = random_element(ring, rng).coords()
@@ -326,24 +340,43 @@ def test_tensor_dimension_equals_composable_intersection_sum(bridge, flip_q,
             meet = alg.multiply(pa.idem(g), pa.idem(gh))
             predicted += alg.ideal_basis(meet).basis.dim
         ring = build_skew_ring(pa)
-        assert tensor_over(ring, ring).dim == predicted
+        assert tensor_over(ring).dim == predicted
 
 
 def test_tensor_accepts_two_builds_of_the_same_action(bridge):
-    a, b = build_skew_ring(bridge), build_skew_ring(bridge)
-    assert tensor_over(a, b).dim == 10
-
-
-def test_tensor_rejects_unrelated_rings(bridge, trivial_q):
-    with pytest.raises(SkewRingError):
-        tensor_over(build_skew_ring(bridge), build_skew_ring(trivial_q))
+    # two builds of one action give the same square, coordinate for coordinate
+    a, b = tensor_over(build_skew_ring(bridge)), tensor_over(build_skew_ring(bridge))
+    assert a.dim == b.dim == 10
+    assert (a.q_coords, a.q_psi) == (b.q_coords, b.q_psi)
 
 
 def test_tensor_dimension_cap(monkeypatch, bridge):
     monkeypatch.setenv("SKEWALG_MAX_DIM", "10")
     ring = build_skew_ring(bridge)
     with pytest.raises(TensorTooLarge):
-        tensor_over(ring, ring)
+        tensor_over(ring)
+
+
+def test_tensor_square_refuses_before_building_the_ring(monkeypatch):
+    # (sum_g dim A_g)^2 = 36 > 35 is known from the ideals alone
+    monkeypatch.setenv("SKEWALG_MAX_DIM", "35")
+    pa = load_action("partial_bridge_q.json")
+    pa.ensure_valid()
+
+    def no_ring(self, action):
+        raise AssertionError("the ring was built")
+
+    monkeypatch.setattr(SkewRing, "__init__", no_ring)
+    with pytest.raises(TensorTooLarge, match="36 exceeds cap 35"):
+        tensor_square(pa)
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "1e3", ""])
+def test_malformed_cap_is_a_typed_error(monkeypatch, bridge, raw):
+    monkeypatch.setenv("SKEWALG_MAX_DIM", raw)
+    ring = build_skew_ring(bridge)
+    with pytest.raises(InvalidSizeCap, match="SKEWALG_MAX_DIM"):
+        tensor_over(ring)
 
 
 def test_skew_table_identity_rows(bridge):
