@@ -1,15 +1,18 @@
 """Exact linear algebra over the rationals and over prime fields GF(p).
 
-Everything in this module is exact.  A scalar of Q is a `fractions.Fraction`
-(arbitrary precision, kept in lowest terms with positive denominator by the
-stdlib); a scalar of GF(p) is a plain `int` in range(p).  `Field` owns what
-Python ints cannot do alone: reduction mod p and inversion.  Each kernel that
-adds or multiplies scalars reduces its own output once, through
-`Field.reduce_vec` or `Field.reduce_dict` (over Q these only build the tuple
-or drop zeros), so a zero scalar is always falsy and `str()` prints the
-residue.  Scalars from outside are checked by `Field.coerce` once, where
-they enter: `Field.parse`, the public `Matrix(...)` and `Matrix.from_cols`,
-and `Algebra(...)`/`Algebra.element`; matrices the package builds from field
+Everything in this module is exact.  A scalar of Q is a plain `int` when it
+is integral and a `fractions.Fraction` with denominator > 1 otherwise, so
+the common integral case runs on Python's int arithmetic; a scalar of GF(p)
+is a plain `int` in range(p).  `Field` alone decides these representations
+and owns what Python ints cannot do alone: reduction mod p, exact inversion,
+and, over Q, turning an integral `Fraction` (which `Fraction op int` returns
+even when the value is whole) back into its numerator.  Each kernel that
+adds or multiplies scalars normalises its own output once, through
+`Field.reduce_vec` or `Field.reduce_dict`, so a zero scalar is always falsy
+and `str()` prints the same text whichever type holds the value.  Scalars
+from outside are checked by `Field.coerce` once, where they enter:
+`Field.parse`, the public `Matrix(...)` and `Matrix.from_cols`, and
+`Algebra(...)`/`Algebra.element`; matrices the package builds from field
 arithmetic skip that check.
 
 Vectors are plain tuples and matrices are immutable tuples of rows, but the
@@ -69,11 +72,12 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """The scalar domain: Q (p is None, scalars are Fractions) or GF(p) for a
-    prime p (scalars are plain ints in range(p)).
+    """The scalar domain: Q (p is None) or GF(p) for a prime p.
 
-    `inv` inverts; `reduce_vec` and `reduce_dict` bring a kernel's unreduced
-    output into the field, one call per vector or dict.
+    A scalar of Q is an `int` when integral and a `Fraction` with
+    denominator > 1 otherwise; a scalar of GF(p) is an `int` in range(p).
+    `inv` inverts exactly; `reduce_vec` and `reduce_dict` bring a kernel's
+    unreduced output into that form, one call per vector or dict.
     """
 
     __slots__ = ("p", "zero", "one")
@@ -93,13 +97,16 @@ class Field:
     def prime(cls, p: int) -> "Field":
         return cls(p)
 
-    def from_int(self, n: int):
-        return Fraction(n) if self.p is None else n % self.p
+    def from_int(self, n: int) -> int:
+        return int(n) if self.p is None else n % self.p
 
     def inv(self, x):
         """The inverse of a nonzero scalar; ZeroDivisionError on 0."""
         if self.p is None:
-            return 1 / x
+            if type(x) is int:
+                return x if x == 1 or x == -1 else Fraction(1, x)
+            n, d = x.numerator, x.denominator
+            return d * n if n == 1 or n == -1 else Fraction(d, n)
         if not x % self.p:
             raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
         return pow(x, -1, self.p)
@@ -107,19 +114,23 @@ class Field:
     def reduce_vec(self, values) -> tuple:
         """The tuple of `values`, each brought into the field."""
         if self.p is None:
-            return tuple(values)
+            return tuple([x if type(x) is int or x.denominator != 1 else x.numerator
+                          for x in values])
         p = self.p
         return tuple([x % p for x in values])
 
     def reduce_dict(self, sparse: dict) -> dict:
         """`sparse` with each value brought into the field and zeros dropped."""
         if self.p is None:
-            return {k: v for k, v in sparse.items() if v}
+            return {k: v if type(v) is int or v.denominator != 1 else v.numerator
+                    for k, v in sparse.items() if v}
         p = self.p
         return {k: r for k, v in sparse.items() if (r := v % p)}
 
     def parse(self, text):
         """Parse "3/4", "-2" or a plain int into a scalar of this field."""
+        if isinstance(text, bool):
+            raise ValueError("a boolean is not a scalar: %r" % (text,))
         if isinstance(text, int):
             return self.from_int(text)
         if not isinstance(text, str):
@@ -129,7 +140,10 @@ class Field:
             # "1e9999999" would name a number too large to parse or print
             if "e" in text.lower():
                 raise ValueError("exponent notation is not a scalar: %r" % (text,))
-            return Fraction(text)
+            try:
+                return int(text)
+            except ValueError:
+                return self.coerce(Fraction(text))
         if "/" in text:
             num, den = text.split("/", 1)
             return int(num) * self.inv(int(den)) % self.p
@@ -140,7 +154,7 @@ class Field:
         if isinstance(x, int):
             return self.from_int(x)
         if self.p is None and isinstance(x, Fraction):
-            return x
+            return x.numerator if x.denominator == 1 else x
         raise ValueError("scalar %r does not belong to %s" % (x, self))
 
     def __eq__(self, other):

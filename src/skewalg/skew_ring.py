@@ -56,10 +56,6 @@ class SkewRingElement:
             clean[g] = v
         self.parts = clean
 
-    def coeff(self, g) -> tuple:
-        alg = self.ring.action.algebra
-        return self.parts.get(g, alg.zero())
-
     def coords(self) -> tuple:
         return self.ring.coords_of(self)
 
@@ -70,15 +66,6 @@ class SkewRingElement:
         for g, v in other.parts.items():
             out[g] = vadd(field, out[g], v) if g in out else v
         return SkewRingElement(self.ring, out, check=False)
-
-    def __neg__(self):
-        field = self.ring.field
-        return SkewRingElement(
-            self.ring, {g: field.reduce_vec(-x for x in v) for g, v in self.parts.items()},
-            check=False)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, SkewRingElement):

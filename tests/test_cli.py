@@ -107,6 +107,17 @@ def test_exponent_scalar_exits_two(capsys, tmp_path):
     assert json.loads(out)["error"]["type"] == "InstanceFormatError"
 
 
+def test_boolean_scalar_exits_two(capsys, tmp_path):
+    # JSON true/false are not the integers 1 and 0, as for "prime" and "diagonal"
+    data = instance_data("z2_flip_q.json")
+    data["action"]["id:e1"]["dom"] = [True, False]
+    bad = tmp_path / "boolean.json"
+    bad.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InstanceFormatError"
+
+
 def test_invalid_action_fails_commands_that_need_it(capsys, tmp_path):
     data = instance_data("partial_bridge_q.json")
     data["action"]["ginv"]["map"] = [[0, 0, 0, 0]] * 4

@@ -5,9 +5,11 @@ seed-one fuzz corpus is run once; each (exit code, sha256 of stdout) must
 match the digest recorded here.  The digests were taken before the sparse
 exact kernel replaced the dense loops (those of plain `separability` and
 `components` before A and A*G came to share one table product, those of
-`rotated_swap_gf5.json` while GF(p) scalars were still `ModP` objects), so
-a representation change that alters any report byte fails this test.  `instance.path` is dropped before
-hashing, so the digest does not depend on where the checkout lives.
+`rotated_swap_gf5.json` while GF(p) scalars were still `ModP` objects, those
+of `rotated_swap_q.json`, whose "1/2" entries pin the non-integral half of Q,
+while every Q scalar was still a `Fraction`), so a representation change
+that alters any report byte fails this test.  `instance.path` is dropped
+before hashing, so the digest does not depend on where the checkout lives.
 
 To print the current digests in the same layout (only for a deliberate
 change of report format, never to make a failing test pass):
@@ -66,6 +68,14 @@ GOLDEN = {
     "skew-table rotated_swap_gf5.json": (0, "ec265c070b727d978ceea0beb6203cdd0d22c58c986030425d0ccc877fb222a1"),
     "separability rotated_swap_gf5.json": (0, "93322c6afef2608fe7259e5cd998d18d371202560835c6d8a32a45f535f94936"),
     "components rotated_swap_gf5.json": (0, "227b96424eeeff8d2611974d5db79b7e8fc2d970950e6cb3026793803b46afd4"),
+    "validate rotated_swap_q.json": (0, "b54f05daf6941d32ded8ff5ac1087cfdca71c595b669ad775a09d7e51f50fcb7"),
+    "traces rotated_swap_q.json": (0, "37d71f75c5498cbc87238367e100be1f8ecce6b3dd6450740ab2f89110a9a4fc"),
+    "separability rotated_swap_q.json --oracle": (0, "acc75b8598440d34843820463931b7ab3d84f12d075ba46476894d0de6e810a0"),
+    "separability rotated_swap_q.json --global": (0, "5950e5161d65c19e67a8b722a5aa432e3ab504ef29d6a674ab572034c4c8c707"),
+    "separability rotated_swap_q.json --isotropy": (0, "def7ffbe585eed400b84789baef0a62e261fdb26c21216badc545b22b51df224"),
+    "skew-table rotated_swap_q.json": (0, "a62838c7432b24ea3954aac3755b5220024dc6228dd1be53c3b073625602d30b"),
+    "separability rotated_swap_q.json": (0, "90927cf0b0c145ab48c27204e864d77e532dba9bb269c681c5974044d6772fbd"),
+    "components rotated_swap_q.json": (0, "1bcaeaa4fa0437db6806f2c1fd3df3c208f302d1ad6bf0ea2a9c4d8e23d72bcb"),
     "validate z2_flip_gf2.json": (0, "878179379bed8eaec26eac0283559d83ba46ffd7ea7e1889e643d47397dd8bd6"),
     "traces z2_flip_gf2.json": (0, "62284e9361cc8a1879ecf1cd64881e3d91e3a4b83fda028e6df5d035f54f9d31"),
     "separability z2_flip_gf2.json --oracle": (0, "4e9e4f98afc20093709b90c01dd9423d0deffe1e93c17e7577ef8df3983c49d5"),

@@ -82,6 +82,26 @@ def test_scalar_parsing_round_trip():
         f5.parse("1/5")
 
 
+def test_rational_scalars_are_ints_when_integral():
+    assert all(type(x) is int for x in (Q.zero, Q.one, Q.from_int(True), Q.parse("-2"),
+                                        Q.parse(5), Q.parse("4/2"), Q.parse("1.0"),
+                                        Q.coerce(Fraction(6, 3))))
+    assert type(Q.parse("3/4")) is Fraction and type(Q.coerce(Fraction(1, 2))) is Fraction
+    assert Q.reduce_vec((Fraction(1, 2) * 2, Fraction(1, 3))) == (1, Fraction(1, 3))
+    assert type(Q.reduce_vec((Fraction(1, 2) * 2,))[0]) is int
+    assert type(Q.reduce_dict({0: Fraction(3, 2) * 2, 1: 0})[0]) is int
+
+
+def test_rational_inverse_is_exact():
+    half = Q.inv(2)
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert Q.inv(-1) == -1 and type(Q.inv(-1)) is int
+    assert Q.inv(Fraction(-1, 3)) == -3 and type(Q.inv(Fraction(-1, 3))) is int
+    assert Q.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    with pytest.raises(ZeroDivisionError):
+        Q.inv(0)
+
+
 def test_coerce_rejects_foreign_scalars():
     with pytest.raises(ValueError):
         Q.coerce(0.5)
@@ -91,6 +111,11 @@ def test_coerce_rejects_foreign_scalars():
         Matrix(Field.prime(3), [[0.5]])
     with pytest.raises(ValueError):
         Matrix.from_cols(Field.prime(3), [[Fraction(1, 2)]])
+    # a JSON true or false is not the integer 1 or 0
+    with pytest.raises(ValueError, match="boolean"):
+        Q.parse(True)
+    with pytest.raises(ValueError, match="boolean"):
+        Field.prime(3).parse(False)
 
 
 # -- rref ----------------------------------------------------------------------
@@ -287,6 +312,39 @@ def test_gf_p_kernels_return_residues(p, n, k, pool):
     if not sol.is_empty:
         assert _residues(p, sol.particular, *sol.kernel_basis)
         assert _residues(p, sol.element([f.from_int(x) for x in pool[: sol.dim]]))
+
+
+def _rational(*vectors) -> bool:
+    return all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+               for v in vectors for x in v)
+
+
+@given(st.integers(1, 4), st.integers(1, 4),
+       st.lists(st.tuples(st.integers(-20, 20), st.sampled_from((1, 1, 2, 3))),
+                min_size=56, max_size=56))
+@settings(max_examples=80, deadline=None)
+def test_q_kernels_return_ints_when_integral(n, k, pool):
+    # every scalar a Q kernel returns is an int, or a Fraction that is not one
+    it = (Fraction(num, den) for num, den in pool)
+    a = Matrix(Q, [[next(it) for _ in range(k)] for _ in range(n)])
+    b = Matrix(Q, [[next(it) for _ in range(k)] for _ in range(n)])
+    c = Matrix(Q, [[next(it) for _ in range(n)] for _ in range(k)])
+    v = tuple(Q.coerce(next(it)) for _ in range(k))
+    rhs = [next(it) for _ in range(n)]
+    assert _rational(*a.data, *b.data, *c.data, v)
+    for m in (a * c, c * a, a + b, a - b, a.rref()):
+        assert _rational(*m.data)
+    assert _rational(a.apply(v), *kernel(a))
+    sq = a * c
+    if sq.rank() == n:
+        inv = sq.inverse()
+        assert _rational(*inv.data)
+        assert inv * sq == Matrix.identity(Q, n)
+    sol = solve_affine(a, rhs)
+    if not sol.is_empty:
+        assert _rational(sol.particular, *sol.kernel_basis)
+        coeffs = [Q.coerce(Fraction(num, den)) for num, den in pool[: sol.dim]]
+        assert _rational(sol.element(coeffs))
 
 
 def test_prime_field_solver_matches_exhaustive_enumeration():

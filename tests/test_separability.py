@@ -431,7 +431,7 @@ def test_direct_system_agrees_on_worked_instances(bridge, flip_q, flip_gf2,
     assert direct_full_system_separable(rotated_swap_action())
 
 
-# -- GF(p) scalars and object lifetime ---------------------------------------------------------
+# -- scalar representation and object lifetime ---------------------------------------------
 
 def _scalars_of_family(fam):
     if fam.is_empty:
@@ -439,23 +439,41 @@ def _scalars_of_family(fam):
     return [fam.particular, *fam.kernel_basis]
 
 
-@pytest.mark.parametrize("name,p", [("z2_flip_gf3.json", 3), ("rotated_swap_gf5.json", 5)])
-def test_certificate_and_oracle_scalars_are_residues(name, p):
-    from conftest import load_action
-
-    pa = load_action(name)
+def _certificate_and_oracle_vectors(pa) -> list:
     verdict = decide_separability(pa)
     oracle = oracle_separability(pa)
     assert verdict.separable and oracle.separable
     cert = verdict.certificate
     vectors = [verdict.witness, cert.witness, cert.element,
                *_scalars_of_family(cert.witness_family),
-               *_scalars_of_family(oracle.solutions)]
+               *_scalars_of_family(oracle.solutions),
+               extract_witness(pa, oracle.tensor, oracle.solutions.particular)]
     for comp in verdict.per_component:
         vectors.extend(_scalars_of_family(comp.witness_family))
     for _, u, _, w in cert.summands:
         vectors.extend((u, w))
+    return vectors
+
+
+@pytest.mark.parametrize("name,p", [("z2_flip_gf3.json", 3), ("rotated_swap_gf5.json", 5)])
+def test_certificate_and_oracle_scalars_are_residues(name, p):
+    from conftest import load_action
+
+    vectors = _certificate_and_oracle_vectors(load_action(name))
     assert all(type(x) is int and 0 <= x < p for v in vectors for x in v)
+
+
+@pytest.mark.parametrize("name", ["pair_swap_global_q.json", "partial_bridge_q.json",
+                                  "rotated_swap_q.json", "z2_flip_q.json"])
+def test_certificate_and_oracle_q_scalars_are_ints_when_integral(name):
+    from conftest import load_action
+
+    vectors = _certificate_and_oracle_vectors(load_action(name))
+    scalars = [x for v in vectors for x in v]
+    assert all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+               for x in scalars)
+    if name == "rotated_swap_q.json":
+        assert {type(x) for x in scalars} == {int, Fraction}
 
 
 def test_separability_objects_are_freed_by_reference_counting():
