@@ -15,6 +15,7 @@ check passed; 1 on failed checks; 2 on unusable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -207,7 +208,9 @@ def cmd_fuzz(args) -> tuple:
     return report, 0 if report["ok"] else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared afterwards."""
     p = argparse.ArgumentParser(prog="skewalg",
                                 description="partial skew groupoid rings: "
                                             "validation, traces, separability")

@@ -17,12 +17,15 @@ arithmetic skip that check.
 
 Vectors are plain tuples and matrices are immutable tuples of rows, but the
 kernels are sparse in effect: products, eliminations and combinations skip
-zero entries by truthiness instead of computing with them.  Row reduction
-uses deterministic leftmost-pivot elimination so that every downstream
-basis, solution set and certificate is byte-reproducible.  Every elimination
-(`kernel`, `solve_affine`, `Matrix.rank`, `Matrix.inverse`, `Matrix.rref`)
-goes through `echelon`, which returns the nonzero rows and pivots; only the
-public `Matrix.rref` pads them back to the original shape.
+zero entries by truthiness instead of computing with them.  `Matrix.apply`
+runs on a column index of the nonzero entries, built lazily on its first
+call and cached on the matrix, so it costs the nonzeros in the columns of
+the vector's support.  Row reduction uses deterministic leftmost-pivot
+elimination so that every downstream basis, solution set and certificate is
+byte-reproducible.  Every elimination (`kernel`, `solve_affine`,
+`Matrix.rank`, `Matrix.inverse`, `Matrix.rref`) goes through `echelon`,
+which returns the nonzero rows and pivots; only the public `Matrix.rref`
+pads them back to the original shape.
 """
 
 from __future__ import annotations
@@ -184,10 +187,13 @@ class Matrix:
     """An immutable dense matrix over one Field.
 
     The constructor and `from_cols` coerce every entry; `_trusted` wraps rows
-    the package built from field arithmetic as they are.
+    the package built from field arithmetic as they are.  `apply` builds the
+    column index `_cols` (per column j, the pairs (i, m_ij) with m_ij != 0)
+    on its first call and reuses it; the matrix never changes, so the index
+    cannot go stale, and equality and hashing ignore it.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "data")
+    __slots__ = ("field", "nrows", "ncols", "data", "_cols")
 
     def __init__(self, field: Field, data: Iterable[Iterable], ncols: int | None = None):
         rows = tuple(tuple(field.coerce(x) for x in row) for row in data)
@@ -203,6 +209,7 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = width
         self.data = rows
+        self._cols = None
 
     @classmethod
     def _trusted(cls, field: Field, rows: tuple, ncols: int) -> "Matrix":
@@ -212,6 +219,7 @@ class Matrix:
         m.nrows = len(rows)
         m.ncols = ncols
         m.data = rows
+        m._cols = None
         return m
 
     @classmethod
@@ -236,13 +244,19 @@ class Matrix:
         return tuple(r[j] for r in self.data)
 
     def apply(self, v: Sequence) -> tuple:
-        """Matrix times column vector."""
+        """Matrix times column vector, over the nonzero entries of v's columns."""
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length %d != %d columns" % (len(v), self.ncols))
-        support = [(j, x) for j, x in enumerate(v) if x]
-        zero = self.field.zero
-        return self.field.reduce_vec(sum((r[j] * x for j, x in support if r[j]), zero)
-                                     for r in self.data)
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = tuple(tuple((i, x) for i, x in enumerate(c) if x)
+                                      for c in zip(*self.data))
+        out = [self.field.zero] * self.nrows
+        for x, col in zip(v, cols):
+            if x:
+                for i, m in col:
+                    out[i] += m * x
+        return self.field.reduce_vec(out)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):

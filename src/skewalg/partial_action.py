@@ -51,6 +51,14 @@ class ActionReport:
 
 
 class PartialAction:
+    """Per morphism g, the domain idempotent 1_g and the map alpha_g.
+
+    alpha_g is stored as a dense dim x dim `Matrix` (the convention of the
+    module docstring) and applied through its sparse columns: `alpha` goes
+    through `Matrix.apply`, which caches the nonzero entries of each column,
+    so a mostly permutation-like alpha_g costs about the support of its
+    argument.
+    """
 
     def __init__(self, groupoid: Groupoid, algebra: Algebra, idems: dict, maps: dict):
         self.groupoid = groupoid
@@ -281,9 +289,8 @@ def validate_partial_action(pa: PartialAction) -> ActionReport:
         if img_span.dim != src.dim or img_span != dst:
             flag("NotRingIso", "map of %s is not a bijection onto its ideal" % (g,))
             continue
-        hom = all(pa.alpha(g, alg.multiply(u, v)) ==
-                  alg.multiply(pa.alpha(g, u), pa.alpha(g, v))
-                  for u in src.rows for v in src.rows)
+        hom = all(pa.alpha(g, alg.multiply(u, v)) == alg.multiply(au, av)
+                  for u, au in zip(src.rows, images) for v, av in zip(src.rows, images))
         if not hom:
             flag("NotRingIso", "map of %s is not multiplicative on its ideal" % (g,))
             continue

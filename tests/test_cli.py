@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -356,3 +360,33 @@ def test_differential_builds_one_ring_and_one_square(monkeypatch):
             assert run_differential(skeleton_to_instance(skel, fdesc))["agree"]
             assert counts == {SkewRing: 1, TensorOverA: 1}
             counts.update({SkewRing: 0, TensorOverA: 0})
+
+
+def _fresh_process(argv, env) -> tuple:
+    """(exit code, stdout, stderr) of `python -m skewalg.cli argv` in a new process."""
+    proc = subprocess.run([sys.executable, "-m", "skewalg.cli", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_process_parses_like_fresh_processes(capsys, monkeypatch):
+    # the parser is built once per process; later calls, including one after
+    # an argparse error, must behave exactly as in a fresh process
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    path = str(instance_path("partial_bridge_q.json"))
+    bad = ["separability", path, "--no-such-flag"]
+    for argv in (["separability", path], ["validate", path], bad,
+                 ["separability", path, "--oracle"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh_code, fresh_out, fresh_err = _fresh_process(argv, env)
+        assert (code, out) == (fresh_code, fresh_out), argv
+        if argv is bad:
+            assert code == 2 and out == ""
+            assert err == fresh_err
+            assert "unrecognized arguments: --no-such-flag" in err

@@ -347,6 +347,77 @@ def test_q_kernels_return_ints_when_integral(n, k, pool):
         assert _rational(sol.element(coeffs))
 
 
+def _dense_apply(field, rows, v) -> list:
+    """Sum_j m_ij v_j, row by row, brought into the field."""
+    return [field.coerce(sum((m * x for m, x in zip(r, v)), 0)) if field.p is None
+            else sum(m * x for m, x in zip(r, v)) % field.p for r in rows]
+
+
+sparse_int = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
+sparse_fraction = st.one_of(sparse_int,
+                            st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))
+
+
+@given(st.sampled_from((None, 2, 3, 5)), st.integers(0, 5), st.integers(0, 5),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_apply_matches_the_dense_row_sum(p, nrows, ncols, data):
+    # the column-index apply computes sum_j m_ij v_j on sparse matrices,
+    # over Q with non-integral entries and over GF(p) on residues
+    f = Field(p)
+    entry = sparse_fraction if p is None else sparse_int
+
+    def draw_vec(n):
+        return tuple(f.coerce(data.draw(entry)) for _ in range(n))
+
+    m = Matrix(f, [draw_vec(ncols) for _ in range(nrows)], ncols=ncols)
+    # from_cols cannot carry the row count of a matrix without columns
+    ms = [m, Matrix.from_cols(f, [m.col(j) for j in range(ncols)])] if ncols else [m]
+    for _ in range(3):
+        v = draw_vec(ncols)
+        want = _dense_apply(f, m.data, v)
+        for mm in ms:
+            got = mm.apply(v)
+            assert list(got) == want
+            if p is None:
+                assert _rational(got)
+            else:
+                assert _residues(p, got)
+
+
+def test_apply_on_empty_shapes():
+    for f in (Q, GF2):
+        assert Matrix(f, [], ncols=3).apply((1, 0, 1)) == ()
+        assert Matrix(f, [[], []], ncols=0).apply(()) == (f.zero, f.zero)
+        assert Matrix.from_cols(f, []).apply(()) == ()
+        assert Matrix.from_cols(f, [(), (), ()]).apply((1, 1, 1)) == ()
+    m = Matrix.from_cols(Q, [(0, 0), (Fraction(1, 2), 0), (0, 0)])
+    assert m.apply((5, 4, 3)) == (2, 0)
+    assert type(m.apply((5, 4, 3))[0]) is int
+
+
+def test_apply_rejects_a_wrong_length_vector():
+    m = mat(Q, [[1, 0], [0, 1]])
+    m.apply((1, 1))
+    for v in ((), (1,), (1, 2, 3)):
+        with pytest.raises(DimensionMismatch):
+            m.apply(v)
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_cols(GF2, [(), ()]).apply((1,))
+
+
+def test_apply_cache_leaves_equality_and_hash_alone():
+    rows = [[0, Fraction(3, 2)], [1, 0]]
+    a, b = mat(Q, rows), mat(Q, rows)
+    assert a.apply((2, 2)) == (3, 2)
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    c, d = Matrix.identity(GF2, 3), Matrix.identity(GF2, 3)
+    d.apply((1, 0, 1))
+    assert c == d and hash(c) == hash(d)
+
+
 def test_prime_field_solver_matches_exhaustive_enumeration():
     # ground truth by brute force: check every vector of GF(p)^n
     rng = __import__("random").Random(8)

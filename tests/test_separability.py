@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewalg import Field, Matrix
+from skewalg import Algebra, Field, Matrix, PartialAction, build_groupoid
 from skewalg.linalg import echelon, intersect, vadd
 from skewalg.separability import (EmptyHomSet, NotGlobal, WitnessInvalid,
                                   build_certificate, decide_global,
@@ -127,6 +127,32 @@ def test_trivial_group_is_separable_with_unit_witness(trivial_q):
     v = decide_separability(trivial_q)
     assert v.separable
     assert v.witness == (1,)
+
+
+def trivial_cyclic_action(field, m) -> PartialAction:
+    """Z/m = {id:e, g1, ..., g(m-1)} acting trivially on the 1-dim algebra k."""
+    name = ["id:e"] + ["g%d" % i for i in range(1, m)]
+    return PartialAction(
+        build_groupoid(["e"], [(name[i], "e", "e") for i in range(1, m)],
+                       [(name[i], name[j], name[(i + j) % m])
+                        for i in range(1, m) for j in range(1, m)],
+                       [(name[i], name[m - i]) for i in range(1, m)]),
+        Algebra.diagonal(field, 1), {g: [1] for g in name},
+        {g: [[1]] for g in name[1:]})
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_maschke_trivial_cyclic_action(m, p):
+    # t_e(a) = m a, so k inside k*Z/m is separable iff char k does not divide m
+    field = Field(p)
+    v = decide_separability(trivial_cyclic_action(field, m))
+    assert v.separable == (p is None or m % p != 0)
+    if v.separable:
+        assert v.certificate.ok
+        assert v.witness == (field.inv(field.from_int(m)),)
+    else:
+        assert v.certificate is None and v.witness is None
 
 
 def test_certificates_match_the_hand_built_idempotents(bridge):
