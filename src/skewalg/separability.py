@@ -151,8 +151,7 @@ def _component_family(pa: PartialAction, cls, objects_to_solve) -> tuple:
     basis = pa.algebra.ideal_basis(u).basis
     alg = sub.algebra
     center = alg.center_basis()
-    cmat = Matrix.from_cols(alg.field, list(center)) if center else \
-        Matrix(alg.field, [[] for _ in range(alg.dim)], ncols=0)
+    cmat = Matrix.from_cols(alg.field, list(center))
     rows: list = []
     rhs: list = []
     for f in objects_to_solve:
@@ -268,23 +267,24 @@ def oracle_separability(pa: PartialAction) -> OracleResult:
     """Directly solve m(x) = 1 and bx = xb in the tensor square of the ring.
 
     This is the definition of a separability element, so it is an oracle for
-    the trace criterion: the two must agree on every instance.
+    the trace criterion: the two must agree on every instance.  The system is
+    the rows of m (right-hand side the unit) and, for each ring basis element
+    b_p, the nonzero rows of x |-> b_p x - x b_p read sparsely off the ring
+    table (`TensorOverA.commutator_rows`), each distinct row once.  Dropping
+    zero and repeated rows with right-hand side 0 keeps the row space of
+    [M | b], so the solution set is that of the full system over all b.
     """
     pa.ensure_valid()
     pa.require_decomposition()
     tensor = tensor_square(pa)
     ring = tensor.ring
     field = ring.field
-    rows: list = []
-    rhs: list = []
-    mm = tensor.mult_matrix()
-    rows.extend(mm.data)
-    rhs.extend(ring.coords_of(ring.unit()))
-    for p in range(ring.dim):
-        b = ring.basis_coords(p)
-        delta = tensor.left_matrix(b) - tensor.right_matrix(b)
-        rows.extend(delta.data)
-        rhs.extend([field.zero] * tensor.dim)
+    rows = list(tensor.mult_matrix().data)
+    rhs = list(ring.coords_of(ring.unit()))
+    commutators = dict.fromkeys(row for p in range(ring.dim)
+                                for row in tensor.commutator_rows(p))
+    rows.extend(commutators)
+    rhs.extend([field.zero] * len(commutators))
     sol = solve_affine(Matrix._trusted(field, tuple(rows), tensor.dim), rhs)
     return OracleResult(not sol.is_empty, tensor, sol)
 

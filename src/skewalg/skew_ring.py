@@ -436,6 +436,40 @@ class TensorOverA:
                     out[coord] = out.get(coord, zero) + v * bj * t
         return ring.field.reduce_dict(out)
 
+    def commutator_rows(self, p: int) -> list:
+        """The nonzero rows of x |-> b_p x - x b_p in quotient coordinates.
+
+        Column k is the image of the lift b_p0 (x) b_q0 of quotient basis
+        vector k: the left leg b_p b_p0 reads `_table[p][p0]`, the right leg
+        b_q0 b_p reads `_table[q0][p]`, and both project through `_q_of` into
+        one accumulator keyed by row * dim + column, reduced once and then
+        transposed into rows.
+        """
+        table = self.ring._table
+        field = self.ring.field
+        zero = field.zero
+        n, dim, q_of = self.n, self.dim, self._q_of
+        left = table[p]
+        acc: dict = {}
+        for k, c in enumerate(self.q_coords):
+            p0, q0 = divmod(c, n)
+            for i, t in left[p0].items():
+                for j, s in q_of.get(i * n + q0, ()):
+                    key = j * dim + k
+                    acc[key] = acc.get(key, zero) + t * s
+            for i, t in table[q0][p].items():
+                for j, s in q_of.get(p0 * n + i, ()):
+                    key = j * dim + k
+                    acc[key] = acc.get(key, zero) - t * s
+        rows: dict = {}
+        for key, v in field.reduce_dict(acc).items():
+            j, k = divmod(key, dim)
+            row = rows.get(j)
+            if row is None:
+                row = rows[j] = [zero] * dim
+            row[k] = v
+        return [tuple(rows[j]) for j in sorted(rows)]
+
     def _matrix_of(self, image) -> Matrix:
         """Matrix whose column k is `image` of the lift of quotient basis vector k."""
         field = self.ring.field

@@ -5,8 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from skewalg import (Field, PartialAction, build_skew_ring, glue_components,
-                     tensor_over)
+from skewalg import (Field, Matrix, PartialAction, build_skew_ring,
+                     glue_components, tensor_over)
 from skewalg.instances import load_instance, parse_instance
 from skewalg.linalg import echelon, vadd
 
@@ -252,3 +252,21 @@ def relation_quotient(ring, lpos, rpos, mid_rows):
         return tuple(out)
 
     return SimpleNamespace(dim=len(q_coords), q_coords=q_coords, project=project)
+
+
+def dense_oracle_system(tensor):
+    """Reference for `oracle_separability`: the dense system as (matrix, rhs).
+
+    The rows of `mult_matrix` with the ring unit as right-hand side, then, for
+    every ring basis element b, all `tensor.dim` rows of
+    `left_matrix(b) - right_matrix(b)`, zero and repeated rows included.
+    """
+    ring = tensor.ring
+    field = ring.field
+    rows = list(tensor.mult_matrix().data)
+    rhs = list(ring.coords_of(ring.unit()))
+    for p in range(ring.dim):
+        b = ring.basis_coords(p)
+        rows.extend((tensor.left_matrix(b) - tensor.right_matrix(b)).data)
+        rhs.extend([field.zero] * tensor.dim)
+    return Matrix(field, rows, ncols=tensor.dim), rhs

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from skewalg import Algebra, Field, Matrix, PartialAction, build_groupoid
-from skewalg.linalg import echelon, intersect, vadd
+from skewalg.linalg import echelon, intersect, solve_affine, vadd
 from skewalg.separability import (EmptyHomSet, NotGlobal, WitnessInvalid,
                                   build_certificate, decide_global,
                                   decide_separability, extract_witness,
-                                  invariant_subring, isotropy_transport_psi,
+                                  invariant_subring, is_witness,
+                                  isotropy_transport_psi,
                                   isotropy_witness_transport,
                                   normal_form_coefficients,
                                   oracle_separability, trace_between,
@@ -17,6 +18,9 @@ from skewalg.separability import (EmptyHomSet, NotGlobal, WitnessInvalid,
 from skewalg.skew_ring import tensor_square
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
+
+from conftest import dense_oracle_system
+from test_skewring import closed_form_corpus
 
 Q = Field.rationals()
 
@@ -269,6 +273,44 @@ def test_extraction_satisfies_the_diagonal_identity(bridge):
         assert bridge.alpha(g, diag) == got
 
 
+def test_oracle_matches_the_dense_reference_system():
+    # the sparse, deduplicated commutation rows against the dense system of
+    # L_b - R_b over every ring basis element b: the same solution set
+    for pa in closed_form_corpus():
+        res = oracle_separability(pa)
+        assert res.solutions == solve_affine(*dense_oracle_system(res.tensor))
+
+
+def test_commutator_rows_span_the_dense_difference():
+    # for each basis element b_p, the nonzero rows of b_p x - x b_p span the
+    # row space of left_matrix(b_p) - right_matrix(b_p)
+    for pa in closed_form_corpus():
+        tensor = tensor_square(pa)
+        ring = tensor.ring
+        for p in range(ring.dim):
+            b = ring.basis_coords(p)
+            rows = tensor.commutator_rows(p)
+            assert all(any(r) for r in rows)
+            dense = tensor.left_matrix(b) - tensor.right_matrix(b)
+            assert (echelon(ring.field, rows, tensor.dim) ==
+                    echelon(ring.field, dense.data, tensor.dim))
+
+
+def test_oracle_on_the_ring_48_skeleton():
+    # two objects, Z/3 isotropy, all four letters kept, sigma a 3-cycle and a
+    # fixed point: ring 48, square 2304 -> 288, separable unless char is 3
+    skel = {"components": [{"k": 2, "m": 3, "d": 4, "sigma": [1, 2, 0, 3],
+                            "tau": [[0, 1, 2, 3]] * 2, "T": [[0, 1, 2, 3]] * 2}]}
+    for fdesc in ("Q", "GF(2)"):
+        pa = parse_instance(skeleton_to_instance(skel, fdesc)).action
+        verdict = decide_separability(pa)
+        res = oracle_separability(pa)
+        tensor = res.tensor
+        assert (tensor.ring.dim, tensor.ambient_dim, tensor.dim) == (48, 2304, 288)
+        assert verdict.separable and res.separable
+        assert is_witness(pa, extract_witness(pa, tensor, res.solutions.particular))
+
+
 # -- global actions ----------------------------------------------------------------------------
 
 def test_global_decision_matches_full_decision(pair_swap, trivial_q):
@@ -426,8 +468,6 @@ def test_rotated_swap_restriction_works_in_echelon_coordinates():
 
 def direct_full_system_separable(pa) -> bool:
     """Third route: solve t_e(a) = 1_e over C(A) with no component reduction."""
-    from skewalg.linalg import solve_affine
-
     alg = pa.algebra
     center = alg.center_basis()
     cmat = Matrix.from_cols(alg.field, list(center))

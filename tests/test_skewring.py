@@ -272,7 +272,9 @@ def _trivial_action_on(alg) -> PartialAction:
                          {"id:e": list(alg.unit)}, {})
 
 
-def _closed_form_corpus():
+def closed_form_corpus():
+    """The shipped instances, 25 seed-1 fuzz skeletons over Q, GF(2) and GF(3),
+    and the trivial action on M_2(k) over Q and GF(3)."""
     yield from (load_action(p.name) for p in sorted(INSTANCE_DIR.glob("*.json")))
     rng = random.Random(1)
     for _ in range(25):
@@ -288,7 +290,7 @@ def test_closed_form_matches_relation_quotient():
     # same dimension, free columns and projection of random sparse vectors
     rng = random.Random(31)
     count = 0
-    for pa in _closed_form_corpus():
+    for pa in closed_form_corpus():
         ring = build_skew_ring(pa)
         alg = pa.algebra
         t = tensor_over(ring)
