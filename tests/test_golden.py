@@ -44,6 +44,14 @@ COMMANDS = (
 FUZZ = ("fuzz", "--seed", "1", "--count", "25")
 
 GOLDEN = {
+    "validate conj_swap_m2_q.json": (0, "861ab45300f8489fbefc06976f5540e51691810213465b484dc46435871d7f6b"),
+    "traces conj_swap_m2_q.json": (0, "e1b7c5e6a7fa4b0837bf51c893d611e2382d2040e5b7c25e9553a2b70e74c801"),
+    "separability conj_swap_m2_q.json --oracle": (0, "6feec8c231d7f966e808826798faab9986af6ced3c1c720f7d523d109e933f38"),
+    "separability conj_swap_m2_q.json --global": (0, "ce8cdee59e3a31a6b5f8967c2a3b3974f45ebde9b660188e297478cad483b838"),
+    "separability conj_swap_m2_q.json --isotropy": (0, "cf22c7550d5f1d52a362cf97dab55855e48d52766d80ca9ce59e9518f0079156"),
+    "skew-table conj_swap_m2_q.json": (0, "f2a1040aefe29d5b55739da561dd439c70b98439aa4757af1f7e0b180a1bb257"),
+    "separability conj_swap_m2_q.json": (0, "0bd1e69694ff1f4bdab6f8316d73e5874e0764eb1486ecd928e8474c1aa5e328"),
+    "components conj_swap_m2_q.json": (0, "cd5d9f9a0c0fe498ceccdb03245d719c8d5dfb93e1805d35e65ad0312137e785"),
     "validate pair_swap_global_q.json": (0, "477d70491602f2070d5b2450b991183dfffb1df2c46e39517aeaa7b8e30e7572"),
     "traces pair_swap_global_q.json": (0, "bc97e077fa111ccd877acc731899ecbc90457a45fcf1260b77b13dd6a584b6de"),
     "separability pair_swap_global_q.json --oracle": (0, "9694ab24066743e745cd4e8d0ed5cf95493399e097e3098f10df59fc3e1feecf"),
