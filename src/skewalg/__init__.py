@@ -6,11 +6,9 @@ from .groupoid import (ComponentPartition, Groupoid, GroupoidError,
                        GroupoidReport, UnknownObject, build_groupoid,
                        validate_groupoid)
 from .linalg import (AffineSolutionSet, DimensionMismatch, Echelon, Field,
-                     LinalgError, Matrix, echelon, intersect, kernel,
-                     rref, solve_affine)
+                     LinalgError, Matrix, echelon, kernel, solve_affine)
 from .partial_action import (ActionError, ActionReport, DecompositionRequired,
-                             NotUnitalAction, OverlappingObjects,
-                             PartialAction, glue_components, invariant_suite,
+                             NotUnitalAction, PartialAction, invariant_suite,
                              validate_partial_action)
 from .separability import (ComponentVerdict, EmptyHomSet, IsotropyIso,
                            NotGlobal, OracleResult, SeparabilityCertificate,
@@ -22,8 +20,8 @@ from .separability import (ComponentVerdict, EmptyHomSet, IsotropyIso,
                            normal_form_coefficients, oracle_separability,
                            trace_between, trace_into, trace_invariant_suite,
                            trace_total)
-from .skew_ring import (InvalidSizeCap, SkewRing, SkewRingElement,
-                        SkewRingError, TensorOverA, TensorTooLarge,
-                        build_skew_ring, tensor_over, tensor_square)
+from .skew_ring import (InvalidSizeCap, SkewRing, SkewRingError, TensorOverA,
+                        TensorTooLarge, build_skew_ring, tensor_over,
+                        tensor_square)
 
 __version__ = "0.1.0"

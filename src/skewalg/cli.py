@@ -56,7 +56,7 @@ def _certificate(cert) -> dict:
     return {
         "witness": _vec(cert.witness),
         "witness_family": _family(cert.witness_family),
-        "tensor_dim": cert.tensor.dim,
+        "tensor_dim": cert.tensor_dim,
         "summands": [[g, _vec(u), h, _vec(w)] for g, u, h, w in cert.summands],
         "checks": dict(cert.checks),
     }
@@ -140,6 +140,9 @@ def cmd_separability(args) -> tuple:
     pa = inst.action
     pa.ensure_valid()
     ok = True
+    # the oracle builds the tensor square, so a square over the size cap is
+    # refused before the trace decision
+    oracle = oracle_separability(pa) if args.oracle else None
     if args.use_global:
         verdict = decide_global(pa)
         report["decision_path"] = "global_transversal"
@@ -149,8 +152,7 @@ def cmd_separability(args) -> tuple:
     report["verdict"] = _verdict(verdict)
     if verdict.certificate is not None:
         ok = ok and verdict.certificate.ok
-    if args.oracle:
-        oracle = oracle_separability(pa)
+    if oracle is not None:
         agree = oracle.separable == verdict.separable
         report["oracle"] = {"separable": oracle.separable,
                             "tensor_dim": oracle.tensor.dim,

@@ -444,25 +444,6 @@ def echelon(field: Field, vectors: Iterable[Sequence], ncols: int) -> Echelon:
     return ech.to_echelon()
 
 
-def intersect(a: Echelon, b: Echelon) -> Echelon:
-    """Canonical basis of the intersection of two row spaces."""
-    if a.ncols != b.ncols or a.field != b.field:
-        raise DimensionMismatch("incompatible subspaces")
-    if a.dim == 0 or b.dim == 0:
-        return echelon(a.field, [], a.ncols)
-    # v = x*A = y*B  <=>  (x, y) in ker [A^T | -B^T]
-    field = a.field
-    cols = list(a.rows) + [field.reduce_vec(-x for x in r) for r in b.rows]
-    m = Matrix._trusted(field, tuple(zip(*cols)), len(cols))
-    vecs = [a.combine(k[: a.dim]) for k in kernel(m)]
-    return echelon(a.field, vecs, a.ncols)
-
-
-def rref(m: Matrix) -> Matrix:
-    """Reduced row echelon form of m (same shape)."""
-    return m.rref()
-
-
 def _null_space(field: Field, red_rows, pivots, ncols: int) -> Echelon:
     """Null space of the first `ncols` columns of a matrix in RREF (rows, pivots)."""
     zero, one = field.zero, field.one

@@ -24,10 +24,6 @@ class DecompositionRequired(ActionError):
     pass
 
 
-class OverlappingObjects(ActionError):
-    pass
-
-
 class NotUnitalAction(ActionError):
     pass
 
@@ -83,7 +79,7 @@ class PartialAction:
         self._ideals: dict = {}
         self._restricted: dict = {}
         self._report: ActionReport | None = None
-        self._square = None           # skew_ring.tensor_square's weak reference
+        self._decomposes: bool | None = None
 
     # -- accessors ---------------------------------------------------------
 
@@ -123,8 +119,10 @@ class PartialAction:
                    for g in self.groupoid.morphisms)
 
     def has_object_decomposition(self) -> bool:
-        return self.algebra.check_object_decomposition(
-            [self.obj_idem(e) for e in self.groupoid.objects])
+        if self._decomposes is None:
+            self._decomposes = self.algebra.check_object_decomposition(
+                [self.obj_idem(e) for e in self.groupoid.objects])
+        return self._decomposes
 
     def require_decomposition(self) -> None:
         if not self.has_object_decomposition():
@@ -167,80 +165,6 @@ class PartialAction:
             cols = [basis.coords(self.alpha(g, row)) for row in basis.rows]
             maps[g] = Matrix.from_cols(sub.field, cols)
         return PartialAction(sub_groupoid, sub, idems, maps)
-
-
-def glue_components(parts) -> PartialAction:
-    """Partial action of the disjoint-union groupoid on the direct-sum algebra."""
-    parts = list(parts)
-    if not parts:
-        raise ActionError("nothing to glue")
-    if len(parts) == 1:
-        return parts[0]
-    field = parts[0].algebra.field
-    if any(p.algebra.field != field for p in parts):
-        raise ActionError("glued parts must share one field")
-    seen_obj: set = set()
-    seen_mor: set = set()
-    for p in parts:
-        if seen_obj & set(p.groupoid.objects) or seen_mor & set(p.groupoid.morphisms):
-            raise OverlappingObjects("glued parts share object or morphism names")
-        seen_obj |= set(p.groupoid.objects)
-        seen_mor |= set(p.groupoid.morphisms)
-
-    objects, morphisms, names = [], [], []
-    src, tgt, identity, compose, inverse = {}, {}, {}, {}, {}
-    for p in parts:
-        g = p.groupoid
-        objects.extend(g.objects)
-        morphisms.extend(g.morphisms)
-        src.update(g.src)
-        tgt.update(g.tgt)
-        identity.update(g.identity)
-        compose.update(g.compose)
-        inverse.update(g.inverse)
-        names.extend(p.algebra.basis_names)
-    union = Groupoid(objects, morphisms, src, tgt, identity, compose, inverse)
-
-    dims = [p.algebra.dim for p in parts]
-    total = sum(dims)
-    offsets = []
-    at = 0
-    for d in dims:
-        offsets.append(at)
-        at += d
-    zero = field.zero
-    structure = [[[zero] * total for _ in range(total)] for _ in range(total)]
-    unit = [zero] * total
-    for p, off in zip(parts, offsets):
-        a = p.algebra
-        for i in range(a.dim):
-            unit[off + i] = a.unit[i]
-            for j in range(a.dim):
-                for k in range(a.dim):
-                    structure[off + i][off + j][off + k] = a.structure[i][j][k]
-    if len(set(names)) != total:
-        names = ["p%d.%s" % (i, n) for i, p in enumerate(parts)
-                 for n in p.algebra.basis_names]
-    big = Algebra(field, structure, unit, names)
-
-    def pad_vec(v, off):
-        out = [zero] * total
-        for i, x in enumerate(v):
-            out[off + i] = x
-        return tuple(out)
-
-    idems, maps = {}, {}
-    for p, off in zip(parts, offsets):
-        d = p.algebra.dim
-        for g in p.groupoid.morphisms:
-            idems[g] = pad_vec(p.idem(g), off)
-            m = p.matrix(g)
-            block = [[zero] * total for _ in range(total)]
-            for i in range(d):
-                for j in range(d):
-                    block[off + i][off + j] = m.data[i][j]
-            maps[g] = Matrix(field, block)
-    return PartialAction(union, big, idems, maps)
 
 
 def validate_partial_action(pa: PartialAction) -> ActionReport:

@@ -4,10 +4,12 @@ The extension A in A*G is separable exactly when, on every connected
 component, some central element a satisfies t_i(a) = 1_i for all objects i
 (t_i sums alpha_g(a 1_{g^-1}) over arrows with target e_i).  The decision
 solves that affine system over center coordinates; a positive answer yields
-an explicit separability idempotent in the tensor square, which is verified
-against the definition.  `oracle_separability` instead solves the defining
-conditions m(x) = 1 and bx = xb directly in tensor coordinates, giving an
-independent check of the criterion.
+an explicit separability idempotent in the tensor square, held as its psi
+blocks and verified against the definition with the closed-form psi
+actions of `skew_ring`, so neither the ring table nor the square is built.
+`oracle_separability` instead solves the defining conditions m(x) = 1 and
+bx = xb directly in the quotient coordinates of `TensorOverA`, over the
+ring table: an independent check of the criterion and of the certificate.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from dataclasses import dataclass
 from .linalg import (AffineSolutionSet, Echelon, Matrix, echelon, kernel,
                      solve_affine, vadd)
 from .partial_action import PartialAction
-from .skew_ring import SkewRing, TensorOverA, build_skew_ring, tensor_square
+from .skew_ring import (SkewRing, TensorOverA, build_skew_ring, psi_block,
+                        psi_coords, psi_left, psi_multiply, psi_right,
+                        psi_tensor_dim, tensor_square)
 
 
 class SeparabilityError(Exception):
@@ -105,8 +109,8 @@ class SeparabilityCertificate:
 
     witness: tuple                       # central element a with t_i(a) = 1_i
     witness_family: AffineSolutionSet    # all witnesses, in algebra coordinates
-    tensor: TensorOverA
-    element: tuple                       # quotient coordinates of the idempotent
+    tensor_dim: int                      # dimension of (A*G) (x)_A (A*G)
+    blocks: dict                         # (g, g^-1) -> psi-image of the idempotent there
     summands: tuple                      # canonical (g, coeffs, h, coeffs) list
     checks: dict
 
@@ -227,8 +231,10 @@ def build_certificate(pa: PartialAction, a,
     """The separability idempotent attached to a central witness a.
 
     x = sum over morphisms g of  alpha_g(a 1_{g^-1}) d_g  (x)  1_{g^-1} d_{g^-1},
-    projected to the canonical tensor representative and verified against the
-    definition (multiplication gives the unit; commutes with every basis element).
+    held as its psi blocks (`idempotent_blocks`), verified against the
+    definition (`separability_checks`) and written out as the canonical
+    representative: in each block, the free pairs of `psi_block` with the
+    coordinates of the block's psi-image over their psi-images.
     """
     pa.ensure_valid()
     pa.require_decomposition()
@@ -236,31 +242,44 @@ def build_certificate(pa: PartialAction, a,
     a = alg.element(a)
     if not is_witness(pa, a):
         raise WitnessInvalid("witness is not central with t_e(a) = 1_e at every object")
-    tensor = tensor_square(pa)
-    ring = tensor.ring
-    ambient: dict = {}
-    zero = alg.field.zero
-    for g in pa.groupoid.morphisms:
-        ginv = pa.groupoid.inv(g)
-        left = ring.element({g: pa.alpha(g, a)})
-        right = ring.element({ginv: pa.idem(ginv)})
-        for c, v in tensor.pure_tensor(left, right).items():
-            ambient[c] = ambient.get(c, zero) + v
-    q = tensor.project(alg.field.reduce_dict(ambient))
-    lifted = tensor.lift(q)
-    unit_coords = ring.coords_of(ring.unit())
-    checks = {
-        "witness_central": True,
-        "witness_traces": True,
-        "multiplies_to_unit": tensor.multiply_ambient(lifted) == unit_coords,
-        "commutes_with_basis": all(
-            tensor.project(tensor.left_apply_ambient(ring.basis_coords(p), lifted)) ==
-            tensor.project(tensor.right_apply_ambient(ring.basis_coords(p), lifted))
-            for p in range(ring.dim)),
-    }
+    blocks = idempotent_blocks(pa, a)
+    checks = {"witness_central": True, "witness_traces": True,
+              **separability_checks(pa, blocks)}
+    summands = []
+    for (g, h), y in blocks.items():
+        images, kinds, free, pivots = psi_block(pa, g, h)
+        basis = [images[kinds[f]] for f in free]
+        us, ws = pa.ideal(g).rows, pa.ideal(h).rows
+        for f, c in zip(free, psi_coords(alg.field, pivots, basis, [y]).data[0]):
+            if c:
+                i, j = divmod(f, len(ws))
+                summands.append((g, alg.field.reduce_vec(c * x for x in us[i]), h, ws[j]))
     if family is None:
         family = AffineSolutionSet(a, (), alg.field)
-    return SeparabilityCertificate(a, family, tensor, q, tensor.summands(q), checks)
+    return SeparabilityCertificate(a, family, psi_tensor_dim(pa), blocks,
+                                   tuple(summands), checks)
+
+
+def idempotent_blocks(pa: PartialAction, a) -> dict:
+    """The nonzero psi blocks of sum_g alpha_g(a 1_{g^-1}) d_g (x) 1_{g^-1} d_{g^-1}:
+    block (g, g^-1) is alpha_g(a 1_{g^-1}), in morphism order."""
+    inv = pa.groupoid.inv
+    blocks = {(g, inv(g)): pa.alpha(g, a) for g in pa.groupoid.morphisms}
+    return {pair: y for pair, y in blocks.items() if any(y)}
+
+
+def separability_checks(pa: PartialAction, blocks) -> dict:
+    """m(x) = 1 and bx = xb for every ring basis element b, for the tensor
+    element x given by its psi blocks."""
+    g_oid = pa.groupoid
+    unit = {g_oid.identity[e]: pa.obj_idem(e) for e in g_oid.objects}
+    return {
+        "multiplies_to_unit": psi_multiply(pa, blocks) == {
+            g: v for g, v in unit.items() if any(v)},
+        "commutes_with_basis": all(
+            psi_left(pa, k, v, blocks) == psi_right(pa, k, v, blocks)
+            for k in g_oid.morphisms for v in pa.ideal(k).rows),
+    }
 
 
 def oracle_separability(pa: PartialAction) -> OracleResult:
@@ -280,7 +299,7 @@ def oracle_separability(pa: PartialAction) -> OracleResult:
     ring = tensor.ring
     field = ring.field
     rows = list(tensor.mult_matrix().data)
-    rhs = list(ring.coords_of(ring.unit()))
+    rhs = list(ring.unit())
     commutators = dict.fromkeys(row for p in range(ring.dim)
                                 for row in tensor.commutator_rows(p))
     rows.extend(commutators)
@@ -402,11 +421,12 @@ def isotropy_transport_psi(pa: PartialAction, arrow) -> IsotropyIso:
     linv = g_oid.inv(arrow)
     cols = []
     for g, u_local in src_ring.basis:
-        ambient = src_basis.combine(u_local)
-        moved = pa.alpha(arrow, ambient)
+        moved = pa.alpha(arrow, src_basis.combine(u_local))
         conj = g_oid.compose[(g_oid.compose[(arrow, g)], linv)]
-        img = dst_ring.element({conj: dst_basis.coords(moved)})
-        cols.append(dst_ring.coords_of(img))
+        col = [dst_ring.field.zero] * dst_ring.dim
+        for k, c in dst_ring._scatter(conj, dst_basis.coords(moved)).items():
+            col[k] = c
+        cols.append(col)
     m = Matrix.from_cols(dst_ring.field, cols)
     mult_ok = True
     for p in range(src_ring.dim):
@@ -419,8 +439,7 @@ def isotropy_transport_psi(pa: PartialAction, arrow) -> IsotropyIso:
     checks = {
         "bijective": m.rank() == src_ring.dim == dst_ring.dim,
         "multiplicative": mult_ok,
-        "unit_to_unit": m.apply(src_ring.coords_of(src_ring.unit())) ==
-                        dst_ring.coords_of(dst_ring.unit()),
+        "unit_to_unit": m.apply(src_ring.unit()) == dst_ring.unit(),
     }
     return IsotropyIso(arrow, e_i, e_j, src_ring, dst_ring, m, checks)
 

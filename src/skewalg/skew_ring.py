@@ -2,21 +2,27 @@
 
 The ring is the direct sum over morphisms g of the ideals A_g, with
 (a_g d_g)(b_h d_h) = alpha_g(alpha_{g^-1}(a_g) b_h) d_{gh} on composable
-pairs and 0 otherwise.  The tensor square over A is realised concretely in
-the normal form psi(u d_g (x) w d_h) = u alpha_g(w 1_{g^-1}), which maps the
-(g, h) block of the quotient isomorphically onto the ideal A e_{g,h},
-e_{g,h} = alpha_g(1_{g^-1} 1_h), and kills the block unless src g = tgt h.
-Canonical representatives are the basis pairs chosen greedily from the right
-whose psi-images are independent: the free columns of the reduced echelon
-form of the balancing relations (b.a (x) b') - (b (x) a.b'), which are never
-built.  Construction checks that every basis-pair product is its psi-image
-at d_{gh}, so multiplication factors through the quotient.
+pairs and 0 otherwise; `SkewRing` holds its multiplication table.  The
+tensor square over A is realised concretely in the normal form
+psi(u d_g (x) w d_h) = u alpha_g(w 1_{g^-1}), which maps the (g, h) block of
+the quotient isomorphically onto the ideal A 1_g 1_{gh} and kills the block
+unless src g = tgt h; y in that ideal stands for y d_g (x) 1_h d_h.
+
+Two models of the square share this normal form.  `TensorOverA` realises
+it over the ring table: canonical representatives are the basis pairs
+chosen greedily from the right whose psi-images are independent
+(`psi_block`), which are the free columns of the reduced echelon form of
+the balancing relations (b.a (x) b') - (b (x) a.b'), never built, and
+construction checks that every basis-pair product is its psi-image at
+d_{gh}, so multiplication factors through the quotient.  The `psi_*`
+functions work on elements held as their psi blocks {(g, h): y} and need
+neither the table nor the square: multiplication, the two actions of a
+ring basis element v d_k and the dimension have closed forms there.
 """
 
 from __future__ import annotations
 
 import os
-import weakref
 
 from .algebra import nonassociative_triple, table_product
 from .linalg import Echelonizer, Matrix, vadd
@@ -37,61 +43,6 @@ class InvalidSizeCap(SkewRingError):
     pass
 
 
-class SkewRingElement:
-    """A finitely supported map g -> a_g with a_g in the ideal A_g."""
-
-    __slots__ = ("ring", "parts")
-
-    def __init__(self, ring: "SkewRing", parts: dict, check: bool = True):
-        self.ring = ring
-        alg = ring.action.algebra
-        clean = {}
-        for g, v in parts.items():
-            v = alg.element(v)
-            if not any(v):
-                continue
-            if check and alg.multiply(v, ring.action.idem(g)) != v:
-                raise SkewRingError(
-                    "coefficient at %r lies outside its ideal" % (g,))
-            clean[g] = v
-        self.parts = clean
-
-    def coords(self) -> tuple:
-        return self.ring.coords_of(self)
-
-    def __add__(self, other):
-        self._same_ring(other)
-        field = self.ring.field
-        out = dict(self.parts)
-        for g, v in other.parts.items():
-            out[g] = vadd(field, out[g], v) if g in out else v
-        return SkewRingElement(self.ring, out, check=False)
-
-    def __mul__(self, other):
-        if isinstance(other, SkewRingElement):
-            self._same_ring(other)
-            return self.ring.mul(self, other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        return (isinstance(other, SkewRingElement) and self.ring is other.ring
-                and self.parts == other.parts)
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def _same_ring(self, other) -> None:
-        if not isinstance(other, SkewRingElement) or other.ring is not self.ring:
-            raise SkewRingError("elements belong to different rings")
-
-    def __repr__(self):
-        if not self.parts:
-            return "SkewRingElement(0)"
-        bits = ["(%s)d_%s" % (",".join(str(x) for x in v), g)
-                for g, v in sorted(self.parts.items())]
-        return "SkewRingElement(%s)" % " + ".join(bits)
-
-
 class SkewRing:
     """Built by `build_skew_ring`; verifies associativity on basis triples.
 
@@ -103,9 +54,9 @@ class SkewRing:
     morphisms is the empty dict.  `mul_coords` is `algebra.table_product`
     and the audit over all dim^3 basis triples is
     `algebra.nonassociative_triple`, the same functions `Algebra` uses.
-    `mul` multiplies elements straight from the action and is the reference
-    the table is tested against.  `product_coords` and
-    `multiplication_rows` return dense coordinates.
+    Elements are held as coordinate tuples: `basis_coords`, `product_coords`,
+    `unit` and `multiplication_rows` return dense coordinates.  The tests
+    check the table against a skew product computed straight from the action.
     """
 
     def __init__(self, action: PartialAction):
@@ -123,7 +74,7 @@ class SkewRing:
         self.field = action.algebra.field
         self._build_table()
         self._check_associativity()
-        self._unit_checked = False
+        self._unit = None
 
     # -- construction ------------------------------------------------------
 
@@ -164,22 +115,6 @@ class SkewRing:
         return tuple(self.field.one if j == i else self.field.zero
                      for j in range(self.dim))
 
-    def basis_element(self, i: int) -> SkewRingElement:
-        g, u = self.basis[i]
-        return SkewRingElement(self, {g: u}, check=False)
-
-    def coords_of(self, x: SkewRingElement) -> tuple:
-        out = [self.field.zero] * self.dim
-        for g, v in x.parts.items():
-            local = self.action.ideal(g).coords(v)
-            at = self.starts[g]
-            for k, c in enumerate(local):
-                out[at + k] = c
-        return tuple(out)
-
-    def element(self, parts: dict) -> SkewRingElement:
-        return SkewRingElement(self, parts)
-
     # -- ring operations -------------------------------------------------------
 
     def product_coords(self, i: int, j: int) -> tuple:
@@ -192,37 +127,22 @@ class SkewRing:
     def mul_coords(self, x, y) -> tuple:
         return table_product(self._table, x, y, self.field)
 
-    def mul(self, x: SkewRingElement, y: SkewRingElement) -> SkewRingElement:
-        act = self.action
-        alg = act.algebra
-        g_oid = act.groupoid
-        acc: dict = {}
-        for g, a in x.parts.items():
-            pulled = act.alpha(g_oid.inv(g), a)
-            for h, b in y.parts.items():
-                if g_oid.src[g] != g_oid.tgt[h]:
-                    continue
-                gh = g_oid.compose[(g, h)]
-                v = act.alpha(g, alg.multiply(pulled, b))
-                acc[gh] = vadd(self.field, acc[gh], v) if gh in acc else v
-        return SkewRingElement(self, acc, check=False)
-
-    def unit(self) -> SkewRingElement:
-        """sum_e 1_e d_e, checked to be a two-sided identity on the basis.
-
-        Built on each call: a cached element would point back at its ring,
-        and the cycle would keep the ring alive until a full GC pass.
-        """
-        g_oid = self.action.groupoid
-        parts = {g_oid.identity[e]: self.action.obj_idem(e) for e in g_oid.objects}
-        u = SkewRingElement(self, parts, check=False)
-        if not self._unit_checked:
+    def unit(self) -> tuple:
+        """Coordinates of sum_e 1_e d_e, checked on the first call to be a
+        two-sided identity on the basis."""
+        if self._unit is None:
+            g_oid = self.action.groupoid
+            u = [self.field.zero] * self.dim
+            for e in g_oid.objects:
+                for k, c in self._scatter(g_oid.identity[e], self.action.obj_idem(e)).items():
+                    u[k] = c
+            u = tuple(u)
             for i in range(self.dim):
-                b = self.basis_element(i)
-                if u * b != b or b * u != b:
+                b = self.basis_coords(i)
+                if self.mul_coords(u, b) != b or self.mul_coords(b, u) != b:
                     raise SkewRingError("unit candidate fails on basis element %d" % i)
-            self._unit_checked = True
-        return u
+            self._unit = u
+        return self._unit
 
     def multiplication_rows(self) -> list:
         """All basis-pair products, for the CLI table export."""
@@ -266,19 +186,18 @@ def _check_cap(ambient_dim: int) -> None:
 
 
 class TensorOverA:
-    """(A*G) (x)_A (A*G) in the psi normal form, with canonical lifts.
+    """(A*G) (x)_A (A*G) over the ring table, in the psi normal form.
 
     Ambient coordinate p * n + q, n = `ring.dim`, is the basis pair
     (u d_g, w d_h) = (ring.basis[p], ring.basis[q]).  Its (g, h) block of the
-    quotient is psi's image A e_{g,h}, with inverse a |-> a d_g (x) 1_h d_h,
-    and only composable blocks (src g = tgt h) are nonzero.  Scanning a
-    composable block from the right, each pair whose psi-image is independent
-    of those to its right is free: these are the free columns of the
-    leftmost-pivot echelon form of the balancing relations, so `q_coords`,
-    `lift` and `summands` are the canonical ones of the quotient by
-    relations.  `project` sums, per ambient coordinate, the coordinates of its
-    psi-image in the basis of free psi-images (`q_psi`), stored at
-    construction.
+    quotient is psi's image A 1_g 1_{gh}, with inverse y |-> y d_g (x) 1_h d_h,
+    and only composable blocks (src g = tgt h) are nonzero.  The free pairs
+    of a block are those `psi_block` chooses, the free columns of the
+    leftmost-pivot echelon form of the balancing relations, so `q_coords`
+    (the canonical lift of each quotient basis vector) is the canonical one
+    of the quotient by relations.  `project` sums, per ambient coordinate,
+    the coordinates of its psi-image in the basis of free psi-images
+    (`q_psi`), stored at construction.
     """
 
     def __init__(self, ring: SkewRing):
@@ -308,77 +227,32 @@ class TensorOverA:
     # -- construction -------------------------------------------------------
 
     def _read_block(self, g, ps, h, qs, off: int) -> tuple:
-        """(lifts, psi-images) of the free columns of block (g, h), whose
+        """(lifts, psi-images) of the free pairs of block (g, h), whose
         quotient coordinates start at `off`; records each ambient coordinate's
         quotient coordinates in `_q_of`."""
         ring = self.ring
         act = ring.action
-        field = ring.field
         gh = act.groupoid.compose[(g, h)]
         target = act.ideal(gh)
-        moved = [act.alpha(g, ring.basis[q][1]) for q in qs]
-        coords, kinds = [], []        # per basis pair (u, w), lexicographic
-        kind_of: dict = {}            # psi-image -> its index in `images`
-        images, products = [], []     # distinct psi-images y; ring coordinates of y d_{gh}
-        for p in ps:
-            u = ring.basis[p][1]
-            for q, m in zip(qs, moved):
-                y = act.algebra.multiply(u, m)
-                k = kind_of.setdefault(y, len(images))
-                if k == len(images):
-                    images.append(y)
-                    products.append(ring._scatter(gh, y) if target.contains(y) else None)
-                if ring._table[p][q] != products[k]:
-                    raise SkewRingError(
-                        "multiplication does not factor through the tensor quotient")
-                coords.append(p * self.n + q)
-                kinds.append(k)
-        # greedy from the right; only the rightmost pair with a given image can be free
-        ech = Echelonizer(field, act.algebra.dim)
-        free = []
-        tried = set()
-        for j in range(len(coords) - 1, -1, -1):
-            k = kinds[j]
-            if k not in tried:
-                tried.add(k)
-                if any(images[k]) and ech.insert(images[k]):
-                    free.append(j)
+        images, kinds, free, pivots = psi_block(act, g, h)
+        coords = [p * self.n + q for p in ps for q in qs]   # same order as kinds
+        products = [ring._scatter(gh, y) if target.contains(y) else None for y in images]
+        for c, k in zip(coords, kinds):
+            p, q = divmod(c, self.n)
+            if ring._table[p][q] != products[k]:
+                raise SkewRingError(
+                    "multiplication does not factor through the tensor quotient")
         if not free:
             return (), ()
-        free.reverse()
-        # y = sum_i y[p_i] r_i over the echelon rows r_i (pivots p_i), and
-        # psi(e_f) = sum_i C[f][i] r_i, so y's quotient coordinates are (y[p_i])_i C^-1
-        pivots = ech.pivots
-
-        def at_pivots(rows) -> Matrix:
-            return Matrix._trusted(field, tuple(tuple(y[p] for p in pivots) for y in rows),
-                                   len(pivots))
-
-        q = at_pivots(images) * at_pivots([images[kinds[f]] for f in free]).inverse()
+        basis = [images[kinds[f]] for f in free]
+        q = psi_coords(ring.field, pivots, basis, images)
         q_of = [tuple((off + i, t) for i, t in enumerate(row) if t) for row in q.data]
         for c, k in zip(coords, kinds):
             if q_of[k]:
                 self._q_of[c] = q_of[k]
-        return [coords[f] for f in free], [images[kinds[f]] for f in free]
+        return [coords[f] for f in free], basis
 
     # -- coordinates -----------------------------------------------------------
-
-    def pure_tensor(self, x: SkewRingElement, y: SkewRingElement) -> dict:
-        """Ambient (sparse) representation of x (x) y."""
-        xc = self.ring.coords_of(x)
-        yc = self.ring.coords_of(y)
-        field = self.ring.field
-        zero = field.zero
-        out: dict = {}
-        for p, c in enumerate(xc):
-            if not c:
-                continue
-            for q, d in enumerate(yc):
-                if not d:
-                    continue
-                coord = p * self.n + q
-                out[coord] = out.get(coord, zero) + c * d
-        return field.reduce_dict(out)
 
     def project(self, ambient: dict) -> tuple:
         """Quotient coordinates of a sparse ambient vector {coordinate: value}."""
@@ -391,10 +265,6 @@ class TensorOverA:
         for k, v in field.reduce_dict(acc).items():
             out[k] = v
         return tuple(out)
-
-    def lift(self, qcoords) -> dict:
-        """Canonical ambient representative (sparse) of quotient coordinates."""
-        return {self.q_coords[k]: v for k, v in enumerate(qcoords) if v}
 
     # -- induced maps ------------------------------------------------------------
 
@@ -488,21 +358,6 @@ class TensorOverA:
         return self._matrix_of(
             lambda v: self.project(self.right_apply_ambient(b_coords, v)))
 
-    # -- serialization ------------------------------------------------------------
-
-    def summands(self, qcoords) -> tuple:
-        """Canonical representative as a list of (g, coeffs, h, coeffs) summands."""
-        ring = self.ring
-        lifted = self.lift(qcoords)
-        out = []
-        for c in sorted(lifted):
-            v = lifted[c]
-            p, q = divmod(c, self.n)
-            g, u = ring.basis[p]
-            h, w = ring.basis[q]
-            out.append((g, ring.field.reduce_vec(v * x for x in u), h, w))
-        return tuple(out)
-
 
 def tensor_over(ring: SkewRing) -> TensorOverA:
     """The tensor square (A*G) (x)_A (A*G) of the ring."""
@@ -512,16 +367,104 @@ def tensor_over(ring: SkewRing) -> TensorOverA:
 def tensor_square(action: PartialAction) -> TensorOverA:
     """(A*G) (x)_A (A*G); its `.ring` is the skew ring.
 
-    The action keeps only a weak reference to the square (the square's ring
-    points back at the action), so one square is shared for as long as a
-    caller such as a certificate or an oracle result holds it.  The size cap
-    is checked against (sum_g dim A_g)^2, read off the action's cached ideals,
-    before the ring is built; callers validate the action first.
+    The size cap is checked against (sum_g dim A_g)^2, read off the action's
+    cached ideals, before the ring is built; callers validate the action first.
     """
-    square = action._square() if action._square is not None else None
-    if square is None:
-        _check_cap(sum(action.ideal(g).dim for g in action.groupoid.morphisms) ** 2)
-        ring = build_skew_ring(action)
-        square = tensor_over(ring)
-        action._square = weakref.ref(square)
-    return square
+    _check_cap(sum(action.ideal(g).dim for g in action.groupoid.morphisms) ** 2)
+    return tensor_over(build_skew_ring(action))
+
+
+# -- the tensor square in psi coordinates ------------------------------------------
+
+
+def psi_block(act: PartialAction, g, h) -> tuple:
+    """The psi-images of the basis pairs of block (g, h) and the free pairs.
+
+    Pair j = i * dim A_h + l is (ideal(g).rows[i], ideal(h).rows[l]).
+    Returns (images, kinds, free, pivots): the distinct psi-images
+    u alpha_g(w 1_{g^-1}) in order of first occurrence, the index in `images`
+    of each pair, the free pairs in increasing order, and the pivots of the
+    reduced echelon form of their images.  Scanning from the right, a pair is
+    free when its image is independent of the images of the pairs to its
+    right; only the rightmost pair with a given image can be free.
+    """
+    alg = act.algebra
+    moved = [act.alpha(g, w) for w in act.ideal(h).rows]
+    kind_of: dict = {}
+    images, kinds = [], []
+    for u in act.ideal(g).rows:
+        for m in moved:
+            y = alg.multiply(u, m)
+            k = kind_of.setdefault(y, len(images))
+            if k == len(images):
+                images.append(y)
+            kinds.append(k)
+    ech = Echelonizer(alg.field, alg.dim)
+    free = []
+    tried = set()
+    for j in range(len(kinds) - 1, -1, -1):
+        k = kinds[j]
+        if k not in tried:
+            tried.add(k)
+            if any(images[k]) and ech.insert(images[k]):
+                free.append(j)
+    free.reverse()
+    return images, kinds, free, ech.pivots
+
+
+def psi_coords(field, pivots, basis, vectors) -> Matrix:
+    """The coordinates over `basis` (rows) of each vector in its span.
+
+    With r_i the reduced echelon rows of the span (pivots p_i), a vector y is
+    sum_i y[p_i] r_i, and basis vector f is sum_i C[f][i] r_i, so y's
+    coordinates are (y[p_i])_i C^-1.
+    """
+    def at_pivots(rows) -> Matrix:
+        return Matrix._trusted(field, tuple(tuple(y[p] for p in pivots) for y in rows),
+                               len(pivots))
+
+    return at_pivots(vectors) * at_pivots(basis).inverse()
+
+
+def psi_tensor_dim(act: PartialAction) -> int:
+    """dim (A*G) (x)_A (A*G): the sum of dim A 1_g 1_{gh} over composable (g, h)."""
+    alg = act.algebra
+    g_oid = act.groupoid
+    return sum(alg.ideal_basis(alg.multiply(act.idem(g), act.idem(g_oid.compose[(g, h)])))
+               .basis.dim for g, h in g_oid.composable_pairs())
+
+
+def _collect(field, terms) -> dict:
+    """Sum (key, vector) terms per key, dropping keys whose sum is 0."""
+    out: dict = {}
+    for key, v in terms:
+        out[key] = vadd(field, out[key], v) if key in out else v
+    return {key: v for key, v in out.items() if any(v)}
+
+
+def psi_multiply(act: PartialAction, blocks) -> dict:
+    """m(x) as {morphism: coefficient}: block (g, h) y maps to y d_{gh}."""
+    compose = act.groupoid.compose
+    return _collect(act.algebra.field,
+                    ((compose[pair], y) for pair, y in blocks.items()))
+
+
+def psi_left(act: PartialAction, k, v, blocks) -> dict:
+    """The psi blocks of (v d_k) x: block (g, h) y goes to block (kg, h)
+    as alpha_k(alpha_{k^-1}(v) y) when src k = tgt g."""
+    alg = act.algebra
+    g_oid = act.groupoid
+    pulled = act.alpha(g_oid.inv(k), v)
+    return _collect(alg.field, (
+        ((g_oid.compose[(k, g)], h), act.alpha(k, alg.multiply(pulled, y)))
+        for (g, h), y in blocks.items() if g_oid.src[k] == g_oid.tgt[g]))
+
+
+def psi_right(act: PartialAction, k, v, blocks) -> dict:
+    """The psi blocks of x (v d_k): block (g, h) y goes to block (g, hk)
+    as y alpha_g(alpha_h(v)) when src h = tgt k."""
+    alg = act.algebra
+    g_oid = act.groupoid
+    return _collect(alg.field, (
+        ((g, g_oid.compose[(h, k)]), alg.multiply(y, act.alpha(g, act.alpha(h, v))))
+        for (g, h), y in blocks.items() if g_oid.src[h] == g_oid.tgt[k]))

@@ -5,10 +5,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from skewalg import (Field, Matrix, PartialAction, build_skew_ring,
-                     glue_components, tensor_over)
+from skewalg import (ActionError, Algebra, Echelon, Field, Groupoid, Matrix,
+                     PartialAction, build_skew_ring, tensor_over)
 from skewalg.instances import load_instance, parse_instance
-from skewalg.linalg import echelon, vadd
+from skewalg.linalg import DimensionMismatch, echelon, kernel, vadd
+from skewalg.separability import normal_form_coefficients
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -107,34 +108,62 @@ def component_algebra_rows(pa: PartialAction, objects) -> tuple:
     return alg.ideal_basis(u).basis.rows
 
 
-def from_coords(ring, coords):
-    """The ring element with the given ring coordinates."""
+def skew_mul(pa: PartialAction, x: dict, y: dict) -> dict:
+    """Reference skew product of {morphism: coefficient} dicts, straight from
+    the action: (a d_g)(b d_h) = alpha_g(alpha_{g^-1}(a) b) d_{gh} on
+    composable pairs and 0 otherwise; zero coefficients are dropped."""
+    alg = pa.algebra
+    g_oid = pa.groupoid
+    acc: dict = {}
+    for g, a in x.items():
+        pulled = pa.alpha(g_oid.inv(g), a)
+        for h, b in y.items():
+            if g_oid.src[g] == g_oid.tgt[h]:
+                gh = g_oid.compose[(g, h)]
+                v = pa.alpha(g, alg.multiply(pulled, b))
+                acc[gh] = vadd(alg.field, acc[gh], v) if gh in acc else v
+    return {g: v for g, v in acc.items() if any(v)}
+
+
+def ring_coords(ring, parts: dict) -> tuple:
+    """Ring coordinates of sum of v d_g over {g: v} (each v in A_g)."""
+    out = [ring.field.zero] * ring.dim
+    for g, v in parts.items():
+        at = ring.starts[g]
+        for k, c in enumerate(ring.action.ideal(g).coords(v)):
+            out[at + k] = c
+    return tuple(out)
+
+
+def from_coords(ring, coords) -> dict:
+    """The {morphism: coefficient} dict with the given ring coordinates."""
     parts = {}
     for g, at in ring.starts.items():
         ideal = ring.action.ideal(g)
         local = coords[at:at + ideal.dim]
         if any(local):
             parts[g] = ideal.combine(local)
-    return ring.element(parts)
+    return parts
 
 
-def embedded(ring, a):
-    """The image sum_e (a 1_e) d_e of a under the embedding of A into the ring."""
-    pa = ring.action
+def embedded(pa: PartialAction, a) -> dict:
+    """The image sum_e (a 1_e) d_e of a under the embedding of A into A*G."""
     g_oid = pa.groupoid
-    return ring.element({g_oid.identity[e]: pa.algebra.multiply(a, pa.obj_idem(e))
-                         for e in g_oid.objects})
+    parts = {g_oid.identity[e]: pa.algebra.multiply(a, pa.obj_idem(e))
+             for e in g_oid.objects}
+    return {g: v for g, v in parts.items() if any(v)}
 
 
 def component_blocks(ring) -> list:
     """(objects, positions, u_[e]) for each block B_[e] of the ring: the basis
-    positions on arrows whose target lies in the class, and the unit
-    u_[e] = sum of 1_f d_f over its objects f."""
-    g_oid = ring.action.groupoid
+    positions on arrows whose target lies in the class, and the coordinates
+    of the unit u_[e] = sum of 1_f d_f over its objects f."""
+    pa = ring.action
+    g_oid = pa.groupoid
     out = []
     for cls in g_oid.connected_components().classes:
         positions = tuple(p for p, (g, _) in enumerate(ring.basis) if g_oid.tgt[g] in cls)
-        unit = ring.element({g_oid.identity[f]: ring.action.obj_idem(f) for f in cls})
+        unit = ring_coords(ring, {g_oid.identity[f]: pa.obj_idem(f) for f in cls})
         out.append((cls, positions, unit))
     return out
 
@@ -150,22 +179,24 @@ def component_decomposition_failures(pa: PartialAction) -> list:
     to the dimension of the whole square.
     """
     ring = build_skew_ring(pa)
+    mul = ring.mul_coords
     alg = pa.algebra
+    zero = (ring.field.zero,) * ring.dim
     a_rows = [alg.basis_vector(i) for i in range(alg.dim)]
     blocks = component_blocks(ring)
     failures = []
     if sorted(p for _, pos, _ in blocks for p in pos) != list(range(ring.dim)):
         failures.append("blocks do not partition the basis")
-    total = ring.element({})
+    total = zero
     dims = 0
     for i, (cls, pos, u) in enumerate(blocks):
-        if u * u != u:
+        if mul(u, u) != u:
             failures.append("u%s is not idempotent" % (cls,))
         for p in range(ring.dim):
-            b = ring.basis_element(p)
-            if u * b != b * u:
+            b = ring.basis_coords(p)
+            if mul(u, b) != mul(b, u):
                 failures.append("u%s is not central" % (cls,))
-            if b * u != (b if p in pos else ring.element({})):
+            if mul(b, u) != (b if p in pos else zero):
                 failures.append("u%s does not cut out its block" % (cls,))
         over_a = relation_quotient(ring, pos, pos, a_rows).dim
         over_own = relation_quotient(ring, pos, pos, component_algebra_rows(pa, cls)).dim
@@ -176,11 +207,11 @@ def component_decomposition_failures(pa: PartialAction) -> list:
         dims += over_a
         for j, (other, opos, v) in enumerate(blocks):
             if i != j:
-                if not (u * v).is_zero():
+                if mul(u, v) != zero:
                     failures.append("u%s u%s != 0" % (cls, other))
                 if relation_quotient(ring, pos, opos, a_rows).dim:
                     failures.append("B%s (x) B%s != 0" % (cls, other))
-        total = total + u
+        total = vadd(ring.field, total, u)
     if total != ring.unit():
         failures.append("block units do not sum to the ring unit")
     if tensor_over(ring).dim != dims:
@@ -264,9 +295,165 @@ def dense_oracle_system(tensor):
     ring = tensor.ring
     field = ring.field
     rows = list(tensor.mult_matrix().data)
-    rhs = list(ring.coords_of(ring.unit()))
+    rhs = list(ring.unit())
     for p in range(ring.dim):
         b = ring.basis_coords(p)
         rows.extend((tensor.left_matrix(b) - tensor.right_matrix(b)).data)
         rhs.extend([field.zero] * tensor.dim)
     return Matrix(field, rows, ncols=tensor.dim), rhs
+
+
+# -- the square-based certificate reference ------------------------------------------
+
+def pure_tensor(tensor, xc, yc) -> dict:
+    """Sparse ambient vector of x (x) y for ring coordinates xc, yc."""
+    field = tensor.ring.field
+    out: dict = {}
+    for p, c in enumerate(xc):
+        for q, d in enumerate(yc):
+            if c and d:
+                coord = p * tensor.n + q
+                out[coord] = out.get(coord, field.zero) + c * d
+    return field.reduce_dict(out)
+
+
+def lift(tensor, qcoords) -> dict:
+    """Canonical ambient representative (sparse) of quotient coordinates."""
+    return {tensor.q_coords[k]: v for k, v in enumerate(qcoords) if v}
+
+
+def square_certificate(tensor, a) -> SimpleNamespace:
+    """Reference for `build_certificate`: x built and checked in the square.
+
+    x = sum_g alpha_g(a 1_{g^-1}) d_g (x) 1_{g^-1} d_{g^-1} is summed as
+    pure tensors in the ambient space of `tensor` (a `tensor_square`) and
+    projected; m(x) is read off the ring table and bx, xb for each basis
+    element b through the ambient actions, projected back.  No witness is
+    required.  Returns x's quotient coordinates (`element`), the canonical
+    `summands` of its lift and the two `checks`.
+    """
+    ring = tensor.ring
+    pa = ring.action
+    field = ring.field
+    ambient: dict = {}
+    for g in pa.groupoid.morphisms:
+        ginv = pa.groupoid.inv(g)
+        left = ring_coords(ring, {g: pa.alpha(g, a)})
+        right = ring_coords(ring, {ginv: pa.idem(ginv)})
+        for c, v in pure_tensor(tensor, left, right).items():
+            ambient[c] = ambient.get(c, field.zero) + v
+    q = tensor.project(field.reduce_dict(ambient))
+    lifted = lift(tensor, q)
+    summands = []
+    for c in sorted(lifted):
+        p, r = divmod(c, tensor.n)
+        (g, u), (h, w) = ring.basis[p], ring.basis[r]
+        summands.append((g, field.reduce_vec(lifted[c] * x for x in u), h, w))
+    checks = {
+        "multiplies_to_unit": tensor.multiply_ambient(lifted) == ring.unit(),
+        "commutes_with_basis": all(
+            tensor.project(tensor.left_apply_ambient(ring.basis_coords(p), lifted)) ==
+            tensor.project(tensor.right_apply_ambient(ring.basis_coords(p), lifted))
+            for p in range(ring.dim)),
+    }
+    return SimpleNamespace(element=q, summands=tuple(summands), checks=checks)
+
+
+def psi_of(pa: PartialAction, tensor, qcoords) -> dict:
+    """The nonzero psi blocks of a tensor element given in quotient coordinates."""
+    coeffs = normal_form_coefficients(pa, tensor, qcoords)
+    return {pair: y for pair, y in coeffs.items() if any(y)}
+
+
+# -- test-only constructions -----------------------------------------------------------
+
+class OverlappingObjects(ActionError):
+    pass
+
+
+def glue_components(parts) -> PartialAction:
+    """Partial action of the disjoint-union groupoid on the direct-sum algebra."""
+    parts = list(parts)
+    if not parts:
+        raise ActionError("nothing to glue")
+    if len(parts) == 1:
+        return parts[0]
+    field = parts[0].algebra.field
+    if any(p.algebra.field != field for p in parts):
+        raise ActionError("glued parts must share one field")
+    seen_obj: set = set()
+    seen_mor: set = set()
+    for p in parts:
+        if seen_obj & set(p.groupoid.objects) or seen_mor & set(p.groupoid.morphisms):
+            raise OverlappingObjects("glued parts share object or morphism names")
+        seen_obj |= set(p.groupoid.objects)
+        seen_mor |= set(p.groupoid.morphisms)
+
+    objects, morphisms, names = [], [], []
+    src, tgt, identity, compose, inverse = {}, {}, {}, {}, {}
+    for p in parts:
+        g = p.groupoid
+        objects.extend(g.objects)
+        morphisms.extend(g.morphisms)
+        src.update(g.src)
+        tgt.update(g.tgt)
+        identity.update(g.identity)
+        compose.update(g.compose)
+        inverse.update(g.inverse)
+        names.extend(p.algebra.basis_names)
+    union = Groupoid(objects, morphisms, src, tgt, identity, compose, inverse)
+
+    dims = [p.algebra.dim for p in parts]
+    total = sum(dims)
+    offsets = []
+    at = 0
+    for d in dims:
+        offsets.append(at)
+        at += d
+    zero = field.zero
+    structure = [[[zero] * total for _ in range(total)] for _ in range(total)]
+    unit = [zero] * total
+    for p, off in zip(parts, offsets):
+        a = p.algebra
+        for i in range(a.dim):
+            unit[off + i] = a.unit[i]
+            for j in range(a.dim):
+                for k in range(a.dim):
+                    structure[off + i][off + j][off + k] = a.structure[i][j][k]
+    if len(set(names)) != total:
+        names = ["p%d.%s" % (i, n) for i, p in enumerate(parts)
+                 for n in p.algebra.basis_names]
+    big = Algebra(field, structure, unit, names)
+
+    def pad_vec(v, off):
+        out = [zero] * total
+        for i, x in enumerate(v):
+            out[off + i] = x
+        return tuple(out)
+
+    idems, maps = {}, {}
+    for p, off in zip(parts, offsets):
+        d = p.algebra.dim
+        for g in p.groupoid.morphisms:
+            idems[g] = pad_vec(p.idem(g), off)
+            m = p.matrix(g)
+            block = [[zero] * total for _ in range(total)]
+            for i in range(d):
+                for j in range(d):
+                    block[off + i][off + j] = m.data[i][j]
+            maps[g] = Matrix(field, block)
+    return PartialAction(union, big, idems, maps)
+
+
+def intersect(a: Echelon, b: Echelon) -> Echelon:
+    """Canonical basis of the intersection of two row spaces."""
+    if a.ncols != b.ncols or a.field != b.field:
+        raise DimensionMismatch("incompatible subspaces")
+    if a.dim == 0 or b.dim == 0:
+        return echelon(a.field, [], a.ncols)
+    # v = x*A = y*B  <=>  (x, y) in ker [A^T | -B^T]
+    field = a.field
+    cols = list(a.rows) + [field.reduce_vec(-x for x in r) for r in b.rows]
+    m = Matrix._trusted(field, tuple(zip(*cols)), len(cols))
+    vecs = [a.combine(k[: a.dim]) for k in kernel(m)]
+    return echelon(a.field, vecs, a.ncols)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from skewalg import cli
 from skewalg.cli import main
 from skewalg.fuzz import random_skeleton, run_differential, skeleton_to_instance
 from skewalg.skew_ring import SkewRing, TensorOverA
@@ -148,8 +149,7 @@ def test_components_command(capsys):
 def test_components_of_a_glued_file(capsys, tmp_path):
     # serialize the glued double back to the file format and read it again
     from skewalg.instances import canonical_dict, parse_instance
-    from skewalg.partial_action import glue_components
-    from conftest import renamed_instance
+    from conftest import glue_components, renamed_instance
 
     base = instance_data("partial_bridge_q.json")
     glued = glue_components([
@@ -179,16 +179,40 @@ def test_traces_command(capsys):
 
 def test_oversized_tensor_square_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("SKEWALG_MAX_DIM", "10")
-    code, out, _ = run_cli(capsys, "separability", str(instance_path("partial_bridge_q.json")))
+    code, out, _ = run_cli(capsys, "separability",
+                           str(instance_path("partial_bridge_q.json")), "--oracle")
     assert code == 2
     report = json.loads(out)
     assert not report["ok"]
     assert report["error"]["type"] == "TensorTooLarge"
 
 
+def test_oversized_square_is_refused_before_the_decision(capsys, monkeypatch):
+    def no_decision(pa):
+        raise AssertionError("the trace decision ran")
+
+    monkeypatch.setattr(cli, "decide_separability", no_decision)
+    monkeypatch.setenv("SKEWALG_MAX_DIM", "10")
+    code, out, _ = run_cli(capsys, "separability",
+                           str(instance_path("partial_bridge_q.json")), "--oracle")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "TensorTooLarge"
+
+
+def test_size_cap_does_not_bound_plain_separability(capsys, monkeypatch):
+    # only --oracle builds the square; the certificate is checked without it
+    path = str(instance_path("partial_bridge_q.json"))
+    code, out, _ = run_cli(capsys, "separability", path)
+    monkeypatch.setenv("SKEWALG_MAX_DIM", "10")
+    capped_code, capped_out, _ = run_cli(capsys, "separability", path)
+    assert code == capped_code == 0
+    assert capped_out == out
+
+
 def test_malformed_size_cap_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("SKEWALG_MAX_DIM", "abc")
-    code, out, _ = run_cli(capsys, "separability", str(instance_path("partial_bridge_q.json")))
+    code, out, _ = run_cli(capsys, "separability",
+                           str(instance_path("partial_bridge_q.json")), "--oracle")
     assert code == 2
     report = json.loads(out)
     assert not report["ok"]
@@ -342,12 +366,29 @@ def _count_builds(monkeypatch) -> dict:
     return counts
 
 
-def test_separability_oracle_builds_one_ring_and_one_square(capsys, monkeypatch):
+def _global_instances() -> list:
+    from skewalg.instances import load_instance
+
+    return [p for p in sorted(INSTANCE_DIR.glob("*.json"))
+            if load_instance(p).action.is_global()]
+
+
+@pytest.mark.parametrize("flags,builds", [
+    (("--oracle",), 1),
+    ((), 0),
+    (("--global",), 0),
+], ids=["oracle", "plain", "global"])
+def test_separability_oracle_builds_one_ring_and_one_square(capsys, monkeypatch,
+                                                            flags, builds):
+    # only the oracle builds the ring and its square; the certificate does not
+    paths = (_global_instances() if "--global" in flags
+             else sorted(INSTANCE_DIR.glob("*.json")))
+    assert paths
     counts = _count_builds(monkeypatch)
-    for path in sorted(INSTANCE_DIR.glob("*.json")):
-        code, _, _ = run_cli(capsys, "separability", str(path), "--oracle")
+    for path in paths:
+        code, _, _ = run_cli(capsys, "separability", str(path), *flags)
         assert code == 0
-        assert counts == {SkewRing: 1, TensorOverA: 1}, path.name
+        assert counts == {SkewRing: builds, TensorOverA: builds}, path.name
         counts.update({SkewRing: 0, TensorOverA: 0})
 
 

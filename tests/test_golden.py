@@ -7,7 +7,9 @@ exact kernel replaced the dense loops (those of plain `separability` and
 `components` before A and A*G came to share one table product, those of
 `rotated_swap_gf5.json` while GF(p) scalars were still `ModP` objects, those
 of `rotated_swap_q.json`, whose "1/2" entries pin the non-integral half of Q,
-while every Q scalar was still a `Fraction`), so a representation change
+while every Q scalar was still a `Fraction`, those of `conj_swap_m2_q.json`,
+the one non-commutative algebra, while the certificate was still checked in
+the tensor square), so a representation change
 that alters any report byte fails this test.  `instance.path` is dropped
 before hashing, so the digest does not depend on where the checkout lives.
 

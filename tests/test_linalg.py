@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from skewalg.cli import main
 from skewalg.linalg import (MAX_MODULUS, AffineSolutionSet, DimensionMismatch,
                             Field, LinalgError, Matrix, echelon,
-                            intersect, kernel, rref, solve_affine)
+                            kernel, solve_affine)
 
-from conftest import instance_data
+from conftest import instance_data, intersect
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -122,23 +122,23 @@ def test_coerce_rejects_foreign_scalars():
 
 def test_rref_identity_is_fixed():
     m = Matrix.identity(Q, 3)
-    assert rref(m) == m
+    assert m.rref() == m
 
 
 def test_rref_rank_one_reduction():
     m = mat(Q, [[2, 4], [1, 2]])
-    assert rref(m) == mat(Q, [[1, 2], [0, 0]])
+    assert m.rref() == mat(Q, [[1, 2], [0, 0]])
 
 
 def test_rref_gf2_hand_reduction():
     # row-reduce [[1,1],[1,1]] over GF(2) by hand: subtract row 1 from row 2
     m = mat(GF2, [[1, 1], [1, 1]])
-    assert rref(m) == mat(GF2, [[1, 1], [0, 0]])
+    assert m.rref() == mat(GF2, [[1, 1], [0, 0]])
 
 
 def test_rref_is_idempotent():
     m = mat(Q, [[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    assert rref(rref(m)) == rref(m)
+    assert m.rref().rref() == m.rref()
 
 
 # -- kernel ----------------------------------------------------------------------
@@ -269,8 +269,8 @@ def test_solutions_substitute_exactly(mb):
 @settings(max_examples=60, deadline=None)
 def test_rref_idempotent_and_rank_nullity(mb):
     m, _ = mb
-    r = rref(m)
-    assert rref(r) == r
+    r = m.rref()
+    assert r.rref() == r
     assert m.rank() + len(kernel(m)) == m.ncols
 
 

@@ -1,12 +1,13 @@
 import pytest
 
 from skewalg import (Algebra, DecompositionRequired, Field, Matrix,
-                     OverlappingObjects, PartialAction, build_groupoid,
-                     glue_components, invariant_suite, validate_partial_action)
+                     PartialAction, build_groupoid, invariant_suite,
+                     validate_partial_action)
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
-from conftest import instance_data, renamed_instance
+from conftest import (OverlappingObjects, glue_components, instance_data,
+                      renamed_instance)
 
 Q = Field.rationals()
 
@@ -229,3 +230,25 @@ def test_invariant_suite_on_fuzzed_instances():
         assert pa.validate().ok
         assert pa.has_object_decomposition()
         assert all(invariant_suite(pa).values())
+
+
+def test_object_decomposition_is_checked_once_per_action(monkeypatch):
+    # the verdict is cached on the action, as the validation report is
+    from conftest import INSTANCE_DIR
+    from skewalg.instances import load_instance
+    from skewalg.separability import decide_separability, oracle_separability
+
+    checked = []
+    original = Algebra.check_object_decomposition
+
+    def counted(self, idems):
+        checked.append(self)
+        return original(self, idems)
+
+    monkeypatch.setattr(Algebra, "check_object_decomposition", counted)
+    for path in sorted(INSTANCE_DIR.glob("*.json")):
+        pa = load_instance(path).action
+        decide_separability(pa)
+        oracle_separability(pa)
+        assert checked == [pa.algebra], path.name
+        checked.clear()

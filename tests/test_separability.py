@@ -4,22 +4,25 @@ from fractions import Fraction
 import pytest
 
 from skewalg import Algebra, Field, Matrix, PartialAction, build_groupoid
-from skewalg.linalg import echelon, intersect, solve_affine, vadd
+from skewalg.linalg import echelon, solve_affine, vadd
 from skewalg.separability import (EmptyHomSet, NotGlobal, WitnessInvalid,
                                   build_certificate, decide_global,
                                   decide_separability, extract_witness,
-                                  invariant_subring, is_witness,
-                                  isotropy_transport_psi,
+                                  idempotent_blocks, invariant_subring,
+                                  is_witness, isotropy_transport_psi,
                                   isotropy_witness_transport,
                                   normal_form_coefficients,
-                                  oracle_separability, trace_between,
-                                  trace_into, trace_invariant_suite,
-                                  trace_total)
-from skewalg.skew_ring import tensor_square
+                                  oracle_separability, separability_checks,
+                                  trace_between, trace_into,
+                                  trace_invariant_suite, trace_total)
+from skewalg.skew_ring import (psi_left, psi_multiply, psi_right, psi_tensor_dim,
+                               tensor_square)
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
-from conftest import dense_oracle_system
+from conftest import (dense_oracle_system, from_coords, glue_components,
+                      intersect, lift, psi_of, pure_tensor, ring_coords,
+                      square_certificate)
 from test_skewring import closed_form_corpus
 
 Q = Field.rationals()
@@ -159,34 +162,46 @@ def test_maschke_trivial_cyclic_action(m, p):
         assert v.certificate is None and v.witness is None
 
 
+def hand_built_idempotent(lam) -> list:
+    """The bridge idempotent with parameter lam as its four pure tensors
+    a1 d_e1 (x) 1_1 d_e1 + l v3 d_g (x) v2 d_ginv
+      + (1-l) v2 d_ginv (x) v3 d_g + a2 d_e2 (x) 1_2 d_e2."""
+    return [("id:e1", (1, lam, 0, 0), "id:e1", (1, 1, 0, 0)),
+            ("g", (0, 0, lam, 0), "ginv", (0, 1, 0, 0)),
+            ("ginv", (0, 1 - lam, 0, 0), "g", (0, 0, 1, 0)),
+            ("id:e2", (0, 0, 1 - lam, 1), "id:e2", (0, 0, 1, 1))]
+
+
+def project_pure_tensors(tensor, terms) -> tuple:
+    """Quotient coordinates of a sum of pure tensors (g, u, h, w)."""
+    ring = tensor.ring
+    ambient: dict = {}
+    for g, u, h, w in terms:
+        for c, val in pure_tensor(tensor, ring_coords(ring, {g: u}),
+                                  ring_coords(ring, {h: w})).items():
+            ambient[c] = ambient.get(c, ring.field.zero) + val
+    return tensor.project(ring.field.reduce_dict(ambient))
+
+
 def test_certificates_match_the_hand_built_idempotents(bridge):
-    # for parameter values 0, 1, 2 the constructed idempotent must equal
-    # a1 d_e1 (x) 1_1 d_e1 + l v3 d_g (x) v2 d_ginv
-    #   + (1-l) v2 d_ginv (x) v3 d_g + a2 d_e2 (x) 1_2 d_e2
+    # for parameter values 0, 1, 2 the constructed idempotent must equal the
+    # hand-built one: blockwise, its psi blocks are the psi-images
+    # u alpha_g(w 1_{g^-1}) of the hand-built terms, and in the square its
+    # summands project to the same element
     v = decide_separability(bridge)
     fam = v.certificate.witness_family
     tensor = tensor_square(bridge)
-    ring = tensor.ring
     for lam in (Fraction(0), Fraction(1), Fraction(2)):
         a = fam.element((lam,))
         assert a == (1, lam, 1 - lam, 1)
         cert = build_certificate(bridge, a)
         assert cert.ok
-        ambient = {}
-        pairs = [
-            (ring.element({"id:e1": (1, lam, 0, 0)}),
-             ring.element({"id:e1": (1, 1, 0, 0)})),
-            (ring.element({"g": (0, 0, lam, 0)}),
-             ring.element({"ginv": (0, 1, 0, 0)})),
-            (ring.element({"ginv": (0, 1 - lam, 0, 0)}),
-             ring.element({"g": (0, 0, 1, 0)})),
-            (ring.element({"id:e2": (0, 0, 1 - lam, 1)}),
-             ring.element({"id:e2": (0, 0, 1, 1)})),
-        ]
-        for x, y in pairs:
-            for c, val in tensor.pure_tensor(x, y).items():
-                ambient[c] = ambient.get(c, Q.zero) + val
-        assert tensor.project(ambient) == cert.element
+        terms = hand_built_idempotent(lam)
+        psi = {(g, h): bridge.algebra.multiply(u, bridge.alpha(g, w))
+               for g, u, h, w in terms}
+        assert cert.blocks == {k: y for k, y in psi.items() if any(y)}
+        assert project_pure_tensors(tensor, cert.summands) == \
+            project_pure_tensors(tensor, terms)
 
 
 def test_certificate_checks_hold_on_every_witness(bridge, flip_q, flip_gf3, pair_swap):
@@ -197,6 +212,65 @@ def test_certificate_checks_hold_on_every_witness(bridge, flip_q, flip_gf3, pair
         assert v.certificate.checks == {
             "witness_central": True, "witness_traces": True,
             "multiplies_to_unit": True, "commutes_with_basis": True}
+
+
+def _random_vector(field, rng, n) -> tuple:
+    return field.reduce_vec(field.from_int(rng.randint(-2, 2)) for _ in range(n))
+
+
+def test_psi_certificate_matches_the_square_reference():
+    # the psi blocks and checks of x_a against the square-based reference for
+    # witnesses, random central non-witnesses and random elements a; the
+    # dimension, summands and checks of each certificate against the same
+    rng = random.Random(37)
+    outcomes = set()
+    for pa in closed_form_corpus():
+        alg = pa.algebra
+        tensor = tensor_square(pa)
+        assert psi_tensor_dim(pa) == tensor.dim
+        center = Matrix.from_cols(alg.field, list(alg.center_basis()))
+        candidates = [_random_vector(alg.field, rng, alg.dim),
+                      center.apply(_random_vector(alg.field, rng, center.ncols))]
+        verdict = decide_separability(pa)
+        if verdict.separable:
+            candidates.append(verdict.witness)
+        for a in candidates:
+            ref = square_certificate(tensor, a)
+            blocks = idempotent_blocks(pa, a)
+            checks = separability_checks(pa, blocks)
+            assert checks == ref.checks
+            assert blocks == psi_of(pa, tensor, ref.element)
+            outcomes.add(tuple(checks.values()))
+        if verdict.separable:
+            cert = verdict.certificate
+            ref = square_certificate(tensor, cert.witness)
+            assert cert.tensor_dim == tensor.dim
+            assert cert.summands == ref.summands
+            assert cert.checks == {"witness_central": True, "witness_traces": True,
+                                   **ref.checks}
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_psi_formulas_match_the_square_blockwise():
+    # m, and the left and right actions of every ring basis element, on random
+    # tensor elements: the closed psi formulas against the square's own maps,
+    # read back blockwise through normal_form_coefficients
+    rng = random.Random(41)
+    for pa in closed_form_corpus():
+        tensor = tensor_square(pa)
+        ring = tensor.ring
+        mult = tensor.mult_matrix()
+        for _ in range(2):
+            q = _random_vector(ring.field, rng, tensor.dim)
+            blocks = psi_of(pa, tensor, q)
+            lifted = lift(tensor, q)
+            assert psi_multiply(pa, blocks) == from_coords(ring, mult.apply(q))
+            for p, (k, v) in enumerate(ring.basis):
+                b = ring.basis_coords(p)
+                left = tensor.project(tensor.left_apply_ambient(b, lifted))
+                right = tensor.project(tensor.right_apply_ambient(b, lifted))
+                assert psi_left(pa, k, v, blocks) == psi_of(pa, tensor, left)
+                assert psi_right(pa, k, v, blocks) == psi_of(pa, tensor, right)
 
 
 def test_invalid_witness_is_rejected(bridge):
@@ -217,7 +291,6 @@ def test_glued_double_verdict_is_the_conjunction(glued_double, bridge):
 
 
 def test_mixed_glue_fails_exactly_on_the_bad_component(flip_gf2):
-    from skewalg.partial_action import glue_components
     from conftest import instance_data, renamed_instance
     left = parse_instance(renamed_instance(instance_data("z2_flip_gf2.json"), "L.")).action
     # a separable component: trivial group on GF(2)
@@ -243,13 +316,14 @@ def test_trivial_oracle_solution_is_unit_tensor_unit(trivial_q):
     res = oracle_separability(trivial_q)
     ring = res.tensor.ring
     assert res.separable
-    expected = res.tensor.project(res.tensor.pure_tensor(ring.unit(), ring.unit()))
+    expected = res.tensor.project(pure_tensor(res.tensor, ring.unit(), ring.unit()))
     assert res.solutions.particular == expected
 
 
 def test_oracle_solution_reduces_to_a_family_member(bridge):
     # extracting the witness from the oracle's particular solution lands in the
-    # decision's witness family, and rebuilding from it gives the same element
+    # decision's witness family, and rebuilding from it gives the same element:
+    # the same psi blocks and, in the oracle's square, the same coordinates
     res = oracle_separability(bridge)
     assert res.separable
     a = extract_witness(bridge, res.tensor, res.solutions.particular)
@@ -257,8 +331,11 @@ def test_oracle_solution_reduces_to_a_family_member(bridge):
     lam = a[1]
     assert fam.element((lam,)) == a
     cert = build_certificate(bridge, a)
-    assert cert.tensor is res.tensor
-    assert cert.element == tuple(res.solutions.particular)
+    assert cert.tensor_dim == res.tensor.dim
+    coeffs = normal_form_coefficients(bridge, res.tensor, res.solutions.particular)
+    assert cert.blocks == {k: y for k, y in coeffs.items() if any(y)}
+    assert project_pure_tensors(res.tensor, cert.summands) == \
+        tuple(res.solutions.particular)
 
 
 def test_extraction_satisfies_the_diagonal_identity(bridge):
@@ -510,7 +587,7 @@ def _certificate_and_oracle_vectors(pa) -> list:
     oracle = oracle_separability(pa)
     assert verdict.separable and oracle.separable
     cert = verdict.certificate
-    vectors = [verdict.witness, cert.witness, cert.element,
+    vectors = [verdict.witness, cert.witness, *cert.blocks.values(),
                *_scalars_of_family(cert.witness_family),
                *_scalars_of_family(oracle.solutions),
                extract_witness(pa, oracle.tensor, oracle.solutions.particular)]
