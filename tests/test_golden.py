@@ -9,7 +9,9 @@ exact kernel replaced the dense loops (those of plain `separability` and
 of `rotated_swap_q.json`, whose "1/2" entries pin the non-integral half of Q,
 while every Q scalar was still a `Fraction`, those of `conj_swap_m2_q.json`,
 the one non-commutative algebra, while the certificate was still checked in
-the tensor square), so a representation change
+the tensor square, those of the two-component files `two_components_q.json`
+and `two_components_gf2.json` while each component was still solved in its
+own restricted subalgebra), so a representation change
 that alters any report byte fails this test.  `instance.path` is dropped
 before hashing, so the digest does not depend on where the checkout lives.
 
@@ -86,6 +88,22 @@ GOLDEN = {
     "skew-table rotated_swap_q.json": (0, "a62838c7432b24ea3954aac3755b5220024dc6228dd1be53c3b073625602d30b"),
     "separability rotated_swap_q.json": (0, "90927cf0b0c145ab48c27204e864d77e532dba9bb269c681c5974044d6772fbd"),
     "components rotated_swap_q.json": (0, "1bcaeaa4fa0437db6806f2c1fd3df3c208f302d1ad6bf0ea2a9c4d8e23d72bcb"),
+    "validate two_components_gf2.json": (0, "1f4941584c2a8c7c21fc57719b4d26e43f9ffa4c5f1109245b7ac12a528837df"),
+    "traces two_components_gf2.json": (0, "4f223a120d157c782802a7e51136ab44ef4886ee504be8778a0ed50c1c16c1b0"),
+    "separability two_components_gf2.json --oracle": (0, "5ce341695c49c8bd535447d1015579d1783ac979aa8fdf270e42baafba4c6859"),
+    "separability two_components_gf2.json --global": (1, "78fb2c15f22af4fc1b2df6d5ed05c4e6411ec5d681f4e9f48857a918731df928"),
+    "separability two_components_gf2.json --isotropy": (1, "eb92e2db7957d5125fa5e7f81420aaadf1ba0d9ff017e32f54ba5705490b659e"),
+    "skew-table two_components_gf2.json": (0, "a7c177c3752e98599f1a5a1f838ce8dfa584a0f093359987281f4776ed1e5d88"),
+    "separability two_components_gf2.json": (0, "1ae1ad70ad0183389b304ff63c2e5540e3aea35d738a8e4c6cca42bfe2724159"),
+    "components two_components_gf2.json": (0, "bd621baa63290b100add2482c7c4e2bf0864c5deec894b60c31ccdab12bb9bd9"),
+    "validate two_components_q.json": (0, "100d2813110e7807089c5483f16d14bbb1fb3bd6eb549e950b4d0664c1706719"),
+    "traces two_components_q.json": (0, "c9d073f89863bcc6eeb33c89f8cf4e4d42676c982b5d2ca6c65ff06b3b8d8e09"),
+    "separability two_components_q.json --oracle": (0, "114c79177b448bdd7bd2d6eae9b97f33db3bd347fae2841da7743fd166892ad8"),
+    "separability two_components_q.json --global": (0, "bcf908b09142c7d48bdb2b80d3a870fcdcd309d2525b108e56f3d26dc59a1b0b"),
+    "separability two_components_q.json --isotropy": (0, "79b96786900a668695055684d68d406f462df09b72c8c531c4845438801319c8"),
+    "skew-table two_components_q.json": (0, "ac6282a164e1a28ab4bc97652ebb236a34e1a4b80541b4c8516fab614a4e43b0"),
+    "separability two_components_q.json": (0, "bb5ed7b065066a8fc5c00545534b6dd79638c0e6d3d630260de26e67f646b3f0"),
+    "components two_components_q.json": (0, "0f757fe73f8c43025b41a4d9a273e62a80c961ede1d982a582faa326972a1009"),
     "validate z2_flip_gf2.json": (0, "878179379bed8eaec26eac0283559d83ba46ffd7ea7e1889e643d47397dd8bd6"),
     "traces z2_flip_gf2.json": (0, "62284e9361cc8a1879ecf1cd64881e3d91e3a4b83fda028e6df5d035f54f9d31"),
     "separability z2_flip_gf2.json --oracle": (0, "4e9e4f98afc20093709b90c01dd9423d0deffe1e93c17e7577ef8df3983c49d5"),
