@@ -12,7 +12,7 @@ from .partial_action import (ActionError, ActionReport, DecompositionRequired,
                              validate_partial_action)
 from .separability import (ComponentVerdict, EmptyHomSet, IsotropyIso,
                            NotGlobal, OracleResult, SeparabilityCertificate,
-                           SeparabilityVerdict, TraceMap, TransportResult,
+                           SeparabilityVerdict, TransportResult,
                            WitnessInvalid, build_certificate, decide_global,
                            decide_separability, extract_witness,
                            invariant_subring, is_witness, isotropy_transport_psi,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra
-from .groupoid import Groupoid
+from .groupoid import Groupoid, validate_groupoid
 from .linalg import Echelon, Matrix, echelon, vadd
 
 
@@ -130,8 +130,12 @@ class PartialAction:
                 "object idempotents are not orthogonal with sum 1")
 
     def validate(self) -> ActionReport:
+        """The violated groupoid laws, or if there are none, the violated
+        action axioms (which presuppose a groupoid)."""
         if self._report is None:
-            self._report = validate_partial_action(self)
+            laws = validate_groupoid(self.groupoid)
+            self._report = (ActionReport(laws.violations) if not laws.ok
+                            else validate_partial_action(self))
         return self._report
 
     def ensure_valid(self) -> None:

@@ -3,10 +3,12 @@
 The extension A in A*G is separable exactly when, on every connected
 component, some central element a satisfies t_i(a) = 1_i for all objects i
 (t_i sums alpha_g(a 1_{g^-1}) over arrows with target e_i).  The decision
-solves that affine system over center coordinates; a positive answer yields
-an explicit separability idempotent in the tensor square, held as its psi
-blocks and verified against the definition with the closed-form psi
-actions of `skew_ring`, so neither the ring table nor the square is built.
+solves that affine system for each component [e] over Z(A) u_[e], u_[e] the
+sum of its object idempotents, in A's own coordinates (no restricted
+subalgebra or sub-action is built); a positive answer yields an explicit
+separability idempotent in the tensor square, held as its psi blocks and
+verified against the definition with the closed-form psi actions of
+`skew_ring`, so neither the ring table nor the square is built.
 `oracle_separability` instead solves the defining conditions m(x) = 1 and
 bx = xb directly in the quotient coordinates of `TensorOverA`, over the
 ring table: an independent check of the criterion and of the certificate.
@@ -42,42 +44,30 @@ class WitnessInvalid(SeparabilityError):
 
 # -- trace maps -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceMap:
-    """A trace map as a full matrix on algebra coefficient vectors."""
-
-    source: str | None        # None for maps summed over all sources
-    target: str | None        # None for the total trace
-    matrix: Matrix
-
-    def __call__(self, v):
-        return self.matrix.apply(v)
-
-
-def _trace_sum(pa: PartialAction, source, target) -> TraceMap:
+def _trace_sum(pa: PartialAction, source, target) -> Matrix:
     """Sum of alpha_g(a 1_{g^-1}) over arrows g from source to target (None: any)."""
     g_oid = pa.groupoid
     m = Matrix.zeros(pa.algebra.field, pa.algebra.dim, pa.algebra.dim)
     for g in g_oid.morphisms:
         if source in (None, g_oid.src[g]) and target in (None, g_oid.tgt[g]):
             m = m + pa.matrix(g)
-    return TraceMap(source, target, m)
+    return m
 
 
-def trace_between(pa: PartialAction, i, j) -> TraceMap:
+def trace_between(pa: PartialAction, i, j) -> Matrix:
     """t_{i,j}: a |-> sum of alpha_g(a 1_{g^-1}) over arrows g from i to j."""
     if not pa.groupoid.hom_set(i, j):
         raise EmptyHomSet("no arrows from %r to %r (different components)" % (i, j))
     return _trace_sum(pa, i, j)
 
 
-def trace_into(pa: PartialAction, j) -> TraceMap:
+def trace_into(pa: PartialAction, j) -> Matrix:
     """t_j = sum over sources i of t_{i,j} (arrows with target j)."""
     pa.groupoid.check_object(j)
     return _trace_sum(pa, None, j)
 
 
-def trace_total(pa: PartialAction) -> TraceMap:
+def trace_total(pa: PartialAction) -> Matrix:
     """The full trace: sum of alpha_g(a 1_{g^-1}) over every morphism."""
     return _trace_sum(pa, None, None)
 
@@ -85,7 +75,7 @@ def trace_total(pa: PartialAction) -> TraceMap:
 def is_witness(pa: PartialAction, a) -> bool:
     """a is central and t_e(a) = 1_e at every object e."""
     return pa.algebra.commutes_with_all(a) and all(
-        trace_into(pa, e).matrix.apply(a) == pa.obj_idem(e) for e in pa.groupoid.objects)
+        trace_into(pa, e).apply(a) == pa.obj_idem(e) for e in pa.groupoid.objects)
 
 
 def invariant_subring(pa: PartialAction, i, j) -> Echelon:
@@ -142,44 +132,42 @@ class OracleResult:
     solutions: AffineSolutionSet         # in tensor quotient coordinates
 
 
-def _component_family(pa: PartialAction, cls, objects_to_solve) -> tuple:
-    """Solve t_f(a) = 1_f (f in objects_to_solve) over the component's center.
+def _component_family(pa: PartialAction, cls, solve_at) -> AffineSolutionSet:
+    """All central a in A_[e] = A u with t_f(a) = 1_f for f in `solve_at`,
+    canonical in A's coordinates; u is the sum of 1_f over the component `cls`.
 
-    Returns (family, basis) where `family` is canonical in the component
-    subalgebra's coordinates and `basis` maps those into the full algebra.
+    The object decomposition makes A = A u x A (1 - u) as rings, so the
+    center of A u is Z(A) u; every arrow into f starts in the component and
+    alpha_g kills A (1 - 1_{g^-1}), so t_f(a) = t_f(a u).  The system is
+    therefore solved over the (cached) center of A and its solutions are cut
+    down by u.
     """
-    sub = pa.restrict_to_component(cls)
-    u = pa.algebra.zero()
-    for f in cls:
-        u = vadd(pa.algebra.field, u, pa.obj_idem(f))
-    basis = pa.algebra.ideal_basis(u).basis
-    alg = sub.algebra
-    center = alg.center_basis()
-    cmat = Matrix.from_cols(alg.field, list(center))
+    alg = pa.algebra
+    field = alg.field
+    cmat = Matrix.from_cols(field, list(alg.center_basis()))
     rows: list = []
     rhs: list = []
-    for f in objects_to_solve:
-        t = trace_into(sub, f).matrix * cmat
-        rows.extend(t.data)
-        rhs.extend(sub.obj_idem(f))
-    sol = solve_affine(Matrix(alg.field, rows, ncols=len(center)), rhs)
+    for f in solve_at:
+        rows.extend((trace_into(pa, f) * cmat).data)
+        rhs.extend(pa.obj_idem(f))
+    sol = solve_affine(Matrix(field, rows, ncols=cmat.ncols), rhs)
     if sol.is_empty:
-        return AffineSolutionSet(None, (), alg.field), basis
-    return _canonical_family(alg.field, alg.dim, cmat.apply(sol.particular),
-                             [cmat.apply(k) for k in sol.kernel_basis]), basis
+        return sol
+    u = alg.zero()
+    for f in cls:
+        u = vadd(field, u, pa.obj_idem(f))
+
+    def cut(c):
+        return alg.multiply(cmat.apply(c), u)
+
+    return _canonical_family(field, alg.dim, cut(sol.particular),
+                             [cut(k) for k in sol.kernel_basis])
 
 
 def _canonical_family(field, dim, particular, kernel_vectors) -> AffineSolutionSet:
     """particular + span(kernel_vectors), in canonical AffineSolutionSet form."""
     ke = echelon(field, kernel_vectors, dim)
     return AffineSolutionSet(ke.reduce(particular), ke.rows, field)
-
-
-def _full_family(family: AffineSolutionSet, basis: Echelon, field, dim) -> AffineSolutionSet:
-    if family.is_empty:
-        return family
-    return _canonical_family(field, dim, basis.combine(family.particular),
-                             [basis.combine(k) for k in family.kernel_basis])
 
 
 def _decide(pa: PartialAction, transversal_only: bool) -> SeparabilityVerdict:
@@ -193,8 +181,7 @@ def _decide(pa: PartialAction, transversal_only: bool) -> SeparabilityVerdict:
     separable = True
     for cls in partition.classes:
         solve_at = (cls[0],) if transversal_only else cls
-        family, basis = _component_family(pa, cls, solve_at)
-        full = _full_family(family, basis, alg.field, alg.dim)
+        full = _component_family(pa, cls, solve_at)
         per.append(ComponentVerdict(cls, not full.is_empty, full, solve_at))
         if full.is_empty:
             separable = False
@@ -367,7 +354,7 @@ def isotropy_witness_transport(pa: PartialAction, class_objects, witness) -> Tra
     i = cls[0]
     alg = pa.algebra
     b = alg.element(witness)
-    if trace_into(pa, i).matrix.apply(b) != pa.obj_idem(i):
+    if trace_into(pa, i).apply(b) != pa.obj_idem(i):
         raise WitnessInvalid("witness fails t(b) = 1 at the transversal object")
     arrows = {}
     a = alg.zero()
@@ -381,7 +368,7 @@ def isotropy_witness_transport(pa: PartialAction, class_objects, witness) -> Tra
         a = vadd(alg.field, a, pa.alpha(pa.groupoid.inv(g), bk))
     checks = {
         "witness_central": alg.commutes_with_all(a),
-        "single_object_trace": trace_between(pa, i, i).matrix.apply(a) == pa.obj_idem(i),
+        "single_object_trace": trace_between(pa, i, i).apply(a) == pa.obj_idem(i),
     }
     return TransportResult(i, a, arrows, checks)
 
@@ -460,7 +447,7 @@ def trace_invariant_suite(pa: PartialAction) -> dict:
     for cls in partition.classes:
         for i in cls:
             for j in cls:
-                t = trace_between(pa, i, j).matrix
+                t = trace_between(pa, i, j)
                 if t * alg.right_mul_matrix(pa.obj_idem(i)) != t:
                     restricted_to_source = False
                 target_ideal = pa.ideal(g_oid.identity[j])
@@ -473,11 +460,11 @@ def trace_invariant_suite(pa: PartialAction) -> dict:
                     lx, rx = alg.left_mul_matrix(x), alg.right_mul_matrix(x)
                     if t * lx != lx * t or t * rx != rx * t:
                         bimodule_linear = False
-    into = {j: trace_into(pa, j).matrix for j in g_oid.objects}
+    into = {j: trace_into(pa, j) for j in g_oid.objects}
     acc = Matrix.zeros(alg.field, alg.dim, alg.dim)
     for j in g_oid.objects:
         acc = acc + into[j]
-    if acc != trace_total(pa).matrix:
+    if acc != trace_total(pa):
         sum_decomposition = False
     for g in g_oid.morphisms:
         ti, tj = into[g_oid.src[g]], into[g_oid.tgt[g]]

@@ -5,11 +5,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from skewalg import (ActionError, Algebra, Echelon, Field, Groupoid, Matrix,
-                     PartialAction, build_skew_ring, tensor_over)
+from skewalg import (ActionError, AffineSolutionSet, Algebra, Echelon, Field,
+                     Groupoid, Matrix, PartialAction, build_skew_ring,
+                     solve_affine, tensor_over)
 from skewalg.instances import load_instance, parse_instance
 from skewalg.linalg import DimensionMismatch, echelon, kernel, vadd
-from skewalg.separability import normal_form_coefficients
+from skewalg.separability import normal_form_coefficients, trace_into
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -99,13 +100,42 @@ def trivial_q():
     return trivial_group_on_field(Field.rationals())
 
 
+def component_unit(pa: PartialAction, objects) -> tuple:
+    """u_[e]: the sum of the object idempotents 1_f over `objects`."""
+    u = pa.algebra.zero()
+    for f in objects:
+        u = vadd(pa.algebra.field, u, pa.obj_idem(f))
+    return u
+
+
 def component_algebra_rows(pa: PartialAction, objects) -> tuple:
     """A basis of the component subalgebra A_[e] = A * sum of 1_f over `objects`."""
-    alg = pa.algebra
-    u = alg.zero()
-    for f in objects:
-        u = vadd(alg.field, u, pa.obj_idem(f))
-    return alg.ideal_basis(u).basis.rows
+    return pa.algebra.ideal_basis(component_unit(pa, objects)).basis.rows
+
+
+def restricted_component_family(pa: PartialAction, cls, solve_at) -> AffineSolutionSet:
+    """Reference for `ComponentVerdict.witness_family`: the component's own
+    instance (`restrict_to_component`, echelon coordinates of A_[e]) solves
+    t_f(a) = 1_f for f in `solve_at` over its own center, and the solutions
+    are mapped back into A's coordinates and put in canonical form."""
+    sub = pa.restrict_to_component(cls)
+    field = pa.algebra.field
+    basis = pa.algebra.ideal_basis(component_unit(pa, cls)).basis
+    cmat = Matrix.from_cols(field, list(sub.algebra.center_basis()))
+    rows: list = []
+    rhs: list = []
+    for f in solve_at:
+        rows.extend((trace_into(sub, f) * cmat).data)
+        rhs.extend(sub.obj_idem(f))
+    sol = solve_affine(Matrix(field, rows, ncols=cmat.ncols), rhs)
+    if sol.is_empty:
+        return sol
+
+    def full(c):
+        return basis.combine(cmat.apply(c))
+
+    ke = echelon(field, [full(k) for k in sol.kernel_basis], pa.algebra.dim)
+    return AffineSolutionSet(ke.reduce(full(sol.particular)), ke.rows, field)
 
 
 def skew_mul(pa: PartialAction, x: dict, y: dict) -> dict:

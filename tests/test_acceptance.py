@@ -133,7 +133,7 @@ def test_acceptance_5_global_case():
     ok = vg.separable == vf.separable == True  # noqa: E712
     ok = ok and vg.witness == vf.witness
     tr = isotropy_witness_transport(pa, ("e1", "e2"), vf.witness)
-    ok = ok and trace_between(pa, tr.obj, tr.obj).matrix.apply(tr.witness) == \
+    ok = ok and trace_between(pa, tr.obj, tr.obj).apply(tr.witness) == \
         pa.obj_idem(tr.obj)
     ok = ok and all(tr.checks.values())
     psi = isotropy_transport_psi(pa, "s")
@@ -162,7 +162,7 @@ def test_acceptance_6_oracle_witness_extraction():
             alg = pa.algebra
             ok = ok and alg.commutes_with_all(a)
             for e in pa.groupoid.objects:
-                ok = ok and trace_into(pa, e).matrix.apply(a) == pa.obj_idem(e)
+                ok = ok and trace_into(pa, e).apply(a) == pa.obj_idem(e)
             # diagonal-coefficient identity of the normal form:
             # alpha_g(a_{s(g),s(g)} 1_{g^-1}) == a_{g,g^-1}
             coeffs = normal_form_coefficients(pa, res.tensor,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from skewalg import cli
+from skewalg import Algebra, PartialAction, cli
 from skewalg.cli import main
 from skewalg.fuzz import random_skeleton, run_differential, skeleton_to_instance
 from skewalg.skew_ring import SkewRing, TensorOverA
@@ -136,6 +136,37 @@ def test_invalid_action_fails_commands_that_need_it(capsys, tmp_path):
     assert code == 1
     report = json.loads(out)
     assert {v["code"] for v in report["action_violations"]} == {"NotRingIso"}
+
+
+def _one_arrow_instance(compose) -> dict:
+    """One object, one non-identity arrow g with inverse g, the trivial action on k."""
+    return {"field": "Q",
+            "groupoid": {"objects": ["e"],
+                         "morphisms": [{"name": "g", "src": "e", "tgt": "e"}],
+                         "compose": compose, "inverse": [["g", "g"]]},
+            "algebra": {"diagonal": 1},
+            "action": {"id:e": {"dom": [1]}, "g": {"dom": [1], "map": [[1]]}}}
+
+
+@pytest.mark.parametrize("compose,code", [
+    ([], "BadComposition"),
+    ([["g", "g", "g"]], "MissingInverse"),
+], ids=["missing-product", "no-identity-product"])
+def test_groupoid_law_failure_fails_commands_that_need_it(capsys, tmp_path, compose, code):
+    bad = tmp_path / "bad_groupoid.json"
+    bad.write_text(json.dumps(_one_arrow_instance(compose)))
+    for cmd in ("traces", "separability", "skew-table"):
+        exit_code, out, _ = run_cli(capsys, cmd, str(bad))
+        assert exit_code == 1, cmd
+        report = json.loads(out)
+        assert not report["ok"]
+        assert report["error"]["type"] == "ActionError", cmd
+    # validate itself lists the groupoid violations and checks no action axiom
+    exit_code, out, _ = run_cli(capsys, "validate", str(bad))
+    assert exit_code == 1
+    report = json.loads(out)
+    assert {v["code"] for v in report["groupoid_violations"]} == {code}
+    assert "action_violations" not in report
 
 
 def test_components_command(capsys):
@@ -355,9 +386,9 @@ def test_fuzz_count_zero_is_an_empty_pass(capsys):
     assert report["all_agree"]
 
 
-def _count_builds(monkeypatch) -> dict:
-    """Count SkewRing and TensorOverA constructions from now on."""
-    counts = {SkewRing: 0, TensorOverA: 0}
+def _count_builds(monkeypatch, classes=(SkewRing, TensorOverA)) -> dict:
+    """Count constructions of each of `classes` from now on."""
+    counts = {cls: 0 for cls in classes}
     for cls in counts:
         def counted(self, *args, init=cls.__init__, cls=cls, **kwargs):
             counts[cls] += 1
@@ -390,6 +421,21 @@ def test_separability_oracle_builds_one_ring_and_one_square(capsys, monkeypatch,
         assert code == 0
         assert counts == {SkewRing: builds, TensorOverA: builds}, path.name
         counts.update({SkewRing: 0, TensorOverA: 0})
+
+
+@pytest.mark.parametrize("flags", [(), ("--global",), ("--oracle",)],
+                         ids=["plain", "global", "oracle"])
+def test_separability_constructs_only_the_parsed_algebra_and_action(capsys, monkeypatch,
+                                                                   flags):
+    # each component is decided on A itself: no restricted subalgebra or
+    # sub-action is built, so the parsed ones are the only ones
+    paths = sorted(INSTANCE_DIR.glob("*.json"))
+    assert {"two_components_q.json", "two_components_gf2.json"} <= {p.name for p in paths}
+    counts = _count_builds(monkeypatch, (Algebra, PartialAction))
+    for path in paths:
+        run_cli(capsys, "separability", str(path), *flags)
+        assert counts == {Algebra: 1, PartialAction: 1}, path.name
+        counts.update({Algebra: 0, PartialAction: 0})
 
 
 def test_differential_builds_one_ring_and_one_square(monkeypatch):

@@ -20,8 +20,9 @@ from skewalg.skew_ring import (psi_left, psi_multiply, psi_right, psi_tensor_dim
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
-from conftest import (dense_oracle_system, from_coords, glue_components,
-                      intersect, lift, psi_of, pure_tensor, ring_coords,
+from conftest import (INSTANCE_DIR, dense_oracle_system, from_coords,
+                      glue_components, intersect, lift, load_action, psi_of,
+                      pure_tensor, restricted_component_family, ring_coords,
                       square_certificate)
 from test_skewring import closed_form_corpus
 
@@ -35,38 +36,39 @@ def test_bridge_object_traces(bridge):
     t1 = trace_into(bridge, "e1")
     t2 = trace_into(bridge, "e2")
     # t1 keeps the first block and folds the arrow back: (l1, l2+l3, 0, 0)
-    assert t1(a) == (5, 18, 0, 0)
-    assert t2(a) == (0, 0, 18, 13)
+    assert t1.apply(a) == (5, 18, 0, 0)
+    assert t2.apply(a) == (0, 0, 18, 13)
 
 
 def test_bridge_pairwise_trace_sum(bridge):
     a = bridge.algebra.element([5, 7, 11, 13])
     t12 = trace_between(bridge, "e1", "e2")
     t22 = trace_between(bridge, "e2", "e2")
-    assert vadd(bridge.algebra.field, t12(a), t22(a)) == trace_into(bridge, "e2")(a)
+    assert vadd(bridge.algebra.field, t12.apply(a), t22.apply(a)) == \
+        trace_into(bridge, "e2").apply(a)
 
 
 def test_flip_traces_double_the_coefficient(flip_q):
     a = flip_q.algebra.element([3, 5])
-    assert trace_into(flip_q, "e1")(a) == (6, 0)
-    assert trace_into(flip_q, "e2")(a) == (0, 10)
+    assert trace_into(flip_q, "e1").apply(a) == (6, 0)
+    assert trace_into(flip_q, "e2").apply(a) == (0, 10)
 
 
 def test_flip_trace_vanishes_in_characteristic_two(flip_gf2):
     t1 = trace_into(flip_gf2, "e1")
-    assert t1.matrix.is_zero()
+    assert t1.is_zero()
 
 
 def test_trivial_group_trace_is_identity(trivial_q):
-    assert trace_between(trivial_q, "e", "e").matrix == Matrix.identity(Q, 1)
-    assert trace_total(trivial_q).matrix == Matrix.identity(Q, 1)
+    assert trace_between(trivial_q, "e", "e") == Matrix.identity(Q, 1)
+    assert trace_total(trivial_q) == Matrix.identity(Q, 1)
 
 
 def test_total_trace_is_sum_of_object_traces(bridge):
     acc = Matrix.zeros(Q, 4, 4)
     for e in bridge.groupoid.objects:
-        acc = acc + trace_into(bridge, e).matrix
-    assert acc == trace_total(bridge).matrix
+        acc = acc + trace_into(bridge, e)
+    assert acc == trace_total(bridge)
 
 
 def test_cross_component_trace_is_an_error(glued_double):
@@ -410,7 +412,7 @@ def test_witness_transport_on_the_swap(pair_swap):
     assert tr.obj == "e1"
     assert tr.checks == {"witness_central": True, "single_object_trace": True}
     assert tr.arrows == {"e1": "id:e1", "e2": "s"}
-    assert trace_between(pair_swap, "e1", "e1").matrix.apply(tr.witness) == \
+    assert trace_between(pair_swap, "e1", "e1").apply(tr.witness) == \
         pair_swap.obj_idem("e1")
 
 
@@ -427,7 +429,7 @@ def test_transported_witness_satisfies_the_group_criterion(pair_swap):
     iso = pair_swap.isotropy_action(tr.obj)
     basis = pair_swap.algebra.ideal_basis(pair_swap.obj_idem(tr.obj)).basis
     local = basis.coords(tr.witness)
-    assert trace_total(iso).matrix.apply(local) == iso.algebra.unit
+    assert trace_total(iso).apply(local) == iso.algebra.unit
 
 
 def test_transport_needs_global_action(bridge):
@@ -550,10 +552,22 @@ def direct_full_system_separable(pa) -> bool:
     cmat = Matrix.from_cols(alg.field, list(center))
     rows, rhs = [], []
     for e in pa.groupoid.objects:
-        block = trace_into(pa, e).matrix * cmat
+        block = trace_into(pa, e) * cmat
         rows.extend(block.data)
         rhs.extend(pa.obj_idem(e))
     return not solve_affine(Matrix(alg.field, rows, ncols=len(center)), rhs).is_empty
+
+
+def assert_families_match_restricted_route(pa):
+    """Each component's witness family, from the full and (for a global
+    action) the transversal system, equals the one its restricted instance
+    gives."""
+    deciders = (decide_separability, decide_global) if pa.is_global() else \
+        (decide_separability,)
+    for decide in deciders:
+        for comp in decide(pa).per_component:
+            assert comp.witness_family == restricted_component_family(
+                pa, comp.objects, comp.solved_objects), (decide.__name__, comp.objects)
 
 
 def test_decision_agrees_with_oracle_on_random_corpus():
@@ -565,6 +579,21 @@ def test_decision_agrees_with_oracle_on_random_corpus():
             verdict = decide_separability(pa).separable
             assert verdict == oracle_separability(pa).separable
             assert verdict == direct_full_system_separable(pa)
+            assert_families_match_restricted_route(pa)
+
+
+def test_witness_families_match_the_restricted_route_on_shipped_instances():
+    names = sorted(p.name for p in INSTANCE_DIR.glob("*.json"))
+    assert {"two_components_q.json", "two_components_gf2.json"} <= set(names)
+    for name in names:
+        pa = load_action(name)
+        assert_families_match_restricted_route(pa)
+    # the two-component files pin families across components
+    q = decide_separability(load_action("two_components_q.json"))
+    assert [c.separable for c in q.per_component] == [True, True]
+    assert len(q.per_component[1].witness_family.kernel_basis) == 1
+    gf2 = decide_separability(load_action("two_components_gf2.json"))
+    assert [c.separable for c in gf2.per_component] == [False, True]
 
 
 def test_direct_system_agrees_on_worked_instances(bridge, flip_q, flip_gf2,
