@@ -7,6 +7,13 @@ sparse table whose entry [i][j] maps each k to a nonzero c[i][j][k];
 `table_product` and `nonassociative_triple` are the one product and the one
 associativity audit over such tables, for this module and the skew ring
 A*G alike.  The unit law and associativity are checked at construction.
+
+An `Algebra` computes each product x*y and each centrality verdict once:
+the checks of a partial action keep multiplying the same few canonical
+vectors (basis vectors, ideal rows, domain idempotents), so `multiply` and
+`is_central_idempotent` keep their results, which are immutable tuples and
+bools, in dicts on the instance.  Equal products share one tuple: most kept
+products of a large algebra are the zero vector.
 """
 
 from __future__ import annotations
@@ -101,6 +108,9 @@ class Algebra:
             raise DimensionMismatch("basis name count mismatch")
         self._ideals: dict = {}
         self._center: tuple | None = None
+        self._products: dict = {}      # (x, y) -> x*y
+        self._values: dict = {}        # each distinct product, kept once
+        self._central: dict = {}       # e -> is e a central idempotent
         self._check_laws()
 
     @classmethod
@@ -141,7 +151,12 @@ class Algebra:
     def multiply(self, x, y) -> tuple:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("element does not match algebra dimension")
-        return table_product(self._table, x, y, self.field)
+        key = (tuple(x), tuple(y))
+        out = self._products.get(key)
+        if out is None:
+            out = table_product(self._table, x, y, self.field)
+            out = self._products[key] = self._values.setdefault(out, out)
+        return out
 
     def left_mul_matrix(self, x) -> Matrix:
         """Matrix of y -> x*y on coefficient columns."""
@@ -173,7 +188,11 @@ class Algebra:
 
     def is_central_idempotent(self, e) -> bool:
         e = self.element(e)
-        return self.multiply(e, e) == e and self.commutes_with_all(e)
+        verdict = self._central.get(e)
+        if verdict is None:
+            verdict = self._central[e] = (self.multiply(e, e) == e and
+                                          self.commutes_with_all(e))
+        return verdict
 
     def ideal_basis(self, e) -> IdealByIdempotent:
         """Canonical basis of A*e for a central idempotent e."""

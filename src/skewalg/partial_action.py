@@ -53,7 +53,9 @@ class PartialAction:
     module docstring) and applied through its sparse columns: `alpha` goes
     through `Matrix.apply`, which caches the nonzero entries of each column,
     so a mostly permutation-like alpha_g costs about the support of its
-    argument.
+    argument.  `alpha` keeps each image alpha_g(v) it computes, since the
+    axiom checks, the traces and the certificate move the same ideal rows
+    and idempotents again and again.
     """
 
     def __init__(self, groupoid: Groupoid, algebra: Algebra, idems: dict, maps: dict):
@@ -78,6 +80,7 @@ class PartialAction:
             self.maps[g] = m
         self._ideals: dict = {}
         self._restricted: dict = {}
+        self._images: dict = {}        # (g, v) -> alpha_g(v)
         self._report: ActionReport | None = None
         self._decomposes: bool | None = None
 
@@ -94,7 +97,11 @@ class PartialAction:
 
     def alpha(self, g, v) -> tuple:
         """alpha_g(v * 1_{g^-1}), i.e. the stored full matrix applied to v."""
-        return self.maps[g].apply(v)
+        key = (g, tuple(v))
+        out = self._images.get(key)
+        if out is None:
+            out = self._images[key] = self.maps[g].apply(v)
+        return out
 
     def ideal(self, g) -> Echelon:
         """Canonical basis of A_g = A * 1_g."""

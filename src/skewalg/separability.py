@@ -384,12 +384,14 @@ class IsotropyIso:
     checks: dict
 
 
-def isotropy_transport_psi(pa: PartialAction, arrow) -> IsotropyIso:
+def isotropy_transport_psi(pa: PartialAction, arrow, rings: dict | None = None) -> IsotropyIso:
     """The isomorphism a d_g |-> alpha_l(a) d_{l g l^-1} between isotropy rings.
 
     For a global action and an arrow l: e_i -> e_j this conjugation maps
     A_i * G(e_i) isomorphically onto A_j * G(e_j); the matrix is verified to
     be bijective, multiplicative on basis pairs, and unit-preserving.
+    `rings` maps an object to the skew ring of its isotropy action and is
+    filled on first use, so arrows that share an end can share its ring.
     """
     if not pa.is_global():
         raise NotGlobal("isotropy conjugation needs a global action")
@@ -399,10 +401,12 @@ def isotropy_transport_psi(pa: PartialAction, arrow) -> IsotropyIso:
     if arrow not in g_oid.src:
         raise SeparabilityError("unknown arrow %r" % (arrow,))
     e_i, e_j = g_oid.src[arrow], g_oid.tgt[arrow]
-    src_act = pa.isotropy_action(e_i)
-    dst_act = pa.isotropy_action(e_j)
-    src_ring = build_skew_ring(src_act)
-    dst_ring = build_skew_ring(dst_act)
+    if rings is None:
+        rings = {}
+    for e in (e_i, e_j):
+        if e not in rings:
+            rings[e] = build_skew_ring(pa.isotropy_action(e))
+    src_ring, dst_ring = rings[e_i], rings[e_j]
     src_basis = pa.algebra.ideal_basis(pa.obj_idem(e_i)).basis
     dst_basis = pa.algebra.ideal_basis(pa.obj_idem(e_j)).basis
     linv = g_oid.inv(arrow)

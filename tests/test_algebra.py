@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from skewalg.algebra import Algebra, AlgebraError, NotCentralIdempotent
+from skewalg.algebra import (Algebra, AlgebraError, NotCentralIdempotent,
+                             table_product)
 from skewalg.linalg import Field
 
 Q = Field.rationals()
@@ -43,8 +44,11 @@ def test_orthogonal_idempotents_multiply_to_zero():
 
 def test_multiply_checks_dimensions():
     a = diag4()
-    with pytest.raises(Exception):
-        a.multiply((1, 2), a.unit)
+    for _ in range(2):  # a refused product is never kept
+        with pytest.raises(Exception):
+            a.multiply((1, 2), a.unit)
+        with pytest.raises(Exception):
+            a.multiply(list(a.unit), [1, 2, 3])
 
 
 def test_matrix_algebra_multiplication():
@@ -67,6 +71,11 @@ def test_multiply_matches_the_structure_constants(field):
                                       for i in range(4) for j in range(4)), field.zero)
                                  for k in range(4))
         assert m.multiply(x, y) == dense
+        # a kept product is the table product, for tuples and lists alike
+        reference = table_product(m._table, x, y, field)
+        for _ in range(2):
+            assert m.multiply(x, y) == reference
+            assert m.multiply(list(x), list(y)) == reference
 
 
 # -- construction-time checks --------------------------------------------------------
@@ -132,7 +141,9 @@ def test_non_central_idempotent_detected():
     m = matrix_algebra_2x2()
     e11 = m.basis_vector(0)
     assert m.multiply(e11, e11) == e11
-    assert not m.is_central_idempotent(e11)
+    for _ in range(2):  # the kept verdict, for tuples and lists alike
+        assert not m.is_central_idempotent(e11)
+        assert not m.is_central_idempotent(list(e11))
     with pytest.raises(NotCentralIdempotent):
         m.ideal_basis(e11)
 

@@ -449,6 +449,61 @@ def test_differential_builds_one_ring_and_one_square(monkeypatch):
             counts.update({SkewRing: 0, TensorOverA: 0})
 
 
+def test_isotropy_builds_each_object_ring_once(capsys, monkeypatch, tmp_path):
+    # a global component on three objects: the transversal's isotropy ring
+    # serves both arrows, so each object's isotropy action and ring is built
+    # once next to the parsed action
+    skel = {"components": [{"k": 3, "m": 2, "d": 2, "sigma": [1, 0],
+                            "tau": [[0, 1], [1, 0], [0, 1]],
+                            "T": [[0, 1], [0, 1], [0, 1]]}]}
+    path = tmp_path / "global3.json"
+    path.write_text(json.dumps(skeleton_to_instance(skel, "Q")))
+    counts = _count_builds(monkeypatch, (SkewRing, PartialAction))
+    code, out, _ = run_cli(capsys, "separability", str(path), "--isotropy")
+    assert code == 0
+    assert len(json.loads(out)["isotropy_transport"][0]["isotropy_isomorphisms"]) == 2
+    assert counts == {SkewRing: 3, PartialAction: 4}
+
+
+def test_separability_computes_each_product_and_alpha_image_once(capsys, monkeypatch):
+    # the algebra keeps its products and the action its alpha-images, so
+    # each distinct (x, y) reaches the table product once and each distinct
+    # (g, v) reaches the matrix of alpha_g once
+    import skewalg.algebra
+    from skewalg.linalg import Matrix
+
+    products, images = [], []
+    alpha_of = {}          # id of a parsed alpha matrix -> its morphism
+    table_product, apply, init = (skewalg.algebra.table_product, Matrix.apply,
+                                  PartialAction.__init__)
+
+    def counted_product(table, x, y, field):
+        products.append((tuple(x), tuple(y)))
+        return table_product(table, x, y, field)
+
+    def counted_apply(self, v):
+        if id(self) in alpha_of:
+            images.append((alpha_of[id(self)], tuple(v)))
+        return apply(self, v)
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        alpha_of.update({id(m): g for g, m in self.maps.items()})
+
+    monkeypatch.setattr(skewalg.algebra, "table_product", counted_product)
+    monkeypatch.setattr(Matrix, "apply", counted_apply)
+    monkeypatch.setattr(PartialAction, "__init__", recorded_init)
+    for path in sorted(INSTANCE_DIR.glob("*.json")):
+        code, _, _ = run_cli(capsys, "separability", str(path))
+        assert code == 0, path.name
+        assert products and images, path.name
+        assert len(products) == len(set(products)), path.name
+        assert len(images) == len(set(images)), path.name
+        products.clear()
+        images.clear()
+        alpha_of.clear()
+
+
 def _fresh_process(argv, env) -> tuple:
     """(exit code, stdout, stderr) of `python -m skewalg.cli argv` in a new process."""
     proc = subprocess.run([sys.executable, "-m", "skewalg.cli", *argv],

@@ -252,3 +252,23 @@ def test_object_decomposition_is_checked_once_per_action(monkeypatch):
         oracle_separability(pa)
         assert checked == [pa.algebra], path.name
         checked.clear()
+
+
+def test_alpha_is_the_stored_map_on_every_shipped_instance():
+    # alpha keeps its images: after validation and the decision have filled
+    # that store, each kept image must still be the stored matrix applied
+    from conftest import INSTANCE_DIR
+    from skewalg.instances import load_instance
+    from skewalg.separability import decide_separability
+
+    for path in sorted(INSTANCE_DIR.glob("*.json")):
+        pa = load_instance(path).action
+        decide_separability(pa)
+        alg = pa.algebra
+        vectors = [alg.unit, *(alg.basis_vector(i) for i in range(alg.dim)),
+                   *pa.idems.values(),
+                   *(row for g in pa.groupoid.morphisms for row in pa.ideal(g).rows)]
+        for g in pa.groupoid.morphisms:
+            for v in vectors:
+                for w in (v, list(v), v):
+                    assert pa.alpha(g, w) == pa.matrix(g).apply(v), (path.name, g)
