@@ -2,8 +2,11 @@
 
 An algebra of dimension n over a Field is the data c[i][j][k] with
 b_i * b_j = sum_k c[i][j][k] b_k, plus the coefficient vector of the unit.
-Elements are plain coefficient tuples.  The constants are also kept as a
-sparse table whose entry [i][j] maps each k to a nonzero c[i][j][k];
+Elements are plain coefficient tuples.  The constants are kept only as a
+sparse table whose entry [i][j] maps each k to a nonzero c[i][j][k], built
+once from the nonzero constants: `Algebra(...)` takes each row of constants
+either dense (the n scalars c[i][j][0..n-1]) or as a dict {k: c[i][j][k]}
+of its nonzero ones, and `Algebra.diagonal` writes its n entries that way.
 `table_product` and `nonassociative_triple` are the one product and the one
 associativity audit over such tables, for this module and the skew ring
 A*G alike.  The unit law and associativity are checked at construction.
@@ -45,27 +48,35 @@ def nonassociative_triple(table, field):
     """The first basis triple (i, j, k), in lexicographic order, where
     (b_i b_j) b_k != b_i (b_j b_k) over a sparse table, or None.
 
-    A triple where b_i b_j and b_j b_k both vanish has both sides 0 and is
-    skipped.
+    For each pair (i, j) only the triples with a nonzero term are summed:
+    (b_i b_j) b_k has one iff some b_m in b_i b_j has b_m b_k != 0, and
+    b_i (b_j b_k) iff some b_m in b_j b_k has b_i b_m != 0.  Every other
+    triple has both sides 0, on any table, so the first failing triple is
+    the one a scan of all dim^3 triples would find.
     """
-
     zero = field.zero
+    # per row m, the (k, b_m b_k) with b_m b_k != 0
+    nonzero = [[(k, t) for k, t in enumerate(row) if t] for row in table]
 
-    def combine(terms) -> dict:
-        out: dict = {}
-        for c, t in terms:
-            for k, tk in t.items():
-                out[k] = out.get(k, zero) + c * tk
-        return field.reduce_dict(out)
+    def add(acc: dict, c, t: dict) -> None:
+        for q, tq in t.items():
+            acc[q] = acc.get(q, zero) + c * tq
 
     for i, row_i in enumerate(table):
         for j, ij in enumerate(row_i):
-            for k, jk in enumerate(table[j]):
-                if not ij and not jk:
-                    continue
-                left = combine((c, table[m][k]) for m, c in ij.items())
-                right = combine((c, row_i[m]) for m, c in jk.items())
-                if left != right:
+            left: dict = {}       # k -> unreduced (b_i b_j) b_k
+            for m, c in ij.items():
+                for k, t in nonzero[m]:
+                    add(left.setdefault(k, {}), c, t)
+            right: dict = {}      # k -> unreduced b_i (b_j b_k)
+            for k, jk in nonzero[j]:
+                for m, c in jk.items():
+                    t = row_i[m]
+                    if t:
+                        add(right.setdefault(k, {}), c, t)
+            for k in sorted(left.keys() | right.keys()):
+                if (field.reduce_dict(left.get(k, {})) !=
+                        field.reduce_dict(right.get(k, {}))):
                     return i, j, k
     return None
 
@@ -90,16 +101,27 @@ class Algebra:
 
     def __init__(self, field: Field, structure, unit, basis_names=None):
         self.field = field
-        self.structure = tuple(
-            tuple(tuple(field.coerce(c) for c in row) for row in plane)
-            for plane in structure)
-        self.dim = len(self.structure)
-        for plane in self.structure:
-            if len(plane) != self.dim or any(len(row) != self.dim for row in plane):
+        self.dim = dim = len(structure)
+        coerce = field.coerce
+        table = []
+        for plane in structure:
+            if len(plane) != dim:
                 raise DimensionMismatch("structure constants are not dim^3")
-        self._table = tuple(
-            tuple({k: c for k, c in enumerate(row) if c} for row in plane)
-            for plane in self.structure)
+            rows = []
+            for row in plane:
+                if isinstance(row, dict):
+                    entries = row.items()
+                    fits = all(type(k) is int and 0 <= k < dim for k in row)
+                else:
+                    entries, fits = enumerate(row), len(row) == dim
+                if not fits:
+                    raise DimensionMismatch("structure constants are not dim^3")
+                rows.append({k: c for k, x in entries if (c := coerce(x))})
+            table.append(tuple(rows))
+        self._table = tuple(table)
+        one, zero = field.one, field.zero
+        self._basis = tuple(tuple(one if j == i else zero for j in range(dim))
+                            for i in range(dim))
         self.unit = self.element(unit)
         if basis_names is None:
             basis_names = tuple("b%d" % i for i in range(self.dim))
@@ -116,14 +138,12 @@ class Algebra:
     @classmethod
     def diagonal(cls, field: Field, n: int, basis_names=None) -> "Algebra":
         """k^n with pairwise orthogonal idempotent basis vectors summing to 1."""
-        one, zero = field.one, field.zero
-        structure = [[[one if i == j == k else zero for k in range(n)]
-                      for j in range(n)] for i in range(n)]
+        one = field.one
+        structure = [[{i: one} if i == j else {} for j in range(n)] for i in range(n)]
         return cls(field, structure, [one] * n, basis_names)
 
     def _check_laws(self) -> None:
-        basis = [self.basis_vector(i) for i in range(self.dim)]
-        for bi in basis:
+        for bi in self._basis:
             if self.multiply(self.unit, bi) != bi or self.multiply(bi, self.unit) != bi:
                 raise AlgebraError("declared unit is not a two-sided identity")
         bad = nonassociative_triple(self._table, self.field)
@@ -140,8 +160,7 @@ class Algebra:
         return v
 
     def basis_vector(self, i: int) -> tuple:
-        return tuple(self.field.one if j == i else self.field.zero
-                     for j in range(self.dim))
+        return self._basis[i]
 
     def zero(self) -> tuple:
         return vzero(self.field, self.dim)
@@ -160,17 +179,16 @@ class Algebra:
 
     def left_mul_matrix(self, x) -> Matrix:
         """Matrix of y -> x*y on coefficient columns."""
-        cols = [self.multiply(x, self.basis_vector(j)) for j in range(self.dim)]
+        cols = [self.multiply(x, b) for b in self._basis]
         return Matrix._trusted(self.field, tuple(zip(*cols)), self.dim)
 
     def right_mul_matrix(self, x) -> Matrix:
         """Matrix of y -> y*x on coefficient columns."""
-        cols = [self.multiply(self.basis_vector(j), x) for j in range(self.dim)]
+        cols = [self.multiply(b, x) for b in self._basis]
         return Matrix._trusted(self.field, tuple(zip(*cols)), self.dim)
 
     def commutes_with_all(self, x) -> bool:
-        return all(self.multiply(x, self.basis_vector(i)) ==
-                   self.multiply(self.basis_vector(i), x) for i in range(self.dim))
+        return all(self.multiply(x, b) == self.multiply(b, x) for b in self._basis)
 
     # -- center, idempotents, ideals ----------------------------------------
 
@@ -178,11 +196,10 @@ class Algebra:
         """Canonical basis of {x : x*b == b*x for every basis element b}."""
         if self._center is None:
             rows = []
-            for i in range(self.dim):
-                b = self.basis_vector(i)
+            for b in self._basis:
                 delta = self.left_mul_matrix(b) - self.right_mul_matrix(b)
                 rows.extend(delta.data)
-            m = Matrix(self.field, rows, ncols=self.dim)
+            m = Matrix._trusted(self.field, tuple(rows), self.dim)
             self._center = kernel(m)
         return self._center
 
@@ -201,7 +218,7 @@ class Algebra:
         if key not in self._ideals:
             if not self.is_central_idempotent(e):
                 raise NotCentralIdempotent("%r is not a central idempotent" % (e,))
-            images = [self.multiply(self.basis_vector(i), e) for i in range(self.dim)]
+            images = [self.multiply(b, e) for b in self._basis]
             self._ideals[key] = IdealByIdempotent(e, echelon(self.field, images, self.dim))
         return self._ideals[key]
 

@@ -81,7 +81,8 @@ def _parse_vector(field: Field, raw, dim: int) -> tuple:
 def _parse_matrix(field: Field, raw, dim: int) -> Matrix:
     if len(raw) != dim or any(len(r) != dim for r in raw):
         raise InstanceFormatError("matrix is not %d x %d" % (dim, dim))
-    return Matrix(field, [[field.parse(x) for x in row] for row in raw])
+    return Matrix._trusted(field, tuple(tuple(field.parse(x) for x in row) for row in raw),
+                           dim)
 
 
 def parse_instance(data: dict) -> Instance:
@@ -125,7 +126,7 @@ def parse_instance(data: dict) -> Instance:
         raise InstanceFormatError("missing instance key: %s" % (exc,)) from exc
     except Exception as exc:
         raise InstanceFormatError(str(exc)) from exc
-    canonical = canonical_dict(data["field"], action)
+    canonical = canonical_dict(action)
     return Instance(action, canonical, instance_digest(canonical))
 
 
@@ -138,14 +139,18 @@ def load_instance(path) -> Instance:
     return parse_instance(data)
 
 
-def canonical_dict(field_desc, pa: PartialAction) -> dict:
-    """Re-serialize a parsed instance deterministically (scalars as strings)."""
+def canonical_dict(pa: PartialAction) -> dict:
+    """Re-serialize a parsed instance deterministically (scalars as strings).
+
+    The field is written as `str(field)`, so every spelling of one field
+    gives the same form; the structure constants are written dense from the
+    sparse table, "0" where the table has no entry.
+    """
     g = pa.groupoid
     alg = pa.algebra
     non_id = [m for m in g.morphisms if not g.is_identity(m)]
     out = {
-        "field": field_desc if isinstance(field_desc, str) else
-                 "GF(%d)" % int(field_desc["prime"]),
+        "field": str(alg.field),
         "groupoid": {
             "objects": list(g.objects),
             "morphisms": [{"name": m, "src": g.src[m], "tgt": g.tgt[m]}
@@ -157,8 +162,9 @@ def canonical_dict(field_desc, pa: PartialAction) -> dict:
         },
         "algebra": {
             "basis_names": list(alg.basis_names),
-            "structure": [[[str(c) for c in row] for row in plane]
-                          for plane in alg.structure],
+            "structure": [[[str(row[k]) if k in row else "0" for k in range(alg.dim)]
+                           if row else ["0"] * alg.dim for row in plane]
+                          for plane in alg._table],
             "unit": [str(c) for c in alg.unit],
         },
         "action": {

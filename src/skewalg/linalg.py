@@ -10,10 +10,13 @@ even when the value is whole) back into its numerator.  Each kernel that
 adds or multiplies scalars normalises its own output once, through
 `Field.reduce_vec` or `Field.reduce_dict`, so a zero scalar is always falsy
 and `str()` prints the same text whichever type holds the value.  Scalars
-from outside are checked by `Field.coerce` once, where they enter:
-`Field.parse`, the public `Matrix(...)` and `Matrix.from_cols`, and
-`Algebra(...)`/`Algebra.element`; matrices the package builds from field
-arithmetic skip that check.
+from outside are checked once, where they enter: by `Field.parse` for
+instance files, and by `Field.coerce` in the public `Matrix(...)` and
+`Matrix.from_cols` and in `Algebra(...)` (each given structure constant,
+while the sparse table is built) and `Algebra.element`.  Matrices the
+package builds itself (`Matrix.zeros`, `Matrix.identity`, parsed action
+maps, products, sums and the systems of the center and the traces) wrap
+their reduced rows with `Matrix._trusted` and skip that check.
 
 Vectors are plain tuples and matrices are immutable tuples of rows, but the
 kernels are sparse in effect: products, eliminations and combinations skip
@@ -187,10 +190,10 @@ class Matrix:
     """An immutable dense matrix over one Field.
 
     The constructor and `from_cols` coerce every entry; `_trusted` wraps rows
-    the package built from field arithmetic as they are.  `apply` builds the
-    column index `_cols` (per column j, the pairs (i, m_ij) with m_ij != 0)
-    on its first call and reuses it; the matrix never changes, so the index
-    cannot go stale, and equality and hashing ignore it.
+    the package built from field arithmetic, or parsed, as they are.  `apply`
+    builds the column index `_cols` (per column j, the pairs (i, m_ij) with
+    m_ij != 0) on its first call and reuses it; the matrix never changes, so
+    the index cannot go stale, and equality and hashing ignore it.
     """
 
     __slots__ = ("field", "nrows", "ncols", "data", "_cols")
@@ -225,12 +228,12 @@ class Matrix:
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._trusted(field, tuple(tuple(one if i == j else zero for j in range(n))
+                                         for i in range(n)), n)
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, [[zero] * ncols for _ in range(nrows)])
+        return cls._trusted(field, (vzero(field, ncols),) * nrows, ncols)
 
     @classmethod
     def from_cols(cls, field: Field, cols: Sequence[Sequence]) -> "Matrix":

@@ -88,7 +88,8 @@ def invariant_subring(pa: PartialAction, i, j) -> Echelon:
     if not rows:
         return echelon(alg.field, [alg.basis_vector(k) for k in range(alg.dim)],
                        alg.dim)
-    return echelon(alg.field, kernel(Matrix(alg.field, rows, ncols=alg.dim)), alg.dim)
+    return echelon(alg.field, kernel(Matrix._trusted(alg.field, tuple(rows), alg.dim)),
+                   alg.dim)
 
 
 # -- verdicts and certificates -----------------------------------------------------
@@ -150,7 +151,7 @@ def _component_family(pa: PartialAction, cls, solve_at) -> AffineSolutionSet:
     for f in solve_at:
         rows.extend((trace_into(pa, f) * cmat).data)
         rhs.extend(pa.obj_idem(f))
-    sol = solve_affine(Matrix(field, rows, ncols=cmat.ncols), rhs)
+    sol = solve_affine(Matrix._trusted(field, tuple(rows), cmat.ncols), rhs)
     if sol.is_empty:
         return sol
     u = alg.zero()

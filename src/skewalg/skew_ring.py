@@ -52,8 +52,9 @@ class SkewRing:
     `_table[i][j]` maps each ring coordinate k to the nonzero coefficient of
     b_k in b_i * b_j, and a product of basis elements on non-composable
     morphisms is the empty dict.  `mul_coords` is `algebra.table_product`
-    and the audit over all dim^3 basis triples is
-    `algebra.nonassociative_triple`, the same functions `Algebra` uses.
+    and the associativity audit is `algebra.nonassociative_triple`, the
+    same functions `Algebra` uses; the audit sums only the basis triples
+    with a nonzero term, which on a skew ring are the composable chains.
     Elements are held as coordinate tuples: `basis_coords`, `product_coords`,
     `unit` and `multiplication_rows` return dense coordinates.  The tests
     check the table against a skew product computed straight from the action.

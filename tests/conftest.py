@@ -397,6 +397,31 @@ def psi_of(pa: PartialAction, tensor, qcoords) -> dict:
 
 # -- test-only constructions -----------------------------------------------------------
 
+def dense_nonassociative_triple(table, field):
+    """Reference audit: the first basis triple (i, j, k) in lexicographic
+    order where (b_i b_j) b_k != b_i (b_j b_k), scanning all dim^3 triples
+    and skipping only those where b_i b_j and b_j b_k both vanish."""
+    zero = field.zero
+
+    def combine(terms) -> dict:
+        out: dict = {}
+        for c, t in terms:
+            for k, tk in t.items():
+                out[k] = out.get(k, zero) + c * tk
+        return field.reduce_dict(out)
+
+    for i, row_i in enumerate(table):
+        for j, ij in enumerate(row_i):
+            for k, jk in enumerate(table[j]):
+                if not ij and not jk:
+                    continue
+                left = combine((c, table[m][k]) for m, c in ij.items())
+                right = combine((c, row_i[m]) for m, c in jk.items())
+                if left != right:
+                    return i, j, k
+    return None
+
+
 class OverlappingObjects(ActionError):
     pass
 
@@ -448,8 +473,8 @@ def glue_components(parts) -> PartialAction:
         for i in range(a.dim):
             unit[off + i] = a.unit[i]
             for j in range(a.dim):
-                for k in range(a.dim):
-                    structure[off + i][off + j][off + k] = a.structure[i][j][k]
+                for k, c in a._table[i][j].items():
+                    structure[off + i][off + j][off + k] = c
     if len(set(names)) != total:
         names = ["p%d.%s" % (i, n) for i, p in enumerate(parts)
                  for n in p.algebra.basis_names]

@@ -4,8 +4,12 @@ from fractions import Fraction
 import pytest
 
 from skewalg.algebra import (Algebra, AlgebraError, NotCentralIdempotent,
-                             table_product)
-from skewalg.linalg import Field
+                             nonassociative_triple, table_product)
+from skewalg.instances import load_instance
+from skewalg.linalg import DimensionMismatch, Field
+from skewalg.skew_ring import build_skew_ring
+
+from conftest import INSTANCE_DIR, dense_nonassociative_triple
 
 Q = Field.rationals()
 
@@ -14,8 +18,8 @@ def diag4():
     return Algebra.diagonal(Q, 4, ["v1", "v2", "v3", "v4"])
 
 
-def matrix_algebra_2x2(field=Q):
-    """M_2 with basis E11, E12, E21, E22: E_ab * E_cd = delta_bc E_ad."""
+def m2_structure(field=Q) -> list:
+    """Dense constants of M_2 on E11, E12, E21, E22: E_ab * E_cd = delta_bc E_ad."""
     idx = {(a, b): 2 * a + b for a in range(2) for b in range(2)}
     zero, one = field.zero, field.one
     structure = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
@@ -23,7 +27,11 @@ def matrix_algebra_2x2(field=Q):
         for (c, d), j in idx.items():
             if b == c:
                 structure[i][j][idx[(a, d)]] = one
-    return Algebra(field, structure, [1, 0, 0, 1], ["E11", "E12", "E21", "E22"])
+    return structure
+
+
+def matrix_algebra_2x2(field=Q):
+    return Algebra(field, m2_structure(field), [1, 0, 0, 1], ["E11", "E12", "E21", "E22"])
 
 
 # -- multiplication ---------------------------------------------------------------
@@ -63,11 +71,12 @@ def test_matrix_algebra_multiplication():
 def test_multiply_matches_the_structure_constants(field):
     # the sparse table product against sum_ij x_i y_j structure[i][j][k]
     m = matrix_algebra_2x2(field)
+    structure = m2_structure(field)
     rng = random.Random(7)
     for _ in range(40):
         x = m.element([rng.randint(-3, 3) for _ in range(4)])
         y = m.element([rng.randint(-3, 3) for _ in range(4)])
-        dense = field.reduce_vec(sum((x[i] * y[j] * m.structure[i][j][k]
+        dense = field.reduce_vec(sum((x[i] * y[j] * structure[i][j][k]
                                       for i in range(4) for j in range(4)), field.zero)
                                  for k in range(4))
         assert m.multiply(x, y) == dense
@@ -92,9 +101,103 @@ def test_non_associative_structure_is_rejected():
 
 
 def test_wrong_unit_is_rejected():
-    structure = Algebra.diagonal(Q, 2).structure
+    structure = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]   # k x k
     with pytest.raises(AlgebraError, match="identity"):
         Algebra(Q, structure, [1, 0])
+
+
+def test_rows_may_list_only_their_nonzero_constants():
+    # a dict row {k: c} is the row with c at k and 0 elsewhere, coerced alike
+    dense = Algebra.diagonal(Q, 2)
+    sparse = Algebra(Q, [[{0: Fraction(2, 2)}, {}], [{1: 0}, {1: 1}]], [1, 1])
+    assert sparse._table == dense._table == (({0: 1}, {}), ({}, {1: 1}))
+    assert type(sparse._table[0][0][0]) is int
+    for row in ({2: 1}, {-1: 1}, {"0": 1}):
+        with pytest.raises(DimensionMismatch):
+            Algebra(Q, [[row, {}], [{}, {1: 1}]], [1, 1])
+    with pytest.raises(ValueError):
+        Algebra(Q, [[{0: 0.5}, {}], [{}, {1: 1}]], [1, 1])
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(5)], ids=str)
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_diagonal_table_equals_the_dense_built_table(field, n):
+    one, zero = field.one, field.zero
+    dense = [[[one if i == j == k else zero for k in range(n)] for j in range(n)]
+             for i in range(n)]
+    assert Algebra.diagonal(field, n)._table == Algebra(field, dense, [one] * n)._table
+
+
+# -- the associativity audit against the dense reference ------------------------------
+
+def _with_entry(table, i, j, entry) -> tuple:
+    rows = [list(row) for row in table]
+    rows[i][j] = entry
+    return tuple(tuple(row) for row in rows)
+
+
+def _random_scalar(rng, field):
+    if field.p is None:
+        return field.coerce(Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3))))
+    return rng.randrange(1, field.p)
+
+
+def _random_table(rng, field, n, density) -> tuple:
+    """Each product b_i b_j is nonzero with probability `density`, on 1-2 random b_k."""
+    return tuple(tuple({k: _random_scalar(rng, field)
+                        for k in rng.sample(range(n), rng.randint(1, min(2, n)))}
+                       if rng.random() < density else {} for _ in range(n))
+                 for _ in range(n))
+
+
+def _valid_tables() -> list:
+    """Associative tables: small algebras and every shipped algebra and ring."""
+    tables = [(Q, Algebra.diagonal(Q, 3)._table), (Q, matrix_algebra_2x2()._table),
+              (Field.prime(3), matrix_algebra_2x2(Field.prime(3))._table)]
+    for path in sorted(INSTANCE_DIR.glob("*.json")):
+        pa = load_instance(path).action
+        tables.append((pa.algebra.field, pa.algebra._table))
+        tables.append((pa.algebra.field, build_skew_ring(pa)._table))
+    return tables
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(3)], ids=str)
+def test_audit_matches_the_dense_reference_on_random_tables(field):
+    rng = random.Random(11)
+    failing = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        table = _random_table(rng, field, n, rng.choice((0.05, 0.15, 0.3, 0.6)))
+        expected = dense_nonassociative_triple(table, field)
+        assert nonassociative_triple(table, field) == expected, table
+        failing += expected is not None
+    assert 0 < failing < 300
+
+
+def test_audit_matches_the_dense_reference_on_shipped_and_corrupted_tables():
+    rng = random.Random(5)
+    for field, table in _valid_tables():
+        assert nonassociative_triple(table, field) is None
+        assert dense_nonassociative_triple(table, field) is None
+        n = len(table)
+        for _ in range(6):
+            # an entry anywhere, also where no composable pair of the ring has one
+            i, j = rng.randrange(n), rng.randrange(n)
+            entry = {rng.randrange(n): _random_scalar(rng, field)}
+            bad = _with_entry(table, i, j, entry)
+            assert nonassociative_triple(bad, field) == \
+                dense_nonassociative_triple(bad, field)
+        # b_i b_j = 0 but b_i (b_j b_k) = b_i b_m != 0: only the right side has terms
+        zeros = [(i, j, m) for i in range(n) for j in range(n) if not table[i][j]
+                 for m in range(n) if table[i][m]]
+        for i, j, m in rng.sample(zeros, min(4, len(zeros))):
+            k = rng.choice([k for k in range(n) if (j, k) != (i, j)] or [None])
+            if k is None:
+                continue
+            bad = _with_entry(table, j, k, {m: field.one})
+            found = nonassociative_triple(bad, field)
+            assert found is not None
+            assert found == dense_nonassociative_triple(bad, field)
 
 
 # -- center -----------------------------------------------------------------------------

@@ -102,6 +102,24 @@ def test_non_integer_prime_exits_two(capsys, tmp_path, prime):
     assert json.loads(out)["error"]["type"] == "InstanceFormatError"
 
 
+@pytest.mark.parametrize("spelling", ["GF(02)", "GF( 2)", "GF(+2)", {"prime": 2}],
+                         ids=["leading-zero", "space", "plus", "prime"])
+def test_every_spelling_of_a_field_gives_one_digest(capsys, tmp_path, spelling):
+    # the canonical form names the parsed field, not the text it was read from
+    code, out, _ = run_cli(capsys, "validate", str(instance_path("z2_flip_gf2.json")))
+    assert code == 0
+    shipped = json.loads(out)
+    data = instance_data("z2_flip_gf2.json")
+    data["field"] = spelling
+    path = tmp_path / "spelled.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["metadata"]["field"] == "GF(2)"
+    assert report["instance"]["digest"] == shipped["instance"]["digest"]
+
+
 def test_exponent_scalar_exits_two(capsys, tmp_path):
     data = instance_data("partial_bridge_q.json")
     data["action"]["g"]["map"][2][1] = "1e5000"
@@ -188,7 +206,7 @@ def test_components_of_a_glued_file(capsys, tmp_path):
         parse_instance(renamed_instance(base, "R.")).action,
     ])
     path = tmp_path / "glued.json"
-    path.write_text(json.dumps(canonical_dict("Q", glued)))
+    path.write_text(json.dumps(canonical_dict(glued)))
     code, out, _ = run_cli(capsys, "components", str(path))
     assert code == 0
     report = json.loads(out)

@@ -104,3 +104,24 @@ def test_not_json_is_rejected(tmp_path):
 def test_digest_of_canonical_dict_is_deterministic():
     inst = load_instance(instance_path("z2_flip_q.json"))
     assert instance_digest(inst.data) == inst.digest
+
+
+def test_a_diagonal_algebra_is_parsed_without_a_coercion_per_constant(monkeypatch):
+    # each scalar is coerced once where it enters, and k^n enters as its n
+    # nonzero constants, not as n^3 coerced scalars
+    n = 64
+    data = {"field": "Q",
+            "groupoid": {"objects": ["e"], "morphisms": [], "compose": [], "inverse": []},
+            "algebra": {"diagonal": n},
+            "action": {"id:e": {"dom": ["1"] * n}}}
+    calls = []
+    coerce = Field.coerce
+
+    def counted(self, x):
+        calls.append(x)
+        return coerce(self, x)
+
+    monkeypatch.setattr(Field, "coerce", counted)
+    inst = parse_instance(data)
+    assert inst.action.algebra.dim == n
+    assert len(calls) < n * n

@@ -15,7 +15,7 @@ Q = Field.rationals()
 def same_action_data(a: PartialAction, b: PartialAction) -> bool:
     return (a.groupoid.objects == b.groupoid.objects
             and a.groupoid.morphisms == b.groupoid.morphisms
-            and a.algebra.structure == b.algebra.structure
+            and a.algebra._table == b.algebra._table
             and a.idems == b.idems
             and a.maps == b.maps)
 
