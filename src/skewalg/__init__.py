@@ -3,11 +3,11 @@ and separability certificates for the extension A in A*G."""
 
 from .algebra import Algebra, AlgebraError, IdealByIdempotent, NotCentralIdempotent
 from .groupoid import (ComponentPartition, Groupoid, GroupoidError,
-                       GroupoidReport, UnknownObject, build_groupoid,
-                       validate_groupoid)
+                       UnknownObject, ValidationReport, Violation,
+                       build_groupoid, validate_groupoid)
 from .linalg import (AffineSolutionSet, DimensionMismatch, Echelon, Field,
                      LinalgError, Matrix, echelon, kernel, solve_affine)
-from .partial_action import (ActionError, ActionReport, DecompositionRequired,
+from .partial_action import (ActionError, DecompositionRequired,
                              NotUnitalAction, PartialAction, invariant_suite,
                              validate_partial_action)
 from .separability import (ComponentVerdict, EmptyHomSet, IsotropyIso,

@@ -168,7 +168,6 @@ def cmd_separability(args) -> tuple:
             ok = ok and extracted_ok
     if args.isotropy:
         transports = []
-        rings: dict = {}
         for comp in verdict.per_component:
             if not comp.separable:
                 continue
@@ -182,7 +181,7 @@ def cmd_separability(args) -> tuple:
             for kobj, arrow in tr.arrows.items():
                 if kobj == tr.obj:
                     continue
-                psi = isotropy_transport_psi(pa, arrow, rings)
+                psi = isotropy_transport_psi(pa, arrow)
                 psis.append({"arrow": arrow, "source": psi.source_object,
                              "target": psi.target_object, "checks": dict(psi.checks)})
                 ok = ok and all(psi.checks.values())

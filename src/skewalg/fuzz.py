@@ -107,7 +107,7 @@ def skeleton_to_instance(skel: dict, field_desc) -> dict:
     action = {}
     zero_row = ["0"] * dim
 
-    def mname(ci, i, j, t, c):
+    def mname(ci, i, j, t):
         if i == j and t == 0:
             return "id:%s" % comp_objs[ci][i]
         return "m%d.%d.%d.%d" % (ci, i, j, t)
@@ -117,40 +117,40 @@ def skeleton_to_instance(skel: dict, field_desc) -> dict:
         for i in range(k):
             for j in range(k):
                 for t in range(m):
-                    name = mname(ci, i, j, t, c)
+                    name = mname(ci, i, j, t)
+                    is_id = i == j and t == 0
                     src_o, tgt_o = comp_objs[ci][j], comp_objs[ci][i]
-                    if not (i == j and t == 0):
+                    if not is_id:
                         morphisms.append({"name": name, "src": src_o, "tgt": tgt_o})
-                    inv = mname(ci, j, i, (-t) % m, c)
-                    if not (i == j and t == 0) and [inv, name] not in inverse \
+                    inv = mname(ci, j, i, (-t) % m)
+                    if not is_id and [inv, name] not in inverse \
                             and [name, inv] not in inverse:
                         inverse.append([name, inv])
                     pi = perm_of(c, i, j, t)
                     dom_letters = [x for x in c["T"][j] if pi[x] in set(c["T"][i])]
                     idem = ["0"] * dim
-                    mat = [list(zero_row) for _ in range(dim)]
                     for x in dom_letters:
                         idem[slot[(tgt_o, pi[x])]] = "1"
-                        mat[slot[(tgt_o, pi[x])]][slot[(src_o, x)]] = "1"
-                    entry = {"dom": idem, "map": mat}
-                    if i == j and t == 0:
-                        action[name] = {"dom": ["1" if s == "1" else "0" for s in
-                                                _indicator(slot, tgt_o, c["T"][i], dim)]}
-                    else:
-                        action[name] = entry
+                    action[name] = {"dom": idem}
+                    if not is_id:
+                        # identities keep the default map: right multiplication by 1_e
+                        mat = [list(zero_row) for _ in range(dim)]
+                        for x in dom_letters:
+                            mat[slot[(tgt_o, pi[x])]][slot[(src_o, x)]] = "1"
+                        action[name]["map"] = mat
         # composition table: non-identity pairs only
         for i in range(k):
             for j in range(k):
                 for a in range(m):
-                    g = mname(ci, i, j, a, c)
+                    g = mname(ci, i, j, a)
                     if i == j and a == 0:
                         continue
                     for l in range(k):
                         for b in range(m):
-                            h = mname(ci, j, l, b, c)
+                            h = mname(ci, j, l, b)
                             if j == l and b == 0:
                                 continue
-                            compose.append([g, h, mname(ci, i, l, (a + b) % m, c)])
+                            compose.append([g, h, mname(ci, i, l, (a + b) % m)])
     return {
         "field": field_desc,
         "groupoid": {"objects": objects, "morphisms": morphisms,
@@ -158,13 +158,6 @@ def skeleton_to_instance(skel: dict, field_desc) -> dict:
         "algebra": {"diagonal": dim},
         "action": action,
     }
-
-
-def _indicator(slot, oname, letters, dim) -> list:
-    out = ["0"] * dim
-    for x in letters:
-        out[slot[(oname, x)]] = "1"
-    return out
 
 
 def run_differential(data: dict) -> dict:

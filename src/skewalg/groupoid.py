@@ -35,7 +35,9 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class GroupoidReport:
+class ValidationReport:
+    """The violated groupoid laws or partial-action axioms, in check order."""
+
     violations: tuple
 
     @property
@@ -204,7 +206,7 @@ def build_groupoid(objects, arrows, compose_triples, inverse_pairs) -> Groupoid:
                     compose, inverse)
 
 
-def validate_groupoid(g: Groupoid) -> GroupoidReport:
+def validate_groupoid(g: Groupoid) -> ValidationReport:
     """Check every groupoid law; returns a report instead of raising."""
     bad = []
 
@@ -224,7 +226,7 @@ def validate_groupoid(g: Groupoid) -> GroupoidReport:
         if g.src[m] not in g.identity or g.tgt[m] not in g.identity:
             flag("BadComposition", "morphism %r touches unknown object" % (m,))
     if bad:
-        return GroupoidReport(tuple(bad))
+        return ValidationReport(tuple(bad))
 
     morph = set(g.morphisms)
     for (a, b), c in g.compose.items():
@@ -240,7 +242,7 @@ def validate_groupoid(g: Groupoid) -> GroupoidReport:
             if g.src[a] == g.tgt[b] and (a, b) not in g.compose:
                 flag("BadComposition", "composable pair (%r,%r) missing from table" % (a, b))
     if any(v.code == "BadComposition" for v in bad):
-        return GroupoidReport(tuple(bad))
+        return ValidationReport(tuple(bad))
 
     for m in g.morphisms:
         i_t, i_s = g.identity[g.tgt[m]], g.identity[g.src[m]]
@@ -268,4 +270,4 @@ def validate_groupoid(g: Groupoid) -> GroupoidReport:
                 if g.compose[(ab, c)] != g.compose[(a, g.compose[(b, c)])]:
                     flag("NonAssociative",
                          "(%r*%r)*%r != %r*(%r*%r)" % (a, b, c, a, b, c))
-    return GroupoidReport(tuple(bad))
+    return ValidationReport(tuple(bad))

@@ -15,8 +15,10 @@ instance files, and by `Field.coerce` in the public `Matrix(...)` and
 `Matrix.from_cols` and in `Algebra(...)` (each given structure constant,
 while the sparse table is built) and `Algebra.element`.  Matrices the
 package builds itself (`Matrix.zeros`, `Matrix.identity`, parsed action
-maps, products, sums and the systems of the center and the traces) wrap
-their reduced rows with `Matrix._trusted` and skip that check.
+maps, products, sums, the systems of the center and the traces, and the
+matrices whose columns are reduced vectors: restricted alpha maps, the
+center basis and the isotropy conjugation) wrap their reduced rows with
+`Matrix._trusted` and skip that check.
 
 Vectors are plain tuples and matrices are immutable tuples of rows, but the
 kernels are sparse in effect: products, eliminations and combinations skip

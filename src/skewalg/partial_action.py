@@ -9,10 +9,9 @@ on the whole algebra, which is exactly the summand appearing in trace maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import Algebra
-from .groupoid import Groupoid, validate_groupoid
+from .groupoid import (Groupoid, ValidationReport, Violation,
+                       validate_groupoid)
 from .linalg import Echelon, Matrix, echelon, vadd
 
 
@@ -26,24 +25,6 @@ class DecompositionRequired(ActionError):
 
 class NotUnitalAction(ActionError):
     pass
-
-
-@dataclass(frozen=True)
-class ActionViolation:
-    code: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ActionReport:
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def codes(self) -> set:
-        return {v.code for v in self.violations}
 
 
 class PartialAction:
@@ -81,7 +62,7 @@ class PartialAction:
         self._ideals: dict = {}
         self._restricted: dict = {}
         self._images: dict = {}        # (g, v) -> alpha_g(v)
-        self._report: ActionReport | None = None
+        self._report: ValidationReport | None = None
         self._decomposes: bool | None = None
 
     # -- accessors ---------------------------------------------------------
@@ -115,7 +96,8 @@ class PartialAction:
             src = self.ideal(self.groupoid.inv(g))
             dst = self.ideal(g)
             cols = [dst.coords(self.alpha(g, u)) for u in src.rows]
-            self._restricted[g] = Matrix.from_cols(self.algebra.field, cols)
+            self._restricted[g] = Matrix._trusted(self.algebra.field,
+                                                  tuple(zip(*cols)), len(cols))
         return self._restricted[g]
 
     # -- spec operations -----------------------------------------------------
@@ -136,13 +118,12 @@ class PartialAction:
             raise DecompositionRequired(
                 "object idempotents are not orthogonal with sum 1")
 
-    def validate(self) -> ActionReport:
+    def validate(self) -> ValidationReport:
         """The violated groupoid laws, or if there are none, the violated
         action axioms (which presuppose a groupoid)."""
         if self._report is None:
             laws = validate_groupoid(self.groupoid)
-            self._report = (ActionReport(laws.violations) if not laws.ok
-                            else validate_partial_action(self))
+            self._report = laws if not laws.ok else validate_partial_action(self)
         return self._report
 
     def ensure_valid(self) -> None:
@@ -178,14 +159,14 @@ class PartialAction:
         return PartialAction(sub_groupoid, sub, idems, maps)
 
 
-def validate_partial_action(pa: PartialAction) -> ActionReport:
+def validate_partial_action(pa: PartialAction) -> ValidationReport:
     """Check the partial-action axioms; subspace steps use canonical bases."""
     g_oid = pa.groupoid
     alg = pa.algebra
     bad = []
 
     def flag(code, msg):
-        bad.append(ActionViolation(code, msg))
+        bad.append(Violation(code, msg))
 
     usable = set()
     for g in g_oid.morphisms:
@@ -201,7 +182,7 @@ def validate_partial_action(pa: PartialAction) -> ActionReport:
                 continue
         usable.add(g)
     if usable != set(g_oid.morphisms):
-        return ActionReport(tuple(bad))
+        return ValidationReport(tuple(bad))
 
     one = alg.unit
     iso_ok = set()
@@ -241,7 +222,7 @@ def validate_partial_action(pa: PartialAction) -> ActionReport:
             flag("IdentityAxiom", "identity map at %r is not the identity on A_%r" % (e, e))
 
     if iso_ok != set(g_oid.morphisms):
-        return ActionReport(tuple(bad))
+        return ValidationReport(tuple(bad))
 
     # every restricted map is invertible once each morphism passed iso_ok
     inverses = {h: pa.restricted_matrix(h).inverse() for h in g_oid.morphisms}
@@ -265,7 +246,7 @@ def validate_partial_action(pa: PartialAction) -> ActionReport:
             if pa.alpha(g, pa.alpha(h, x)) != pa.alpha(gh, x):
                 flag("AxiomIII", "alpha_%s alpha_%s != alpha_%s on the overlap" % (g, h, gh))
                 break
-    return ActionReport(tuple(bad))
+    return ValidationReport(tuple(bad))
 
 
 # -- invariant suite ----------------------------------------------------------

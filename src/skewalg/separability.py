@@ -12,6 +12,10 @@ verified against the definition with the closed-form psi actions of
 `oracle_separability` instead solves the defining conditions m(x) = 1 and
 bx = xb directly in the quotient coordinates of `TensorOverA`, over the
 ring table: an independent check of the criterion and of the certificate.
+For global actions, `isotropy_transport_psi` checks the conjugation
+isomorphism between the isotropy skew group rings A_i * G(e_i) and
+A_j * G(e_j) on A's vectors as well, through `skew_ring.skew_product`, so no
+isotropy subalgebra, sub-action or second ring is built either.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from dataclasses import dataclass
 from .linalg import (AffineSolutionSet, Echelon, Matrix, echelon, kernel,
                      solve_affine, vadd)
 from .partial_action import PartialAction
-from .skew_ring import (SkewRing, TensorOverA, build_skew_ring, psi_block,
-                        psi_coords, psi_left, psi_multiply, psi_right,
-                        psi_tensor_dim, tensor_square)
+from .skew_ring import (TensorOverA, psi_block, psi_coords, psi_left,
+                        psi_multiply, psi_right, psi_tensor_dim, skew_product,
+                        tensor_square)
 
 
 class SeparabilityError(Exception):
@@ -145,7 +149,8 @@ def _component_family(pa: PartialAction, cls, solve_at) -> AffineSolutionSet:
     """
     alg = pa.algebra
     field = alg.field
-    cmat = Matrix.from_cols(field, list(alg.center_basis()))
+    center = alg.center_basis()
+    cmat = Matrix._trusted(field, tuple(zip(*center)), len(center))
     rows: list = []
     rhs: list = []
     for f in solve_at:
@@ -379,20 +384,21 @@ class IsotropyIso:
     arrow: str
     source_object: str
     target_object: str
-    source_ring: SkewRing
-    target_ring: SkewRing
     matrix: Matrix
     checks: dict
 
 
-def isotropy_transport_psi(pa: PartialAction, arrow, rings: dict | None = None) -> IsotropyIso:
-    """The isomorphism a d_g |-> alpha_l(a) d_{l g l^-1} between isotropy rings.
+def isotropy_transport_psi(pa: PartialAction, arrow) -> IsotropyIso:
+    """The isomorphism u d_g |-> alpha_l(u) d_{l g l^-1} between isotropy rings.
 
     For a global action and an arrow l: e_i -> e_j this conjugation maps
-    A_i * G(e_i) isomorphically onto A_j * G(e_j); the matrix is verified to
-    be bijective, multiplicative on basis pairs, and unit-preserving.
-    `rings` maps an object to the skew ring of its isotropy action and is
-    filled on first use, so arrows that share an end can share its ring.
+    A_i * G(e_i), the span in A*G of the u d_g with g in G(e_i), isomorphically
+    onto A_j * G(e_j).  It is checked on A's vectors, with no isotropy ring:
+    on the basis pairs (g, u), g in G(e_i) in morphism order and u in
+    ideal(g).rows, it is multiplicative under `skew_product` and sends
+    1_{e_i} d_{e_i} to 1_{e_j} d_{e_j}; it is bijective by the rank of
+    `matrix`, whose column (g, u) holds the ideal(l g l^-1)-coordinates of
+    alpha_l(u) at the offset of l g l^-1 among the ideals of G(e_j).
     """
     if not pa.is_global():
         raise NotGlobal("isotropy conjugation needs a global action")
@@ -402,38 +408,34 @@ def isotropy_transport_psi(pa: PartialAction, arrow, rings: dict | None = None) 
     if arrow not in g_oid.src:
         raise SeparabilityError("unknown arrow %r" % (arrow,))
     e_i, e_j = g_oid.src[arrow], g_oid.tgt[arrow]
-    if rings is None:
-        rings = {}
-    for e in (e_i, e_j):
-        if e not in rings:
-            rings[e] = build_skew_ring(pa.isotropy_action(e))
-    src_ring, dst_ring = rings[e_i], rings[e_j]
-    src_basis = pa.algebra.ideal_basis(pa.obj_idem(e_i)).basis
-    dst_basis = pa.algebra.ideal_basis(pa.obj_idem(e_j)).basis
     linv = g_oid.inv(arrow)
+
+    def phi(g, u) -> tuple:
+        return g_oid.compose[(g_oid.compose[(arrow, g)], linv)], pa.alpha(arrow, u)
+
+    basis = [(g, u) for g in g_oid.hom_set(e_i, e_i) for u in pa.ideal(g).rows]
+    starts = {}
+    dim = 0
+    for h in g_oid.hom_set(e_j, e_j):
+        starts[h] = dim
+        dim += pa.ideal(h).dim
+    field = pa.algebra.field
     cols = []
-    for g, u_local in src_ring.basis:
-        moved = pa.alpha(arrow, src_basis.combine(u_local))
-        conj = g_oid.compose[(g_oid.compose[(arrow, g)], linv)]
-        col = [dst_ring.field.zero] * dst_ring.dim
-        for k, c in dst_ring._scatter(conj, dst_basis.coords(moved)).items():
-            col[k] = c
+    for g, u in basis:
+        h, v = phi(g, u)
+        col = [field.zero] * dim
+        col[starts[h]:starts[h] + pa.ideal(h).dim] = pa.ideal(h).coords(v)
         cols.append(col)
-    m = Matrix.from_cols(dst_ring.field, cols)
-    mult_ok = True
-    for p in range(src_ring.dim):
-        for q in range(src_ring.dim):
-            lhs = m.apply(src_ring.product_coords(p, q))
-            rhs = dst_ring.mul_coords(m.apply(src_ring.basis_coords(p)),
-                                      m.apply(src_ring.basis_coords(q)))
-            if lhs != rhs:
-                mult_ok = False
+    m = Matrix._trusted(field, tuple(zip(*cols)), len(cols))
     checks = {
-        "bijective": m.rank() == src_ring.dim == dst_ring.dim,
-        "multiplicative": mult_ok,
-        "unit_to_unit": m.apply(src_ring.unit()) == dst_ring.unit(),
+        "bijective": m.rank() == len(basis) == dim,
+        "multiplicative": all(
+            phi(*skew_product(pa, g, u, h, w)) == skew_product(pa, *phi(g, u), *phi(h, w))
+            for g, u in basis for h, w in basis),
+        "unit_to_unit": (phi(g_oid.identity[e_i], pa.obj_idem(e_i))
+                         == (g_oid.identity[e_j], pa.obj_idem(e_j))),
     }
-    return IsotropyIso(arrow, e_i, e_j, src_ring, dst_ring, m, checks)
+    return IsotropyIso(arrow, e_i, e_j, m, checks)
 
 
 # -- invariant suite ------------------------------------------------------------

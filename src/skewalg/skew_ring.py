@@ -43,6 +43,14 @@ class InvalidSizeCap(SkewRingError):
     pass
 
 
+def skew_product(act: PartialAction, g, u, h, w) -> tuple:
+    """(u d_g)(w d_h) for composable g, h (src g = tgt h), u in A_g, w in A_h,
+    as (gh, alpha_g(alpha_{g^-1}(u) w))."""
+    g_oid = act.groupoid
+    pulled = act.alpha(g_oid.inv(g), u)
+    return g_oid.compose[(g, h)], act.alpha(g, act.algebra.multiply(pulled, w))
+
+
 class SkewRing:
     """Built by `build_skew_ring`; verifies associativity on basis triples.
 
@@ -50,11 +58,12 @@ class SkewRing:
     `starts[g]` to `starts[g] + dim A_g - 1` hold the ideal basis of A_g,
     times d_g.  The multiplication table is in the sparse format of `algebra`:
     `_table[i][j]` maps each ring coordinate k to the nonzero coefficient of
-    b_k in b_i * b_j, and a product of basis elements on non-composable
-    morphisms is the empty dict.  `mul_coords` is `algebra.table_product`
-    and the associativity audit is `algebra.nonassociative_triple`, the
-    same functions `Algebra` uses; the audit sums only the basis triples
-    with a nonzero term, which on a skew ring are the composable chains.
+    b_k in b_i * b_j, the `skew_product` of the pair, and a product of basis
+    elements on non-composable morphisms is the empty dict.  `mul_coords` is
+    `algebra.table_product` and the associativity audit is
+    `algebra.nonassociative_triple`, the same functions `Algebra` uses; the
+    audit sums only the basis triples with a nonzero term, which on a skew
+    ring are the composable chains.
     Elements are held as coordinate tuples: `basis_coords`, `product_coords`,
     `unit` and `multiplication_rows` return dense coordinates.  The tests
     check the table against a skew product computed straight from the action.
@@ -81,20 +90,15 @@ class SkewRing:
 
     def _build_table(self) -> None:
         act = self.action
-        alg = act.algebra
         g_oid = act.groupoid
         table = []
         for g, u in self.basis:
-            ginv = g_oid.inv(g)
-            pulled = act.alpha(ginv, u)  # alpha_{g^-1}(a_g)
             row = []
             for h, w in self.basis:
                 if g_oid.src[g] != g_oid.tgt[h]:
                     row.append({})
                     continue
-                gh = g_oid.compose[(g, h)]
-                prod = act.alpha(g, alg.multiply(pulled, w))
-                row.append(self._scatter(gh, prod))
+                row.append(self._scatter(*skew_product(act, g, u, h, w)))
             table.append(tuple(row))
         self._table = tuple(table)
 

@@ -395,6 +395,48 @@ def psi_of(pa: PartialAction, tensor, qcoords) -> dict:
     return {pair: y for pair, y in coeffs.items() if any(y)}
 
 
+# -- the isotropy-ring conjugation reference ------------------------------------------
+
+def ring_isotropy_iso(pa: PartialAction, arrow) -> SimpleNamespace:
+    """Reference for `isotropy_transport_psi`: the conjugation checked between
+    the skew rings of the two isotropy actions (`PartialAction.isotropy_action`,
+    echelon coordinates of A_{e_i} and A_{e_j}), one ring per end.
+
+    Returns the `matrix` and `checks` to compare, and the two rings.
+    """
+    g_oid = pa.groupoid
+    e_i, e_j = g_oid.src[arrow], g_oid.tgt[arrow]
+    src_ring = build_skew_ring(pa.isotropy_action(e_i))
+    dst_ring = build_skew_ring(pa.isotropy_action(e_j))
+    src_basis = pa.algebra.ideal_basis(pa.obj_idem(e_i)).basis
+    dst_basis = pa.algebra.ideal_basis(pa.obj_idem(e_j)).basis
+    linv = g_oid.inv(arrow)
+    cols = []
+    for g, u_local in src_ring.basis:
+        moved = pa.alpha(arrow, src_basis.combine(u_local))
+        conj = g_oid.compose[(g_oid.compose[(arrow, g)], linv)]
+        col = [dst_ring.field.zero] * dst_ring.dim
+        for k, c in dst_ring._scatter(conj, dst_basis.coords(moved)).items():
+            col[k] = c
+        cols.append(col)
+    m = Matrix.from_cols(dst_ring.field, cols)
+    mult_ok = True
+    for p in range(src_ring.dim):
+        for q in range(src_ring.dim):
+            lhs = m.apply(src_ring.product_coords(p, q))
+            rhs = dst_ring.mul_coords(m.apply(src_ring.basis_coords(p)),
+                                      m.apply(src_ring.basis_coords(q)))
+            if lhs != rhs:
+                mult_ok = False
+    checks = {
+        "bijective": m.rank() == src_ring.dim == dst_ring.dim,
+        "multiplicative": mult_ok,
+        "unit_to_unit": m.apply(src_ring.unit()) == dst_ring.unit(),
+    }
+    return SimpleNamespace(source_ring=src_ring, target_ring=dst_ring, matrix=m,
+                           checks=checks)
+
+
 # -- test-only constructions -----------------------------------------------------------
 
 def dense_nonassociative_triple(table, field):

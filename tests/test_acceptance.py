@@ -19,7 +19,8 @@ from skewalg.separability import (build_certificate, decide_global,
                                   trace_into, trace_invariant_suite)
 
 from conftest import (component_decomposition_failures, glue_components,
-                      instance_data, load_action, renamed_instance)
+                      instance_data, load_action, renamed_instance,
+                      ring_isotropy_iso)
 from test_separability import hand_built_idempotent
 
 Q = Field.rationals()
@@ -138,7 +139,8 @@ def test_acceptance_5_global_case():
     ok = ok and all(tr.checks.values())
     psi = isotropy_transport_psi(pa, "s")
     ok = ok and all(psi.checks.values())
-    ok = ok and psi.matrix.apply(psi.source_ring.unit()) == psi.target_ring.unit()
+    rings = ring_isotropy_iso(pa, "s")
+    ok = ok and psi.matrix.apply(rings.source_ring.unit()) == rings.target_ring.unit()
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 1.0
     _report(5, ok, "global pair-swap: transversal decision matches, transport "

@@ -426,11 +426,14 @@ def _global_instances() -> list:
     (("--oracle",), 1),
     ((), 0),
     (("--global",), 0),
-], ids=["oracle", "plain", "global"])
+    (("--isotropy",), 0),
+    (("--global", "--isotropy"), 0),
+], ids=["oracle", "plain", "global", "isotropy", "global-isotropy"])
 def test_separability_oracle_builds_one_ring_and_one_square(capsys, monkeypatch,
                                                             flags, builds):
-    # only the oracle builds the ring and its square; the certificate does not
-    paths = (_global_instances() if "--global" in flags
+    # only the oracle builds the ring and its square; the certificate and the
+    # isotropy conjugations do not
+    paths = (_global_instances() if {"--global", "--isotropy"} & set(flags)
              else sorted(INSTANCE_DIR.glob("*.json")))
     assert paths
     counts = _count_builds(monkeypatch)
@@ -441,12 +444,14 @@ def test_separability_oracle_builds_one_ring_and_one_square(capsys, monkeypatch,
         counts.update({SkewRing: 0, TensorOverA: 0})
 
 
-@pytest.mark.parametrize("flags", [(), ("--global",), ("--oracle",)],
-                         ids=["plain", "global", "oracle"])
+@pytest.mark.parametrize("flags", [(), ("--global",), ("--oracle",), ("--isotropy",),
+                                   ("--global", "--isotropy")],
+                         ids=["plain", "global", "oracle", "isotropy", "global-isotropy"])
 def test_separability_constructs_only_the_parsed_algebra_and_action(capsys, monkeypatch,
                                                                    flags):
-    # each component is decided on A itself: no restricted subalgebra or
-    # sub-action is built, so the parsed ones are the only ones
+    # each component is decided, and each isotropy conjugation checked, on A
+    # itself: no restricted subalgebra or sub-action is built, so the parsed
+    # ones are the only ones
     paths = sorted(INSTANCE_DIR.glob("*.json"))
     assert {"two_components_q.json", "two_components_gf2.json"} <= {p.name for p in paths}
     counts = _count_builds(monkeypatch, (Algebra, PartialAction))
@@ -467,10 +472,10 @@ def test_differential_builds_one_ring_and_one_square(monkeypatch):
             counts.update({SkewRing: 0, TensorOverA: 0})
 
 
-def test_isotropy_builds_each_object_ring_once(capsys, monkeypatch, tmp_path):
-    # a global component on three objects: the transversal's isotropy ring
-    # serves both arrows, so each object's isotropy action and ring is built
-    # once next to the parsed action
+def test_isotropy_builds_no_ring_and_no_sub_action(capsys, monkeypatch, tmp_path):
+    # a global component on three objects: both conjugations are checked on
+    # A's vectors, so no isotropy action or ring is built next to the parsed
+    # action
     skel = {"components": [{"k": 3, "m": 2, "d": 2, "sigma": [1, 0],
                             "tau": [[0, 1], [1, 0], [0, 1]],
                             "T": [[0, 1], [0, 1], [0, 1]]}]}
@@ -480,7 +485,7 @@ def test_isotropy_builds_each_object_ring_once(capsys, monkeypatch, tmp_path):
     code, out, _ = run_cli(capsys, "separability", str(path), "--isotropy")
     assert code == 0
     assert len(json.loads(out)["isotropy_transport"][0]["isotropy_isomorphisms"]) == 2
-    assert counts == {SkewRing: 3, PartialAction: 4}
+    assert counts == {SkewRing: 0, PartialAction: 1}
 
 
 def test_separability_computes_each_product_and_alpha_image_once(capsys, monkeypatch):

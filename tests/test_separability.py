@@ -23,7 +23,7 @@ from skewalg.instances import parse_instance
 from conftest import (INSTANCE_DIR, dense_oracle_system, from_coords,
                       glue_components, intersect, lift, load_action, psi_of,
                       pure_tensor, restricted_component_family, ring_coords,
-                      square_certificate)
+                      ring_isotropy_iso, square_certificate)
 from test_skewring import closed_form_corpus
 
 Q = Field.rationals()
@@ -447,7 +447,58 @@ def test_psi_conjugation_is_an_isomorphism(pair_swap):
 
 def test_psi_on_identity_arrow_is_identity(pair_swap):
     psi = isotropy_transport_psi(pair_swap, "id:e1")
-    assert psi.matrix == Matrix.identity(Q, psi.source_ring.dim)
+    dim = ring_isotropy_iso(pair_swap, "id:e1").source_ring.dim
+    assert psi.matrix == Matrix.identity(Q, dim)
+
+
+def _global_skeleton(rng: random.Random) -> dict:
+    """A fuzzer skeleton with every object keeping all its letters: a global action."""
+    skel = random_skeleton(rng)
+    for c in skel["components"]:
+        c["T"] = [list(range(c["d"])) for _ in range(c["k"])]
+    return skel
+
+
+def _global_corpus() -> list:
+    """Every shipped global instance, then seeded global skeletons over Q,
+    GF(2) and GF(3)."""
+    shipped = [load_action(p.name) for p in sorted(INSTANCE_DIR.glob("*.json"))]
+    rng = random.Random(15)
+    fuzzed = [parse_instance(skeleton_to_instance(_global_skeleton(rng), f)).action
+              for _ in range(12) for f in ("Q", "GF(2)", "GF(3)")]
+    return [pa for pa in shipped if pa.is_global()] + fuzzed
+
+
+def test_psi_conjugation_matches_the_isotropy_ring_reference():
+    corpus = _global_corpus()
+    assert len(corpus) > 36
+    arrows = 0
+    for pa in corpus:
+        assert pa.is_global()
+        for arrow in pa.groupoid.morphisms:
+            psi = isotropy_transport_psi(pa, arrow)
+            ref = ring_isotropy_iso(pa, arrow)
+            assert psi.matrix == ref.matrix, arrow
+            assert psi.checks == ref.checks, arrow
+            assert all(psi.checks.values()), arrow
+            arrows += 1
+    assert arrows > 100
+
+
+@pytest.mark.parametrize("name", ["pair_swap_global_q.json", "rotated_swap_q.json",
+                                  "rotated_swap_gf5.json", "two_components_q.json"])
+def test_corrupted_alpha_image_fails_multiplicativity_on_both_routes(name):
+    # a fresh action, validated, then one cached alpha_l-image of a basis row
+    # of A_{e_i} is doubled: it stays in A_{e_j}, so every coordinate exists
+    pa = load_action(name)
+    pa.ensure_valid()
+    arrow = next(g for g in pa.groupoid.morphisms
+                 if pa.groupoid.src[g] != pa.groupoid.tgt[g])
+    row = pa.ideal(pa.groupoid.identity[pa.groupoid.src[arrow]]).rows[0]
+    field = pa.algebra.field
+    pa._images[(arrow, row)] = field.reduce_vec(2 * x for x in pa.alpha(arrow, row))
+    assert not isotropy_transport_psi(pa, arrow).checks["multiplicative"]
+    assert not ring_isotropy_iso(pa, arrow).checks["multiplicative"]
 
 
 def test_psi_on_flip_style_global_instance():
