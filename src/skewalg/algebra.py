@@ -16,7 +16,9 @@ the checks of a partial action keep multiplying the same few canonical
 vectors (basis vectors, ideal rows, domain idempotents), so `multiply` and
 `is_central_idempotent` keep their results, which are immutable tuples and
 bools, in dicts on the instance.  Equal products share one tuple: most kept
-products of a large algebra are the zero vector.
+products of a large algebra are the zero vector.  `element` checks each
+scalar of a vector given from outside, and passes a vector it or `multiply`
+returned as it is.
 """
 
 from __future__ import annotations
@@ -122,6 +124,7 @@ class Algebra:
         one, zero = field.one, field.zero
         self._basis = tuple(tuple(one if j == i else zero for j in range(dim))
                             for i in range(dim))
+        self._values: dict = {}        # each distinct product or element, kept once
         self.unit = self.element(unit)
         if basis_names is None:
             basis_names = tuple("b%d" % i for i in range(self.dim))
@@ -131,7 +134,6 @@ class Algebra:
         self._ideals: dict = {}
         self._center: tuple | None = None
         self._products: dict = {}      # (x, y) -> x*y
-        self._values: dict = {}        # each distinct product, kept once
         self._central: dict = {}       # e -> is e a central idempotent
         self._check_laws()
 
@@ -154,10 +156,18 @@ class Algebra:
     # -- elements ---------------------------------------------------------
 
     def element(self, coeffs) -> tuple:
+        """coeffs as a vector of this algebra.  A vector kept in `_values` (one
+        `element` or `multiply` returned) passes as it is; any other, a float
+        twin of a kept vector too, has each scalar checked with `Field.coerce`."""
+        try:
+            if self._values.get(coeffs) is coeffs:
+                return coeffs
+        except TypeError:       # a list, or a tuple holding one
+            pass
         v = tuple(self.field.coerce(c) for c in coeffs)
         if len(v) != self.dim:
             raise DimensionMismatch("element length %d != dim %d" % (len(v), self.dim))
-        return v
+        return self._values.setdefault(v, v)
 
     def basis_vector(self, i: int) -> tuple:
         return self._basis[i]
@@ -214,13 +224,12 @@ class Algebra:
     def ideal_basis(self, e) -> IdealByIdempotent:
         """Canonical basis of A*e for a central idempotent e."""
         e = self.element(e)
-        key = e
-        if key not in self._ideals:
+        if e not in self._ideals:
             if not self.is_central_idempotent(e):
                 raise NotCentralIdempotent("%r is not a central idempotent" % (e,))
             images = [self.multiply(b, e) for b in self._basis]
-            self._ideals[key] = IdealByIdempotent(e, echelon(self.field, images, self.dim))
-        return self._ideals[key]
+            self._ideals[e] = IdealByIdempotent(e, echelon(self.field, images, self.dim))
+        return self._ideals[e]
 
     def check_object_decomposition(self, idems) -> bool:
         """True iff the given central idempotents are orthogonal and sum to 1."""

@@ -110,17 +110,7 @@ class Groupoid:
 
     def isotropy_group(self, e) -> "Groupoid":
         """The group of arrows e -> e, as a one-object groupoid."""
-        self.check_object(e)
-        keep = set(self.hom_set(e, e))
-        return Groupoid(
-            (e,),
-            tuple(g for g in self.morphisms if g in keep),
-            {g: e for g in keep},
-            {g: e for g in keep},
-            {e: self.identity[e]},
-            {(g, h): v for (g, h), v in self.compose.items() if g in keep and h in keep},
-            {g: self.inverse[g] for g in keep if g in self.inverse},
-        )
+        return self.full_subgroupoid((e,))
 
     def connected_components(self) -> ComponentPartition:
         reach = {e: {e} for e in self.objects}

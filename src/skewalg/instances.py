@@ -18,10 +18,12 @@ Layout:
 
 Identity morphisms are implicit ("id:<object>") but their "dom" entries are
 required, since they define the object ideals A_e.  Scalars are written as
-strings ("3/4", "2") or plain integers; exponent notation is rejected.  The
-algebra dimension ("diagonal" n, or the length of "structure") must be a
-JSON integer from 0 to MAX_ALGEBRA_DIM; it is checked before anything of
-size dim^3 is built.
+strings ("3/4", "2") or plain integers; exponent notation is rejected.
+Vectors, matrices, the structure and their rows must be JSON arrays, not
+strings (which would be read one character at a time).  The algebra
+dimension ("diagonal" n, or the length of "structure") must be a JSON
+integer from 0 to MAX_ALGEBRA_DIM; it is checked before anything of size
+dim^3 is built.
 """
 
 from __future__ import annotations
@@ -72,14 +74,21 @@ def _algebra_dim(n) -> int:
     return n
 
 
+def _array(raw, what: str) -> list:
+    if not isinstance(raw, list):
+        raise InstanceFormatError("%s must be a JSON array, got %.40r" % (what, raw))
+    return raw
+
+
 def _parse_vector(field: Field, raw, dim: int) -> tuple:
-    if len(raw) != dim:
+    if len(_array(raw, "vector")) != dim:
         raise InstanceFormatError("vector of length %d, expected %d" % (len(raw), dim))
     return tuple(field.parse(x) for x in raw)
 
 
 def _parse_matrix(field: Field, raw, dim: int) -> Matrix:
-    if len(raw) != dim or any(len(r) != dim for r in raw):
+    if (len(_array(raw, "matrix")) != dim
+            or any(len(_array(r, "matrix row")) != dim for r in raw)):
         raise InstanceFormatError("matrix is not %d x %d" % (dim, dim))
     return Matrix._trusted(field, tuple(tuple(field.parse(x) for x in row) for row in raw),
                            dim)
@@ -98,11 +107,9 @@ def parse_instance(data: dict) -> Instance:
             algebra = Algebra.diagonal(field, _algebra_dim(adata["diagonal"]),
                                        adata.get("basis_names"))
         else:
-            _algebra_dim(len(adata["structure"]))
-            structure = [[[field.parse(c) for c in row] for row in plane]
-                         for plane in adata["structure"]]
-            algebra = Algebra(field, structure,
-                              _parse_vector(field, adata["unit"], len(structure)),
+            dim = _algebra_dim(len(_array(adata["structure"], "structure")))
+            structure = [_parse_matrix(field, plane, dim).data for plane in adata["structure"]]
+            algebra = Algebra(field, structure, _parse_vector(field, adata["unit"], dim),
                               adata.get("basis_names"))
         act = data.get("action", {})
         idems = {}

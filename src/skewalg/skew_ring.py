@@ -456,13 +456,11 @@ def psi_multiply(act: PartialAction, blocks) -> dict:
 
 def psi_left(act: PartialAction, k, v, blocks) -> dict:
     """The psi blocks of (v d_k) x: block (g, h) y goes to block (kg, h)
-    as alpha_k(alpha_{k^-1}(v) y) when src k = tgt g."""
-    alg = act.algebra
-    g_oid = act.groupoid
-    pulled = act.alpha(g_oid.inv(k), v)
-    return _collect(alg.field, (
-        ((g_oid.compose[(k, g)], h), act.alpha(k, alg.multiply(pulled, y)))
-        for (g, h), y in blocks.items() if g_oid.src[k] == g_oid.tgt[g]))
+    as the `skew_product` (v d_k)(y d_g) when src k = tgt g."""
+    src, tgt = act.groupoid.src, act.groupoid.tgt
+    return _collect(act.algebra.field, (
+        ((kg, h), z) for (g, h), y in blocks.items() if src[k] == tgt[g]
+        for kg, z in (skew_product(act, k, v, g, y),)))
 
 
 def psi_right(act: PartialAction, k, v, blocks) -> dict:

@@ -8,6 +8,8 @@ import pytest
 from skewalg import (ActionError, AffineSolutionSet, Algebra, Echelon, Field,
                      Groupoid, Matrix, PartialAction, build_skew_ring,
                      solve_affine, tensor_over)
+from skewalg.fuzz import random_skeleton
+from skewalg.groupoid import ValidationReport, Violation
 from skewalg.instances import load_instance, parse_instance
 from skewalg.linalg import DimensionMismatch, echelon, kernel, vadd
 from skewalg.separability import normal_form_coefficients, trace_into
@@ -84,6 +86,14 @@ def glued_double():
     left = parse_instance(renamed_instance(base, "L.")).action
     right = parse_instance(renamed_instance(base, "R.")).action
     return glue_components([left, right])
+
+
+def global_skeleton(rng) -> dict:
+    """A fuzzer skeleton with every object keeping all its letters: a global action."""
+    skel = random_skeleton(rng)
+    for c in skel["components"]:
+        c["T"] = [list(range(c["d"])) for _ in range(c["k"])]
+    return skel
 
 
 def trivial_group_on_field(field: Field) -> PartialAction:
@@ -554,3 +564,150 @@ def intersect(a: Echelon, b: Echelon) -> Echelon:
     m = Matrix._trusted(field, tuple(zip(*cols)), len(cols))
     vecs = [a.combine(k[: a.dim]) for k in kernel(m)]
     return echelon(a.field, vecs, a.ncols)
+
+
+# -- the subspace references for the action checks ---------------------------------
+
+def subspace_validate_partial_action(pa: PartialAction) -> ValidationReport:
+    """Reference for `validate_partial_action`: the axioms checked on
+    subspaces in canonical bases.  The complement is annihilated as a matrix
+    product, and per composable pair (g, h) the ideal basis of the meet
+    A_{g^-1} /\\ A_h is pulled back through the restricted inverse of alpha_h,
+    tested for membership in A_{(gh)^-1} (axiom II) and moved by alpha_g alpha_h
+    and alpha_gh (axiom III)."""
+    g_oid = pa.groupoid
+    alg = pa.algebra
+    bad = []
+
+    def flag(code, msg):
+        bad.append(Violation(code, msg))
+
+    usable = set()
+    for g in g_oid.morphisms:
+        if not alg.is_central_idempotent(pa.idem(g)):
+            flag("NotIdempotentDomain", "1_%s is not a central idempotent" % (g,))
+            continue
+        # A_g must sit inside the object ideal A_{t(g)}
+        e_t = pa.obj_idem(g_oid.tgt[g])
+        if alg.is_central_idempotent(e_t):
+            if alg.multiply(pa.idem(g), e_t) != pa.idem(g):
+                flag("NotIdempotentDomain",
+                     "A_%s is not contained in the ideal of its target object" % (g,))
+                continue
+        usable.add(g)
+    if usable != set(g_oid.morphisms):
+        return ValidationReport(tuple(bad))
+
+    one = alg.unit
+    iso_ok = set()
+    for g in g_oid.morphisms:
+        m = pa.matrix(g)
+        ginv = g_oid.inverse.get(g)
+        if ginv is None or ginv not in pa.idems:
+            flag("NotRingIso", "morphism %r has no usable inverse" % (g,))
+            continue
+        comp = alg.right_mul_matrix(
+            alg.field.reduce_vec(a - b for a, b in zip(one, pa.idem(ginv))))
+        if not (m * comp).is_zero():
+            flag("NotRingIso",
+                 "map of %s does not annihilate the complement of its domain ideal" % (g,))
+            continue
+        src = pa.ideal(ginv)
+        dst = pa.ideal(g)
+        images = [pa.alpha(g, u) for u in src.rows]
+        img_span = echelon(alg.field, images, alg.dim)
+        if img_span.dim != src.dim or img_span != dst:
+            flag("NotRingIso", "map of %s is not a bijection onto its ideal" % (g,))
+            continue
+        hom = all(pa.alpha(g, alg.multiply(u, v)) == alg.multiply(au, av)
+                  for u, au in zip(src.rows, images) for v, av in zip(src.rows, images))
+        if not hom:
+            flag("NotRingIso", "map of %s is not multiplicative on its ideal" % (g,))
+            continue
+        if src.dim and pa.alpha(g, pa.idem(ginv)) != pa.idem(g):
+            flag("NotRingIso", "map of %s does not send 1_%s to 1_%s" % (g, ginv, g))
+            continue
+        iso_ok.add(g)
+
+    for e in g_oid.objects:
+        i = g_oid.identity[e]
+        ideal = pa.ideal(i)
+        if any(pa.alpha(i, u) != u for u in ideal.rows):
+            flag("IdentityAxiom", "identity map at %r is not the identity on A_%r" % (e, e))
+
+    if iso_ok != set(g_oid.morphisms):
+        return ValidationReport(tuple(bad))
+
+    # every restricted map is invertible once each morphism passed iso_ok
+    inverses = {h: pa.restricted_matrix(h).inverse() for h in g_oid.morphisms}
+    for g, h in g_oid.composable_pairs():
+        gh = g_oid.compose[(g, h)]
+        ginv, hinv = g_oid.inv(g), g_oid.inv(h)
+        # central idempotents: A*a intersect A*b equals A*(a*b)
+        meet = alg.multiply(pa.idem(ginv), pa.idem(h))
+        meet_basis = alg.ideal_basis(meet).basis
+        inv_h = inverses[h]
+        h_ideal, hinv_ideal = pa.ideal(h), pa.ideal(hinv)
+        pulled = [hinv_ideal.combine(inv_h.apply(h_ideal.coords(d)))
+                  for d in meet_basis.rows]
+        target = pa.ideal(g_oid.inv(gh))
+        if not all(target.contains(x) for x in pulled):
+            flag("AxiomII",
+                 "preimage of A_%s^-1 /\\ A_%s under alpha_%s leaves A_(%s)^-1" %
+                 (g, h, h, gh))
+            continue
+        for x in pulled:
+            if pa.alpha(g, pa.alpha(h, x)) != pa.alpha(gh, x):
+                flag("AxiomIII", "alpha_%s alpha_%s != alpha_%s on the overlap" % (g, h, gh))
+                break
+    return ValidationReport(tuple(bad))
+
+
+def subspace_inverse_consistency(pa: PartialAction) -> bool:
+    """The restriction of alpha_{g^-1} inverts the restriction of alpha_g."""
+    for g in pa.groupoid.morphisms:
+        ginv = pa.groupoid.inv(g)
+        a = pa.restricted_matrix(g)
+        b = pa.restricted_matrix(ginv)
+        n = pa.ideal(ginv).dim
+        if b * a != Matrix.identity(pa.algebra.field, n):
+            return False
+    return True
+
+
+def subspace_intersection_transport(pa: PartialAction) -> bool:
+    """alpha_g maps A_{g^-1} /\\ A_h onto A_g /\\ A_{gh}, as subspaces."""
+    alg = pa.algebra
+    for g, h in pa.groupoid.composable_pairs():
+        gh = pa.groupoid.compose[(g, h)]
+        ginv = pa.groupoid.inv(g)
+        lhs_gen = alg.multiply(pa.idem(ginv), pa.idem(h))
+        rhs_gen = alg.multiply(pa.idem(g), pa.idem(gh))
+        lhs = echelon(alg.field,
+                      [pa.alpha(g, d) for d in alg.ideal_basis(lhs_gen).basis.rows],
+                      alg.dim)
+        if lhs != alg.ideal_basis(rhs_gen).basis:
+            return False
+    return True
+
+
+def subspace_composite_restriction(pa: PartialAction) -> bool:
+    """alpha_g(alpha_h(a 1_{h^-1}) 1_{g^-1}) == alpha_{gh}(a 1_{(gh)^-1}) 1_g, all a."""
+    alg = pa.algebra
+    for g, h in pa.groupoid.composable_pairs():
+        gh = pa.groupoid.compose[(g, h)]
+        lhs = pa.matrix(g) * pa.matrix(h)
+        rhs = alg.right_mul_matrix(pa.idem(g)) * pa.matrix(gh)
+        if lhs != rhs:
+            return False
+    return True
+
+
+def subspace_invariant_suite(pa: PartialAction) -> dict:
+    """Reference for `invariant_suite`: restricted matrices, echelon spans and
+    dense matrix products."""
+    return {
+        "inverse_mutual": subspace_inverse_consistency(pa),
+        "intersection_transport": subspace_intersection_transport(pa),
+        "composite_restriction": subspace_composite_restriction(pa),
+    }

@@ -7,6 +7,7 @@ from skewalg.algebra import (Algebra, AlgebraError, NotCentralIdempotent,
                              nonassociative_triple, table_product)
 from skewalg.instances import load_instance
 from skewalg.linalg import DimensionMismatch, Field
+from skewalg.partial_action import invariant_suite
 from skewalg.skew_ring import build_skew_ring
 
 from conftest import INSTANCE_DIR, dense_nonassociative_triple
@@ -249,6 +250,43 @@ def test_non_central_idempotent_detected():
         assert not m.is_central_idempotent(list(e11))
     with pytest.raises(NotCentralIdempotent):
         m.ideal_basis(e11)
+
+
+def test_float_or_string_twin_of_a_kept_vector_is_rejected():
+    # the int vector's verdict, ideal and decomposition are kept; a twin that
+    # compares and hashes equal but holds floats or strings is still checked
+    a = diag4()
+    e, co = a.element([1, 1, 0, 0]), a.element([0, 0, 1, 1])
+    assert a.is_central_idempotent(e)
+    assert a.ideal_basis(e).basis.dim == 2
+    assert a.check_object_decomposition([e, co])
+    checks = (a.is_central_idempotent, a.ideal_basis,
+              lambda v: a.check_object_decomposition([v, co]))
+    for twin in ((1.0, 1.0, 0.0, 0.0), [1.0, 1, 0, 0], ("1", "1", "0", "0")):
+        for check in checks:
+            with pytest.raises(ValueError):
+                check(twin)
+    assert a.is_central_idempotent([1, 1, 0, 0])
+
+
+def test_validation_checks_no_scalar_the_package_computed(monkeypatch):
+    # every scalar is checked where it enters: once an instance is parsed,
+    # validating it, its invariants and its object decomposition coerce none
+    calls = []
+    coerce = Field.coerce
+
+    def counted(self, x):
+        calls.append(x)
+        return coerce(self, x)
+
+    for path in sorted(INSTANCE_DIR.glob("*.json")):
+        pa = load_instance(path).action
+        monkeypatch.setattr(Field, "coerce", counted)
+        assert pa.validate().ok
+        assert all(invariant_suite(pa).values())
+        assert pa.has_object_decomposition()
+        monkeypatch.setattr(Field, "coerce", coerce)
+        assert calls == [], path.name
 
 
 def test_ideal_of_unit_is_everything():

@@ -141,6 +141,19 @@ def test_boolean_scalar_exits_two(capsys, tmp_path):
     assert json.loads(out)["error"]["type"] == "InstanceFormatError"
 
 
+def test_string_in_place_of_an_array_exits_two(capsys, tmp_path):
+    # "10" was read as the vector [1, 0]: the instance validated with the
+    # shipped digest
+    data = instance_data("z2_flip_q.json")
+    data["action"]["id:e1"]["dom"] = "10"
+    data["action"]["g"]["map"] = ["10", "00"]
+    bad = tmp_path / "strings.json"
+    bad.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InstanceFormatError"
+
+
 def test_invalid_action_fails_commands_that_need_it(capsys, tmp_path):
     data = instance_data("partial_bridge_q.json")
     data["action"]["ginv"]["map"] = [[0, 0, 0, 0]] * 4

@@ -43,6 +43,39 @@ def test_digest_ignores_whitespace_but_not_content(tmp_path):
     assert load_instance(changed).digest != load_instance(packed).digest
 
 
+def _spelled_as_strings(where: str) -> dict:
+    """z2_flip_q.json, its algebra k^2 written out, with one array written as
+    the string of its entries."""
+    data = instance_data("z2_flip_q.json")
+    structure = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+    data["algebra"] = {"structure": structure, "unit": [1, 1]}
+    if where == "dom":
+        data["action"]["id:e1"]["dom"] = "10"
+    elif where == "map":
+        data["action"]["g"]["map"] = ["10", "00"]
+    elif where == "map rows":
+        data["action"]["g"]["map"] = "10"
+    elif where == "unit":
+        data["algebra"]["unit"] = "11"
+    elif where == "structure rows":
+        data["algebra"]["structure"] = [["10", "00"], ["00", "01"]]
+    elif where == "structure plane":
+        data["algebra"]["structure"] = [structure[0], "00"]
+    elif where == "structure":
+        data["algebra"]["structure"] = "12"
+    return data
+
+
+@pytest.mark.parametrize("where", ["dom", "map", "map rows", "unit", "structure rows",
+                                   "structure plane", "structure"])
+def test_strings_where_arrays_are_required_are_rejected(where):
+    # a string of digits used to be read one character at a time, so "dom": "10"
+    # and "map": ["10", "00"] parsed as the real instance, with its digest
+    assert parse_instance(_spelled_as_strings("none")).action.validate().ok
+    with pytest.raises(InstanceFormatError, match="JSON array"):
+        parse_instance(_spelled_as_strings(where))
+
+
 def test_missing_action_entry_is_rejected():
     data = instance_data("partial_bridge_q.json")
     del data["action"]["g"]

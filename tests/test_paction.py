@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from skewalg import (Algebra, DecompositionRequired, Field, Matrix,
@@ -6,8 +8,9 @@ from skewalg import (Algebra, DecompositionRequired, Field, Matrix,
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
-from conftest import (OverlappingObjects, glue_components, instance_data,
-                      renamed_instance)
+from conftest import (INSTANCE_DIR, OverlappingObjects, global_skeleton,
+                      glue_components, instance_data, load_action, renamed_instance,
+                      subspace_invariant_suite, subspace_validate_partial_action)
 
 Q = Field.rationals()
 
@@ -272,3 +275,81 @@ def test_alpha_is_the_stored_map_on_every_shipped_instance():
             for v in vectors:
                 for w in (v, list(v), v):
                     assert pa.alpha(g, w) == pa.matrix(g).apply(v), (path.name, g)
+
+
+# -- the alpha-image checks against the subspace references ---------------------------------
+
+def _relabelled(pa: PartialAction):
+    """Per non-identity arrow g, the actions with alpha_g's map replaced by
+    another arrow's map between the same two domains: every arrow still
+    passes the ring-isomorphism checks."""
+    g_oid = pa.groupoid
+    for g in g_oid.morphisms:
+        if g_oid.is_identity(g):
+            continue
+        for k in g_oid.morphisms:
+            if (pa.idem(k) == pa.idem(g) and pa.idem(g_oid.inv(k)) == pa.idem(g_oid.inv(g))
+                    and pa.matrix(k) != pa.matrix(g)):
+                yield PartialAction(g_oid, pa.algebra, pa.idems, {**pa.maps, g: pa.matrix(k)})
+
+
+def _shrunk(pa: PartialAction, keep_maps: bool):
+    """Per non-identity arrow pair (g, g^-1), A_g shrunk to A f for each central
+    idempotent f below 1_g and A_{g^-1} to A alpha_{g^-1}(f).  With both maps
+    restricted every arrow still passes the ring-isomorphism checks; with the
+    maps kept, alpha_g no longer annihilates the complement of its domain."""
+    g_oid = pa.groupoid
+    alg = pa.algebra
+    for g in g_oid.morphisms:
+        ginv = g_oid.inv(g)
+        if g_oid.is_identity(g):
+            continue
+        candidates = [alg.multiply(pa.idem(g), alg.basis_vector(i)) for i in range(alg.dim)]
+        candidates += [alg.multiply(pa.idem(g), pa.idem(k)) for k in g_oid.morphisms]
+        for f in dict.fromkeys(candidates):
+            if f == pa.idem(g) or not any(f) or not alg.is_central_idempotent(f):
+                continue
+            f_src = pa.alpha(ginv, f)
+            if g == ginv and f_src != f:
+                continue
+            idems = {**pa.idems, g: f, ginv: f_src}
+            maps = pa.maps if keep_maps else {
+                **pa.maps, g: pa.matrix(g) * alg.right_mul_matrix(f_src),
+                ginv: pa.matrix(ginv) * alg.right_mul_matrix(f)}
+            yield PartialAction(g_oid, alg, idems, maps)
+
+
+def _reference_corpus():
+    """The shipped instances, seeded fuzz and global skeletons over Q, GF(2)
+    and GF(3), and the planted corruptions of each."""
+    shipped = [load_action(p.name) for p in sorted(INSTANCE_DIR.glob("*.json"))]
+    rng = random.Random(16)
+    skeletons = [random_skeleton(rng) for _ in range(30)]
+    skeletons += [global_skeleton(rng) for _ in range(10)]
+    fuzzed = [parse_instance(skeleton_to_instance(skel, f)).action
+              for skel in skeletons for f in ("Q", "GF(2)", "GF(3)")]
+    for pa in shipped + fuzzed:
+        yield pa
+        yield from _relabelled(pa)
+        yield from _shrunk(pa, keep_maps=False)
+        yield from _shrunk(pa, keep_maps=True)
+
+
+def test_alpha_image_checks_match_the_subspace_references():
+    seen = set()
+    suites = set()
+    count = 0
+    for pa in _reference_corpus():
+        report = validate_partial_action(pa)
+        assert report.violations == subspace_validate_partial_action(pa).violations
+        seen |= {v.message if "complement" in v.message else v.code
+                 for v in report.violations}
+        if not report.codes() & {"NotIdempotentDomain", "NotRingIso"}:
+            suite = invariant_suite(pa)
+            assert suite == subspace_invariant_suite(pa)
+            suites.add(tuple(suite.values()))
+        count += 1
+    assert count > 300
+    assert {"AxiomII", "AxiomIII"} <= seen
+    assert any("complement" in m for m in seen)
+    assert (True, True, True) in suites and len(suites) > 2

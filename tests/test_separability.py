@@ -21,7 +21,8 @@ from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
 from conftest import (INSTANCE_DIR, dense_oracle_system, from_coords,
-                      glue_components, intersect, lift, load_action, psi_of,
+                      global_skeleton, glue_components, intersect, lift,
+                      load_action, psi_of,
                       pure_tensor, restricted_component_family, ring_coords,
                       ring_isotropy_iso, square_certificate)
 from test_skewring import closed_form_corpus
@@ -451,20 +452,12 @@ def test_psi_on_identity_arrow_is_identity(pair_swap):
     assert psi.matrix == Matrix.identity(Q, dim)
 
 
-def _global_skeleton(rng: random.Random) -> dict:
-    """A fuzzer skeleton with every object keeping all its letters: a global action."""
-    skel = random_skeleton(rng)
-    for c in skel["components"]:
-        c["T"] = [list(range(c["d"])) for _ in range(c["k"])]
-    return skel
-
-
 def _global_corpus() -> list:
     """Every shipped global instance, then seeded global skeletons over Q,
     GF(2) and GF(3)."""
     shipped = [load_action(p.name) for p in sorted(INSTANCE_DIR.glob("*.json"))]
     rng = random.Random(15)
-    fuzzed = [parse_instance(skeleton_to_instance(_global_skeleton(rng), f)).action
+    fuzzed = [parse_instance(skeleton_to_instance(global_skeleton(rng), f)).action
               for _ in range(12) for f in ("Q", "GF(2)", "GF(3)")]
     return [pa for pa in shipped if pa.is_global()] + fuzzed
 
