@@ -12,6 +12,12 @@ verified against the definition with the closed-form psi actions of
 `oracle_separability` instead solves the defining conditions m(x) = 1 and
 bx = xb directly in the quotient coordinates of `TensorOverA`, over the
 ring table: an independent check of the criterion and of the certificate.
+A*G is graded by the morphisms, so that system is block-diagonal over the
+conjugacy classes of the products gh of the square's blocks (g, h), and
+only the class of identities, the blocks (g, g^-1), has a nonzero
+right-hand side (Nastasescu, Van den Bergh and Van Oystaeyen, "Separable
+functors applied to graded rings", J. Algebra 123, 1989); the oracle solves
+that class alone, ring.dim unknowns.
 For global actions, `isotropy_transport_psi` checks the conjugation
 isomorphism between the isotropy skew group rings A_i * G(e_i) and
 A_j * G(e_j) on A's vectors as well, through `skew_ring.skew_product`, so no
@@ -132,9 +138,20 @@ class SeparabilityVerdict:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """The oracle's verdict, its tensor square and its solution set.
+
+    `solutions` is in the quotient coordinates of `tensor` and is the
+    solution set of the identity class only: A*G is graded by the morphisms,
+    the system splits over the conjugacy classes of the products gh, and
+    only the blocks (g, g^-1) have a nonzero right-hand side.  Its particular
+    solution is that of the whole system; its kernel is the part of the
+    whole kernel supported on the blocks (g, g^-1), so every vector is zero
+    off them.
+    """
+
     separable: bool
     tensor: TensorOverA
-    solutions: AffineSolutionSet         # in tensor quotient coordinates
+    solutions: AffineSolutionSet
 
 
 def _component_family(pa: PartialAction, cls, solve_at) -> AffineSolutionSet:
@@ -279,26 +296,54 @@ def oracle_separability(pa: PartialAction) -> OracleResult:
     """Directly solve m(x) = 1 and bx = xb in the tensor square of the ring.
 
     This is the definition of a separability element, so it is an oracle for
-    the trace criterion: the two must agree on every instance.  The system is
-    the rows of m (right-hand side the unit) and, for each ring basis element
-    b_p, the nonzero rows of x |-> b_p x - x b_p read sparsely off the ring
-    table (`TensorOverA.commutator_rows`), each distinct row once.  Dropping
-    zero and repeated rows with right-hand side 0 keeps the row space of
-    [M | b], so the solution set is that of the full system over all b.
+    the trace criterion: the two must agree on every instance.  Only the
+    unknowns of the blocks (g, g^-1) are solved for (`TensorOverA.unit_class`,
+    ring.dim of them): the system is the rows of m (right-hand side the unit)
+    and, for each ring basis element b_p, the nonzero rows of
+    x |-> b_p x - x b_p on those unknowns, read sparsely off the ring table
+    as psi-images of the output blocks (`TensorOverA.commutator_rows`), each
+    distinct row once.  The solutions are padded with zeros to the whole
+    quotient.
+
+    This is exact because A*G is graded by the morphisms (the graded-ring
+    argument of Nastasescu, Van den Bergh and Van Oystaeyen, "Separable
+    functors applied to graded rings", J. Algebra 123, 1989).  A homogeneous
+    b of degree k sends block (g, h) to (kg, h) on the left and to (g, hk) on
+    the right, and m sends it to degree gh, so the full system [M | b] is
+    block-diagonal over the conjugacy classes of the products gh: a row that
+    reads a block (g, g^-1) reads only such blocks.  Only the class of
+    identities, the blocks (g, g^-1), has a nonzero right-hand side; every
+    other class is homogeneous and solved by 0.  psi maps each quotient block
+    isomorphically onto its image, so a psi-image row and a quotient row of
+    one output block span the same space.  The reduced echelon form of a
+    block-diagonal system is the union of its blocks' forms, so the
+    canonical particular solution is that of the full system, and the kernel
+    is the part of the full kernel on the blocks (g, g^-1).
     """
     pa.ensure_valid()
     pa.require_decomposition()
     tensor = tensor_square(pa)
     ring = tensor.ring
     field = ring.field
-    rows = list(tensor.mult_matrix().data)
+    cols = tensor.unit_class
+    rows = list(tensor.mult_matrix(cols).data)
     rhs = list(ring.unit())
     commutators = dict.fromkeys(row for p in range(ring.dim)
-                                for row in tensor.commutator_rows(p))
+                                for row in tensor.commutator_rows(p, cols))
     rows.extend(commutators)
     rhs.extend([field.zero] * len(commutators))
-    sol = solve_affine(Matrix._trusted(field, tuple(rows), tensor.dim), rhs)
-    return OracleResult(not sol.is_empty, tensor, sol)
+    sol = solve_affine(Matrix._trusted(field, tuple(rows), len(cols)), rhs)
+    if sol.is_empty:
+        return OracleResult(False, tensor, sol)
+
+    def padded(v) -> tuple:
+        out = [field.zero] * tensor.dim
+        for k, c in zip(cols, v):
+            out[k] = c
+        return tuple(out)
+
+    return OracleResult(True, tensor, AffineSolutionSet(
+        padded(sol.particular), tuple(padded(v) for v in sol.kernel_basis), field))
 
 
 def normal_form_coefficients(pa: PartialAction, tensor: TensorOverA, qcoords) -> dict:

@@ -200,9 +200,14 @@ class TensorOverA:
     of a block are those `psi_block` chooses, the free columns of the
     leftmost-pivot echelon form of the balancing relations, so `q_coords`
     (the canonical lift of each quotient basis vector) is the canonical one
-    of the quotient by relations.  `project` sums, per ambient coordinate,
-    the coordinates of its psi-image in the basis of free psi-images
-    (`q_psi`), stored at construction.
+    of the quotient by relations; `q_psi` holds their psi-images and
+    `unit_class` the quotient coordinates of the blocks (g, g^-1).
+    Construction covers every composable block: it checks each basis pair's
+    table product against its psi-image and records the pair's nonzero
+    psi-image keyed by (block, coordinate in A) (`_psi_at`), which
+    `commutator_rows` reads in place of quotient coordinates.  `project`
+    needs each block's change of basis to the free psi-images
+    (`psi_coords`), built on its first call.
     """
 
     def __init__(self, ring: SkewRing):
@@ -214,7 +219,10 @@ class TensorOverA:
         g_oid = act.groupoid
         q_coords: list = []
         q_psi: list = []
-        self._q_of: dict = {}         # ambient coordinate -> ((quotient k, value), ...)
+        unit_class: list = []
+        self._psi_at: dict = {}       # ambient coordinate -> ((row key, value), ...)
+        self._blocks: list = []       # (g, ps, h, qs, first quotient coordinate)
+        self._q_of = None             # ambient coordinate -> ((quotient k, value), ...)
         # a block (g, h) with A_g = 0 is empty; skipping it also skips
         # applying alpha_g to the basis of A_h
         runs = [(g, range(at, at + act.ideal(g).dim))
@@ -222,49 +230,76 @@ class TensorOverA:
         for g, ps in runs:
             for h, qs in runs:
                 if g_oid.src[g] == g_oid.tgt[h]:
-                    lifts, psi = self._read_block(g, ps, h, qs, len(q_coords))
+                    off = len(q_coords)
+                    lifts, psi = self._read_block(g, ps, h, qs, len(self._blocks))
+                    self._blocks.append((g, ps, h, qs, off))
                     q_coords.extend(lifts)
                     q_psi.extend(psi)
+                    if h == g_oid.inv(g):
+                        unit_class.extend(range(off, len(q_coords)))
         self.q_coords = tuple(q_coords)   # ambient coordinate lifting each quotient one
         self.q_psi = tuple(q_psi)         # psi-image of each quotient basis vector
+        self.unit_class = tuple(unit_class)
         self.dim = len(self.q_coords)
 
     # -- construction -------------------------------------------------------
 
-    def _read_block(self, g, ps, h, qs, off: int) -> tuple:
-        """(lifts, psi-images) of the free pairs of block (g, h), whose
-        quotient coordinates start at `off`; records each ambient coordinate's
-        quotient coordinates in `_q_of`."""
+    def _pairs(self, ps, qs) -> list:
+        """The ambient coordinates of a block, in the pair order of `psi_block`."""
+        return [p * self.n + q for p in ps for q in qs]
+
+    def _read_block(self, g, ps, h, qs, index: int) -> tuple:
+        """(lifts, psi-images) of the free pairs of block (g, h), the
+        `index`-th composable block; checks that each pair's table product is
+        its psi-image at d_{gh} and records the psi-image in `_psi_at`."""
         ring = self.ring
         act = ring.action
         gh = act.groupoid.compose[(g, h)]
         target = act.ideal(gh)
-        images, kinds, free, pivots = psi_block(act, g, h)
-        coords = [p * self.n + q for p in ps for q in qs]   # same order as kinds
+        images, kinds, free, _ = psi_block(act, g, h)
+        coords = self._pairs(ps, qs)
         products = [ring._scatter(gh, y) if target.contains(y) else None for y in images]
+        base = index * act.algebra.dim
+        keyed = [tuple((base + a, t) for a, t in enumerate(y) if t) for y in images]
+        psi_at = self._psi_at
         for c, k in zip(coords, kinds):
             p, q = divmod(c, self.n)
             if ring._table[p][q] != products[k]:
                 raise SkewRingError(
                     "multiplication does not factor through the tensor quotient")
-        if not free:
-            return (), ()
-        basis = [images[kinds[f]] for f in free]
-        q = psi_coords(ring.field, pivots, basis, images)
-        q_of = [tuple((off + i, t) for i, t in enumerate(row) if t) for row in q.data]
-        for c, k in zip(coords, kinds):
-            if q_of[k]:
-                self._q_of[c] = q_of[k]
-        return [coords[f] for f in free], basis
+            if keyed[k]:
+                psi_at[c] = keyed[k]
+        return [coords[f] for f in free], [images[kinds[f]] for f in free]
+
+    def _quotient_of(self) -> dict:
+        """Each ambient coordinate's quotient coordinates: per block, the
+        coordinates of the pair's psi-image over the free psi-images."""
+        if self._q_of is None:
+            act = self.ring.action
+            q_of: dict = {}
+            for g, ps, h, qs, off in self._blocks:
+                images, kinds, free, pivots = psi_block(act, g, h)
+                if not free:
+                    continue
+                basis = [images[kinds[f]] for f in free]
+                q = psi_coords(self.ring.field, pivots, basis, images)
+                local = [tuple((off + i, t) for i, t in enumerate(row) if t)
+                         for row in q.data]
+                for c, k in zip(self._pairs(ps, qs), kinds):
+                    if local[k]:
+                        q_of[c] = local[k]
+            self._q_of = q_of
+        return self._q_of
 
     # -- coordinates -----------------------------------------------------------
 
     def project(self, ambient: dict) -> tuple:
         """Quotient coordinates of a sparse ambient vector {coordinate: value}."""
         field = self.ring.field
+        q_of = self._quotient_of()
         acc: dict = {}
         for c, v in ambient.items():
-            for k, t in self._q_of.get(c, ()):
+            for k, t in q_of.get(c, ()):
                 acc[k] = acc[k] + v * t if k in acc else v * t
         out = [field.zero] * self.dim
         for k, v in field.reduce_dict(acc).items():
@@ -311,49 +346,55 @@ class TensorOverA:
                     out[coord] = out.get(coord, zero) + v * bj * t
         return ring.field.reduce_dict(out)
 
-    def commutator_rows(self, p: int) -> list:
-        """The nonzero rows of x |-> b_p x - x b_p in quotient coordinates.
+    def commutator_rows(self, p: int, cols) -> list:
+        """The nonzero rows of x |-> b_p x - x b_p on the quotient basis
+        vectors `cols`, one row per coordinate in A of an output block.
 
-        Column k is the image of the lift b_p0 (x) b_q0 of quotient basis
-        vector k: the left leg b_p b_p0 reads `_table[p][p0]`, the right leg
-        b_q0 b_p reads `_table[q0][p]`, and both project through `_q_of` into
-        one accumulator keyed by row * dim + column, reduced once and then
-        transposed into rows.
+        Column j is the image of the lift b_p0 (x) b_q0 of quotient basis
+        vector cols[j]: the left leg b_p b_p0 reads `_table[p][p0]`, the right
+        leg b_q0 b_p reads `_table[q0][p]`, and each output pair adds its
+        psi-image (`_psi_at`) into one accumulator keyed by row * len(cols) +
+        column, reduced once and then transposed into rows.  psi maps each
+        quotient block isomorphically onto its image, so these rows span the
+        same space as the rows in quotient coordinates.
         """
         table = self.ring._table
         field = self.ring.field
         zero = field.zero
-        n, dim, q_of = self.n, self.dim, self._q_of
+        n, width, psi_at = self.n, len(cols), self._psi_at
         left = table[p]
         acc: dict = {}
-        for k, c in enumerate(self.q_coords):
-            p0, q0 = divmod(c, n)
+        for col, k in enumerate(cols):
+            p0, q0 = divmod(self.q_coords[k], n)
             for i, t in left[p0].items():
-                for j, s in q_of.get(i * n + q0, ()):
-                    key = j * dim + k
+                for j, s in psi_at.get(i * n + q0, ()):
+                    key = j * width + col
                     acc[key] = acc.get(key, zero) + t * s
             for i, t in table[q0][p].items():
-                for j, s in q_of.get(p0 * n + i, ()):
-                    key = j * dim + k
+                for j, s in psi_at.get(p0 * n + i, ()):
+                    key = j * width + col
                     acc[key] = acc.get(key, zero) - t * s
         rows: dict = {}
         for key, v in field.reduce_dict(acc).items():
-            j, k = divmod(key, dim)
+            j, col = divmod(key, width)
             row = rows.get(j)
             if row is None:
-                row = rows[j] = [zero] * dim
-            row[k] = v
+                row = rows[j] = [zero] * width
+            row[col] = v
         return [tuple(rows[j]) for j in sorted(rows)]
 
-    def _matrix_of(self, image) -> Matrix:
-        """Matrix whose column k is `image` of the lift of quotient basis vector k."""
+    def _matrix_of(self, image, cols=None) -> Matrix:
+        """Matrix whose column j is `image` of the lift of quotient basis
+        vector cols[j] (default: every quotient basis vector, in order)."""
         field = self.ring.field
-        cols = [image({c: field.one}) for c in self.q_coords]
-        return Matrix._trusted(field, tuple(zip(*cols)), len(cols))
+        lifts = self.q_coords if cols is None else [self.q_coords[k] for k in cols]
+        images = [image({c: field.one}) for c in lifts]
+        return Matrix._trusted(field, tuple(zip(*images)), len(images))
 
-    def mult_matrix(self) -> Matrix:
-        """The induced map (quotient coords) -> (ring coords)."""
-        return self._matrix_of(self.multiply_ambient)
+    def mult_matrix(self, cols=None) -> Matrix:
+        """The induced map (quotient coords) -> (ring coords), on the quotient
+        basis vectors `cols` (default all)."""
+        return self._matrix_of(self.multiply_ambient, cols)
 
     def left_matrix(self, b_coords) -> Matrix:
         return self._matrix_of(

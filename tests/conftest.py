@@ -343,6 +343,80 @@ def dense_oracle_system(tensor):
     return Matrix(field, rows, ncols=tensor.dim), rhs
 
 
+def full_oracle_system(tensor):
+    """Reference for `oracle_separability`: the system over the whole square
+    as (matrix, rhs), as the oracle solved it before it kept only the blocks
+    (g, g^-1).
+
+    The rows of `mult_matrix` with the ring unit as right-hand side, then,
+    for each ring basis element b_p, the nonzero rows of x |-> b_p x - x b_p
+    in quotient coordinates over every column, each distinct row once: the
+    left leg b_p b_p0 reads the ring table at (p, p0), the right leg b_q0 b_p
+    at (q0, p), and each output pair is projected into the quotient.
+    """
+    ring = tensor.ring
+    field = ring.field
+    zero = field.zero
+    table = ring._table
+    n, dim = tensor.n, tensor.dim
+    quotient: dict = {}
+
+    def q_of(c):
+        if c not in quotient:
+            quotient[c] = [(j, v) for j, v in
+                           enumerate(tensor.project({c: field.one})) if v]
+        return quotient[c]
+
+    rows = list(tensor.mult_matrix().data)
+    rhs = list(ring.unit())
+    commutators: dict = {}
+    for p in range(ring.dim):
+        acc: dict = {}
+        for k, c in enumerate(tensor.q_coords):
+            p0, q0 = divmod(c, n)
+            for i, t in table[p][p0].items():
+                for j, s in q_of(i * n + q0):
+                    acc[j, k] = acc.get((j, k), zero) + t * s
+            for i, t in table[q0][p].items():
+                for j, s in q_of(p0 * n + i):
+                    acc[j, k] = acc.get((j, k), zero) - t * s
+        out: dict = {}
+        for (j, k), v in field.reduce_dict(acc).items():
+            out.setdefault(j, [zero] * dim)[k] = v
+        commutators.update(dict.fromkeys(tuple(out[j]) for j in sorted(out)))
+    rows.extend(commutators)
+    rhs.extend([zero] * len(commutators))
+    return Matrix(field, rows, ncols=dim), rhs
+
+
+def product_classes(groupoid) -> dict:
+    """Morphism -> its conjugacy class, the least morphism in groupoid order
+    among those linked to it by x ~ k x k^-1 (x a loop at the source of k)."""
+    order = {g: i for i, g in enumerate(groupoid.morphisms)}
+    parent = {g: g for g in groupoid.morphisms}
+
+    def find(g):
+        while parent[g] != g:
+            g = parent[g]
+        return g
+
+    for k in groupoid.morphisms:
+        src = groupoid.src[k]
+        for x in groupoid.hom_set(src, src):
+            conj = groupoid.compose[(groupoid.compose[(k, x)], groupoid.inv(k))]
+            a, b = sorted((find(x), find(conj)), key=order.get)
+            parent[b] = a
+    return {g: find(g) for g in groupoid.morphisms}
+
+
+def column_products(tensor) -> list:
+    """The product gh of the block (g, h) of each quotient coordinate."""
+    ring = tensor.ring
+    compose = ring.action.groupoid.compose
+    return [compose[(ring.basis[p][0], ring.basis[q][0])]
+            for p, q in (divmod(c, tensor.n) for c in tensor.q_coords)]
+
+
 # -- the square-based certificate reference ------------------------------------------
 
 def pure_tensor(tensor, xc, yc) -> dict:

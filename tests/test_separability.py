@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -15,15 +16,16 @@ from skewalg.separability import (EmptyHomSet, NotGlobal, WitnessInvalid,
                                   oracle_separability, separability_checks,
                                   trace_between, trace_into,
                                   trace_invariant_suite, trace_total)
-from skewalg.skew_ring import (psi_left, psi_multiply, psi_right, psi_tensor_dim,
-                               tensor_square)
+from skewalg.skew_ring import (psi_coords, psi_left, psi_multiply, psi_right,
+                               psi_tensor_dim, tensor_square)
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
-from conftest import (INSTANCE_DIR, dense_oracle_system, from_coords,
-                      global_skeleton, glue_components, intersect, lift,
-                      load_action, psi_of,
-                      pure_tensor, restricted_component_family, ring_coords,
+from conftest import (INSTANCE_DIR, column_products, dense_oracle_system,
+                      from_coords, full_oracle_system, global_skeleton,
+                      glue_components, intersect, lift, load_action,
+                      product_classes, psi_of, pure_tensor,
+                      restricted_component_family, ring_coords,
                       ring_isotropy_iso, square_certificate)
 from test_skewring import closed_form_corpus
 
@@ -353,42 +355,145 @@ def test_extraction_satisfies_the_diagonal_identity(bridge):
         assert bridge.alpha(g, diag) == got
 
 
-def test_oracle_matches_the_dense_reference_system():
-    # the sparse, deduplicated commutation rows against the dense system of
-    # L_b - R_b over every ring basis element b: the same solution set
+def assert_restricts(res, full):
+    """`res.solutions` is the solution set `full` of the whole system cut
+    down to the identity class: the same verdict and particular solution,
+    and as kernel the kernel rows supported on the blocks (g, g^-1)."""
+    unit_class = set(res.tensor.unit_class)
+    assert res.separable == (not full.is_empty)
+    assert res.solutions.particular == full.particular
+    assert res.solutions.kernel_basis == tuple(
+        v for v in full.kernel_basis
+        if all(k in unit_class for k, c in enumerate(v) if c))
+
+
+def test_oracle_matches_the_full_reference_system():
+    # the oracle solves only the blocks (g, g^-1); the whole system over the
+    # square has the same verdict, particular solution and extracted witness
     for pa in closed_form_corpus():
         res = oracle_separability(pa)
-        assert res.solutions == solve_affine(*dense_oracle_system(res.tensor))
+        full = solve_affine(*full_oracle_system(res.tensor))
+        assert_restricts(res, full)
+        if res.separable:
+            assert extract_witness(pa, res.tensor, res.solutions.particular) == \
+                extract_witness(pa, res.tensor, full.particular)
+
+
+def test_oracle_matches_the_dense_reference_system():
+    # the sparse, deduplicated psi rows on the blocks (g, g^-1) against the
+    # dense system of L_b - R_b over every ring basis element b
+    for pa in closed_form_corpus():
+        res = oracle_separability(pa)
+        assert_restricts(res, solve_affine(*dense_oracle_system(res.tensor)))
 
 
 def test_commutator_rows_span_the_dense_difference():
-    # for each basis element b_p, the nonzero rows of b_p x - x b_p span the
-    # row space of left_matrix(b_p) - right_matrix(b_p)
+    # for each basis element b_p, the nonzero psi rows of b_p x - x b_p on the
+    # blocks (g, g^-1) span the row space of left_matrix(b_p) - right_matrix(b_p)
+    # restricted to those columns
     for pa in closed_form_corpus():
         tensor = tensor_square(pa)
         ring = tensor.ring
+        cols = tensor.unit_class
         for p in range(ring.dim):
             b = ring.basis_coords(p)
-            rows = tensor.commutator_rows(p)
+            rows = tensor.commutator_rows(p, cols)
             assert all(any(r) for r in rows)
             dense = tensor.left_matrix(b) - tensor.right_matrix(b)
-            assert (echelon(ring.field, rows, tensor.dim) ==
-                    echelon(ring.field, dense.data, tensor.dim))
+            restricted = [tuple(r[k] for k in cols) for r in dense.data]
+            assert (echelon(ring.field, rows, len(cols)) ==
+                    echelon(ring.field, restricted, len(cols)))
+
+
+def test_the_dense_system_is_block_diagonal_over_product_classes():
+    # every nonzero row reads the blocks (g, h) of one conjugacy class of
+    # products gh, and only rows of m at identity degrees, which read the
+    # blocks (g, g^-1), have a nonzero right-hand side
+    for pa in closed_form_corpus():
+        tensor = tensor_square(pa)
+        ring = tensor.ring
+        g_oid = pa.groupoid
+        classes = product_classes(g_oid)
+        identities = {classes[i] for i in g_oid.identity.values()}
+        col_class = [classes[c] for c in column_products(tensor)]
+        unit_class = set(tensor.unit_class)
+        assert unit_class == {k for k, c in enumerate(col_class) if c in identities}
+        matrix, rhs = dense_oracle_system(tensor)
+        for r, (row, b) in enumerate(zip(matrix.data, rhs)):
+            read = {col_class[k] for k, c in enumerate(row) if c}
+            assert len(read) <= 1
+            if b:
+                assert r < ring.dim and ring.basis[r][0] in g_oid.identity.values()
+                assert read <= identities
+
+
+@pytest.mark.parametrize("name", ["partial_bridge_q.json", "ring 48"])
+def test_the_oracle_builds_no_change_of_basis(name, monkeypatch, tmp_path, capsys):
+    # the oracle reads psi-images only, so it calls psi_coords for no block
+    # (it called it once per composable block with free pairs); a whole
+    # --oracle run calls it only for the certificate, once per nonzero
+    # block (g, g^-1) of the idempotent
+    from skewalg import cli, separability, skew_ring
+
+    if name == "ring 48":
+        path = tmp_path / "ring48.json"
+        path.write_text(json.dumps(skeleton_to_instance(RING_48, "Q")))
+    else:
+        path = INSTANCE_DIR / name
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return psi_coords(*args)
+
+    monkeypatch.setattr(skew_ring, "psi_coords", counted)
+    monkeypatch.setattr(separability, "psi_coords", counted)
+    pa = parse_instance(json.loads(path.read_text())).action
+    assert oracle_separability(pa).separable
+    assert calls == []
+    blocks = decide_separability(pa).certificate.blocks
+    inv = pa.groupoid.inv
+    assert blocks and all(h == inv(g) for g, h in blocks)
+    calls.clear()
+    assert cli.main(["separability", str(path), "--oracle"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(blocks)
+
+
+RING_48 = {"components": [{"k": 2, "m": 3, "d": 4, "sigma": [1, 2, 0, 3],
+                           "tau": [[0, 1, 2, 3]] * 2, "T": [[0, 1, 2, 3]] * 2}]}
 
 
 def test_oracle_on_the_ring_48_skeleton():
     # two objects, Z/3 isotropy, all four letters kept, sigma a 3-cycle and a
     # fixed point: ring 48, square 2304 -> 288, separable unless char is 3
-    skel = {"components": [{"k": 2, "m": 3, "d": 4, "sigma": [1, 2, 0, 3],
-                            "tau": [[0, 1, 2, 3]] * 2, "T": [[0, 1, 2, 3]] * 2}]}
     for fdesc in ("Q", "GF(2)"):
-        pa = parse_instance(skeleton_to_instance(skel, fdesc)).action
+        pa = parse_instance(skeleton_to_instance(RING_48, fdesc)).action
         verdict = decide_separability(pa)
         res = oracle_separability(pa)
         tensor = res.tensor
         assert (tensor.ring.dim, tensor.ambient_dim, tensor.dim) == (48, 2304, 288)
         assert verdict.separable and res.separable
         assert is_witness(pa, extract_witness(pa, tensor, res.solutions.particular))
+
+
+def test_oracle_on_the_ring_80_skeleton(monkeypatch):
+    # two objects, Z/4 isotropy, all five letters kept, sigma a 3-cycle and
+    # two fixed points: ring 80, square 6400 -> 640, over the default cap;
+    # separable over Q, not over GF(2), where 2 divides the isotropy orders
+    monkeypatch.setenv("SKEWALG_MAX_DIM", "6400")
+    skel = {"components": [{"k": 2, "m": 4, "d": 5, "sigma": [4, 1, 3, 2, 0],
+                            "tau": [[3, 0, 1, 2, 4], [3, 2, 4, 0, 1]],
+                            "T": [[0, 1, 2, 3, 4]] * 2}]}
+    for fdesc, separable in (("Q", True), ("GF(2)", False)):
+        pa = parse_instance(skeleton_to_instance(skel, fdesc)).action
+        verdict = decide_separability(pa)
+        res = oracle_separability(pa)
+        tensor = res.tensor
+        assert (tensor.ring.dim, tensor.ambient_dim, tensor.dim) == (80, 6400, 640)
+        assert verdict.separable == res.separable == separable
+        if separable:
+            assert is_witness(pa, extract_witness(pa, tensor, res.solutions.particular))
 
 
 # -- global actions ----------------------------------------------------------------------------
