@@ -212,6 +212,17 @@ def cmd_fuzz(args) -> tuple:
     return report, 0 if report["ok"] else 1
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+    parse.__name__ = "int"      # argparse names it in "invalid int value"
+    return parse
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared afterwards."""
@@ -238,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     with_file(sub.add_parser("skew-table", help="basis multiplication table"))
     sp = sub.add_parser("fuzz", help="random differential testing")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=10)
-    sp.add_argument("--max-morphisms", type=int, default=6)
-    sp.add_argument("--max-dim", type=int, default=6)
+    sp.add_argument("--count", type=_int_at_least(0), default=10)
+    sp.add_argument("--max-morphisms", type=_int_at_least(1), default=6)
+    sp.add_argument("--max-dim", type=_int_at_least(1), default=6)
     sp.add_argument("--out", help="also write the report to this path")
     return p
 

@@ -67,6 +67,7 @@ class Groupoid:
         self.identity = dict(identity)
         self.compose = dict(compose)
         self.inverse = dict(inverse)
+        self._into: dict | None = None
         if len(set(self.objects)) != len(self.objects):
             raise GroupoidError("duplicate object names")
         if len(set(self.morphisms)) != len(self.morphisms):
@@ -94,11 +95,21 @@ class Groupoid:
         except KeyError:
             raise UnknownMorphism("no inverse recorded for %r" % (g,)) from None
 
+    def _arrows_into(self, e) -> tuple:
+        """The morphisms with target e, in morphism order; every morphism
+        must have a target."""
+        if self._into is None:
+            into: dict = {}
+            for m in self.morphisms:
+                into.setdefault(self.tgt[m], []).append(m)
+            self._into = {f: tuple(ms) for f, ms in into.items()}
+        return self._into.get(e, ())
+
     def composable_pairs(self):
+        """The pairs (g, h) with src(g) == tgt(h), g then h in morphism order."""
         for g in self.morphisms:
-            for h in self.morphisms:
-                if self.src[g] == self.tgt[h]:
-                    yield g, h
+            for h in self._arrows_into(self.src[g]):
+                yield g, h
 
     # -- spec operations -------------------------------------------------
 
@@ -227,10 +238,10 @@ def validate_groupoid(g: Groupoid) -> ValidationReport:
             flag("BadComposition", "product %r*%r defined but not composable" % (a, b))
         elif g.tgt[c] != g.tgt[a] or g.src[c] != g.src[b]:
             flag("BadComposition", "product %r*%r has wrong endpoints" % (a, b))
-    for a in g.morphisms:
-        for b in g.morphisms:
-            if g.src[a] == g.tgt[b] and (a, b) not in g.compose:
-                flag("BadComposition", "composable pair (%r,%r) missing from table" % (a, b))
+    # every morphism has known endpoints from here on, so `_arrows_into` is defined
+    for a, b in g.composable_pairs():
+        if (a, b) not in g.compose:
+            flag("BadComposition", "composable pair (%r,%r) missing from table" % (a, b))
     if any(v.code == "BadComposition" for v in bad):
         return ValidationReport(tuple(bad))
 
@@ -249,15 +260,10 @@ def validate_groupoid(g: Groupoid) -> ValidationReport:
         if (g.compose.get((m, n)) != g.identity[g.tgt[m]]
                 or g.compose.get((n, m)) != g.identity[g.src[m]]):
             flag("MissingInverse", "%r and %r do not compose to identities" % (m, n))
-    for a in g.morphisms:
-        for b in g.morphisms:
-            if g.src[a] != g.tgt[b]:
-                continue
-            ab = g.compose[(a, b)]
-            for c in g.morphisms:
-                if g.src[b] != g.tgt[c]:
-                    continue
-                if g.compose[(ab, c)] != g.compose[(a, g.compose[(b, c)])]:
-                    flag("NonAssociative",
-                         "(%r*%r)*%r != %r*(%r*%r)" % (a, b, c, a, b, c))
+    for a, b in g.composable_pairs():
+        ab = g.compose[(a, b)]
+        for c in g._arrows_into(g.src[b]):
+            if g.compose[(ab, c)] != g.compose[(a, g.compose[(b, c)])]:
+                flag("NonAssociative",
+                     "(%r*%r)*%r != %r*(%r*%r)" % (a, b, c, a, b, c))
     return ValidationReport(tuple(bad))

@@ -173,6 +173,16 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
       alpha_g(alpha_h(u p)), and u p spans A p as u runs over a basis of
       A_{h^-1}, so III (alpha_g alpha_h = alpha_gh on A p) holds iff
       alpha_g(alpha_h(u)) == alpha_gh(u p) on ideal(h^-1).rows.
+
+    p is pulled back through alpha_{h^-1} instead of an inverse of alpha_h:
+    the candidate c = alpha_{h^-1}(1_{g^-1} 1_h) is accepted iff
+    alpha_h(c) == 1_{g^-1} 1_h.  This is exact.  Every arrow has passed the
+    checks above and (h^-1)^-1 = h in a groupoid, so the stored map of h^-1
+    annihilates A(1 - 1_h) and maps A_h onto A_{h^-1}: c lies in A_{h^-1}.
+    alpha_h is injective on A_{h^-1}, so an accepted c is the one preimage p
+    there.  On a valid action alpha_{h^-1} inverts alpha_h and c is always
+    accepted; only when it is rejected is p computed through the inverse of
+    `restricted_matrix(h)`, built once per such h.
     """
     g_oid = pa.groupoid
     alg = pa.algebra
@@ -233,13 +243,17 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
     if iso_ok != set(g_oid.morphisms):
         return ValidationReport(tuple(bad))
 
-    # every restricted map is invertible once each morphism passed iso_ok
-    inverses = {h: pa.restricted_matrix(h).inverse() for h in g_oid.morphisms}
+    inverses = {}
     for g, h in g_oid.composable_pairs():
         gh = g_oid.compose[(g, h)]
-        hinv_ideal = pa.ideal(g_oid.inv(h))
+        hinv = g_oid.inv(h)
+        hinv_ideal = pa.ideal(hinv)
         meet = alg.multiply(pa.idem(g_oid.inv(g)), pa.idem(h))
-        p = hinv_ideal.combine(inverses[h].apply(pa.ideal(h).coords(meet)))
+        p = pa.alpha(hinv, meet)
+        if pa.alpha(h, p) != meet:
+            if h not in inverses:
+                inverses[h] = pa.restricted_matrix(h).inverse()
+            p = hinv_ideal.combine(inverses[h].apply(pa.ideal(h).coords(meet)))
         if alg.multiply(p, pa.idem(g_oid.inv(gh))) != p:
             flag("AxiomII",
                  "preimage of A_%s^-1 /\\ A_%s under alpha_%s leaves A_(%s)^-1" %

@@ -258,7 +258,11 @@ class TensorOverA:
         target = act.ideal(gh)
         images, kinds, free, _ = psi_block(act, g, h)
         coords = self._pairs(ps, qs)
-        products = [ring._scatter(gh, y) if target.contains(y) else None for y in images]
+        # one reduction per image: a contained y has its coordinates in A_gh
+        # at the pivots, as in `Echelon.coords`
+        at = ring.starts[gh]
+        products = [{at + k: y[p] for k, p in enumerate(target.pivots) if y[p]}
+                    if target.contains(y) else None for y in images]
         base = index * act.algebra.dim
         keyed = [tuple((base + a, t) for a, t in enumerate(y) if t) for y in images]
         psi_at = self._psi_at

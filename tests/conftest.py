@@ -548,6 +548,75 @@ def dense_nonassociative_triple(table, field):
     return None
 
 
+def full_scan_validate_groupoid(g: Groupoid) -> ValidationReport:
+    """Reference for `validate_groupoid`: the same laws in the same order,
+    finding the composable pairs and triples by scanning all |G|^2 pairs and
+    |G|^3 triples."""
+    bad = []
+
+    def flag(code, msg):
+        bad.append(Violation(code, msg))
+
+    for e in g.objects:
+        i = g.identity.get(e)
+        if i is None or i not in g.src:
+            flag("BadIdentity", "object %r has no identity morphism" % (e,))
+        elif g.src[i] != e or g.tgt[i] != e:
+            flag("BadIdentity", "identity of %r has wrong endpoints" % (e,))
+    for m in g.morphisms:
+        if m not in g.src or m not in g.tgt:
+            flag("BadComposition", "morphism %r lacks endpoints" % (m,))
+            continue
+        if g.src[m] not in g.identity or g.tgt[m] not in g.identity:
+            flag("BadComposition", "morphism %r touches unknown object" % (m,))
+    if bad:
+        return ValidationReport(tuple(bad))
+
+    morph = set(g.morphisms)
+    for (a, b), c in g.compose.items():
+        if a not in morph or b not in morph or c not in morph:
+            flag("BadComposition", "table entry (%r,%r)->%r uses unknown morphism" % (a, b, c))
+            continue
+        if g.src[a] != g.tgt[b]:
+            flag("BadComposition", "product %r*%r defined but not composable" % (a, b))
+        elif g.tgt[c] != g.tgt[a] or g.src[c] != g.src[b]:
+            flag("BadComposition", "product %r*%r has wrong endpoints" % (a, b))
+    for a in g.morphisms:
+        for b in g.morphisms:
+            if g.src[a] == g.tgt[b] and (a, b) not in g.compose:
+                flag("BadComposition", "composable pair (%r,%r) missing from table" % (a, b))
+    if any(v.code == "BadComposition" for v in bad):
+        return ValidationReport(tuple(bad))
+
+    for m in g.morphisms:
+        i_t, i_s = g.identity[g.tgt[m]], g.identity[g.src[m]]
+        if g.compose.get((i_t, m)) != m or g.compose.get((m, i_s)) != m:
+            flag("BadIdentity", "identity law fails at %r" % (m,))
+    for m in g.morphisms:
+        n = g.inverse.get(m)
+        if n is None:
+            flag("MissingInverse", "morphism %r has no inverse" % (m,))
+            continue
+        if g.src[n] != g.tgt[m] or g.tgt[n] != g.src[m]:
+            flag("MissingInverse", "inverse of %r has wrong endpoints" % (m,))
+            continue
+        if (g.compose.get((m, n)) != g.identity[g.tgt[m]]
+                or g.compose.get((n, m)) != g.identity[g.src[m]]):
+            flag("MissingInverse", "%r and %r do not compose to identities" % (m, n))
+    for a in g.morphisms:
+        for b in g.morphisms:
+            if g.src[a] != g.tgt[b]:
+                continue
+            ab = g.compose[(a, b)]
+            for c in g.morphisms:
+                if g.src[b] != g.tgt[c]:
+                    continue
+                if g.compose[(ab, c)] != g.compose[(a, g.compose[(b, c)])]:
+                    flag("NonAssociative",
+                         "(%r*%r)*%r != %r*(%r*%r)" % (a, b, c, a, b, c))
+    return ValidationReport(tuple(bad))
+
+
 class OverlappingObjects(ActionError):
     pass
 

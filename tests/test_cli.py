@@ -417,6 +417,25 @@ def test_fuzz_count_zero_is_an_empty_pass(capsys):
     assert report["all_agree"]
 
 
+@pytest.mark.parametrize("flag, value, low", [
+    ("--count", "-1", 0), ("--max-morphisms", "0", 1), ("--max-dim", "-3", 1)])
+def test_fuzz_rejects_bounds_it_cannot_keep(capsys, flag, value, low):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--seed", "1", flag, value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "argument %s: must be at least %d, got %s" % (flag, low, value) in err
+
+
+def test_fuzz_smallest_bounds_are_kept(capsys):
+    code, out, _ = run_cli(capsys, "fuzz", "--seed", "2", "--count", "3",
+                           "--max-morphisms", "1", "--max-dim", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["bounds"] == {"max_dim": 1, "max_morphisms": 1}
+    assert all(r["morphisms"] == r["algebra_dim"] == 1 for r in report["instances"])
+
+
 def _count_builds(monkeypatch, classes=(SkewRing, TensorOverA)) -> dict:
     """Count constructions of each of `classes` from now on."""
     counts = {cls: 0 for cls in classes}

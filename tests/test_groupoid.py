@@ -1,7 +1,13 @@
+import random
+
 import pytest
 
+from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.groupoid import (CompositionUndefined, Groupoid, UnknownObject,
                               build_groupoid, validate_groupoid)
+from skewalg.instances import parse_instance
+
+from conftest import INSTANCE_DIR, full_scan_validate_groupoid, load_action
 
 
 def one_object():
@@ -209,3 +215,45 @@ def test_undefined_composition_raises():
     g = bridge_groupoid()
     with pytest.raises(CompositionUndefined):
         g.mul("g", "g")
+
+
+# -- the composable index against the full-scan reference ------------------------------------
+
+def _planted(g: Groupoid, rng: random.Random):
+    """Corruptions of a valid groupoid: two composition entries swapped, one
+    entry dropped, one inverse pairing broken."""
+    keys = list(g.compose)
+    for _ in range(12):
+        a, b = rng.sample(keys, 2) if len(keys) > 1 else (keys[0], keys[0])
+        compose = dict(g.compose)
+        compose[a], compose[b] = compose[b], compose[a]
+        yield Groupoid(g.objects, g.morphisms, g.src, g.tgt, g.identity, compose, g.inverse)
+    drop = rng.choice(keys)
+    yield Groupoid(g.objects, g.morphisms, g.src, g.tgt, g.identity,
+                   {k: v for k, v in g.compose.items() if k != drop}, g.inverse)
+    for m in g.morphisms:
+        if g.is_identity(m):
+            continue
+        others = [n for n in g.morphisms if n != g.inv(m)]
+        inverse = {**g.inverse, m: rng.choice(others)}
+        yield Groupoid(g.objects, g.morphisms, g.src, g.tgt, g.identity,
+                       g.compose, inverse)
+
+
+def test_indexed_validation_matches_the_full_scan_reference():
+    shipped = [load_action(p.name).groupoid for p in sorted(INSTANCE_DIR.glob("*.json"))]
+    rng = random.Random(18)
+    fuzzed = [parse_instance(skeleton_to_instance(random_skeleton(rng), "Q")).action.groupoid
+              for _ in range(20)]
+    seen = set()
+    count = 0
+    for base in [one_object(), bridge_groupoid(), flip_groupoid(), *shipped, *fuzzed]:
+        for g in (base, *_planted(base, rng)):
+            report = validate_groupoid(g)
+            assert report.violations == full_scan_validate_groupoid(g).violations
+            assert list(g.composable_pairs()) == [
+                (a, b) for a in g.morphisms for b in g.morphisms if g.src[a] == g.tgt[b]]
+            seen |= report.codes()
+            count += 1
+    assert count > 300
+    assert {"BadComposition", "BadIdentity", "MissingInverse", "NonAssociative"} <= seen

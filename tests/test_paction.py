@@ -353,3 +353,68 @@ def test_alpha_image_checks_match_the_subspace_references():
     assert {"AxiomII", "AxiomIII"} <= seen
     assert any("complement" in m for m in seen)
     assert (True, True, True) in suites and len(suites) > 2
+
+
+# -- the pull-back of each pair's idempotent -------------------------------------------------
+
+def _count_inverses(monkeypatch) -> list:
+    calls = []
+    inverse = Matrix.inverse
+
+    def counted(self):
+        calls.append(self.nrows)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    return calls
+
+
+def _ring48_skeleton() -> dict:
+    """Pair groupoid on 2 objects x Z/3, global on 4 letters per object:
+    12 arrows, dim A = 8, skew ring dim 48."""
+    return {"components": [{"k": 2, "m": 3, "d": 4, "sigma": [1, 2, 0, 3],
+                            "tau": [[0, 1, 2, 3], [2, 0, 3, 1]],
+                            "T": [[0, 1, 2, 3], [0, 1, 2, 3]]}]}
+
+
+def test_validation_inverts_nothing_on_valid_actions(monkeypatch):
+    shipped = [load_action(p.name) for p in sorted(INSTANCE_DIR.glob("*.json"))]
+    rng = random.Random(18)
+    skeletons = [random_skeleton(rng) for _ in range(20)] + [_ring48_skeleton()]
+    fuzzed = [parse_instance(skeleton_to_instance(skel, f)).action
+              for skel in skeletons for f in ("Q", "GF(2)", "GF(3)")]
+    ring48 = fuzzed[-1]
+    assert sum(ring48.ideal(g).dim for g in ring48.groupoid.morphisms) == 48
+    calls = _count_inverses(monkeypatch)
+    for pa in shipped + fuzzed:
+        assert validate_partial_action(pa).ok
+    assert calls == []
+
+
+def _unwound_z3(field: Field) -> PartialAction:
+    """Z/3 = {1, g, g^-1} on k^3 with 1_g = b0 + b1 and 1_{g^-1} = b1 + b2:
+    alpha_g is the shift b1 -> b0, b2 -> b1 and alpha_{g^-1} the ring
+    isomorphism b0 -> b2, b1 -> b1, which does not invert it."""
+    g_oid = build_groupoid(["e"], [("g", "e", "e"), ("ginv", "e", "e")],
+                           [("g", "g", "ginv"), ("ginv", "ginv", "g"),
+                            ("g", "ginv", "id:e"), ("ginv", "g", "id:e")],
+                           [("g", "ginv")])
+    alg = Algebra.diagonal(field, 3)
+    idems = {"id:e": [1, 1, 1], "g": [1, 1, 0], "ginv": [0, 1, 1]}
+    maps = {"g": [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+            "ginv": [[0, 0, 0], [0, 1, 0], [1, 0, 0]]}
+    return PartialAction(g_oid, alg, idems, maps)
+
+
+def test_a_rejected_pull_back_falls_back_to_the_restricted_inverse(monkeypatch):
+    for field in (Q, Field.prime(2), Field.prime(3)):
+        pa = _unwound_z3(field)
+        assert pa.alpha("g", [0, 1, 0]) == pa.algebra.basis_vector(0)
+        assert pa.alpha("ginv", [1, 0, 0]) == pa.algebra.basis_vector(2)
+        calls = _count_inverses(monkeypatch)
+        report = validate_partial_action(pa)
+        assert calls, field
+        assert not report.codes() & {"NotIdempotentDomain", "NotRingIso", "IdentityAxiom"}
+        assert report.codes() & {"AxiomII", "AxiomIII"}
+        assert report.violations == subspace_validate_partial_action(pa).violations
+        monkeypatch.undo()
