@@ -49,8 +49,17 @@ def _invert_perm(p) -> list:
     return out
 
 
+def _check_at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError("%s must be at least %d, got %d" % (name, low, value))
+
+
 def random_skeleton(rng: random.Random, max_morphisms: int = 6, max_dim: int = 6) -> dict:
-    """Field-independent combinatorial data for one random instance."""
+    """Field-independent combinatorial data for one random instance; the
+    smallest instance has 1 morphism and algebra dim 1, so both bounds must
+    be at least 1 (ValueError otherwise)."""
+    _check_at_least("max_morphisms", max_morphisms, 1)
+    _check_at_least("max_dim", max_dim, 1)
     comps = []
     mbudget, obudget = max_morphisms, max_dim
     while True:
@@ -196,7 +205,12 @@ def run_differential(data: dict) -> dict:
 
 def run_fuzz(seed: int, count: int, max_morphisms: int = 6, max_dim: int = 6,
              fields=("Q", "GF(2)")) -> dict:
-    """The differential fuzz campaign; deterministic for a given seed."""
+    """The differential fuzz campaign; deterministic for a given seed.
+
+    ValueError for count < 0 or a bound below 1, as the CLI rejects them."""
+    _check_at_least("count", count, 0)
+    _check_at_least("max_morphisms", max_morphisms, 1)
+    _check_at_least("max_dim", max_dim, 1)
     rng = random.Random(seed)
     records = []
     for n in range(count):

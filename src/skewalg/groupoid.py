@@ -95,7 +95,7 @@ class Groupoid:
         except KeyError:
             raise UnknownMorphism("no inverse recorded for %r" % (g,)) from None
 
-    def _arrows_into(self, e) -> tuple:
+    def arrows_into(self, e) -> tuple:
         """The morphisms with target e, in morphism order; every morphism
         must have a target."""
         if self._into is None:
@@ -108,7 +108,7 @@ class Groupoid:
     def composable_pairs(self):
         """The pairs (g, h) with src(g) == tgt(h), g then h in morphism order."""
         for g in self.morphisms:
-            for h in self._arrows_into(self.src[g]):
+            for h in self.arrows_into(self.src[g]):
                 yield g, h
 
     # -- spec operations -------------------------------------------------
@@ -238,7 +238,7 @@ def validate_groupoid(g: Groupoid) -> ValidationReport:
             flag("BadComposition", "product %r*%r defined but not composable" % (a, b))
         elif g.tgt[c] != g.tgt[a] or g.src[c] != g.src[b]:
             flag("BadComposition", "product %r*%r has wrong endpoints" % (a, b))
-    # every morphism has known endpoints from here on, so `_arrows_into` is defined
+    # every morphism has known endpoints from here on, so `arrows_into` is defined
     for a, b in g.composable_pairs():
         if (a, b) not in g.compose:
             flag("BadComposition", "composable pair (%r,%r) missing from table" % (a, b))
@@ -262,7 +262,7 @@ def validate_groupoid(g: Groupoid) -> ValidationReport:
             flag("MissingInverse", "%r and %r do not compose to identities" % (m, n))
     for a, b in g.composable_pairs():
         ab = g.compose[(a, b)]
-        for c in g._arrows_into(g.src[b]):
+        for c in g.arrows_into(g.src[b]):
             if g.compose[(ab, c)] != g.compose[(a, g.compose[(b, c)])]:
                 flag("NonAssociative",
                      "(%r*%r)*%r != %r*(%r*%r)" % (a, b, c, a, b, c))

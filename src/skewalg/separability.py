@@ -9,6 +9,15 @@ subalgebra or sub-action is built); a positive answer yields an explicit
 separability idempotent in the tensor square, held as its psi blocks and
 verified against the definition with the closed-form psi actions of
 `skew_ring`, so neither the ring table nor the square is built.
+Over Q a witness usually has denominators (1/2, 1/m), and every cached
+product or alpha-image of a `Fraction` vector is slow to hash, so the
+witness and certificate checks run on d a instead, d the least common
+denominator (d = 1 over GF(p)).  This is exact because d != 0: centrality
+and bx = xb are linear and homogeneous in a and x, t_e(a) = 1_e iff
+t_e(d a) = d 1_e, and m(x) = 1 iff m(d x) = d 1.  The traces t_e(a) are read
+as sums of the kept alpha-images alpha_g(a) over the arrows g into e; the
+dense trace matrices (`trace_into` and the rest) serve the `traces` report
+and the invariant suite only.
 `oracle_separability` instead solves the defining conditions m(x) = 1 and
 bx = xb directly in the quotient coordinates of `TensorOverA`, over the
 ring table: an independent check of the criterion and of the certificate.
@@ -26,6 +35,7 @@ isotropy subalgebra, sub-action or second ring is built either.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .linalg import (AffineSolutionSet, Echelon, Matrix, echelon, kernel,
@@ -82,10 +92,43 @@ def trace_total(pa: PartialAction) -> Matrix:
     return _trace_sum(pa, None, None)
 
 
-def is_witness(pa: PartialAction, a) -> bool:
-    """a is central and t_e(a) = 1_e at every object e."""
+def _trace_image(pa: PartialAction, arrows, v) -> tuple:
+    """Sum of alpha_g(v 1_{g^-1}) over `arrows` (never empty: each object has
+    its identity), from the kept alpha-images."""
+    return pa.algebra.field.reduce_vec(
+        sum(c) for c in zip(*(pa.alpha(g, v) for g in arrows)))
+
+
+def _scaled(field, c, v) -> tuple:
+    """c v for a scalar c; v itself when c = 1."""
+    return tuple(v) if c == 1 else field.reduce_vec(c * x for x in v)
+
+
+def _denominator(field, vectors) -> int:
+    """The least common denominator of the entries of `vectors` over Q; 1 over GF(p)."""
+    if field.p is not None:
+        return 1
+    return math.lcm(*(x.denominator for v in vectors for x in v))
+
+
+def _cleared(field, a) -> tuple:
+    """(d, d a) for d the least common denominator of a."""
+    d = _denominator(field, (a,))
+    return d, _scaled(field, d, a)
+
+
+def _is_scaled_witness(pa: PartialAction, d, a) -> bool:
+    """d^-1 a is a witness: a is central and t_e(a) = d 1_e at every object e."""
+    g_oid = pa.groupoid
+    field = pa.algebra.field
     return pa.algebra.commutes_with_all(a) and all(
-        trace_into(pa, e).apply(a) == pa.obj_idem(e) for e in pa.groupoid.objects)
+        _trace_image(pa, g_oid.arrows_into(e), a) == _scaled(field, d, pa.obj_idem(e))
+        for e in g_oid.objects)
+
+
+def is_witness(pa: PartialAction, a) -> bool:
+    """a is central and t_e(a) = 1_e at every object e, checked on d a."""
+    return _is_scaled_witness(pa, *_cleared(pa.algebra.field, a))
 
 
 def invariant_subring(pa: PartialAction, i, j) -> Echelon:
@@ -171,7 +214,8 @@ def _component_family(pa: PartialAction, cls, solve_at) -> AffineSolutionSet:
     rows: list = []
     rhs: list = []
     for f in solve_at:
-        rows.extend((trace_into(pa, f) * cmat).data)
+        into = pa.groupoid.arrows_into(f)
+        rows.extend(zip(*(_trace_image(pa, into, c) for c in center)))
         rhs.extend(pa.obj_idem(f))
     sol = solve_affine(Matrix._trusted(field, tuple(rows), cmat.ncols), rhs)
     if sol.is_empty:
@@ -244,28 +288,40 @@ def build_certificate(pa: PartialAction, a,
     held as its psi blocks (`idempotent_blocks`), verified against the
     definition (`separability_checks`) and written out as the canonical
     representative: in each block, the free pairs of `psi_block` with the
-    coordinates of the block's psi-image over their psi-images.
+    coordinates of the block's psi-image over their psi-images.  Over Q all
+    of this runs on integral vectors: the witness check on d_a a, d_a the
+    least common denominator of a, and the checks and coordinates on the
+    blocks y = d x of d = d_a d_b, d_b that of the blocks of d_a a; the
+    coordinates and the returned blocks are scaled back by d^-1 once.
     """
     pa.ensure_valid()
     pa.require_decomposition()
     alg = pa.algebra
+    field = alg.field
     a = alg.element(a)
-    if not is_witness(pa, a):
+    d, da = _cleared(field, a)
+    if not _is_scaled_witness(pa, d, da):
         raise WitnessInvalid("witness is not central with t_e(a) = 1_e at every object")
-    blocks = idempotent_blocks(pa, a)
+    raw = idempotent_blocks(pa, da)
+    db = _denominator(field, raw.values())
+    scaled = {pair: _scaled(field, db, y) for pair, y in raw.items()}
+    d *= db
     checks = {"witness_central": True, "witness_traces": True,
-              **separability_checks(pa, blocks)}
+              **separability_checks(pa, scaled, d)}
+    dinv = field.inv(d)
     summands = []
-    for (g, h), y in blocks.items():
+    for (g, h), y in scaled.items():
         images, kinds, free, pivots = psi_block(pa, g, h)
         basis = [images[kinds[f]] for f in free]
         us, ws = pa.ideal(g).rows, pa.ideal(h).rows
-        for f, c in zip(free, psi_coords(alg.field, pivots, basis, [y]).data[0]):
+        coords = _scaled(field, dinv, psi_coords(field, pivots, basis, [y]).data[0])
+        for f, c in zip(free, coords):
             if c:
                 i, j = divmod(f, len(ws))
-                summands.append((g, alg.field.reduce_vec(c * x for x in us[i]), h, ws[j]))
+                summands.append((g, field.reduce_vec(c * x for x in us[i]), h, ws[j]))
+    blocks = {pair: _scaled(field, dinv, y) for pair, y in scaled.items()}
     if family is None:
-        family = AffineSolutionSet(a, (), alg.field)
+        family = AffineSolutionSet(a, (), field)
     return SeparabilityCertificate(a, family, psi_tensor_dim(pa), blocks,
                                    tuple(summands), checks)
 
@@ -278,11 +334,13 @@ def idempotent_blocks(pa: PartialAction, a) -> dict:
     return {pair: y for pair, y in blocks.items() if any(y)}
 
 
-def separability_checks(pa: PartialAction, blocks) -> dict:
+def separability_checks(pa: PartialAction, blocks, d=1) -> dict:
     """m(x) = 1 and bx = xb for every ring basis element b, for the tensor
-    element x given by its psi blocks."""
+    element x = d^-1 y given by the psi blocks of y (d a nonzero scalar):
+    checked on y as m(y) = d 1 and by = yb."""
     g_oid = pa.groupoid
-    unit = {g_oid.identity[e]: pa.obj_idem(e) for e in g_oid.objects}
+    field = pa.algebra.field
+    unit = {g_oid.identity[e]: _scaled(field, d, pa.obj_idem(e)) for e in g_oid.objects}
     return {
         "multiplies_to_unit": psi_multiply(pa, blocks) == {
             g: v for g, v in unit.items() if any(v)},
@@ -405,7 +463,7 @@ def isotropy_witness_transport(pa: PartialAction, class_objects, witness) -> Tra
     i = cls[0]
     alg = pa.algebra
     b = alg.element(witness)
-    if trace_into(pa, i).apply(b) != pa.obj_idem(i):
+    if _trace_image(pa, pa.groupoid.arrows_into(i), b) != pa.obj_idem(i):
         raise WitnessInvalid("witness fails t(b) = 1 at the transversal object")
     arrows = {}
     a = alg.zero()
@@ -419,7 +477,8 @@ def isotropy_witness_transport(pa: PartialAction, class_objects, witness) -> Tra
         a = vadd(alg.field, a, pa.alpha(pa.groupoid.inv(g), bk))
     checks = {
         "witness_central": alg.commutes_with_all(a),
-        "single_object_trace": trace_between(pa, i, i).apply(a) == pa.obj_idem(i),
+        "single_object_trace": (_trace_image(pa, pa.groupoid.hom_set(i, i), a)
+                                == pa.obj_idem(i)),
     }
     return TransportResult(i, a, arrows, checks)
 

@@ -477,10 +477,15 @@ def psi_coords(field, pivots, basis, vectors) -> Matrix:
 
 
 def psi_tensor_dim(act: PartialAction) -> int:
-    """dim (A*G) (x)_A (A*G): the sum of dim A 1_g 1_{gh} over composable (g, h)."""
+    """dim (A*G) (x)_A (A*G): the sum of dim A 1_g 1_{gh} over composable (g, h);
+    1_g 1_{gh} is 1_g itself when the two idempotents are equal."""
     alg = act.algebra
     g_oid = act.groupoid
-    return sum(alg.ideal_basis(alg.multiply(act.idem(g), act.idem(g_oid.compose[(g, h)])))
+
+    def meet(e, f) -> tuple:
+        return e if e == f else alg.multiply(e, f)
+
+    return sum(alg.ideal_basis(meet(act.idem(g), act.idem(g_oid.compose[(g, h)])))
                .basis.dim for g, h in g_oid.composable_pairs())
 
 

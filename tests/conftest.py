@@ -12,7 +12,11 @@ from skewalg.fuzz import random_skeleton
 from skewalg.groupoid import ValidationReport, Violation
 from skewalg.instances import load_instance, parse_instance
 from skewalg.linalg import DimensionMismatch, echelon, kernel, vadd
-from skewalg.separability import normal_form_coefficients, trace_into
+from skewalg.separability import (SeparabilityCertificate, WitnessInvalid,
+                                  idempotent_blocks, normal_form_coefficients,
+                                  trace_into)
+from skewalg.skew_ring import (psi_block, psi_coords, psi_left, psi_multiply,
+                              psi_right, psi_tensor_dim)
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -477,6 +481,58 @@ def psi_of(pa: PartialAction, tensor, qcoords) -> dict:
     """The nonzero psi blocks of a tensor element given in quotient coordinates."""
     coeffs = normal_form_coefficients(pa, tensor, qcoords)
     return {pair: y for pair, y in coeffs.items() if any(y)}
+
+
+# -- the certificate reference with the witness's own denominators ------------------------
+
+def reference_is_witness(pa: PartialAction, a) -> bool:
+    """a is central and t_e(a) = 1_e at every object e."""
+    return pa.algebra.commutes_with_all(a) and all(
+        trace_into(pa, e).apply(a) == pa.obj_idem(e) for e in pa.groupoid.objects)
+
+
+def reference_build_certificate(pa: PartialAction, a,
+                                family: AffineSolutionSet | None = None
+                                ) -> SeparabilityCertificate:
+    """Reference for `build_certificate`: the witness check through the dense
+    `trace_into` matrices, and the blocks, checks and coordinates on a and
+    its blocks alpha_g(a 1_{g^-1}) as they are, denominators and all."""
+    pa.ensure_valid()
+    pa.require_decomposition()
+    alg = pa.algebra
+    a = alg.element(a)
+    if not reference_is_witness(pa, a):
+        raise WitnessInvalid("witness is not central with t_e(a) = 1_e at every object")
+    blocks = idempotent_blocks(pa, a)
+    checks = {"witness_central": True, "witness_traces": True,
+              **reference_separability_checks(pa, blocks)}
+    summands = []
+    for (g, h), y in blocks.items():
+        images, kinds, free, pivots = psi_block(pa, g, h)
+        basis = [images[kinds[f]] for f in free]
+        us, ws = pa.ideal(g).rows, pa.ideal(h).rows
+        for f, c in zip(free, psi_coords(alg.field, pivots, basis, [y]).data[0]):
+            if c:
+                i, j = divmod(f, len(ws))
+                summands.append((g, alg.field.reduce_vec(c * x for x in us[i]), h, ws[j]))
+    if family is None:
+        family = AffineSolutionSet(a, (), alg.field)
+    return SeparabilityCertificate(a, family, psi_tensor_dim(pa), blocks,
+                                   tuple(summands), checks)
+
+
+def reference_separability_checks(pa: PartialAction, blocks) -> dict:
+    """m(x) = 1 and bx = xb for every ring basis element b, for the tensor
+    element x given by its psi blocks."""
+    g_oid = pa.groupoid
+    unit = {g_oid.identity[e]: pa.obj_idem(e) for e in g_oid.objects}
+    return {
+        "multiplies_to_unit": psi_multiply(pa, blocks) == {
+            g: v for g, v in unit.items() if any(v)},
+        "commutes_with_basis": all(
+            psi_left(pa, k, v, blocks) == psi_right(pa, k, v, blocks)
+            for k in g_oid.morphisms for v in pa.ideal(k).rows),
+    }
 
 
 # -- the isotropy-ring conjugation reference ------------------------------------------

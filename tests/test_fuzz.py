@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from skewalg.fuzz import (random_skeleton, run_differential, run_fuzz,
                           skeleton_to_instance)
 from skewalg.instances import parse_instance
@@ -52,3 +54,23 @@ def test_fuzz_produces_both_verdicts_across_seed_one_corpus():
     report = run_fuzz(1, 25)
     verdicts = {r["decide_separable"] for r in report["instances"]}
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("args", [(1, -2), (1, 1, 0), (1, 1, 6, 0), (1, 1, 0, -3)])
+def test_run_fuzz_rejects_bounds_it_cannot_keep(args):
+    with pytest.raises(ValueError):
+        run_fuzz(*args)
+
+
+@pytest.mark.parametrize("bounds", [(0, 6), (6, 0), (-1, -1)])
+def test_random_skeleton_rejects_bounds_it_cannot_keep(bounds):
+    with pytest.raises(ValueError):
+        random_skeleton(random.Random(1), *bounds)
+
+
+def test_run_fuzz_keeps_its_smallest_bounds():
+    report = run_fuzz(1, 0)
+    assert report["count"] == 0 and report["instances"] == []
+    report = run_fuzz(1, 2, 1, 1)
+    assert report["bounds"] == {"max_morphisms": 1, "max_dim": 1}
+    assert all(r["morphisms"] == 1 and r["algebra_dim"] == 1 for r in report["instances"])

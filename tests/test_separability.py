@@ -21,12 +21,14 @@ from skewalg.skew_ring import (psi_coords, psi_left, psi_multiply, psi_right,
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
+import skewalg.separability as separability
 from conftest import (INSTANCE_DIR, column_products, dense_oracle_system,
                       from_coords, full_oracle_system, global_skeleton,
                       glue_components, intersect, lift, load_action,
                       product_classes, psi_of, pure_tensor,
-                      restricted_component_family, ring_coords,
-                      ring_isotropy_iso, square_certificate)
+                      reference_build_certificate, reference_is_witness,
+                      reference_separability_checks, restricted_component_family,
+                      ring_coords, ring_isotropy_iso, square_certificate)
 from test_skewring import closed_form_corpus
 
 Q = Field.rationals()
@@ -817,3 +819,156 @@ def test_separability_objects_are_freed_by_reference_counting():
             assert all(r() is None for r in refs), path.name
     finally:
         gc.enable()
+
+
+# -- the certificate on denominator-free vectors ----------------------------------------
+
+def _reference_corpus():
+    """`closed_form_corpus` and six more fuzz skeletons over Q, GF(2), GF(3)."""
+    yield from closed_form_corpus()
+    rng = random.Random(19)
+    for _ in range(6):
+        skel = random_skeleton(rng)
+        for field in ("Q", "GF(2)", "GF(3)"):
+            yield parse_instance(skeleton_to_instance(skel, field)).action
+
+
+def _random_scalar(field, rng):
+    """Over Q a fraction with denominator 2..7, over GF(p) a residue."""
+    if field.p is None:
+        return field.reduce_vec([Fraction(rng.randint(-6, 6), rng.randint(2, 7))])[0]
+    return rng.randrange(field.p)
+
+
+def _same_certificate(cert, ref) -> None:
+    assert cert == ref
+    assert repr(cert) == repr(ref)          # int vs integral Fraction, block order
+
+
+def test_certificate_matches_the_reference_with_denominators():
+    # witnesses, other members of their families, random rational vectors
+    # (denominators 2..7), central ones and perturbed witnesses: the witness
+    # verdict, the certificate and the checks against the route that keeps
+    # the denominators
+    rng = random.Random(53)
+    verdicts = set()
+    for pa in _reference_corpus():
+        alg = pa.algebra
+        field = alg.field
+        verdict = decide_separability(pa)
+        candidates = [field.reduce_vec(_random_scalar(field, rng) for _ in range(alg.dim))]
+        center = alg.center_basis()
+        candidates.append(field.reduce_vec(
+            sum(c * z[j] for c, z in zip([_random_scalar(field, rng) for _ in center],
+                                         center))
+            for j in range(alg.dim)))
+        if verdict.separable:
+            cert = verdict.certificate
+            family = cert.witness_family
+            _same_certificate(cert, reference_build_certificate(pa, cert.witness, family))
+            other = family.element([_random_scalar(field, rng) for _ in family.kernel_basis])
+            candidates.append(other)
+            candidates.append(vadd(field, cert.witness, candidates[0]))
+        for a in candidates:
+            ok = is_witness(pa, a)
+            assert ok == reference_is_witness(pa, a)
+            verdicts.add(ok)
+            if ok:
+                _same_certificate(build_certificate(pa, a),
+                                  reference_build_certificate(pa, a))
+            else:
+                with pytest.raises(WitnessInvalid):
+                    build_certificate(pa, a)
+                with pytest.raises(WitnessInvalid):
+                    reference_build_certificate(pa, a)
+            blocks = idempotent_blocks(pa, a)
+            assert separability_checks(pa, blocks) == reference_separability_checks(pa, blocks)
+    assert verdicts == {True, False}
+
+
+_FRACTIONAL_WITNESSES = ["z2_flip_q.json", "rotated_swap_q.json"]
+
+
+@pytest.mark.parametrize("name", _FRACTIONAL_WITNESSES)
+def test_a_rescaled_witness_fails(name):
+    # clearing the denominators of a must not forget them: 2a and a/3 are
+    # no witnesses, and x built on 2a commutes with A*G but multiplies to 2
+    pa = load_action(name)
+    field = pa.algebra.field
+    a = decide_separability(pa).witness
+    if name == "z2_flip_q.json":
+        assert a == (Fraction(1, 2), Fraction(1, 2))
+    assert any(type(x) is Fraction for x in a)
+    assert is_witness(pa, a)
+    for c in (2, Fraction(1, 3)):
+        b = field.reduce_vec(c * x for x in a)
+        assert not is_witness(pa, b)
+        with pytest.raises(WitnessInvalid):
+            build_certificate(pa, b)
+    blocks = idempotent_blocks(pa, field.reduce_vec(2 * x for x in a))
+    assert separability_checks(pa, blocks) == {"multiplies_to_unit": False,
+                                               "commutes_with_basis": True}
+
+
+@pytest.mark.parametrize("name", _FRACTIONAL_WITNESSES)
+def test_the_certificate_looks_up_no_fraction(name, monkeypatch):
+    # while the decision builds its certificate, every product and
+    # alpha-image lookup is keyed by integral vectors
+    pa = load_action(name)
+    active, seen = [], []
+    multiply, alpha, build = Algebra.multiply, PartialAction.alpha, build_certificate
+
+    def fractional(*vectors):
+        if active:
+            seen.extend(v for v in vectors if any(type(x) is Fraction for x in v))
+
+    def counted_multiply(self, x, y):
+        fractional(x, y)
+        return multiply(self, x, y)
+
+    def counted_alpha(self, g, v):
+        fractional(v)
+        return alpha(self, g, v)
+
+    def counted_build(*args, **kwargs):
+        active.append(True)
+        try:
+            return build(*args, **kwargs)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(Algebra, "multiply", counted_multiply)
+    monkeypatch.setattr(PartialAction, "alpha", counted_alpha)
+    monkeypatch.setattr(separability, "build_certificate", counted_build)
+    verdict = decide_separability(pa)
+    assert verdict.certificate.ok
+    assert any(type(x) is Fraction for x in verdict.witness)
+    assert seen == []
+
+
+def test_the_decision_builds_no_trace_matrix(monkeypatch):
+    # the decision, the witness checks and the isotropy transport read the
+    # traces off alpha-images; the dense trace matrices serve `traces` only
+    calls = []
+    for name in ("trace_into", "trace_between"):
+        def counted(*args, _name=name, _f=getattr(separability, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(separability, name, counted)
+    rng = random.Random(7)
+    actions = [load_action(p.name) for p in sorted(INSTANCE_DIR.glob("*.json"))]
+    actions += [parse_instance(skeleton_to_instance(random_skeleton(rng), f)).action
+                for f in ("Q", "GF(2)") for _ in range(4)]
+    for pa in actions:
+        verdict = decide_separability(pa)
+        if verdict.separable:
+            assert is_witness(pa, verdict.witness)
+        if not pa.is_global():
+            continue
+        assert decide_global(pa).separable == verdict.separable
+        for comp in verdict.per_component:
+            if comp.separable:
+                tr = isotropy_witness_transport(pa, comp.objects,
+                                                comp.witness_family.particular)
+                assert all(tr.checks.values())
+    assert calls == []
