@@ -6,10 +6,15 @@ Elements are plain coefficient tuples.  The constants are kept only as a
 sparse table whose entry [i][j] maps each k to a nonzero c[i][j][k], built
 once from the nonzero constants: `Algebra(...)` takes each row of constants
 either dense (the n scalars c[i][j][0..n-1]) or as a dict {k: c[i][j][k]}
-of its nonzero ones, and `Algebra.diagonal` writes its n entries that way.
-`table_product` and `nonassociative_triple` are the one product and the one
-associativity audit over such tables, for this module and the skew ring
-A*G alike.  The unit law and associativity are checked at construction.
+of its nonzero ones, and checks each one with `Field.coerce`;
+`Algebra.diagonal` writes its n entries and its unit from `field.one` and
+skips that check.  `table_product` and `nonassociative_triple` are the one
+product and the one associativity audit over such tables, for this module
+and the skew ring A*G alike; the audit visits only the candidate pairs
+(i, j) whose triples can have a nonzero term.  The unit law and
+associativity are checked at construction.  The centre is the kernel of
+the system x*b_j - b_j*x = 0 read off the nonzero constants, one row per
+(j, k) that one of them reaches.
 
 An `Algebra` computes each product x*y and each centrality verdict once:
 the checks of a partial action keep multiplying the same few canonical
@@ -50,22 +55,36 @@ def nonassociative_triple(table, field):
     """The first basis triple (i, j, k), in lexicographic order, where
     (b_i b_j) b_k != b_i (b_j b_k) over a sparse table, or None.
 
-    For each pair (i, j) only the triples with a nonzero term are summed:
-    (b_i b_j) b_k has one iff some b_m in b_i b_j has b_m b_k != 0, and
-    b_i (b_j b_k) iff some b_m in b_j b_k has b_i b_m != 0.  Every other
-    triple has both sides 0, on any table, so the first failing triple is
-    the one a scan of all dim^3 triples would find.
+    Only the triples with a nonzero term are summed: (b_i b_j) b_k has one
+    iff some b_m in b_i b_j has b_m b_k != 0, and b_i (b_j b_k) iff some b_m
+    in b_j b_k has b_i b_m != 0.  So only the candidate pairs (i, j) are
+    visited: b_i b_j != 0, or b_i b_m != 0 for some m that a product b_j b_k
+    reaches, found through an index of the rows j by the coordinates m their
+    products reach.  Every other triple has both sides 0, on any table, so
+    the first failing triple is the one a scan of all dim^3 triples would
+    find.
     """
     zero = field.zero
     # per row m, the (k, b_m b_k) with b_m b_k != 0
     nonzero = [[(k, t) for k, t in enumerate(row) if t] for row in table]
+    # per coordinate m, the rows j with m in the support of some b_j b_k
+    reached_by = [set() for _ in table]
+    for j, row in enumerate(nonzero):
+        for _, t in row:
+            for m in t:
+                reached_by[m].add(j)
 
     def add(acc: dict, c, t: dict) -> None:
         for q, tq in t.items():
             acc[q] = acc.get(q, zero) + c * tq
 
     for i, row_i in enumerate(table):
-        for j, ij in enumerate(row_i):
+        pairs = set()
+        for m, _ in nonzero[i]:
+            pairs.add(m)
+            pairs |= reached_by[m]
+        for j in sorted(pairs):
+            ij = row_i[j]
             left: dict = {}       # k -> unreduced (b_i b_j) b_k
             for m, c in ij.items():
                 for k, t in nonzero[m]:
@@ -101,31 +120,39 @@ class IdealByIdempotent:
 
 class Algebra:
 
-    def __init__(self, field: Field, structure, unit, basis_names=None):
+    def __init__(self, field: Field, structure, unit, basis_names=None, *,
+                 _reduced=False):
+        """Each constant and unit scalar is checked with `Field.coerce`, except
+        with `_reduced`: `diagonal` passes its finished sparse table and unit
+        tuple, written from `field.one`, and only their laws are checked."""
         self.field = field
         self.dim = dim = len(structure)
-        coerce = field.coerce
-        table = []
-        for plane in structure:
-            if len(plane) != dim:
-                raise DimensionMismatch("structure constants are not dim^3")
-            rows = []
-            for row in plane:
-                if isinstance(row, dict):
-                    entries = row.items()
-                    fits = all(type(k) is int and 0 <= k < dim for k in row)
-                else:
-                    entries, fits = enumerate(row), len(row) == dim
-                if not fits:
+        if _reduced:
+            self._table = structure
+        else:
+            coerce = field.coerce
+            table = []
+            for plane in structure:
+                if len(plane) != dim:
                     raise DimensionMismatch("structure constants are not dim^3")
-                rows.append({k: c for k, x in entries if (c := coerce(x))})
-            table.append(tuple(rows))
-        self._table = tuple(table)
+                rows = []
+                for row in plane:
+                    if isinstance(row, dict):
+                        entries = row.items()
+                        fits = all(type(k) is int and 0 <= k < dim for k in row)
+                    else:
+                        entries, fits = enumerate(row), len(row) == dim
+                    if not fits:
+                        raise DimensionMismatch("structure constants are not dim^3")
+                    rows.append({k: c for k, x in entries if (c := coerce(x))})
+                table.append(tuple(rows))
+            self._table = tuple(table)
+            unit = tuple(coerce(c) for c in unit)
         one, zero = field.one, field.zero
         self._basis = tuple(tuple(one if j == i else zero for j in range(dim))
                             for i in range(dim))
         self._values: dict = {}        # each distinct product or element, kept once
-        self.unit = self.element(unit)
+        self.unit = self._keep(unit)
         if basis_names is None:
             basis_names = tuple("b%d" % i for i in range(self.dim))
         self.basis_names = tuple(basis_names)
@@ -141,8 +168,8 @@ class Algebra:
     def diagonal(cls, field: Field, n: int, basis_names=None) -> "Algebra":
         """k^n with pairwise orthogonal idempotent basis vectors summing to 1."""
         one = field.one
-        structure = [[{i: one} if i == j else {} for j in range(n)] for i in range(n)]
-        return cls(field, structure, [one] * n, basis_names)
+        table = tuple(tuple({i: one} if i == j else {} for j in range(n)) for i in range(n))
+        return cls(field, table, (one,) * n, basis_names, _reduced=True)
 
     def _check_laws(self) -> None:
         for bi in self._basis:
@@ -164,7 +191,10 @@ class Algebra:
                 return coeffs
         except TypeError:       # a list, or a tuple holding one
             pass
-        v = tuple(self.field.coerce(c) for c in coeffs)
+        return self._keep(tuple(self.field.coerce(c) for c in coeffs))
+
+    def _keep(self, v: tuple) -> tuple:
+        """The kept copy of a vector of field scalars, after its length check."""
         if len(v) != self.dim:
             raise DimensionMismatch("element length %d != dim %d" % (len(v), self.dim))
         return self._values.setdefault(v, v)
@@ -203,13 +233,32 @@ class Algebra:
     # -- center, idempotents, ideals ----------------------------------------
 
     def center_basis(self) -> tuple:
-        """Canonical basis of {x : x*b == b*x for every basis element b}."""
+        """Canonical basis of {x : x*b == b*x for every basis element b}.
+
+        x = sum_i x_i b_i commutes with b_j iff, for each k,
+        sum_i x_i (c[i][j][k] - c[j][i][k]) == 0: one row per (j, k) that a
+        nonzero constant reaches, read off the table.  The kernel of a system
+        depends only on its row space, which has one reduced echelon form, so
+        leaving out the all-zero rows changes no basis vector.
+        """
         if self._center is None:
-            rows = []
-            for b in self._basis:
-                delta = self.left_mul_matrix(b) - self.right_mul_matrix(b)
-                rows.extend(delta.data)
-            m = Matrix._trusted(self.field, tuple(rows), self.dim)
+            field, dim = self.field, self.dim
+            rows: dict = {}             # (j, k) -> unreduced row over i
+
+            def row(j, k) -> list:
+                r = rows.get((j, k))
+                if r is None:
+                    r = rows[(j, k)] = [field.zero] * dim
+                return r
+
+            # c[a][b][k] is the term of x_a in row (b, k), minus that of x_b in row (a, k)
+            for a, row_a in enumerate(self._table):
+                for b, ab in enumerate(row_a):
+                    for k, c in ab.items():
+                        row(b, k)[a] += c
+                        row(a, k)[b] -= c
+            m = Matrix._trusted(field, tuple(field.reduce_vec(r) for r in rows.values()),
+                                dim)
             self._center = kernel(m)
         return self._center
 

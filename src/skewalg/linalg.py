@@ -25,12 +25,16 @@ kernels are sparse in effect: products, eliminations and combinations skip
 zero entries by truthiness instead of computing with them.  `Matrix.apply`
 runs on a column index of the nonzero entries, built lazily on its first
 call and cached on the matrix, so it costs the nonzeros in the columns of
-the vector's support.  Row reduction uses deterministic leftmost-pivot
-elimination so that every downstream basis, solution set and certificate is
-byte-reproducible.  Every elimination (`kernel`, `solve_affine`,
-`Matrix.rank`, `Matrix.inverse`, `Matrix.rref`) goes through `echelon`,
-which returns the nonzero rows and pivots; only the public `Matrix.rref`
-pads them back to the original shape.
+the vector's support.  `Matrix.__mul__` likewise runs over a row index of
+the right factor's nonzero entries, cached the same way, so a product
+costs the nonzero pairs it multiplies; the zero rows of a product share one
+tuple.  Row reduction uses deterministic leftmost-pivot elimination so that
+every downstream basis, solution set and certificate is byte-reproducible.
+Every elimination (`kernel`, `solve_affine`, `Matrix.rank`,
+`Matrix.inverse`, `Matrix.rref`) goes through `echelon`, which returns the
+nonzero rows and pivots; only the public `Matrix.rref` pads them back to
+the original shape.  `Echelonizer.insert` turns a zero row away before it
+eliminates anything, since a zero row cannot enlarge a span.
 """
 
 from __future__ import annotations
@@ -136,7 +140,13 @@ class Field:
         return {k: r for k, v in sparse.items() if (r := v % p)}
 
     def parse(self, text):
-        """Parse "3/4", "-2" or a plain int into a scalar of this field."""
+        """Parse "3/4", "-2", "0.5" or a plain int into a scalar of this field.
+
+        Every field reads one grammar: a JSON integer, or a string that `int`
+        or `Fraction` reads as a rational number, without an exponent.  Over
+        GF(p) the scalar is the image of that rational, which exists iff p
+        does not divide its reduced denominator.
+        """
         if isinstance(text, bool):
             raise ValueError("a boolean is not a scalar: %r" % (text,))
         if isinstance(text, int):
@@ -144,18 +154,17 @@ class Field:
         if not isinstance(text, str):
             raise ValueError("cannot parse scalar from %r" % (text,))
         text = text.strip()
-        if self.p is None:
+        try:
+            n = int(text)
+        except ValueError:
             # "1e9999999" would name a number too large to parse or print
             if "e" in text.lower():
-                raise ValueError("exponent notation is not a scalar: %r" % (text,))
-            try:
-                return int(text)
-            except ValueError:
-                return self.coerce(Fraction(text))
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return int(num) * self.inv(int(den)) % self.p
-        return int(text) % self.p
+                raise ValueError("exponent notation is not a scalar: %r" % (text,)) from None
+            q = Fraction(text)
+            if self.p is None:
+                return self.coerce(q)
+            return q.numerator * self.inv(q.denominator) % self.p
+        return n if self.p is None else n % self.p
 
     def coerce(self, x):
         """Accept ints and scalars of this field; reject everything else."""
@@ -194,11 +203,13 @@ class Matrix:
     The constructor and `from_cols` coerce every entry; `_trusted` wraps rows
     the package built from field arithmetic, or parsed, as they are.  `apply`
     builds the column index `_cols` (per column j, the pairs (i, m_ij) with
-    m_ij != 0) on its first call and reuses it; the matrix never changes, so
-    the index cannot go stale, and equality and hashing ignore it.
+    m_ij != 0) on its first call and reuses it, and a product `a * self`
+    builds the row index `_rows` (per row i, the pairs (j, m_ij) with
+    m_ij != 0) the same way; the matrix never changes, so neither index can
+    go stale, and equality and hashing ignore both.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "data", "_cols")
+    __slots__ = ("field", "nrows", "ncols", "data", "_cols", "_rows")
 
     def __init__(self, field: Field, data: Iterable[Iterable], ncols: int | None = None):
         rows = tuple(tuple(field.coerce(x) for x in row) for row in data)
@@ -215,6 +226,7 @@ class Matrix:
         self.ncols = width
         self.data = rows
         self._cols = None
+        self._rows = None
 
     @classmethod
     def _trusted(cls, field: Field, rows: tuple, ncols: int) -> "Matrix":
@@ -225,6 +237,7 @@ class Matrix:
         m.ncols = ncols
         m.data = rows
         m._cols = None
+        m._rows = None
         return m
 
     @classmethod
@@ -269,17 +282,24 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch("%dx%d times %dx%d" %
                                     (self.nrows, self.ncols, other.nrows, other.ncols))
+        rows = other._rows
+        if rows is None:
+            rows = other._rows = tuple(tuple((j, y) for j, y in enumerate(r) if y)
+                                       for r in other.data)
         field = self.field
+        n = other.ncols
+        zero_row = vzero(field, n)
         out = []
         for r in self.data:
-            acc = [field.zero] * other.ncols
-            for x, row in zip(r, other.data):
-                if x:
-                    for j, y in enumerate(row):
-                        if y:
-                            acc[j] += x * y
-            out.append(field.reduce_vec(acc))
-        return Matrix._trusted(field, tuple(out), other.ncols)
+            acc = None
+            for x, row in zip(r, rows):
+                if x and row:
+                    if acc is None:
+                        acc = [field.zero] * n
+                    for j, y in row:
+                        acc[j] += x * y
+            out.append(zero_row if acc is None else field.reduce_vec(acc))
+        return Matrix._trusted(field, tuple(out), n)
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
@@ -377,6 +397,8 @@ class Echelonizer:
         """Insert a row; returns True if it enlarged the span."""
         if len(row) != self.ncols:
             raise DimensionMismatch("row width %d != %d" % (len(row), self.ncols))
+        if not any(row):
+            return False
         field = self.field
         out = _eliminate(field, self.rows, self.pivots, row)
         piv = next((j for j, x in enumerate(out) if x), None)

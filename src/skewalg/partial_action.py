@@ -5,6 +5,11 @@ A_g = A*1_g) and a full dim x dim matrix which must restrict to a ring
 isomorphism A_{g^-1} -> A_g and annihilate the complement A*(1 - 1_{g^-1}).
 With that convention the stored matrix computes a |-> alpha_g(a * 1_{g^-1})
 on the whole algebra, which is exactly the summand appearing in trace maps.
+
+`validate_partial_action` runs the ring-isomorphism checks on an arrow only
+where they can fail: an identity arrow that fixes its ideal, and the second
+arrow of an inverse pair that inverts the first, already checked one, are
+ring isomorphisms by the checks they passed (proofs in its docstring).
 """
 
 from __future__ import annotations
@@ -164,7 +169,22 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
 
     alpha_g must be a ring isomorphism A_{g^-1} -> A_g with
     alpha_g(b) == alpha_g(b 1_{g^-1}) on the basis: it annihilates
-    A(1 - 1_{g^-1}).  Then axioms II and III are checked per composable pair
+    A(1 - 1_{g^-1}).  After that complement check, two cases are accepted
+    as ring isomorphisms without the image echelon, the multiplicativity
+    loop and the unit check, because those three checks would pass:
+    - (a) g is an identity with g^-1 = g and alpha_g(u) == u on
+      ideal(g).rows.  Then alpha_g is the identity on A_g = A_{g^-1}, a
+      linear map fixing a basis: a bijection onto A_g, multiplicative, and
+      1_g lies in A_g, so it goes to 1_g.
+    - (b) g^-1 already passed every check with (g^-1)^-1 = g, and
+      alpha_g(alpha_{g^-1}(v)) == v on ideal(g).rows.  Then
+      phi = alpha_{g^-1} restricted to A_g is a ring isomorphism
+      A_g -> A_{g^-1}, and alpha_g phi is linear and fixes a basis of A_g,
+      so it is the identity there.  Each w in A_{g^-1} is phi(v) for one v in
+      A_g, so alpha_g(w) = v = phi^-1(w): alpha_g on A_{g^-1} is phi^-1,
+      again a ring isomorphism, onto A_g, sending 1_{g^-1} = phi(1_g) to 1_g.
+    Every other arrow runs the three checks, in that order and with their
+    messages.  Then axioms II and III are checked per composable pair
     (g, h) on the central idempotent p = alpha_h^-1(1_{g^-1} 1_h) of A:
     - a ring isomorphism sends the ideal of a central idempotent to the ideal
       of its image, so alpha_h^-1(A_{g^-1} /\\ A_h) = A p, which lies in
@@ -218,6 +238,14 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
                for b in basis):
             flag("NotRingIso",
                  "map of %s does not annihilate the complement of its domain ideal" % (g,))
+            continue
+        if ginv == g and g_oid.is_identity(g):
+            implied = all(pa.alpha(g, u) == u for u in pa.ideal(g).rows)
+        else:
+            implied = (ginv in iso_ok and g_oid.inverse.get(ginv) == g and
+                       all(pa.alpha(g, pa.alpha(ginv, v)) == v for v in pa.ideal(g).rows))
+        if implied:
+            iso_ok.add(g)
             continue
         src, dst = pa.ideal(ginv), pa.ideal(g)
         images = [pa.alpha(g, u) for u in src.rows]

@@ -569,7 +569,7 @@ def trace_invariant_suite(pa: PartialAction) -> dict:
                         image_invariant = False
                 for x in invariant_subring(pa, i, j).rows:
                     lx, rx = alg.left_mul_matrix(x), alg.right_mul_matrix(x)
-                    if t * lx != lx * t or t * rx != rx * t:
+                    if t * lx != lx * t or (rx != lx and t * rx != rx * t):
                         bimodule_linear = False
     into = {j: trace_into(pa, j) for j in g_oid.objects}
     acc = Matrix.zeros(alg.field, alg.dim, alg.dim)

@@ -579,6 +579,34 @@ def ring_isotropy_iso(pa: PartialAction, arrow) -> SimpleNamespace:
 
 # -- test-only constructions -----------------------------------------------------------
 
+def dense_center_basis(alg) -> tuple:
+    """Reference for `Algebra.center_basis`: the kernel of the stacked
+    differences L_b - R_b of the left and right multiplication matrices of
+    every basis element b."""
+    rows = []
+    for b in alg._basis:
+        delta = alg.left_mul_matrix(b) - alg.right_mul_matrix(b)
+        rows.extend(delta.data)
+    m = Matrix._trusted(alg.field, tuple(rows), alg.dim)
+    return kernel(m)
+
+
+def dense_matrix_product(a: Matrix, b: Matrix) -> Matrix:
+    """Reference for `Matrix.__mul__`: each row of a times the rows of b,
+    over the dense rows of b."""
+    field = a.field
+    out = []
+    for r in a.data:
+        acc = [field.zero] * b.ncols
+        for x, row in zip(r, b.data):
+            if x:
+                for j, y in enumerate(row):
+                    if y:
+                        acc[j] += x * y
+        out.append(field.reduce_vec(acc))
+    return Matrix._trusted(field, tuple(out), b.ncols)
+
+
 def dense_nonassociative_triple(table, field):
     """Reference audit: the first basis triple (i, j, k) in lexicographic
     order where (b_i b_j) b_k != b_i (b_j b_k), scanning all dim^3 triples

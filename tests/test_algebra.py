@@ -6,11 +6,11 @@ import pytest
 from skewalg.algebra import (Algebra, AlgebraError, NotCentralIdempotent,
                              nonassociative_triple, table_product)
 from skewalg.instances import load_instance
-from skewalg.linalg import DimensionMismatch, Field
+from skewalg.linalg import DimensionMismatch, Field, Matrix
 from skewalg.partial_action import invariant_suite
 from skewalg.skew_ring import build_skew_ring
 
-from conftest import INSTANCE_DIR, dense_nonassociative_triple
+from conftest import INSTANCE_DIR, dense_center_basis, dense_nonassociative_triple
 
 Q = Field.rationals()
 
@@ -201,6 +201,58 @@ def test_audit_matches_the_dense_reference_on_shipped_and_corrupted_tables():
             assert found == dense_nonassociative_triple(bad, field)
 
 
+def _incidence_table(rng, field, n) -> tuple:
+    """The incidence algebra of a random partial order on n points: basis
+    E_ab for a <= b with E_ab E_cd = [b == c] E_ad, sparse and associative."""
+    below = [[a == b or (a < b and rng.random() < 0.4) for b in range(n)] for a in range(n)]
+    for m in range(n):
+        for a in range(n):
+            for b in range(n):
+                below[a][b] = below[a][b] or (below[a][m] and below[m][b])
+    pairs = [(a, b) for a in range(n) for b in range(n) if below[a][b]]
+    index = {ab: i for i, ab in enumerate(pairs)}
+    return tuple(tuple({index[(a, d)]: field.one} if b == c else {} for c, d in pairs)
+                 for a, b in pairs)
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(3)], ids=str)
+def test_candidate_pairs_find_a_planted_entry_like_the_dense_scan(field):
+    # one entry planted in an associative sparse table, also in a product
+    # that was zero, or one product cleared
+    rng = random.Random(41)
+    failing = 0
+    for _ in range(200):
+        table = _incidence_table(rng, field, rng.randint(1, 5))
+        assert nonassociative_triple(table, field) is None
+        n = len(table)
+        entry = ({rng.randrange(n): _random_scalar(rng, field)} if rng.random() < 0.85
+                 else {})
+        bad = _with_entry(table, rng.randrange(n), rng.randrange(n), entry)
+        expected = dense_nonassociative_triple(bad, field)
+        assert nonassociative_triple(bad, field) == expected, bad
+        failing += expected is not None
+    assert failing > 100
+
+
+def test_candidate_pairs_match_the_dense_scan_on_every_skew_ring_of_the_corpus():
+    from test_skewring import closed_form_corpus
+
+    rng = random.Random(43)
+    count = 0
+    for pa in closed_form_corpus():
+        field, table = pa.algebra.field, build_skew_ring(pa)._table
+        assert nonassociative_triple(table, field) is None
+        assert dense_nonassociative_triple(table, field) is None
+        n = len(table)
+        for _ in range(2):
+            bad = _with_entry(table, rng.randrange(n), rng.randrange(n),
+                              {rng.randrange(n): _random_scalar(rng, field)})
+            assert nonassociative_triple(bad, field) == \
+                dense_nonassociative_triple(bad, field)
+        count += 1
+    assert count > 80
+
+
 # -- center -----------------------------------------------------------------------------
 
 def test_center_of_commutative_algebra_is_everything():
@@ -221,6 +273,62 @@ def test_center_elements_commute_with_basis():
     m = matrix_algebra_2x2()
     for z in m.center_basis():
         assert m.commutes_with_all(z)
+
+
+def _direct_product(a: Algebra, b: Algebra) -> Algebra:
+    """a x b on the basis of a followed by the basis of b."""
+    n = a.dim + b.dim
+    structure = [[{} for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(a._table):
+        for j, t in enumerate(row):
+            structure[i][j] = dict(t)
+    for i, row in enumerate(b._table):
+        for j, t in enumerate(row):
+            structure[a.dim + i][a.dim + j] = {a.dim + k: c for k, c in t.items()}
+    return Algebra(a.field, structure, a.unit + b.unit)
+
+
+def _changed_basis(alg: Algebra, rng) -> Algebra:
+    """alg on the basis p_0..p_{n-1}, the rows of a random invertible matrix P:
+    p_i p_j and the unit in new coordinates are the old ones times P^-1."""
+    field, n = alg.field, alg.dim
+    while True:
+        p = Matrix(field, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if p.rank() == n:
+            break
+    to_new = Matrix.from_cols(field, p.inverse().data)     # x -> x P^-1
+    structure = [[to_new.apply(alg.multiply(u, v)) for v in p.data] for u in p.data]
+    return Algebra(field, structure, to_new.apply(alg.unit))
+
+
+def _center_corpus():
+    from test_skewring import closed_form_corpus
+
+    for pa in closed_form_corpus():
+        yield pa.algebra
+    yield load_instance(INSTANCE_DIR / "conj_swap_m2_q.json").action.algebra
+    rng = random.Random(29)
+    for field in (Q, Field.prime(3)):
+        m2 = matrix_algebra_2x2(field)
+        yield m2
+        for base in (_direct_product(m2, Algebra.diagonal(field, 1)),
+                     Algebra.diagonal(field, 3)):
+            for _ in range(4):
+                yield _changed_basis(base, rng)
+
+
+def test_center_read_off_the_table_matches_the_dense_reference():
+    dims = set()
+    count = 0
+    for alg in _center_corpus():
+        center = alg.center_basis()
+        assert center == dense_center_basis(alg)
+        assert all(alg.commutes_with_all(z) for z in center)
+        dims.add((alg.dim, len(center)))
+        count += 1
+    assert count > 90
+    # M_2(k) x k has a 2-dimensional centre in any basis, k^3 all of it
+    assert {(4, 1), (5, 2), (3, 3)} <= dims
 
 
 # -- idempotents and ideals -----------------------------------------------------------------

@@ -587,3 +587,30 @@ def test_one_process_parses_like_fresh_processes(capsys, monkeypatch):
             assert code == 2 and out == ""
             assert err == fresh_err
             assert "unrecognized arguments: --no-such-flag" in err
+
+
+def test_package_runs_as_a_module_from_a_checkout(capsys):
+    # `PYTHONPATH=src python -m skewalg` is `cli.main` in a fresh process
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["validate", str(instance_path("z2_flip_q.json"))]
+    code = main(argv)
+    out, _ = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "skewalg", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("field,spelling", [("GF(5)", "1 / 2"), ("GF(3)", "-1/-2"),
+                                            ("Q", "1/ 2")])
+def test_a_scalar_outside_the_grammar_exits_two_over_every_field(capsys, tmp_path,
+                                                                 field, spelling):
+    data = instance_data("z2_flip_q.json")
+    data["field"] = field
+    data["action"]["id:e1"]["dom"][0] = spelling
+    bad = tmp_path / "spelling.json"
+    bad.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InstanceFormatError"

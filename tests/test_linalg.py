@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from skewalg.cli import main
 from skewalg.linalg import (MAX_MODULUS, AffineSolutionSet, DimensionMismatch,
-                            Field, LinalgError, Matrix, echelon,
+                            Echelonizer, Field, LinalgError, Matrix, echelon,
                             kernel, solve_affine)
 
-from conftest import instance_data, intersect
+from conftest import dense_matrix_product, instance_data, intersect
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -80,6 +80,29 @@ def test_scalar_parsing_round_trip():
     assert f5.parse("1/2") == 3
     with pytest.raises(ZeroDivisionError, match=r"division by zero in GF\(5\)"):
         f5.parse("1/5")
+
+
+_SCALAR_SPELLINGS = ("3", " -3 ", "+3", "1_0", "3/4", "-3/4", "+3/4", "3/4 ", "0/7",
+                     "6/4", "1.5", ".5", "2.", "-0.25")
+_NOT_SCALARS = ("1 / 2", "1/ 2", "1 /2", "1/+2", "-1/-2", "1/-2", "+-1", "1//2",
+                "1/2/3", "1e3", "2E-1", "", "/2", "1/", "0x10", "1 2", "abc")
+
+
+@pytest.mark.parametrize("p", [None, 2, 5], ids=["Q", "GF2", "GF5"])
+def test_every_field_reads_one_scalar_grammar(p):
+    # GF(p) reads exactly the spellings Q reads, as the image of the rational
+    f = Field(p)
+    for text in _SCALAR_SPELLINGS:
+        q = Fraction(Q.parse(text))
+        if p is not None and q.denominator % p == 0:
+            with pytest.raises(ZeroDivisionError):
+                f.parse(text)
+        else:
+            want = q if p is None else q.numerator * pow(q.denominator, -1, p) % p
+            assert f.parse(text) == want, text
+    for text in _NOT_SCALARS:
+        with pytest.raises(ValueError):
+            f.parse(text)
 
 
 def test_rational_scalars_are_ints_when_integral():
@@ -416,6 +439,65 @@ def test_apply_cache_leaves_equality_and_hash_alone():
     c, d = Matrix.identity(GF2, 3), Matrix.identity(GF2, 3)
     d.apply((1, 0, 1))
     assert c == d and hash(c) == hash(d)
+
+
+@given(st.sampled_from((None, 2, 3, 5)), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_the_dense_row_sum(p, nrows, inner, ncols, data):
+    # the row-index product computes sum_k a_ik b_kj on sparse matrices, over
+    # Q with non-integral entries and over GF(p) on residues, for every shape
+    # with a zero dimension too, and reuses the right factor's index
+    f = Field(p)
+    entry = sparse_fraction if p is None else sparse_int
+
+    def draw(nr, nc) -> Matrix:
+        return Matrix(f, [[f.coerce(data.draw(entry)) for _ in range(nc)]
+                          for _ in range(nr)], ncols=nc)
+
+    b = draw(inner, ncols)
+    for _ in range(3):
+        a = draw(nrows, inner)
+        got = a * b
+        assert (got.nrows, got.ncols) == (nrows, ncols)
+        cols = [b.col(j) for j in range(ncols)]
+        assert [list(r) for r in got.data] == [_dense_apply(f, cols, r) for r in a.data]
+        assert got == dense_matrix_product(a, b)
+        assert _rational(*got.data) if p is None else _residues(p, *got.data)
+
+
+def test_product_on_empty_shapes():
+    for f in (Q, GF2):
+        wide, tall = Matrix(f, [], ncols=3), Matrix(f, [[], [], []], ncols=0)
+        assert wide * tall == Matrix(f, [], ncols=0)
+        assert (tall * wide).data == ((f.zero,) * 3,) * 3
+        assert tall * Matrix(f, [], ncols=2) == Matrix.zeros(f, 3, 2)
+        with pytest.raises(DimensionMismatch):
+            tall * tall
+
+
+def test_product_cache_leaves_equality_and_hash_alone():
+    rows = [[0, Fraction(3, 2)], [1, 0]]
+    a, b = mat(Q, rows), mat(Q, rows)
+    assert (a * a).data == ((Fraction(3, 2), 0), (0, Fraction(3, 2)))
+    assert a._rows is not None and b._rows is None
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # the zero rows of a product are equal to, and hash like, computed ones
+    z = Matrix.zeros(Q, 2, 2) * a
+    assert z == Matrix.zeros(Q, 2, 2) and hash(z) == hash(Matrix.zeros(Q, 2, 2))
+
+
+def test_insert_turns_a_zero_row_away_after_its_length_check():
+    for f in (Q, GF2, Field.prime(3)):
+        ech = Echelonizer(f, 3)
+        assert ech.insert((f.zero,) * 3) is False
+        assert ech.insert((f.one, f.zero, f.one)) is True
+        assert ech.insert((f.zero,) * 3) is False
+        assert ech.to_echelon() == echelon(f, [(1, 0, 1)], 3)
+        with pytest.raises(DimensionMismatch):
+            ech.insert((f.zero,) * 2)
 
 
 def test_prime_field_solver_matches_exhaustive_enumeration():

@@ -5,6 +5,7 @@ import pytest
 from skewalg import (Algebra, DecompositionRequired, Field, Matrix,
                      PartialAction, build_groupoid, invariant_suite,
                      validate_partial_action)
+from skewalg import partial_action
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
@@ -417,4 +418,92 @@ def test_a_rejected_pull_back_falls_back_to_the_restricted_inverse(monkeypatch):
         assert not report.codes() & {"NotIdempotentDomain", "NotRingIso", "IdentityAxiom"}
         assert report.codes() & {"AxiomII", "AxiomIII"}
         assert report.violations == subspace_validate_partial_action(pa).violations
+        monkeypatch.undo()
+
+
+# -- implied ring isomorphisms -----------------------------------------------------------
+
+def _count_image_echelons(monkeypatch) -> list:
+    """Record the vectors of each echelon `validate_partial_action` builds:
+    the images of a domain basis under one arrow."""
+    calls = []
+    build = partial_action.echelon
+
+    def counted(field, vectors, ncols):
+        vectors = list(vectors)
+        calls.append(vectors)
+        return build(field, vectors, ncols)
+
+    monkeypatch.setattr(partial_action, "echelon", counted)
+    return calls
+
+
+def _z3_action(field: Field, dim: int, idems: dict, maps: dict) -> PartialAction:
+    """Z/3 = {1, g, g^-1} on k^dim, the morphisms in the order id:e, g, ginv."""
+    g_oid = build_groupoid(["e"], [("g", "e", "e"), ("ginv", "e", "e")],
+                           [("g", "g", "ginv"), ("ginv", "ginv", "g"),
+                            ("g", "ginv", "id:e"), ("ginv", "g", "id:e")],
+                           [("g", "ginv")])
+    return PartialAction(g_oid, Algebra.diagonal(field, dim), idems, maps)
+
+
+def _z3_partial_shift(field: Field) -> PartialAction:
+    """The cyclic shift b0 -> b1 -> b2 -> b0 of Z/3 on k^3, restricted to the
+    ideal k^2 of b0 + b1: alpha_g sends b0 to b1, alpha_{g^-1} b1 to b0."""
+    return _z3_action(field, 2, {"id:e": [1, 1], "g": [0, 1], "ginv": [1, 0]},
+                      {"g": [[0, 0], [1, 0]], "ginv": [[0, 1], [0, 0]]})
+
+
+_SHIFT = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]       # b0 -> b1 -> b2 -> b0
+_UNSHIFT = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+_SHEAR = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]       # a bijection, not multiplicative
+
+
+def _global_z3(field: Field, g, ginv) -> PartialAction:
+    one = [1, 1, 1]
+    return _z3_action(field, 3, {"id:e": one, "g": one, "ginv": one},
+                      {"g": g, "ginv": ginv})
+
+
+def _fallback_cases(field: Field):
+    """(action, image echelons built, violation codes): each reaches the three
+    ring-isomorphism checks on an arrow the implied cases do not cover."""
+    swap = PartialAction(build_groupoid(["e"], [], [], []), Algebra.diagonal(field, 2),
+                         {"id:e": [1, 1]}, {"id:e": [[0, 1], [1, 0]]})
+    # an identity map that is an automorphism, not the identity, of A_e;
+    # the swap squares to 1, not to itself, so id:e id:e != id:e too
+    yield swap, 1, {"IdentityAxiom", "AxiomIII"}
+    # the second arrow of the pair is a ring isomorphism, not the inverse
+    yield _global_z3(field, _SHIFT, _SHIFT), 2, {"AxiomIII"}
+    # the second arrow is not multiplicative
+    yield _global_z3(field, _SHIFT, _SHEAR), 2, {"NotRingIso"}
+    # the first arrow is not multiplicative, so g^-1 is not in iso_ok
+    yield _global_z3(field, _SHEAR, _UNSHIFT), 2, {"NotRingIso"}
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(2), Field.prime(3)], ids=str)
+def test_arrows_outside_the_implied_cases_run_every_check(monkeypatch, field):
+    for pa, builds, codes in _fallback_cases(field):
+        calls = _count_image_echelons(monkeypatch)
+        report = validate_partial_action(pa)
+        assert len(calls) == builds
+        assert report.codes() == codes
+        assert report.violations == subspace_validate_partial_action(pa).violations
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(2), Field.prime(3)], ids=str)
+def test_identities_and_second_arrows_build_no_image_echelon(monkeypatch, field):
+    trivial = PartialAction(build_groupoid(["e"], [], [], []), Algebra.diagonal(field, 10),
+                            {"id:e": [1] * 10}, {})
+    shift = _z3_partial_shift(field)
+    for pa, images in ((trivial, []), (shift, [[(0, 1)]]),
+                       (_global_z3(field, _SHIFT, _UNSHIFT), [[(0, 1, 0), (0, 0, 1),
+                                                               (1, 0, 0)]])):
+        calls = _count_image_echelons(monkeypatch)
+        report = validate_partial_action(pa)
+        assert report.ok
+        assert report.violations == subspace_validate_partial_action(pa).violations
+        # only g's images, none of id:e or of g^-1
+        assert calls == images
         monkeypatch.undo()
