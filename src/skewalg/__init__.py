@@ -1,7 +1,7 @@
 """skewalg: exact-arithmetic partial groupoid actions, skew groupoid rings,
 and separability certificates for the extension A in A*G."""
 
-from .algebra import Algebra, AlgebraError, IdealByIdempotent, NotCentralIdempotent
+from .algebra import Algebra, AlgebraError, NotCentralIdempotent
 from .groupoid import (ComponentPartition, Groupoid, GroupoidError,
                        UnknownObject, ValidationReport, Violation,
                        build_groupoid, validate_groupoid)

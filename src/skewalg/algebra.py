@@ -14,7 +14,10 @@ and the skew ring A*G alike; the audit visits only the candidate pairs
 (i, j) whose triples can have a nonzero term.  The unit law and
 associativity are checked at construction.  The centre is the kernel of
 the system x*b_j - b_j*x = 0 read off the nonzero constants, one row per
-(j, k) that one of them reaches.
+(j, k) that one of them reaches.  The ideal A*e of a central idempotent
+e has one membership test, `ideal_coords`: y is in A*e iff y*e == y, and
+then its coordinates in the canonical basis `ideal_basis(e)` are its
+entries at the pivots, with no elimination.
 
 An `Algebra` computes each product x*y and each centrality verdict once:
 the checks of a partial action keep multiplying the same few canonical
@@ -28,10 +31,8 @@ returned as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .linalg import (DimensionMismatch, Echelon, Field, Matrix, echelon,
-                     kernel, vadd, vzero)
+from .linalg import (DimensionMismatch, Echelon, Field, LinalgError, Matrix,
+                     echelon, kernel, vadd, vzero)
 
 
 def table_product(table, x, y, field) -> tuple:
@@ -108,14 +109,6 @@ class AlgebraError(Exception):
 
 class NotCentralIdempotent(AlgebraError):
     pass
-
-
-@dataclass(frozen=True)
-class IdealByIdempotent:
-    """The ideal A*e of a central idempotent e, with a canonical basis."""
-
-    generator: tuple
-    basis: Echelon
 
 
 class Algebra:
@@ -270,15 +263,28 @@ class Algebra:
                                           self.commutes_with_all(e))
         return verdict
 
-    def ideal_basis(self, e) -> IdealByIdempotent:
+    def ideal_basis(self, e) -> Echelon:
         """Canonical basis of A*e for a central idempotent e."""
         e = self.element(e)
         if e not in self._ideals:
             if not self.is_central_idempotent(e):
                 raise NotCentralIdempotent("%r is not a central idempotent" % (e,))
             images = [self.multiply(b, e) for b in self._basis]
-            self._ideals[e] = IdealByIdempotent(e, echelon(self.field, images, self.dim))
+            self._ideals[e] = echelon(self.field, images, self.dim)
         return self._ideals[e]
+
+    def ideal_coords(self, e, y) -> tuple:
+        """The coordinates of y in `ideal_basis(e)`, e a central idempotent.
+
+        y lies in A*e iff y*e == y: y = a*e gives y*e = a*e*e = y.  A vector
+        of the span of a reduced echelon basis is the combination of its rows
+        with its own entries at the pivots.  A y outside A*e raises the
+        LinalgError of `Echelon.coords`.
+        """
+        basis = self.ideal_basis(e)
+        if self.multiply(y, e) != tuple(y):
+            raise LinalgError("vector is not in the subspace")
+        return tuple(y[p] for p in basis.pivots)
 
     def check_object_decomposition(self, idems) -> bool:
         """True iff the given central idempotents are orthogonal and sum to 1."""
@@ -300,16 +306,11 @@ class Algebra:
         """The unital algebra A*e in its canonical ideal basis.
 
         Returns (sub, basis) where `basis` is the Echelon of A*e inside this
-        algebra; coordinates move through basis.coords / basis.combine.
+        algebra; coordinates move through `ideal_coords` / basis.combine.
         """
-        ideal = self.ideal_basis(e)
-        basis = ideal.basis
-        structure = []
-        for u in basis.rows:
-            plane = []
-            for w in basis.rows:
-                plane.append(basis.coords(self.multiply(u, w)))
-            structure.append(plane)
+        basis = self.ideal_basis(e)
+        structure = [[self.ideal_coords(e, self.multiply(u, w)) for w in basis.rows]
+                     for u in basis.rows]
         names = tuple("u%d" % i for i in range(basis.dim))
-        sub = Algebra(self.field, structure, basis.coords(ideal.generator), names)
+        sub = Algebra(self.field, structure, self.ideal_coords(e, e), names)
         return sub, basis

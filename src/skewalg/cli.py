@@ -271,15 +271,13 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, code = _HANDLERS[args.command](args)
-    except (InstanceFormatError, OSError, InvalidSizeCap, TensorTooLarge) as exc:
+    except (InstanceFormatError, OSError, ActionError, AlgebraError, GroupoidError,
+            LinalgError, SeparabilityError, SkewRingError) as exc:
+        # InvalidSizeCap and TensorTooLarge subclass SkewRingError but exit 2
+        code = 2 if isinstance(exc, (InstanceFormatError, OSError, InvalidSizeCap,
+                                     TensorTooLarge)) else 1
         report = {"command": args.command, "ok": False,
                   "error": {"type": type(exc).__name__, "message": str(exc)}}
-        code = 2
-    except (ActionError, AlgebraError, GroupoidError, LinalgError,
-            SeparabilityError, SkewRingError) as exc:
-        report = {"command": args.command, "ok": False,
-                  "error": {"type": type(exc).__name__, "message": str(exc)}}
-        code = 1
     report.setdefault("command", args.command)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)

@@ -24,10 +24,6 @@ class UnknownMorphism(GroupoidError):
     pass
 
 
-class CompositionUndefined(GroupoidError):
-    pass
-
-
 @dataclass(frozen=True)
 class Violation:
     code: str
@@ -81,13 +77,6 @@ class Groupoid:
 
     def is_identity(self, g) -> bool:
         return self.identity.get(self.src.get(g)) == g and self.src[g] == self.tgt[g]
-
-    def mul(self, g, h):
-        """The product g*h ("h first"); defined iff src(g) == tgt(h)."""
-        try:
-            return self.compose[(g, h)]
-        except KeyError:
-            raise CompositionUndefined("product %r * %r undefined" % (g, h)) from None
 
     def inv(self, g):
         try:

@@ -35,6 +35,10 @@ Every elimination (`kernel`, `solve_affine`, `Matrix.rank`,
 nonzero rows and pivots; only the public `Matrix.rref` pads them back to
 the original shape.  `Echelonizer.insert` turns a zero row away before it
 eliminates anything, since a zero row cannot enlarge a span.
+`Echelon.contains` and `Echelon.coords` decide membership in any span by
+elimination; the package itself only reads vectors in the ideals A*e of
+central idempotents, through `Algebra.ideal_coords`, which tests y*e == y
+and eliminates nothing.
 """
 
 from __future__ import annotations
@@ -444,7 +448,7 @@ class Echelon:
     def coords(self, v: Sequence) -> tuple:
         """Coordinates of v in this basis (pivot entries); v must lie in the span."""
         c = tuple(v[p] for p in self.pivots)
-        if not self.contains(v):
+        if any(self.reduce(v)):
             raise LinalgError("vector is not in the subspace")
         return c
 

@@ -2,7 +2,9 @@
 
 The ring is the direct sum over morphisms g of the ideals A_g, with
 (a_g d_g)(b_h d_h) = alpha_g(alpha_{g^-1}(a_g) b_h) d_{gh} on composable
-pairs and 0 otherwise; `SkewRing` holds its multiplication table.  The
+pairs and 0 otherwise; `SkewRing` holds its multiplication table.  A
+product v d_g enters it as v's coordinates in A_g, read by
+`Algebra.ideal_coords(1_g, v)` (v is in A_g iff v 1_g == v).  The
 tensor square over A is realised concretely in the normal form
 psi(u d_g (x) w d_h) = u alpha_g(w 1_{g^-1}), which maps the (g, h) block of
 the quotient isomorphically onto the ideal A 1_g 1_{gh} and kills the block
@@ -14,7 +16,8 @@ chosen greedily from the right whose psi-images are independent
 (`psi_block`), which are the free columns of the reduced echelon form of
 the balancing relations (b.a (x) b') - (b (x) a.b'), never built, and
 construction checks that every basis-pair product is its psi-image at
-d_{gh}, so multiplication factors through the quotient.  The `psi_*`
+d_{gh}, read the same way, so multiplication factors through the
+quotient; a psi-image outside A_{gh} fails that check.  The `psi_*`
 functions work on elements held as their psi blocks {(g, h): y} and need
 neither the table nor the square: multiplication, the two actions of a
 ring basis element v d_k and the dimension have closed forms there.
@@ -25,7 +28,7 @@ from __future__ import annotations
 import os
 
 from .algebra import nonassociative_triple, table_product
-from .linalg import Echelonizer, Matrix, vadd
+from .linalg import Echelonizer, LinalgError, Matrix, vadd
 from .partial_action import NotUnitalAction, PartialAction
 
 DEFAULT_MAX_TENSOR_DIM = 4096
@@ -104,7 +107,8 @@ class SkewRing:
 
     def _scatter(self, g, v) -> dict:
         """Sparse ring coordinates of the element v*d_g (v must lie in A_g)."""
-        local = self.action.ideal(g).coords(v)
+        act = self.action
+        local = act.algebra.ideal_coords(act.idem(g), v)
         at = self.starts[g]
         return {at + k: c for k, c in enumerate(local) if c}
 
@@ -255,14 +259,15 @@ class TensorOverA:
         ring = self.ring
         act = ring.action
         gh = act.groupoid.compose[(g, h)]
-        target = act.ideal(gh)
         images, kinds, free, _ = psi_block(act, g, h)
         coords = self._pairs(ps, qs)
-        # one reduction per image: a contained y has its coordinates in A_gh
-        # at the pivots, as in `Echelon.coords`
-        at = ring.starts[gh]
-        products = [{at + k: y[p] for k, p in enumerate(target.pivots) if y[p]}
-                    if target.contains(y) else None for y in images]
+        # a table product lies in A_gh d_gh, so an image outside A_gh fails
+        # the check below at its pairs (every image is some pair's)
+        try:
+            products = [ring._scatter(gh, y) for y in images]
+        except LinalgError:
+            raise SkewRingError(
+                "multiplication does not factor through the tensor quotient") from None
         base = index * act.algebra.dim
         keyed = [tuple((base + a, t) for a, t in enumerate(y) if t) for y in images]
         psi_at = self._psi_at
@@ -485,8 +490,8 @@ def psi_tensor_dim(act: PartialAction) -> int:
     def meet(e, f) -> tuple:
         return e if e == f else alg.multiply(e, f)
 
-    return sum(alg.ideal_basis(meet(act.idem(g), act.idem(g_oid.compose[(g, h)])))
-               .basis.dim for g, h in g_oid.composable_pairs())
+    return sum(alg.ideal_basis(meet(act.idem(g), act.idem(g_oid.compose[(g, h)]))).dim
+               for g, h in g_oid.composable_pairs())
 
 
 def _collect(field, terms) -> dict:

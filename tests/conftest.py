@@ -124,7 +124,7 @@ def component_unit(pa: PartialAction, objects) -> tuple:
 
 def component_algebra_rows(pa: PartialAction, objects) -> tuple:
     """A basis of the component subalgebra A_[e] = A * sum of 1_f over `objects`."""
-    return pa.algebra.ideal_basis(component_unit(pa, objects)).basis.rows
+    return pa.algebra.ideal_basis(component_unit(pa, objects)).rows
 
 
 def restricted_component_family(pa: PartialAction, cls, solve_at) -> AffineSolutionSet:
@@ -134,7 +134,7 @@ def restricted_component_family(pa: PartialAction, cls, solve_at) -> AffineSolut
     are mapped back into A's coordinates and put in canonical form."""
     sub = pa.restrict_to_component(cls)
     field = pa.algebra.field
-    basis = pa.algebra.ideal_basis(component_unit(pa, cls)).basis
+    basis = pa.algebra.ideal_basis(component_unit(pa, cls))
     cmat = Matrix.from_cols(field, list(sub.algebra.center_basis()))
     rows: list = []
     rhs: list = []
@@ -548,8 +548,8 @@ def ring_isotropy_iso(pa: PartialAction, arrow) -> SimpleNamespace:
     e_i, e_j = g_oid.src[arrow], g_oid.tgt[arrow]
     src_ring = build_skew_ring(pa.isotropy_action(e_i))
     dst_ring = build_skew_ring(pa.isotropy_action(e_j))
-    src_basis = pa.algebra.ideal_basis(pa.obj_idem(e_i)).basis
-    dst_basis = pa.algebra.ideal_basis(pa.obj_idem(e_j)).basis
+    src_basis = pa.algebra.ideal_basis(pa.obj_idem(e_i))
+    dst_basis = pa.algebra.ideal_basis(pa.obj_idem(e_j))
     linv = g_oid.inv(arrow)
     cols = []
     for g, u_local in src_ring.basis:
@@ -795,6 +795,15 @@ def intersect(a: Echelon, b: Echelon) -> Echelon:
 
 # -- the subspace references for the action checks ---------------------------------
 
+def restricted_matrix(pa: PartialAction, g) -> Matrix:
+    """The matrix of alpha_g from ideal(g^-1)-coordinates to ideal(g)-coordinates,
+    read by elimination (`Echelon.coords`)."""
+    src = pa.ideal(pa.groupoid.inv(g))
+    dst = pa.ideal(g)
+    cols = [dst.coords(pa.alpha(g, u)) for u in src.rows]
+    return Matrix._trusted(pa.algebra.field, tuple(zip(*cols)), len(cols))
+
+
 def subspace_validate_partial_action(pa: PartialAction) -> ValidationReport:
     """Reference for `validate_partial_action`: the axioms checked on
     subspaces in canonical bases.  The complement is annihilated as a matrix
@@ -866,13 +875,13 @@ def subspace_validate_partial_action(pa: PartialAction) -> ValidationReport:
         return ValidationReport(tuple(bad))
 
     # every restricted map is invertible once each morphism passed iso_ok
-    inverses = {h: pa.restricted_matrix(h).inverse() for h in g_oid.morphisms}
+    inverses = {h: restricted_matrix(pa, h).inverse() for h in g_oid.morphisms}
     for g, h in g_oid.composable_pairs():
         gh = g_oid.compose[(g, h)]
         ginv, hinv = g_oid.inv(g), g_oid.inv(h)
         # central idempotents: A*a intersect A*b equals A*(a*b)
         meet = alg.multiply(pa.idem(ginv), pa.idem(h))
-        meet_basis = alg.ideal_basis(meet).basis
+        meet_basis = alg.ideal_basis(meet)
         inv_h = inverses[h]
         h_ideal, hinv_ideal = pa.ideal(h), pa.ideal(hinv)
         pulled = [hinv_ideal.combine(inv_h.apply(h_ideal.coords(d)))
@@ -894,8 +903,8 @@ def subspace_inverse_consistency(pa: PartialAction) -> bool:
     """The restriction of alpha_{g^-1} inverts the restriction of alpha_g."""
     for g in pa.groupoid.morphisms:
         ginv = pa.groupoid.inv(g)
-        a = pa.restricted_matrix(g)
-        b = pa.restricted_matrix(ginv)
+        a = restricted_matrix(pa, g)
+        b = restricted_matrix(pa, ginv)
         n = pa.ideal(ginv).dim
         if b * a != Matrix.identity(pa.algebra.field, n):
             return False
@@ -911,9 +920,9 @@ def subspace_intersection_transport(pa: PartialAction) -> bool:
         lhs_gen = alg.multiply(pa.idem(ginv), pa.idem(h))
         rhs_gen = alg.multiply(pa.idem(g), pa.idem(gh))
         lhs = echelon(alg.field,
-                      [pa.alpha(g, d) for d in alg.ideal_basis(lhs_gen).basis.rows],
+                      [pa.alpha(g, d) for d in alg.ideal_basis(lhs_gen).rows],
                       alg.dim)
-        if lhs != alg.ideal_basis(rhs_gen).basis:
+        if lhs != alg.ideal_basis(rhs_gen):
             return False
     return True
 

@@ -6,7 +6,7 @@ import pytest
 from skewalg.algebra import (Algebra, AlgebraError, NotCentralIdempotent,
                              nonassociative_triple, table_product)
 from skewalg.instances import load_instance
-from skewalg.linalg import DimensionMismatch, Field, Matrix
+from skewalg.linalg import DimensionMismatch, Field, LinalgError, Matrix
 from skewalg.partial_action import invariant_suite
 from skewalg.skew_ring import build_skew_ring
 
@@ -366,7 +366,7 @@ def test_float_or_string_twin_of_a_kept_vector_is_rejected():
     a = diag4()
     e, co = a.element([1, 1, 0, 0]), a.element([0, 0, 1, 1])
     assert a.is_central_idempotent(e)
-    assert a.ideal_basis(e).basis.dim == 2
+    assert a.ideal_basis(e).dim == 2
     assert a.check_object_decomposition([e, co])
     checks = (a.is_central_idempotent, a.ideal_basis,
               lambda v: a.check_object_decomposition([v, co]))
@@ -399,18 +399,18 @@ def test_validation_checks_no_scalar_the_package_computed(monkeypatch):
 
 def test_ideal_of_unit_is_everything():
     a = diag4()
-    assert a.ideal_basis(a.unit).basis.dim == 4
+    assert a.ideal_basis(a.unit).dim == 4
 
 
 def test_ideal_of_zero_is_zero():
     a = diag4()
-    assert a.ideal_basis(a.zero()).basis.dim == 0
+    assert a.ideal_basis(a.zero()).dim == 0
 
 
 def test_ideal_of_single_idempotent():
     a = diag4()
     ideal = a.ideal_basis(a.basis_vector(1))
-    assert ideal.basis.rows == (a.basis_vector(1),)
+    assert ideal.rows == (a.basis_vector(1),)
 
 
 def test_ideal_dimensions_are_complementary():
@@ -418,7 +418,55 @@ def test_ideal_dimensions_are_complementary():
     for e in ([1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 0, 0, 0]):
         e = a.element(e)
         co = tuple(x - y for x, y in zip(a.unit, e))
-        assert a.ideal_basis(e).basis.dim + a.ideal_basis(co).basis.dim == a.dim
+        assert a.ideal_basis(e).dim + a.ideal_basis(co).dim == a.dim
+
+
+def _ideal_corpus():
+    """(algebra, central idempotents): the domain idempotents of every action
+    of `closed_form_corpus()` (the shipped instances, conj_swap_m2_q.json
+    among them, and the trivial action on M_2(k) over Q and GF(3)), and M_2(k)
+    over GF(2) and GF(5), each with its unit and 0."""
+    from test_skewring import closed_form_corpus
+
+    for pa in closed_form_corpus():
+        alg = pa.algebra
+        yield alg, {alg.unit, alg.zero()} | set(pa.idems.values())
+    yield load_instance(INSTANCE_DIR / "conj_swap_m2_q.json").action.algebra, ()
+    for p in (2, 5):
+        m2 = matrix_algebra_2x2(Field.prime(p))
+        yield m2, (m2.unit, m2.zero())
+
+
+def _read_by_elimination(basis, y):
+    try:
+        return basis.coords(y)
+    except LinalgError as exc:
+        return str(exc)
+
+
+def test_ideal_coords_matches_the_echelon_coordinates():
+    rng = random.Random(47)
+    members = outside = 0
+    for alg, idems in _ideal_corpus():
+        for e in idems:
+            basis = alg.ideal_basis(e)
+            ys = [alg.basis_vector(i) for i in range(alg.dim)]
+            ys += [alg.multiply(b, e) for b in ys]
+            for _ in range(4):
+                ys.append(basis.combine([alg.field.from_int(rng.randint(-3, 3))
+                                         for _ in basis.rows]))
+                ys.append(alg.element([rng.randint(-3, 3) for _ in range(alg.dim)]))
+            for y in ys:
+                expected = _read_by_elimination(basis, y)
+                if isinstance(expected, str):
+                    with pytest.raises(LinalgError) as exc:
+                        alg.ideal_coords(e, y)
+                    assert str(exc.value) == expected == "vector is not in the subspace"
+                    outside += 1
+                else:
+                    assert alg.ideal_coords(e, y) == expected
+                    members += 1
+    assert members > 2000 and outside > 1000
 
 
 # -- object decompositions ---------------------------------------------------------------------

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
-from skewalg.groupoid import (CompositionUndefined, Groupoid, UnknownObject,
-                              build_groupoid, validate_groupoid)
+from skewalg.groupoid import (Groupoid, UnknownObject, build_groupoid,
+                              validate_groupoid)
 from skewalg.instances import parse_instance
 
 from conftest import INSTANCE_DIR, full_scan_validate_groupoid, load_action
@@ -117,7 +117,7 @@ def test_isotropy_group_of_flip_is_order_two():
     iso = flip_groupoid().isotropy_group("e1")
     assert iso.objects == ("e1",)
     assert iso.morphisms == ("id:e1", "g")
-    assert iso.mul("g", "g") == "id:e1"
+    assert iso.compose[("g", "g")] == "id:e1"
     assert validate_groupoid(iso).ok
 
 
@@ -209,12 +209,6 @@ def test_hom_nonempty_iff_same_component():
     for e in g.objects:
         for f in g.objects:
             assert bool(g.hom_set(e, f)) == (classes[e] == classes[f])
-
-
-def test_undefined_composition_raises():
-    g = bridge_groupoid()
-    with pytest.raises(CompositionUndefined):
-        g.mul("g", "g")
 
 
 # -- the composable index against the full-scan reference ------------------------------------

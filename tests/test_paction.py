@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from skewalg import (Algebra, DecompositionRequired, Field, Matrix,
+from skewalg import (Algebra, DecompositionRequired, Echelon, Field, Matrix,
                      PartialAction, build_groupoid, invariant_suite,
-                     validate_partial_action)
+                     isotropy_transport_psi, tensor_square,
+                     trace_invariant_suite, validate_partial_action)
 from skewalg import partial_action
+from skewalg.cli import main
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
@@ -419,6 +421,36 @@ def test_a_rejected_pull_back_falls_back_to_the_restricted_inverse(monkeypatch):
         assert report.codes() & {"AxiomII", "AxiomIII"}
         assert report.violations == subspace_validate_partial_action(pa).violations
         monkeypatch.undo()
+
+
+def test_no_ideal_member_is_read_by_elimination(monkeypatch, capsys):
+    # every ideal read goes through `Algebra.ideal_coords`, which tests
+    # y 1_g == y: the square, the ring of skew-table, the isotropy
+    # conjugation, the trace suite and the validation fallback eliminate none
+    paths = sorted(INSTANCE_DIR.glob("*.json"))
+    shipped = [load_action(p.name) for p in paths]
+    fallbacks = [_unwound_z3(field) for field in (Q, Field.prime(2), Field.prime(3))]
+    calls = []
+    for name in ("coords", "contains"):
+        def recorded(self, v, _name=name, _method=getattr(Echelon, name)):
+            calls.append(_name)
+            return _method(self, v)
+        monkeypatch.setattr(Echelon, name, recorded)
+    for pa in shipped:
+        tensor_square(pa)
+        assert all(trace_invariant_suite(pa).values())
+        if pa.is_global():
+            for arrow in pa.groupoid.morphisms:
+                assert all(isotropy_transport_psi(pa, arrow).checks.values())
+    for path in paths:
+        assert main(["skew-table", str(path)]) == 0
+    capsys.readouterr()
+    inverses = _count_inverses(monkeypatch)
+    for pa in fallbacks:
+        taken = len(inverses)
+        assert validate_partial_action(pa).codes() & {"AxiomII", "AxiomIII"}
+        assert len(inverses) > taken
+    assert calls == []
 
 
 # -- implied ring isomorphisms -----------------------------------------------------------

@@ -106,7 +106,7 @@ def test_isotropy_invariants_match_restricted_computation(flip_q, bridge, pair_s
             ambient = intersect(invariant_subring(pa, e, e),
                                 pa.ideal(pa.groupoid.identity[e]))
             iso = pa.isotropy_action(e)
-            basis = pa.algebra.ideal_basis(pa.obj_idem(e)).basis
+            basis = pa.algebra.ideal_basis(pa.obj_idem(e))
             lifted = echelon(pa.algebra.field,
                              [basis.combine(r) for r in
                               invariant_subring(iso, e, e).rows],
@@ -535,7 +535,7 @@ def test_transported_witness_satisfies_the_group_criterion(pair_swap):
     v = decide_separability(pair_swap)
     tr = isotropy_witness_transport(pair_swap, ("e1", "e2"), v.witness)
     iso = pair_swap.isotropy_action(tr.obj)
-    basis = pair_swap.algebra.ideal_basis(pair_swap.obj_idem(tr.obj)).basis
+    basis = pair_swap.algebra.ideal_basis(pair_swap.obj_idem(tr.obj))
     local = basis.coords(tr.witness)
     assert trace_total(iso).apply(local) == iso.algebra.unit
 

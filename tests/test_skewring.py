@@ -352,7 +352,7 @@ def test_tensor_dimension_equals_composable_intersection_sum(bridge, flip_q,
         for g, h in g_oid.composable_pairs():
             gh = g_oid.compose[(g, h)]
             meet = alg.multiply(pa.idem(g), pa.idem(gh))
-            predicted += alg.ideal_basis(meet).basis.dim
+            predicted += alg.ideal_basis(meet).dim
         ring = build_skew_ring(pa)
         assert tensor_over(ring).dim == predicted
 
