@@ -266,12 +266,13 @@ class Algebra:
     def ideal_basis(self, e) -> Echelon:
         """Canonical basis of A*e for a central idempotent e."""
         e = self.element(e)
-        if e not in self._ideals:
+        basis = self._ideals.get(e)
+        if basis is None:
             if not self.is_central_idempotent(e):
                 raise NotCentralIdempotent("%r is not a central idempotent" % (e,))
             images = [self.multiply(b, e) for b in self._basis]
-            self._ideals[e] = echelon(self.field, images, self.dim)
-        return self._ideals[e]
+            basis = self._ideals[e] = echelon(self.field, images, self.dim)
+        return basis
 
     def ideal_coords(self, e, y) -> tuple:
         """The coordinates of y in `ideal_basis(e)`, e a central idempotent.

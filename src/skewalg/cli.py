@@ -82,7 +82,8 @@ def _load(path):
     inst = load_instance(path)
     head = {
         "instance": {"path": str(path), "digest": inst.digest},
-        "metadata": {"field": inst.data["field"], "map_convention": MAP_CONVENTION},
+        "metadata": {"field": str(inst.action.algebra.field),
+                     "map_convention": MAP_CONVENTION},
     }
     return inst, head
 
@@ -140,7 +141,6 @@ def cmd_traces(args) -> tuple:
 def cmd_separability(args) -> tuple:
     inst, report = _load(args.file)
     pa = inst.action
-    pa.ensure_valid()
     ok = True
     # the oracle builds the tensor square, so a square over the size cap is
     # refused before the trace decision

@@ -176,7 +176,7 @@ def run_differential(data: dict) -> dict:
     report = pa.validate()
     record = {
         "digest": inst.digest,
-        "field": inst.data["field"],
+        "field": str(pa.algebra.field),
         "objects": len(pa.groupoid.objects),
         "morphisms": len(pa.groupoid.morphisms),
         "algebra_dim": pa.algebra.dim,

@@ -4,7 +4,8 @@ A groupoid is stored as ordered object and morphism lists together with
 source/target/identity/inverse maps and a composition table defined exactly
 on the composable pairs (src(g) == tgt(h) for the product g*h, meaning
 "h first, then g").  Identity morphisms are explicit in memory and named
-"id:<object>" when synthesised from an instance file.
+"id:<object>" when synthesised from an instance file.  Connected components
+are found by one search per class over the undirected src/tgt neighbours.
 """
 
 from __future__ import annotations
@@ -113,29 +114,23 @@ class Groupoid:
         return self.full_subgroupoid((e,))
 
     def connected_components(self) -> ComponentPartition:
-        reach = {e: {e} for e in self.objects}
+        """Classes in order of their first object, objects in object order."""
+        near = {e: set() for e in self.objects}
         for g in self.morphisms:
-            reach[self.src[g]].add(self.tgt[g])
-            reach[self.tgt[g]].add(self.src[g])
-        # closure by repeated merging (object counts are tiny)
-        changed = True
-        while changed:
-            changed = False
-            for e in self.objects:
-                merged = set(reach[e])
-                for f in list(reach[e]):
-                    merged |= reach[f]
-                if merged != reach[e]:
-                    reach[e] = merged
-                    changed = True
+            near[self.src[g]].add(self.tgt[g])
+            near[self.tgt[g]].add(self.src[g])
         seen = set()
         classes = []
         for e in self.objects:
             if e in seen:
                 continue
-            cls = tuple(f for f in self.objects if f in reach[e])
-            seen |= set(cls)
-            classes.append(cls)
+            reach, stack = {e}, [e]
+            while stack:
+                new = near[stack.pop()] - reach
+                reach |= new
+                stack.extend(new)
+            seen |= reach
+            classes.append(tuple(f for f in self.objects if f in reach))
         return ComponentPartition(tuple(classes), tuple(c[0] for c in classes))
 
     def full_subgroupoid(self, objs) -> "Groupoid":

@@ -19,11 +19,13 @@ Layout:
 Identity morphisms are implicit ("id:<object>") but their "dom" entries are
 required, since they define the object ideals A_e.  Scalars are written as
 strings ("3/4", "2") or plain integers; exponent notation is rejected.
-Vectors, matrices, the structure and their rows must be JSON arrays, not
-strings (which would be read one character at a time).  The algebra
-dimension ("diagonal" n, or the length of "structure") must be a JSON
-integer from 0 to MAX_ALGEBRA_DIM; it is checked before anything of size
-dim^3 is built.
+Vectors, matrices, the structure, their rows, "objects", "morphisms" and
+each "compose" triple and "inverse" pair must be JSON arrays, not strings
+(which would be read one character at a time); every name is a JSON string.
+The algebra dimension ("diagonal" n, or the length of "structure") must be
+a JSON integer from 0 to MAX_ALGEBRA_DIM, checked before anything of size
+dim^3 is built.  An `Instance` keeps the action and the digest of its
+`canonical_dict`, not the canonical form itself.
 """
 
 from __future__ import annotations
@@ -49,8 +51,7 @@ class InstanceFormatError(Exception):
 @dataclass(frozen=True)
 class Instance:
     action: PartialAction
-    data: dict        # canonical form (scalars as strings, fixed key layout)
-    digest: str
+    digest: str       # sha256 of the canonical form (`canonical_dict`)
 
 
 def parse_field(desc) -> Field:
@@ -80,6 +81,15 @@ def _array(raw, what: str) -> list:
     return raw
 
 
+def _names(raw, what: str, length: int | None = None) -> tuple:
+    """A JSON array of JSON strings, `length` of them if given."""
+    names = tuple(_array(raw, what))
+    if not all(isinstance(x, str) for x in names) or length not in (None, len(names)):
+        raise InstanceFormatError("%s must hold %s JSON strings, got %.40r"
+                                  % (what, length or "only", raw))
+    return names
+
+
 def _parse_vector(field: Field, raw, dim: int) -> tuple:
     if len(_array(raw, "vector")) != dim:
         raise InstanceFormatError("vector of length %d, expected %d" % (len(raw), dim))
@@ -98,10 +108,12 @@ def parse_instance(data: dict) -> Instance:
     try:
         field = parse_field(data["field"])
         gdata = data["groupoid"]
-        arrows = [(m["name"], m["src"], m["tgt"]) for m in gdata.get("morphisms", [])]
-        groupoid = build_groupoid(gdata["objects"], arrows,
-                                  [tuple(t) for t in gdata.get("compose", [])],
-                                  [tuple(p) for p in gdata.get("inverse", [])])
+        arrows = [_names([m["name"], m["src"], m["tgt"]], "morphism name, src and tgt")
+                  for m in _array(gdata.get("morphisms", []), "morphisms")]
+        groupoid = build_groupoid(
+            _names(gdata["objects"], "objects"), arrows,
+            [_names(t, "compose triple", 3) for t in _array(gdata.get("compose", []), "compose")],
+            [_names(p, "inverse pair", 2) for p in _array(gdata.get("inverse", []), "inverse")])
         adata = data["algebra"]
         if "diagonal" in adata:
             algebra = Algebra.diagonal(field, _algebra_dim(adata["diagonal"]),
@@ -133,8 +145,7 @@ def parse_instance(data: dict) -> Instance:
         raise InstanceFormatError("missing instance key: %s" % (exc,)) from exc
     except Exception as exc:
         raise InstanceFormatError(str(exc)) from exc
-    canonical = canonical_dict(action)
-    return Instance(action, canonical, instance_digest(canonical))
+    return Instance(action, instance_digest(canonical_dict(action)))
 
 
 def load_instance(path) -> Instance:

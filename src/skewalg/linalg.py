@@ -151,10 +151,8 @@ class Field:
         GF(p) the scalar is the image of that rational, which exists iff p
         does not divide its reduced denominator.
         """
-        if isinstance(text, bool):
-            raise ValueError("a boolean is not a scalar: %r" % (text,))
-        if isinstance(text, int):
-            return self.from_int(text)
+        if isinstance(text, int):       # a bool too, which `coerce` rejects
+            return self.coerce(text)
         if not isinstance(text, str):
             raise ValueError("cannot parse scalar from %r" % (text,))
         text = text.strip()
@@ -172,6 +170,8 @@ class Field:
 
     def coerce(self, x):
         """Accept ints and scalars of this field; reject everything else."""
+        if isinstance(x, bool):
+            raise ValueError("a boolean is not a scalar: %r" % (x,))
         if isinstance(x, int):
             return self.from_int(x)
         if self.p is None and isinstance(x, Fraction):

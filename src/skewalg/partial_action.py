@@ -5,10 +5,10 @@ A_g = A*1_g) and a full dim x dim matrix which must restrict to a ring
 isomorphism A_{g^-1} -> A_g and annihilate the complement A*(1 - 1_{g^-1}).
 With that convention the stored matrix computes a |-> alpha_g(a * 1_{g^-1})
 on the whole algebra, which is exactly the summand appearing in trace maps.
-A vector is read in the coordinates of A_g through
-`Algebra.ideal_coords(1_g, y)`, which tests membership by the idempotent
-(y in A_g iff y 1_g == y); the restricted actions of `_restrict` and the
-validation's fallback inverse are built that way.
+The basis of A_g is `Algebra.ideal_basis(1_g)`, kept by the algebra only,
+and a vector is read in its coordinates through `Algebra.ideal_coords(1_g, y)`
+(y in A_g iff y 1_g == y), as `_restrict` and the validation's fallback
+inverse do.
 
 `validate_partial_action` runs the ring-isomorphism checks on an arrow only
 where they can fail: an identity arrow that fixes its ideal, and the second
@@ -68,7 +68,6 @@ class PartialAction:
             if m.nrows != algebra.dim or m.ncols != algebra.dim:
                 raise ActionError("map for %r is not %d x %d" % (g, algebra.dim, algebra.dim))
             self.maps[g] = m
-        self._ideals: dict = {}
         self._images: dict = {}        # (g, v) -> alpha_g(v)
         self._report: ValidationReport | None = None
         self._decomposes: bool | None = None
@@ -93,10 +92,8 @@ class PartialAction:
         return out
 
     def ideal(self, g) -> Echelon:
-        """Canonical basis of A_g = A * 1_g."""
-        if g not in self._ideals:
-            self._ideals[g] = self.algebra.ideal_basis(self.idems[g])
-        return self._ideals[g]
+        """Canonical basis of A_g = A * 1_g, kept by `Algebra.ideal_basis`."""
+        return self.algebra.ideal_basis(self.idems[g])
 
     # -- spec operations -----------------------------------------------------
 

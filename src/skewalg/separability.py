@@ -15,9 +15,9 @@ witness and certificate checks run on d a instead, d the least common
 denominator (d = 1 over GF(p)).  This is exact because d != 0: centrality
 and bx = xb are linear and homogeneous in a and x, t_e(a) = 1_e iff
 t_e(d a) = d 1_e, and m(x) = 1 iff m(d x) = d 1.  The traces t_e(a) are read
-as sums of the kept alpha-images alpha_g(a) over the arrows g into e; the
-dense trace matrices (`trace_into` and the rest) serve the `traces` report
-and the invariant suite only.
+as sums of the kept alpha-images alpha_g(a) over the arrows g into e
+(`_trace_image`); the trace matrices of the `traces` report and the
+invariant suite (`trace_into` and the rest) are those sums on A's basis.
 `oracle_separability` instead solves the defining conditions m(x) = 1 and
 bx = xb directly in the quotient coordinates of `TensorOverA`, over the
 ring table: an independent check of the criterion and of the certificate.
@@ -65,11 +65,10 @@ class WitnessInvalid(SeparabilityError):
 # -- trace maps -----------------------------------------------------------------
 
 def _trace_sum(pa: PartialAction, arrows) -> Matrix:
-    """Sum of alpha_g(a 1_{g^-1}) over `arrows`."""
-    m = Matrix.zeros(pa.algebra.field, pa.algebra.dim, pa.algebra.dim)
-    for g in arrows:
-        m = m + pa.matrix(g)
-    return m
+    """Sum of alpha_g(a 1_{g^-1}) over `arrows`: column c is `_trace_image` of b_c."""
+    alg = pa.algebra
+    cols = [_trace_image(pa, arrows, alg.basis_vector(c)) for c in range(alg.dim)]
+    return Matrix._trusted(alg.field, tuple(zip(*cols)), alg.dim)
 
 
 def trace_between(pa: PartialAction, i, j) -> Matrix:
@@ -92,10 +91,10 @@ def trace_total(pa: PartialAction) -> Matrix:
 
 
 def _trace_image(pa: PartialAction, arrows, v) -> tuple:
-    """Sum of alpha_g(v 1_{g^-1}) over `arrows` (never empty: each object has
-    its identity), from the kept alpha-images."""
+    """Sum of alpha_g(v 1_{g^-1}) over `arrows` (zero if there are none), from
+    the kept alpha-images."""
     return pa.algebra.field.reduce_vec(
-        sum(c) for c in zip(*(pa.alpha(g, v) for g in arrows)))
+        sum(c) for c in zip(pa.algebra.zero(), *(pa.alpha(g, v) for g in arrows)))
 
 
 def _scaled(field, c, v) -> tuple:
@@ -238,6 +237,8 @@ def _canonical_family(field, dim, particular, kernel_vectors) -> AffineSolutionS
 
 def _decide(pa: PartialAction, transversal_only: bool) -> SeparabilityVerdict:
     pa.ensure_valid()
+    if transversal_only and not pa.is_global():
+        raise NotGlobal("action is not global")
     pa.require_decomposition()
     alg = pa.algebra
     partition = pa.groupoid.connected_components()
@@ -256,12 +257,7 @@ def _decide(pa: PartialAction, transversal_only: bool) -> SeparabilityVerdict:
             kern.extend(full.kernel_basis)
     if not separable:
         return SeparabilityVerdict(False, tuple(per), None, None)
-    if transversal_only:
-        # solving at one object of a global connected action already forces
-        # the whole system; re-check so the certificate precondition is explicit
-        if not is_witness(pa, witness):
-            raise SeparabilityError(
-                "single-object witness fails the full trace system")
+    # `build_certificate` checks the witness on the whole trace system
     family = _canonical_family(alg.field, alg.dim, witness, kern)
     cert = build_certificate(pa, family.particular, family=family)
     return SeparabilityVerdict(True, tuple(per), family.particular, cert)
@@ -273,9 +269,8 @@ def decide_separability(pa: PartialAction) -> SeparabilityVerdict:
 
 
 def decide_global(pa: PartialAction) -> SeparabilityVerdict:
-    """Global-action decision: solve only at each component's transversal object."""
-    if not pa.is_global():
-        raise NotGlobal("action is not global")
+    """Global-action decision: solve only at each component's transversal
+    object; NotGlobal for a valid action that is not global."""
     return _decide(pa, transversal_only=True)
 
 

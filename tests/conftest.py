@@ -483,6 +483,17 @@ def psi_of(pa: PartialAction, tensor, qcoords) -> dict:
     return {pair: y for pair, y in coeffs.items() if any(y)}
 
 
+# -- the trace matrices as sums of the stored maps ----------------------------------------
+
+def reference_trace_sum(pa: PartialAction, arrows) -> Matrix:
+    """The sum of the stored maps of `arrows`, which computes the trace
+    a |-> sum of alpha_g(a 1_{g^-1}) matrix by matrix."""
+    m = Matrix.zeros(pa.algebra.field, pa.algebra.dim, pa.algebra.dim)
+    for g in arrows:
+        m = m + pa.matrix(g)
+    return m
+
+
 # -- the certificate reference with the witness's own denominators ------------------------
 
 def reference_is_witness(pa: PartialAction, a) -> bool:

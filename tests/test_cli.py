@@ -54,6 +54,19 @@ def test_validate_broken_inverse_exits_nonzero(capsys, tmp_path):
     assert "MissingInverse" in codes
 
 
+def test_metadata_field_is_the_same_for_every_spelling(capsys, tmp_path):
+    fields = []
+    for i, spelling in enumerate(("GF(5)", {"prime": 5})):
+        data = instance_data("z2_flip_gf3.json")
+        data["field"] = spelling
+        path = tmp_path / ("f%d.json" % i)
+        path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "separability", str(path))
+        assert code == 0
+        fields.append(json.loads(out)["metadata"]["field"])
+    assert fields == ["GF(5)", "GF(5)"]
+
+
 def test_unreadable_file_exits_two(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "validate", str(tmp_path / "missing.json"))
     assert code == 2

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from skewalg.instances import (InstanceFormatError, instance_digest,
-                               load_instance, parse_field, parse_instance)
+from skewalg.instances import (InstanceFormatError, canonical_dict,
+                               instance_digest, load_instance, parse_field,
+                               parse_instance)
 from skewalg.linalg import Field
 
 from conftest import instance_data, instance_path
@@ -76,6 +77,75 @@ def test_strings_where_arrays_are_required_are_rejected(where):
         parse_instance(_spelled_as_strings(where))
 
 
+def _one_object(objects=("e",)) -> dict:
+    """The trivial action of one object on the 1-dim algebra."""
+    return {"field": "Q",
+            "groupoid": {"objects": list(objects), "morphisms": [], "compose": [],
+                         "inverse": []},
+            "algebra": {"diagonal": 1},
+            "action": {"id:%s" % e: {"dom": [1]} for e in objects}}
+
+
+def _z3() -> dict:
+    """Z/3 = {id:e, g, h = g^2} acting trivially on the 1-dim algebra."""
+    data = _one_object()
+    data["groupoid"].update(
+        morphisms=[{"name": n, "src": "e", "tgt": "e"} for n in "gh"],
+        compose=[["g", "g", "h"], ["h", "h", "g"], ["g", "h", "id:e"], ["h", "g", "id:e"]],
+        inverse=[["g", "h"]])
+    data["action"].update({n: {"dom": [1], "map": [[1]]} for n in "gh"})
+    return data
+
+
+def test_objects_must_be_an_array_of_strings():
+    # "ab" was read as the objects a and b, and [1] as the object "1" with a
+    # digest of its own
+    assert parse_instance(_one_object(("a", "b"))).action.groupoid.objects == ("a", "b")
+    data = _one_object(("a", "b"))
+    data["groupoid"]["objects"] = "ab"
+    with pytest.raises(InstanceFormatError, match="JSON array"):
+        parse_instance(data)
+    data = _one_object(("1",))
+    data["groupoid"]["objects"] = [1]
+    with pytest.raises(InstanceFormatError, match="JSON string"):
+        parse_instance(data)
+
+
+def test_morphisms_must_be_an_array_of_string_names():
+    # an empty JSON object was read as no morphisms
+    data = _one_object()
+    data["groupoid"]["morphisms"] = {}
+    with pytest.raises(InstanceFormatError, match="JSON array"):
+        parse_instance(data)
+    data = _one_object(("1",))
+    data["groupoid"]["morphisms"] = [{"name": "g", "src": "1", "tgt": 1}]
+    with pytest.raises(InstanceFormatError, match="JSON string"):
+        parse_instance(data)
+
+
+def test_compose_triples_must_be_arrays_of_three_names():
+    assert parse_instance(_z3()).action.validate().ok
+    # "ggh" was read as the triple (g, g, h)
+    data = _z3()
+    data["groupoid"]["compose"][0] = "ggh"
+    with pytest.raises(InstanceFormatError, match="JSON array"):
+        parse_instance(data)
+    data["groupoid"]["compose"][0] = ["g", "g"]
+    with pytest.raises(InstanceFormatError, match="must hold 3 JSON strings"):
+        parse_instance(data)
+
+
+def test_inverse_pairs_must_be_arrays_of_two_names():
+    # "gh" was read as the pair (g, h)
+    data = _z3()
+    data["groupoid"]["inverse"] = ["gh"]
+    with pytest.raises(InstanceFormatError, match="JSON array"):
+        parse_instance(data)
+    data["groupoid"]["inverse"] = [["g", "h", "g"]]
+    with pytest.raises(InstanceFormatError, match="must hold 2 JSON strings"):
+        parse_instance(data)
+
+
 def test_missing_action_entry_is_rejected():
     data = instance_data("partial_bridge_q.json")
     del data["action"]["g"]
@@ -136,7 +206,7 @@ def test_not_json_is_rejected(tmp_path):
 
 def test_digest_of_canonical_dict_is_deterministic():
     inst = load_instance(instance_path("z2_flip_q.json"))
-    assert instance_digest(inst.data) == inst.digest
+    assert instance_digest(canonical_dict(inst.action)) == inst.digest
 
 
 def test_a_diagonal_algebra_is_parsed_without_a_coercion_per_constant(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewalg.algebra import Algebra
 from skewalg.cli import main
 from skewalg.linalg import (MAX_MODULUS, AffineSolutionSet, DimensionMismatch,
                             Echelonizer, Field, LinalgError, Matrix, echelon,
@@ -139,6 +140,20 @@ def test_coerce_rejects_foreign_scalars():
         Q.parse(True)
     with pytest.raises(ValueError, match="boolean"):
         Field.prime(3).parse(False)
+
+
+def test_coerce_rejects_booleans_as_parse_does():
+    for field in (Q, Field.prime(3)):
+        with pytest.raises(ValueError, match="a boolean is not a scalar"):
+            field.coerce(True)
+        with pytest.raises(ValueError, match="a boolean is not a scalar"):
+            Matrix(field, [[True]])
+        alg = Algebra.diagonal(field, 2)
+        with pytest.raises(ValueError, match="a boolean is not a scalar"):
+            alg.element([True, False])
+        with pytest.raises(ValueError, match="a boolean is not a scalar"):
+            Algebra(field, [[[True]]], [1])
+        assert alg.element([1, 0]) == (1, 0)
 
 
 # -- rref ----------------------------------------------------------------------

@@ -86,6 +86,20 @@ def test_trace_invariant_suite(bridge, flip_q, flip_gf2, pair_swap, glued_double
         assert all(trace_invariant_suite(pa).values())
 
 
+def test_trace_invariants_read_false_on_unvalidated_actions():
+    # one object e with 1_e = b1 on k^2; each stored identity map breaks one
+    # trace invariant: b2 |-> b1 does not annihilate b2, which lies outside A_e,
+    # and b1 |-> b1 + b2 maps out of A_e
+    restricts, in_target = "trace_restricts_to_source_ideal", "trace_image_in_target_ideal"
+    for cols, broken, kept in ((((1, 0), (1, 0)), restricts, in_target),
+                               (((1, 1), (0, 0)), in_target, restricts)):
+        pa = PartialAction(build_groupoid(["e"], [], [], []), Algebra.diagonal(Q, 2),
+                           {"id:e": (1, 0)}, {"id:e": Matrix.from_cols(Q, cols)})
+        suite = trace_invariant_suite(pa)
+        assert not suite[broken] and suite[kept]
+        assert not pa.validate().ok
+
+
 # -- invariant subrings ----------------------------------------------------------------
 
 def test_bridge_invariants_between_objects(bridge):

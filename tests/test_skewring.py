@@ -5,13 +5,15 @@ import pytest
 from skewalg import Field, Matrix, PartialAction, build_groupoid
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
+from skewalg.separability import trace_between, trace_into, trace_total
 from skewalg.skew_ring import (InvalidSizeCap, SkewRing, SkewRingError,
                                TensorTooLarge, build_skew_ring, tensor_over,
                                tensor_square)
 
 from conftest import (INSTANCE_DIR, component_blocks,
                       component_decomposition_failures, embedded, from_coords,
-                      lift, load_action, relation_quotient, ring_coords, skew_mul)
+                      lift, load_action, reference_trace_sum, relation_quotient,
+                      ring_coords, skew_mul)
 from test_algebra import matrix_algebra_2x2
 
 Q = Field.rationals()
@@ -295,6 +297,27 @@ def closed_form_corpus():
             yield parse_instance(skeleton_to_instance(skel, field)).action
     for field in (Q, Field.prime(3)):
         yield _trivial_action_on(matrix_algebra_2x2(field))
+
+
+def test_trace_matrices_match_the_sum_of_the_maps():
+    # the trace matrices are built from alpha-images column by column; the
+    # reference adds the stored maps; repr compares the report's strings too
+    for pa in closed_form_corpus():
+        g_oid = pa.groupoid
+        for cls in g_oid.connected_components().classes:
+            for i in cls:
+                for j in cls:
+                    assert repr(trace_between(pa, i, j)) == repr(
+                        reference_trace_sum(pa, g_oid.hom_set(i, j)))
+        for j in g_oid.objects:
+            assert repr(trace_into(pa, j)) == repr(
+                reference_trace_sum(pa, g_oid.arrows_into(j)))
+        assert repr(trace_total(pa)) == repr(reference_trace_sum(pa, g_oid.morphisms))
+
+
+def test_total_trace_without_morphisms_is_zero():
+    pa = PartialAction(build_groupoid([], [], [], []), matrix_algebra_2x2(Q), {}, {})
+    assert trace_total(pa) == Matrix.zeros(Q, 4, 4) == reference_trace_sum(pa, ())
 
 
 def test_closed_form_matches_relation_quotient():
