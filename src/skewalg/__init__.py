@@ -7,9 +7,8 @@ from .groupoid import (ComponentPartition, Groupoid, GroupoidError,
                        build_groupoid, validate_groupoid)
 from .linalg import (AffineSolutionSet, DimensionMismatch, Echelon, Field,
                      LinalgError, Matrix, echelon, kernel, solve_affine)
-from .partial_action import (ActionError, DecompositionRequired,
-                             NotUnitalAction, PartialAction, invariant_suite,
-                             validate_partial_action)
+from .partial_action import (ActionError, DecompositionRequired, PartialAction,
+                             invariant_suite, validate_partial_action)
 from .separability import (ComponentVerdict, EmptyHomSet, IsotropyIso,
                            NotGlobal, OracleResult, SeparabilityCertificate,
                            SeparabilityVerdict, TransportResult,

@@ -47,7 +47,7 @@ def _mat(m) -> list:
 
 
 def _family(fam) -> dict:
-    if fam is None or fam.is_empty:
+    if fam.is_empty:
         return {"empty": True}
     return {"empty": False, "particular": _vec(fam.particular),
             "kernel": [_vec(k) for k in fam.kernel_basis]}
@@ -194,9 +194,7 @@ def cmd_separability(args) -> tuple:
 
 def cmd_skew_table(args) -> tuple:
     inst, report = _load(args.file)
-    pa = inst.action
-    pa.ensure_valid()
-    ring = build_skew_ring(pa)
+    ring = build_skew_ring(inst.action)
     report["ring_dim"] = ring.dim
     report["basis"] = [[g, _vec(u)] for g, u in ring.basis]
     report["products"] = ring.multiplication_rows()
@@ -281,9 +279,8 @@ def main(argv=None) -> int:
     report.setdefault("command", args.command)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print("elapsed_ms=%d" % int((time.perf_counter() - started) * 1000),
           file=sys.stderr)

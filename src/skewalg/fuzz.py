@@ -62,6 +62,8 @@ def random_skeleton(rng: random.Random, max_morphisms: int = 6, max_dim: int = 6
     _check_at_least("max_dim", max_dim, 1)
     comps = []
     mbudget, obudget = max_morphisms, max_dim
+    # both budgets start at 1 or more, so the first draw offers (k, m) = (1, 1)
+    # and at least one component is drawn
     while True:
         options = [(k, m) for k in (1, 2) for m in (1, 2, 3, 4, 5, 6)
                    if k * k * m <= mbudget and k <= obudget]
@@ -73,8 +75,6 @@ def random_skeleton(rng: random.Random, max_morphisms: int = 6, max_dim: int = 6
         obudget -= k
         if rng.random() < 0.5:
             break
-    if not comps:
-        comps = [{"k": 1, "m": 1}]
     total_objects = sum(c["k"] for c in comps)
     for c in comps:
         c["d"] = rng.randint(1, max(1, min(3, max_dim // total_objects)))

@@ -19,13 +19,14 @@ Layout:
 Identity morphisms are implicit ("id:<object>") but their "dom" entries are
 required, since they define the object ideals A_e.  Scalars are written as
 strings ("3/4", "2") or plain integers; exponent notation is rejected.
-Vectors, matrices, the structure, their rows, "objects", "morphisms" and
-each "compose" triple and "inverse" pair must be JSON arrays, not strings
-(which would be read one character at a time); every name is a JSON string.
+Vectors, matrices, the structure, their rows, "objects", "morphisms",
+"basis_names" and each "compose" triple and "inverse" pair must be JSON
+arrays, not strings (which would be read one character at a time); every
+name is a JSON string, and "basis_names", if given, names each basis vector.
 The algebra dimension ("diagonal" n, or the length of "structure") must be
 a JSON integer from 0 to MAX_ALGEBRA_DIM, checked before anything of size
 dim^3 is built.  An `Instance` keeps the action and the digest of its
-`canonical_dict`, not the canonical form itself.
+`canonical_dict`.
 """
 
 from __future__ import annotations
@@ -90,6 +91,12 @@ def _names(raw, what: str, length: int | None = None) -> tuple:
     return names
 
 
+def _basis_names(adata: dict, dim: int) -> tuple | None:
+    """The algebra's "basis_names", dim JSON strings, or None if absent."""
+    raw = adata.get("basis_names")
+    return None if raw is None else _names(raw, "basis_names", dim)
+
+
 def _parse_vector(field: Field, raw, dim: int) -> tuple:
     if len(_array(raw, "vector")) != dim:
         raise InstanceFormatError("vector of length %d, expected %d" % (len(raw), dim))
@@ -116,13 +123,13 @@ def parse_instance(data: dict) -> Instance:
             [_names(p, "inverse pair", 2) for p in _array(gdata.get("inverse", []), "inverse")])
         adata = data["algebra"]
         if "diagonal" in adata:
-            algebra = Algebra.diagonal(field, _algebra_dim(adata["diagonal"]),
-                                       adata.get("basis_names"))
+            dim = _algebra_dim(adata["diagonal"])
+            algebra = Algebra.diagonal(field, dim, _basis_names(adata, dim))
         else:
             dim = _algebra_dim(len(_array(adata["structure"], "structure")))
             structure = [_parse_matrix(field, plane, dim).data for plane in adata["structure"]]
             algebra = Algebra(field, structure, _parse_vector(field, adata["unit"], dim),
-                              adata.get("basis_names"))
+                              _basis_names(adata, dim))
         act = data.get("action", {})
         idems = {}
         maps = {}

@@ -32,10 +32,6 @@ class DecompositionRequired(ActionError):
     pass
 
 
-class NotUnitalAction(ActionError):
-    pass
-
-
 class PartialAction:
     """Per morphism g, the domain idempotent 1_g and the map alpha_g.
 

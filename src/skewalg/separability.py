@@ -4,11 +4,10 @@ The extension A in A*G is separable exactly when, on every connected
 component, some central element a satisfies t_i(a) = 1_i for all objects i
 (t_i sums alpha_g(a 1_{g^-1}) over arrows with target e_i).  The decision
 solves that affine system for each component [e] over Z(A) u_[e], u_[e] the
-sum of its object idempotents, in A's own coordinates (no restricted
-subalgebra or sub-action is built); a positive answer yields an explicit
-separability idempotent in the tensor square, held as its psi blocks and
-verified against the definition with the closed-form psi actions of
-`skew_ring`, so neither the ring table nor the square is built.
+sum of its object idempotents, in A's own coordinates; a positive answer
+yields an explicit separability idempotent in the tensor square, held as
+its psi blocks and verified against the definition with the closed-form psi
+actions of `skew_ring`.
 Over Q a witness usually has denominators (1/2, 1/m), and every cached
 product or alpha-image of a `Fraction` vector is slow to hash, so the
 witness and certificate checks run on d a instead, d the least common
@@ -29,8 +28,7 @@ functors applied to graded rings", J. Algebra 123, 1989); the oracle solves
 that class alone, ring.dim unknowns.
 For global actions, `isotropy_transport_psi` checks the conjugation
 isomorphism between the isotropy skew group rings A_i * G(e_i) and
-A_j * G(e_j) on A's vectors as well, through `skew_ring.skew_product`, so no
-isotropy subalgebra, sub-action or second ring is built either.
+A_j * G(e_j) on A's vectors as well, through `skew_ring.skew_product`.
 """
 
 from __future__ import annotations
@@ -130,15 +128,13 @@ def is_witness(pa: PartialAction, a) -> bool:
 
 
 def invariant_subring(pa: PartialAction, i, j) -> Echelon:
-    """Basis of {a : alpha_g(a 1_{g^-1}) == a 1_g for all arrows g from i to j}."""
+    """Basis of {a : alpha_g(a 1_{g^-1}) == a 1_g for all arrows g from i to j};
+    with no such arrow the system has no rows and its kernel is all of A."""
     alg = pa.algebra
     rows = []
     for g in pa.groupoid.hom_set(i, j):
         delta = pa.matrix(g) - alg.right_mul_matrix(pa.idem(g))
         rows.extend(delta.data)
-    if not rows:
-        return echelon(alg.field, [alg.basis_vector(k) for k in range(alg.dim)],
-                       alg.dim)
     return echelon(alg.field, kernel(Matrix._trusted(alg.field, tuple(rows), alg.dim)),
                    alg.dim)
 

@@ -29,7 +29,7 @@ import os
 
 from .algebra import nonassociative_triple, table_product
 from .linalg import Echelonizer, LinalgError, Matrix, vadd
-from .partial_action import NotUnitalAction, PartialAction
+from .partial_action import PartialAction
 
 DEFAULT_MAX_TENSOR_DIM = 4096
 
@@ -167,9 +167,8 @@ class SkewRing:
 
 
 def build_skew_ring(action: PartialAction) -> SkewRing:
-    report = action.validate()
-    if "NotIdempotentDomain" in report.codes():
-        raise NotUnitalAction("domain ideals are not generated by central idempotents")
+    """A*G of a valid action whose object idempotents decompose 1; the
+    `ActionError` of `ensure_valid` (or `DecompositionRequired`) otherwise."""
     action.ensure_valid()
     action.require_decomposition()
     return SkewRing(action)
@@ -422,8 +421,9 @@ def tensor_over(ring: SkewRing) -> TensorOverA:
 def tensor_square(action: PartialAction) -> TensorOverA:
     """(A*G) (x)_A (A*G); its `.ring` is the skew ring.
 
-    The size cap is checked against (sum_g dim A_g)^2, read off the action's
-    cached ideals, before the ring is built; callers validate the action first.
+    The size cap is checked against (sum_g dim A_g)^2, read off the ideal
+    bases the algebra keeps, before the ring is built; callers validate the
+    action first, since only a central idempotent has an ideal basis.
     """
     _check_cap(sum(action.ideal(g).dim for g in action.groupoid.morphisms) ** 2)
     return tensor_over(build_skew_ring(action))

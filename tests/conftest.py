@@ -33,6 +33,14 @@ def instance_data(name: str) -> dict:
     return json.loads(instance_path(name).read_text())
 
 
+def non_central_domain() -> dict:
+    """conj_swap_m2_q.json with 1_s = X11, an idempotent of M_2 x M_2 that is
+    not central."""
+    data = instance_data("conj_swap_m2_q.json")
+    data["action"]["s"]["dom"] = ["1"] + ["0"] * 7
+    return data
+
+
 def renamed_instance(data: dict, prefix: str) -> dict:
     """Rename all objects and morphisms so two copies can be glued."""
     d = copy.deepcopy(data)

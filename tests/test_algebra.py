@@ -60,6 +60,21 @@ def test_multiply_checks_dimensions():
             a.multiply(list(a.unit), [1, 2, 3])
 
 
+def test_construction_errors_name_what_is_wrong():
+    with pytest.raises(DimensionMismatch, match=r"^structure constants are not dim\^3$"):
+        Algebra(Q, [[[1, 0], [0, 0]]], [1])
+    with pytest.raises(DimensionMismatch, match="^basis name count mismatch$"):
+        Algebra.diagonal(Q, 2, ["a"])
+    with pytest.raises(DimensionMismatch, match="^element length 3 != dim 2$"):
+        Algebra.diagonal(Q, 2).element([1, 0, 0])
+
+
+def test_a_decomposition_needs_central_idempotents():
+    alg = Algebra.diagonal(Q, 2)
+    assert alg.check_object_decomposition([[1, 0], [0, 1]])
+    assert not alg.check_object_decomposition([[2, 0], [-1, 1]])
+
+
 def test_matrix_algebra_multiplication():
     m = matrix_algebra_2x2()
     e12, e21 = m.basis_vector(1), m.basis_vector(2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -12,7 +13,7 @@ from skewalg.cli import main
 from skewalg.fuzz import random_skeleton, run_differential, skeleton_to_instance
 from skewalg.skew_ring import SkewRing, TensorOverA
 
-from conftest import INSTANCE_DIR, instance_data, instance_path
+from conftest import INSTANCE_DIR, instance_data, instance_path, non_central_domain
 
 
 def run_cli(capsys, *argv):
@@ -360,6 +361,20 @@ def test_skew_table_command(capsys, tmp_path):
     assert report["products"] == [{"left": ["id:e", ["1"]],
                                    "right": ["id:e", ["1"]],
                                    "product": ["1"]}]
+
+
+def test_skew_table_reports_a_non_central_domain_as_an_action_error(capsys, tmp_path):
+    # the report is pinned byte for byte, like the golden digests
+    path = tmp_path / "non_central.json"
+    path.write_text(json.dumps(non_central_domain()))
+    code, out, _ = run_cli(capsys, "skew-table", str(path))
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "skew-table", "ok": False,
+        "error": {"type": "ActionError",
+                  "message": "invalid partial action: 1_s is not a central idempotent"}}
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "5084a357f902d0f0fbf7e9444ad0d1da74863969596bba84ab81978b4bbb1f16"
 
 
 def test_skew_table_bridge_spot_checks(capsys):

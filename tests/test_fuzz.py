@@ -43,6 +43,15 @@ def test_differential_record_shape():
         assert rec["extracted_witness_ok"]
 
 
+def test_differential_record_of_an_invalid_instance():
+    data = skeleton_to_instance(random_skeleton(random.Random(2)), "Q")
+    data["action"]["id:o0"]["dom"][0] = "2"
+    rec = run_differential(data)
+    assert rec["valid"] is False and rec["agree"] is False
+    assert rec["violations"][0] == "1_id:o0 is not a central idempotent"
+    assert "decide_separable" not in rec
+
+
 def test_small_fuzz_run_agrees():
     report = run_fuzz(3, 4)
     assert report["all_agree"]

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
-from skewalg.groupoid import (Groupoid, UnknownObject, build_groupoid,
+from skewalg.groupoid import (Groupoid, GroupoidError, UnknownMorphism,
+                              UnknownObject, Violation, build_groupoid,
                               validate_groupoid)
 from skewalg.instances import parse_instance
 
@@ -89,6 +90,50 @@ def test_non_associative_table_is_flagged():
                                         g.identity, compose, g.inverse))
     assert not report.ok
     assert report.codes() & {"NonAssociative", "MissingInverse", "BadIdentity"}
+
+
+def _replaced(g: Groupoid, **tables) -> Groupoid:
+    """g with some of its constructor tables replaced."""
+    args = dict(objects=g.objects, morphisms=g.morphisms, src=g.src, tgt=g.tgt,
+                identity=g.identity, compose=g.compose, inverse=g.inverse)
+    args.update(tables)
+    return Groupoid(**args)
+
+
+@pytest.mark.parametrize("broken,code,message", [
+    (lambda: _replaced(one_object(), identity={"e": "id:f"}),
+     "BadIdentity", "object 'e' has no identity morphism"),
+    (lambda: _replaced(bridge_groupoid(), identity={"e1": "id:e2", "e2": "id:e2"}),
+     "BadIdentity", "identity of 'e1' has wrong endpoints"),
+    (lambda: _replaced(bridge_groupoid(), src={m: s for m, s in bridge_groupoid().src.items()
+                                               if m != "g"}),
+     "BadComposition", "morphism 'g' lacks endpoints"),
+    (lambda: _replaced(bridge_groupoid(), tgt={**bridge_groupoid().tgt, "g": "e3"}),
+     "BadComposition", "morphism 'g' touches unknown object"),
+    (lambda: _replaced(one_object(), compose={**one_object().compose, ("id:e", "q"): "id:e"}),
+     "BadComposition", "table entry ('id:e','q')->'id:e' uses unknown morphism"),
+    (lambda: _replaced(bridge_groupoid(), compose={**bridge_groupoid().compose, ("g", "g"): "g"}),
+     "BadComposition", "product 'g'*'g' defined but not composable"),
+], ids=["no-identity", "identity-endpoints", "no-endpoints", "unknown-object",
+        "unknown-in-table", "not-composable"])
+def test_each_early_groupoid_law_reports_its_violation(broken, code, message):
+    report = validate_groupoid(broken())
+    assert report.violations == (Violation(code, message),)
+    assert report.violations == full_scan_validate_groupoid(broken()).violations
+
+
+def test_the_constructor_rejects_duplicate_names():
+    g = one_object()
+    with pytest.raises(GroupoidError, match="^duplicate object names$"):
+        _replaced(g, objects=("e", "e"))
+    with pytest.raises(GroupoidError, match="^duplicate morphism names$"):
+        _replaced(g, morphisms=("id:e", "id:e"))
+
+
+def test_inv_of_a_morphism_without_inverse_raises():
+    g = _replaced(bridge_groupoid(), inverse={})
+    with pytest.raises(UnknownMorphism, match="no inverse recorded for 'g'"):
+        g.inv("g")
 
 
 # -- hom sets and isotropy ------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from skewalg.cli import main
 from skewalg.instances import (InstanceFormatError, canonical_dict,
                                instance_digest, load_instance, parse_field,
                                parse_instance)
@@ -228,3 +229,77 @@ def test_a_diagonal_algebra_is_parsed_without_a_coercion_per_constant(monkeypatc
     inst = parse_instance(data)
     assert inst.action.algebra.dim == n
     assert len(calls) < n * n
+
+
+def _edited(base, edit):
+    data = base()
+    edit(data)
+    return data
+
+
+def _set(path, value):
+    """An edit setting data[path[0]][path[1]]... to value."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("base,edit,message", [
+    (_z3, _set(("action", "g", "map"), [[1], [0]]), "matrix is not 1 x 1"),
+    (_one_object, lambda d: d.pop("field"), "missing instance key: 'field'"),
+    (lambda: _one_object(("e", "e")), lambda d: None, "duplicate object names"),
+    (_z3, lambda d: d["groupoid"]["morphisms"].append({"name": "g", "src": "e", "tgt": "e"}),
+     "duplicate morphism name 'g'"),
+    (_one_object, _set(("groupoid", "morphisms"), [{"name": "g", "src": "e", "tgt": "f"}]),
+     "arrow 'g' has unknown endpoint"),
+    (_z3, _set(("groupoid", "compose", 0), ["g", "g", "q"]),
+     "composition table mentions unknown 'q'"),
+    (_z3, _set(("groupoid", "inverse"), [["g", "q"]]),
+     "inverse table mentions unknown morphism"),
+    (_one_object, _set(("action", "id:e", "dom"), [0.5]), "cannot parse scalar from 0.5"),
+    (_one_object, _set(("action", "id:e", "dom"), [[1]]), "cannot parse scalar from [1]"),
+    (_one_object, _set(("action", "id:e", "dom"), [None]), "cannot parse scalar from None"),
+], ids=["matrix-shape", "missing-key", "duplicate-object", "duplicate-morphism",
+        "unknown-endpoint", "unknown-in-compose", "unknown-in-inverse",
+        "float-scalar", "list-scalar", "null-scalar"])
+def test_each_instance_error_exits_two_with_its_message(capsys, tmp_path, base, edit,
+                                                         message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_edited(base, edit)))
+    assert main(["validate", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "InstanceFormatError", "message": message}
+
+
+def _with_basis_names(names) -> dict:
+    data = _one_object()
+    data["algebra"] = {"diagonal": 2, "basis_names": names}
+    data["action"]["id:e"]["dom"] = [1, 1]
+    return data
+
+
+@pytest.mark.parametrize("names,message", [
+    ("ab", "basis_names must be a JSON array, got 'ab'"),
+    ([[1], 2], "basis_names must hold 2 JSON strings, got [[1], 2]"),
+    ([1, 2], "basis_names must hold 2 JSON strings, got [1, 2]"),
+    (["a"], "basis_names must hold 2 JSON strings, got ['a']"),
+], ids=["string", "nested", "integers", "too-few"])
+def test_basis_names_must_be_one_json_string_per_basis_vector(names, message):
+    # a string would be read one name per character, and [1, 2] would get a
+    # digest of its own beside ["1", "2"], which names the same algebra
+    assert parse_instance(_with_basis_names(["1", "2"])).action.algebra.basis_names == \
+        ("1", "2")
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(_with_basis_names(names))
+    assert str(exc.value) == message
+
+
+def test_structure_algebras_check_basis_names_too():
+    data = _spelled_as_strings("none")
+    data["algebra"]["basis_names"] = "xy"
+    with pytest.raises(InstanceFormatError, match="basis_names must be a JSON array"):
+        parse_instance(data)
+    data["algebra"]["basis_names"] = ["x", "y"]
+    assert parse_instance(data).action.algebra.basis_names == ("x", "y")

@@ -142,6 +142,14 @@ def test_coerce_rejects_foreign_scalars():
         Field.prime(3).parse(False)
 
 
+@pytest.mark.parametrize("raw", [0.5, [1], None], ids=["float", "list", "null"])
+def test_parse_rejects_json_values_that_are_not_scalars(raw):
+    for field in (Q, Field.prime(5)):
+        with pytest.raises(ValueError) as exc:
+            field.parse(raw)
+        assert str(exc.value) == "cannot parse scalar from %r" % (raw,)
+
+
 def test_coerce_rejects_booleans_as_parse_does():
     for field in (Q, Field.prime(3)):
         with pytest.raises(ValueError, match="a boolean is not a scalar"):
@@ -250,6 +258,30 @@ def test_echelon_coords_and_combine_round_trip():
     assert e.coords(v) == (Fraction(5), Fraction(-2))
     with pytest.raises(LinalgError):
         e.coords((0, 1, 0))
+
+
+def test_matrix_shape_errors():
+    with pytest.raises(DimensionMismatch, match="^ragged rows$"):
+        Matrix(Q, [[1, 2], [3]])
+    with pytest.raises(DimensionMismatch, match="^declared ncols does not match rows$"):
+        Matrix(Q, [[1, 2]], ncols=3)
+    a, b = Matrix.identity(Q, 2), Matrix.zeros(Q, 2, 3)
+    with pytest.raises(DimensionMismatch, match="^shape mismatch in addition$"):
+        a + b
+    with pytest.raises(DimensionMismatch, match="^shape mismatch in subtraction$"):
+        a - b
+    with pytest.raises(DimensionMismatch, match="^only square matrices invert$"):
+        b.inverse()
+    with pytest.raises(DimensionMismatch, match="^coefficient count mismatch$"):
+        echelon(Q, [(1, 0)], 2).combine((1, 2))
+
+
+def test_matrix_operators_refuse_other_operands():
+    # NotImplemented lets Python raise its own TypeError
+    m = Matrix.identity(Q, 2)
+    for op in (lambda: m * 2, lambda: m + 2, lambda: m - 2):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_intersect_subspaces():

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from skewalg import (Algebra, DecompositionRequired, Echelon, Field, Matrix,
-                     PartialAction, build_groupoid, invariant_suite,
-                     isotropy_transport_psi, tensor_square,
+from skewalg import (ActionError, Algebra, DecompositionRequired, Echelon, Field,
+                     Groupoid, Matrix, PartialAction, Violation, build_groupoid,
+                     invariant_suite, isotropy_transport_psi, tensor_square,
                      trace_invariant_suite, validate_partial_action)
 from skewalg import partial_action
 from skewalg.cli import main
@@ -73,6 +73,35 @@ def test_domain_outside_target_ideal_is_flagged(bridge):
     report = validate_partial_action(
         PartialAction(bridge.groupoid, bridge.algebra, idems, maps))
     assert "NotIdempotentDomain" in report.codes()
+
+
+@pytest.mark.parametrize("drop,message", [
+    ("idems", "no domain idempotent for morphism 'g'"),
+    ("maps", "no map given for non-identity morphism 'g'"),
+    ("shape", "map for 'g' is not 4 x 4"),
+])
+def test_each_constructor_error_names_the_morphism(bridge, drop, message):
+    idems, maps = dict(bridge.idems), dict(bridge.maps)
+    if drop == "idems":
+        del idems["g"]
+    elif drop == "maps":
+        del maps["g"]
+    else:
+        maps["g"] = Matrix(Q, [[0, 0, 0], [0, 0, 0], [0, 1, 0]])
+    with pytest.raises(ActionError) as exc:
+        PartialAction(bridge.groupoid, bridge.algebra, idems, maps)
+    assert str(exc.value) == message
+
+
+def test_an_arrow_without_inverse_is_not_a_ring_iso(bridge):
+    # `validate` stops at the groupoid law; a direct call reports the arrow
+    g = bridge.groupoid
+    broken = Groupoid(g.objects, g.morphisms, g.src, g.tgt, g.identity, g.compose,
+                      {m: v for m, v in g.inverse.items() if m != "g"})
+    pa = PartialAction(broken, bridge.algebra, bridge.idems, bridge.maps)
+    assert pa.validate().codes() == {"MissingInverse"}
+    assert validate_partial_action(pa).violations == (
+        Violation("NotRingIso", "morphism 'g' has no usable inverse"),)
 
 
 def test_containment_axiom_violation_is_flagged():

@@ -6,8 +6,8 @@ import pytest
 
 from skewalg import Algebra, Field, Matrix, PartialAction, build_groupoid
 from skewalg.linalg import echelon, solve_affine, vadd
-from skewalg.separability import (EmptyHomSet, NotGlobal, WitnessInvalid,
-                                  build_certificate, decide_global,
+from skewalg.separability import (EmptyHomSet, NotGlobal, SeparabilityError,
+                                  WitnessInvalid, build_certificate, decide_global,
                                   decide_separability, extract_witness,
                                   idempotent_blocks, invariant_subring,
                                   is_witness, isotropy_transport_psi,
@@ -557,6 +557,27 @@ def test_transported_witness_satisfies_the_group_criterion(pair_swap):
 def test_transport_needs_global_action(bridge):
     with pytest.raises(NotGlobal):
         isotropy_witness_transport(bridge, ("e1", "e2"), (1, 0, 1, 1))
+
+
+def test_transport_rejects_a_witness_that_fails_at_the_transversal(pair_swap):
+    with pytest.raises(WitnessInvalid, match="witness fails t\\(b\\) = 1 at the transversal"):
+        isotropy_witness_transport(pair_swap, ("e1", "e2"), pair_swap.algebra.zero())
+
+
+def test_transport_needs_a_connected_class():
+    # two objects and no arrow between them: a global action on k^2
+    g = build_groupoid(["e1", "e2"], [], [], [])
+    pa = PartialAction(g, Algebra.diagonal(Q, 2),
+                       {"id:e1": [1, 0], "id:e2": [0, 1]}, {})
+    with pytest.raises(EmptyHomSet, match="^no arrow from 'e1' to 'e2'$"):
+        isotropy_witness_transport(pa, ("e1", "e2"), (1, 0))
+
+
+def test_psi_conjugation_needs_a_global_action_and_a_known_arrow(bridge, pair_swap):
+    with pytest.raises(NotGlobal, match="isotropy conjugation needs a global action"):
+        isotropy_transport_psi(bridge, "g")
+    with pytest.raises(SeparabilityError, match="^unknown arrow 'nope'$"):
+        isotropy_transport_psi(pair_swap, "nope")
 
 
 def test_psi_conjugation_is_an_isomorphism(pair_swap):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from skewalg import Field, Matrix, PartialAction, build_groupoid
+from skewalg import (ActionError, Algebra, Field, Matrix, PartialAction,
+                     build_groupoid)
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 from skewalg.separability import trace_between, trace_into, trace_total
@@ -12,8 +13,8 @@ from skewalg.skew_ring import (InvalidSizeCap, SkewRing, SkewRingError,
 
 from conftest import (INSTANCE_DIR, component_blocks,
                       component_decomposition_failures, embedded, from_coords,
-                      lift, load_action, reference_trace_sum, relation_quotient,
-                      ring_coords, skew_mul)
+                      lift, load_action, non_central_domain, reference_trace_sum,
+                      relation_quotient, ring_coords, skew_mul)
 from test_algebra import matrix_algebra_2x2
 
 Q = Field.rationals()
@@ -63,6 +64,40 @@ def dense_tensor_quotient_dim(ring) -> int:
 def test_bridge_ring_has_dimension_six(bridge):
     ring = build_skew_ring(bridge)
     assert ring.dim == 6  # 2 + 1 + 1 + 2 over the four morphisms
+
+
+def test_a_non_central_domain_is_refused_by_the_validation_error():
+    # the one gate is `ensure_valid`, which names the failing arrow
+    pa = parse_instance(non_central_domain()).action
+    with pytest.raises(ActionError) as exc:
+        build_skew_ring(pa)
+    assert type(exc.value) is ActionError
+    assert str(exc.value) == "invalid partial action: 1_s is not a central idempotent"
+
+
+def test_the_unit_check_fails_on_an_unvalidated_zero_identity_map():
+    # SkewRing itself does not validate: alpha_id = 0 makes every product 0
+    g = build_groupoid(["e"], [], [], [])
+    pa = PartialAction(g, Algebra.diagonal(Q, 1), {"id:e": [1]}, {"id:e": [[0]]})
+    ring = SkewRing(pa)
+    with pytest.raises(SkewRingError, match="^unit candidate fails on basis element 0$"):
+        ring.unit()
+
+
+@pytest.mark.parametrize("idems,map_s", [
+    # the psi-image b0 alpha_s(b1) = b0 of block (s, s) lies outside A_id = 0
+    ({"id:e": [0, 0], "s": [1, 1]}, [[0, 1], [0, 0]]),
+    # alpha_s(b0) = b0 + b1 although b0 is outside A_s: the table product
+    # (b1 d_s)(b0 d_id) is 0, its psi-image b1 alpha_s(b0) = b1 is not
+    ({"id:e": [1, 1], "s": [0, 1]}, [[1, 0], [1, 1]]),
+], ids=["psi-image-outside-the-ideal", "product-is-not-the-psi-image"])
+def test_the_square_checks_the_table_against_psi_on_unvalidated_actions(idems, map_s):
+    g = build_groupoid(["e"], [("s", "e", "e")], [("s", "s", "id:e")], [("s", "s")])
+    pa = PartialAction(g, Algebra.diagonal(Q, 2), idems, {"s": Matrix(Q, map_s)})
+    assert not pa.validate().ok
+    with pytest.raises(SkewRingError,
+                       match="^multiplication does not factor through the tensor quotient$"):
+        tensor_over(SkewRing(pa))
 
 
 def test_trivial_action_gives_the_field_back(trivial_q):
