@@ -6,15 +6,25 @@ coordinate permutations, then restricted to a random sub-idempotent per
 object.  Restricting a global action to idempotent domains always yields a
 unital partial action, so no rejection sampling is needed; the validator is
 still run on every emitted instance.
+
+In a component with objects o_0..o_{k-1} (numbered within the component),
+arrow (i, j, t) goes from object o_j to object o_i and carries t in Z/m;
+(i, i, 0) is the identity of o_i.  Its map sends letter x of o_j to
+pi(x) = tau_i(sigma^t(tau_j^-1(x))) of o_i, on the letters x in T_j with
+pi(x) in T_i.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .instances import parse_instance
 from .separability import (decide_separability, extract_witness, is_witness,
                            oracle_separability)
+
+# every fuzzed skeleton is checked over each of these fields
+FIELDS = ("Q", "GF(2)")
 
 
 def _divisors(m: int) -> list:
@@ -35,18 +45,6 @@ def _power_of_order_dividing(rng: random.Random, d: int, m: int) -> list:
             perm[cyc[idx]] = cyc[(idx + 1) % l]
         at += l
     return perm
-
-
-def _compose_perm(p, q) -> list:
-    """(p after q)(x) = p[q[x]]."""
-    return [p[q[x]] for x in range(len(p))]
-
-
-def _invert_perm(p) -> list:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return out
 
 
 def _check_at_least(name: str, value: int, low: int) -> None:
@@ -87,79 +85,53 @@ def random_skeleton(rng: random.Random, max_morphisms: int = 6, max_dim: int = 6
 
 def skeleton_to_instance(skel: dict, field_desc) -> dict:
     """Instance-file dict (entries are 0/1, so any field works)."""
-    objects = []
-    comp_objs = []
-    for ci, c in enumerate(skel["components"]):
-        names = ["o%d" % (len(objects) + i) for i in range(c["k"])]
-        objects.extend(names)
-        comp_objs.append(names)
-
     # global coordinate layout: per object, one slot per letter of its domain subset
-    slot = {}
-    dim = 0
+    objects, slot = [], {}
+    for c in skel["components"]:
+        for letters in c["T"]:
+            obj = "o%d" % len(objects)
+            objects.append(obj)
+            for x in letters:
+                slot[(obj, x)] = len(slot)
+    dim = len(slot)
+    morphisms, inverse, compose, action = [], [], [], {}
+    first = 0
     for ci, c in enumerate(skel["components"]):
-        for oi, oname in enumerate(comp_objs[ci]):
-            for letter in c["T"][oi]:
-                slot[(oname, letter)] = dim
-                dim += 1
+        k, m, sigma, tau, T = c["k"], c["m"], c["sigma"], c["tau"], c["T"]
+        names = objects[first:first + k]
+        first += k
 
-    def perm_of(c, i, j, t):
-        """The bijection letters(o_j) -> letters(o_i) of morphism (i, j, t)."""
-        p = c["tau"][i]
-        for _ in range(t):
-            p = _compose_perm(p, c["sigma"])
-        return _compose_perm(p, _invert_perm(c["tau"][j]))
+        def arrow(i, j, t):
+            return "id:%s" % names[i] if i == j and t == 0 else "m%d.%d.%d.%d" % (ci, i, j, t)
 
-    morphisms = []
-    inverse = []
-    compose = []
-    action = {}
-    zero_row = ["0"] * dim
-
-    def mname(ci, i, j, t):
-        if i == j and t == 0:
-            return "id:%s" % comp_objs[ci][i]
-        return "m%d.%d.%d.%d" % (ci, i, j, t)
-
-    for ci, c in enumerate(skel["components"]):
-        k, m = c["k"], c["m"]
-        for i in range(k):
-            for j in range(k):
-                for t in range(m):
-                    name = mname(ci, i, j, t)
-                    is_id = i == j and t == 0
-                    src_o, tgt_o = comp_objs[ci][j], comp_objs[ci][i]
-                    if not is_id:
-                        morphisms.append({"name": name, "src": src_o, "tgt": tgt_o})
-                    inv = mname(ci, j, i, (-t) % m)
-                    if not is_id and [inv, name] not in inverse \
-                            and [name, inv] not in inverse:
-                        inverse.append([name, inv])
-                    pi = perm_of(c, i, j, t)
-                    dom_letters = [x for x in c["T"][j] if pi[x] in set(c["T"][i])]
-                    idem = ["0"] * dim
-                    for x in dom_letters:
-                        idem[slot[(tgt_o, pi[x])]] = "1"
-                    action[name] = {"dom": idem}
-                    if not is_id:
-                        # identities keep the default map: right multiplication by 1_e
-                        mat = [list(zero_row) for _ in range(dim)]
-                        for x in dom_letters:
-                            mat[slot[(tgt_o, pi[x])]][slot[(src_o, x)]] = "1"
-                        action[name]["map"] = mat
-        # composition table: non-identity pairs only
-        for i in range(k):
-            for j in range(k):
-                for a in range(m):
-                    g = mname(ci, i, j, a)
-                    if i == j and a == 0:
-                        continue
-                    for l in range(k):
-                        for b in range(m):
-                            h = mname(ci, j, l, b)
-                            if j == l and b == 0:
-                                continue
-                            compose.append([g, h, mname(ci, i, l, (a + b) % m)])
+        for i, j, t in itertools.product(range(k), range(k), range(m)):
+            g = arrow(i, j, t)
+            # (x, pi(x)) for each letter x of o_j with pi(x) in T_i
+            pairs = []
+            for x in T[j]:
+                y = tau[j].index(x)
+                for _ in range(t):
+                    y = sigma[y]
+                if tau[i][y] in T[i]:
+                    pairs.append((x, tau[i][y]))
+            dom = ["0"] * dim
+            for _, y in pairs:
+                dom[slot[(names[i], y)]] = "1"
+            action[g] = {"dom": dom}
+            if i == j and t == 0:
+                continue  # identities keep the default map: right multiplication by 1_e
+            morphisms.append({"name": g, "src": names[j], "tgt": names[i]})
+            mat = [["0"] * dim for _ in range(dim)]
+            for x, y in pairs:
+                mat[slot[(names[i], y)]][slot[(names[j], x)]] = "1"
+            action[g]["map"] = mat
+            inv = arrow(j, i, (-t) % m)
+            if [inv, g] not in inverse:
+                inverse.append([g, inv])
+            # composition table: non-identity pairs only
+            for l, b in itertools.product(range(k), range(m)):
+                if not (j == l and b == 0):
+                    compose.append([g, arrow(j, l, b), arrow(i, l, (t + b) % m)])
     return {
         "field": field_desc,
         "groupoid": {"objects": objects, "morphisms": morphisms,
@@ -203,8 +175,7 @@ def run_differential(data: dict) -> dict:
     return record
 
 
-def run_fuzz(seed: int, count: int, max_morphisms: int = 6, max_dim: int = 6,
-             fields=("Q", "GF(2)")) -> dict:
+def run_fuzz(seed: int, count: int, max_morphisms: int = 6, max_dim: int = 6) -> dict:
     """The differential fuzz campaign; deterministic for a given seed.
 
     ValueError for count < 0 or a bound below 1, as the CLI rejects them."""
@@ -215,7 +186,7 @@ def run_fuzz(seed: int, count: int, max_morphisms: int = 6, max_dim: int = 6,
     records = []
     for n in range(count):
         skel = random_skeleton(rng, max_morphisms, max_dim)
-        for fdesc in fields:
+        for fdesc in FIELDS:
             rec = run_differential(skeleton_to_instance(skel, fdesc))
             rec["index"] = n
             records.append(rec)
@@ -223,7 +194,7 @@ def run_fuzz(seed: int, count: int, max_morphisms: int = 6, max_dim: int = 6,
         "seed": seed,
         "count": count,
         "bounds": {"max_morphisms": max_morphisms, "max_dim": max_dim},
-        "fields": list(fields),
+        "fields": list(FIELDS),
         "instances": records,
         "agreements": sum(1 for r in records if r["agree"]),
         "all_agree": all(r["agree"] for r in records),

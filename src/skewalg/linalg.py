@@ -509,7 +509,7 @@ class AffineSolutionSet:
 
     particular: tuple | None
     kernel_basis: tuple
-    field: Field = Field.rationals()
+    field: Field
 
     @property
     def is_empty(self) -> bool:

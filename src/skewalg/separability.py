@@ -368,8 +368,6 @@ def oracle_separability(pa: PartialAction) -> OracleResult:
     canonical particular solution is that of the full system, and the kernel
     is the part of the full kernel on the blocks (g, g^-1).
     """
-    pa.ensure_valid()
-    pa.require_decomposition()
     tensor = tensor_square(pa)
     ring = tensor.ring
     field = ring.field
@@ -568,6 +566,7 @@ def trace_invariant_suite(pa: PartialAction) -> dict:
     acc = Matrix.zeros(alg.field, alg.dim, alg.dim)
     for j in g_oid.objects:
         acc = acc + into[j]
+    # a self-check: false is unreachable while trace_into and trace_total share _trace_sum
     if acc != trace_total(pa):
         sum_decomposition = False
     for g in g_oid.morphisms:

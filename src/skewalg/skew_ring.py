@@ -421,10 +421,13 @@ def tensor_over(ring: SkewRing) -> TensorOverA:
 def tensor_square(action: PartialAction) -> TensorOverA:
     """(A*G) (x)_A (A*G); its `.ring` is the skew ring.
 
-    The size cap is checked against (sum_g dim A_g)^2, read off the ideal
-    bases the algebra keeps, before the ring is built; callers validate the
-    action first, since only a central idempotent has an ideal basis.
+    The action is validated first (`ActionError` of `ensure_valid`, or
+    `DecompositionRequired`), since only a central idempotent has an ideal
+    basis; then the size cap is checked against (sum_g dim A_g)^2, read off
+    the ideal bases the algebra keeps, before the ring is built.
     """
+    action.ensure_valid()
+    action.require_decomposition()
     _check_cap(sum(action.ideal(g).dim for g in action.groupoid.morphisms) ** 2)
     return tensor_over(build_skew_ring(action))
 

@@ -33,6 +33,11 @@ def instance_data(name: str) -> dict:
     return json.loads(instance_path(name).read_text())
 
 
+# a one-component fuzz skeleton whose skew ring has dimension 48
+RING_48 = {"components": [{"k": 2, "m": 3, "d": 4, "sigma": [1, 2, 0, 3],
+                           "tau": [[0, 1, 2, 3]] * 2, "T": [[0, 1, 2, 3]] * 2}]}
+
+
 def non_central_domain() -> dict:
     """conj_swap_m2_q.json with 1_s = X11, an idempotent of M_2 x M_2 that is
     not central."""

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -5,6 +7,8 @@ import pytest
 from skewalg.fuzz import (random_skeleton, run_differential, run_fuzz,
                           skeleton_to_instance)
 from skewalg.instances import parse_instance
+
+from conftest import RING_48
 
 
 def test_generated_instances_are_valid_by_construction():
@@ -83,3 +87,24 @@ def test_run_fuzz_keeps_its_smallest_bounds():
     report = run_fuzz(1, 2, 1, 1)
     assert report["bounds"] == {"max_morphisms": 1, "max_dim": 1}
     assert all(r["morphisms"] == 1 and r["algebra_dim"] == 1 for r in report["instances"])
+
+
+# two components with more arrows than the fuzz bounds allow: k=2, m=4 with
+# sigma of order 2 and partial domains, then k=1, m=3 with a 3-cycle
+TWO_COMPONENTS = {"components": [
+    {"k": 2, "m": 4, "d": 3, "sigma": [1, 0, 2],
+     "tau": [[2, 0, 1], [0, 1, 2]], "T": [[0, 2], [1, 2]]},
+    {"k": 1, "m": 3, "d": 3, "sigma": [1, 2, 0], "tau": [[1, 2, 0]], "T": [[0, 1]]}]}
+
+
+@pytest.mark.parametrize("skel, fdesc, digest", [
+    (RING_48, "Q", "4cbf78e3e10967fe61804f0eb6e961bb57e25f15c7a0824708f4cc6a0b8ec5d9"),
+    (RING_48, "GF(2)", "6693e8da05de8b771b82ef43d0dc780d535f583811452b0adbca523ec7156126"),
+    (TWO_COMPONENTS, "Q", "85d66c1b0eae36e92917631911682f2c67e8842b9cbd0f644a9ccbe4ccad5391"),
+    (TWO_COMPONENTS, "GF(2)", "f8948ba80f0dd3b170fd5633debebcc2b2f177d77da76bd3876f4795e1b25e81"),
+])
+def test_generated_instance_is_pinned_with_its_order(skel, fdesc, digest):
+    # json.dumps keeps insertion order, so the order of every list and of the
+    # action's keys is pinned along with the content
+    data = json.dumps(skeleton_to_instance(skel, fdesc))
+    assert hashlib.sha256(data.encode()).hexdigest() == digest

@@ -576,4 +576,4 @@ def test_affine_solution_set_canonical_form():
     m1 = mat(Q, [[1, 1]])
     m2 = mat(Q, [[2, 2], [1, 1]])
     assert solve_affine(m1, [1]) == solve_affine(m2, [2, 1])
-    assert solve_affine(m1, [1]) == AffineSolutionSet((0, 1), ((1, -1),))
+    assert solve_affine(m1, [1]) == AffineSolutionSet((0, 1), ((1, -1),), Q)

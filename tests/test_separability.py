@@ -22,8 +22,8 @@ from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
 import skewalg.separability as separability
-from conftest import (INSTANCE_DIR, column_products, dense_oracle_system,
-                      from_coords, full_oracle_system, global_skeleton,
+from conftest import (INSTANCE_DIR, RING_48, column_products,
+                      dense_oracle_system, from_coords, full_oracle_system, global_skeleton,
                       glue_components, intersect, lift, load_action,
                       product_classes, psi_of, pure_tensor,
                       reference_build_certificate, reference_is_witness,
@@ -474,10 +474,6 @@ def test_the_oracle_builds_no_change_of_basis(name, monkeypatch, tmp_path, capsy
     assert cli.main(["separability", str(path), "--oracle"]) == 0
     capsys.readouterr()
     assert len(calls) == len(blocks)
-
-
-RING_48 = {"components": [{"k": 2, "m": 3, "d": 4, "sigma": [1, 2, 0, 3],
-                           "tau": [[0, 1, 2, 3]] * 2, "T": [[0, 1, 2, 3]] * 2}]}
 
 
 def test_oracle_on_the_ring_48_skeleton():

@@ -6,7 +6,8 @@ from skewalg import (ActionError, Algebra, Field, Matrix, PartialAction,
                      build_groupoid)
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
-from skewalg.separability import trace_between, trace_into, trace_total
+from skewalg.separability import (oracle_separability, trace_between, trace_into,
+                                  trace_total)
 from skewalg.skew_ring import (InvalidSizeCap, SkewRing, SkewRingError,
                                TensorTooLarge, build_skew_ring, tensor_over,
                                tensor_square)
@@ -71,6 +72,16 @@ def test_a_non_central_domain_is_refused_by_the_validation_error():
     pa = parse_instance(non_central_domain()).action
     with pytest.raises(ActionError) as exc:
         build_skew_ring(pa)
+    assert type(exc.value) is ActionError
+    assert str(exc.value) == "invalid partial action: 1_s is not a central idempotent"
+
+
+@pytest.mark.parametrize("build", [tensor_square, oracle_separability])
+def test_the_tensor_square_validates_before_reading_the_ideals(build):
+    # the size cap reads ideal bases, which only a central idempotent has
+    pa = parse_instance(non_central_domain()).action
+    with pytest.raises(ActionError) as exc:
+        build(pa)
     assert type(exc.value) is ActionError
     assert str(exc.value) == "invalid partial action: 1_s is not a central idempotent"
 
