@@ -300,18 +300,3 @@ class Algebra:
                     return False
             total = vadd(self.field, total, idems[a])
         return total == self.unit
-
-    # -- subalgebras on idempotents ------------------------------------------
-
-    def subalgebra(self, e) -> tuple:
-        """The unital algebra A*e in its canonical ideal basis.
-
-        Returns (sub, basis) where `basis` is the Echelon of A*e inside this
-        algebra; coordinates move through `ideal_coords` / basis.combine.
-        """
-        basis = self.ideal_basis(e)
-        structure = [[self.ideal_coords(e, self.multiply(u, w)) for w in basis.rows]
-                     for u in basis.rows]
-        names = tuple("u%d" % i for i in range(basis.dim))
-        sub = Algebra(self.field, structure, self.ideal_coords(e, e), names)
-        return sub, basis

@@ -15,6 +15,7 @@ check passed; 1 on failed checks; 2 on unusable input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -267,21 +268,28 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
-    try:
-        report, code = _HANDLERS[args.command](args)
-    except (InstanceFormatError, OSError, ActionError, AlgebraError, GroupoidError,
-            LinalgError, SeparabilityError, SkewRingError) as exc:
-        # InvalidSizeCap and TensorTooLarge subclass SkewRingError but exit 2
-        code = 2 if isinstance(exc, (InstanceFormatError, OSError, InvalidSizeCap,
-                                     TensorTooLarge)) else 1
-        report = {"command": args.command, "ok": False,
-                  "error": {"type": type(exc).__name__, "message": str(exc)}}
-    report.setdefault("command", args.command)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    out = None
+    with contextlib.ExitStack() as stack:
+        try:
+            # opened first, so an unwritable path fails before the command
+            # runs; "a" leaves the file intact until the report is written,
+            # in case --out names the instance file
+            if args.out:
+                out = stack.enter_context(open(args.out, "a", encoding="utf-8"))
+            report, code = _HANDLERS[args.command](args)
+        except (InstanceFormatError, OSError, ActionError, AlgebraError, GroupoidError,
+                LinalgError, SeparabilityError, SkewRingError) as exc:
+            # InvalidSizeCap and TensorTooLarge subclass SkewRingError but exit 2
+            code = 2 if isinstance(exc, (InstanceFormatError, OSError, InvalidSizeCap,
+                                         TensorTooLarge)) else 1
+            report = {"command": args.command, "ok": False,
+                      "error": {"type": type(exc).__name__, "message": str(exc)}}
+        report.setdefault("command", args.command)
+        text = json.dumps(report, indent=2, sort_keys=True)
+        print(text)
+        if out is not None:
+            out.truncate(0)
+            out.write(text + "\n")
     print("elapsed_ms=%d" % int((time.perf_counter() - started) * 1000),
           file=sys.stderr)
     return code

@@ -109,10 +109,6 @@ class Groupoid:
         self.check_object(f)
         return tuple(g for g in self.morphisms if self.src[g] == e and self.tgt[g] == f)
 
-    def isotropy_group(self, e) -> "Groupoid":
-        """The group of arrows e -> e, as a one-object groupoid."""
-        return self.full_subgroupoid((e,))
-
     def connected_components(self) -> ComponentPartition:
         """Classes in order of their first object, objects in object order."""
         near = {e: set() for e in self.objects}
@@ -132,23 +128,6 @@ class Groupoid:
             seen |= reach
             classes.append(tuple(f for f in self.objects if f in reach))
         return ComponentPartition(tuple(classes), tuple(c[0] for c in classes))
-
-    def full_subgroupoid(self, objs) -> "Groupoid":
-        """Subgroupoid on objs keeping every morphism with both endpoints in objs."""
-        objs = tuple(objs)
-        for e in objs:
-            self.check_object(e)
-        keepo = set(objs)
-        keep = {g for g in self.morphisms if self.src[g] in keepo and self.tgt[g] in keepo}
-        return Groupoid(
-            tuple(e for e in self.objects if e in keepo),
-            tuple(g for g in self.morphisms if g in keep),
-            {g: self.src[g] for g in keep},
-            {g: self.tgt[g] for g in keep},
-            {e: self.identity[e] for e in objs},
-            {(g, h): v for (g, h), v in self.compose.items() if g in keep and h in keep},
-            {g: v for g, v in self.inverse.items() if g in keep},
-        )
 
 
 def build_groupoid(objects, arrows, compose_triples, inverse_pairs) -> Groupoid:

@@ -7,8 +7,7 @@ With that convention the stored matrix computes a |-> alpha_g(a * 1_{g^-1})
 on the whole algebra, which is exactly the summand appearing in trace maps.
 The basis of A_g is `Algebra.ideal_basis(1_g)`, kept by the algebra only,
 and a vector is read in its coordinates through `Algebra.ideal_coords(1_g, y)`
-(y in A_g iff y 1_g == y), as `_restrict` and the validation's fallback
-inverse do.
+(y in A_g iff y 1_g == y), as the validation's fallback inverse does.
 
 `validate_partial_action` runs the ring-isomorphism checks on an arrow only
 where they can fail: an identity arrow that fixes its ideal, and the second
@@ -21,7 +20,7 @@ from __future__ import annotations
 from .algebra import Algebra
 from .groupoid import (Groupoid, ValidationReport, Violation,
                        validate_groupoid)
-from .linalg import Echelon, Matrix, echelon, vadd
+from .linalg import Echelon, Matrix, echelon
 
 
 class ActionError(Exception):
@@ -122,33 +121,6 @@ class PartialAction:
         if not report.ok:
             raise ActionError("invalid partial action: %s" %
                               "; ".join(v.message for v in report.violations))
-
-    def restrict_to_component(self, class_objects) -> "PartialAction":
-        """The action of the full subgroupoid on A_[e] = (+)_{f in [e]} A_f."""
-        self.require_decomposition()
-        class_objects = tuple(class_objects)
-        classes = {frozenset(c) for c in self.groupoid.connected_components().classes}
-        if frozenset(class_objects) not in classes:
-            raise ActionError("%r is not a connected component class" % (class_objects,))
-        u = self.algebra.zero()
-        for f in class_objects:
-            u = vadd(self.algebra.field, u, self.obj_idem(f))
-        return self._restrict(self.groupoid.full_subgroupoid(class_objects), u)
-
-    def isotropy_action(self, e) -> "PartialAction":
-        """Restriction to the isotropy group of e acting on A_e."""
-        self.groupoid.check_object(e)
-        return self._restrict(self.groupoid.isotropy_group(e), self.obj_idem(e))
-
-    def _restrict(self, sub_groupoid: Groupoid, u) -> "PartialAction":
-        alg = self.algebra
-        sub, basis = alg.subalgebra(u)
-        idems = {g: alg.ideal_coords(u, self.idem(g)) for g in sub_groupoid.morphisms}
-        maps = {}
-        for g in sub_groupoid.morphisms:
-            cols = [alg.ideal_coords(u, self.alpha(g, row)) for row in basis.rows]
-            maps[g] = Matrix.from_cols(sub.field, cols)
-        return PartialAction(sub_groupoid, sub, idems, maps)
 
 
 def validate_partial_action(pa: PartialAction) -> ValidationReport:

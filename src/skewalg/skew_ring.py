@@ -208,9 +208,8 @@ class TensorOverA:
     Construction covers every composable block: it checks each basis pair's
     table product against its psi-image and records the pair's nonzero
     psi-image keyed by (block, coordinate in A) (`_psi_at`), which
-    `commutator_rows` reads in place of quotient coordinates.  `project`
-    needs each block's change of basis to the free psi-images
-    (`psi_coords`), built on its first call.
+    `commutator_rows` reads in place of quotient coordinates, so no block's
+    change of basis to its free psi-images is built.
     """
 
     def __init__(self, ring: SkewRing):
@@ -224,32 +223,25 @@ class TensorOverA:
         q_psi: list = []
         unit_class: list = []
         self._psi_at: dict = {}       # ambient coordinate -> ((row key, value), ...)
-        self._blocks: list = []       # (g, ps, h, qs, first quotient coordinate)
-        self._q_of = None             # ambient coordinate -> ((quotient k, value), ...)
         # a block (g, h) with A_g = 0 is empty; skipping it also skips
         # applying alpha_g to the basis of A_h
         runs = [(g, range(at, at + act.ideal(g).dim))
                 for g, at in ring.starts.items() if act.ideal(g).dim]
-        for g, ps in runs:
-            for h, qs in runs:
-                if g_oid.src[g] == g_oid.tgt[h]:
-                    off = len(q_coords)
-                    lifts, psi = self._read_block(g, ps, h, qs, len(self._blocks))
-                    self._blocks.append((g, ps, h, qs, off))
-                    q_coords.extend(lifts)
-                    q_psi.extend(psi)
-                    if h == g_oid.inv(g):
-                        unit_class.extend(range(off, len(q_coords)))
+        blocks = ((g, ps, h, qs) for g, ps in runs for h, qs in runs
+                  if g_oid.src[g] == g_oid.tgt[h])
+        for index, (g, ps, h, qs) in enumerate(blocks):
+            off = len(q_coords)
+            lifts, psi = self._read_block(g, ps, h, qs, index)
+            q_coords.extend(lifts)
+            q_psi.extend(psi)
+            if h == g_oid.inv(g):
+                unit_class.extend(range(off, len(q_coords)))
         self.q_coords = tuple(q_coords)   # ambient coordinate lifting each quotient one
         self.q_psi = tuple(q_psi)         # psi-image of each quotient basis vector
         self.unit_class = tuple(unit_class)
         self.dim = len(self.q_coords)
 
     # -- construction -------------------------------------------------------
-
-    def _pairs(self, ps, qs) -> list:
-        """The ambient coordinates of a block, in the pair order of `psi_block`."""
-        return [p * self.n + q for p in ps for q in qs]
 
     def _read_block(self, g, ps, h, qs, index: int) -> tuple:
         """(lifts, psi-images) of the free pairs of block (g, h), the
@@ -259,7 +251,7 @@ class TensorOverA:
         act = ring.action
         gh = act.groupoid.compose[(g, h)]
         images, kinds, free, _ = psi_block(act, g, h)
-        coords = self._pairs(ps, qs)
+        coords = [p * self.n + q for p in ps for q in qs]   # psi_block's pair order
         # a table product lies in A_gh d_gh, so an image outside A_gh fails
         # the check below at its pairs (every image is some pair's)
         try:
@@ -279,41 +271,6 @@ class TensorOverA:
                 psi_at[c] = keyed[k]
         return [coords[f] for f in free], [images[kinds[f]] for f in free]
 
-    def _quotient_of(self) -> dict:
-        """Each ambient coordinate's quotient coordinates: per block, the
-        coordinates of the pair's psi-image over the free psi-images."""
-        if self._q_of is None:
-            act = self.ring.action
-            q_of: dict = {}
-            for g, ps, h, qs, off in self._blocks:
-                images, kinds, free, pivots = psi_block(act, g, h)
-                if not free:
-                    continue
-                basis = [images[kinds[f]] for f in free]
-                q = psi_coords(self.ring.field, pivots, basis, images)
-                local = [tuple((off + i, t) for i, t in enumerate(row) if t)
-                         for row in q.data]
-                for c, k in zip(self._pairs(ps, qs), kinds):
-                    if local[k]:
-                        q_of[c] = local[k]
-            self._q_of = q_of
-        return self._q_of
-
-    # -- coordinates -----------------------------------------------------------
-
-    def project(self, ambient: dict) -> tuple:
-        """Quotient coordinates of a sparse ambient vector {coordinate: value}."""
-        field = self.ring.field
-        q_of = self._quotient_of()
-        acc: dict = {}
-        for c, v in ambient.items():
-            for k, t in q_of.get(c, ()):
-                acc[k] = acc[k] + v * t if k in acc else v * t
-        out = [field.zero] * self.dim
-        for k, v in field.reduce_dict(acc).items():
-            out[k] = v
-        return tuple(out)
-
     # -- induced maps ------------------------------------------------------------
 
     def multiply_ambient(self, ambient: dict) -> tuple:
@@ -325,34 +282,6 @@ class TensorOverA:
             for k, t in ring._table[p][q].items():
                 out[k] += v * t
         return ring.field.reduce_vec(out)
-
-    def left_apply_ambient(self, b_coords, ambient) -> dict:
-        """Ambient action of ring multiplication by b on the left tensor leg."""
-        ring = self.ring
-        zero = ring.field.zero
-        out: dict = {}
-        support = [(i, bi) for i, bi in enumerate(b_coords) if bi]
-        for c, v in ambient.items():
-            p, q = divmod(c, self.n)
-            for i, bi in support:
-                for k, t in ring._table[i][p].items():
-                    coord = k * self.n + q
-                    out[coord] = out.get(coord, zero) + v * bi * t
-        return ring.field.reduce_dict(out)
-
-    def right_apply_ambient(self, b_coords, ambient) -> dict:
-        """Ambient action of ring multiplication by b on the right tensor leg."""
-        ring = self.ring
-        zero = ring.field.zero
-        out: dict = {}
-        support = [(j, bj) for j, bj in enumerate(b_coords) if bj]
-        for c, v in ambient.items():
-            p, q = divmod(c, self.n)
-            for j, bj in support:
-                for k, t in ring._table[q][j].items():
-                    coord = p * self.n + k
-                    out[coord] = out.get(coord, zero) + v * bj * t
-        return ring.field.reduce_dict(out)
 
     def commutator_rows(self, p: int, cols) -> list:
         """The nonzero rows of x |-> b_p x - x b_p on the quotient basis
@@ -391,26 +320,14 @@ class TensorOverA:
             row[col] = v
         return [tuple(rows[j]) for j in sorted(rows)]
 
-    def _matrix_of(self, image, cols=None) -> Matrix:
-        """Matrix whose column j is `image` of the lift of quotient basis
-        vector cols[j] (default: every quotient basis vector, in order)."""
+    def mult_matrix(self, cols=None) -> Matrix:
+        """The induced map (quotient coords) -> (ring coords): column j is the
+        product of the lift of quotient basis vector cols[j] (default: every
+        quotient basis vector, in order)."""
         field = self.ring.field
         lifts = self.q_coords if cols is None else [self.q_coords[k] for k in cols]
-        images = [image({c: field.one}) for c in lifts]
+        images = [self.multiply_ambient({c: field.one}) for c in lifts]
         return Matrix._trusted(field, tuple(zip(*images)), len(images))
-
-    def mult_matrix(self, cols=None) -> Matrix:
-        """The induced map (quotient coords) -> (ring coords), on the quotient
-        basis vectors `cols` (default all)."""
-        return self._matrix_of(self.multiply_ambient, cols)
-
-    def left_matrix(self, b_coords) -> Matrix:
-        return self._matrix_of(
-            lambda v: self.project(self.left_apply_ambient(b_coords, v)))
-
-    def right_matrix(self, b_coords) -> Matrix:
-        return self._matrix_of(
-            lambda v: self.project(self.right_apply_ambient(b_coords, v)))
 
 
 def tensor_over(ring: SkewRing) -> TensorOverA:

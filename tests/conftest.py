@@ -140,12 +140,39 @@ def component_algebra_rows(pa: PartialAction, objects) -> tuple:
     return pa.algebra.ideal_basis(component_unit(pa, objects)).rows
 
 
+def restricted_action(pa: PartialAction, objects) -> PartialAction:
+    """The full subgroupoid on `objects` (every arrow with both ends there)
+    acting on A u, u = `component_unit(pa, objects)`, in the echelon
+    coordinates of A u: a component's own instance for a component class,
+    the isotropy action for one object."""
+    g_oid = pa.groupoid
+    alg = pa.algebra
+    keep = tuple(g for g in g_oid.morphisms
+                 if g_oid.src[g] in objects and g_oid.tgt[g] in objects)
+    sub_oid = Groupoid(
+        tuple(e for e in g_oid.objects if e in objects), keep,
+        {g: g_oid.src[g] for g in keep}, {g: g_oid.tgt[g] for g in keep},
+        {e: g_oid.identity[e] for e in objects},
+        {gh: v for gh, v in g_oid.compose.items() if gh[0] in keep and gh[1] in keep},
+        {g: v for g, v in g_oid.inverse.items() if g in keep})
+    u = component_unit(pa, objects)
+    basis = alg.ideal_basis(u)
+    structure = [[alg.ideal_coords(u, alg.multiply(x, y)) for y in basis.rows]
+                 for x in basis.rows]
+    sub = Algebra(alg.field, structure, alg.ideal_coords(u, u),
+                  tuple("u%d" % i for i in range(basis.dim)))
+    idems = {g: alg.ideal_coords(u, pa.idem(g)) for g in keep}
+    maps = {g: Matrix.from_cols(alg.field, [alg.ideal_coords(u, pa.alpha(g, r))
+                                            for r in basis.rows]) for g in keep}
+    return PartialAction(sub_oid, sub, idems, maps)
+
+
 def restricted_component_family(pa: PartialAction, cls, solve_at) -> AffineSolutionSet:
     """Reference for `ComponentVerdict.witness_family`: the component's own
-    instance (`restrict_to_component`, echelon coordinates of A_[e]) solves
+    instance (`restricted_action`, echelon coordinates of A_[e]) solves
     t_f(a) = 1_f for f in `solve_at` over its own center, and the solutions
     are mapped back into A's coordinates and put in canonical form."""
-    sub = pa.restrict_to_component(cls)
+    sub = restricted_action(pa, cls)
     field = pa.algebra.field
     basis = pa.algebra.ideal_basis(component_unit(pa, cls))
     cmat = Matrix.from_cols(field, list(sub.algebra.center_basis()))
@@ -257,7 +284,7 @@ def component_decomposition_failures(pa: PartialAction) -> list:
                 failures.append("u%s does not cut out its block" % (cls,))
         over_a = relation_quotient(ring, pos, pos, a_rows).dim
         over_own = relation_quotient(ring, pos, pos, component_algebra_rows(pa, cls)).dim
-        own_square = tensor_over(build_skew_ring(pa.restrict_to_component(cls))).dim
+        own_square = tensor_over(build_skew_ring(restricted_action(pa, cls))).dim
         if not over_a == over_own == own_square:
             failures.append("block %s squares to %d over A, %d over A_[e], %d in its "
                             "own ring" % (cls, over_a, over_own, own_square))
@@ -326,36 +353,61 @@ def relation_quotient(ring, lpos, rpos, mid_rows):
     local_of = {c: (bi, j) for bi, (coords, _, _) in enumerate(blocks)
                 for j, c in enumerate(coords)}
     q_coords = tuple(coords[f] for coords, _, free in blocks for f in free)
+    offsets = [0]
+    for _, _, free in blocks:
+        offsets.append(offsets[-1] + len(free))
 
     def project(ambient: dict) -> tuple:
-        out = []
-        for bi, (coords, ech, free) in enumerate(blocks):
-            local = [field.zero] * len(coords)
-            for c, v in ambient.items():
-                b, j = local_of[c]
-                if b == bi:
-                    local[j] = v
-            reduced = ech.reduce(local)
-            out.extend(reduced[f] for f in free)
+        local: dict = {}
+        for c, v in ambient.items():
+            bi, j = local_of[c]
+            local.setdefault(bi, [field.zero] * len(blocks[bi][0]))[j] = v
+        out = [field.zero] * len(q_coords)
+        for bi, vec in local.items():
+            _, ech, free = blocks[bi]
+            reduced = ech.reduce(vec)
+            for k, f in enumerate(free, offsets[bi]):
+                out[k] = reduced[f]
         return tuple(out)
 
     return SimpleNamespace(dim=len(q_coords), q_coords=q_coords, project=project)
+
+
+def square_quotient(tensor):
+    """`relation_quotient` of the whole square of `tensor.ring` over A's basis,
+    eliminated from scratch: the `dim` and `q_coords` of `tensor`, and a
+    `project` that shares no code with `TensorOverA`."""
+    ring = tensor.ring
+    alg = ring.action.algebra
+    return relation_quotient(ring, range(ring.dim), range(ring.dim),
+                             [alg.basis_vector(i) for i in range(alg.dim)])
+
+
+def side_matrix(tensor, project, **side) -> Matrix:
+    """x |-> b x (left=b) or x b (right=b) in quotient coordinates: column k
+    is the `project`ed product at the lift of quotient basis vector k."""
+    field = tensor.ring.field
+    cols = [project(ambient_product(tensor, {c: field.one}, **side))
+            for c in tensor.q_coords]
+    return Matrix._trusted(field, tuple(zip(*cols)), len(cols))
 
 
 def dense_oracle_system(tensor):
     """Reference for `oracle_separability`: the dense system as (matrix, rhs).
 
     The rows of `mult_matrix` with the ring unit as right-hand side, then, for
-    every ring basis element b, all `tensor.dim` rows of
-    `left_matrix(b) - right_matrix(b)`, zero and repeated rows included.
+    every ring basis element b, all `tensor.dim` rows of x |-> b x - x b in
+    the coordinates of `square_quotient`, zero and repeated rows included.
     """
     ring = tensor.ring
     field = ring.field
+    project = square_quotient(tensor).project
     rows = list(tensor.mult_matrix().data)
     rhs = list(ring.unit())
     for p in range(ring.dim):
         b = ring.basis_coords(p)
-        rows.extend((tensor.left_matrix(b) - tensor.right_matrix(b)).data)
+        rows.extend((side_matrix(tensor, project, left=b) -
+                     side_matrix(tensor, project, right=b)).data)
         rhs.extend([field.zero] * tensor.dim)
     return Matrix(field, rows, ncols=tensor.dim), rhs
 
@@ -369,19 +421,20 @@ def full_oracle_system(tensor):
     for each ring basis element b_p, the nonzero rows of x |-> b_p x - x b_p
     in quotient coordinates over every column, each distinct row once: the
     left leg b_p b_p0 reads the ring table at (p, p0), the right leg b_q0 b_p
-    at (q0, p), and each output pair is projected into the quotient.
+    at (q0, p), and each output pair is projected into the quotient
+    (`square_quotient`).
     """
     ring = tensor.ring
     field = ring.field
     zero = field.zero
     table = ring._table
     n, dim = tensor.n, tensor.dim
+    project = square_quotient(tensor).project
     quotient: dict = {}
 
     def q_of(c):
         if c not in quotient:
-            quotient[c] = [(j, v) for j, v in
-                           enumerate(tensor.project({c: field.one})) if v]
+            quotient[c] = [(j, v) for j, v in enumerate(project({c: field.one})) if v]
         return quotient[c]
 
     rows = list(tensor.mult_matrix().data)
@@ -438,14 +491,25 @@ def column_products(tensor) -> list:
 
 def pure_tensor(tensor, xc, yc) -> dict:
     """Sparse ambient vector of x (x) y for ring coordinates xc, yc."""
-    field = tensor.ring.field
+    ys = [(q, d) for q, d in enumerate(yc) if d]
+    return tensor.ring.field.reduce_dict(
+        {p * tensor.n + q: c * d for p, c in enumerate(xc) if c for q, d in ys})
+
+
+def ambient_product(tensor, x, left=None, right=None) -> dict:
+    """left x right for a sparse ambient vector x and ring coordinates `left`,
+    `right` (None for 1): the sum over x's terms v e_p (x) e_q of
+    v `pure_tensor(left e_p, e_q right)`."""
+    ring = tensor.ring
     out: dict = {}
-    for p, c in enumerate(xc):
-        for q, d in enumerate(yc):
-            if c and d:
-                coord = p * tensor.n + q
-                out[coord] = out.get(coord, field.zero) + c * d
-    return field.reduce_dict(out)
+    for c, v in x.items():
+        p, q = divmod(c, tensor.n)
+        ep, eq = ring.basis_coords(p), ring.basis_coords(q)
+        ep = ep if left is None else ring.mul_coords(left, ep)
+        eq = eq if right is None else ring.mul_coords(eq, right)
+        for k, t in pure_tensor(tensor, ep, eq).items():
+            out[k] = out.get(k, ring.field.zero) + v * t
+    return ring.field.reduce_dict(out)
 
 
 def lift(tensor, qcoords) -> dict:
@@ -453,15 +517,16 @@ def lift(tensor, qcoords) -> dict:
     return {tensor.q_coords[k]: v for k, v in enumerate(qcoords) if v}
 
 
-def square_certificate(tensor, a) -> SimpleNamespace:
+def square_certificate(tensor, project, a) -> SimpleNamespace:
     """Reference for `build_certificate`: x built and checked in the square.
 
     x = sum_g alpha_g(a 1_{g^-1}) d_g (x) 1_{g^-1} d_{g^-1} is summed as
     pure tensors in the ambient space of `tensor` (a `tensor_square`) and
-    projected; m(x) is read off the ring table and bx, xb for each basis
-    element b through the ambient actions, projected back.  No witness is
-    required.  Returns x's quotient coordinates (`element`), the canonical
-    `summands` of its lift and the two `checks`.
+    projected by `project`, that of `square_quotient(tensor)`; m(x) is read
+    off the ring table and bx, xb for each basis element b as sums of pure
+    tensors, projected back.  No witness is required.  Returns x's quotient
+    coordinates (`element`), the canonical `summands` of its lift and the
+    two `checks`.
     """
     ring = tensor.ring
     pa = ring.action
@@ -473,7 +538,7 @@ def square_certificate(tensor, a) -> SimpleNamespace:
         right = ring_coords(ring, {ginv: pa.idem(ginv)})
         for c, v in pure_tensor(tensor, left, right).items():
             ambient[c] = ambient.get(c, field.zero) + v
-    q = tensor.project(field.reduce_dict(ambient))
+    q = project(field.reduce_dict(ambient))
     lifted = lift(tensor, q)
     summands = []
     for c in sorted(lifted):
@@ -483,9 +548,9 @@ def square_certificate(tensor, a) -> SimpleNamespace:
     checks = {
         "multiplies_to_unit": tensor.multiply_ambient(lifted) == ring.unit(),
         "commutes_with_basis": all(
-            tensor.project(tensor.left_apply_ambient(ring.basis_coords(p), lifted)) ==
-            tensor.project(tensor.right_apply_ambient(ring.basis_coords(p), lifted))
-            for p in range(ring.dim)),
+            project(ambient_product(tensor, lifted, left=b)) ==
+            project(ambient_product(tensor, lifted, right=b))
+            for b in map(ring.basis_coords, range(ring.dim))),
     }
     return SimpleNamespace(element=q, summands=tuple(summands), checks=checks)
 
@@ -563,15 +628,15 @@ def reference_separability_checks(pa: PartialAction, blocks) -> dict:
 
 def ring_isotropy_iso(pa: PartialAction, arrow) -> SimpleNamespace:
     """Reference for `isotropy_transport_psi`: the conjugation checked between
-    the skew rings of the two isotropy actions (`PartialAction.isotropy_action`,
-    echelon coordinates of A_{e_i} and A_{e_j}), one ring per end.
+    the skew rings of the two isotropy actions (`restricted_action` on one
+    object, echelon coordinates of A_{e_i} and A_{e_j}), one ring per end.
 
     Returns the `matrix` and `checks` to compare, and the two rings.
     """
     g_oid = pa.groupoid
     e_i, e_j = g_oid.src[arrow], g_oid.tgt[arrow]
-    src_ring = build_skew_ring(pa.isotropy_action(e_i))
-    dst_ring = build_skew_ring(pa.isotropy_action(e_j))
+    src_ring = build_skew_ring(restricted_action(pa, (e_i,)))
+    dst_ring = build_skew_ring(restricted_action(pa, (e_j,)))
     src_basis = pa.algebra.ideal_basis(pa.obj_idem(e_i))
     dst_basis = pa.algebra.ideal_basis(pa.obj_idem(e_j))
     linv = g_oid.inv(arrow)

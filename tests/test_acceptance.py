@@ -20,7 +20,7 @@ from skewalg.separability import (build_certificate, decide_global,
 
 from conftest import (component_decomposition_failures, glue_components,
                       instance_data, load_action, renamed_instance,
-                      ring_isotropy_iso)
+                      restricted_action, ring_isotropy_iso)
 from test_separability import hand_built_idempotent
 
 Q = Field.rationals()
@@ -97,7 +97,7 @@ def _theorem_style_checks(pa) -> bool:
     verdict = decide_separability(pa)
     ok = ok and verdict.separable == all(c.separable for c in verdict.per_component)
     for comp in verdict.per_component:
-        sub = pa.restrict_to_component(comp.objects)
+        sub = restricted_action(pa, comp.objects)
         ok = ok and decide_separability(sub).separable == comp.separable
     return ok
 

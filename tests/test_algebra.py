@@ -506,23 +506,3 @@ def test_repeated_idempotent_is_not_a_decomposition():
 def test_incomplete_sum_is_not_a_decomposition():
     a = diag4()
     assert not a.check_object_decomposition([a.basis_vector(0), a.basis_vector(1)])
-
-
-# -- subalgebras ----------------------------------------------------------------------------------
-
-def test_subalgebra_on_idempotent_round_trip():
-    a = diag4()
-    sub, basis = a.subalgebra(a.element([1, 0, 1, 0]))
-    assert sub.dim == 2
-    assert sub.unit == basis.coords(a.element([1, 0, 1, 0]))
-    x = sub.element([3, 5])
-    y = sub.element([7, 11])
-    up = a.multiply(basis.combine(x), basis.combine(y))
-    assert basis.coords(up) == sub.multiply(x, y)
-
-
-def test_subalgebra_of_matrix_algebra_center():
-    m = matrix_algebra_2x2()
-    sub, basis = m.subalgebra(m.unit)
-    assert sub.dim == 4
-    assert basis.combine(sub.unit) == m.unit

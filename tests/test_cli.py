@@ -427,6 +427,24 @@ def test_out_flag_writes_the_same_report(capsys, tmp_path):
     assert target.read_text() == out
 
 
+def test_unwritable_out_exits_two_before_the_command_runs(capsys, tmp_path):
+    target = str(tmp_path / "missing" / "x.json")
+    for argv in (("components", str(instance_path("z2_flip_q.json"))),
+                 ("fuzz", "--count", "1")):
+        code, out, _ = run_cli(capsys, *argv, "--out", target)
+        assert code == 2
+        assert json.loads(out) == {"command": argv[0], "ok": False, "error": {
+            "type": "FileNotFoundError",
+            "message": "[Errno 2] No such file or directory: %r" % target}}
+
+
+def test_out_may_name_the_instance_file(capsys, tmp_path):
+    target = tmp_path / "flip.json"
+    target.write_text(instance_path("z2_flip_q.json").read_text())
+    _, out, _ = run_cli(capsys, "components", str(target), "--out", str(target))
+    assert json.loads(out)["ok"] and target.read_text() == out
+
+
 def test_fuzz_command_is_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "fuzz", "--seed", "1", "--count", "3")
     code2, out2, _ = run_cli(capsys, "fuzz", "--seed", "1", "--count", "3")

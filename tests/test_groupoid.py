@@ -158,28 +158,6 @@ def test_hom_set_unknown_object():
         bridge_groupoid().hom_set("e1", "nope")
 
 
-def test_isotropy_group_of_flip_is_order_two():
-    iso = flip_groupoid().isotropy_group("e1")
-    assert iso.objects == ("e1",)
-    assert iso.morphisms == ("id:e1", "g")
-    assert iso.compose[("g", "g")] == "id:e1"
-    assert validate_groupoid(iso).ok
-
-
-def test_isotropy_group_of_bridge_is_trivial():
-    iso = bridge_groupoid().isotropy_group("e1")
-    assert iso.morphisms == ("id:e1",)
-    assert validate_groupoid(iso).ok
-
-
-def test_isotropy_group_always_validates_with_one_object():
-    for g in (one_object(), bridge_groupoid(), flip_groupoid()):
-        for e in g.objects:
-            iso = g.isotropy_group(e)
-            assert len(iso.objects) == 1
-            assert validate_groupoid(iso).ok
-
-
 # -- components -------------------------------------------------------------------------
 
 def test_bridge_is_connected():
@@ -202,36 +180,6 @@ def test_partial_reachability_classes():
                        [("f", "finv", "id:b"), ("finv", "f", "id:a")],
                        [("f", "finv")])
     assert g.connected_components().classes == (("a", "b"), ("c",))
-
-
-# -- full subgroupoids ---------------------------------------------------------------------
-
-def test_full_subgroupoid_on_all_objects_is_the_whole_thing():
-    g = flip_groupoid()
-    s = g.full_subgroupoid(g.objects)
-    assert s.objects == g.objects
-    assert s.morphisms == g.morphisms
-    assert s.compose == g.compose
-
-
-def test_full_subgroupoid_flip_at_one_object():
-    s = flip_groupoid().full_subgroupoid(["e1"])
-    assert s.morphisms == ("id:e1", "g")
-    assert validate_groupoid(s).ok
-
-
-def test_component_subgroupoids_partition_the_morphisms():
-    g = build_groupoid(["a", "b", "c"],
-                       [("f", "a", "b"), ("finv", "b", "a")],
-                       [("f", "finv", "id:b"), ("finv", "f", "id:a")],
-                       [("f", "finv")])
-    seen = []
-    for cls in g.connected_components().classes:
-        sub = g.full_subgroupoid(cls)
-        assert validate_groupoid(sub).ok
-        assert sub.connected_components().classes == (tuple(cls),)
-        seen.extend(sub.morphisms)
-    assert sorted(seen) == sorted(g.morphisms)
 
 
 # -- structural invariants --------------------------------------------------------------------

@@ -4,7 +4,8 @@ import pytest
 
 from skewalg import (ActionError, Algebra, DecompositionRequired, Echelon, Field,
                      Groupoid, Matrix, PartialAction, Violation, build_groupoid,
-                     invariant_suite, isotropy_transport_psi, tensor_square,
+                     build_skew_ring, decide_separability, invariant_suite,
+                     isotropy_transport_psi, tensor_square,
                      trace_invariant_suite, validate_partial_action)
 from skewalg import partial_action
 from skewalg.cli import main
@@ -13,7 +14,8 @@ from skewalg.instances import parse_instance
 
 from conftest import (INSTANCE_DIR, OverlappingObjects, global_skeleton,
                       glue_components, instance_data, load_action, renamed_instance,
-                      subspace_invariant_suite, subspace_validate_partial_action)
+                      restricted_action, subspace_invariant_suite,
+                      subspace_validate_partial_action)
 
 Q = Field.rationals()
 
@@ -158,19 +160,7 @@ def test_trivial_action_is_global(trivial_q):
     assert trivial_q.is_global()
 
 
-# -- restriction and gluing -----------------------------------------------------------
-
-def test_restriction_of_connected_instance_is_itself(bridge):
-    sub = bridge.restrict_to_component(("e1", "e2"))
-    assert same_action_data(sub, bridge)
-
-
-def test_restrict_requires_a_component_class(bridge):
-    with pytest.raises(Exception):
-        bridge.restrict_to_component(("e1",))
-
-
-def test_restriction_requires_decomposition(bridge):
+def test_decision_and_ring_require_decomposition(bridge):
     # shrink A_{e2} to k v3: v4 lies in no object ideal, so the direct sum fails
     idems = dict(bridge.idems)
     idems["id:e2"] = bridge.algebra.element([0, 0, 1, 0])
@@ -179,9 +169,12 @@ def test_restriction_requires_decomposition(bridge):
     pa = PartialAction(bridge.groupoid, bridge.algebra, idems, maps)
     assert pa.validate().ok          # the axioms alone do not need the direct sum
     assert not pa.has_object_decomposition()
-    with pytest.raises(DecompositionRequired):
-        pa.restrict_to_component(("e1", "e2"))
+    for needs_sum in (build_skew_ring, decide_separability):
+        with pytest.raises(DecompositionRequired, match="not orthogonal with sum 1"):
+            needs_sum(pa)
 
+
+# -- gluing ---------------------------------------------------------------------------------
 
 def test_glued_double_validates_and_has_two_components(glued_double):
     assert glued_double.validate().ok
@@ -190,21 +183,14 @@ def test_glued_double_validates_and_has_two_components(glued_double):
     assert glued_double.has_object_decomposition()
 
 
-def test_restrictions_of_glued_double_validate(glued_double):
-    for cls in glued_double.groupoid.connected_components().classes:
-        sub = glued_double.restrict_to_component(cls)
-        assert sub.validate().ok
-
-
 def test_glue_then_restrict_round_trip():
     base = instance_data("partial_bridge_q.json")
     left = parse_instance(renamed_instance(base, "L.")).action
     right = parse_instance(renamed_instance(base, "R.")).action
     glued = glue_components([left, right])
-    back_left = glued.restrict_to_component(glued.groupoid.connected_components().classes[0])
-    back_right = glued.restrict_to_component(glued.groupoid.connected_components().classes[1])
-    assert same_action_data(back_left, left)
-    assert same_action_data(back_right, right)
+    classes = glued.groupoid.connected_components().classes
+    assert same_action_data(restricted_action(glued, classes[0]), left)
+    assert same_action_data(restricted_action(glued, classes[1]), right)
 
 
 def test_glue_single_part_is_itself(bridge):
@@ -214,29 +200,6 @@ def test_glue_single_part_is_itself(bridge):
 def test_glue_rejects_overlapping_names(bridge):
     with pytest.raises(OverlappingObjects):
         glue_components([bridge, bridge])
-
-
-# -- isotropy restriction ---------------------------------------------------------------
-
-def test_flip_isotropy_action_at_e1(flip_q):
-    iso = flip_q.isotropy_action("e1")
-    assert iso.groupoid.morphisms == ("id:e1", "g")
-    assert iso.algebra.dim == 1
-    assert iso.matrix("g") == Matrix.identity(Q, 1)
-    assert iso.validate().ok
-
-
-def test_bridge_isotropy_action_at_e1_is_trivial_on_two_dims(bridge):
-    iso = bridge.isotropy_action("e1")
-    assert iso.groupoid.morphisms == ("id:e1",)
-    assert iso.algebra.dim == 2
-    assert iso.validate().ok
-
-
-def test_isotropy_actions_always_validate(bridge, flip_q, pair_swap, glued_double):
-    for pa in (bridge, flip_q, pair_swap, glued_double):
-        for e in pa.groupoid.objects:
-            assert pa.isotropy_action(e).validate().ok
 
 
 # -- identity map forcing -------------------------------------------------------------------

@@ -22,13 +22,14 @@ from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
 import skewalg.separability as separability
-from conftest import (INSTANCE_DIR, RING_48, column_products,
+from conftest import (INSTANCE_DIR, RING_48, ambient_product, column_products,
                       dense_oracle_system, from_coords, full_oracle_system, global_skeleton,
                       glue_components, intersect, lift, load_action,
                       product_classes, psi_of, pure_tensor,
                       reference_build_certificate, reference_is_witness,
-                      reference_separability_checks, restricted_component_family,
-                      ring_coords, ring_isotropy_iso, square_certificate)
+                      reference_separability_checks, restricted_action,
+                      restricted_component_family, ring_coords, ring_isotropy_iso,
+                      side_matrix, square_certificate, square_quotient)
 from test_skewring import closed_form_corpus
 
 Q = Field.rationals()
@@ -119,7 +120,7 @@ def test_isotropy_invariants_match_restricted_computation(flip_q, bridge, pair_s
         for e in pa.groupoid.objects:
             ambient = intersect(invariant_subring(pa, e, e),
                                 pa.ideal(pa.groupoid.identity[e]))
-            iso = pa.isotropy_action(e)
+            iso = restricted_action(pa, (e,))
             basis = pa.algebra.ideal_basis(pa.obj_idem(e))
             lifted = echelon(pa.algebra.field,
                              [basis.combine(r) for r in
@@ -201,7 +202,7 @@ def project_pure_tensors(tensor, terms) -> tuple:
         for c, val in pure_tensor(tensor, ring_coords(ring, {g: u}),
                                   ring_coords(ring, {h: w})).items():
             ambient[c] = ambient.get(c, ring.field.zero) + val
-    return tensor.project(ring.field.reduce_dict(ambient))
+    return square_quotient(tensor).project(ring.field.reduce_dict(ambient))
 
 
 def test_certificates_match_the_hand_built_idempotents(bridge):
@@ -248,6 +249,7 @@ def test_psi_certificate_matches_the_square_reference():
     for pa in closed_form_corpus():
         alg = pa.algebra
         tensor = tensor_square(pa)
+        project = square_quotient(tensor).project
         assert psi_tensor_dim(pa) == tensor.dim
         center = Matrix.from_cols(alg.field, list(alg.center_basis()))
         candidates = [_random_vector(alg.field, rng, alg.dim),
@@ -256,7 +258,7 @@ def test_psi_certificate_matches_the_square_reference():
         if verdict.separable:
             candidates.append(verdict.witness)
         for a in candidates:
-            ref = square_certificate(tensor, a)
+            ref = square_certificate(tensor, project, a)
             blocks = idempotent_blocks(pa, a)
             checks = separability_checks(pa, blocks)
             assert checks == ref.checks
@@ -264,7 +266,7 @@ def test_psi_certificate_matches_the_square_reference():
             outcomes.add(tuple(checks.values()))
         if verdict.separable:
             cert = verdict.certificate
-            ref = square_certificate(tensor, cert.witness)
+            ref = square_certificate(tensor, project, cert.witness)
             assert cert.tensor_dim == tensor.dim
             assert cert.summands == ref.summands
             assert cert.checks == {"witness_central": True, "witness_traces": True,
@@ -281,6 +283,7 @@ def test_psi_formulas_match_the_square_blockwise():
         tensor = tensor_square(pa)
         ring = tensor.ring
         mult = tensor.mult_matrix()
+        project = square_quotient(tensor).project
         for _ in range(2):
             q = _random_vector(ring.field, rng, tensor.dim)
             blocks = psi_of(pa, tensor, q)
@@ -288,8 +291,8 @@ def test_psi_formulas_match_the_square_blockwise():
             assert psi_multiply(pa, blocks) == from_coords(ring, mult.apply(q))
             for p, (k, v) in enumerate(ring.basis):
                 b = ring.basis_coords(p)
-                left = tensor.project(tensor.left_apply_ambient(b, lifted))
-                right = tensor.project(tensor.right_apply_ambient(b, lifted))
+                left = project(ambient_product(tensor, lifted, left=b))
+                right = project(ambient_product(tensor, lifted, right=b))
                 assert psi_left(pa, k, v, blocks) == psi_of(pa, tensor, left)
                 assert psi_right(pa, k, v, blocks) == psi_of(pa, tensor, right)
 
@@ -337,7 +340,8 @@ def test_trivial_oracle_solution_is_unit_tensor_unit(trivial_q):
     res = oracle_separability(trivial_q)
     ring = res.tensor.ring
     assert res.separable
-    expected = res.tensor.project(pure_tensor(res.tensor, ring.unit(), ring.unit()))
+    expected = square_quotient(res.tensor).project(
+        pure_tensor(res.tensor, ring.unit(), ring.unit()))
     assert res.solutions.particular == expected
 
 
@@ -405,17 +409,19 @@ def test_oracle_matches_the_dense_reference_system():
 
 def test_commutator_rows_span_the_dense_difference():
     # for each basis element b_p, the nonzero psi rows of b_p x - x b_p on the
-    # blocks (g, g^-1) span the row space of left_matrix(b_p) - right_matrix(b_p)
-    # restricted to those columns
+    # blocks (g, g^-1) span the row space of the dense x |-> b_p x - x b_p in
+    # the coordinates of the relation quotient, restricted to those columns
     for pa in closed_form_corpus():
         tensor = tensor_square(pa)
         ring = tensor.ring
+        project = square_quotient(tensor).project
         cols = tensor.unit_class
         for p in range(ring.dim):
             b = ring.basis_coords(p)
             rows = tensor.commutator_rows(p, cols)
             assert all(any(r) for r in rows)
-            dense = tensor.left_matrix(b) - tensor.right_matrix(b)
+            dense = (side_matrix(tensor, project, left=b) -
+                     side_matrix(tensor, project, right=b))
             restricted = [tuple(r[k] for k in cols) for r in dense.data]
             assert (echelon(ring.field, rows, len(cols)) ==
                     echelon(ring.field, restricted, len(cols)))
@@ -544,7 +550,7 @@ def test_transported_witness_satisfies_the_group_criterion(pair_swap):
     # t_{i,i} on the ambient algebra restricts to the isotropy action's trace
     v = decide_separability(pair_swap)
     tr = isotropy_witness_transport(pair_swap, ("e1", "e2"), v.witness)
-    iso = pair_swap.isotropy_action(tr.obj)
+    iso = restricted_action(pair_swap, (tr.obj,))
     basis = pair_swap.algebra.ideal_basis(pair_swap.obj_idem(tr.obj))
     local = basis.coords(tr.witness)
     assert trace_total(iso).apply(local) == iso.algebra.unit
@@ -713,10 +719,10 @@ def test_rotated_swap_over_odd_prime_fields():
 
 def test_rotated_swap_restriction_works_in_echelon_coordinates():
     pa = rotated_swap_action()
-    iso = pa.isotropy_action("o1")
+    iso = restricted_action(pa, ("o1",))
     assert iso.algebra.dim == 1
     assert iso.validate().ok
-    sub = pa.restrict_to_component(("o1", "o2"))
+    sub = restricted_action(pa, ("o1", "o2"))
     assert sub.validate().ok
     assert sub.algebra.dim == 2
     tr = isotropy_witness_transport(pa, ("o1", "o2"), decide_separability(pa).witness)

@@ -2,6 +2,7 @@
 
     python3 tools/srcstats.py lines        # wc -l and code-only lines per module
     python3 tools/srcstats.py unreached    # src/ statements tier-1 never runs
+    python3 tools/srcstats.py uncalled     # src/ definitions no src/ code names
 
 `lines` counts a line as code if a token other than a comment or a line
 break lies on it and it is not part of a docstring (the string statement
@@ -17,6 +18,15 @@ and decorators minus those of the statements nested in it.  Code that
 tier-1 runs only in a child process (`python -m skewalg`) is not seen.
 Every traced line costs a Python call, so it runs about five times as
 long as the plain suite.
+
+`uncalled` lists every function, method and class defined in
+`src/skewalg` whose name no code there refers to, as `path:line:
+Class.name`.  References are read from the syntax tree: names, attribute
+names and imported names, but not docstrings or comments, and not the
+imports of `__init__.py`, which only re-export.  Dunder methods are
+skipped.  The scan works by name alone, so a definition whose name is also
+used for something else (an attribute such as `identity`, `coords` or
+`element`) counts as referenced.
 """
 
 from __future__ import annotations
@@ -136,6 +146,37 @@ def cmd_unreached() -> int:
     return 0 if status == 0 else 1
 
 
+def cmd_uncalled() -> int:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in _modules()}
+    used = set()
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "__init__.py":
+                used.update(alias.name.rpartition(".")[2] for alias in node.names)
+    def definitions(node, owner):
+        """(definition, qualified name) of every definition inside node."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield child, owner + child.name
+                yield from definitions(child, owner + child.name + ".")
+            else:
+                yield from definitions(child, owner)
+
+    missed = 0
+    for path, tree in trees.items():
+        for node, qualname in definitions(tree, ""):
+            name = node.name
+            if not (name.startswith("__") and name.endswith("__")) and name not in used:
+                missed += 1
+                print("%s:%d: %s" % (path.relative_to(ROOT), node.lineno, qualname))
+    print("%d definitions never named in src/" % missed)
+    return 0
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if args == ["lines"]:
@@ -143,6 +184,8 @@ def main(argv=None) -> int:
         return 0
     if args == ["unreached"]:
         return cmd_unreached()
+    if args == ["uncalled"]:
+        return cmd_uncalled()
     print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
     return 2
 
