@@ -15,12 +15,10 @@ from .separability import (ComponentVerdict, EmptyHomSet, IsotropyIso,
                            WitnessInvalid, build_certificate, decide_global,
                            decide_separability, extract_witness,
                            invariant_subring, is_witness, isotropy_transport_psi,
-                           isotropy_witness_transport,
-                           normal_form_coefficients, oracle_separability,
+                           isotropy_witness_transport, oracle_separability,
                            trace_between, trace_into, trace_invariant_suite,
                            trace_total)
 from .skew_ring import (InvalidSizeCap, SkewRing, SkewRingError, TensorOverA,
-                        TensorTooLarge, build_skew_ring, tensor_over,
-                        tensor_square)
+                        TensorTooLarge, build_skew_ring, tensor_over)
 
 __version__ = "0.1.0"

@@ -160,7 +160,7 @@ def run_differential(data: dict) -> dict:
         return record
     verdict = decide_separability(pa)
     oracle = oracle_separability(pa)
-    record["ring_dim"] = oracle.tensor.ring.dim
+    record["ring_dim"] = oracle.tensor.ring_dim
     record["decide_separable"] = verdict.separable
     record["oracle_separable"] = oracle.separable
     record["agree"] = verdict.separable == oracle.separable

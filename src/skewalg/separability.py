@@ -18,14 +18,18 @@ as sums of the kept alpha-images alpha_g(a) over the arrows g into e
 (`_trace_image`); the trace matrices of the `traces` report and the
 invariant suite (`trace_into` and the rest) are those sums on A's basis.
 `oracle_separability` instead solves the defining conditions m(x) = 1 and
-bx = xb directly in the quotient coordinates of `TensorOverA`, over the
-ring table: an independent check of the criterion and of the certificate.
-A*G is graded by the morphisms, so that system is block-diagonal over the
-conjugacy classes of the products gh of the square's blocks (g, h), and
-only the class of identities, the blocks (g, g^-1), has a nonzero
-right-hand side (Nastasescu, Van den Bergh and Van Oystaeyen, "Separable
-functors applied to graded rings", J. Algebra 123, 1989); the oracle solves
-that class alone, ring.dim unknowns.
+bx = xb directly, not the trace criterion: an independent check of the
+criterion and of the certificate, though it shares `psi_block` and
+`skew_product` (through `psi_left`) with the certificate.  A*G is graded by
+the morphisms, so that system is block-diagonal over the conjugacy classes
+of the products gh of the square's blocks (g, h), and only the class of
+identities, the blocks (g, g^-1), has a nonzero right-hand side
+(Nastasescu, Van den Bergh and Van Oystaeyen, "Separable functors applied
+to graded rings", J. Algebra 123, 1989); the oracle solves that class
+alone, in the psi coordinates of `TensorOverA`, ring.dim unknowns.  No
+ring table is built for it: that table products factor through psi is
+checked only by the tests (`factoring_failures`), and `skew-table` keeps
+the ring's associativity audit.
 For global actions, `isotropy_transport_psi` checks the conjugation
 isomorphism between the isotropy skew group rings A_i * G(e_i) and
 A_j * G(e_j) on A's vectors as well, through `skew_ring.skew_product`.
@@ -41,7 +45,7 @@ from .linalg import (AffineSolutionSet, Echelon, LinalgError, Matrix, echelon,
 from .partial_action import PartialAction
 from .skew_ring import (TensorOverA, psi_block, psi_coords, psi_left,
                         psi_multiply, psi_right, psi_tensor_dim, skew_product,
-                        tensor_square)
+                        tensor_over)
 
 
 class SeparabilityError(Exception):
@@ -177,13 +181,13 @@ class SeparabilityVerdict:
 class OracleResult:
     """The oracle's verdict, its tensor square and its solution set.
 
-    `solutions` is in the quotient coordinates of `tensor` and is the
-    solution set of the identity class only: A*G is graded by the morphisms,
-    the system splits over the conjugacy classes of the products gh, and
-    only the blocks (g, g^-1) have a nonzero right-hand side.  Its particular
-    solution is that of the whole system; its kernel is the part of the
-    whole kernel supported on the blocks (g, g^-1), so every vector is zero
-    off them.
+    `solutions` is in the column coordinates of `tensor` (`TensorOverA.columns`)
+    and is the solution set of the identity class only: A*G is graded by the
+    morphisms, the system splits over the conjugacy classes of the products
+    gh, and only the blocks (g, g^-1) have a nonzero right-hand side.  Its
+    particular solution is that of the whole system on those blocks, which
+    is zero off them; its kernel is the part of the whole kernel supported
+    on them.
     """
 
     separable: bool
@@ -345,13 +349,16 @@ def oracle_separability(pa: PartialAction) -> OracleResult:
 
     This is the definition of a separability element, so it is an oracle for
     the trace criterion: the two must agree on every instance.  Only the
-    unknowns of the blocks (g, g^-1) are solved for (`TensorOverA.unit_class`,
-    ring.dim of them): the system is the rows of m (right-hand side the unit)
-    and, for each ring basis element b_p, the nonzero rows of
-    x |-> b_p x - x b_p on those unknowns, read sparsely off the ring table
-    as psi-images of the output blocks (`TensorOverA.commutator_rows`), each
-    distinct row once.  The solutions are padded with zeros to the whole
-    quotient.
+    unknowns of the blocks (g, g^-1) are solved for (`TensorOverA.columns`,
+    ring.dim of them): the system is the rows of m, one per object e and
+    coordinate of A with right-hand side 1_e, and, for each ring basis
+    element b, the nonzero rows of x |-> b x - x b on those unknowns,
+    coordinates in A of psi-images of the output blocks
+    (`TensorOverA.commutator_rows`), each distinct row once.  It shares
+    `psi_block` and `skew_product` with the certificate but not the trace
+    criterion, and builds no ring: that the ring table's products factor
+    through psi is checked only by the tests (`factoring_failures`), and
+    `skew-table` keeps the ring's associativity audit.
 
     This is exact because A*G is graded by the morphisms (the graded-ring
     argument of Nastasescu, Van den Bergh and Van Oystaeyen, "Separable
@@ -362,67 +369,35 @@ def oracle_separability(pa: PartialAction) -> OracleResult:
     reads a block (g, g^-1) reads only such blocks.  Only the class of
     identities, the blocks (g, g^-1), has a nonzero right-hand side; every
     other class is homogeneous and solved by 0.  psi maps each quotient block
-    isomorphically onto its image, so a psi-image row and a quotient row of
-    one output block span the same space.  The reduced echelon form of a
+    isomorphically onto its image, so psi-image rows and quotient rows of one
+    output block span the same space, and m's rows in A and in ring
+    coordinates have the same solutions.  The reduced echelon form of a
     block-diagonal system is the union of its blocks' forms, so the
-    canonical particular solution is that of the full system, and the kernel
-    is the part of the full kernel on the blocks (g, g^-1).
+    canonical particular solution is that of the full system on the blocks
+    (g, g^-1), and the kernel is the part of the full kernel on them.
     """
-    tensor = tensor_square(pa)
-    ring = tensor.ring
-    field = ring.field
-    cols = tensor.unit_class
-    rows = list(tensor.mult_matrix(cols).data)
-    rhs = list(ring.unit())
-    commutators = dict.fromkeys(row for p in range(ring.dim)
-                                for row in tensor.commutator_rows(p, cols))
+    tensor = tensor_over(pa)
+    field = pa.algebra.field
+    rows = list(tensor.mult_matrix().data)
+    rhs = [c for e in pa.groupoid.objects for c in pa.obj_idem(e)]
+    commutators = dict.fromkeys(row for k in pa.groupoid.morphisms for v in pa.ideal(k).rows
+                                for row in tensor.commutator_rows(k, v).values())
     rows.extend(commutators)
     rhs.extend([field.zero] * len(commutators))
-    sol = solve_affine(Matrix._trusted(field, tuple(rows), len(cols)), rhs)
-    if sol.is_empty:
-        return OracleResult(False, tensor, sol)
-
-    def padded(v) -> tuple:
-        out = [field.zero] * tensor.dim
-        for k, c in zip(cols, v):
-            out[k] = c
-        return tuple(out)
-
-    return OracleResult(True, tensor, AffineSolutionSet(
-        padded(sol.particular), tuple(padded(v) for v in sol.kernel_basis), field))
+    sol = solve_affine(Matrix._trusted(field, tuple(rows), len(tensor.columns)), rhs)
+    return OracleResult(not sol.is_empty, tensor, sol)
 
 
-def normal_form_coefficients(pa: PartialAction, tensor: TensorOverA, qcoords) -> dict:
-    """Rewrite a tensor element as sum of a_{g,h} d_g (x) 1_h d_{h}.
-
-    Every pure tensor u d_g (x) w d_h equals psi(u d_g (x) w d_h) d_g (x) 1_h d_h
-    in the quotient, psi = u alpha_g(w 1_{g^-1}); accumulating the psi-images
-    of the quotient basis (`tensor.q_psi`) gives the (g, h) |-> a_{g,h} normal
-    form of the element.
-    """
+def extract_witness(pa: PartialAction, tensor: TensorOverA, x) -> tuple:
+    """The central witness read off a separability element x in the column
+    coordinates of `tensor`: the sum of its blocks (id_e, id_e), x_c y_c
+    summed over the columns c at identities."""
     field = pa.algebra.field
-    ring = tensor.ring
-    out: dict = {}
-    for k, v in enumerate(qcoords):
-        if not v:
-            continue
-        p, q = divmod(tensor.q_coords[k], tensor.n)
-        g = ring.basis[p][0]
-        h = ring.basis[q][0]
-        coeff = field.reduce_vec(v * x for x in tensor.q_psi[k])
-        key = (g, h)
-        out[key] = vadd(field, out[key], coeff) if key in out else coeff
-    return out
-
-
-def extract_witness(pa: PartialAction, tensor: TensorOverA, qcoords) -> tuple:
-    """The central witness sum of a_{e,e} read off a separability element."""
-    coeffs = normal_form_coefficients(pa, tensor, qcoords)
+    identities = set(pa.groupoid.identity.values())
     a = pa.algebra.zero()
-    for e in pa.groupoid.objects:
-        i = pa.groupoid.identity[e]
-        if (i, i) in coeffs:
-            a = vadd(pa.algebra.field, a, coeffs[(i, i)])
+    for c, (g, _, y) in zip(x, tensor.columns):
+        if c and g in identities:
+            a = vadd(field, a, field.reduce_vec(c * t for t in y))
     return a
 
 

@@ -10,17 +10,17 @@ psi(u d_g (x) w d_h) = u alpha_g(w 1_{g^-1}), which maps the (g, h) block of
 the quotient isomorphically onto the ideal A 1_g 1_{gh} and kills the block
 unless src g = tgt h; y in that ideal stands for y d_g (x) 1_h d_h.
 
-Two models of the square share this normal form.  `TensorOverA` realises
-it over the ring table: canonical representatives are the basis pairs
-chosen greedily from the right whose psi-images are independent
-(`psi_block`), which are the free columns of the reduced echelon form of
-the balancing relations (b.a (x) b') - (b (x) a.b'), never built, and
-construction checks that every basis-pair product is its psi-image at
-d_{gh}, read the same way, so multiplication factors through the
-quotient; a psi-image outside A_{gh} fails that check.  The `psi_*`
-functions work on elements held as their psi blocks {(g, h): y} and need
-neither the table nor the square: multiplication, the two actions of a
-ring basis element v d_k and the dimension have closed forms there.
+The square is held in this normal form only.  The `psi_*` functions
+hold an element as its psi blocks {(g, h): y} and need neither the ring
+table nor a basis of the square: multiplication, the two actions of a ring
+basis element v d_k and the dimension have closed forms there.  A block's
+canonical representatives are the basis pairs chosen greedily from the
+right whose psi-images are independent (`psi_block`), the free columns of
+the reduced echelon form of the balancing relations
+(b.a (x) b') - (b (x) a.b'), never built.  `TensorOverA` holds those of the
+blocks (g, g^-1), the oracle's unknowns, with their psi-images.  Nothing
+here reads the ring table for the square: that every basis-pair product is
+its psi-image at d_{gh} is checked by the tests against the table.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 
 from .algebra import nonassociative_triple, table_product
-from .linalg import Echelonizer, LinalgError, Matrix, vadd
+from .linalg import Echelonizer, Matrix, vadd
 from .partial_action import PartialAction
 
 DEFAULT_MAX_TENSOR_DIM = 4096
@@ -174,181 +174,6 @@ def build_skew_ring(action: PartialAction) -> SkewRing:
     return SkewRing(action)
 
 
-# -- the tensor square over A ----------------------------------------------------
-
-
-def _check_cap(ambient_dim: int) -> None:
-    """Refuse a tensor square with more basis pairs than SKEWALG_MAX_DIM."""
-    raw = os.environ.get("SKEWALG_MAX_DIM")
-    try:
-        cap = DEFAULT_MAX_TENSOR_DIM if raw is None else int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise InvalidSizeCap(
-            "SKEWALG_MAX_DIM must be a non-negative integer, got %r" % raw[:40])
-    if ambient_dim > cap:
-        raise TensorTooLarge(
-            "tensor ambient dimension %d exceeds cap %d (SKEWALG_MAX_DIM)"
-            % (ambient_dim, cap))
-
-
-class TensorOverA:
-    """(A*G) (x)_A (A*G) over the ring table, in the psi normal form.
-
-    Ambient coordinate p * n + q, n = `ring.dim`, is the basis pair
-    (u d_g, w d_h) = (ring.basis[p], ring.basis[q]).  Its (g, h) block of the
-    quotient is psi's image A 1_g 1_{gh}, with inverse y |-> y d_g (x) 1_h d_h,
-    and only composable blocks (src g = tgt h) are nonzero.  The free pairs
-    of a block are those `psi_block` chooses, the free columns of the
-    leftmost-pivot echelon form of the balancing relations, so `q_coords`
-    (the canonical lift of each quotient basis vector) is the canonical one
-    of the quotient by relations; `q_psi` holds their psi-images and
-    `unit_class` the quotient coordinates of the blocks (g, g^-1).
-    Construction covers every composable block: it checks each basis pair's
-    table product against its psi-image and records the pair's nonzero
-    psi-image keyed by (block, coordinate in A) (`_psi_at`), which
-    `commutator_rows` reads in place of quotient coordinates, so no block's
-    change of basis to its free psi-images is built.
-    """
-
-    def __init__(self, ring: SkewRing):
-        self.ring = ring
-        self.n = ring.dim
-        self.ambient_dim = self.n * self.n
-        _check_cap(self.ambient_dim)
-        act = ring.action
-        g_oid = act.groupoid
-        q_coords: list = []
-        q_psi: list = []
-        unit_class: list = []
-        self._psi_at: dict = {}       # ambient coordinate -> ((row key, value), ...)
-        # a block (g, h) with A_g = 0 is empty; skipping it also skips
-        # applying alpha_g to the basis of A_h
-        runs = [(g, range(at, at + act.ideal(g).dim))
-                for g, at in ring.starts.items() if act.ideal(g).dim]
-        blocks = ((g, ps, h, qs) for g, ps in runs for h, qs in runs
-                  if g_oid.src[g] == g_oid.tgt[h])
-        for index, (g, ps, h, qs) in enumerate(blocks):
-            off = len(q_coords)
-            lifts, psi = self._read_block(g, ps, h, qs, index)
-            q_coords.extend(lifts)
-            q_psi.extend(psi)
-            if h == g_oid.inv(g):
-                unit_class.extend(range(off, len(q_coords)))
-        self.q_coords = tuple(q_coords)   # ambient coordinate lifting each quotient one
-        self.q_psi = tuple(q_psi)         # psi-image of each quotient basis vector
-        self.unit_class = tuple(unit_class)
-        self.dim = len(self.q_coords)
-
-    # -- construction -------------------------------------------------------
-
-    def _read_block(self, g, ps, h, qs, index: int) -> tuple:
-        """(lifts, psi-images) of the free pairs of block (g, h), the
-        `index`-th composable block; checks that each pair's table product is
-        its psi-image at d_{gh} and records the psi-image in `_psi_at`."""
-        ring = self.ring
-        act = ring.action
-        gh = act.groupoid.compose[(g, h)]
-        images, kinds, free, _ = psi_block(act, g, h)
-        coords = [p * self.n + q for p in ps for q in qs]   # psi_block's pair order
-        # a table product lies in A_gh d_gh, so an image outside A_gh fails
-        # the check below at its pairs (every image is some pair's)
-        try:
-            products = [ring._scatter(gh, y) for y in images]
-        except LinalgError:
-            raise SkewRingError(
-                "multiplication does not factor through the tensor quotient") from None
-        base = index * act.algebra.dim
-        keyed = [tuple((base + a, t) for a, t in enumerate(y) if t) for y in images]
-        psi_at = self._psi_at
-        for c, k in zip(coords, kinds):
-            p, q = divmod(c, self.n)
-            if ring._table[p][q] != products[k]:
-                raise SkewRingError(
-                    "multiplication does not factor through the tensor quotient")
-            if keyed[k]:
-                psi_at[c] = keyed[k]
-        return [coords[f] for f in free], [images[kinds[f]] for f in free]
-
-    # -- induced maps ------------------------------------------------------------
-
-    def multiply_ambient(self, ambient: dict) -> tuple:
-        """Ring coordinates of a sparse ambient vector's image under b (x) b' -> b b'."""
-        ring = self.ring
-        out = [ring.field.zero] * ring.dim
-        for c, v in ambient.items():
-            p, q = divmod(c, self.n)
-            for k, t in ring._table[p][q].items():
-                out[k] += v * t
-        return ring.field.reduce_vec(out)
-
-    def commutator_rows(self, p: int, cols) -> list:
-        """The nonzero rows of x |-> b_p x - x b_p on the quotient basis
-        vectors `cols`, one row per coordinate in A of an output block.
-
-        Column j is the image of the lift b_p0 (x) b_q0 of quotient basis
-        vector cols[j]: the left leg b_p b_p0 reads `_table[p][p0]`, the right
-        leg b_q0 b_p reads `_table[q0][p]`, and each output pair adds its
-        psi-image (`_psi_at`) into one accumulator keyed by row * len(cols) +
-        column, reduced once and then transposed into rows.  psi maps each
-        quotient block isomorphically onto its image, so these rows span the
-        same space as the rows in quotient coordinates.
-        """
-        table = self.ring._table
-        field = self.ring.field
-        zero = field.zero
-        n, width, psi_at = self.n, len(cols), self._psi_at
-        left = table[p]
-        acc: dict = {}
-        for col, k in enumerate(cols):
-            p0, q0 = divmod(self.q_coords[k], n)
-            for i, t in left[p0].items():
-                for j, s in psi_at.get(i * n + q0, ()):
-                    key = j * width + col
-                    acc[key] = acc.get(key, zero) + t * s
-            for i, t in table[q0][p].items():
-                for j, s in psi_at.get(p0 * n + i, ()):
-                    key = j * width + col
-                    acc[key] = acc.get(key, zero) - t * s
-        rows: dict = {}
-        for key, v in field.reduce_dict(acc).items():
-            j, col = divmod(key, width)
-            row = rows.get(j)
-            if row is None:
-                row = rows[j] = [zero] * width
-            row[col] = v
-        return [tuple(rows[j]) for j in sorted(rows)]
-
-    def mult_matrix(self, cols=None) -> Matrix:
-        """The induced map (quotient coords) -> (ring coords): column j is the
-        product of the lift of quotient basis vector cols[j] (default: every
-        quotient basis vector, in order)."""
-        field = self.ring.field
-        lifts = self.q_coords if cols is None else [self.q_coords[k] for k in cols]
-        images = [self.multiply_ambient({c: field.one}) for c in lifts]
-        return Matrix._trusted(field, tuple(zip(*images)), len(images))
-
-
-def tensor_over(ring: SkewRing) -> TensorOverA:
-    """The tensor square (A*G) (x)_A (A*G) of the ring."""
-    return TensorOverA(ring)
-
-
-def tensor_square(action: PartialAction) -> TensorOverA:
-    """(A*G) (x)_A (A*G); its `.ring` is the skew ring.
-
-    The action is validated first (`ActionError` of `ensure_valid`, or
-    `DecompositionRequired`), since only a central idempotent has an ideal
-    basis; then the size cap is checked against (sum_g dim A_g)^2, read off
-    the ideal bases the algebra keeps, before the ring is built.
-    """
-    action.ensure_valid()
-    action.require_decomposition()
-    _check_cap(sum(action.ideal(g).dim for g in action.groupoid.morphisms) ** 2)
-    return tensor_over(build_skew_ring(action))
-
-
 # -- the tensor square in psi coordinates ------------------------------------------
 
 
@@ -446,3 +271,96 @@ def psi_right(act: PartialAction, k, v, blocks) -> dict:
     return _collect(alg.field, (
         ((g, g_oid.compose[(h, k)]), alg.multiply(y, act.alpha(g, act.alpha(h, v))))
         for (g, h), y in blocks.items() if g_oid.src[h] == g_oid.tgt[k]))
+
+
+# -- the oracle's square: the blocks (g, g^-1) in psi coordinates ------------------
+
+
+def _check_cap(ambient_dim: int) -> None:
+    """Refuse a tensor square with more basis pairs than SKEWALG_MAX_DIM."""
+    raw = os.environ.get("SKEWALG_MAX_DIM")
+    try:
+        cap = DEFAULT_MAX_TENSOR_DIM if raw is None else int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise InvalidSizeCap(
+            "SKEWALG_MAX_DIM must be a non-negative integer, got %r" % raw[:40])
+    if ambient_dim > cap:
+        raise TensorTooLarge(
+            "tensor ambient dimension %d exceeds cap %d (SKEWALG_MAX_DIM)"
+            % (ambient_dim, cap))
+
+
+class TensorOverA:
+    """(A*G) (x)_A (A*G) in the psi normal form, on the blocks (g, g^-1).
+
+    Built by `tensor_over`; the constructor validates nothing.  `dim` is the
+    dimension of the whole square (`psi_tensor_dim`), `ring_dim` that of A*G
+    and `ambient_dim` = ring_dim^2 the number of basis pairs.  The columns
+    are the oracle's unknowns: for each g with A_g != 0, in morphism order,
+    the free pairs j of `psi_block(g, g^-1)` as (g, j, y), y the pair's
+    psi-image, which stands for y d_g (x) 1_{g^-1} d_{g^-1}.  That block's
+    image is A 1_g, so there are ring_dim columns.
+    """
+
+    def __init__(self, action: PartialAction):
+        self.action = action
+        g_oid = action.groupoid
+        self.dim = psi_tensor_dim(action)
+        self.ring_dim = sum(action.ideal(g).dim for g in g_oid.morphisms)
+        self.ambient_dim = self.ring_dim ** 2
+        columns = []
+        for g in g_oid.morphisms:
+            if action.ideal(g).dim:
+                images, kinds, free, _ = psi_block(action, g, g_oid.inv(g))
+                columns.extend((g, j, images[kinds[j]]) for j in free)
+        self.columns = tuple(columns)
+
+    def mult_matrix(self) -> Matrix:
+        """m on the columns, one row per object e and coordinate of A: m sends
+        block (g, g^-1) y to y d_{id_e}, e = tgt g."""
+        act = self.action
+        field = act.algebra.field
+        tgt = act.groupoid.tgt
+        rows = tuple(tuple(y[a] if tgt[g] == e else field.zero for g, _, y in self.columns)
+                     for e in act.groupoid.objects for a in range(act.algebra.dim))
+        return Matrix._trusted(field, rows, len(self.columns))
+
+    def commutator_rows(self, k, v) -> dict:
+        """The nonzero rows of x |-> b x - x b on the columns, b = v d_k a ring
+        basis element, keyed by (output block, coordinate in A): the psi
+        blocks of b y and y b (`psi_left`, `psi_right`) of each column y."""
+        act = self.action
+        field = act.algebra.field
+        g_oid = act.groupoid
+        ends = (g_oid.src[k], g_oid.tgt[k])
+        acc: dict = {}
+        for c, (g, _, y) in enumerate(self.columns):
+            if g_oid.tgt[g] not in ends:    # b y = y b = 0
+                continue
+            block = {(g, g_oid.inv(g)): y}
+            for sign, images in ((1, psi_left(act, k, v, block)),
+                                 (-1, psi_right(act, k, v, block))):
+                for out, z in images.items():
+                    for a, t in enumerate(z):
+                        if t:
+                            acc[out, a, c] = acc.get((out, a, c), field.zero) + sign * t
+        rows: dict = {}
+        for (out, a, c), t in field.reduce_dict(acc).items():
+            rows.setdefault((out, a), [field.zero] * len(self.columns))[c] = t
+        return {key: tuple(row) for key, row in rows.items()}
+
+
+def tensor_over(action: PartialAction) -> TensorOverA:
+    """The oracle's square of A*G over A.
+
+    The action is validated first (`ActionError` of `ensure_valid`, or
+    `DecompositionRequired`), since only a central idempotent has an ideal
+    basis; then the size cap is checked against (sum_g dim A_g)^2, read off
+    the ideal bases the algebra keeps, before any block is read.
+    """
+    action.ensure_valid()
+    action.require_decomposition()
+    _check_cap(sum(action.ideal(g).dim for g in action.groupoid.morphisms) ** 2)
+    return TensorOverA(action)

@@ -13,8 +13,7 @@ from skewalg.groupoid import ValidationReport, Violation
 from skewalg.instances import load_instance, parse_instance
 from skewalg.linalg import DimensionMismatch, echelon, kernel, vadd
 from skewalg.separability import (SeparabilityCertificate, WitnessInvalid,
-                                  idempotent_blocks, normal_form_coefficients,
-                                  trace_into)
+                                  idempotent_blocks, trace_into)
 from skewalg.skew_ring import (psi_block, psi_coords, psi_left, psi_multiply,
                               psi_right, psi_tensor_dim)
 
@@ -284,7 +283,7 @@ def component_decomposition_failures(pa: PartialAction) -> list:
                 failures.append("u%s does not cut out its block" % (cls,))
         over_a = relation_quotient(ring, pos, pos, a_rows).dim
         over_own = relation_quotient(ring, pos, pos, component_algebra_rows(pa, cls)).dim
-        own_square = tensor_over(build_skew_ring(restricted_action(pa, cls))).dim
+        own_square = tensor_over(restricted_action(pa, cls)).dim
         if not over_a == over_own == own_square:
             failures.append("block %s squares to %d over A, %d over A_[e], %d in its "
                             "own ring" % (cls, over_a, over_own, own_square))
@@ -298,13 +297,13 @@ def component_decomposition_failures(pa: PartialAction) -> list:
         total = vadd(ring.field, total, u)
     if total != ring.unit():
         failures.append("block units do not sum to the ring unit")
-    if tensor_over(ring).dim != dims:
+    if tensor_over(pa).dim != dims:
         failures.append("block squares do not add up to the whole square")
     return failures
 
 
 def relation_quotient(ring, lpos, rpos, mid_rows):
-    """Reference for `TensorOverA`: the quotient by the balancing relations.
+    """Reference for the psi normal form: the quotient by the balancing relations.
 
     The ambient space is the pairs (lpos[li], rpos[ri]), numbered
     li * len(rpos) + ri; for each (g, h) block of it and each a in `mid_rows`
@@ -373,63 +372,127 @@ def relation_quotient(ring, lpos, rpos, mid_rows):
     return SimpleNamespace(dim=len(q_coords), q_coords=q_coords, project=project)
 
 
-def square_quotient(tensor):
-    """`relation_quotient` of the whole square of `tensor.ring` over A's basis,
-    eliminated from scratch: the `dim` and `q_coords` of `tensor`, and a
-    `project` that shares no code with `TensorOverA`."""
-    ring = tensor.ring
-    alg = ring.action.algebra
-    return relation_quotient(ring, range(ring.dim), range(ring.dim),
-                             [alg.basis_vector(i) for i in range(alg.dim)])
+def reference_square(ring) -> SimpleNamespace:
+    """Reference for `TensorOverA`: the whole square (A*G) (x)_A (A*G) over
+    the ring table, the `relation_quotient` of all ring.dim^2 basis pairs
+    over A's basis, eliminated from scratch.
+
+    Ambient coordinate p * n + q, n = ring.dim, is the basis pair
+    (ring.basis[p], ring.basis[q]).  Holds the quotient's `dim`, `q_coords`
+    and `project`; `unit_class`, the quotient coordinates of the blocks
+    (g, g^-1); `multiply_ambient`, the ring coordinates of a sparse ambient
+    vector's image under b (x) b' -> b b', read off the table; and
+    `mult_matrix`, that map on the quotient basis.
+    """
+    pa = ring.action
+    alg = pa.algebra
+    field = ring.field
+    n = ring.dim
+    quotient = relation_quotient(ring, range(n), range(n),
+                                 [alg.basis_vector(i) for i in range(alg.dim)])
+    unit_class = tuple(k for k, c in enumerate(quotient.q_coords)
+                       if ring.basis[c % n][0] == pa.groupoid.inv(ring.basis[c // n][0]))
+
+    def multiply_ambient(ambient: dict) -> tuple:
+        out = [field.zero] * n
+        for c, v in ambient.items():
+            p, q = divmod(c, n)
+            for k, t in ring._table[p][q].items():
+                out[k] += v * t
+        return field.reduce_vec(out)
+
+    def mult_matrix() -> Matrix:
+        images = [multiply_ambient({c: field.one}) for c in quotient.q_coords]
+        return Matrix._trusted(field, tuple(zip(*images)), len(images))
+
+    return SimpleNamespace(ring=ring, n=n, dim=quotient.dim, q_coords=quotient.q_coords,
+                           project=quotient.project, unit_class=unit_class,
+                           multiply_ambient=multiply_ambient, mult_matrix=mult_matrix)
 
 
-def side_matrix(tensor, project, **side) -> Matrix:
-    """x |-> b x (left=b) or x b (right=b) in quotient coordinates: column k
-    is the `project`ed product at the lift of quotient basis vector k."""
-    field = tensor.ring.field
-    cols = [project(ambient_product(tensor, {c: field.one}, **side))
-            for c in tensor.q_coords]
+def psi_pair(pa: PartialAction, g, u, w) -> tuple:
+    """psi(u d_g (x) w d_h) = u alpha_g(w 1_{g^-1}) from the definition; the
+    stored map `alpha(g, .)` is alpha_g(. 1_{g^-1}) on all of A."""
+    return pa.algebra.multiply(u, pa.alpha(g, w))
+
+
+def factoring_failures(ring) -> list:
+    """The composable basis pairs (p, q) whose table product b_p b_q is not
+    their psi-image y at d_{gh}, y d_{gh} as a {morphism: coefficient} dict
+    ([] if none): multiplication factors through the psi normal form exactly
+    when there are none.  A psi-image outside A_{gh} fails, since every
+    table product lies in A_{gh} d_{gh}."""
+    pa = ring.action
+    g_oid = pa.groupoid
+    failures = []
+    for p, (g, u) in enumerate(ring.basis):
+        for q, (h, w) in enumerate(ring.basis):
+            if g_oid.src[g] != g_oid.tgt[h]:
+                continue
+            y = psi_pair(pa, g, u, w)
+            expected = {g_oid.compose[(g, h)]: y} if any(y) else {}
+            if from_coords(ring, ring.product_coords(p, q)) != expected:
+                failures.append((p, q))
+    return failures
+
+
+def column_pairs(tensor, ring) -> tuple:
+    """The ambient coordinate p * ring.dim + q of each column of `tensor` (a
+    `TensorOverA`): pair j of block (g, g^-1) is the basis pair
+    (b_p, b_q) = (ideal(g).rows[i], ideal(g^-1).rows[l]), j = i * dim A_{g^-1} + l."""
+    inv = ring.action.groupoid.inv
+    out = []
+    for g, j, _ in tensor.columns:
+        i, l = divmod(j, ring.action.ideal(inv(g)).dim)
+        out.append((ring.starts[g] + i) * ring.dim + ring.starts[inv(g)] + l)
+    return tuple(out)
+
+
+def side_matrix(square, **side) -> Matrix:
+    """x |-> b x (left=b) or x b (right=b) in the coordinates of the
+    `reference_square`: column k is the projected product at the lift of
+    quotient basis vector k."""
+    field = square.ring.field
+    cols = [square.project(ambient_product(square, {c: field.one}, **side))
+            for c in square.q_coords]
     return Matrix._trusted(field, tuple(zip(*cols)), len(cols))
 
 
-def dense_oracle_system(tensor):
+def dense_oracle_system(square):
     """Reference for `oracle_separability`: the dense system as (matrix, rhs).
 
-    The rows of `mult_matrix` with the ring unit as right-hand side, then, for
-    every ring basis element b, all `tensor.dim` rows of x |-> b x - x b in
-    the coordinates of `square_quotient`, zero and repeated rows included.
+    The rows of the `reference_square`'s `mult_matrix` with the ring unit as
+    right-hand side, then, for every ring basis element b, all `square.dim`
+    rows of x |-> b x - x b in its coordinates, zero and repeated rows
+    included.
     """
-    ring = tensor.ring
+    ring = square.ring
     field = ring.field
-    project = square_quotient(tensor).project
-    rows = list(tensor.mult_matrix().data)
+    rows = list(square.mult_matrix().data)
     rhs = list(ring.unit())
     for p in range(ring.dim):
         b = ring.basis_coords(p)
-        rows.extend((side_matrix(tensor, project, left=b) -
-                     side_matrix(tensor, project, right=b)).data)
-        rhs.extend([field.zero] * tensor.dim)
-    return Matrix(field, rows, ncols=tensor.dim), rhs
+        rows.extend((side_matrix(square, left=b) - side_matrix(square, right=b)).data)
+        rhs.extend([field.zero] * square.dim)
+    return Matrix(field, rows, ncols=square.dim), rhs
 
 
-def full_oracle_system(tensor):
-    """Reference for `oracle_separability`: the system over the whole square
-    as (matrix, rhs), as the oracle solved it before it kept only the blocks
-    (g, g^-1).
+def full_oracle_system(square):
+    """Reference for `oracle_separability`: the system over the whole
+    `reference_square` as (matrix, rhs), as the oracle solved it before it
+    kept only the blocks (g, g^-1).
 
     The rows of `mult_matrix` with the ring unit as right-hand side, then,
     for each ring basis element b_p, the nonzero rows of x |-> b_p x - x b_p
     in quotient coordinates over every column, each distinct row once: the
     left leg b_p b_p0 reads the ring table at (p, p0), the right leg b_q0 b_p
-    at (q0, p), and each output pair is projected into the quotient
-    (`square_quotient`).
+    at (q0, p), and each output pair is projected into the quotient.
     """
-    ring = tensor.ring
+    ring = square.ring
     field = ring.field
     zero = field.zero
     table = ring._table
-    n, dim = tensor.n, tensor.dim
-    project = square_quotient(tensor).project
+    n, dim, project = square.n, square.dim, square.project
     quotient: dict = {}
 
     def q_of(c):
@@ -437,12 +500,12 @@ def full_oracle_system(tensor):
             quotient[c] = [(j, v) for j, v in enumerate(project({c: field.one})) if v]
         return quotient[c]
 
-    rows = list(tensor.mult_matrix().data)
+    rows = list(square.mult_matrix().data)
     rhs = list(ring.unit())
     commutators: dict = {}
     for p in range(ring.dim):
         acc: dict = {}
-        for k, c in enumerate(tensor.q_coords):
+        for k, c in enumerate(square.q_coords):
             p0, q0 = divmod(c, n)
             for i, t in table[p][p0].items():
                 for j, s in q_of(i * n + q0):
@@ -479,86 +542,111 @@ def product_classes(groupoid) -> dict:
     return {g: find(g) for g in groupoid.morphisms}
 
 
-def column_products(tensor) -> list:
-    """The product gh of the block (g, h) of each quotient coordinate."""
-    ring = tensor.ring
+def column_products(square) -> list:
+    """The product gh of the block (g, h) of each quotient coordinate of the
+    `reference_square`."""
+    ring = square.ring
     compose = ring.action.groupoid.compose
     return [compose[(ring.basis[p][0], ring.basis[q][0])]
-            for p, q in (divmod(c, tensor.n) for c in tensor.q_coords)]
+            for p, q in (divmod(c, square.n) for c in square.q_coords)]
 
 
 # -- the square-based certificate reference ------------------------------------------
 
-def pure_tensor(tensor, xc, yc) -> dict:
+def pure_tensor(square, xc, yc) -> dict:
     """Sparse ambient vector of x (x) y for ring coordinates xc, yc."""
     ys = [(q, d) for q, d in enumerate(yc) if d]
-    return tensor.ring.field.reduce_dict(
-        {p * tensor.n + q: c * d for p, c in enumerate(xc) if c for q, d in ys})
+    return square.ring.field.reduce_dict(
+        {p * square.n + q: c * d for p, c in enumerate(xc) if c for q, d in ys})
 
 
-def ambient_product(tensor, x, left=None, right=None) -> dict:
+def ambient_product(square, x, left=None, right=None) -> dict:
     """left x right for a sparse ambient vector x and ring coordinates `left`,
     `right` (None for 1): the sum over x's terms v e_p (x) e_q of
     v `pure_tensor(left e_p, e_q right)`."""
-    ring = tensor.ring
+    ring = square.ring
     out: dict = {}
     for c, v in x.items():
-        p, q = divmod(c, tensor.n)
+        p, q = divmod(c, square.n)
         ep, eq = ring.basis_coords(p), ring.basis_coords(q)
         ep = ep if left is None else ring.mul_coords(left, ep)
         eq = eq if right is None else ring.mul_coords(eq, right)
-        for k, t in pure_tensor(tensor, ep, eq).items():
+        for k, t in pure_tensor(square, ep, eq).items():
             out[k] = out.get(k, ring.field.zero) + v * t
     return ring.field.reduce_dict(out)
 
 
-def lift(tensor, qcoords) -> dict:
+def lift(square, qcoords) -> dict:
     """Canonical ambient representative (sparse) of quotient coordinates."""
-    return {tensor.q_coords[k]: v for k, v in enumerate(qcoords) if v}
+    return {square.q_coords[k]: v for k, v in enumerate(qcoords) if v}
 
 
-def square_certificate(tensor, project, a) -> SimpleNamespace:
+def square_certificate(square, a) -> SimpleNamespace:
     """Reference for `build_certificate`: x built and checked in the square.
 
     x = sum_g alpha_g(a 1_{g^-1}) d_g (x) 1_{g^-1} d_{g^-1} is summed as
-    pure tensors in the ambient space of `tensor` (a `tensor_square`) and
-    projected by `project`, that of `square_quotient(tensor)`; m(x) is read
-    off the ring table and bx, xb for each basis element b as sums of pure
-    tensors, projected back.  No witness is required.  Returns x's quotient
-    coordinates (`element`), the canonical `summands` of its lift and the
-    two `checks`.
+    pure tensors in the ambient space of the `reference_square` and
+    projected; m(x) is read off the ring table and bx, xb for each basis
+    element b as sums of pure tensors, projected back.  No witness is
+    required.  Returns x's quotient coordinates (`element`), the canonical
+    `summands` of its lift and the two `checks`.
     """
-    ring = tensor.ring
+    ring = square.ring
     pa = ring.action
     field = ring.field
+    project = square.project
     ambient: dict = {}
     for g in pa.groupoid.morphisms:
         ginv = pa.groupoid.inv(g)
         left = ring_coords(ring, {g: pa.alpha(g, a)})
         right = ring_coords(ring, {ginv: pa.idem(ginv)})
-        for c, v in pure_tensor(tensor, left, right).items():
+        for c, v in pure_tensor(square, left, right).items():
             ambient[c] = ambient.get(c, field.zero) + v
     q = project(field.reduce_dict(ambient))
-    lifted = lift(tensor, q)
+    lifted = lift(square, q)
     summands = []
     for c in sorted(lifted):
-        p, r = divmod(c, tensor.n)
+        p, r = divmod(c, square.n)
         (g, u), (h, w) = ring.basis[p], ring.basis[r]
         summands.append((g, field.reduce_vec(lifted[c] * x for x in u), h, w))
     checks = {
-        "multiplies_to_unit": tensor.multiply_ambient(lifted) == ring.unit(),
+        "multiplies_to_unit": square.multiply_ambient(lifted) == ring.unit(),
         "commutes_with_basis": all(
-            project(ambient_product(tensor, lifted, left=b)) ==
-            project(ambient_product(tensor, lifted, right=b))
+            project(ambient_product(square, lifted, left=b)) ==
+            project(ambient_product(square, lifted, right=b))
             for b in map(ring.basis_coords, range(ring.dim))),
     }
     return SimpleNamespace(element=q, summands=tuple(summands), checks=checks)
 
 
-def psi_of(pa: PartialAction, tensor, qcoords) -> dict:
-    """The nonzero psi blocks of a tensor element given in quotient coordinates."""
-    coeffs = normal_form_coefficients(pa, tensor, qcoords)
-    return {pair: y for pair, y in coeffs.items() if any(y)}
+def psi_of(square, qcoords) -> dict:
+    """The nonzero psi blocks of an element of the `reference_square` given
+    in quotient coordinates: each lift b_p (x) b_q adds its `psi_pair` to
+    its block (g, h)."""
+    ring = square.ring
+    field = ring.field
+    out: dict = {}
+    for k, v in enumerate(qcoords):
+        if v:
+            p, q = divmod(square.q_coords[k], square.n)
+            (g, u), (h, w) = ring.basis[p], ring.basis[q]
+            y = field.reduce_vec(v * x for x in psi_pair(ring.action, g, u, w))
+            out[g, h] = vadd(field, out[g, h], y) if (g, h) in out else y
+    return {pair: y for pair, y in out.items() if any(y)}
+
+
+def column_blocks(tensor, x) -> dict:
+    """The nonzero psi blocks of an oracle solution x, in the column
+    coordinates of `tensor` (a `TensorOverA`): block (g, g^-1) sums x_c y_c
+    over its columns."""
+    field = tensor.action.algebra.field
+    inv = tensor.action.groupoid.inv
+    out: dict = {}
+    for c, (g, _, y) in zip(x, tensor.columns):
+        if c:
+            y = field.reduce_vec(c * t for t in y)
+            out[g, inv(g)] = vadd(field, out[g, inv(g)], y) if (g, inv(g)) in out else y
+    return {pair: y for pair, y in out.items() if any(y)}
 
 
 # -- the trace matrices as sums of the stored maps ----------------------------------------

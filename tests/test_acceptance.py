@@ -147,7 +147,7 @@ def test_acceptance_5_global_case():
 
 
 def test_acceptance_6_oracle_witness_extraction():
-    from skewalg.separability import normal_form_coefficients
+    from conftest import column_blocks
 
     rng = random.Random(1)
     checked = 0
@@ -166,8 +166,7 @@ def test_acceptance_6_oracle_witness_extraction():
                 ok = ok and trace_into(pa, e).apply(a) == pa.obj_idem(e)
             # diagonal-coefficient identity of the normal form:
             # alpha_g(a_{s(g),s(g)} 1_{g^-1}) == a_{g,g^-1}
-            coeffs = normal_form_coefficients(pa, res.tensor,
-                                              res.solutions.particular)
+            coeffs = column_blocks(res.tensor, res.solutions.particular)
             g_oid = pa.groupoid
             for g in g_oid.morphisms:
                 s_id = g_oid.identity[g_oid.src[g]]

@@ -253,6 +253,36 @@ def test_traces_command(capsys):
     assert all(report["invariants"].values())
 
 
+# no objects; one object over the zero algebra; two objects over k, one
+# of them with 1_f = 0 (so A_{id_f} = 0)
+DEGENERATE = {
+    "no-objects": ({"field": "Q", "groupoid": {"objects": []},
+                    "algebra": {"diagonal": 0}, "action": {}}, 0),
+    "zero-algebra": ({"field": "Q", "groupoid": {"objects": ["e"]},
+                      "algebra": {"diagonal": 0}, "action": {"id:e": {"dom": []}}}, 0),
+    "zero-object-ideal": ({"field": "Q", "groupoid": {"objects": ["e", "f"]},
+                           "algebra": {"diagonal": 1},
+                           "action": {"id:e": {"dom": ["1"]}, "id:f": {"dom": ["0"]}}}, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(DEGENERATE))
+def test_degenerate_instances_run_every_command(capsys, tmp_path, name):
+    data, tensor_dim = DEGENERATE[name]
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(data))
+    for argv in (["validate"], ["traces"], ["separability", "--oracle"],
+                 ["separability", "--global", "--isotropy"], ["skew-table"]):
+        code, out, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0, argv
+        report = json.loads(out)
+        if "--oracle" in argv:
+            oracle = report["oracle"]
+            assert oracle["agrees_with_decision"]
+            assert oracle["separable"] == report["verdict"]["separable"]
+            assert oracle["tensor_dim"] == tensor_dim
+
+
 def test_oversized_tensor_square_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("SKEWALG_MAX_DIM", "10")
     code, out, _ = run_cli(capsys, "separability",
@@ -500,17 +530,17 @@ def _global_instances() -> list:
             if load_instance(p).action.is_global()]
 
 
-@pytest.mark.parametrize("flags,builds", [
+@pytest.mark.parametrize("flags,squares", [
     (("--oracle",), 1),
     ((), 0),
     (("--global",), 0),
     (("--isotropy",), 0),
     (("--global", "--isotropy"), 0),
 ], ids=["oracle", "plain", "global", "isotropy", "global-isotropy"])
-def test_separability_oracle_builds_one_ring_and_one_square(capsys, monkeypatch,
-                                                            flags, builds):
-    # only the oracle builds the ring and its square; the certificate and the
-    # isotropy conjugations do not
+def test_separability_oracle_builds_no_ring_and_one_square(capsys, monkeypatch,
+                                                           flags, squares):
+    # no separability path builds the ring; only the oracle builds its
+    # square, and the certificate and the isotropy conjugations do not
     paths = (_global_instances() if {"--global", "--isotropy"} & set(flags)
              else sorted(INSTANCE_DIR.glob("*.json")))
     assert paths
@@ -518,7 +548,16 @@ def test_separability_oracle_builds_one_ring_and_one_square(capsys, monkeypatch,
     for path in paths:
         code, _, _ = run_cli(capsys, "separability", str(path), *flags)
         assert code == 0
-        assert counts == {SkewRing: builds, TensorOverA: builds}, path.name
+        assert counts == {SkewRing: 0, TensorOverA: squares}, path.name
+        counts.update({SkewRing: 0, TensorOverA: 0})
+
+
+def test_skew_table_builds_one_ring_and_no_square(capsys, monkeypatch):
+    counts = _count_builds(monkeypatch)
+    for path in sorted(INSTANCE_DIR.glob("*.json")):
+        code, _, _ = run_cli(capsys, "skew-table", str(path))
+        assert code == 0
+        assert counts == {SkewRing: 1, TensorOverA: 0}, path.name
         counts.update({SkewRing: 0, TensorOverA: 0})
 
 
@@ -539,14 +578,14 @@ def test_separability_constructs_only_the_parsed_algebra_and_action(capsys, monk
         counts.update({Algebra: 0, PartialAction: 0})
 
 
-def test_differential_builds_one_ring_and_one_square(monkeypatch):
+def test_differential_builds_no_ring_and_one_square(monkeypatch):
     counts = _count_builds(monkeypatch)
     rng = random.Random(1)
     for _ in range(3):
         skel = random_skeleton(rng)
         for fdesc in ("Q", "GF(2)"):
             assert run_differential(skeleton_to_instance(skel, fdesc))["agree"]
-            assert counts == {SkewRing: 1, TensorOverA: 1}
+            assert counts == {SkewRing: 0, TensorOverA: 1}
             counts.update({SkewRing: 0, TensorOverA: 0})
 
 

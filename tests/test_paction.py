@@ -5,7 +5,7 @@ import pytest
 from skewalg import (ActionError, Algebra, DecompositionRequired, Echelon, Field,
                      Groupoid, Matrix, PartialAction, Violation, build_groupoid,
                      build_skew_ring, decide_separability, invariant_suite,
-                     isotropy_transport_psi, tensor_square,
+                     isotropy_transport_psi, tensor_over,
                      trace_invariant_suite, validate_partial_action)
 from skewalg import partial_action
 from skewalg.cli import main
@@ -429,7 +429,7 @@ def test_no_ideal_member_is_read_by_elimination(monkeypatch, capsys):
             return _method(self, v)
         monkeypatch.setattr(Echelon, name, recorded)
     for pa in shipped:
-        tensor_square(pa)
+        tensor_over(pa)
         assert all(trace_invariant_suite(pa).values())
         if pa.is_global():
             for arrow in pa.groupoid.morphisms:

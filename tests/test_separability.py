@@ -12,24 +12,23 @@ from skewalg.separability import (EmptyHomSet, NotGlobal, SeparabilityError,
                                   idempotent_blocks, invariant_subring,
                                   is_witness, isotropy_transport_psi,
                                   isotropy_witness_transport,
-                                  normal_form_coefficients,
                                   oracle_separability, separability_checks,
                                   trace_between, trace_into,
                                   trace_invariant_suite, trace_total)
-from skewalg.skew_ring import (psi_coords, psi_left, psi_multiply, psi_right,
-                               psi_tensor_dim, tensor_square)
+from skewalg.skew_ring import (build_skew_ring, psi_coords, psi_left, psi_multiply,
+                               psi_right, psi_tensor_dim)
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
 import skewalg.separability as separability
-from conftest import (INSTANCE_DIR, RING_48, ambient_product, column_products,
-                      dense_oracle_system, from_coords, full_oracle_system, global_skeleton,
-                      glue_components, intersect, lift, load_action,
-                      product_classes, psi_of, pure_tensor,
+from conftest import (INSTANCE_DIR, RING_48, ambient_product, column_blocks,
+                      column_pairs, column_products, dense_oracle_system, from_coords,
+                      full_oracle_system, global_skeleton, glue_components, intersect,
+                      lift, load_action, product_classes, psi_of, psi_pair, pure_tensor,
                       reference_build_certificate, reference_is_witness,
-                      reference_separability_checks, restricted_action,
-                      restricted_component_family, ring_coords, ring_isotropy_iso,
-                      side_matrix, square_certificate, square_quotient)
+                      reference_separability_checks, reference_square,
+                      restricted_action, restricted_component_family, ring_coords,
+                      ring_isotropy_iso, side_matrix, square_certificate)
 from test_skewring import closed_form_corpus
 
 Q = Field.rationals()
@@ -194,15 +193,15 @@ def hand_built_idempotent(lam) -> list:
             ("id:e2", (0, 0, 1 - lam, 1), "id:e2", (0, 0, 1, 1))]
 
 
-def project_pure_tensors(tensor, terms) -> tuple:
-    """Quotient coordinates of a sum of pure tensors (g, u, h, w)."""
-    ring = tensor.ring
+def project_pure_tensors(square, terms) -> tuple:
+    """Coordinates in the `reference_square` of a sum of pure tensors (g, u, h, w)."""
+    ring = square.ring
     ambient: dict = {}
     for g, u, h, w in terms:
-        for c, val in pure_tensor(tensor, ring_coords(ring, {g: u}),
+        for c, val in pure_tensor(square, ring_coords(ring, {g: u}),
                                   ring_coords(ring, {h: w})).items():
             ambient[c] = ambient.get(c, ring.field.zero) + val
-    return square_quotient(tensor).project(ring.field.reduce_dict(ambient))
+    return square.project(ring.field.reduce_dict(ambient))
 
 
 def test_certificates_match_the_hand_built_idempotents(bridge):
@@ -212,7 +211,7 @@ def test_certificates_match_the_hand_built_idempotents(bridge):
     # summands project to the same element
     v = decide_separability(bridge)
     fam = v.certificate.witness_family
-    tensor = tensor_square(bridge)
+    square = reference_square(build_skew_ring(bridge))
     for lam in (Fraction(0), Fraction(1), Fraction(2)):
         a = fam.element((lam,))
         assert a == (1, lam, 1 - lam, 1)
@@ -222,8 +221,8 @@ def test_certificates_match_the_hand_built_idempotents(bridge):
         psi = {(g, h): bridge.algebra.multiply(u, bridge.alpha(g, w))
                for g, u, h, w in terms}
         assert cert.blocks == {k: y for k, y in psi.items() if any(y)}
-        assert project_pure_tensors(tensor, cert.summands) == \
-            project_pure_tensors(tensor, terms)
+        assert project_pure_tensors(square, cert.summands) == \
+            project_pure_tensors(square, terms)
 
 
 def test_certificate_checks_hold_on_every_witness(bridge, flip_q, flip_gf3, pair_swap):
@@ -248,9 +247,8 @@ def test_psi_certificate_matches_the_square_reference():
     outcomes = set()
     for pa in closed_form_corpus():
         alg = pa.algebra
-        tensor = tensor_square(pa)
-        project = square_quotient(tensor).project
-        assert psi_tensor_dim(pa) == tensor.dim
+        square = reference_square(build_skew_ring(pa))
+        assert psi_tensor_dim(pa) == square.dim
         center = Matrix.from_cols(alg.field, list(alg.center_basis()))
         candidates = [_random_vector(alg.field, rng, alg.dim),
                       center.apply(_random_vector(alg.field, rng, center.ncols))]
@@ -258,16 +256,16 @@ def test_psi_certificate_matches_the_square_reference():
         if verdict.separable:
             candidates.append(verdict.witness)
         for a in candidates:
-            ref = square_certificate(tensor, project, a)
+            ref = square_certificate(square, a)
             blocks = idempotent_blocks(pa, a)
             checks = separability_checks(pa, blocks)
             assert checks == ref.checks
-            assert blocks == psi_of(pa, tensor, ref.element)
+            assert blocks == psi_of(square, ref.element)
             outcomes.add(tuple(checks.values()))
         if verdict.separable:
             cert = verdict.certificate
-            ref = square_certificate(tensor, project, cert.witness)
-            assert cert.tensor_dim == tensor.dim
+            ref = square_certificate(square, cert.witness)
+            assert cert.tensor_dim == square.dim
             assert cert.summands == ref.summands
             assert cert.checks == {"witness_central": True, "witness_traces": True,
                                    **ref.checks}
@@ -277,24 +275,23 @@ def test_psi_certificate_matches_the_square_reference():
 def test_psi_formulas_match_the_square_blockwise():
     # m, and the left and right actions of every ring basis element, on random
     # tensor elements: the closed psi formulas against the square's own maps,
-    # read back blockwise through normal_form_coefficients
+    # read back blockwise through the psi-images of the lifts (psi_of)
     rng = random.Random(41)
     for pa in closed_form_corpus():
-        tensor = tensor_square(pa)
-        ring = tensor.ring
-        mult = tensor.mult_matrix()
-        project = square_quotient(tensor).project
+        ring = build_skew_ring(pa)
+        square = reference_square(ring)
+        mult = square.mult_matrix()
         for _ in range(2):
-            q = _random_vector(ring.field, rng, tensor.dim)
-            blocks = psi_of(pa, tensor, q)
-            lifted = lift(tensor, q)
+            q = _random_vector(ring.field, rng, square.dim)
+            blocks = psi_of(square, q)
+            lifted = lift(square, q)
             assert psi_multiply(pa, blocks) == from_coords(ring, mult.apply(q))
             for p, (k, v) in enumerate(ring.basis):
                 b = ring.basis_coords(p)
-                left = project(ambient_product(tensor, lifted, left=b))
-                right = project(ambient_product(tensor, lifted, right=b))
-                assert psi_left(pa, k, v, blocks) == psi_of(pa, tensor, left)
-                assert psi_right(pa, k, v, blocks) == psi_of(pa, tensor, right)
+                left = square.project(ambient_product(square, lifted, left=b))
+                right = square.project(ambient_product(square, lifted, right=b))
+                assert psi_left(pa, k, v, blocks) == psi_of(square, left)
+                assert psi_right(pa, k, v, blocks) == psi_of(square, right)
 
 
 def test_invalid_witness_is_rejected(bridge):
@@ -336,13 +333,22 @@ def test_oracle_agrees_on_worked_instances(bridge, flip_q, flip_gf2, flip_gf3,
         assert oracle_separability(pa).separable == decide_separability(pa).separable
 
 
+def in_square(square, x) -> tuple:
+    """An oracle vector x (column coordinates) in the coordinates of the
+    `reference_square`: x at its `unit_class`, zero elsewhere."""
+    out = [square.ring.field.zero] * square.dim
+    for k, c in zip(square.unit_class, x):
+        out[k] = c
+    return tuple(out)
+
+
 def test_trivial_oracle_solution_is_unit_tensor_unit(trivial_q):
     res = oracle_separability(trivial_q)
-    ring = res.tensor.ring
+    ring = build_skew_ring(trivial_q)
+    square = reference_square(ring)
     assert res.separable
-    expected = square_quotient(res.tensor).project(
-        pure_tensor(res.tensor, ring.unit(), ring.unit()))
-    assert res.solutions.particular == expected
+    expected = square.project(pure_tensor(square, ring.unit(), ring.unit()))
+    assert in_square(square, res.solutions.particular) == expected
 
 
 def test_oracle_solution_reduces_to_a_family_member(bridge):
@@ -357,16 +363,16 @@ def test_oracle_solution_reduces_to_a_family_member(bridge):
     assert fam.element((lam,)) == a
     cert = build_certificate(bridge, a)
     assert cert.tensor_dim == res.tensor.dim
-    coeffs = normal_form_coefficients(bridge, res.tensor, res.solutions.particular)
-    assert cert.blocks == {k: y for k, y in coeffs.items() if any(y)}
-    assert project_pure_tensors(res.tensor, cert.summands) == \
-        tuple(res.solutions.particular)
+    assert cert.blocks == column_blocks(res.tensor, res.solutions.particular)
+    square = reference_square(build_skew_ring(bridge))
+    assert project_pure_tensors(square, cert.summands) == \
+        in_square(square, res.solutions.particular)
 
 
 def test_extraction_satisfies_the_diagonal_identity(bridge):
     # alpha_g(a_{s(g),s(g)} 1_{g^-1}) == a_{g, g^-1} for the oracle's solution
     res = oracle_separability(bridge)
-    coeffs = normal_form_coefficients(bridge, res.tensor, res.solutions.particular)
+    coeffs = column_blocks(res.tensor, res.solutions.particular)
     g_oid = bridge.groupoid
     for g in g_oid.morphisms:
         s_id = g_oid.identity[g_oid.src[g]]
@@ -375,28 +381,78 @@ def test_extraction_satisfies_the_diagonal_identity(bridge):
         assert bridge.alpha(g, diag) == got
 
 
-def assert_restricts(res, full):
-    """`res.solutions` is the solution set `full` of the whole system cut
-    down to the identity class: the same verdict and particular solution,
-    and as kernel the kernel rows supported on the blocks (g, g^-1)."""
-    unit_class = set(res.tensor.unit_class)
+def restricted(square, v):
+    """v (coordinates of the `reference_square`) at its `unit_class`; None for None."""
+    return None if v is None else tuple(v[k] for k in square.unit_class)
+
+
+def assert_restricts(res, full, square):
+    """`res.solutions` is the solution set `full` of the whole system of the
+    `reference_square` cut down to the identity class: the same verdict, the
+    particular solution at the `unit_class` columns (zero off them), and as
+    kernel the kernel rows supported on the blocks (g, g^-1), restricted."""
+    unit_class = set(square.unit_class)
     assert res.separable == (not full.is_empty)
-    assert res.solutions.particular == full.particular
+    if res.separable:
+        assert all(k in unit_class for k, c in enumerate(full.particular) if c)
+    assert res.solutions.particular == restricted(square, full.particular)
     assert res.solutions.kernel_basis == tuple(
-        v for v in full.kernel_basis
+        restricted(square, v) for v in full.kernel_basis
         if all(k in unit_class for k, c in enumerate(v) if c))
+
+
+def reference_witness(pa, square, x) -> tuple:
+    """The sum of the blocks (id_e, id_e) of x in the `reference_square`."""
+    blocks = psi_of(square, x)
+    a = pa.algebra.zero()
+    for i in pa.groupoid.identity.values():
+        if (i, i) in blocks:
+            a = vadd(pa.algebra.field, a, blocks[i, i])
+    return a
+
+
+def column_identity_corpus():
+    """The shipped instances and random_skeleton(Random(s), 8, 6), s < 50,
+    over Q, GF(2) and GF(3)."""
+    yield from (load_action(p.name) for p in sorted(INSTANCE_DIR.glob("*.json")))
+    for seed in range(50):
+        skel = random_skeleton(random.Random(seed), 8, 6)
+        for field in ("Q", "GF(2)", "GF(3)"):
+            yield parse_instance(skeleton_to_instance(skel, field)).action
+
+
+def test_oracle_columns_are_the_reference_unit_class():
+    # the psi columns are the lifts of the reference square's blocks
+    # (g, g^-1), in its order, with their psi-images; the oracle solves the
+    # reference's full system restricted to those columns
+    count = 0
+    for pa in column_identity_corpus():
+        res = oracle_separability(pa)
+        ring = build_skew_ring(pa)
+        square = reference_square(ring)
+        pairs = column_pairs(res.tensor, ring)
+        assert pairs == tuple(square.q_coords[k] for k in square.unit_class)
+        for (g, _, y), c in zip(res.tensor.columns, pairs):
+            p, q = divmod(c, ring.dim)
+            assert y == psi_pair(pa, g, ring.basis[p][1], ring.basis[q][1])
+        assert (res.tensor.dim, res.tensor.ring_dim) == (square.dim, ring.dim)
+        assert_restricts(res, solve_affine(*full_oracle_system(square)), square)
+        count += 1
+    assert count == len(sorted(INSTANCE_DIR.glob("*.json"))) + 150
 
 
 def test_oracle_matches_the_full_reference_system():
     # the oracle solves only the blocks (g, g^-1); the whole system over the
-    # square has the same verdict, particular solution and extracted witness
+    # reference square has the same verdict, particular solution and
+    # extracted witness
     for pa in closed_form_corpus():
         res = oracle_separability(pa)
-        full = solve_affine(*full_oracle_system(res.tensor))
-        assert_restricts(res, full)
+        square = reference_square(build_skew_ring(pa))
+        full = solve_affine(*full_oracle_system(square))
+        assert_restricts(res, full, square)
         if res.separable:
             assert extract_witness(pa, res.tensor, res.solutions.particular) == \
-                extract_witness(pa, res.tensor, full.particular)
+                reference_witness(pa, square, full.particular)
 
 
 def test_oracle_matches_the_dense_reference_system():
@@ -404,27 +460,28 @@ def test_oracle_matches_the_dense_reference_system():
     # dense system of L_b - R_b over every ring basis element b
     for pa in closed_form_corpus():
         res = oracle_separability(pa)
-        assert_restricts(res, solve_affine(*dense_oracle_system(res.tensor)))
+        square = reference_square(build_skew_ring(pa))
+        assert_restricts(res, solve_affine(*dense_oracle_system(square)), square)
 
 
 def test_commutator_rows_span_the_dense_difference():
-    # for each basis element b_p, the nonzero psi rows of b_p x - x b_p on the
-    # blocks (g, g^-1) span the row space of the dense x |-> b_p x - x b_p in
-    # the coordinates of the relation quotient, restricted to those columns
+    # for each ring basis element b = v d_k, the nonzero psi rows of
+    # b x - x b on the blocks (g, g^-1) span the row space of the dense
+    # x |-> b x - x b in the coordinates of the reference square, restricted
+    # to those columns
     for pa in closed_form_corpus():
-        tensor = tensor_square(pa)
-        ring = tensor.ring
-        project = square_quotient(tensor).project
-        cols = tensor.unit_class
-        for p in range(ring.dim):
+        tensor = oracle_separability(pa).tensor
+        ring = build_skew_ring(pa)
+        square = reference_square(ring)
+        cols = square.unit_class
+        for p, (k, v) in enumerate(ring.basis):
             b = ring.basis_coords(p)
-            rows = tensor.commutator_rows(p, cols)
+            rows = list(tensor.commutator_rows(k, v).values())
             assert all(any(r) for r in rows)
-            dense = (side_matrix(tensor, project, left=b) -
-                     side_matrix(tensor, project, right=b))
-            restricted = [tuple(r[k] for k in cols) for r in dense.data]
+            dense = side_matrix(square, left=b) - side_matrix(square, right=b)
+            restricted_rows = [tuple(r[c] for c in cols) for r in dense.data]
             assert (echelon(ring.field, rows, len(cols)) ==
-                    echelon(ring.field, restricted, len(cols)))
+                    echelon(ring.field, restricted_rows, len(cols)))
 
 
 def test_the_dense_system_is_block_diagonal_over_product_classes():
@@ -432,8 +489,8 @@ def test_the_dense_system_is_block_diagonal_over_product_classes():
     # products gh, and only rows of m at identity degrees, which read the
     # blocks (g, g^-1), have a nonzero right-hand side
     for pa in closed_form_corpus():
-        tensor = tensor_square(pa)
-        ring = tensor.ring
+        ring = build_skew_ring(pa)
+        tensor = reference_square(ring)
         g_oid = pa.groupoid
         classes = product_classes(g_oid)
         identities = {classes[i] for i in g_oid.identity.values()}
@@ -490,7 +547,7 @@ def test_oracle_on_the_ring_48_skeleton():
         verdict = decide_separability(pa)
         res = oracle_separability(pa)
         tensor = res.tensor
-        assert (tensor.ring.dim, tensor.ambient_dim, tensor.dim) == (48, 2304, 288)
+        assert (tensor.ring_dim, tensor.ambient_dim, tensor.dim) == (48, 2304, 288)
         assert verdict.separable and res.separable
         assert is_witness(pa, extract_witness(pa, tensor, res.solutions.particular))
 
@@ -508,7 +565,7 @@ def test_oracle_on_the_ring_80_skeleton(monkeypatch):
         verdict = decide_separability(pa)
         res = oracle_separability(pa)
         tensor = res.tensor
-        assert (tensor.ring.dim, tensor.ambient_dim, tensor.dim) == (80, 6400, 640)
+        assert (tensor.ring_dim, tensor.ambient_dim, tensor.dim) == (80, 6400, 640)
         assert verdict.separable == res.separable == separable
         if separable:
             assert is_witness(pa, extract_witness(pa, tensor, res.solutions.particular))
@@ -837,7 +894,7 @@ def test_certificate_and_oracle_q_scalars_are_ints_when_integral(name):
 
 
 def test_separability_objects_are_freed_by_reference_counting():
-    # no reference cycle may keep an op's action, ring or tensor square alive
+    # no reference cycle may keep an op's action or tensor square alive
     import gc
     import weakref
     from conftest import INSTANCE_DIR
@@ -851,7 +908,7 @@ def test_separability_objects_are_freed_by_reference_counting():
             verdict = decide_separability(pa)
             oracle = oracle_separability(pa)
             refs = [weakref.ref(x) for x in
-                    (pa, pa.algebra, oracle.tensor, oracle.tensor.ring)]
+                    (pa, pa.algebra, oracle.tensor)]
             del pa, verdict, oracle
             assert all(r() is None for r in refs), path.name
     finally:

@@ -3,19 +3,20 @@ import random
 import pytest
 
 from skewalg import (ActionError, Algebra, Field, Matrix, PartialAction,
-                     build_groupoid)
+                     build_groupoid, skew_ring)
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 from skewalg.separability import (oracle_separability, trace_between, trace_into,
                                   trace_total)
 from skewalg.skew_ring import (InvalidSizeCap, SkewRing, SkewRingError,
-                               TensorTooLarge, build_skew_ring, tensor_over,
-                               tensor_square)
+                               TensorTooLarge, build_skew_ring, psi_block,
+                               psi_tensor_dim, tensor_over)
 
 from conftest import (INSTANCE_DIR, component_blocks,
-                      component_decomposition_failures, embedded, from_coords,
-                      load_action, non_central_domain, reference_trace_sum,
-                      relation_quotient, ring_coords, skew_mul, square_quotient)
+                      component_decomposition_failures, embedded,
+                      factoring_failures, from_coords, load_action,
+                      non_central_domain, reference_square, reference_trace_sum,
+                      relation_quotient, ring_coords, skew_mul)
 from test_algebra import matrix_algebra_2x2
 
 Q = Field.rationals()
@@ -76,7 +77,7 @@ def test_a_non_central_domain_is_refused_by_the_validation_error():
     assert str(exc.value) == "invalid partial action: 1_s is not a central idempotent"
 
 
-@pytest.mark.parametrize("build", [tensor_square, oracle_separability])
+@pytest.mark.parametrize("build", [tensor_over, oracle_separability])
 def test_the_tensor_square_validates_before_reading_the_ideals(build):
     # the size cap reads ideal bases, which only a central idempotent has
     pa = parse_instance(non_central_domain()).action
@@ -103,12 +104,17 @@ def test_the_unit_check_fails_on_an_unvalidated_zero_identity_map():
     ({"id:e": [1, 1], "s": [0, 1]}, [[1, 0], [1, 1]]),
 ], ids=["psi-image-outside-the-ideal", "product-is-not-the-psi-image"])
 def test_the_square_checks_the_table_against_psi_on_unvalidated_actions(idems, map_s):
+    # SkewRing itself does not validate, so its table can be read against psi
     g = build_groupoid(["e"], [("s", "e", "e")], [("s", "s", "id:e")], [("s", "s")])
     pa = PartialAction(g, Algebra.diagonal(Q, 2), idems, {"s": Matrix(Q, map_s)})
     assert not pa.validate().ok
-    with pytest.raises(SkewRingError,
-                       match="^multiplication does not factor through the tensor quotient$"):
-        tensor_over(SkewRing(pa))
+    assert factoring_failures(SkewRing(pa))
+
+
+def test_table_products_factor_through_psi():
+    # every basis-pair product of the ring table is its psi-image at d_{gh}
+    for pa in closed_form_corpus():
+        assert factoring_failures(build_skew_ring(pa)) == []
 
 
 def test_trivial_action_gives_the_field_back(trivial_q):
@@ -302,15 +308,14 @@ def test_cross_component_tensor_vanishes(glued_double):
 
 
 def test_field_tensor_field_is_one_dimensional(trivial_q):
-    ring = build_skew_ring(trivial_q)
-    t = tensor_over(ring)
+    t = tensor_over(trivial_q)
     assert t.ambient_dim == 1
     assert t.dim == 1
 
 
 def test_bridge_tensor_dimension_matches_dense_oracle(bridge):
     ring = build_skew_ring(bridge)
-    t = tensor_over(ring)
+    t = tensor_over(bridge)
     assert t.ambient_dim == 36
     assert dense_tensor_quotient_dim(ring) == t.dim
     assert t.dim == 10
@@ -322,8 +327,7 @@ def test_component_tensor_dimensions(glued_double, flip_q, pair_swap):
     # to the whole square; the units are central orthogonal idempotents
     for pa in (glued_double, flip_q, pair_swap):
         assert component_decomposition_failures(pa) == []
-    ring = build_skew_ring(glued_double)
-    assert tensor_over(ring).dim == 2 * 10
+    assert tensor_over(glued_double).dim == 2 * 10
 
 
 def _trivial_action_on(alg) -> PartialAction:
@@ -366,15 +370,31 @@ def test_total_trace_without_morphisms_is_zero():
     assert trace_total(pa) == Matrix.zeros(Q, 4, 4) == reference_trace_sum(pa, ())
 
 
+def psi_free_pairs(ring) -> tuple:
+    """`psi_block`'s free pairs of every composable block (g, h) with A_g and
+    A_h nonzero, blockwise in morphism order, as ambient coordinates
+    p * ring.dim + q of the basis pairs (b_p, b_q)."""
+    pa = ring.action
+    g_oid = pa.groupoid
+    out = []
+    for g in g_oid.morphisms:
+        for h in g_oid.morphisms:
+            nh = pa.ideal(h).dim
+            if g_oid.src[g] == g_oid.tgt[h] and pa.ideal(g).dim and nh:
+                for j in psi_block(pa, g, h)[2]:
+                    p, q = ring.starts[g] + j // nh, ring.starts[h] + j % nh
+                    out.append(p * ring.dim + q)
+    return tuple(out)
+
+
 def test_closed_form_matches_relation_quotient():
     # the psi normal form against the quotient by the balancing relations:
     # same dimension and free columns
     count = 0
     for pa in closed_form_corpus():
         ring = build_skew_ring(pa)
-        t = tensor_over(ring)
-        ref = square_quotient(t)
-        assert (t.dim, t.q_coords) == (ref.dim, ref.q_coords)
+        ref = reference_square(ring)
+        assert (psi_tensor_dim(pa), psi_free_pairs(ring)) == (ref.dim, ref.q_coords)
         count += 1
     assert count == len(sorted(INSTANCE_DIR.glob("*.json"))) + 75 + 2
 
@@ -383,7 +403,8 @@ def test_tensor_dimension_equals_composable_intersection_sum(bridge, flip_q,
                                                              pair_swap,
                                                              glued_double):
     # each (g, h) block of the quotient collapses onto A_g /\ A_{gh}, so the
-    # dimension is computable from ideal intersections alone
+    # dimension is computable from ideal intersections alone; psi_tensor_dim
+    # (which is TensorOverA.dim) against the relation quotient
     for pa in (bridge, flip_q, pair_swap, glued_double):
         alg = pa.algebra
         g_oid = pa.groupoid
@@ -392,44 +413,42 @@ def test_tensor_dimension_equals_composable_intersection_sum(bridge, flip_q,
             gh = g_oid.compose[(g, h)]
             meet = alg.multiply(pa.idem(g), pa.idem(gh))
             predicted += alg.ideal_basis(meet).dim
-        ring = build_skew_ring(pa)
-        assert tensor_over(ring).dim == predicted
+        assert psi_tensor_dim(pa) == predicted == \
+            reference_square(build_skew_ring(pa)).dim
 
 
 def test_tensor_accepts_two_builds_of_the_same_action(bridge):
-    # two builds of one action give the same square, coordinate for coordinate
-    a, b = tensor_over(build_skew_ring(bridge)), tensor_over(build_skew_ring(bridge))
+    # two builds of one action give the same square, column for column
+    a, b = tensor_over(bridge), tensor_over(bridge)
     assert a.dim == b.dim == 10
-    assert (a.q_coords, a.q_psi) == (b.q_coords, b.q_psi)
+    assert a.columns == b.columns
 
 
 def test_tensor_dimension_cap(monkeypatch, bridge):
     monkeypatch.setenv("SKEWALG_MAX_DIM", "10")
-    ring = build_skew_ring(bridge)
     with pytest.raises(TensorTooLarge):
-        tensor_over(ring)
+        tensor_over(bridge)
 
 
-def test_tensor_square_refuses_before_building_the_ring(monkeypatch):
+def test_tensor_over_refuses_before_any_psi_block_runs(monkeypatch):
     # (sum_g dim A_g)^2 = 36 > 35 is known from the ideals alone
     monkeypatch.setenv("SKEWALG_MAX_DIM", "35")
     pa = load_action("partial_bridge_q.json")
     pa.ensure_valid()
 
-    def no_ring(self, action):
-        raise AssertionError("the ring was built")
+    def no_block(*args):
+        raise AssertionError("a psi block was read")
 
-    monkeypatch.setattr(SkewRing, "__init__", no_ring)
+    monkeypatch.setattr(skew_ring, "psi_block", no_block)
     with pytest.raises(TensorTooLarge, match="36 exceeds cap 35"):
-        tensor_square(pa)
+        tensor_over(pa)
 
 
 @pytest.mark.parametrize("raw", ["abc", "-1", "1e3", ""])
 def test_malformed_cap_is_a_typed_error(monkeypatch, bridge, raw):
     monkeypatch.setenv("SKEWALG_MAX_DIM", raw)
-    ring = build_skew_ring(bridge)
     with pytest.raises(InvalidSizeCap, match="SKEWALG_MAX_DIM"):
-        tensor_over(ring)
+        tensor_over(bridge)
 
 
 def test_skew_table_identity_rows(bridge):
