@@ -33,8 +33,17 @@ every downstream basis, solution set and certificate is byte-reproducible.
 Every elimination (`kernel`, `solve_affine`, `Matrix.rank`,
 `Matrix.inverse`, `Matrix.rref`) goes through `echelon`, which returns the
 nonzero rows and pivots; only the public `Matrix.rref` pads them back to
-the original shape.  `Echelonizer.insert` turns a zero row away before it
-eliminates anything, since a zero row cannot enlarge a span.
+the original shape.  Its one core, `Echelonizer`, keeps the reduced rows
+sparse, as {column: value} over their nonzero entries, and `echelon`
+inserts the rows shortest first (fewest nonzero entries), so the early
+pivot rows stay short and later rows pick up little fill-in.  Tuples go
+in and come out: only the rows of the finished echelon form are dense.
+The order cannot change the result, because a row space has exactly one
+reduced echelon form (leftmost pivots, pivot entries 1, pivot columns
+cleared in every other row), whatever order its rows are taken in; every
+basis, `AffineSolutionSet` and certificate is a function of that form.
+`Echelonizer.insert` turns a zero row away before it eliminates anything,
+since a zero row cannot enlarge a span.
 `Echelon.contains` and `Echelon.coords` decide membership in any span by
 elimination; the package itself only reads vectors in the ideals A*e of
 central idempotents, through `Algebra.ideal_coords`, which tests y*e == y
@@ -43,6 +52,8 @@ and eliminates nothing.
 
 from __future__ import annotations
 
+import math
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -142,6 +153,13 @@ class Field:
                     for k, v in sparse.items() if v}
         p = self.p
         return {k: r for k, v in sparse.items() if (r := v % p)}
+
+    def denominator(self, vectors) -> int:
+        """The least common denominator of the entries of `vectors` over Q;
+        1 over GF(p)."""
+        if self.p is not None:
+            return 1
+        return math.lcm(*(x.denominator for v in vectors for x in v))
 
     def parse(self, text):
         """Parse "3/4", "-2", "0.5" or a plain int into a scalar of this field.
@@ -361,41 +379,25 @@ class Matrix:
         return "Matrix(%s, %r)" % (self.field, [[str(x) for x in r] for r in self.data])
 
 
-def _eliminate(field: Field, rows, pivots, v) -> tuple:
-    """Clear each pivot coordinate of v with its reduced echelon row.
-
-    A row is zero left of its pivot, so each pass starts at the pivot column.
-    Over GF(p) the entries stay unreduced ints until the final `reduce_vec`;
-    each pivot coefficient is reduced before it is tested, so `if c` stays an
-    exact zero test.
-    """
-    p = field.p
-    out = list(v)
-    for r, piv in zip(rows, pivots):
-        c = out[piv] if p is None else out[piv] % p
-        if c:
-            for j in range(piv, len(r)):
-                rj = r[j]
-                if rj:
-                    out[j] -= c * rj
-    return field.reduce_vec(out)
-
-
 class Echelonizer:
     """Maintains a reduced row echelon basis under row insertion.
 
     Rows are fully reduced against each other (pivot entries are 1 and each
-    pivot column is cleared everywhere else), and kept sorted by pivot column,
-    so `rows` is always a canonical basis of the span of everything inserted.
+    pivot column is cleared everywhere else) and kept sparse, as
+    {column: nonzero value} keyed by their pivot column, so the rows in
+    pivot order are always the canonical basis of the span of everything
+    inserted.  A new row is reduced in one pass: full reduction leaves its
+    entry at each pivot column unchanged by the other pivot rows, so every
+    coefficient is read off the row as inserted.
     """
 
-    __slots__ = ("field", "ncols", "rows", "pivots")
+    __slots__ = ("field", "ncols", "pivots", "_rows")
 
     def __init__(self, field: Field, ncols: int):
         self.field = field
         self.ncols = ncols
-        self.rows: list[tuple] = []
         self.pivots: list[int] = []
+        self._rows: dict = {}           # pivot column -> sparse reduced row
 
     def insert(self, row: Sequence) -> bool:
         """Insert a row; returns True if it enlarged the span."""
@@ -404,25 +406,39 @@ class Echelonizer:
         if not any(row):
             return False
         field = self.field
-        out = _eliminate(field, self.rows, self.pivots, row)
-        piv = next((j for j, x in enumerate(out) if x), None)
-        if piv is None:
+        rows = self._rows
+        v = field.reduce_dict({j: x for j, x in enumerate(row) if x})
+        hits = [(rows[j], c) for j, c in v.items() if j in rows]
+        if hits:
+            for r, c in hits:
+                for j, x in r.items():
+                    v[j] = v.get(j, 0) - c * x
+            v = field.reduce_dict(v)
+        if not v:
             return False
-        inv = field.inv(out[piv])
-        new = field.reduce_vec(x * inv if x else x for x in out)
+        piv = min(v)
+        inv = field.inv(v[piv])
+        if inv != 1:
+            v = field.reduce_dict({j: x * inv for j, x in v.items()})
         # clear the new pivot column in the old rows
-        for k, r in enumerate(self.rows):
-            c = r[piv]
-            if c:
-                self.rows[k] = field.reduce_vec(a - c * b if b else a
-                                                for a, b in zip(r, new))
-        at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
-        self.rows.insert(at, new)
-        self.pivots.insert(at, piv)
+        stale = [(p, r, c) for p, r in rows.items() if (c := r.get(piv))]
+        for p, r, c in stale:
+            for j, x in v.items():
+                r[j] = r.get(j, 0) - c * x
+            rows[p] = field.reduce_dict(r)
+        rows[piv] = v
+        insort(self.pivots, piv)
         return True
 
     def to_echelon(self) -> "Echelon":
-        return Echelon(self.field, self.ncols, tuple(self.rows), tuple(self.pivots))
+        zero = self.field.zero
+        dense = []
+        for p in self.pivots:
+            out = [zero] * self.ncols
+            for j, x in self._rows[p].items():
+                out[j] = x
+            dense.append(tuple(out))
+        return Echelon(self.field, self.ncols, tuple(dense), tuple(self.pivots))
 
 
 @dataclass(frozen=True)
@@ -439,8 +455,23 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, v: Sequence) -> tuple:
-        """Residual of v after eliminating all pivot coordinates."""
-        return _eliminate(self.field, self.rows, self.pivots, v)
+        """Residual of v after eliminating all pivot coordinates.
+
+        A row is zero left of its pivot, so each pass starts at the pivot
+        column.  Over GF(p) the entries stay unreduced ints until the final
+        `reduce_vec`; each pivot coefficient is reduced before it is tested,
+        so `if c` stays an exact zero test.
+        """
+        p = self.field.p
+        out = list(v)
+        for r, piv in zip(self.rows, self.pivots):
+            c = out[piv] if p is None else out[piv] % p
+            if c:
+                for j in range(piv, len(r)):
+                    rj = r[j]
+                    if rj:
+                        out[j] -= c * rj
+        return self.field.reduce_vec(out)
 
     def contains(self, v: Sequence) -> bool:
         return not any(self.reduce(v))
@@ -469,8 +500,10 @@ class Echelon:
 
 
 def echelon(field: Field, vectors: Iterable[Sequence], ncols: int) -> Echelon:
+    """The reduced echelon basis of the span of `vectors`, inserted shortest
+    first (fewest nonzero entries), which keeps the reduced rows sparse."""
     ech = Echelonizer(field, ncols)
-    for v in vectors:
+    for v in sorted(vectors, key=lambda v: len(v) - v.count(0)):
         ech.insert(v)
     return ech.to_echelon()
 

@@ -64,6 +64,7 @@ class PartialAction:
                 raise ActionError("map for %r is not %d x %d" % (g, algebra.dim, algebra.dim))
             self.maps[g] = m
         self._images: dict = {}        # (g, v) -> alpha_g(v)
+        self._psi_blocks: dict = {}    # (g, h) -> skew_ring.psi_block(self, g, h)
         self._report: ValidationReport | None = None
         self._decomposes: bool | None = None
 

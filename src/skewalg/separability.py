@@ -19,17 +19,18 @@ as sums of the kept alpha-images alpha_g(a) over the arrows g into e
 invariant suite (`trace_into` and the rest) are those sums on A's basis.
 `oracle_separability` instead solves the defining conditions m(x) = 1 and
 bx = xb directly, not the trace criterion: an independent check of the
-criterion and of the certificate, though it shares `psi_block` and
-`skew_product` (through `psi_left`) with the certificate.  A*G is graded by
-the morphisms, so that system is block-diagonal over the conjugacy classes
-of the products gh of the square's blocks (g, h), and only the class of
-identities, the blocks (g, g^-1), has a nonzero right-hand side
-(Nastasescu, Van den Bergh and Van Oystaeyen, "Separable functors applied
-to graded rings", J. Algebra 123, 1989); the oracle solves that class
-alone, in the psi coordinates of `TensorOverA`, ring.dim unknowns.  No
-ring table is built for it: that table products factor through psi is
-checked only by the tests (`factoring_failures`), and `skew-table` keeps
-the ring's associativity audit.
+criterion and of the certificate, though it shares `psi_block`,
+`skew_product` and the generators of A*G (`ring_generators`) with the
+certificate; it builds its rows without `psi_left`/`psi_right`.  A*G is
+graded by the morphisms, so that system is block-diagonal over the
+conjugacy classes of the products gh of the square's blocks (g, h), and
+only the class of identities, the blocks (g, g^-1), has a nonzero
+right-hand side (Nastasescu, Van den Bergh and Van Oystaeyen, "Separable
+functors applied to graded rings", J. Algebra 123, 1989); the oracle
+solves that class alone, in the psi coordinates of `TensorOverA`, ring.dim
+unknowns.  No ring table is built for it: that table products factor
+through psi is checked only by the tests (`factoring_failures`), and
+`skew-table` keeps the ring's associativity audit.
 For global actions, `isotropy_transport_psi` checks the conjugation
 isomorphism between the isotropy skew group rings A_i * G(e_i) and
 A_j * G(e_j) on A's vectors as well, through `skew_ring.skew_product`.
@@ -37,15 +38,14 @@ A_j * G(e_j) on A's vectors as well, through `skew_ring.skew_product`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .linalg import (AffineSolutionSet, Echelon, LinalgError, Matrix, echelon,
                      kernel, solve_affine, vadd)
 from .partial_action import PartialAction
 from .skew_ring import (TensorOverA, psi_block, psi_coords, psi_left,
-                        psi_multiply, psi_right, psi_tensor_dim, skew_product,
-                        tensor_over)
+                        psi_multiply, psi_right, psi_tensor_dim, ring_generators,
+                        skew_product, tensor_over)
 
 
 class SeparabilityError(Exception):
@@ -104,16 +104,9 @@ def _scaled(field, c, v) -> tuple:
     return tuple(v) if c == 1 else field.reduce_vec(c * x for x in v)
 
 
-def _denominator(field, vectors) -> int:
-    """The least common denominator of the entries of `vectors` over Q; 1 over GF(p)."""
-    if field.p is not None:
-        return 1
-    return math.lcm(*(x.denominator for v in vectors for x in v))
-
-
 def _cleared(field, a) -> tuple:
     """(d, d a) for d the least common denominator of a."""
-    d = _denominator(field, (a,))
+    d = field.denominator((a,))
     return d, _scaled(field, d, a)
 
 
@@ -297,7 +290,7 @@ def build_certificate(pa: PartialAction, a,
     if not _is_scaled_witness(pa, d, da):
         raise WitnessInvalid("witness is not central with t_e(a) = 1_e at every object")
     raw = idempotent_blocks(pa, da)
-    db = _denominator(field, raw.values())
+    db = field.denominator(raw.values())
     scaled = {pair: _scaled(field, db, y) for pair, y in raw.items()}
     d *= db
     checks = {"witness_central": True, "witness_traces": True,
@@ -331,7 +324,17 @@ def idempotent_blocks(pa: PartialAction, a) -> dict:
 def separability_checks(pa: PartialAction, blocks, d=1) -> dict:
     """m(x) = 1 and bx = xb for every ring basis element b, for the tensor
     element x = d^-1 y given by the psi blocks of y (d a nonzero scalar):
-    checked on y as m(y) = d 1 and by = yb."""
+    checked on y as m(y) = d 1 and by = yb.
+
+    `commutes_with_basis` tests by = yb on the generators of A*G that
+    `ring_generators` lists, not on every basis element, and the two are
+    equivalent.  For u in A_k, (u d_{id_t(k)})(1_k d_k) = u d_k, so the
+    a d_{id_e} (a in the basis of A_{id_e}) and the 1_k d_k generate A*G as
+    an algebra; the elements that commute with y form a subalgebra, so it
+    contains every basis element once it contains every generator.  The
+    generators scale 1_k by its common denominator, which changes nothing
+    because commutation is linear.
+    """
     g_oid = pa.groupoid
     field = pa.algebra.field
     unit = {g_oid.identity[e]: _scaled(field, d, pa.obj_idem(e)) for e in g_oid.objects}
@@ -340,7 +343,7 @@ def separability_checks(pa: PartialAction, blocks, d=1) -> dict:
             g: v for g, v in unit.items() if any(v)},
         "commutes_with_basis": all(
             psi_left(pa, k, v, blocks) == psi_right(pa, k, v, blocks)
-            for k in g_oid.morphisms for v in pa.ideal(k).rows),
+            for k, v in ring_generators(pa)),
     }
 
 
@@ -351,11 +354,15 @@ def oracle_separability(pa: PartialAction) -> OracleResult:
     the trace criterion: the two must agree on every instance.  Only the
     unknowns of the blocks (g, g^-1) are solved for (`TensorOverA.columns`,
     ring.dim of them): the system is the rows of m, one per object e and
-    coordinate of A with right-hand side 1_e, and, for each ring basis
-    element b, the nonzero rows of x |-> b x - x b on those unknowns,
-    coordinates in A of psi-images of the output blocks
-    (`TensorOverA.commutator_rows`), each distinct row once.  It shares
-    `psi_block` and `skew_product` with the certificate but not the trace
+    coordinate of A with right-hand side 1_e, and, for each generator
+    b = v d_k of A*G (`ring_generators`: A's basis at the identities and a
+    multiple of 1_k d_k for every other arrow with A_k != 0), the nonzero
+    rows of x |-> b x - x b on those unknowns, coordinates in A of
+    psi-images of the output blocks (`TensorOverA.commutator_rows`), each
+    distinct row once.  The elements that commute with x form a subalgebra,
+    so x commutes with the generators iff with every ring basis element.
+    It shares `psi_block`, `skew_product` and the generators with the
+    certificate, but not `psi_left`/`psi_right` and not the trace
     criterion, and builds no ring: that the ring table's products factor
     through psi is checked only by the tests (`factoring_failures`), and
     `skew-table` keeps the ring's associativity audit.
@@ -380,7 +387,7 @@ def oracle_separability(pa: PartialAction) -> OracleResult:
     field = pa.algebra.field
     rows = list(tensor.mult_matrix().data)
     rhs = [c for e in pa.groupoid.objects for c in pa.obj_idem(e)]
-    commutators = dict.fromkeys(row for k in pa.groupoid.morphisms for v in pa.ideal(k).rows
+    commutators = dict.fromkeys(row for k, v in ring_generators(pa)
                                 for row in tensor.commutator_rows(k, v).values())
     rows.extend(commutators)
     rhs.extend([field.zero] * len(commutators))

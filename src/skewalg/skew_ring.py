@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 
 from .algebra import nonassociative_triple, table_product
-from .linalg import Echelonizer, Matrix, vadd
+from .linalg import Echelonizer, Matrix, echelon, vadd
 from .partial_action import PartialAction
 
 DEFAULT_MAX_TENSOR_DIM = 4096
@@ -186,8 +186,12 @@ def psi_block(act: PartialAction, g, h) -> tuple:
     of each pair, the free pairs in increasing order, and the pivots of the
     reduced echelon form of their images.  Scanning from the right, a pair is
     free when its image is independent of the images of the pairs to its
-    right; only the rightmost pair with a given image can be free.
+    right; only the rightmost pair with a given image can be free.  The
+    result is kept on the action, as plain tuples, next to its alpha-images.
     """
+    kept = act._psi_blocks.get((g, h))
+    if kept is not None:
+        return kept
     alg = act.algebra
     moved = [act.alpha(g, w) for w in act.ideal(h).rows]
     kind_of: dict = {}
@@ -208,22 +212,43 @@ def psi_block(act: PartialAction, g, h) -> tuple:
             tried.add(k)
             if any(images[k]) and ech.insert(images[k]):
                 free.append(j)
-    free.reverse()
-    return images, kinds, free, ech.pivots
+    kept = act._psi_blocks[g, h] = (tuple(images), tuple(kinds), tuple(reversed(free)),
+                                    tuple(ech.pivots))
+    return kept
 
 
 def psi_coords(field, pivots, basis, vectors) -> Matrix:
     """The coordinates over `basis` (rows) of each vector in its span.
 
-    With r_i the reduced echelon rows of the span (pivots p_i), a vector y is
-    sum_i y[p_i] r_i, and basis vector f is sum_i C[f][i] r_i, so y's
-    coordinates are (y[p_i])_i C^-1.
+    With B and Y the basis and the vectors read at the `pivots` of their
+    span, the coordinates X solve X B = Y; B is invertible, so the reduced
+    echelon form of [B^T | Y^T] is [I | X^T], one elimination.
     """
-    def at_pivots(rows) -> Matrix:
-        return Matrix._trusted(field, tuple(tuple(y[p] for p in pivots) for y in rows),
-                               len(pivots))
+    n = len(pivots)
+    red = echelon(field, (tuple(b[p] for b in basis) + tuple(y[p] for y in vectors)
+                          for p in pivots), n + len(vectors))
+    return Matrix._trusted(field, tuple(tuple(r[n + k] for r in red.rows)
+                                        for k in range(len(vectors))), n)
 
-    return at_pivots(vectors) * at_pivots(basis).inverse()
+
+def ring_generators(act: PartialAction) -> list:
+    """Generators v d_k of A*G as an algebra, as pairs (k, v) in morphism
+    order: a d_{id_e} for each a in ideal(id_e).rows, and c_k 1_k d_k for
+    each other arrow k with A_k != 0, c_k the common denominator of 1_k
+    (`Field.denominator`), so no generator has a fraction.  They generate,
+    since (u d_{id_t(k)})(1_k d_k) = u d_k for u in A_k; why commuting with
+    them is commuting with A*G is in `separability.separability_checks`.
+    """
+    field = act.algebra.field
+    g_oid = act.groupoid
+    gens = []
+    for k in g_oid.morphisms:
+        if g_oid.is_identity(k):
+            gens.extend((k, a) for a in act.ideal(k).rows)
+        elif any(act.idem(k)):
+            c = field.denominator((act.idem(k),))
+            gens.append((k, field.reduce_vec(c * x for x in act.idem(k))))
+    return gens
 
 
 def psi_tensor_dim(act: PartialAction) -> int:
@@ -328,24 +353,32 @@ class TensorOverA:
         return Matrix._trusted(field, rows, len(self.columns))
 
     def commutator_rows(self, k, v) -> dict:
-        """The nonzero rows of x |-> b x - x b on the columns, b = v d_k a ring
-        basis element, keyed by (output block, coordinate in A): the psi
-        blocks of b y and y b (`psi_left`, `psi_right`) of each column y."""
+        """The nonzero rows of x |-> b x - x b on the columns, keyed by
+        (output block, coordinate in A), for a homogeneous b = v d_k, v in
+        A_k: the oracle passes the generators of A*G (`ring_generators`).
+        Column y of block (g, g^-1) goes straight to its two output blocks:
+        b y to (kg, g^-1) as the `skew_product` (v d_k)(y d_g) when
+        src k = tgt g, and y b to (g, g^-1 k) as y alpha_g(alpha_{g^-1}(v))
+        when tgt k = tgt g.  The certificate's `psi_left`/`psi_right`, which
+        act on whole block dicts, are not used here."""
         act = self.action
-        field = act.algebra.field
+        alg = act.algebra
+        field = alg.field
         g_oid = act.groupoid
-        ends = (g_oid.src[k], g_oid.tgt[k])
         acc: dict = {}
         for c, (g, _, y) in enumerate(self.columns):
-            if g_oid.tgt[g] not in ends:    # b y = y b = 0
-                continue
-            block = {(g, g_oid.inv(g)): y}
-            for sign, images in ((1, psi_left(act, k, v, block)),
-                                 (-1, psi_right(act, k, v, block))):
-                for out, z in images.items():
-                    for a, t in enumerate(z):
-                        if t:
-                            acc[out, a, c] = acc.get((out, a, c), field.zero) + sign * t
+            ginv = g_oid.inv(g)
+            terms = []
+            if g_oid.src[k] == g_oid.tgt[g]:
+                kg, z = skew_product(act, k, v, g, y)
+                terms.append((1, (kg, ginv), z))
+            if g_oid.tgt[k] == g_oid.tgt[g]:
+                terms.append((-1, (g, g_oid.compose[(ginv, k)]),
+                              alg.multiply(y, act.alpha(g, act.alpha(ginv, v)))))
+            for sign, out, z in terms:
+                for a, t in enumerate(z):
+                    if t:
+                        acc[out, a, c] = acc.get((out, a, c), field.zero) + sign * t
         rows: dict = {}
         for (out, a, c), t in field.reduce_dict(acc).items():
             rows.setdefault((out, a), [field.zero] * len(self.columns))[c] = t

@@ -522,6 +522,21 @@ def full_oracle_system(square):
     return Matrix(field, rows, ncols=dim), rhs
 
 
+def basis_oracle_solutions(pa: PartialAction) -> AffineSolutionSet:
+    """Reference for `oracle_separability`'s solution set: the same system,
+    with the commutator rows of every ring basis element v d_k (v in
+    ideal(k).rows) instead of those of the ring's generators."""
+    tensor = tensor_over(pa)
+    field = pa.algebra.field
+    rows = list(tensor.mult_matrix().data)
+    rhs = [c for e in pa.groupoid.objects for c in pa.obj_idem(e)]
+    for k in pa.groupoid.morphisms:
+        for v in pa.ideal(k).rows:
+            rows.extend(tensor.commutator_rows(k, v).values())
+    rhs.extend([field.zero] * (len(rows) - len(rhs)))
+    return solve_affine(Matrix(field, rows, ncols=len(tensor.columns)), rhs)
+
+
 def product_classes(groupoid) -> dict:
     """Morphism -> its conjugacy class, the least morphism in groupoid order
     among those linked to it by x ~ k x k^-1 (x a loop at the source of k)."""
@@ -782,6 +797,69 @@ def dense_matrix_product(a: Matrix, b: Matrix) -> Matrix:
                         acc[j] += x * y
         out.append(field.reduce_vec(acc))
     return Matrix._trusted(field, tuple(out), b.ncols)
+
+
+class DenseEchelonizer:
+    """Reference for `Echelonizer`: the dense insert it replaced.  Rows are
+    tuples kept fully reduced and sorted by pivot; a new row is cleared at
+    each pivot in turn, then its leftmost nonzero entry becomes a pivot."""
+
+    def __init__(self, field: Field, ncols: int):
+        self.field = field
+        self.ncols = ncols
+        self.rows: list = []
+        self.pivots: list = []
+
+    def insert(self, row) -> bool:
+        field = self.field
+        out = list(row)
+        for r, piv in zip(self.rows, self.pivots):
+            c = out[piv] if field.p is None else out[piv] % field.p
+            if c:
+                out = [a - c * b for a, b in zip(out, r)]
+        out = field.reduce_vec(out)
+        piv = next((j for j, x in enumerate(out) if x), None)
+        if piv is None:
+            return False
+        inv = field.inv(out[piv])
+        new = field.reduce_vec(x * inv for x in out)
+        for k, r in enumerate(self.rows):
+            if r[piv]:
+                self.rows[k] = field.reduce_vec(a - r[piv] * b for a, b in zip(r, new))
+        at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
+        self.rows.insert(at, new)
+        self.pivots.insert(at, piv)
+        return True
+
+
+def dense_echelon(field: Field, vectors, ncols: int) -> Echelon:
+    """Reference for `echelon`: the vectors inserted densely, in the order given."""
+    ech = DenseEchelonizer(field, ncols)
+    for v in vectors:
+        ech.insert(v)
+    return Echelon(field, ncols, tuple(ech.rows), tuple(ech.pivots))
+
+
+def dense_solve_affine(field: Field, rows, rhs, ncols: int) -> AffineSolutionSet:
+    """Reference for `solve_affine`: [A | b] reduced densely; the particular
+    solution is read at the pivots, the kernel is spanned by one vector per
+    free column, and both are put in canonical form densely."""
+    red = dense_echelon(field, [tuple(r) + (b,) for r, b in zip(rows, rhs)], ncols + 1)
+    if ncols in red.pivots:
+        return AffineSolutionSet(None, (), field)
+    part = [field.zero] * ncols
+    vecs = []
+    for r, p in zip(red.rows, red.pivots):
+        part[p] = r[ncols]
+    for f in range(ncols):
+        if f not in red.pivots:
+            v = [field.zero] * ncols
+            v[f] = field.one
+            for r, p in zip(red.rows, red.pivots):
+                v[p] = -r[f]
+            vecs.append(field.reduce_vec(v))
+    ke = dense_echelon(field, vecs, ncols)
+    return AffineSolutionSet(ke.reduce(part), ke.rows, field)
 
 
 def dense_nonassociative_triple(table, field):

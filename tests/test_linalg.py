@@ -13,7 +13,8 @@ from skewalg.linalg import (MAX_MODULUS, AffineSolutionSet, DimensionMismatch,
                             Echelonizer, Field, LinalgError, Matrix, echelon,
                             kernel, solve_affine)
 
-from conftest import dense_matrix_product, instance_data, intersect
+from conftest import (DenseEchelonizer, dense_echelon, dense_matrix_product,
+                      dense_solve_affine, instance_data, intersect)
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -577,3 +578,95 @@ def test_affine_solution_set_canonical_form():
     m2 = mat(Q, [[2, 2], [1, 1]])
     assert solve_affine(m1, [1]) == solve_affine(m2, [2, 1])
     assert solve_affine(m1, [1]) == AffineSolutionSet((0, 1), ((1, -1),), Q)
+
+
+# -- the sparse elimination against the dense one it replaced ---------------------------
+
+@st.composite
+def row_system(draw):
+    """A field, a width, and rows with zero rows, repeated rows and
+    combinations of a few base rows (so often rank-deficient), each entry
+    as drawn: over GF(p) an int that may lie outside range(p), over Q an
+    int or a Fraction, integral ones included."""
+    p = draw(st.sampled_from((None, 2, 3, 5)))
+    f = Field(p)
+    ncols = draw(st.integers(1, 6))
+    integral_fraction = st.builds(Fraction, st.integers(-3, 3).map(lambda n: 2 * n),
+                                  st.just(2))
+    entry = (st.one_of(sparse_fraction, integral_fraction) if p is None
+             else st.integers(-9, 9))
+
+    def vec():
+        return tuple(draw(entry) for _ in range(ncols))
+
+    base = [vec() for _ in range(draw(st.integers(1, 3)))]
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("zero", "repeat", "combination", "free")))
+        if kind == "zero":
+            rows.append((0,) * ncols)
+        elif kind == "repeat" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "combination":
+            cs = [draw(st.integers(-2, 2)) for _ in base]
+            rows.append(tuple(sum(c * b[j] for c, b in zip(cs, base))
+                              for j in range(ncols)))
+        else:
+            rows.append(vec())
+    return f, ncols, rows
+
+
+def _in_field(f, rows) -> list:
+    return [f.reduce_vec(f.coerce(x) if f.p is None else x for x in r) for r in rows]
+
+
+@given(row_system())
+@settings(max_examples=200, deadline=None)
+def test_sparse_insert_matches_the_dense_insert(system):
+    # row by row, in the order given: the same answer from insert, the same
+    # pivots after it, and the same reduced rows at the end
+    f, ncols, rows = system
+    sparse, dense = Echelonizer(f, ncols), DenseEchelonizer(f, ncols)
+    for r in rows:
+        assert sparse.insert(r) is dense.insert(r)
+        assert sparse.pivots == dense.pivots
+    ech = sparse.to_echelon()
+    assert ech.rows == tuple(dense.rows)
+    assert ech.pivots == tuple(dense.pivots)
+    if f.p:
+        assert _residues(f.p, *ech.rows)
+    else:
+        assert _rational(*ech.rows)
+
+
+@given(row_system(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_shortest_first_elimination_matches_the_dense_one(system, data):
+    # echelon inserts shortest first; the reduced echelon form of the span,
+    # and with it every kernel, solution set, rank, rref and inverse, is
+    # that of the dense elimination in the order given
+    f, ncols, rows = system
+    rows = _in_field(f, rows)
+    ref = dense_echelon(f, rows, ncols)
+    assert echelon(f, rows, ncols) == ref
+    if not rows:
+        return
+    m = Matrix(f, rows)
+    assert m.rank() == ref.dim
+    assert m.rref().data[:ref.dim] == ref.rows
+    free = dense_solve_affine(f, rows, [f.zero] * len(rows), ncols)
+    assert kernel(m) == free.kernel_basis
+
+    def scalars(n) -> tuple:
+        return tuple(f.coerce(c) for c in data.draw(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+
+    # a consistent right-hand side, then one that often is not
+    for rhs in (m.apply(scalars(ncols)), scalars(len(rows))):
+        assert solve_affine(m, rhs) == dense_solve_affine(f, rows, rhs, ncols)
+    if len(rows) == ncols and ref.dim == ncols:
+        inv = m.inverse()
+        assert inv * m == Matrix.identity(f, ncols)
+    elif len(rows) == ncols:
+        with pytest.raises(LinalgError):
+            m.inverse()

@@ -5,7 +5,7 @@ import pytest
 from skewalg import (ActionError, Algebra, DecompositionRequired, Echelon, Field,
                      Groupoid, Matrix, PartialAction, Violation, build_groupoid,
                      build_skew_ring, decide_separability, invariant_suite,
-                     isotropy_transport_psi, tensor_over,
+                     isotropy_transport_psi, oracle_separability,
                      trace_invariant_suite, validate_partial_action)
 from skewalg import partial_action
 from skewalg.cli import main
@@ -417,7 +417,7 @@ def test_a_rejected_pull_back_falls_back_to_the_restricted_inverse(monkeypatch):
 
 def test_no_ideal_member_is_read_by_elimination(monkeypatch, capsys):
     # every ideal read goes through `Algebra.ideal_coords`, which tests
-    # y 1_g == y: the square, the ring of skew-table, the isotropy
+    # y 1_g == y: the oracle, the ring of skew-table, the isotropy
     # conjugation, the trace suite and the validation fallback eliminate none
     paths = sorted(INSTANCE_DIR.glob("*.json"))
     shipped = [load_action(p.name) for p in paths]
@@ -429,7 +429,7 @@ def test_no_ideal_member_is_read_by_elimination(monkeypatch, capsys):
             return _method(self, v)
         monkeypatch.setattr(Echelon, name, recorded)
     for pa in shipped:
-        tensor_over(pa)
+        oracle_separability(pa)
         assert all(trace_invariant_suite(pa).values())
         if pa.is_global():
             for arrow in pa.groupoid.morphisms:

@@ -16,12 +16,13 @@ from skewalg.separability import (EmptyHomSet, NotGlobal, SeparabilityError,
                                   trace_between, trace_into,
                                   trace_invariant_suite, trace_total)
 from skewalg.skew_ring import (build_skew_ring, psi_coords, psi_left, psi_multiply,
-                               psi_right, psi_tensor_dim)
+                               psi_right, psi_tensor_dim, ring_generators)
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
 import skewalg.separability as separability
-from conftest import (INSTANCE_DIR, RING_48, ambient_product, column_blocks,
+from conftest import (INSTANCE_DIR, RING_48, ambient_product, basis_oracle_solutions,
+                      column_blocks,
                       column_pairs, column_products, dense_oracle_system, from_coords,
                       full_oracle_system, global_skeleton, glue_components, intersect,
                       lift, load_action, product_classes, psi_of, psi_pair, pure_tensor,
@@ -482,6 +483,77 @@ def test_commutator_rows_span_the_dense_difference():
             restricted_rows = [tuple(r[c] for c in cols) for r in dense.data]
             assert (echelon(ring.field, rows, len(cols)) ==
                     echelon(ring.field, restricted_rows, len(cols)))
+
+
+def test_the_oracle_on_generators_matches_every_basis_element():
+    # the oracle's commutator rows come from the ring's generators only; the
+    # rows of every ring basis element give the same solution set
+    for pa in closed_form_corpus():
+        assert oracle_separability(pa).solutions == basis_oracle_solutions(pa)
+
+
+def test_the_generators_generate_the_ring():
+    # the span of the generators, closed under the ring's product, is A*G
+    for pa in closed_form_corpus():
+        ring = build_skew_ring(pa)
+        gens = [ring_coords(ring, {k: v}) for k, v in ring_generators(pa)]
+        g_oid = pa.groupoid
+        assert len(gens) == sum(pa.ideal(g_oid.identity[e]).dim for e in g_oid.objects) + \
+            sum(1 for k in g_oid.morphisms if not g_oid.is_identity(k) and pa.ideal(k).dim)
+        span = echelon(ring.field, gens, ring.dim)
+        while True:
+            products = [ring.mul_coords(x, y) for x in span.rows for y in gens]
+            grown = echelon(ring.field, span.rows + tuple(products), ring.dim)
+            if grown.dim == span.dim:
+                break
+            span = grown
+        assert span.dim == ring.dim
+
+
+def _commutes(pa, blocks, gens) -> list:
+    return [psi_left(pa, k, v, blocks) == psi_right(pa, k, v, blocks) for k, v in gens]
+
+
+@pytest.mark.parametrize("name", ["z2_flip_q.json", "partial_bridge_q.json",
+                                  "conj_swap_m2_q.json", "two_components_gf2.json"])
+def test_commuting_with_a_alone_is_rejected(name):
+    # x = sum_e 1_e d_e (x) 1_e d_e multiplies to 1 and commutes with every
+    # a d_{id_e}, but not with some 1_k d_k: the certificate check fails
+    pa = load_action(name)
+    g_oid = pa.groupoid
+    blocks = {(i, i): pa.obj_idem(e) for e, i in g_oid.identity.items()
+              if any(pa.obj_idem(e))}
+    gens = ring_generators(pa)
+    at_identities = [(k, v) for k, v in gens if g_oid.is_identity(k)]
+    arrows = [(k, v) for k, v in gens if not g_oid.is_identity(k)]
+    assert all(_commutes(pa, blocks, at_identities))
+    assert not all(_commutes(pa, blocks, arrows))
+    assert separability_checks(pa, blocks) == {"multiplies_to_unit": True,
+                                               "commutes_with_basis": False}
+    assert reference_separability_checks(pa, blocks)["commutes_with_basis"] is False
+
+
+def test_commuting_with_the_arrows_alone_is_rejected():
+    # on M_2 x M_2, x built on a non-central a commutes with every 1_k d_k
+    # but not with some a' d_{id}: the certificate check fails
+    pa = load_action("conj_swap_m2_q.json")
+    alg = pa.algebra
+    g_oid = pa.groupoid
+    gens = ring_generators(pa)
+    at_identities = [(k, v) for k, v in gens if g_oid.is_identity(k)]
+    arrows = [(k, v) for k, v in gens if not g_oid.is_identity(k)]
+    planted = 0
+    for c in range(alg.dim):
+        a = alg.basis_vector(c)
+        if alg.commutes_with_all(a):
+            continue
+        blocks = idempotent_blocks(pa, a)
+        assert all(_commutes(pa, blocks, arrows))
+        assert not all(_commutes(pa, blocks, at_identities))
+        assert separability_checks(pa, blocks)["commutes_with_basis"] is False
+        assert reference_separability_checks(pa, blocks)["commutes_with_basis"] is False
+        planted += 1
+    assert planted
 
 
 def test_the_dense_system_is_block_diagonal_over_product_classes():

@@ -6,11 +6,11 @@ from skewalg import (ActionError, Algebra, Field, Matrix, PartialAction,
                      build_groupoid, skew_ring)
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
-from skewalg.separability import (oracle_separability, trace_between, trace_into,
-                                  trace_total)
+from skewalg.separability import (decide_separability, oracle_separability,
+                                  trace_between, trace_into, trace_total)
 from skewalg.skew_ring import (InvalidSizeCap, SkewRing, SkewRingError,
                                TensorTooLarge, build_skew_ring, psi_block,
-                               psi_tensor_dim, tensor_over)
+                               psi_coords, psi_tensor_dim, tensor_over)
 
 from conftest import (INSTANCE_DIR, component_blocks,
                       component_decomposition_failures, embedded,
@@ -385,6 +385,61 @@ def psi_free_pairs(ring) -> tuple:
                     p, q = ring.starts[g] + j // nh, ring.starts[h] + j % nh
                     out.append(p * ring.dim + q)
     return tuple(out)
+
+
+def test_psi_blocks_are_kept_on_the_action_and_shared(monkeypatch):
+    # the oracle's square computes each block (g, g^-1) once and keeps it on
+    # the action as plain tuples; the certificate then computes no block
+    inserts = []
+
+    class Counted(skew_ring.Echelonizer):
+        def insert(self, row):
+            inserts.append(row)
+            return super().insert(row)
+
+    monkeypatch.setattr(skew_ring, "Echelonizer", Counted)
+    for path in sorted(INSTANCE_DIR.glob("*.json")):
+        pa = load_action(path.name)
+        g_oid = pa.groupoid
+        tensor_over(pa)
+        kept = dict(pa._psi_blocks)
+        assert set(kept) == {(g, g_oid.inv(g)) for g in g_oid.morphisms if pa.ideal(g).dim}
+        for images, kinds, free, pivots in kept.values():
+            assert all(type(part) is tuple for part in (images, kinds, free, pivots))
+            assert all(type(y) is tuple for y in images)
+        inserts.clear()
+        verdict = decide_separability(pa)
+        assert inserts == []
+        assert pa._psi_blocks == kept
+        assert all(pa._psi_blocks[pair] is block for pair, block in kept.items())
+        if verdict.separable:
+            assert set(verdict.certificate.blocks) <= set(kept)
+
+
+def test_psi_coords_solve_against_the_inverse():
+    # one elimination of [B^T | Y^T] gives Y at the pivots times the inverse
+    # of B at the pivots, as the coordinates were computed before
+    rng = random.Random(4)
+    for pa in closed_form_corpus():
+        field = pa.algebra.field
+        g_oid = pa.groupoid
+        for g in g_oid.morphisms:
+            if not pa.ideal(g).dim:
+                continue
+            images, kinds, free, pivots = psi_block(pa, g, g_oid.inv(g))
+            basis = [images[kinds[f]] for f in free]
+            ys = []
+            for _ in range(3):
+                cs = [field.from_int(rng.randint(-3, 3)) for _ in basis]
+                ys.append(field.reduce_vec(sum(c * b[a] for c, b in zip(cs, basis))
+                                           for a in range(pa.algebra.dim)))
+
+            def at_pivots(rows):
+                return Matrix(field, [[y[p] for p in pivots] for y in rows],
+                              ncols=len(pivots))
+
+            assert (psi_coords(field, pivots, basis, ys) ==
+                    at_pivots(ys) * at_pivots(basis).inverse())
 
 
 def test_closed_form_matches_relation_quotient():
