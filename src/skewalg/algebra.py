@@ -12,7 +12,9 @@ skips that check.  `table_product` and `nonassociative_triple` are the one
 product and the one associativity audit over such tables, for this module
 and the skew ring A*G alike; the audit visits only the candidate pairs
 (i, j) whose triples can have a nonzero term.  The unit law and
-associativity are checked at construction.  The centre is the kernel of
+associativity of a table given to `Algebra(...)` are checked at
+construction; `Algebra.diagonal` writes a table whose laws hold by proof
+(in its docstring), so it is not audited.  The centre is the kernel of
 the system x*b_j - b_j*x = 0 read off the nonzero constants, one row per
 (j, k) that one of them reaches.  The ideal A*e of a central idempotent
 e has one membership test, `ideal_coords`: y is in A*e iff y*e == y, and
@@ -114,13 +116,14 @@ class NotCentralIdempotent(AlgebraError):
 class Algebra:
 
     def __init__(self, field: Field, structure, unit, basis_names=None, *,
-                 _reduced=False):
-        """Each constant and unit scalar is checked with `Field.coerce`, except
-        with `_reduced`: `diagonal` passes its finished sparse table and unit
-        tuple, written from `field.one`, and only their laws are checked."""
+                 _trusted=False):
+        """Each constant and unit scalar is checked with `Field.coerce`, and
+        the unit law and associativity are audited, except with `_trusted`:
+        `diagonal` passes its finished sparse table and unit tuple, written
+        from `field.one`, whose laws it proves."""
         self.field = field
         self.dim = dim = len(structure)
-        if _reduced:
+        if _trusted:
             self._table = structure
         else:
             coerce = field.coerce
@@ -155,14 +158,23 @@ class Algebra:
         self._center: tuple | None = None
         self._products: dict = {}      # (x, y) -> x*y
         self._central: dict = {}       # e -> is e a central idempotent
-        self._check_laws()
+        if not _trusted:
+            self._check_laws()
 
     @classmethod
     def diagonal(cls, field: Field, n: int, basis_names=None) -> "Algebra":
-        """k^n with pairwise orthogonal idempotent basis vectors summing to 1."""
+        """k^n with pairwise orthogonal idempotent basis vectors summing to 1.
+
+        The table is b_i b_j = delta_ij b_i and the unit is u = sum_i b_i, so
+        the laws `_check_laws` would audit hold on every such table and are
+        not checked.  Unit: u b_j = sum_i delta_ij b_i = b_j, and b_j u = b_j
+        alike.  Associativity: (b_i b_j) b_k and b_i (b_j b_k) are both b_i
+        if i = j = k and both 0 otherwise, and the product is bilinear, so
+        (xy)z = x(yz) for all x, y, z.  For n = 0 both hold vacuously.
+        """
         one = field.one
         table = tuple(tuple({i: one} if i == j else {} for j in range(n)) for i in range(n))
-        return cls(field, table, (one,) * n, basis_names, _reduced=True)
+        return cls(field, table, (one,) * n, basis_names, _trusted=True)
 
     def _check_laws(self) -> None:
         for bi in self._basis:

@@ -25,8 +25,17 @@ arrays, not strings (which would be read one character at a time); every
 name is a JSON string, and "basis_names", if given, names each basis vector.
 The algebra dimension ("diagonal" n, or the length of "structure") must be
 a JSON integer from 0 to MAX_ALGEBRA_DIM, checked before anything of size
-dim^3 is built.  An `Instance` keeps the action and the digest of its
-`canonical_dict`.
+dim^3 is built.
+
+Each distinct raw scalar is parsed once per instance: `Field.parse` is
+memoised on (type, value) of the JSON value, so `true` and `1` never share
+an entry.  An `Instance` keeps the action and its digest, the sha256 of the
+canonical form: `json.dumps(form, sort_keys=True, separators=(",", ":"))`
+of the parsed instance with every scalar written as `str`, the field as
+`str(field)`, every identity's "dom" and "map", and the structure dense.
+`_digest` writes those exact bytes into the hash one morphism entry or
+structure plane at a time and never builds the form, so it holds one dense
+matrix as text at a time, not the whole dense table.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ class InstanceFormatError(Exception):
 @dataclass(frozen=True)
 class Instance:
     action: PartialAction
-    digest: str       # sha256 of the canonical form (`canonical_dict`)
+    digest: str       # sha256 of the canonical form (`_digest`)
 
 
 def parse_field(desc) -> Field:
@@ -97,23 +106,44 @@ def _basis_names(adata: dict, dim: int) -> tuple | None:
     return None if raw is None else _names(raw, "basis_names", dim)
 
 
-def _parse_vector(field: Field, raw, dim: int) -> tuple:
+def _scalar_parser(field: Field):
+    """`field.parse`, memoised per (type, value) of the raw JSON scalar.
+
+    The type is part of the key because `True == 1` and `1.0 == 1`: a bool
+    or a float never reads the entry of an int, so each is still rejected.
+    A list or dict cannot be hashed and goes to `field.parse`, which rejects
+    it; a rejected value is never kept.
+    """
+    memo: dict = {}
+
+    def parsed(x):
+        try:
+            return memo[type(x), x]
+        except KeyError:
+            out = memo[type(x), x] = field.parse(x)
+            return out
+        except TypeError:
+            return field.parse(x)
+    return parsed
+
+
+def _parse_vector(parse, raw, dim: int) -> tuple:
     if len(_array(raw, "vector")) != dim:
         raise InstanceFormatError("vector of length %d, expected %d" % (len(raw), dim))
-    return tuple(field.parse(x) for x in raw)
+    return tuple(map(parse, raw))
 
 
-def _parse_matrix(field: Field, raw, dim: int) -> Matrix:
+def _parse_matrix(field: Field, parse, raw, dim: int) -> Matrix:
     if (len(_array(raw, "matrix")) != dim
             or any(len(_array(r, "matrix row")) != dim for r in raw)):
         raise InstanceFormatError("matrix is not %d x %d" % (dim, dim))
-    return Matrix._trusted(field, tuple(tuple(field.parse(x) for x in row) for row in raw),
-                           dim)
+    return Matrix._trusted(field, tuple(tuple(map(parse, row)) for row in raw), dim)
 
 
 def parse_instance(data: dict) -> Instance:
     try:
         field = parse_field(data["field"])
+        parse = _scalar_parser(field)
         gdata = data["groupoid"]
         arrows = [_names([m["name"], m["src"], m["tgt"]], "morphism name, src and tgt")
                   for m in _array(gdata.get("morphisms", []), "morphisms")]
@@ -127,8 +157,9 @@ def parse_instance(data: dict) -> Instance:
             algebra = Algebra.diagonal(field, dim, _basis_names(adata, dim))
         else:
             dim = _algebra_dim(len(_array(adata["structure"], "structure")))
-            structure = [_parse_matrix(field, plane, dim).data for plane in adata["structure"]]
-            algebra = Algebra(field, structure, _parse_vector(field, adata["unit"], dim),
+            structure = [_parse_matrix(field, parse, plane, dim).data
+                         for plane in adata["structure"]]
+            algebra = Algebra(field, structure, _parse_vector(parse, adata["unit"], dim),
                               _basis_names(adata, dim))
         act = data.get("action", {})
         idems = {}
@@ -137,9 +168,9 @@ def parse_instance(data: dict) -> Instance:
             entry = act.get(g)
             if entry is None:
                 raise InstanceFormatError("no action entry for morphism %r" % (g,))
-            idems[g] = _parse_vector(field, entry["dom"], algebra.dim)
+            idems[g] = _parse_vector(parse, entry["dom"], algebra.dim)
             if "map" in entry:
-                maps[g] = _parse_matrix(field, entry["map"], algebra.dim)
+                maps[g] = _parse_matrix(field, parse, entry["map"], algebra.dim)
             elif not groupoid.is_identity(g):
                 raise InstanceFormatError("morphism %r needs an explicit map" % (g,))
         extra = set(act) - set(groupoid.morphisms)
@@ -152,55 +183,80 @@ def parse_instance(data: dict) -> Instance:
         raise InstanceFormatError("missing instance key: %s" % (exc,)) from exc
     except Exception as exc:
         raise InstanceFormatError(str(exc)) from exc
-    return Instance(action, instance_digest(canonical_dict(action)))
+    return Instance(action, _digest(action))
 
 
 def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or an int too long to convert
+        # JSONDecodeError, an int too long to convert, or arrays or objects
+        # nested deeper than the decoder's recursion limit
+        except (ValueError, RecursionError) as exc:
             raise InstanceFormatError("not valid JSON: %s" % (exc,)) from exc
     return parse_instance(data)
 
 
-def canonical_dict(pa: PartialAction) -> dict:
-    """Re-serialize a parsed instance deterministically (scalars as strings).
+# json's own compact encoder: the C one, with ensure_ascii, so names are
+# escaped exactly as json.dumps escapes them
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-    The field is written as `str(field)`, so every spelling of one field
-    gives the same form; the structure constants are written dense from the
-    sparse table, "0" where the table has no entry.
+
+def _scalars(values) -> str:
+    """The compact JSON array of the scalars' `str`s, which need no escape."""
+    return '["%s"]' % '","'.join(map(str, values)) if values else "[]"
+
+
+def _matrix(rows) -> str:
+    """The compact JSON array of `_scalars` rows, for a square matrix."""
+    return '[["%s"]]' % '"],["'.join(['","'.join(map(str, r)) for r in rows]) if rows else "[]"
+
+
+def _canonical_text(pa: PartialAction):
+    """The canonical form's compact, key-sorted JSON, one morphism entry or
+    structure plane at a time.
+
+    The pieces join to `json.dumps(form, sort_keys=True, separators=(",",
+    ":"))`, where `form` is
+
+        {"action": {m: {"dom": [...], "map": [[...], ...]} for every m},
+         "algebra": {"basis_names": [...], "structure": [[[...]]],
+                     "unit": [...]},
+         "field": str(field),
+         "groupoid": {"compose": sorted non-identity [a, b, ab],
+                      "inverse": sorted non-identity [a, b] with a <= b,
+                      "morphisms": [{"name", "src", "tgt"}] of non-identities,
+                      "objects": [...]}}
+
+    with every scalar as its `str` and each structure row dense ("0" where
+    the sparse table has no entry).
     """
-    g = pa.groupoid
-    alg = pa.algebra
-    non_id = [m for m in g.morphisms if not g.is_identity(m)]
-    out = {
-        "field": str(alg.field),
-        "groupoid": {
-            "objects": list(g.objects),
-            "morphisms": [{"name": m, "src": g.src[m], "tgt": g.tgt[m]}
-                          for m in non_id],
-            "compose": sorted([a, b, c] for (a, b), c in g.compose.items()
-                              if not (g.is_identity(a) or g.is_identity(b))),
-            "inverse": sorted([a, b] for a, b in g.inverse.items()
-                              if a <= b and not g.is_identity(a)),
-        },
-        "algebra": {
-            "basis_names": list(alg.basis_names),
-            "structure": [[[str(row[k]) if k in row else "0" for k in range(alg.dim)]
-                           if row else ["0"] * alg.dim for row in plane]
-                          for plane in alg._table],
-            "unit": [str(c) for c in alg.unit],
-        },
-        "action": {
-            m: {"dom": [str(c) for c in pa.idem(m)],
-                "map": [[str(c) for c in row] for row in pa.matrix(m).data]}
-            for m in g.morphisms
-        },
+    g, alg = pa.groupoid, pa.algebra
+    yield '{"action":{'
+    for n, m in enumerate(sorted(g.morphisms)):
+        yield '%s%s:{"dom":%s,"map":%s}' % ("," if n else "", _encode(m),
+                                            _scalars(pa.idem(m)), _matrix(pa.matrix(m).data))
+    yield '},"algebra":{"basis_names":%s,"structure":[' % _encode(list(alg.basis_names))
+    zero_row = '","'.join(("0",) * alg.dim)
+    for n, plane in enumerate(alg._table):
+        yield '%s[["%s"]]' % ("," if n else "", '"],["'.join([
+            '","'.join([str(row.get(k, 0)) for k in range(alg.dim)]) if row else zero_row
+            for row in plane]))
+    ids = {m for m in g.morphisms if g.is_identity(m)}
+    groupoid = {
+        "objects": list(g.objects),
+        "morphisms": [{"name": m, "src": g.src[m], "tgt": g.tgt[m]}
+                      for m in g.morphisms if m not in ids],
+        "compose": sorted([a, b, c] for (a, b), c in g.compose.items()
+                          if a not in ids and b not in ids),
+        "inverse": sorted([a, b] for a, b in g.inverse.items() if a <= b and a not in ids),
     }
-    return out
+    yield '],"unit":%s},"field":%s,"groupoid":%s}' % (
+        _scalars(alg.unit), _encode(str(alg.field)), _encode(groupoid))
 
 
-def instance_digest(canonical: dict) -> str:
-    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+def _digest(pa: PartialAction) -> str:
+    h = hashlib.sha256()
+    for piece in _canonical_text(pa):
+        h.update(piece.encode("ascii"))
+    return h.hexdigest()

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -30,6 +31,49 @@ def load_action(name: str) -> PartialAction:
 
 def instance_data(name: str) -> dict:
     return json.loads(instance_path(name).read_text())
+
+
+def canonical_dict(pa: PartialAction) -> dict:
+    """Reference canonical form of a parsed instance (scalars as strings).
+
+    The field is written as `str(field)`, so every spelling of one field
+    gives the same form; the structure constants are written dense from the
+    sparse table, "0" where the table has no entry.  `parse_instance`
+    streams the hash of this form's compact JSON without building it.
+    """
+    g = pa.groupoid
+    alg = pa.algebra
+    non_id = [m for m in g.morphisms if not g.is_identity(m)]
+    return {
+        "field": str(alg.field),
+        "groupoid": {
+            "objects": list(g.objects),
+            "morphisms": [{"name": m, "src": g.src[m], "tgt": g.tgt[m]}
+                          for m in non_id],
+            "compose": sorted([a, b, c] for (a, b), c in g.compose.items()
+                              if not (g.is_identity(a) or g.is_identity(b))),
+            "inverse": sorted([a, b] for a, b in g.inverse.items()
+                              if a <= b and not g.is_identity(a)),
+        },
+        "algebra": {
+            "basis_names": list(alg.basis_names),
+            "structure": [[[str(row[k]) if k in row else "0" for k in range(alg.dim)]
+                           if row else ["0"] * alg.dim for row in plane]
+                          for plane in alg._table],
+            "unit": [str(c) for c in alg.unit],
+        },
+        "action": {
+            m: {"dom": [str(c) for c in pa.idem(m)],
+                "map": [[str(c) for c in row] for row in pa.matrix(m).data]}
+            for m in g.morphisms
+        },
+    }
+
+
+def instance_digest(canonical: dict) -> str:
+    """Reference digest: the sha256 of the canonical form's compact JSON."""
+    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 # a one-component fuzz skeleton whose skew ring has dimension 48
@@ -885,6 +929,33 @@ def dense_nonassociative_triple(table, field):
                 if left != right:
                     return i, j, k
     return None
+
+
+def dense_table_product(table, x, y, field) -> tuple:
+    """Reference product: sum over every (i, j) of x_i y_j b_i b_j."""
+    out = [field.zero] * len(table)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k, c in table[i][j].items():
+                out[k] += xi * yj * c
+    return field.reduce_vec(out)
+
+
+def law_failures(alg) -> list:
+    """Reference audit of the laws `Algebra(...)` checks, on `alg`'s table:
+    ("unit", i) for each b_i with u b_i != b_i or b_i u != b_i, then
+    ("associativity", i, j, k) for the first failing basis triple."""
+    field, table = alg.field, alg._table
+    out = []
+    for i in range(alg.dim):
+        b = tuple(field.one if k == i else field.zero for k in range(alg.dim))
+        if (dense_table_product(table, alg.unit, b, field) != b
+                or dense_table_product(table, b, alg.unit, field) != b):
+            out.append(("unit", i))
+    bad = dense_nonassociative_triple(table, field)
+    if bad is not None:
+        out.append(("associativity",) + bad)
+    return out
 
 
 def full_scan_validate_groupoid(g: Groupoid) -> ValidationReport:

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from skewalg import algebra as algebra_module
 from skewalg.algebra import (Algebra, AlgebraError, NotCentralIdempotent,
                              nonassociative_triple, table_product)
 from skewalg.instances import load_instance
@@ -10,7 +12,8 @@ from skewalg.linalg import DimensionMismatch, Field, LinalgError, Matrix
 from skewalg.partial_action import invariant_suite
 from skewalg.skew_ring import build_skew_ring
 
-from conftest import INSTANCE_DIR, dense_center_basis, dense_nonassociative_triple
+from conftest import (INSTANCE_DIR, dense_center_basis, dense_nonassociative_triple,
+                      law_failures)
 
 Q = Field.rationals()
 
@@ -142,6 +145,37 @@ def test_diagonal_table_equals_the_dense_built_table(field, n):
     dense = [[[one if i == j == k else zero for k in range(n)] for j in range(n)]
              for i in range(n)]
     assert Algebra.diagonal(field, n)._table == Algebra(field, dense, [one] * n)._table
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(2), Field.prime(5)], ids=str)
+def test_diagonal_tables_pass_the_reference_law_audit(field):
+    # `Algebra.diagonal` skips the audit on the strength of its docstring proof
+    for n in range(13):
+        assert law_failures(Algebra.diagonal(field, n)) == []
+
+
+def test_the_reference_law_audit_finds_a_bad_unit_and_a_bad_triple():
+    good = Algebra.diagonal(Q, 3)
+    assert law_failures(SimpleNamespace(field=Q, _table=good._table, dim=3,
+                                        unit=(1, 1, 0))) == [("unit", 2)]
+    table = [list(plane) for plane in good._table]
+    table[0][0] = {1: 1}
+    assert law_failures(SimpleNamespace(field=Q, _table=table, dim=3, unit=good.unit)) \
+        == [("unit", 0), ("associativity", 0, 0, 1)]
+
+
+def test_diagonal_skips_the_audit_and_a_given_table_does_not(monkeypatch):
+    audited = []
+
+    def audit(table, field):
+        audited.append(len(table))
+        return None
+
+    monkeypatch.setattr(algebra_module, "nonassociative_triple", audit)
+    Algebra.diagonal(Q, 4)
+    assert audited == []
+    Algebra(Q, [[{0: 1}, {}], [{}, {1: 1}]], [1, 1])
+    assert audited == [2]
 
 
 # -- the associativity audit against the dense reference ------------------------------

@@ -4,12 +4,15 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skewalg import Algebra, PartialAction, cli
-from skewalg.cli import main
+from skewalg.cli import main, render
 from skewalg.fuzz import random_skeleton, run_differential, skeleton_to_instance
 from skewalg.skew_ring import SkewRing, TensorOverA
 
@@ -224,8 +227,8 @@ def test_components_command(capsys):
 
 def test_components_of_a_glued_file(capsys, tmp_path):
     # serialize the glued double back to the file format and read it again
-    from skewalg.instances import canonical_dict, parse_instance
-    from conftest import glue_components, renamed_instance
+    from skewalg.instances import parse_instance
+    from conftest import canonical_dict, glue_components, renamed_instance
 
     base = instance_data("partial_bridge_q.json")
     glued = glue_components([
@@ -699,3 +702,45 @@ def test_a_scalar_outside_the_grammar_exits_two_over_every_field(capsys, tmp_pat
     code, out, _ = run_cli(capsys, "validate", str(bad))
     assert code == 2
     assert json.loads(out)["error"]["type"] == "InstanceFormatError"
+
+
+# -- the one-pass report writer against json.dumps -------------------------------------
+
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.integers(min_value=-10**400, max_value=10**400) | st.text())
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(st.text(max_size=6), kids, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+@example({"q": 'a "quoted" \\ path\n\t\x00\x1f\u00e9\u2603\U0001f600\ud800'})
+@example({"": {}, "a": [], "b": (), "c": [[], {}, ()], "d": {"e": {"f": [{}]}}})
+@example([True, False, None, 0, -1, -(10**300), 10**300, (1, (2, ()))])
+def test_render_is_json_dumps_with_indent_and_sorted_keys(tree):
+    assert render(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: "a"}, {"a": 1, 2: "b"},
+                                   {True: 1}, {None: 1}, {("a",): 1}, {"s": {1, 2}},
+                                   Fraction(1, 2)], ids=repr)
+def test_render_refuses_what_it_would_not_render_as_json_does(value):
+    # json.dumps writes floats and turns int, bool and None keys into strings
+    with pytest.raises(TypeError):
+        render(value)
+
+
+def test_render_refuses_subclasses_of_the_rendered_types():
+    class Flag(int):
+        def __repr__(self):
+            return "Flag"
+
+    class Name(str):
+        pass
+
+    for value in (Flag(1), [Name("x")], {"k": Flag(0)}):
+        with pytest.raises(TypeError):
+            render(value)

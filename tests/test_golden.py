@@ -145,11 +145,16 @@ def _key(argv) -> str:
     return " ".join(Path(a).name if a.endswith(".json") else a for a in argv)
 
 
-def _digest(argv) -> tuple:
+def _run(argv) -> tuple:
+    """(exit code, raw stdout) of one in-process CLI call."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         code = main(list(argv))
-    report = json.loads(buf.getvalue())
+    return code, buf.getvalue()
+
+
+def _digest(code, stdout) -> tuple:
+    report = json.loads(stdout)
     report.get("instance", {}).pop("path", None)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     return code, hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -157,7 +162,11 @@ def _digest(argv) -> tuple:
 
 @pytest.mark.parametrize("argv", _jobs(), ids=_key)
 def test_report_matches_golden_digest(argv):
-    assert _digest(argv) == GOLDEN[_key(argv)]
+    code, stdout = _run(argv)
+    # the digest is taken on a re-rendering, so pin the printed bytes too:
+    # stdout is exactly json's indented, key-sorted rendering of the report
+    assert stdout == json.dumps(json.loads(stdout), indent=2, sort_keys=True) + "\n"
+    assert _digest(code, stdout) == GOLDEN[_key(argv)]
 
 
 def test_golden_covers_every_job():
@@ -166,5 +175,5 @@ def test_golden_covers_every_job():
 
 if __name__ == "__main__":
     for argv in _jobs():
-        code, digest = _digest(argv)
+        code, digest = _digest(*_run(argv))
         sys.stdout.write('    "%s": (%d, "%s"),\n' % (_key(argv), code, digest))

@@ -1,14 +1,22 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from skewalg.algebra import Algebra
 from skewalg.cli import main
-from skewalg.instances import (InstanceFormatError, canonical_dict,
-                               instance_digest, load_instance, parse_field,
+from skewalg.fuzz import random_skeleton, skeleton_to_instance
+from skewalg.groupoid import build_groupoid
+from skewalg.instances import (InstanceFormatError, _digest, load_instance, parse_field,
                                parse_instance)
 from skewalg.linalg import Field
+from skewalg.partial_action import PartialAction
 
-from conftest import instance_data, instance_path
+from conftest import (INSTANCE_DIR, canonical_dict, instance_data, instance_digest,
+                      instance_path, renamed_instance)
 
 
 def test_parse_field_descriptors():
@@ -208,6 +216,128 @@ def test_not_json_is_rejected(tmp_path):
 def test_digest_of_canonical_dict_is_deterministic():
     inst = load_instance(instance_path("z2_flip_q.json"))
     assert instance_digest(canonical_dict(inst.action)) == inst.digest
+
+
+def test_deeply_nested_json_exits_two_with_a_typed_error(capsys, tmp_path):
+    # json's decoder recurses once per array, so this raised RecursionError,
+    # which escaped as a traceback with exit code 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(InstanceFormatError, match="not valid JSON: maximum recursion depth"):
+        load_instance(deep)
+    assert main(["validate", str(deep)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "InstanceFormatError"
+    assert error["message"].startswith("not valid JSON: ")
+
+
+# -- the streamed digest against the reference canonical form --------------------------
+
+def _reference_digest(pa) -> str:
+    return instance_digest(canonical_dict(pa))
+
+
+@pytest.mark.parametrize("path", sorted(INSTANCE_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_digest_equals_the_reference_on_the_corpus(path):
+    inst = load_instance(path)
+    assert inst.digest == _reference_digest(inst.action)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_digest_equals_the_reference_on_fuzz_instances(seed):
+    skel = random_skeleton(random.Random(seed))
+    for fdesc in ("Q", "GF(2)", {"prime": 3}):
+        inst = parse_instance(skeleton_to_instance(skel, fdesc))
+        assert inst.digest == _reference_digest(inst.action)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text())
+@example('"')
+@example("\\")
+@example('e"\\\u00e9\u2603\n\x00\U0001f600\ud800')
+def test_digest_equals_the_reference_on_any_names(prefix):
+    # renamed objects, morphisms and basis names reach every escaped string
+    # of the form, and a non-ASCII name is escaped as json.dumps escapes it
+    data = instance_data("partial_bridge_q.json")
+    data["algebra"]["basis_names"] = ["b%d" % i for i in range(4)]
+    inst = parse_instance(renamed_instance(data, prefix))
+    assert inst.digest == _reference_digest(inst.action)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(max_denominator=10**6), min_size=16, max_size=16),
+       st.sampled_from(["Q", "GF(2)", "GF(5)", {"prime": 7}]))
+def test_digest_equals_the_reference_on_any_scalars(entries, fdesc):
+    # the action is not valid, but the digest depends only on the parse
+    data = instance_data("partial_bridge_q.json")
+    data["field"] = fdesc
+    p = parse_field(fdesc).p
+    entries = [q for q in entries if p is None or q.denominator % p] + [Fraction(0)] * 16
+    data["action"]["g"]["map"] = [[str(q) for q in entries[4 * i:4 * i + 4]]
+                                  for i in range(4)]
+    inst = parse_instance(data)
+    assert inst.digest == _reference_digest(inst.action)
+
+
+@pytest.mark.parametrize("field", [Field.rationals(), Field.prime(3)], ids=str)
+def test_digest_equals_the_reference_on_structure_algebras_with_dict_rows(field):
+    # M_2(k) given with sparse dict rows, and one empty object besides
+    structure = [[{} for _ in range(4)] for _ in range(4)]
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                structure[2 * i + j][2 * j + k] = {2 * i + k: 1}
+    algebra = Algebra(field, structure, [1, 0, 0, 1], ["e11", "e12", "e21", "e22"])
+    groupoid = build_groupoid(("x", "y"), [], [], [])
+    pa = PartialAction(groupoid, algebra,
+                       {"id:x": (1, 0, 0, 1), "id:y": (0, 0, 0, 0)}, {})
+    assert _digest(pa) == _reference_digest(pa)
+    assert _digest(pa) == parse_instance(json.loads(json.dumps(canonical_dict(pa)))).digest
+
+
+def test_digest_equals_the_reference_on_a_zero_dimensional_algebra():
+    data = _one_object()
+    data["algebra"] = {"diagonal": 0}
+    data["action"]["id:e"]["dom"] = []
+    inst = parse_instance(data)
+    assert inst.digest == _reference_digest(inst.action)
+
+
+# -- each raw scalar is parsed once ----------------------------------------------------
+
+def test_each_distinct_raw_scalar_is_parsed_once(monkeypatch):
+    n = 32
+    data = _one_object()
+    data["algebra"] = {"diagonal": n}
+    data["action"]["id:e"]["dom"] = ["1"] * (n - 2) + [1, " 1"]
+    calls = []
+    parse = Field.parse
+
+    def counted(self, x):
+        calls.append(x)
+        return parse(self, x)
+
+    monkeypatch.setattr(Field, "parse", counted)
+    inst = parse_instance(data)
+    assert inst.action.idem("id:e") == (1,) * n
+    assert sorted(map(repr, calls)) == ["' 1'", "'1'", "1"]
+
+
+@pytest.mark.parametrize("dom,message", [
+    ([1, True], "a boolean is not a scalar: True"),
+    (["1", True], "a boolean is not a scalar: True"),
+    ([0, False], "a boolean is not a scalar: False"),
+    ([1, 1.0], "cannot parse scalar from 1.0"),
+    ([1, [1]], "cannot parse scalar from [1]"),
+])
+def test_the_scalar_memo_keeps_bools_floats_and_lists_apart(dom, message):
+    # True == 1 and 1.0 == 1 in a dict key, so the memo keys on the type too
+    data = _one_object()
+    data["algebra"] = {"diagonal": 2}
+    data["action"]["id:e"]["dom"] = dom
+    with pytest.raises(InstanceFormatError, match=message.replace("[", r"\[")):
+        parse_instance(data)
 
 
 def test_a_diagonal_algebra_is_parsed_without_a_coercion_per_constant(monkeypatch):

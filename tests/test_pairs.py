@@ -1,0 +1,64 @@
+"""The summary rule of `tools/pairs.py` on synthetic numbers; no benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PAIRS = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    spec = importlib.util.spec_from_file_location("pairs_tool", PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PARENT = [0.340, 0.338, 0.345, 0.342, 0.336, 0.341, 0.339, 0.344, 0.337, 0.343]
+
+
+def test_a_clear_gain_on_every_pair_holds(pairs):
+    change = [p - 0.04 for p in PARENT]
+    s = pairs.summarise(PARENT, change, "lower")
+    assert s["wins"] == 10 and s["holds"]
+    assert s["parent"][0] == pytest.approx(0.3405)
+    assert s["relative"] == pytest.approx(-0.04 / 0.3405)
+
+
+def test_nine_wins_of_ten_hold_and_eight_do_not(pairs):
+    change = [p - 0.04 for p in PARENT]
+    change[0] = PARENT[0] + 0.01
+    assert pairs.summarise(PARENT, change, "lower")["holds"]
+    change[1] = PARENT[1]       # a tie is not a win
+    s = pairs.summarise(PARENT, change, "lower")
+    assert s["wins"] == 8 and not s["holds"]
+
+
+def test_a_gap_inside_the_parent_iqr_does_not_hold(pairs):
+    q1, _, q3 = pairs.quartiles(PARENT)
+    change = [p - (q3 - q1) / 2 for p in PARENT]
+    s = pairs.summarise(PARENT, change, "lower")
+    assert s["wins"] == 10 and not s["holds"]
+
+
+def test_higher_is_better_reverses_the_direction(pairs):
+    up = [p + 0.04 for p in PARENT]
+    assert pairs.summarise(PARENT, up, "higher")["holds"]
+    assert not pairs.summarise(PARENT, up, "lower")["holds"]
+    assert pairs.summarise(PARENT, up, "lower")["wins"] == 0
+
+
+def test_unequal_or_short_runs_are_refused(pairs):
+    with pytest.raises(ValueError):
+        pairs.summarise(PARENT, PARENT[:9], "lower")
+    with pytest.raises(ValueError):
+        pairs.summarise([1.0], [0.5], "lower")
+
+
+def test_paired_ops_compare_digest_and_stdout_not_time(pairs):
+    parent = [["d1", "s1", 0.01], ["d2", "s2", 0.02], ["d3", "s3", 0.03]]
+    change = [["d1", "s1", 0.5], ["d2", "sX", 0.02]]
+    assert pairs.mismatched_ops(parent, change) == 1
+    assert pairs.mismatched_ops(parent, parent) == 0
