@@ -208,7 +208,7 @@ def _scalars(values) -> str:
 
 
 def _matrix(rows) -> str:
-    """The compact JSON array of `_scalars` rows, for a square matrix."""
+    """The compact JSON array of a square matrix's rows, each as `_scalars` writes it."""
     return '[["%s"]]' % '"],["'.join(['","'.join(map(str, r)) for r in rows]) if rows else "[]"
 
 
