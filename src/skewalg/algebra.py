@@ -23,12 +23,21 @@ entries at the pivots, with no elimination.
 
 An `Algebra` computes each product x*y and each centrality verdict once:
 the checks of a partial action keep multiplying the same few canonical
-vectors (basis vectors, ideal rows, domain idempotents), so `multiply` and
-`is_central_idempotent` keep their results, which are immutable tuples and
-bools, in dicts on the instance.  Equal products share one tuple: most kept
+vectors (basis vectors, ideal rows, domain idempotents), so `multiply`,
+`is_central_idempotent` and `right_mul_matrix` keep their results, which
+are immutable tuples, bools and matrices, in dicts on the instance.  Equal products share one tuple: most kept
 products of a large algebra are the zero vector.  `element` checks each
 scalar of a vector given from outside, and passes a vector it or `multiply`
 returned as it is.
+
+Whether A is commutative is decided once, when it is built: one pass over
+the sparse table comparing entry [i][j] with entry [j][i] (zero constants
+are never stored, so two entries are equal iff the constants are), and by
+proof for `Algebra.diagonal`.  On commutative A every x commutes with every
+basis vector, so `commutes_with_all` answers at once (after its length
+check), `is_central_idempotent` reduces to e*e == e, and the centre is all
+of A: its system has only zero rows, and the canonical basis of the kernel
+of such a system is the standard basis, returned with no elimination.
 """
 
 from __future__ import annotations
@@ -120,7 +129,7 @@ class Algebra:
         """Each constant and unit scalar is checked with `Field.coerce`, and
         the unit law and associativity are audited, except with `_trusted`:
         `diagonal` passes its finished sparse table and unit tuple, written
-        from `field.one`, whose laws it proves."""
+        from `field.one`, whose laws and commutativity it proves."""
         self.field = field
         self.dim = dim = len(structure)
         if _trusted:
@@ -144,6 +153,9 @@ class Algebra:
                 table.append(tuple(rows))
             self._table = tuple(table)
             unit = tuple(coerce(c) for c in unit)
+        table = self._table
+        self.commutative = _trusted or all(row[j] == table[j][i] for i, row in enumerate(table)
+                                           for j in range(i))
         one, zero = field.one, field.zero
         self._basis = tuple(tuple(one if j == i else zero for j in range(dim))
                             for i in range(dim))
@@ -158,6 +170,7 @@ class Algebra:
         self._center: tuple | None = None
         self._products: dict = {}      # (x, y) -> x*y
         self._central: dict = {}       # e -> is e a central idempotent
+        self._right: dict = {}         # x -> right_mul_matrix(x)
         if not _trusted:
             self._check_laws()
 
@@ -170,7 +183,8 @@ class Algebra:
         not checked.  Unit: u b_j = sum_i delta_ij b_i = b_j, and b_j u = b_j
         alike.  Associativity: (b_i b_j) b_k and b_i (b_j b_k) are both b_i
         if i = j = k and both 0 otherwise, and the product is bilinear, so
-        (xy)z = x(yz) for all x, y, z.  For n = 0 both hold vacuously.
+        (xy)z = x(yz) for all x, y, z.  For n = 0 both hold vacuously.  It
+        is commutative: b_i b_j = delta_ij b_i = b_j b_i.
         """
         one = field.one
         table = tuple(tuple({i: one} if i == j else {} for j in range(n)) for i in range(n))
@@ -228,11 +242,19 @@ class Algebra:
         return Matrix._trusted(self.field, tuple(zip(*cols)), self.dim)
 
     def right_mul_matrix(self, x) -> Matrix:
-        """Matrix of y -> y*x on coefficient columns."""
-        cols = [self.multiply(b, x) for b in self._basis]
-        return Matrix._trusted(self.field, tuple(zip(*cols)), self.dim)
+        """Matrix of y -> y*x on coefficient columns, kept per x."""
+        key = tuple(x)
+        m = self._right.get(key)
+        if m is None:
+            cols = [self.multiply(b, x) for b in self._basis]
+            m = self._right[key] = Matrix._trusted(self.field, tuple(zip(*cols)), self.dim)
+        return m
 
     def commutes_with_all(self, x) -> bool:
+        if self.commutative:
+            if len(x) != self.dim:
+                raise DimensionMismatch("element does not match algebra dimension")
+            return True
         return all(self.multiply(x, b) == self.multiply(b, x) for b in self._basis)
 
     # -- center, idempotents, ideals ----------------------------------------
@@ -244,8 +266,12 @@ class Algebra:
         sum_i x_i (c[i][j][k] - c[j][i][k]) == 0: one row per (j, k) that a
         nonzero constant reaches, read off the table.  The kernel of a system
         depends only on its row space, which has one reduced echelon form, so
-        leaving out the all-zero rows changes no basis vector.
+        leaving out the all-zero rows changes no basis vector.  On commutative
+        A every row is zero, and the kernel's canonical basis is the standard
+        basis.
         """
+        if self._center is None and self.commutative:
+            self._center = self._basis
         if self._center is None:
             field, dim = self.field, self.dim
             rows: dict = {}             # (j, k) -> unreduced row over i

@@ -168,7 +168,8 @@ def parse_instance(data: dict) -> Instance:
             entry = act.get(g)
             if entry is None:
                 raise InstanceFormatError("no action entry for morphism %r" % (g,))
-            idems[g] = _parse_vector(parse, entry["dom"], algebra.dim)
+            # parsed scalars are field scalars: the vector enters as a kept one
+            idems[g] = algebra._keep(_parse_vector(parse, entry["dom"], algebra.dim))
             if "map" in entry:
                 maps[g] = _parse_matrix(field, parse, entry["map"], algebra.dim)
             elif not groupoid.is_identity(g):

@@ -13,6 +13,11 @@ and a vector is read in its coordinates through `Algebra.ideal_coords(1_g, y)`
 where they can fail: an identity arrow that fixes its ideal, and the second
 arrow of an inverse pair that inverts the first, already checked one, are
 ring isomorphisms by the checks they passed (proofs in its docstring).
+For the same reason it skips two kinds of work that cannot flag anything:
+on commutative A the multiplicativity of alpha_g is tested on unordered
+pairs of basis rows, and once the identity axiom holds at every object,
+axioms II and III are not tested on the composable pairs with an identity,
+which the earlier checks prove.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ class PartialAction:
             self.maps[g] = m
         self._images: dict = {}        # (g, v) -> alpha_g(v)
         self._psi_blocks: dict = {}    # (g, h) -> skew_ring.psi_block(self, g, h)
+        self._traces: dict = {}        # arrows -> separability._trace_sum(self, arrows)
         self._report: ValidationReport | None = None
         self._decomposes: bool | None = None
 
@@ -148,7 +154,10 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
       A_g, so alpha_g(w) = v = phi^-1(w): alpha_g on A_{g^-1} is phi^-1,
       again a ring isomorphism, onto A_g.
     Every other arrow runs the two checks, in that order and with their
-    messages.  Then axioms II and III are checked per composable pair
+    messages.  On commutative A the multiplicativity loop tests the pairs
+    (u_i, u_j) of basis rows with i <= j only: uv = vu and
+    alpha_g(u) alpha_g(v) = alpha_g(v) alpha_g(u), so (v, u) states the
+    equation of (u, v).  Then axioms II and III are checked per composable pair
     (g, h) on the central idempotent p = alpha_h^-1(1_{g^-1} 1_h) of A:
     - a ring isomorphism sends the ideal of a central idempotent to the ideal
       of its image, so alpha_h^-1(A_{g^-1} /\\ A_h) = A p, which lies in
@@ -168,6 +177,24 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
     accepted; only when it is rejected is p computed through the inverse of
     the matrix of alpha_h from ideal(h^-1)- to ideal(h)-coordinates, built
     once per such h.
+
+    The pairs (g, h) with g or h an identity are skipped when nothing has
+    been flagged before them, that is when every arrow passed the checks
+    above and the identity axiom holds at every object; II and III then
+    hold on them.  The groupoid's laws are presupposed, as
+    `PartialAction.validate` checks them first: id^-1 = id, id h = h and
+    g id = g.  Every arrow k passed containment (1_k 1_{t(k)} = 1_k) and the
+    complement check, and sends 1_{k^-1} to 1_k.
+    - g = id_e, e = t(h): gh = h and 1_e 1_h = 1_h by containment, so
+      c = alpha_{h^-1}(1_h) = 1_{h^-1} is accepted as p, since
+      alpha_h(1_{h^-1}) = 1_h.  II: p 1_{h^-1} = p.  III: u p = u for u in
+      A_{h^-1}, and alpha_h(u) lies in A_h, inside A_e, where alpha_e is the
+      identity by the identity axiom, so alpha_e(alpha_h(u)) = alpha_h(u p).
+    - h = id_e, e = s(g): gh = g and 1_{g^-1} 1_e = 1_{g^-1} by containment
+      (t(g^-1) = e), so c = alpha_e(1_{g^-1}) = 1_{g^-1} by the identity
+      axiom, accepted as p.  II: p 1_{g^-1} = p.  III: for u in A_e,
+      alpha_e(u) = u, and alpha_g(u) = alpha_g(u 1_{g^-1}) = alpha_g(u p) by
+      the complement check.
     """
     g_oid = pa.groupoid
     alg = pa.algebra
@@ -218,8 +245,10 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
         if img_span.dim != src.dim or img_span != dst:
             flag("NotRingIso", "map of %s is not a bijection onto its ideal" % (g,))
             continue
+        pairs = tuple(zip(src.rows, images))
         hom = all(pa.alpha(g, alg.multiply(u, v)) == alg.multiply(au, av)
-                  for u, au in zip(src.rows, images) for v, av in zip(src.rows, images))
+                  for i, (u, au) in enumerate(pairs)
+                  for v, av in (pairs[i:] if alg.commutative else pairs))
         if not hom:
             flag("NotRingIso", "map of %s is not multiplicative on its ideal" % (g,))
             continue
@@ -234,7 +263,11 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
         return ValidationReport(tuple(bad))
 
     inverses = {}
+    # with the identity axiom passed, pairs with an identity hold II and III
+    identities = set() if bad else set(g_oid.identity.values())
     for g, h in g_oid.composable_pairs():
+        if g in identities or h in identities:
+            continue
         gh = g_oid.compose[(g, h)]
         hinv = g_oid.inv(h)
         hinv_ideal = pa.ideal(hinv)

@@ -16,7 +16,11 @@ and bx = xb are linear and homogeneous in a and x, t_e(a) = 1_e iff
 t_e(d a) = d 1_e, and m(x) = 1 iff m(d x) = d 1.  The traces t_e(a) are read
 as sums of the kept alpha-images alpha_g(a) over the arrows g into e
 (`_trace_image`); the trace matrices of the `traces` report and the
-invariant suite (`trace_into` and the rest) are those sums on A's basis.
+invariant suite (`trace_into` and the rest) are those sums on A's basis,
+kept on the action per tuple of arrows like its alpha-images, so the report
+and the suite share each t_{ij}, t_j and the total.  The suite reads each
+right multiplication R_e that `Algebra.right_mul_matrix` keeps, and on
+commutative A takes R_x = L_x.
 `oracle_separability` instead solves the defining conditions m(x) = 1 and
 bx = xb directly, not the trace criterion: an independent check of the
 criterion and of the certificate, though it shares `psi_block`,
@@ -66,11 +70,15 @@ class WitnessInvalid(SeparabilityError):
 
 # -- trace maps -----------------------------------------------------------------
 
-def _trace_sum(pa: PartialAction, arrows) -> Matrix:
-    """Sum of alpha_g(a 1_{g^-1}) over `arrows`: column c is `_trace_image` of b_c."""
-    alg = pa.algebra
-    cols = [_trace_image(pa, arrows, alg.basis_vector(c)) for c in range(alg.dim)]
-    return Matrix._trusted(alg.field, tuple(zip(*cols)), alg.dim)
+def _trace_sum(pa: PartialAction, arrows: tuple) -> Matrix:
+    """Sum of alpha_g(a 1_{g^-1}) over `arrows`: column c is `_trace_image` of b_c.
+    Kept on the action per tuple of arrows."""
+    out = pa._traces.get(arrows)
+    if out is None:
+        alg = pa.algebra
+        cols = [_trace_image(pa, arrows, alg.basis_vector(c)) for c in range(alg.dim)]
+        out = pa._traces[arrows] = Matrix._trusted(alg.field, tuple(zip(*cols)), alg.dim)
+    return out
 
 
 def trace_between(pa: PartialAction, i, j) -> Matrix:
@@ -541,7 +549,8 @@ def trace_invariant_suite(pa: PartialAction) -> dict:
                     if pa.matrix(h) * t != alg.right_mul_matrix(pa.idem(h)) * t:
                         image_invariant = False
                 for x in invariant_subring(pa, i, j).rows:
-                    lx, rx = alg.left_mul_matrix(x), alg.right_mul_matrix(x)
+                    lx = alg.left_mul_matrix(x)
+                    rx = lx if alg.commutative else alg.right_mul_matrix(x)
                     if t * lx != lx * t or (rx != lx and t * rx != rx * t):
                         bimodule_linear = False
     into = {j: trace_into(pa, j) for j in g_oid.objects}

@@ -1027,6 +1027,98 @@ def full_scan_validate_groupoid(g: Groupoid) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
+def product_commutes_with_all(alg, x) -> bool:
+    """Reference for `Algebra.commutes_with_all`: x b == b x for every basis
+    vector b, by products, on any algebra."""
+    return all(alg.multiply(x, b) == alg.multiply(b, x) for b in alg._basis)
+
+
+def product_central_idempotent(alg, e) -> bool:
+    """Reference for `Algebra.is_central_idempotent`: e e == e and e commutes
+    with every basis vector, by products."""
+    e = tuple(e)
+    return alg.multiply(e, e) == e and product_commutes_with_all(alg, e)
+
+
+def full_scan_validate_partial_action(pa: PartialAction) -> ValidationReport:
+    """Reference for `validate_partial_action`: the same axioms in the same
+    order and with the same messages, with none of its shortcuts.  Centrality
+    is tested by products; every arrow runs the bijection check and the
+    multiplicativity check on all ordered pairs of domain rows; the
+    pull-back p of each pair is read through the inverse of the restricted
+    map of h; and II and III are checked on every composable pair, found by
+    scanning all |G|^2 pairs, identities included."""
+    g_oid = pa.groupoid
+    alg = pa.algebra
+    bad = []
+
+    def flag(code, msg):
+        bad.append(Violation(code, msg))
+
+    usable = set()
+    for g in g_oid.morphisms:
+        if not product_central_idempotent(alg, pa.idem(g)):
+            flag("NotIdempotentDomain", "1_%s is not a central idempotent" % (g,))
+            continue
+        e_t = pa.obj_idem(g_oid.tgt[g])
+        if (product_central_idempotent(alg, e_t)
+                and alg.multiply(pa.idem(g), e_t) != pa.idem(g)):
+            flag("NotIdempotentDomain",
+                 "A_%s is not contained in the ideal of its target object" % (g,))
+            continue
+        usable.add(g)
+    if usable != set(g_oid.morphisms):
+        return ValidationReport(tuple(bad))
+
+    iso_ok = set()
+    for g in g_oid.morphisms:
+        ginv = g_oid.inverse.get(g)
+        if ginv is None or ginv not in pa.idems:
+            flag("NotRingIso", "morphism %r has no usable inverse" % (g,))
+            continue
+        if any(pa.alpha(g, b) != pa.alpha(g, alg.multiply(b, pa.idem(ginv)))
+               for b in alg._basis):
+            flag("NotRingIso",
+                 "map of %s does not annihilate the complement of its domain ideal" % (g,))
+            continue
+        src, dst = pa.ideal(ginv), pa.ideal(g)
+        images = [pa.alpha(g, u) for u in src.rows]
+        img_span = echelon(alg.field, images, alg.dim)
+        if img_span.dim != src.dim or img_span != dst:
+            flag("NotRingIso", "map of %s is not a bijection onto its ideal" % (g,))
+            continue
+        if not all(pa.alpha(g, alg.multiply(u, v)) == alg.multiply(au, av)
+                   for u, au in zip(src.rows, images) for v, av in zip(src.rows, images)):
+            flag("NotRingIso", "map of %s is not multiplicative on its ideal" % (g,))
+            continue
+        iso_ok.add(g)
+
+    for e in g_oid.objects:
+        i = g_oid.identity[e]
+        if any(pa.alpha(i, u) != u for u in pa.ideal(i).rows):
+            flag("IdentityAxiom", "identity map at %r is not the identity on A_%r" % (e, e))
+    if iso_ok != set(g_oid.morphisms):
+        return ValidationReport(tuple(bad))
+
+    for g in g_oid.morphisms:
+        for h in g_oid.morphisms:
+            if g_oid.src[g] != g_oid.tgt[h]:
+                continue
+            gh = g_oid.compose[(g, h)]
+            hinv_ideal = pa.ideal(g_oid.inv(h))
+            meet = alg.multiply(pa.idem(g_oid.inv(g)), pa.idem(h))
+            coords = restricted_matrix(pa, h).inverse().apply(pa.ideal(h).coords(meet))
+            p = hinv_ideal.combine(coords)
+            if alg.multiply(p, pa.idem(g_oid.inv(gh))) != p:
+                flag("AxiomII",
+                     "preimage of A_%s^-1 /\\ A_%s under alpha_%s leaves A_(%s)^-1" %
+                     (g, h, h, gh))
+            elif any(pa.alpha(g, pa.alpha(h, u)) != pa.alpha(gh, alg.multiply(u, p))
+                     for u in hinv_ideal.rows):
+                flag("AxiomIII", "alpha_%s alpha_%s != alpha_%s on the overlap" % (g, h, gh))
+    return ValidationReport(tuple(bad))
+
+
 class OverlappingObjects(ActionError):
     pass
 

@@ -13,7 +13,7 @@ from skewalg.partial_action import invariant_suite
 from skewalg.skew_ring import build_skew_ring
 
 from conftest import (INSTANCE_DIR, dense_center_basis, dense_nonassociative_triple,
-                      law_failures)
+                      law_failures, product_central_idempotent, product_commutes_with_all)
 
 Q = Field.rationals()
 
@@ -378,6 +378,53 @@ def test_center_read_off_the_table_matches_the_dense_reference():
     assert count > 90
     # M_2(k) x k has a 2-dimensional centre in any basis, k^3 all of it
     assert {(4, 1), (5, 2), (3, 3)} <= dims
+
+
+# -- commutativity, decided once --------------------------------------------------------------
+
+def dual_numbers(field=Q) -> Algebra:
+    """k[x]/(x^2) on 1, x: commutative, and not diagonal."""
+    return Algebra(field, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0], ["1", "x"])
+
+
+def _commutativity_cases():
+    """(algebra, commutative): k^n for n = 0..8, k[x]/(x^2), M_2(Q) and the
+    M_2 x M_2 of conj_swap_m2_q."""
+    for n in range(9):
+        yield Algebra.diagonal(Q, n), True
+    yield dual_numbers(), True
+    yield matrix_algebra_2x2(), False
+    yield load_instance(INSTANCE_DIR / "conj_swap_m2_q.json").action.algebra, False
+
+
+def _probes(alg: Algebra) -> list:
+    """Basis vectors, 0, the unit, 2 * unit and sums of two basis vectors."""
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    sums = [alg.element([x + y for x, y in zip(u, v)]) for u, v in zip(basis, basis[1:])]
+    return basis + [alg.zero(), alg.unit, alg.element([2 * x for x in alg.unit])] + sums
+
+
+def test_commutativity_is_decided_when_the_algebra_is_built():
+    for alg, commutative in _commutativity_cases():
+        assert alg.commutative is commutative
+
+
+def test_the_commutativity_fact_keeps_the_product_answers():
+    for alg, _ in _commutativity_cases():
+        assert alg.center_basis() == dense_center_basis(alg)
+        for x in _probes(alg) + list(alg.center_basis()):
+            assert alg.commutes_with_all(x) == product_commutes_with_all(alg, x)
+            assert alg.is_central_idempotent(x) == product_central_idempotent(alg, x)
+        with pytest.raises(DimensionMismatch):
+            alg.commutes_with_all((Q.one,) * (alg.dim + 1))
+
+
+def test_a_commutative_centre_is_the_standard_basis_with_no_elimination(monkeypatch):
+    calls = []
+    monkeypatch.setattr(algebra_module, "kernel", lambda m: calls.append(m))
+    for alg in (Algebra.diagonal(Q, 5), dual_numbers()):
+        assert alg.center_basis() == tuple(alg.basis_vector(i) for i in range(alg.dim))
+    assert calls == []
 
 
 # -- idempotents and ideals -----------------------------------------------------------------

@@ -227,20 +227,37 @@ def _planted(g: Groupoid, rng: random.Random):
                        g.compose, inverse)
 
 
+def _identity_broken(g: Groupoid, rng: random.Random):
+    """Groupoids whose identity laws fail with every endpoint right: id m or
+    m id set to another morphism x with the endpoints of m, so the triples
+    that hold an identity are checked, and can fail, too."""
+    for m in g.morphisms:
+        others = [x for x in g.hom_set(g.src[m], g.tgt[m]) if x != m]
+        if not others:
+            continue
+        key = rng.choice([(g.identity[g.tgt[m]], m), (m, g.identity[g.src[m]])])
+        yield Groupoid(g.objects, g.morphisms, g.src, g.tgt, g.identity,
+                       {**g.compose, key: rng.choice(others)}, g.inverse)
+
+
 def test_indexed_validation_matches_the_full_scan_reference():
     shipped = [load_action(p.name).groupoid for p in sorted(INSTANCE_DIR.glob("*.json"))]
     rng = random.Random(18)
     fuzzed = [parse_instance(skeleton_to_instance(random_skeleton(rng), "Q")).action.groupoid
               for _ in range(20)]
+    identity_rng = random.Random(19)
     seen = set()
+    identity_and_triples = 0
     count = 0
     for base in [one_object(), bridge_groupoid(), flip_groupoid(), *shipped, *fuzzed]:
-        for g in (base, *_planted(base, rng)):
+        for g in (base, *_planted(base, rng), *_identity_broken(base, identity_rng)):
             report = validate_groupoid(g)
             assert report.violations == full_scan_validate_groupoid(g).violations
             assert list(g.composable_pairs()) == [
                 (a, b) for a in g.morphisms for b in g.morphisms if g.src[a] == g.tgt[b]]
             seen |= report.codes()
+            identity_and_triples += {"BadIdentity", "NonAssociative"} <= report.codes()
             count += 1
     assert count > 300
     assert {"BadComposition", "BadIdentity", "MissingInverse", "NonAssociative"} <= seen
+    assert identity_and_triples > 20

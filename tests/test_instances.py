@@ -361,6 +361,37 @@ def test_a_diagonal_algebra_is_parsed_without_a_coercion_per_constant(monkeypatc
     assert len(calls) < n * n
 
 
+def test_parsed_domain_idempotents_are_not_coerced_again(monkeypatch):
+    # the parser's vectors enter `PartialAction(...)` as kept vectors; a
+    # vector given to the constructor from outside is still checked
+    inside = []
+    calls = []
+    coerce, init = Field.coerce, PartialAction.__init__
+
+    def counted(self, x):
+        if inside:
+            calls.append(x)
+        return coerce(self, x)
+
+    def traced(self, *args):
+        inside.append(True)
+        try:
+            init(self, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Field, "coerce", counted)
+    monkeypatch.setattr(PartialAction, "__init__", traced)
+    for path in sorted(INSTANCE_DIR.glob("*.json")):
+        load_instance(path)
+    assert calls == []
+    g = build_groupoid(["e"], [], [], [])
+    PartialAction(g, Algebra.diagonal(Field.rationals(), 2), {"id:e": [1, 1]}, {})
+    assert calls == [1, 1]
+    with pytest.raises(ValueError):
+        PartialAction(g, Algebra.diagonal(Field.rationals(), 2), {"id:e": [1.0, 1]}, {})
+
+
 def _edited(base, edit):
     data = base()
     edit(data)

@@ -1,0 +1,54 @@
+"""`tools/opcounts.py` counts computed work against cached lookups, in process."""
+
+import hashlib
+import importlib.util
+import shlex
+from pathlib import Path
+
+from skewalg import algebra, cli, linalg, partial_action, skew_ring
+
+from conftest import INSTANCE_DIR
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "opcounts.py"
+OPS = [["traces", str(INSTANCE_DIR / "z2_flip_q.json")],
+       ["separability", str(INSTANCE_DIR / "conj_swap_m2_q.json"), "--oracle"]]
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("opcounts", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def _entry_points() -> tuple:
+    return (algebra.Algebra.multiply, partial_action.PartialAction.alpha,
+            linalg.Matrix.apply, linalg.Echelonizer.insert, algebra.table_product,
+            skew_ring.table_product)
+
+
+def test_counts_repeat_and_the_package_is_left_as_it_was(capsys):
+    tool = load_tool()
+    modules = tool.import_skewalg()
+    before = _entry_points()
+    first = [tool.count_op(modules, op) for op in OPS]
+    assert _entry_points() == before
+    assert [tool.count_op(modules, op) for op in OPS] == first
+    for op, row in zip(OPS, first):
+        assert row["code"] == 0
+        assert 0 < row["table_product"] <= row["multiply"]
+        assert 0 < row["alpha_apply"] <= row["alpha"]
+        assert 0 < row["useful"] <= row["inserts"]
+        # the counted op prints the report an uncounted one prints
+        capsys.readouterr()
+        assert cli.main(op) == 0
+        out = capsys.readouterr().out
+        assert row["stdout_sha256"] == hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_the_command_line_prints_a_row_per_op_and_the_mean(capsys):
+    tool = load_tool()
+    assert tool.main([shlex.join(op) for op in OPS]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split("\t")[:8] == ["op", "code", *tool.COUNTS]
+    assert [line.split("\t")[0] for line in lines[1:]] == ["0", "1", "mean"]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,12 +10,12 @@ from skewalg import (ActionError, Algebra, DecompositionRequired, Echelon, Field
                      trace_invariant_suite, validate_partial_action)
 from skewalg import partial_action
 from skewalg.cli import main
-from skewalg.fuzz import random_skeleton, skeleton_to_instance
+from skewalg.fuzz import FIELDS, random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
-from conftest import (INSTANCE_DIR, OverlappingObjects, global_skeleton,
-                      glue_components, instance_data, load_action, renamed_instance,
-                      restricted_action, subspace_invariant_suite,
+from conftest import (INSTANCE_DIR, OverlappingObjects, full_scan_validate_partial_action,
+                      global_skeleton, glue_components, instance_data, load_action,
+                      renamed_instance, restricted_action, subspace_invariant_suite,
                       subspace_validate_partial_action)
 
 Q = Field.rationals()
@@ -348,6 +349,117 @@ def test_alpha_image_checks_match_the_subspace_references():
     assert {"AxiomII", "AxiomIII"} <= seen
     assert any("complement" in m for m in seen)
     assert (True, True, True) in suites and len(suites) > 2
+
+
+# -- the full-scan reference: none of the validation's shortcuts ---------------------------
+
+def _fuzz_seed_one():
+    """The actions of `fuzz --seed 1 --count 25`, in its order."""
+    rng = random.Random(1)
+    for _ in range(25):
+        skel = random_skeleton(rng)
+        for f in FIELDS:
+            yield parse_instance(skeleton_to_instance(skel, f)).action
+
+
+def _two_objects_k4(field: Field, identity_a) -> PartialAction:
+    """f: a -> b and its inverse on k^4, 1_a = b0 + b1 and 1_b = b2 + b3,
+    alpha_f sending b0, b1 to b2, b3; `identity_a` is the map of id:a."""
+    g_oid = build_groupoid(["a", "b"], [("f", "a", "b"), ("finv", "b", "a")],
+                           [("f", "finv", "id:b"), ("finv", "f", "id:a")], [("f", "finv")])
+    one_a, one_b = [1, 1, 0, 0], [0, 0, 1, 1]
+    idems = {"id:a": one_a, "id:b": one_b, "f": one_b, "finv": one_a}
+    maps = {"id:a": identity_a,
+            "f": Matrix.from_cols(field, [[0, 0, 1, 0], [0, 0, 0, 1], [0] * 4, [0] * 4]),
+            "finv": Matrix.from_cols(field, [[0] * 4, [0] * 4, [1, 0, 0, 0], [0, 1, 0, 0]])}
+    return PartialAction(g_oid, Algebra.diagonal(field, 4), idems, maps)
+
+
+def _twisted_x22() -> PartialAction:
+    """conj_swap_m2_q (M_2 x M_2, basis X11, X12, X21, X22, Y11, ..., Y22)
+    with alpha_s tau for alpha_s, tau the linear bijection sending X22 to
+    X22 + Y11 and fixing the other basis vectors: tau(X12 X21) = X11 =
+    tau(X12) tau(X21), but tau(X21 X12) = X22 + Y11 != X22 = tau(X21) tau(X12)."""
+    pa = load_action("conj_swap_m2_q.json")
+    tau = [[int(i == j or (i, j) == (4, 3)) for j in range(8)] for i in range(8)]
+    return PartialAction(pa.groupoid, pa.algebra, pa.idems,
+                         {**pa.maps, "s": pa.matrix("s") * Matrix(Q, tau)})
+
+
+def _planted_mutants():
+    """(action, violation codes) for actions whose failures the validation's
+    shortcuts must not hide."""
+    for field in (Q, Field.prime(2), Field.prime(3)):
+        swap_a = Matrix.from_cols(field, [[0, 1, 0, 0], [1, 0, 0, 0], [0] * 4, [0] * 4])
+        # the identity map of a swaps b0 and b1: II and III fail on identity pairs
+        yield _two_objects_k4(field, swap_a), {"IdentityAxiom", "AxiomIII"}
+        # a bijection that is not multiplicative, on commutative k^3
+        yield _global_z3(field, _SHIFT, _SHEAR), {"NotRingIso"}
+        yield _global_z3(field, _SHEAR, _UNSHIFT), {"NotRingIso"}
+    # multiplicative on (X12, X21), not on (X21, X12)
+    yield _twisted_x22(), {"NotRingIso"}
+
+
+def test_validation_matches_the_full_scan_reference():
+    seen = set()
+    count = 0
+    for pa in itertools.chain(_reference_corpus(), _fuzz_seed_one()):
+        report = validate_partial_action(pa)
+        assert report.violations == full_scan_validate_partial_action(pa).violations
+        seen |= report.codes()
+        count += 1
+    assert count > 400
+    assert {"NotRingIso", "AxiomII", "AxiomIII"} <= seen
+
+
+def test_planted_mutants_match_the_full_scan_reference():
+    for pa, codes in _planted_mutants():
+        report = validate_partial_action(pa)
+        assert report.codes() == codes
+        assert report.violations == full_scan_validate_partial_action(pa).violations
+    ok = _two_objects_k4(Q, Matrix.from_cols(Q, [[1, 0, 0, 0], [0, 1, 0, 0], [0] * 4, [0] * 4]))
+    assert validate_partial_action(ok).ok and full_scan_validate_partial_action(ok).ok
+    broken = validate_partial_action(_two_objects_k4(Q, Matrix.from_cols(
+        Q, [[0, 1, 0, 0], [1, 0, 0, 0], [0] * 4, [0] * 4])))
+    assert {v.message for v in broken.violations} >= {
+        "alpha_id:a alpha_id:a != alpha_id:a on the overlap",
+        "alpha_f alpha_id:a != alpha_f on the overlap",
+        "alpha_id:a alpha_finv != alpha_finv on the overlap"}
+
+
+def test_the_twisted_map_is_multiplicative_on_one_order_of_a_pair():
+    pa = _twisted_x22()
+    alg = pa.algebra
+    x12, x21 = alg.basis_vector(1), alg.basis_vector(2)
+
+    def holds(u, v):
+        return pa.alpha("s", alg.multiply(u, v)) == alg.multiply(
+            pa.alpha("s", u), pa.alpha("s", v))
+
+    assert not alg.commutative
+    assert holds(x12, x21) and not holds(x21, x12)
+    assert validate_partial_action(pa).violations == (
+        Violation("NotRingIso", "map of s is not multiplicative on its ideal"),)
+
+
+def test_a_noncommutative_algebra_tests_every_ordered_pair(monkeypatch):
+    # on M_2 x M_2 the multiplicativity of alpha_s is tested on all 64
+    # ordered pairs of basis rows; only commutative A skips the reversed ones
+    pa = load_action("conj_swap_m2_q.json")
+    alg = pa.algebra
+    basis = {alg.basis_vector(i): i for i in range(alg.dim)}
+    pairs = set()
+    multiply = Algebra.multiply
+
+    def recorded(self, x, y):
+        if x in basis and y in basis:
+            pairs.add((basis[x], basis[y]))
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(Algebra, "multiply", recorded)
+    assert validate_partial_action(pa).ok
+    assert not alg.commutative
+    assert pairs == {(i, j) for i in range(alg.dim) for j in range(alg.dim)}
 
 
 # -- the pull-back of each pair's idempotent -------------------------------------------------

@@ -17,6 +17,7 @@ from skewalg.separability import (EmptyHomSet, NotGlobal, SeparabilityError,
                                   trace_invariant_suite, trace_total)
 from skewalg.skew_ring import (build_skew_ring, psi_coords, psi_left, psi_multiply,
                                psi_right, psi_tensor_dim, ring_generators)
+from skewalg.cli import main
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
@@ -30,6 +31,7 @@ from conftest import (INSTANCE_DIR, RING_48, ambient_product, basis_oracle_solut
                       reference_separability_checks, reference_square,
                       restricted_action, restricted_component_family, ring_coords,
                       ring_isotropy_iso, side_matrix, square_certificate)
+from test_algebra import matrix_algebra_2x2
 from test_skewring import closed_form_corpus
 
 Q = Field.rationals()
@@ -99,6 +101,43 @@ def test_trace_invariants_read_false_on_unvalidated_actions():
         suite = trace_invariant_suite(pa)
         assert not suite[broken] and suite[kept]
         assert not pa.validate().ok
+
+
+def test_the_bimodule_invariant_reads_right_multiplications_on_noncommutative_a():
+    # the stored identity map R_{E11} of M_2(Q) commutes with every L_x but
+    # not with R_x for its fixed point x = E21, since E21 E11 != E11 E21
+    alg = matrix_algebra_2x2()
+    pa = PartialAction(build_groupoid(["e"], [], [], []), alg, {"id:e": alg.unit},
+                       {"id:e": alg.right_mul_matrix(alg.basis_vector(0))})
+    assert alg.basis_vector(2) in invariant_subring(pa, "e", "e").rows
+    assert not trace_invariant_suite(pa)["trace_invariant_bimodule_linear"]
+    assert not pa.validate().ok
+
+
+def test_the_traces_report_and_the_suite_build_each_trace_matrix_once(monkeypatch, capsys):
+    # `traces` builds each t_ij, t_j and the total once, columns from
+    # `_trace_image`, and the suite reads them back; the suite run on its
+    # own gives the report's invariants
+    built = []
+    image = separability._trace_image
+
+    def counted(pa, arrows, v):
+        built.append(arrows)
+        return image(pa, arrows, v)
+
+    for path in sorted(INSTANCE_DIR.glob("*.json")):
+        pa = load_action(path.name)
+        g_oid = pa.groupoid
+        sums = {g_oid.morphisms} | {g_oid.arrows_into(j) for j in g_oid.objects} | {
+            g_oid.hom_set(i, j) for cls in g_oid.connected_components().classes
+            for i in cls for j in cls}
+        monkeypatch.setattr(separability, "_trace_image", counted)
+        built.clear()
+        assert main(["traces", str(path)]) == 0
+        monkeypatch.undo()
+        report = json.loads(capsys.readouterr().out)
+        assert len(built) == len(sums) * pa.algebra.dim and set(built) == sums
+        assert trace_invariant_suite(pa) == report["invariants"]
 
 
 # -- invariant subrings ----------------------------------------------------------------
