@@ -430,6 +430,11 @@ class Echelonizer:
         insort(self.pivots, piv)
         return True
 
+    def entries(self, pivot: int, cols) -> tuple:
+        """The entries at `cols` of the reduced row whose pivot is `pivot`."""
+        row = self._rows[pivot]
+        return tuple(row.get(j, self.field.zero) for j in cols)
+
     def to_echelon(self) -> "Echelon":
         zero = self.field.zero
         dense = []

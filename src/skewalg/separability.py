@@ -7,7 +7,10 @@ solves that affine system for each component [e] over Z(A) u_[e], u_[e] the
 sum of its object idempotents, in A's own coordinates; a positive answer
 yields an explicit separability idempotent in the tensor square, held as
 its psi blocks and verified against the definition with the closed-form psi
-actions of `skew_ring`.
+actions of `skew_ring`.  Each block and each component is eliminated once:
+the certificate reads its summand coefficients off the tag rows that
+`psi_block` keeps, and a lone component's solution set is canonical as
+`solve_affine` returns it, mapped through the center basis.
 Over Q a witness usually has denominators (1/2, 1/m), and every cached
 product or alpha-image of a `Fraction` vector is slow to hash, so the
 witness and certificate checks run on d a instead, d the least common
@@ -47,9 +50,8 @@ from dataclasses import dataclass
 from .linalg import (AffineSolutionSet, Echelon, LinalgError, Matrix, echelon,
                      kernel, solve_affine, vadd)
 from .partial_action import PartialAction
-from .skew_ring import (TensorOverA, psi_block, psi_coords, psi_left,
-                        psi_multiply, psi_right, psi_tensor_dim, ring_generators,
-                        skew_product, tensor_over)
+from .skew_ring import (TensorOverA, psi_block, psi_left, psi_multiply, psi_right,
+                        psi_tensor_dim, ring_generators, skew_product, tensor_over)
 
 
 class SeparabilityError(Exception):
@@ -108,8 +110,9 @@ def _trace_image(pa: PartialAction, arrows, v) -> tuple:
 
 
 def _scaled(field, c, v) -> tuple:
-    """c v for a scalar c; v itself when c = 1."""
-    return tuple(v) if c == 1 else field.reduce_vec(c * x for x in v)
+    """c v for a scalar c; v itself when c = 1.  Only the nonzero entries are
+    multiplied: over Q a zero times a `Fraction` is a `Fraction` to reduce."""
+    return tuple(v) if c == 1 else field.reduce_vec(c * x if x else x for x in v)
 
 
 def _cleared(field, a) -> tuple:
@@ -134,14 +137,17 @@ def is_witness(pa: PartialAction, a) -> bool:
 
 def invariant_subring(pa: PartialAction, i, j) -> Echelon:
     """Basis of {a : alpha_g(a 1_{g^-1}) == a 1_g for all arrows g from i to j};
-    with no such arrow the system has no rows and its kernel is all of A."""
+    with no such arrow the system has no rows and its kernel is all of A.
+    `kernel` returns the canonical reduced echelon basis, so it is taken as
+    it is, each row's pivot its first nonzero entry."""
     alg = pa.algebra
     rows = []
     for g in pa.groupoid.hom_set(i, j):
         delta = pa.matrix(g) - alg.right_mul_matrix(pa.idem(g))
         rows.extend(delta.data)
-    return echelon(alg.field, kernel(Matrix._trusted(alg.field, tuple(rows), alg.dim)),
-                   alg.dim)
+    basis = kernel(Matrix._trusted(alg.field, tuple(rows), alg.dim))
+    return Echelon(alg.field, alg.dim, basis,
+                   tuple(next(c for c, x in enumerate(r) if x) for r in basis))
 
 
 # -- verdicts and certificates -----------------------------------------------------
@@ -205,6 +211,17 @@ def _component_family(pa: PartialAction, cls, solve_at) -> AffineSolutionSet:
     alpha_g kills A (1 - 1_{g^-1}), so t_f(a) = t_f(a u).  The system is
     therefore solved over the (cached) center of A and its solutions are cut
     down by u.
+
+    When u = 1 (the component is the only one) there is no cut, and the
+    solution set of `solve_affine`, canonical over the center basis, maps to
+    a canonical one in A's coordinates: the center basis z_1, ..., z_r is a
+    reduced echelon basis (a kernel's, or the standard basis), with pivots
+    q_1 < ... < q_r, and c |-> sum c_i z_i sends a reduced echelon row with
+    pivot p to a row zero left of q_p and 1 at q_p, whose entry at each q_i
+    is c_i.  So the images of the kernel rows are a reduced echelon basis,
+    with pivots q_p, and the particular solution, zero at the kernel's
+    pivots p, maps to a vector zero at the q_p; the map is injective, so
+    this is the solution set, in the one canonical form.
     """
     alg = pa.algebra
     field = alg.field
@@ -222,6 +239,9 @@ def _component_family(pa: PartialAction, cls, solve_at) -> AffineSolutionSet:
     u = alg.zero()
     for f in cls:
         u = vadd(field, u, pa.obj_idem(f))
+    if u == alg.unit:
+        return AffineSolutionSet(cmat.apply(sol.particular),
+                                 tuple(cmat.apply(k) for k in sol.kernel_basis), field)
 
     def cut(c):
         return alg.multiply(cmat.apply(c), u)
@@ -258,8 +278,10 @@ def _decide(pa: PartialAction, transversal_only: bool) -> SeparabilityVerdict:
             kern.extend(full.kernel_basis)
     if not separable:
         return SeparabilityVerdict(False, tuple(per), None, None)
+    # a lone component's family is canonical already (`_component_family`)
+    family = (per[0].witness_family if len(per) == 1
+              else _canonical_family(alg.field, alg.dim, witness, kern))
     # `build_certificate` checks the witness on the whole trace system
-    family = _canonical_family(alg.field, alg.dim, witness, kern)
     cert = build_certificate(pa, family.particular, family=family)
     return SeparabilityVerdict(True, tuple(per), family.particular, cert)
 
@@ -283,7 +305,10 @@ def build_certificate(pa: PartialAction, a,
     held as its psi blocks (`idempotent_blocks`), verified against the
     definition (`separability_checks`) and written out as the canonical
     representative: in each block, the free pairs of `psi_block` with the
-    coordinates of the block's psi-image over their psi-images.  Over Q all
+    coordinates of the block's psi-image y over their psi-images, which are
+    sum_p y[p] inverse[p] over the pivots p of `psi_block` (y lies in the
+    block's image, whose reduced echelon rows `inverse` writes over the
+    free images, and y is sum_p y[p] times the row at p).  Over Q all
     of this runs on integral vectors: the witness check on d_a a, d_a the
     least common denominator of a, and the checks and coordinates on the
     blocks y = d x of d = d_a d_b, d_b that of the blocks of d_a a; the
@@ -306,14 +331,18 @@ def build_certificate(pa: PartialAction, a,
     dinv = field.inv(d)
     summands = []
     for (g, h), y in scaled.items():
-        images, kinds, free, pivots = psi_block(pa, g, h)
-        basis = [images[kinds[f]] for f in free]
+        _, _, free, pivots, inverse = psi_block(pa, g, h)
         us, ws = pa.ideal(g).rows, pa.ideal(h).rows
-        coords = _scaled(field, dinv, psi_coords(field, pivots, basis, [y]).data[0])
-        for f, c in zip(free, coords):
+        coords = [field.zero] * len(free)
+        for p, row in zip(pivots, inverse):
+            if y[p]:
+                for f, x in enumerate(row):
+                    if x:
+                        coords[f] += y[p] * x
+        for f, c in zip(free, _scaled(field, dinv, field.reduce_vec(coords))):
             if c:
                 i, j = divmod(f, len(ws))
-                summands.append((g, field.reduce_vec(c * x for x in us[i]), h, ws[j]))
+                summands.append((g, _scaled(field, c, us[i]), h, ws[j]))
     blocks = {pair: _scaled(field, dinv, y) for pair, y in scaled.items()}
     if family is None:
         family = AffineSolutionSet(a, (), field)

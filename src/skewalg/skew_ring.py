@@ -17,8 +17,11 @@ basis element v d_k and the dimension have closed forms there.  A block's
 canonical representatives are the basis pairs chosen greedily from the
 right whose psi-images are independent (`psi_block`), the free columns of
 the reduced echelon form of the balancing relations
-(b.a (x) b') - (b (x) a.b'), never built.  `TensorOverA` holds those of the
-blocks (g, g^-1), the oracle's unknowns, with their psi-images.  Nothing
+(b.a (x) b') - (b (x) a.b'), never built.  The same elimination, with a
+tag column per image, also writes the block's image over them, so an
+element's coordinates on the representatives need no second elimination.
+`TensorOverA` holds those of the blocks (g, g^-1), the oracle's unknowns,
+with their psi-images.  Nothing
 here reads the ring table for the square: that every basis-pair product is
 its psi-image at d_{gh} is checked by the tests against the table.
 """
@@ -26,9 +29,11 @@ its psi-image at d_{gh} is checked by the tests against the table.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
+from collections import Counter
 
 from .algebra import nonassociative_triple, table_product
-from .linalg import Echelonizer, Matrix, echelon, vadd
+from .linalg import Echelonizer, Matrix, vadd
 from .partial_action import PartialAction
 
 DEFAULT_MAX_TENSOR_DIM = 4096
@@ -178,16 +183,39 @@ def build_skew_ring(action: PartialAction) -> SkewRing:
 
 
 def psi_block(act: PartialAction, g, h) -> tuple:
-    """The psi-images of the basis pairs of block (g, h) and the free pairs.
+    """The psi-images of the basis pairs of block (g, h), the free pairs and
+    the change of basis from the block's image to the free pairs.
 
     Pair j = i * dim A_h + l is (ideal(g).rows[i], ideal(h).rows[l]).
-    Returns (images, kinds, free, pivots): the distinct psi-images
+    Returns (images, kinds, free, pivots, inverse): the distinct psi-images
     u alpha_g(w 1_{g^-1}) in order of first occurrence, the index in `images`
-    of each pair, the free pairs in increasing order, and the pivots of the
-    reduced echelon form of their images.  Scanning from the right, a pair is
-    free when its image is independent of the images of the pairs to its
-    right; only the rightmost pair with a given image can be free.  The
-    result is kept on the action, as plain tuples, next to its alpha-images.
+    of each pair, the free pairs in increasing order, the pivots of the
+    reduced echelon form of their images, and, for each pivot p, the row
+    over the free pairs that writes the echelon row at p as a combination
+    of their images.  Scanning from the right, a pair is free when its image
+    is independent of the images of the pairs to its right; only the
+    rightmost pair with a given image can be free.  The coordinates over
+    the free images of a vector y of the block's image are then
+    sum_p y[p] inverse[p]: `inverse` is the inverse of the free images read
+    at the pivots.
+
+    One elimination gives all of it.  Each nonzero image tried goes into the
+    `Echelonizer` with a unit tag column appended, the tag of each newly
+    tried image left of every earlier tag, and every tag right of A's
+    columns.  The image columns come first, so they reduce exactly as the
+    images alone would: the pivots among them, and whether an image enlarged
+    their span, are those of the images.  An image in the span of the earlier
+    ones leaves an inert row, zero on A's columns, whose pivot is its own tag:
+    the earlier rows carry only earlier tags, all right of it.  No later row
+    is reduced against an inert row (it carries no tag but its own new one
+    at insertion) and no inert row is changed (it is zero at every image
+    pivot), so the rows with an image pivot carry the tags of free pairs
+    alone.  Every row is a combination of the tagged images, with the
+    coefficients in its tag part; an image-pivot row's tags are free, so its
+    tag part writes it over the free images.  The free tags run left to
+    right in increasing pair order, as the tags are given right to left.
+    The result is kept on the action, as plain tuples, next to its
+    alpha-images.
     """
     kept = act._psi_blocks.get((g, h))
     if kept is not None:
@@ -203,32 +231,28 @@ def psi_block(act: PartialAction, g, h) -> tuple:
             if k == len(images):
                 images.append(y)
             kinds.append(k)
-    ech = Echelonizer(alg.field, alg.dim)
-    free = []
+    n = alg.dim
+    width = sum(1 for y in images if any(y))
+    ech = Echelonizer(alg.field, n + width)
+    zeros = (alg.field.zero,) * width
+    free, free_tags = [], []
     tried = set()
     for j in range(len(kinds) - 1, -1, -1):
         k = kinds[j]
         if k not in tried:
             tried.add(k)
-            if any(images[k]) and ech.insert(images[k]):
-                free.append(j)
-    kept = act._psi_blocks[g, h] = (tuple(images), tuple(kinds), tuple(reversed(free)),
-                                    tuple(ech.pivots))
+            if any(images[k]):
+                width -= 1                  # this image's tag column is n + width
+                ech.insert(images[k] + zeros[:width] + (alg.field.one,) + zeros[width + 1:])
+                if bisect_left(ech.pivots, n) > len(free):
+                    free.append(j)
+                    free_tags.append(n + width)
+    pivots = ech.pivots[:len(free)]
+    free.reverse()
+    free_tags.reverse()
+    kept = act._psi_blocks[g, h] = (tuple(images), tuple(kinds), tuple(free), tuple(pivots),
+                                    tuple(ech.entries(p, free_tags) for p in pivots))
     return kept
-
-
-def psi_coords(field, pivots, basis, vectors) -> Matrix:
-    """The coordinates over `basis` (rows) of each vector in its span.
-
-    With B and Y the basis and the vectors read at the `pivots` of their
-    span, the coordinates X solve X B = Y; B is invertible, so the reduced
-    echelon form of [B^T | Y^T] is [I | X^T], one elimination.
-    """
-    n = len(pivots)
-    red = echelon(field, (tuple(b[p] for b in basis) + tuple(y[p] for y in vectors)
-                          for p in pivots), n + len(vectors))
-    return Matrix._trusted(field, tuple(tuple(r[n + k] for r in red.rows)
-                                        for k in range(len(vectors))), n)
 
 
 def ring_generators(act: PartialAction) -> list:
@@ -252,16 +276,25 @@ def ring_generators(act: PartialAction) -> list:
 
 
 def psi_tensor_dim(act: PartialAction) -> int:
-    """dim (A*G) (x)_A (A*G): the sum of dim A 1_g 1_{gh} over composable (g, h);
-    1_g 1_{gh} is 1_g itself when the two idempotents are equal."""
+    """dim (A*G) (x)_A (A*G): the sum of dim A 1_g 1_{gh} over composable (g, h).
+
+    h |-> gh is a bijection from the arrows h composable with g onto the
+    arrows f into tgt g (its inverse is f |-> g^-1 f), so the sum runs over
+    the pairs (g, f) of arrows into each object e as the sum of
+    dim A 1_g 1_f.  That term depends on the two domain idempotents alone, so
+    it is read once per distinct pair of them at e and counted with the
+    product of their multiplicities; 1_g 1_f is 1_g itself when the two are
+    equal.
+    """
     alg = act.algebra
     g_oid = act.groupoid
-
-    def meet(e, f) -> tuple:
-        return e if e == f else alg.multiply(e, f)
-
-    return sum(alg.ideal_basis(meet(act.idem(g), act.idem(g_oid.compose[(g, h)]))).dim
-               for g, h in g_oid.composable_pairs())
+    total = 0
+    for e in g_oid.objects:
+        counts = Counter(act.idem(g) for g in g_oid.arrows_into(e))
+        for p, m in counts.items():
+            for q, n in counts.items():
+                total += m * n * alg.ideal_basis(p if p == q else alg.multiply(p, q)).dim
+    return total
 
 
 def _collect(field, terms) -> dict:
@@ -338,7 +371,7 @@ class TensorOverA:
         columns = []
         for g in g_oid.morphisms:
             if action.ideal(g).dim:
-                images, kinds, free, _ = psi_block(action, g, g_oid.inv(g))
+                images, kinds, free, _, _ = psi_block(action, g, g_oid.inv(g))
                 columns.extend((g, j, images[kinds[j]]) for j in free)
         self.columns = tuple(columns)
 

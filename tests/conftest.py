@@ -15,8 +15,7 @@ from skewalg.instances import load_instance, parse_instance
 from skewalg.linalg import DimensionMismatch, echelon, kernel, vadd
 from skewalg.separability import (SeparabilityCertificate, WitnessInvalid,
                                   idempotent_blocks, trace_into)
-from skewalg.skew_ring import (psi_block, psi_coords, psi_left, psi_multiply,
-                              psi_right, psi_tensor_dim)
+from skewalg.skew_ring import psi_block, psi_left, psi_multiply, psi_right
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -727,6 +726,88 @@ def reference_is_witness(pa: PartialAction, a) -> bool:
         trace_into(pa, e).apply(a) == pa.obj_idem(e) for e in pa.groupoid.objects)
 
 
+def greedy_psi_block(pa: PartialAction, g, h) -> tuple:
+    """Reference for the first four parts of `psi_block`, (images, kinds,
+    free, pivots): the images alone go into the elimination, with no tag
+    columns, and a pair is free when its image enlarged their span, in
+    the dense elimination `DenseEchelonizer`."""
+    alg = pa.algebra
+    moved = [pa.alpha(g, w) for w in pa.ideal(h).rows]
+    images, kinds = [], []
+    for u in pa.ideal(g).rows:
+        for m in moved:
+            y = alg.multiply(u, m)
+            if y not in images:
+                images.append(y)
+            kinds.append(images.index(y))
+    ech = DenseEchelonizer(alg.field, alg.dim)
+    free = []
+    tried = set()
+    for j in range(len(kinds) - 1, -1, -1):
+        k = kinds[j]
+        if k not in tried:
+            tried.add(k)
+            if any(images[k]) and ech.insert(images[k]):
+                free.append(j)
+    return tuple(images), tuple(kinds), tuple(reversed(free)), tuple(ech.pivots)
+
+
+def psi_coords(field, pivots, basis, vectors) -> Matrix:
+    """Reference for the `inverse` of `psi_block`: the coordinates over
+    `basis` (rows) of each vector in its span, by a second elimination.
+
+    With B and Y the basis and the vectors read at the `pivots` of their
+    span, the coordinates X solve X B = Y; B is invertible, so the reduced
+    echelon form of [B^T | Y^T] is [I | X^T], one elimination.
+    """
+    n = len(pivots)
+    red = echelon(field, (tuple(b[p] for b in basis) + tuple(y[p] for y in vectors)
+                          for p in pivots), n + len(vectors))
+    return Matrix._trusted(field, tuple(tuple(r[n + k] for r in red.rows)
+                                        for k in range(len(vectors))), n)
+
+
+def pair_sum_tensor_dim(pa: PartialAction) -> int:
+    """Reference for `psi_tensor_dim`: the sum of dim A 1_g 1_{gh} over every
+    composable pair (g, h), one term per pair."""
+    alg = pa.algebra
+    g_oid = pa.groupoid
+
+    def meet(e, f) -> tuple:
+        return e if e == f else alg.multiply(e, f)
+
+    return sum(alg.ideal_basis(meet(pa.idem(g), pa.idem(g_oid.compose[(g, h)]))).dim
+               for g, h in g_oid.composable_pairs())
+
+
+def cut_component_family(pa: PartialAction, cls, solve_at) -> AffineSolutionSet:
+    """Reference for `ComponentVerdict.witness_family`: the trace system of
+    `solve_at` over the center of A, its solutions cut down by u, the sum of
+    the 1_f over `cls`, and put in canonical form by a fresh elimination,
+    whether or not u is the unit."""
+    alg = pa.algebra
+    field = alg.field
+    center = alg.center_basis()
+    cmat = Matrix.from_cols(field, list(center))
+    rows: list = []
+    rhs: list = []
+    for f in solve_at:
+        rows.extend((trace_into(pa, f) * cmat).data)
+        rhs.extend(pa.obj_idem(f))
+    sol = solve_affine(Matrix(field, rows, ncols=cmat.ncols), rhs)
+    if sol.is_empty:
+        return sol
+    u = alg.zero()
+    for f in cls:
+        u = vadd(field, u, pa.obj_idem(f))
+
+    def cut(c):
+        return alg.multiply(cmat.apply(c), u)
+
+    ke = echelon(field, [cut(k) for k in sol.kernel_basis], alg.dim)
+    return AffineSolutionSet(ke.reduce(cut(sol.particular)), ke.rows, field)
+
+
 def reference_build_certificate(pa: PartialAction, a,
                                 family: AffineSolutionSet | None = None
                                 ) -> SeparabilityCertificate:
@@ -744,7 +825,7 @@ def reference_build_certificate(pa: PartialAction, a,
               **reference_separability_checks(pa, blocks)}
     summands = []
     for (g, h), y in blocks.items():
-        images, kinds, free, pivots = psi_block(pa, g, h)
+        images, kinds, free, pivots, _ = psi_block(pa, g, h)
         basis = [images[kinds[f]] for f in free]
         us, ws = pa.ideal(g).rows, pa.ideal(h).rows
         for f, c in zip(free, psi_coords(alg.field, pivots, basis, [y]).data[0]):
@@ -753,7 +834,7 @@ def reference_build_certificate(pa: PartialAction, a,
                 summands.append((g, alg.field.reduce_vec(c * x for x in us[i]), h, ws[j]))
     if family is None:
         family = AffineSolutionSet(a, (), alg.field)
-    return SeparabilityCertificate(a, family, psi_tensor_dim(pa), blocks,
+    return SeparabilityCertificate(a, family, pair_sum_tensor_dim(pa), blocks,
                                    tuple(summands), checks)
 
 

@@ -624,7 +624,8 @@ def _in_field(f, rows) -> list:
 @settings(max_examples=200, deadline=None)
 def test_sparse_insert_matches_the_dense_insert(system):
     # row by row, in the order given: the same answer from insert, the same
-    # pivots after it, and the same reduced rows at the end
+    # pivots after it, and the same reduced rows at the end, densified or
+    # read entry by entry
     f, ncols, rows = system
     sparse, dense = Echelonizer(f, ncols), DenseEchelonizer(f, ncols)
     for r in rows:
@@ -633,6 +634,7 @@ def test_sparse_insert_matches_the_dense_insert(system):
     ech = sparse.to_echelon()
     assert ech.rows == tuple(dense.rows)
     assert ech.pivots == tuple(dense.pivots)
+    assert tuple(sparse.entries(p, range(ncols)) for p in sparse.pivots) == ech.rows
     if f.p:
         assert _residues(f.p, *ech.rows)
     else:

@@ -39,6 +39,7 @@ def test_counts_repeat_and_the_package_is_left_as_it_was(capsys):
         assert 0 < row["table_product"] <= row["multiply"]
         assert 0 < row["alpha_apply"] <= row["alpha"]
         assert 0 < row["useful"] <= row["inserts"]
+        assert row["eliminations"] > 0
         # the counted op prints the report an uncounted one prints
         capsys.readouterr()
         assert cli.main(op) == 0
@@ -50,5 +51,25 @@ def test_the_command_line_prints_a_row_per_op_and_the_mean(capsys):
     tool = load_tool()
     assert tool.main([shlex.join(op) for op in OPS]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split("\t")[:8] == ["op", "code", *tool.COUNTS]
+    assert lines[0].split("\t")[:2 + len(tool.COUNTS)] == ["op", "code", *tool.COUNTS]
     assert [line.split("\t")[0] for line in lines[1:]] == ["0", "1", "mean"]
+
+
+def test_eliminations_count_every_echelonizer_built():
+    # an Echelonizer built by any caller counts, a subclass's too, whether
+    # or not a row is inserted into it
+    tool = load_tool()
+    modules = tool.import_skewalg()
+    F = linalg.Field.rationals()
+
+    class Sub(linalg.Echelonizer):
+        pass
+
+    counts = dict.fromkeys(tool.COUNTS, 0)
+    with tool.counting(modules, counts):
+        linalg.Echelonizer(F, 2)
+        Sub(F, 3).insert((1, 2, 3))
+        linalg.echelon(F, [], 2)
+        linalg.kernel(linalg.Matrix.identity(F, 2))
+    assert counts["eliminations"] == 5
+    assert counts["inserts"] == 3

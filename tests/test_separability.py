@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from skewalg import Algebra, Field, Matrix, PartialAction, build_groupoid
+from skewalg import (AffineSolutionSet, Algebra, Field, Matrix, PartialAction,
+                     build_groupoid)
 from skewalg.linalg import echelon, solve_affine, vadd
 from skewalg.separability import (EmptyHomSet, NotGlobal, SeparabilityError,
                                   WitnessInvalid, build_certificate, decide_global,
@@ -15,15 +16,15 @@ from skewalg.separability import (EmptyHomSet, NotGlobal, SeparabilityError,
                                   oracle_separability, separability_checks,
                                   trace_between, trace_into,
                                   trace_invariant_suite, trace_total)
-from skewalg.skew_ring import (build_skew_ring, psi_coords, psi_left, psi_multiply,
-                               psi_right, psi_tensor_dim, ring_generators)
+from skewalg.skew_ring import (build_skew_ring, psi_left, psi_multiply, psi_right,
+                               psi_tensor_dim, ring_generators)
 from skewalg.cli import main
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
 import skewalg.separability as separability
 from conftest import (INSTANCE_DIR, RING_48, ambient_product, basis_oracle_solutions,
-                      column_blocks,
+                      column_blocks, cut_component_family,
                       column_pairs, column_products, dense_oracle_system, from_coords,
                       full_oracle_system, global_skeleton, glue_components, intersect,
                       lift, load_action, product_classes, psi_of, psi_pair, pure_tensor,
@@ -32,7 +33,7 @@ from conftest import (INSTANCE_DIR, RING_48, ambient_product, basis_oracle_solut
                       restricted_action, restricted_component_family, ring_coords,
                       ring_isotropy_iso, side_matrix, square_certificate)
 from test_algebra import matrix_algebra_2x2
-from test_skewring import closed_form_corpus
+from test_skewring import closed_form_corpus, psi_corpus
 
 Q = Field.rationals()
 
@@ -166,6 +167,22 @@ def test_isotropy_invariants_match_restricted_computation(flip_q, bridge, pair_s
                               invariant_subring(iso, e, e).rows],
                              pa.algebra.dim)
             assert ambient == lifted
+
+
+def test_invariant_subrings_are_the_kernels_canonical_basis():
+    # kernel's rows are the canonical reduced echelon basis already: a
+    # second elimination of them gives the same rows and pivots
+    count = 0
+    for pa in psi_corpus():
+        field, dim = pa.algebra.field, pa.algebra.dim
+        for cls in pa.groupoid.connected_components().classes:
+            for i in cls:
+                for j in cls:
+                    inv = invariant_subring(pa, i, j)
+                    again = echelon(field, inv.rows, dim)
+                    assert (repr(inv.rows), inv.pivots) == (repr(again.rows), again.pivots)
+                    count += 1
+    assert count > 150
 
 
 # -- the decision ---------------------------------------------------------------------------
@@ -618,36 +635,57 @@ def test_the_dense_system_is_block_diagonal_over_product_classes():
 
 
 @pytest.mark.parametrize("name", ["partial_bridge_q.json", "ring 48"])
-def test_the_oracle_builds_no_change_of_basis(name, monkeypatch, tmp_path, capsys):
-    # the oracle reads psi-images only, so it calls psi_coords for no block
-    # (it called it once per composable block with free pairs); a whole
-    # --oracle run calls it only for the certificate, once per nonzero
-    # block (g, g^-1) of the idempotent
-    from skewalg import cli, separability, skew_ring
+def test_the_certificate_builds_no_elimination_once_the_blocks_are_kept(
+        name, monkeypatch, tmp_path, capsys):
+    # the summand coordinates are read off psi_block's own elimination, so
+    # once the oracle has kept the blocks (g, g^-1), build_certificate builds
+    # no Echelonizer (it built one per nonzero block of the idempotent, in a
+    # second elimination of each block's images), in a whole --oracle run
+    # too, which runs the oracle first; on these one-component actions the
+    # decision builds only the two of `solve_affine`, the trace system's and
+    # its null space's (it built two more to put the family in canonical form)
+    from skewalg import cli, linalg
 
     if name == "ring 48":
         path = tmp_path / "ring48.json"
         path.write_text(json.dumps(skeleton_to_instance(RING_48, "Q")))
     else:
         path = INSTANCE_DIR / name
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return psi_coords(*args)
-
-    monkeypatch.setattr(skew_ring, "psi_coords", counted)
-    monkeypatch.setattr(separability, "psi_coords", counted)
     pa = parse_instance(json.loads(path.read_text())).action
+    assert len(pa.groupoid.connected_components().classes) == 1
     assert oracle_separability(pa).separable
-    assert calls == []
-    blocks = decide_separability(pa).certificate.blocks
     inv = pa.groupoid.inv
-    assert blocks and all(h == inv(g) for g, h in blocks)
-    calls.clear()
+    assert set(pa._psi_blocks) == {(g, inv(g)) for g in pa.groupoid.morphisms
+                                   if pa.ideal(g).dim}
+    built = []
+    init = linalg.Echelonizer.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(linalg.Echelonizer, "__init__", counted)
+    verdict = decide_separability(pa)
+    assert len(built) == 2
+    built.clear()
+    cert = build_certificate(pa, verdict.witness, verdict.certificate.witness_family)
+    assert built == []
+    assert cert == verdict.certificate and cert.ok
+    assert cert.blocks and all(h == inv(g) for g, h in cert.blocks)
+
+    inside = []
+    certify = separability.build_certificate
+
+    def watched(*args, **kwargs):
+        before = len(built)
+        out = certify(*args, **kwargs)
+        inside.append(len(built) - before)
+        return out
+
+    monkeypatch.setattr(separability, "build_certificate", watched)
     assert cli.main(["separability", str(path), "--oracle"]) == 0
     capsys.readouterr()
-    assert len(calls) == len(blocks)
+    assert inside == [0]
 
 
 def test_oracle_on_the_ring_48_skeleton():
@@ -924,6 +962,55 @@ def assert_families_match_restricted_route(pa):
         for comp in decide(pa).per_component:
             assert comp.witness_family == restricted_component_family(
                 pa, comp.objects, comp.solved_objects), (decide.__name__, comp.objects)
+
+
+def test_component_families_match_the_cut_route():
+    # a lone component's family is solve_affine's set mapped through the
+    # center basis, with no cut and no second elimination, and the verdict
+    # keeps it as it is; several components keep the cut.  Each family, and
+    # the verdict's, equals the route that cuts and canonicalises every one
+    lone = several = 0
+    for pa in psi_corpus():
+        deciders = (decide_separability, decide_global) if pa.is_global() else \
+            (decide_separability,)
+        for decide in deciders:
+            verdict = decide(pa)
+            field, dim = pa.algebra.field, pa.algebra.dim
+            refs = [cut_component_family(pa, comp.objects, comp.solved_objects)
+                    for comp in verdict.per_component]
+            for comp, ref in zip(verdict.per_component, refs):
+                assert repr(comp.witness_family) == repr(ref), (decide.__name__, comp.objects)
+            if len(refs) == 1:
+                lone += 1
+            else:
+                several += 1
+            if verdict.separable:
+                witness = pa.algebra.zero()
+                for ref in refs:
+                    witness = vadd(field, witness, ref.particular)
+                ke = echelon(field, [k for ref in refs for k in ref.kernel_basis], dim)
+                expected = AffineSolutionSet(ke.reduce(witness), ke.rows, field)
+                assert repr(verdict.certificate.witness_family) == repr(expected)
+                assert verdict.witness == expected.particular
+    assert lone >= 100 and several >= 60
+
+
+def test_several_components_still_take_the_cut(monkeypatch):
+    # u_[e] = 1 only on a lone component; with several, each solved family
+    # is cut and put in canonical form, and so is their sum
+    calls = []
+    original = separability._canonical_family
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(separability, "_canonical_family", spy)
+    for name, expected in (("two_components_q.json", 3), ("two_components_gf2.json", 1),
+                           ("conj_swap_m2_q.json", 0), ("partial_bridge_q.json", 0)):
+        calls.clear()
+        decide_separability(load_action(name))
+        assert len(calls) == expected, name
 
 
 def test_decision_agrees_with_oracle_on_random_corpus():

@@ -1,22 +1,26 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewalg import (ActionError, Algebra, Field, Matrix, PartialAction,
-                     build_groupoid, skew_ring)
+                     build_groupoid, linalg, skew_ring)
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
+from skewalg.linalg import echelon, vadd
 from skewalg.separability import (decide_separability, oracle_separability,
                                   trace_between, trace_into, trace_total)
 from skewalg.skew_ring import (InvalidSizeCap, SkewRing, SkewRingError,
                                TensorTooLarge, build_skew_ring, psi_block,
-                               psi_coords, psi_tensor_dim, tensor_over)
+                               psi_tensor_dim, tensor_over)
 
 from conftest import (INSTANCE_DIR, component_blocks,
                       component_decomposition_failures, embedded,
-                      factoring_failures, from_coords, load_action,
-                      non_central_domain, reference_square, reference_trace_sum,
-                      relation_quotient, ring_coords, skew_mul)
+                      factoring_failures, from_coords, greedy_psi_block,
+                      instance_data, load_action, non_central_domain,
+                      pair_sum_tensor_dim, psi_coords, reference_square,
+                      reference_trace_sum, relation_quotient, ring_coords, skew_mul)
 from test_algebra import matrix_algebra_2x2
 
 Q = Field.rationals()
@@ -404,9 +408,10 @@ def test_psi_blocks_are_kept_on_the_action_and_shared(monkeypatch):
         tensor_over(pa)
         kept = dict(pa._psi_blocks)
         assert set(kept) == {(g, g_oid.inv(g)) for g in g_oid.morphisms if pa.ideal(g).dim}
-        for images, kinds, free, pivots in kept.values():
-            assert all(type(part) is tuple for part in (images, kinds, free, pivots))
-            assert all(type(y) is tuple for y in images)
+        for images, kinds, free, pivots, inverse in kept.values():
+            assert all(type(part) is tuple
+                       for part in (images, kinds, free, pivots, inverse))
+            assert all(type(y) is tuple for y in images + inverse)
         inserts.clear()
         verdict = decide_separability(pa)
         assert inserts == []
@@ -426,7 +431,7 @@ def test_psi_coords_solve_against_the_inverse():
         for g in g_oid.morphisms:
             if not pa.ideal(g).dim:
                 continue
-            images, kinds, free, pivots = psi_block(pa, g, g_oid.inv(g))
+            images, kinds, free, pivots, _ = psi_block(pa, g, g_oid.inv(g))
             basis = [images[kinds[f]] for f in free]
             ys = []
             for _ in range(3):
@@ -440,6 +445,114 @@ def test_psi_coords_solve_against_the_inverse():
 
             assert (psi_coords(field, pivots, basis, ys) ==
                     at_pivots(ys) * at_pivots(basis).inverse())
+
+
+def m2_corpus():
+    """M_2(k) under the trivial action, and M_2(k) x M_2(k) under the
+    conjugated swap of conj_swap_m2_q, over Q, GF(2) and GF(3)."""
+    data = instance_data("conj_swap_m2_q.json")
+    for field in (Q, Field.prime(2), Field.prime(3)):
+        yield _trivial_action_on(matrix_algebra_2x2(field))
+        yield parse_instance({**data, "field": str(field)}).action
+
+
+def psi_corpus():
+    """The closed-form corpus (which holds the actions of
+    `fuzz --seed 1 --count 25`) and the M_2 corpus."""
+    yield from closed_form_corpus()
+    yield from m2_corpus()
+
+
+def composable_blocks(pa):
+    """The blocks (g, h), src g = tgt h, with A_g and A_h nonzero."""
+    g_oid = pa.groupoid
+    return [(g, h) for g, h in g_oid.composable_pairs()
+            if pa.ideal(g).dim and pa.ideal(h).dim]
+
+
+def test_psi_block_eliminates_once_and_matches_the_second_elimination(monkeypatch):
+    # the tagged elimination finds the free pairs and pivots of the images
+    # alone (`greedy_psi_block`), and its `inverse` is what psi_coords, a
+    # second elimination, gives for the echelon rows of the free images;
+    # some blocks have distinct nonzero images that are dependent, which
+    # leave inert rows
+    built = []
+    init = linalg.Echelonizer.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    count = inert = 0
+    for pa in psi_corpus():
+        field, n = pa.algebra.field, pa.algebra.dim
+        for g, h in composable_blocks(pa):
+            reference = greedy_psi_block(pa, g, h)
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg.Echelonizer, "__init__", counted)
+                images, kinds, free, pivots, inverse = psi_block(pa, g, h)
+            assert len(built) == 1
+            assert (images, kinds, free, pivots) == reference
+            basis = [images[kinds[f]] for f in free]
+            red = echelon(field, basis, n)
+            assert red.pivots == pivots
+            coords = psi_coords(field, pivots, basis, red.rows)
+            assert repr(Matrix._trusted(field, inverse, len(free))) == repr(coords)
+            count += 1
+            inert += sum(1 for y in images if any(y)) > len(free)
+    assert count > 1000 and inert > 5
+
+
+def test_psi_tensor_dim_matches_the_pair_sum():
+    # one term per distinct pair of domain idempotents into an object, times
+    # its multiplicity, against one term per composable pair
+    for pa in psi_corpus():
+        assert psi_tensor_dim(pa) == pair_sum_tensor_dim(pa)
+
+
+@pytest.fixture(scope="module")
+def corpus_blocks() -> list:
+    """(pa, g, h) for every block of the psi corpus."""
+    return [(pa, g, h) for pa in psi_corpus() for g, h in composable_blocks(pa)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_vectors_of_a_block_image_have_the_second_eliminations_coordinates(
+        corpus_blocks, data):
+    # y = sum c_f y_f over the free images: sum_p y[p] inverse[p] gives back
+    # c, as psi_coords does
+    pa, g, h = corpus_blocks[data.draw(st.integers(0, len(corpus_blocks) - 1))]
+    field = pa.algebra.field
+    images, kinds, free, pivots, inverse = psi_block(pa, g, h)
+    basis = [images[kinds[f]] for f in free]
+    c = [field.from_int(x) for x in data.draw(
+        st.lists(st.integers(-5, 5), min_size=len(free), max_size=len(free)))]
+    y = field.reduce_vec(sum(ci * b[a] for ci, b in zip(c, basis))
+                         for a in range(pa.algebra.dim))
+    got = field.reduce_vec(sum(y[p] * row[f] for p, row in zip(pivots, inverse))
+                           for f in range(len(free)))
+    assert got == tuple(c) == psi_coords(field, pivots, basis, [y]).data[0]
+
+
+def test_the_summands_of_a_certificate_rebuild_its_blocks():
+    # the psi-image u alpha_g(w 1_{g^-1}) of each summand (g, u, h, w), summed
+    # per block, is the certificate's block (g, h)
+    count = 0
+    for pa in psi_corpus():
+        verdict = decide_separability(pa)
+        if not verdict.separable:
+            continue
+        cert = verdict.certificate
+        alg = pa.algebra
+        rebuilt: dict = {}
+        for g, u, h, w in cert.summands:
+            y = alg.multiply(u, pa.alpha(g, w))
+            rebuilt[g, h] = vadd(alg.field, rebuilt[g, h], y) if (g, h) in rebuilt else y
+        assert rebuilt == cert.blocks
+        count += 1
+    assert count > 60
 
 
 def test_closed_form_matches_relation_quotient():

@@ -12,8 +12,9 @@ Around each op a few entry points are wrapped to count:
   any module that binds it;
 - `alpha`: calls of `PartialAction.alpha`; `alpha_apply`: the `Matrix.apply`
   calls made inside one, the alpha-images computed;
-- `inserts`: calls of `Echelonizer.insert`; `useful`: those that enlarged
-  the span.
+- `eliminations`: `Echelonizer` instances built, by any caller, one per
+  elimination; `inserts`: calls of `Echelonizer.insert`; `useful`: those
+  that enlarged the span.
 
 The counts repeat exactly for one checkout and one op list, so two
 checkouts compare without timing noise.  `--workload` generates the ops of
@@ -42,7 +43,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 BENCH = ROOT / "perfbench"
-COUNTS = ("multiply", "table_product", "alpha", "alpha_apply", "inserts", "useful")
+COUNTS = ("multiply", "table_product", "alpha", "alpha_apply", "eliminations", "inserts",
+          "useful")
 
 
 def import_skewalg():
@@ -61,7 +63,8 @@ def counting(modules: dict, counts: dict):
     algebra, linalg = modules["algebra"], modules["linalg"]
     action = modules["partial_action"].PartialAction
     originals = {"multiply": algebra.Algebra.multiply, "alpha": action.alpha,
-                 "apply": linalg.Matrix.apply, "insert": linalg.Echelonizer.insert}
+                 "apply": linalg.Matrix.apply, "init": linalg.Echelonizer.__init__,
+                 "insert": linalg.Echelonizer.insert}
     product = algebra.table_product
     sites = [(m, name) for m in modules.values()
              for name, value in vars(m).items() if value is product]
@@ -87,6 +90,10 @@ def counting(modules: dict, counts: dict):
         counts["alpha_apply"] += depth[0] > 0
         return originals["apply"](self, v)
 
+    def init(self, *args):
+        counts["eliminations"] += 1
+        originals["init"](self, *args)
+
     def insert(self, row):
         counts["inserts"] += 1
         grew = originals["insert"](self, row)
@@ -94,7 +101,8 @@ def counting(modules: dict, counts: dict):
         return grew
 
     patches = [(algebra.Algebra, "multiply", multiply), (action, "alpha", alpha),
-               (linalg.Matrix, "apply", apply), (linalg.Echelonizer, "insert", insert)]
+               (linalg.Matrix, "apply", apply), (linalg.Echelonizer, "__init__", init),
+               (linalg.Echelonizer, "insert", insert)]
     patches += [(m, name, table_product) for m, name in sites]
     saved = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
     try:
