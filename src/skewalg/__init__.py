@@ -12,8 +12,8 @@ from .partial_action import (ActionError, DecompositionRequired, PartialAction,
 from .separability import (ComponentVerdict, EmptyHomSet, IsotropyIso,
                            NotGlobal, OracleResult, SeparabilityCertificate,
                            SeparabilityVerdict, TransportResult,
-                           WitnessInvalid, build_certificate, decide_global,
-                           decide_separability, extract_witness,
+                           WitnessInvalid, build_certificate, cross_check,
+                           decide_global, decide_separability, extract_witness,
                            invariant_subring, is_witness, isotropy_transport_psi,
                            isotropy_witness_transport, oracle_separability,
                            trace_between, trace_into, trace_invariant_suite,

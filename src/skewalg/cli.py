@@ -32,11 +32,11 @@ from .groupoid import GroupoidError, validate_groupoid
 from .linalg import LinalgError
 from .partial_action import (ActionError, invariant_suite,
                              validate_partial_action)
-from .separability import (SeparabilityError, decide_global,
-                           decide_separability, extract_witness, is_witness,
-                           isotropy_transport_psi, isotropy_witness_transport,
-                           oracle_separability, trace_between, trace_into,
-                           trace_invariant_suite, trace_total)
+from .separability import (SeparabilityError, cross_check, decide_global,
+                           decide_separability, isotropy_transport_psi,
+                           isotropy_witness_transport, oracle_separability,
+                           trace_between, trace_into, trace_invariant_suite,
+                           trace_total)
 from .skew_ring import (InvalidSizeCap, SkewRingError, TensorTooLarge,
                         build_skew_ring)
 
@@ -208,17 +208,15 @@ def cmd_separability(args) -> tuple:
     if verdict.certificate is not None:
         ok = ok and verdict.certificate.ok
     if oracle is not None:
-        agree = oracle.separable == verdict.separable
+        agree, a, a_ok = cross_check(pa, verdict, oracle)
         report["oracle"] = {"separable": oracle.separable,
                             "tensor_dim": oracle.tensor.dim,
                             "agrees_with_decision": agree}
         ok = ok and agree
-        if oracle.separable:
-            a = extract_witness(pa, oracle.tensor, oracle.solutions.particular)
-            extracted_ok = is_witness(pa, a)
+        if a is not None:
             report["oracle"]["extracted_witness"] = _vec(a)
-            report["oracle"]["extracted_witness_ok"] = extracted_ok
-            ok = ok and extracted_ok
+            report["oracle"]["extracted_witness_ok"] = a_ok
+            ok = ok and a_ok
     if args.isotropy:
         transports = []
         for comp in verdict.per_component:

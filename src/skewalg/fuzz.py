@@ -20,8 +20,7 @@ import itertools
 import random
 
 from .instances import parse_instance
-from .separability import (decide_separability, extract_witness, is_witness,
-                           oracle_separability)
+from .separability import cross_check, decide_separability, oracle_separability
 
 # every fuzzed skeleton is checked over each of these fields
 FIELDS = ("Q", "GF(2)")
@@ -163,15 +162,14 @@ def run_differential(data: dict) -> dict:
     record["ring_dim"] = oracle.tensor.ring_dim
     record["decide_separable"] = verdict.separable
     record["oracle_separable"] = oracle.separable
-    record["agree"] = verdict.separable == oracle.separable
+    agree, a, a_ok = cross_check(pa, verdict, oracle)
+    record["agree"] = agree
     if verdict.separable:
         record["certificate_ok"] = verdict.certificate.ok
         record["agree"] = record["agree"] and verdict.certificate.ok
-    if oracle.separable:
-        a = extract_witness(pa, oracle.tensor, oracle.solutions.particular)
-        extraction_ok = is_witness(pa, a)
-        record["extracted_witness_ok"] = extraction_ok
-        record["agree"] = record["agree"] and extraction_ok
+    if a is not None:
+        record["extracted_witness_ok"] = a_ok
+        record["agree"] = record["agree"] and a_ok
     return record
 
 

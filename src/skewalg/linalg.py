@@ -30,18 +30,23 @@ the right factor's nonzero entries, cached the same way, so a product
 costs the nonzero pairs it multiplies; the zero rows of a product share one
 tuple.  Row reduction uses deterministic leftmost-pivot elimination so that
 every downstream basis, solution set and certificate is byte-reproducible.
-Every elimination (`kernel`, `solve_affine`, `Matrix.rank`,
-`Matrix.inverse`, `Matrix.rref`) goes through `echelon`, which returns the
-nonzero rows and pivots; only the public `Matrix.rref` pads them back to
-the original shape.  Its one core, `Echelonizer`, keeps the reduced rows
-sparse, as {column: value} over their nonzero entries, and `echelon`
-inserts the rows shortest first (fewest nonzero entries), so the early
-pivot rows stay short and later rows pick up little fill-in.  Tuples go
-in and come out: only the rows of the finished echelon form are dense.
-The order cannot change the result, because a row space has exactly one
-reduced echelon form (leftmost pivots, pivot entries 1, pivot columns
-cleared in every other row), whatever order its rows are taken in; every
-basis, `AffineSolutionSet` and certificate is a function of that form.
+Every elimination is built in this module, on one core, `Echelonizer`,
+which keeps the reduced rows sparse, as {column: value} over their nonzero
+entries, and goes through one of two functions.  `echelon` (behind
+`kernel`, `solve_affine`, `Matrix.rank` and `Matrix.rref`) returns the
+nonzero rows and pivots of a span; only the public `Matrix.rref` pads them
+back to the original shape.  It inserts the rows shortest first (fewest
+nonzero entries), so the early pivot rows stay short and later rows pick
+up little fill-in.  The order cannot change the result, because a row
+space has exactly one reduced echelon form (leftmost pivots, pivot entries
+1, pivot columns cleared in every other row), whatever order its rows are
+taken in; every basis, `AffineSolutionSet` and certificate is a function
+of that form.  `free_basis` (behind `Matrix.inverse`, the psi blocks of the
+tensor square and the validation's fallback preimage) scans vectors from
+the last, with a tag column each, and returns the free ones with the
+change of basis from their span's echelon rows to them; `free_coords`
+reads a vector's coordinates over the free ones off it.  Tuples go in and
+come out: only the rows of a finished echelon form are dense.
 `Echelonizer.insert` turns a zero row away before it eliminates anything,
 since a zero row cannot enlarge a span.
 `Echelon.contains` and `Echelon.coords` decide membership in any span by
@@ -363,17 +368,15 @@ class Matrix:
         return echelon(self.field, self.data, self.ncols).dim
 
     def inverse(self) -> "Matrix":
+        """M^-1, by `free_basis` on M's rows: when every row is free, the
+        pivots are 0..n-1, echelon row p is the unit vector e_p, and the
+        inverse row at p writes e_p over M's rows."""
         if self.nrows != self.ncols:
             raise DimensionMismatch("only square matrices invert")
-        n = self.nrows
-        one, zero = self.field.one, self.field.zero
-        # [M | I] has rank n; M is invertible iff the pivots are the first n columns
-        red = echelon(self.field,
-                      (r + tuple(one if i == j else zero for j in range(n))
-                       for i, r in enumerate(self.data)), 2 * n)
-        if red.pivots != tuple(range(n)):
+        free, _, inverse = free_basis(self.field, self.data, self.ncols)
+        if len(free) != self.nrows:
             raise LinalgError("matrix is singular")
-        return Matrix._trusted(self.field, tuple(r[n:] for r in red.rows), n)
+        return Matrix._trusted(self.field, inverse, self.nrows)
 
     def __repr__(self):
         return "Matrix(%s, %r)" % (self.field, [[str(x) for x in r] for r in self.data])
@@ -511,6 +514,63 @@ def echelon(field: Field, vectors: Iterable[Sequence], ncols: int) -> Echelon:
     for v in sorted(vectors, key=lambda v: len(v) - v.count(0)):
         ech.insert(v)
     return ech.to_echelon()
+
+
+def free_basis(field: Field, vectors: Sequence[tuple], ncols: int) -> tuple:
+    """The free vectors among `vectors`, scanned from the last, and the
+    change of basis from their span's reduced echelon form to them.
+
+    Returns (free, pivots, inverse): the indices i, in increasing order, of
+    the vectors independent of the vectors after them (so a zero vector, or
+    one equal to a later vector, is never free); the pivots of the reduced
+    echelon form of their span; and for each pivot p the row over the free
+    vectors, in the order of `free`, that writes the echelon row at p as a
+    combination of them.  A vector y of the span is then sum_p y[p] times
+    its echelon row, so its coordinates over the free vectors are
+    sum_p y[p] inverse[p] (`free_coords`).
+
+    One elimination gives all of it.  Vector i goes into one `Echelonizer`,
+    last first, with the unit tag column ncols + i appended, so each tag
+    lies left of the tags of the rows inserted before it, and every tag
+    right of the vectors' `ncols` columns.  Those columns come first, so
+    they reduce exactly as the vectors alone would: the pivots among them,
+    and whether a vector enlarged their span, are those of the vectors, and
+    a vector is free iff its row takes a pivot there.  A vector in the span
+    of the vectors after it (a zero vector too) leaves an inert row, zero
+    on the vectors' columns, whose pivot is its own tag: the earlier rows
+    carry only earlier tags, all right of it.  No later row is reduced
+    against an inert row (it carries no tag but its own new one at
+    insertion) and no inert row is changed (it is zero at every pivot among
+    the vectors' columns), so the rows with a pivot there carry the tags of
+    free vectors alone.  Every row is a combination of the tagged vectors,
+    with the coefficients in its tag part, so the tag part of a row with a
+    pivot among the vectors' columns, read at the free tags, writes it over
+    the free vectors.
+    """
+    n = len(vectors)
+    ech = Echelonizer(field, ncols + n)
+    zeros = (field.zero,) * n
+    free = []
+    for i in range(n - 1, -1, -1):
+        ech.insert(vectors[i] + zeros[:i] + (field.one,) + zeros[i + 1:])
+        if ech.pivots[len(free)] < ncols:
+            free.append(i)
+    free.reverse()
+    pivots = tuple(ech.pivots[:len(free)])
+    return tuple(free), pivots, tuple(ech.entries(p, [ncols + i for i in free]) for p in pivots)
+
+
+def free_coords(field: Field, pivots: tuple, inverse: tuple, y: Sequence) -> tuple:
+    """The coordinates over the free vectors of `free_basis` of a vector y of
+    their span: sum_p y[p] inverse[p] over the pivots p."""
+    out = [field.zero] * len(pivots)
+    for p, row in zip(pivots, inverse):
+        c = y[p]
+        if c:
+            for f, x in enumerate(row):
+                if x:
+                    out[f] += c * x
+    return field.reduce_vec(out)
 
 
 def _null_space(field: Field, red_rows, pivots, ncols: int) -> Echelon:

@@ -7,7 +7,7 @@ With that convention the stored matrix computes a |-> alpha_g(a * 1_{g^-1})
 on the whole algebra, which is exactly the summand appearing in trace maps.
 The basis of A_g is `Algebra.ideal_basis(1_g)`, kept by the algebra only,
 and a vector is read in its coordinates through `Algebra.ideal_coords(1_g, y)`
-(y in A_g iff y 1_g == y), as the validation's fallback inverse does.
+(y in A_g iff y 1_g == y).
 
 `validate_partial_action` runs the ring-isomorphism checks on an arrow only
 where they can fail: an identity arrow that fixes its ideal, and the second
@@ -25,7 +25,7 @@ from __future__ import annotations
 from .algebra import Algebra
 from .groupoid import (Groupoid, ValidationReport, Violation,
                        validate_groupoid)
-from .linalg import Echelon, Matrix, echelon
+from .linalg import Echelon, Matrix, echelon, free_basis, free_coords
 
 
 class ActionError(Exception):
@@ -174,9 +174,11 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
     annihilates A(1 - 1_h) and maps A_h onto A_{h^-1}: c lies in A_{h^-1}.
     alpha_h is injective on A_{h^-1}, so an accepted c is the one preimage p
     there.  On a valid action alpha_{h^-1} inverts alpha_h and c is always
-    accepted; only when it is rejected is p computed through the inverse of
-    the matrix of alpha_h from ideal(h^-1)- to ideal(h)-coordinates, built
-    once per such h.
+    accepted; only when it is rejected is p computed, as the combination of
+    ideal(h^-1).rows whose alpha_h-images sum to 1_{g^-1} 1_h.  Those images
+    are independent (alpha_h is a bijection onto A_h), so every one is free
+    in their `free_basis`, built once per such h, and `free_coords` gives
+    the coefficients.
 
     The pairs (g, h) with g or h an identity are skipped when nothing has
     been flagged before them, that is when every arrow passed the checks
@@ -275,11 +277,10 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
         p = pa.alpha(hinv, meet)
         if pa.alpha(h, p) != meet:
             if h not in inverses:
-                cols = [alg.ideal_coords(pa.idem(h), pa.alpha(h, u))
-                        for u in hinv_ideal.rows]
-                inverses[h] = Matrix._trusted(alg.field, tuple(zip(*cols)),
-                                              len(cols)).inverse()
-            p = hinv_ideal.combine(inverses[h].apply(alg.ideal_coords(pa.idem(h), meet)))
+                inverses[h] = free_basis(alg.field, [pa.alpha(h, u) for u in hinv_ideal.rows],
+                                         alg.dim)
+            _, pivots, inverse = inverses[h]
+            p = hinv_ideal.combine(free_coords(alg.field, pivots, inverse, meet))
         if alg.multiply(p, pa.idem(g_oid.inv(gh))) != p:
             flag("AxiomII",
                  "preimage of A_%s^-1 /\\ A_%s under alpha_%s leaves A_(%s)^-1" %

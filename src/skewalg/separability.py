@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import (AffineSolutionSet, Echelon, LinalgError, Matrix, echelon,
-                     kernel, solve_affine, vadd)
+                     free_coords, kernel, solve_affine, vadd)
 from .partial_action import PartialAction
 from .skew_ring import (TensorOverA, psi_block, psi_left, psi_multiply, psi_right,
                         psi_tensor_dim, ring_generators, skew_product, tensor_over)
@@ -305,10 +305,8 @@ def build_certificate(pa: PartialAction, a,
     held as its psi blocks (`idempotent_blocks`), verified against the
     definition (`separability_checks`) and written out as the canonical
     representative: in each block, the free pairs of `psi_block` with the
-    coordinates of the block's psi-image y over their psi-images, which are
-    sum_p y[p] inverse[p] over the pivots p of `psi_block` (y lies in the
-    block's image, whose reduced echelon rows `inverse` writes over the
-    free images, and y is sum_p y[p] times the row at p).  Over Q all
+    coordinates of the block's psi-image y over their psi-images, read off
+    its pivots and inverse rows by `free_coords`.  Over Q all
     of this runs on integral vectors: the witness check on d_a a, d_a the
     least common denominator of a, and the checks and coordinates on the
     blocks y = d x of d = d_a d_b, d_b that of the blocks of d_a a; the
@@ -333,13 +331,8 @@ def build_certificate(pa: PartialAction, a,
     for (g, h), y in scaled.items():
         _, _, free, pivots, inverse = psi_block(pa, g, h)
         us, ws = pa.ideal(g).rows, pa.ideal(h).rows
-        coords = [field.zero] * len(free)
-        for p, row in zip(pivots, inverse):
-            if y[p]:
-                for f, x in enumerate(row):
-                    if x:
-                        coords[f] += y[p] * x
-        for f, c in zip(free, _scaled(field, dinv, field.reduce_vec(coords))):
+        coords = free_coords(field, pivots, inverse, y)
+        for f, c in zip(free, _scaled(field, dinv, coords)):
             if c:
                 i, j = divmod(f, len(ws))
                 summands.append((g, _scaled(field, c, us[i]), h, ws[j]))
@@ -443,6 +436,19 @@ def extract_witness(pa: PartialAction, tensor: TensorOverA, x) -> tuple:
         if c and g in identities:
             a = vadd(field, a, field.reduce_vec(c * t for t in y))
     return a
+
+
+def cross_check(pa: PartialAction, verdict: SeparabilityVerdict,
+                oracle: OracleResult) -> tuple:
+    """(agree, a, a_ok): whether the oracle's verdict is the decision's, and,
+    when the oracle finds a separability element, the witness that
+    `extract_witness` reads off it and whether `is_witness` accepts it
+    (None and None otherwise)."""
+    agree = oracle.separable == verdict.separable
+    if not oracle.separable:
+        return agree, None, None
+    a = extract_witness(pa, oracle.tensor, oracle.solutions.particular)
+    return agree, a, is_witness(pa, a)
 
 
 # -- global actions: isotropy transport --------------------------------------------

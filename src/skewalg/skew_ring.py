@@ -17,8 +17,8 @@ basis element v d_k and the dimension have closed forms there.  A block's
 canonical representatives are the basis pairs chosen greedily from the
 right whose psi-images are independent (`psi_block`), the free columns of
 the reduced echelon form of the balancing relations
-(b.a (x) b') - (b (x) a.b'), never built.  The same elimination, with a
-tag column per image, also writes the block's image over them, so an
+(b.a (x) b') - (b (x) a.b'), never built.  The same elimination
+(`linalg.free_basis`) also writes the block's image over them, so an
 element's coordinates on the representatives need no second elimination.
 `TensorOverA` holds those of the blocks (g, g^-1), the oracle's unknowns,
 with their psi-images.  Nothing
@@ -29,11 +29,10 @@ its psi-image at d_{gh} is checked by the tests against the table.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from collections import Counter
 
 from .algebra import nonassociative_triple, table_product
-from .linalg import Echelonizer, Matrix, vadd
+from .linalg import Matrix, free_basis, vadd
 from .partial_action import PartialAction
 
 DEFAULT_MAX_TENSOR_DIM = 4096
@@ -189,33 +188,16 @@ def psi_block(act: PartialAction, g, h) -> tuple:
     Pair j = i * dim A_h + l is (ideal(g).rows[i], ideal(h).rows[l]).
     Returns (images, kinds, free, pivots, inverse): the distinct psi-images
     u alpha_g(w 1_{g^-1}) in order of first occurrence, the index in `images`
-    of each pair, the free pairs in increasing order, the pivots of the
-    reduced echelon form of their images, and, for each pivot p, the row
-    over the free pairs that writes the echelon row at p as a combination
-    of their images.  Scanning from the right, a pair is free when its image
-    is independent of the images of the pairs to its right; only the
-    rightmost pair with a given image can be free.  The coordinates over
-    the free images of a vector y of the block's image are then
-    sum_p y[p] inverse[p]: `inverse` is the inverse of the free images read
-    at the pivots.
-
-    One elimination gives all of it.  Each nonzero image tried goes into the
-    `Echelonizer` with a unit tag column appended, the tag of each newly
-    tried image left of every earlier tag, and every tag right of A's
-    columns.  The image columns come first, so they reduce exactly as the
-    images alone would: the pivots among them, and whether an image enlarged
-    their span, are those of the images.  An image in the span of the earlier
-    ones leaves an inert row, zero on A's columns, whose pivot is its own tag:
-    the earlier rows carry only earlier tags, all right of it.  No later row
-    is reduced against an inert row (it carries no tag but its own new one
-    at insertion) and no inert row is changed (it is zero at every image
-    pivot), so the rows with an image pivot carry the tags of free pairs
-    alone.  Every row is a combination of the tagged images, with the
-    coefficients in its tag part; an image-pivot row's tags are free, so its
-    tag part writes it over the free images.  The free tags run left to
-    right in increasing pair order, as the tags are given right to left.
-    The result is kept on the action, as plain tuples, next to its
-    alpha-images.
+    of each pair, and the `free_basis` of the pairs' images: the free pairs
+    in increasing order (scanning from the right, a pair is free when its
+    image is independent of the images of the pairs to its right), the
+    pivots of the reduced echelon form of their images, and, for each pivot
+    p, the row over the free pairs that writes the echelon row at p as a
+    combination of their images.  Only the rightmost pair with a given
+    nonzero image can be free, so `free_basis` is given the image of each
+    such pair alone, in pair order, which inserts each distinct nonzero
+    image once.  The result is kept on the action, as plain tuples, next to
+    its alpha-images.
     """
     kept = act._psi_blocks.get((g, h))
     if kept is not None:
@@ -223,35 +205,20 @@ def psi_block(act: PartialAction, g, h) -> tuple:
     alg = act.algebra
     moved = [act.alpha(g, w) for w in act.ideal(h).rows]
     kind_of: dict = {}
-    images, kinds = [], []
+    images, kinds, rightmost = [], [], []
     for u in act.ideal(g).rows:
         for m in moved:
             y = alg.multiply(u, m)
             k = kind_of.setdefault(y, len(images))
             if k == len(images):
                 images.append(y)
+                rightmost.append(0)
+            rightmost[k] = len(kinds)
             kinds.append(k)
-    n = alg.dim
-    width = sum(1 for y in images if any(y))
-    ech = Echelonizer(alg.field, n + width)
-    zeros = (alg.field.zero,) * width
-    free, free_tags = [], []
-    tried = set()
-    for j in range(len(kinds) - 1, -1, -1):
-        k = kinds[j]
-        if k not in tried:
-            tried.add(k)
-            if any(images[k]):
-                width -= 1                  # this image's tag column is n + width
-                ech.insert(images[k] + zeros[:width] + (alg.field.one,) + zeros[width + 1:])
-                if bisect_left(ech.pivots, n) > len(free):
-                    free.append(j)
-                    free_tags.append(n + width)
-    pivots = ech.pivots[:len(free)]
-    free.reverse()
-    free_tags.reverse()
-    kept = act._psi_blocks[g, h] = (tuple(images), tuple(kinds), tuple(free), tuple(pivots),
-                                    tuple(ech.entries(p, free_tags) for p in pivots))
+    tried = [j for j in sorted(rightmost) if any(images[kinds[j]])]
+    free, pivots, inverse = free_basis(alg.field, [images[kinds[j]] for j in tried], alg.dim)
+    kept = act._psi_blocks[g, h] = (tuple(images), tuple(kinds),
+                                    tuple([tried[f] for f in free]), pivots, inverse)
     return kept
 
 

@@ -852,6 +852,33 @@ def reference_separability_checks(pa: PartialAction, blocks) -> dict:
     }
 
 
+def changed_basis(alg: Algebra, rng) -> tuple:
+    """(B, to_new, to_old): alg on the basis p_0..p_{n-1}, the rows of a
+    random invertible matrix P, and the maps x -> x P^-1 and x -> x P between
+    old and new coordinates; p_i p_j and the unit in new coordinates are the
+    old ones times P^-1."""
+    field, n = alg.field, alg.dim
+    while True:
+        p = Matrix(field, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if p.rank() == n:
+            break
+    to_new = Matrix.from_cols(field, p.inverse().data)     # x -> x P^-1
+    structure = [[to_new.apply(alg.multiply(u, v)) for v in p.data] for u in p.data]
+    return (Algebra(field, structure, to_new.apply(alg.unit)), to_new,
+            Matrix.from_cols(field, p.data))
+
+
+def changed_basis_action(pa: PartialAction, rng) -> PartialAction:
+    """pa written over A in a random basis (`changed_basis`): each 1_g in the
+    new coordinates and each alpha_g conjugated into them.  The change of
+    basis is an algebra isomorphism, so validity, verdicts and the
+    dimensions of every ideal and block are those of pa."""
+    alg, to_new, to_old = changed_basis(pa.algebra, rng)
+    morphisms = pa.groupoid.morphisms
+    return PartialAction(pa.groupoid, alg, {g: to_new.apply(pa.idem(g)) for g in morphisms},
+                         {g: to_new * pa.matrix(g) * to_old for g in morphisms})
+
+
 # -- the isotropy-ring conjugation reference ------------------------------------------
 
 def ring_isotropy_iso(pa: PartialAction, arrow) -> SimpleNamespace:
@@ -963,6 +990,27 @@ def dense_echelon(field: Field, vectors, ncols: int) -> Echelon:
     for v in vectors:
         ech.insert(v)
     return Echelon(field, ncols, tuple(ech.rows), tuple(ech.pivots))
+
+
+def greedy_free(field: Field, vectors, ncols: int) -> tuple:
+    """Reference for the free indices and pivots of `free_basis`: the vectors
+    alone go into `DenseEchelonizer`, from the last, and a vector is free when
+    it enlarged the span of those after it."""
+    ech = DenseEchelonizer(field, ncols)
+    free = [i for i in range(len(vectors) - 1, -1, -1) if ech.insert(vectors[i])]
+    return tuple(reversed(free)), tuple(ech.pivots)
+
+
+def gauss_jordan_inverse(field: Field, rows) -> tuple | None:
+    """Reference for `Matrix.inverse`: the rows of M^-1, read off [M | I]
+    reduced densely to [I | M^-1], or None when M is singular."""
+    n = len(rows)
+    red = dense_echelon(field, [tuple(r) + tuple(field.one if i == j else field.zero
+                                                 for j in range(n))
+                                for i, r in enumerate(rows)], 2 * n)
+    if red.pivots != tuple(range(n)):
+        return None
+    return tuple(r[n:] for r in red.rows)
 
 
 def dense_solve_affine(field: Field, rows, rhs, ncols: int) -> AffineSolutionSet:

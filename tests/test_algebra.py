@@ -8,12 +8,13 @@ from skewalg import algebra as algebra_module
 from skewalg.algebra import (Algebra, AlgebraError, NotCentralIdempotent,
                              nonassociative_triple, table_product)
 from skewalg.instances import load_instance
-from skewalg.linalg import DimensionMismatch, Field, LinalgError, Matrix
+from skewalg.linalg import DimensionMismatch, Field, LinalgError
 from skewalg.partial_action import invariant_suite
 from skewalg.skew_ring import build_skew_ring
 
-from conftest import (INSTANCE_DIR, dense_center_basis, dense_nonassociative_triple,
-                      law_failures, product_central_idempotent, product_commutes_with_all)
+from conftest import (INSTANCE_DIR, changed_basis, dense_center_basis,
+                      dense_nonassociative_triple, law_failures, product_central_idempotent,
+                      product_commutes_with_all)
 
 Q = Field.rationals()
 
@@ -337,19 +338,6 @@ def _direct_product(a: Algebra, b: Algebra) -> Algebra:
     return Algebra(a.field, structure, a.unit + b.unit)
 
 
-def _changed_basis(alg: Algebra, rng) -> Algebra:
-    """alg on the basis p_0..p_{n-1}, the rows of a random invertible matrix P:
-    p_i p_j and the unit in new coordinates are the old ones times P^-1."""
-    field, n = alg.field, alg.dim
-    while True:
-        p = Matrix(field, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        if p.rank() == n:
-            break
-    to_new = Matrix.from_cols(field, p.inverse().data)     # x -> x P^-1
-    structure = [[to_new.apply(alg.multiply(u, v)) for v in p.data] for u in p.data]
-    return Algebra(field, structure, to_new.apply(alg.unit))
-
-
 def _center_corpus():
     from test_skewring import closed_form_corpus
 
@@ -363,7 +351,7 @@ def _center_corpus():
         for base in (_direct_product(m2, Algebra.diagonal(field, 1)),
                      Algebra.diagonal(field, 3)):
             for _ in range(4):
-                yield _changed_basis(base, rng)
+                yield changed_basis(base, rng)[0]
 
 
 def test_center_read_off_the_table_matches_the_dense_reference():

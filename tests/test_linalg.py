@@ -11,10 +11,11 @@ from skewalg.algebra import Algebra
 from skewalg.cli import main
 from skewalg.linalg import (MAX_MODULUS, AffineSolutionSet, DimensionMismatch,
                             Echelonizer, Field, LinalgError, Matrix, echelon,
-                            kernel, solve_affine)
+                            free_basis, free_coords, kernel, solve_affine)
 
 from conftest import (DenseEchelonizer, dense_echelon, dense_matrix_product,
-                      dense_solve_affine, instance_data, intersect)
+                      dense_solve_affine, gauss_jordan_inverse, greedy_free,
+                      instance_data, intersect)
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -672,3 +673,83 @@ def test_shortest_first_elimination_matches_the_dense_one(system, data):
     elif len(rows) == ncols:
         with pytest.raises(LinalgError):
             m.inverse()
+
+
+# -- the tagged elimination of free vectors ---------------------------------------------
+
+@given(row_system(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_free_basis_matches_the_dense_references(system, data):
+    # zero and repeated vectors and combinations of earlier ones: the free
+    # vectors and pivots of a greedy dense scan from the last, and inverse
+    # rows that are the Gauss-Jordan inverse of the free vectors read at the
+    # pivots and write the span's echelon rows; coordinates of y in the span
+    # rebuild y; a square matrix inverts as the dense [M | I] does
+    f, ncols, rows = system
+    vectors = _in_field(f, rows)
+    free, pivots, inverse = free_basis(f, vectors, ncols)
+    assert (free, pivots) == greedy_free(f, vectors, ncols)
+    basis = [vectors[i] for i in free]
+    assert inverse == gauss_jordan_inverse(f, [tuple(v[p] for p in pivots) for v in basis])
+    span = dense_echelon(f, vectors, ncols)
+    assert span.pivots == pivots
+    assert tuple(_combine(f, row, basis, ncols) for row in inverse) == span.rows
+    if f.p:
+        assert _residues(f.p, *inverse)
+    else:
+        assert _rational(*inverse)
+    cs = [f.coerce(c) for c in data.draw(st.lists(st.integers(-3, 3), min_size=len(vectors),
+                                                   max_size=len(vectors)))]
+    y = _combine(f, cs, vectors, ncols)
+    assert _combine(f, free_coords(f, pivots, inverse, y), basis, ncols) == y
+    if len(vectors) >= ncols:
+        square = Matrix(f, vectors[:ncols])
+        expected = gauss_jordan_inverse(f, square.data)
+        if expected is None:
+            with pytest.raises(LinalgError, match="singular"):
+                square.inverse()
+        else:
+            assert square.inverse().data == expected
+
+
+def _combine(f, coeffs, vectors, ncols) -> tuple:
+    return f.reduce_vec(sum((c * v[j] for c, v in zip(coeffs, vectors)), f.zero)
+                        for j in range(ncols))
+
+
+def test_free_basis_of_nothing_and_of_zeros():
+    for f in (Q, GF2, Field.prime(3)):
+        assert free_basis(f, [], 3) == ((), (), ())
+        assert free_basis(f, [(0, 0), (0, 0)], 2) == ((), (), ())
+        assert free_coords(f, (), (), (0, 0)) == ()
+        # a repeated vector is free only at its last occurrence
+        assert free_basis(f, [(0, 1), (1, 0), (0, 1)], 2) == ((1, 2), (0, 1),
+                                                               ((1, 0), (0, 1)))
+        empty = Matrix(f, [], ncols=0)
+        assert empty.inverse() == empty
+        for singular in ([[0, 0], [0, 1]], [[1, 1], [1, 1]]):
+            with pytest.raises(LinalgError, match="singular"):
+                Matrix(f, singular).inverse()
+    half = Fraction(1, 2)
+    assert Matrix(Q, [[2, 0], [1, 1]]).inverse().data == ((half, 0), (-half, 1))
+
+
+def test_only_linalg_builds_an_echelonizer():
+    # every elimination of the package is built in linalg, by `echelon` or
+    # `free_basis`; no other module names the class at all
+    import ast
+    from pathlib import Path
+
+    import skewalg
+
+    package = Path(skewalg.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        assert ("Echelonizer" in names) is (path.name == "linalg.py"), path.name

@@ -465,14 +465,16 @@ def test_a_noncommutative_algebra_tests_every_ordered_pair(monkeypatch):
 # -- the pull-back of each pair's idempotent -------------------------------------------------
 
 def _count_inverses(monkeypatch) -> list:
+    """Record the number of vectors of each `free_basis` the validation
+    builds: the change of basis of its fallback, one per rejected h."""
     calls = []
-    inverse = Matrix.inverse
+    build = partial_action.free_basis
 
-    def counted(self):
-        calls.append(self.nrows)
-        return inverse(self)
+    def counted(field, vectors, ncols):
+        calls.append(len(vectors))
+        return build(field, vectors, ncols)
 
-    monkeypatch.setattr(Matrix, "inverse", counted)
+    monkeypatch.setattr(partial_action, "free_basis", counted)
     return calls
 
 

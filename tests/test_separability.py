@@ -8,7 +8,8 @@ from skewalg import (AffineSolutionSet, Algebra, Field, Matrix, PartialAction,
                      build_groupoid)
 from skewalg.linalg import echelon, solve_affine, vadd
 from skewalg.separability import (EmptyHomSet, NotGlobal, SeparabilityError,
-                                  WitnessInvalid, build_certificate, decide_global,
+                                  WitnessInvalid, build_certificate, cross_check,
+                                  decide_global,
                                   decide_separability, extract_witness,
                                   idempotent_blocks, invariant_subring,
                                   is_witness, isotropy_transport_psi,
@@ -16,17 +17,18 @@ from skewalg.separability import (EmptyHomSet, NotGlobal, SeparabilityError,
                                   oracle_separability, separability_checks,
                                   trace_between, trace_into,
                                   trace_invariant_suite, trace_total)
-from skewalg.skew_ring import (build_skew_ring, psi_left, psi_multiply, psi_right,
-                               psi_tensor_dim, ring_generators)
+from skewalg.skew_ring import (build_skew_ring, psi_block, psi_left, psi_multiply,
+                               psi_right, psi_tensor_dim, ring_generators)
 from skewalg.cli import main
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
 import skewalg.separability as separability
 from conftest import (INSTANCE_DIR, RING_48, ambient_product, basis_oracle_solutions,
-                      column_blocks, cut_component_family,
+                      changed_basis_action, column_blocks, cut_component_family,
                       column_pairs, column_products, dense_oracle_system, from_coords,
-                      full_oracle_system, global_skeleton, glue_components, intersect,
+                      full_oracle_system, global_skeleton, glue_components,
+                      greedy_psi_block, intersect,
                       lift, load_action, product_classes, psi_of, psi_pair, pure_tensor,
                       reference_build_certificate, reference_is_witness,
                       reference_separability_checks, reference_square,
@@ -1176,6 +1178,37 @@ def test_certificate_matches_the_reference_with_denominators():
             blocks = idempotent_blocks(pa, a)
             assert separability_checks(pa, blocks) == reference_separability_checks(pa, blocks)
     assert verdicts == {True, False}
+
+
+def test_changed_basis_actions_match_the_dense_references():
+    # fuzz actions over Q and GF(3) rewritten over A in a random basis, so
+    # that the ideals are not spanned by basis vectors: each block against
+    # the greedy dense scan, the certificate against the route that keeps
+    # the denominators, and the decision against the oracle
+    rng = random.Random(31)
+    blocks = moved = families = 0
+    for _ in range(60):
+        skel = random_skeleton(rng)
+        for field in ("Q", "GF(3)"):
+            pa = changed_basis_action(
+                parse_instance(skeleton_to_instance(skel, field)).action, rng)
+            assert pa.validate().ok
+            for g, h in pa.groupoid.composable_pairs():
+                if pa.ideal(g).dim and pa.ideal(h).dim:
+                    assert psi_block(pa, g, h)[:4] == greedy_psi_block(pa, g, h)
+                    blocks += 1
+            moved += any(sum(map(bool, u)) > 1
+                         for g in pa.groupoid.morphisms for u in pa.ideal(g).rows)
+            verdict = decide_separability(pa)
+            agree, a, a_ok = cross_check(pa, verdict, oracle_separability(pa))
+            assert agree and a_ok is not False
+            if verdict.separable:
+                cert = verdict.certificate
+                assert cert.ok
+                _same_certificate(cert, reference_build_certificate(pa, cert.witness,
+                                                                    cert.witness_family))
+                families += cert.witness_family.dim > 0
+    assert blocks > 1500 and moved > 60 and families > 40
 
 
 _FRACTIONAL_WITNESSES = ["z2_flip_q.json", "rotated_swap_q.json"]

@@ -9,8 +9,9 @@ from skewalg import (ActionError, Algebra, Field, Matrix, PartialAction,
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 from skewalg.linalg import echelon, vadd
-from skewalg.separability import (decide_separability, oracle_separability,
-                                  trace_between, trace_into, trace_total)
+from skewalg.separability import (build_certificate, decide_separability,
+                                  oracle_separability, trace_between, trace_into,
+                                  trace_total)
 from skewalg.skew_ring import (InvalidSizeCap, SkewRing, SkewRingError,
                                TensorTooLarge, build_skew_ring, psi_block,
                                psi_tensor_dim, tensor_over)
@@ -393,15 +394,16 @@ def psi_free_pairs(ring) -> tuple:
 
 def test_psi_blocks_are_kept_on_the_action_and_shared(monkeypatch):
     # the oracle's square computes each block (g, g^-1) once and keeps it on
-    # the action as plain tuples; the certificate then computes no block
-    inserts = []
+    # the action as plain tuples; the decision then computes no block, and
+    # the certificate builds no Echelonizer at all
+    built = []
+    init = linalg.Echelonizer.__init__
 
-    class Counted(skew_ring.Echelonizer):
-        def insert(self, row):
-            inserts.append(row)
-            return super().insert(row)
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
 
-    monkeypatch.setattr(skew_ring, "Echelonizer", Counted)
+    monkeypatch.setattr(linalg.Echelonizer, "__init__", counted)
     for path in sorted(INSTANCE_DIR.glob("*.json")):
         pa = load_action(path.name)
         g_oid = pa.groupoid
@@ -412,13 +414,15 @@ def test_psi_blocks_are_kept_on_the_action_and_shared(monkeypatch):
             assert all(type(part) is tuple
                        for part in (images, kinds, free, pivots, inverse))
             assert all(type(y) is tuple for y in images + inverse)
-        inserts.clear()
         verdict = decide_separability(pa)
-        assert inserts == []
         assert pa._psi_blocks == kept
         assert all(pa._psi_blocks[pair] is block for pair, block in kept.items())
         if verdict.separable:
             assert set(verdict.certificate.blocks) <= set(kept)
+            built.clear()
+            cert = build_certificate(pa, verdict.witness, verdict.certificate.witness_family)
+            assert built == []
+            assert cert == verdict.certificate
 
 
 def test_psi_coords_solve_against_the_inverse():
