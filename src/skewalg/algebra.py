@@ -23,12 +23,13 @@ entries at the pivots, with no elimination.
 
 An `Algebra` computes each product x*y and each centrality verdict once:
 the checks of a partial action keep multiplying the same few canonical
-vectors (basis vectors, ideal rows, domain idempotents), so `multiply`,
-`is_central_idempotent` and `right_mul_matrix` keep their results, which
-are immutable tuples, bools and matrices, in dicts on the instance.  Equal products share one tuple: most kept
-products of a large algebra are the zero vector.  `element` checks each
-scalar of a vector given from outside, and passes a vector it or `multiply`
-returned as it is.
+vectors (basis vectors, ideal rows, domain idempotents), so `multiply`
+and `is_central_idempotent` keep their results, which are immutable tuples
+and bools, in dicts on the instance.  Equal products share one tuple: most
+kept products of a large algebra are the zero vector.  `right_mul_matrix`
+keeps nothing: it builds the default map R_e of an identity arrow, once
+per object.  `element` checks each scalar of a vector given from outside,
+and passes a vector it or `multiply` returned as it is.
 
 Whether A is commutative is decided once, when it is built: one pass over
 the sparse table comparing entry [i][j] with entry [j][i] (zero constants
@@ -170,7 +171,6 @@ class Algebra:
         self._center: tuple | None = None
         self._products: dict = {}      # (x, y) -> x*y
         self._central: dict = {}       # e -> is e a central idempotent
-        self._right: dict = {}         # x -> right_mul_matrix(x)
         if not _trusted:
             self._check_laws()
 
@@ -236,19 +236,10 @@ class Algebra:
             out = self._products[key] = self._values.setdefault(out, out)
         return out
 
-    def left_mul_matrix(self, x) -> Matrix:
-        """Matrix of y -> x*y on coefficient columns."""
-        cols = [self.multiply(x, b) for b in self._basis]
-        return Matrix._trusted(self.field, tuple(zip(*cols)), self.dim)
-
     def right_mul_matrix(self, x) -> Matrix:
-        """Matrix of y -> y*x on coefficient columns, kept per x."""
-        key = tuple(x)
-        m = self._right.get(key)
-        if m is None:
-            cols = [self.multiply(b, x) for b in self._basis]
-            m = self._right[key] = Matrix._trusted(self.field, tuple(zip(*cols)), self.dim)
-        return m
+        """Matrix of y -> y*x on coefficient columns."""
+        cols = [self.multiply(b, x) for b in self._basis]
+        return Matrix._trusted(self.field, tuple(zip(*cols)), self.dim)
 
     def commutes_with_all(self, x) -> bool:
         if self.commutative:

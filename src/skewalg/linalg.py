@@ -14,22 +14,22 @@ from outside are checked once, where they enter: by `Field.parse` for
 instance files, and by `Field.coerce` in the public `Matrix(...)` and
 `Matrix.from_cols` and in `Algebra(...)` (each given structure constant,
 while the sparse table is built) and `Algebra.element`.  Matrices the
-package builds itself (`Matrix.zeros`, `Matrix.identity`, parsed action
-maps, products, sums, the systems of the center and the traces, and the
-matrices whose columns are reduced vectors: restricted alpha maps, the
-center basis and the isotropy conjugation) wrap their reduced rows with
-`Matrix._trusted` and skip that check.
+package builds itself (parsed action maps, the systems of the center, the
+traces and the oracle, and the matrices whose columns are reduced vectors:
+the default identity maps, the trace maps, the center basis and the
+isotropy conjugation) wrap their reduced rows with `Matrix._trusted` and skip that
+check.
 
-Vectors are plain tuples and matrices are immutable tuples of rows, but the
-kernels are sparse in effect: products, eliminations and combinations skip
-zero entries by truthiness instead of computing with them.  `Matrix.apply`
-runs on a column index of the nonzero entries, built lazily on its first
-call and cached on the matrix, so it costs the nonzeros in the columns of
-the vector's support.  `Matrix.__mul__` likewise runs over a row index of
-the right factor's nonzero entries, cached the same way, so a product
-costs the nonzero pairs it multiplies; the zero rows of a product share one
-tuple.  Row reduction uses deterministic leftmost-pivot elimination so that
-every downstream basis, solution set and certificate is byte-reproducible.
+Vectors are plain tuples and matrices are immutable tuples of rows.  A
+matrix is a linear map that is applied to vectors, eliminated and printed;
+there is no matrix arithmetic, and a product is read column by column
+through `apply`.  The kernels are sparse in effect: applications,
+eliminations and combinations skip zero entries by truthiness instead of
+computing with them.  `Matrix.apply` runs on a column index of the nonzero
+entries, built lazily on its first call and cached on the matrix, so it
+costs the nonzeros in the columns of the vector's support.  Row reduction
+uses deterministic leftmost-pivot elimination so that every downstream
+basis, solution set and certificate is byte-reproducible.
 Every elimination is built in this module, on one core, `Echelonizer`,
 which keeps the reduced rows sparse, as {column: value} over their nonzero
 entries, and goes through one of two functions.  `echelon` (behind
@@ -41,10 +41,10 @@ up little fill-in.  The order cannot change the result, because a row
 space has exactly one reduced echelon form (leftmost pivots, pivot entries
 1, pivot columns cleared in every other row), whatever order its rows are
 taken in; every basis, `AffineSolutionSet` and certificate is a function
-of that form.  `free_basis` (behind `Matrix.inverse`, the psi blocks of the
-tensor square and the validation's fallback preimage) scans vectors from
-the last, with a tag column each, and returns the free ones with the
-change of basis from their span's echelon rows to them; `free_coords`
+of that form.  `free_basis` (behind the psi blocks of the tensor square
+and the validation's fallback preimage) scans vectors from the last, with
+a tag column each, and returns the free ones with the change of basis
+from their span's echelon rows to them; `free_coords`
 reads a vector's coordinates over the free ones off it.  Tuples go in and
 come out: only the rows of a finished echelon form are dense.
 `Echelonizer.insert` turns a zero row away before it eliminates anything,
@@ -230,13 +230,11 @@ class Matrix:
     The constructor and `from_cols` coerce every entry; `_trusted` wraps rows
     the package built from field arithmetic, or parsed, as they are.  `apply`
     builds the column index `_cols` (per column j, the pairs (i, m_ij) with
-    m_ij != 0) on its first call and reuses it, and a product `a * self`
-    builds the row index `_rows` (per row i, the pairs (j, m_ij) with
-    m_ij != 0) the same way; the matrix never changes, so neither index can
-    go stale, and equality and hashing ignore both.
+    m_ij != 0) on its first call and reuses it; the matrix never changes, so
+    the index cannot go stale, and equality and hashing ignore it.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "data", "_cols", "_rows")
+    __slots__ = ("field", "nrows", "ncols", "data", "_cols")
 
     def __init__(self, field: Field, data: Iterable[Iterable], ncols: int | None = None):
         rows = tuple(tuple(field.coerce(x) for x in row) for row in data)
@@ -253,7 +251,6 @@ class Matrix:
         self.ncols = width
         self.data = rows
         self._cols = None
-        self._rows = None
 
     @classmethod
     def _trusted(cls, field: Field, rows: tuple, ncols: int) -> "Matrix":
@@ -264,18 +261,7 @@ class Matrix:
         m.ncols = ncols
         m.data = rows
         m._cols = None
-        m._rows = None
         return m
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls._trusted(field, tuple(tuple(one if i == j else zero for j in range(n))
-                                         for i in range(n)), n)
-
-    @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls._trusted(field, (vzero(field, ncols),) * nrows, ncols)
 
     @classmethod
     def from_cols(cls, field: Field, cols: Sequence[Sequence]) -> "Matrix":
@@ -284,9 +270,6 @@ class Matrix:
         n = len(cols[0])
         return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)],
                    ncols=len(cols))
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.data)
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix times column vector, over the nonzero entries of v's columns."""
@@ -302,51 +285,6 @@ class Matrix:
                 for i, m in col:
                     out[i] += m * x
         return self.field.reduce_vec(out)
-
-    def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise DimensionMismatch("%dx%d times %dx%d" %
-                                    (self.nrows, self.ncols, other.nrows, other.ncols))
-        rows = other._rows
-        if rows is None:
-            rows = other._rows = tuple(tuple((j, y) for j, y in enumerate(r) if y)
-                                       for r in other.data)
-        field = self.field
-        n = other.ncols
-        zero_row = vzero(field, n)
-        out = []
-        for r in self.data:
-            acc = None
-            for x, row in zip(r, rows):
-                if x and row:
-                    if acc is None:
-                        acc = [field.zero] * n
-                    for j, y in row:
-                        acc[j] += x * y
-            out.append(zero_row if acc is None else field.reduce_vec(acc))
-        return Matrix._trusted(field, tuple(out), n)
-
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("shape mismatch in addition")
-        field = self.field
-        return Matrix._trusted(field, tuple(
-            field.reduce_vec(x + y if y else x for x, y in zip(a, b))
-            for a, b in zip(self.data, other.data)), self.ncols)
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("shape mismatch in subtraction")
-        field = self.field
-        return Matrix._trusted(field, tuple(
-            field.reduce_vec(x - y if y else x for x, y in zip(a, b))
-            for a, b in zip(self.data, other.data)), self.ncols)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -366,17 +304,6 @@ class Matrix:
 
     def rank(self) -> int:
         return echelon(self.field, self.data, self.ncols).dim
-
-    def inverse(self) -> "Matrix":
-        """M^-1, by `free_basis` on M's rows: when every row is free, the
-        pivots are 0..n-1, echelon row p is the unit vector e_p, and the
-        inverse row at p writes e_p over M's rows."""
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("only square matrices invert")
-        free, _, inverse = free_basis(self.field, self.data, self.ncols)
-        if len(free) != self.nrows:
-            raise LinalgError("matrix is singular")
-        return Matrix._trusted(self.field, inverse, self.nrows)
 
     def __repr__(self):
         return "Matrix(%s, %r)" % (self.field, [[str(x) for x in r] for r in self.data])

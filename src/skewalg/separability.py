@@ -21,9 +21,11 @@ as sums of the kept alpha-images alpha_g(a) over the arrows g into e
 (`_trace_image`); the trace matrices of the `traces` report and the
 invariant suite (`trace_into` and the rest) are those sums on A's basis,
 kept on the action per tuple of arrows like its alpha-images, so the report
-and the suite share each t_{ij}, t_j and the total.  The suite reads each
-right multiplication R_e that `Algebra.right_mul_matrix` keeps, and on
-commutative A takes R_x = L_x.
+and the suite share each t_{ij}, t_j and the total.  The suite checks each
+identity at every basis vector b_c, reading column c of a trace matrix as
+t(b_c), through `PartialAction.alpha`, `Algebra.multiply` and
+`Matrix.apply` only; on commutative A it checks t(x b) = x t(b) alone,
+since b x = x b.
 `oracle_separability` instead solves the defining conditions m(x) = 1 and
 bx = xb directly, not the trace criterion: an independent check of the
 criterion and of the certificate, though it shares `psi_block`,
@@ -138,15 +140,20 @@ def is_witness(pa: PartialAction, a) -> bool:
 def invariant_subring(pa: PartialAction, i, j) -> Echelon:
     """Basis of {a : alpha_g(a 1_{g^-1}) == a 1_g for all arrows g from i to j};
     with no such arrow the system has no rows and its kernel is all of A.
-    `kernel` returns the canonical reduced echelon basis, so it is taken as
-    it is, each row's pivot its first nonzero entry."""
+    Column c of arrow g's block is alpha_g(b_c) - b_c 1_g, so its rows are
+    those columns transposed.  `kernel` returns the canonical reduced
+    echelon basis, so it is taken as it is, each row's pivot its first
+    nonzero entry."""
     alg = pa.algebra
+    field = alg.field
     rows = []
     for g in pa.groupoid.hom_set(i, j):
-        delta = pa.matrix(g) - alg.right_mul_matrix(pa.idem(g))
-        rows.extend(delta.data)
-    basis = kernel(Matrix._trusted(alg.field, tuple(rows), alg.dim))
-    return Echelon(alg.field, alg.dim, basis,
+        e = pa.idem(g)
+        cols = [field.reduce_vec(x - y for x, y in zip(pa.alpha(g, b), alg.multiply(b, e)))
+                for b in map(alg.basis_vector, range(alg.dim))]
+        rows.extend(zip(*cols))
+    basis = kernel(Matrix._trusted(field, tuple(rows), alg.dim))
+    return Echelon(field, alg.dim, basis,
                    tuple(next(c for c, x in enumerate(r) if x) for r in basis))
 
 
@@ -559,51 +566,63 @@ def isotropy_transport_psi(pa: PartialAction, arrow) -> IsotropyIso:
 # -- invariant suite ------------------------------------------------------------
 
 def trace_invariant_suite(pa: PartialAction) -> dict:
-    """Matrix-level identities the trace maps of a valid action must satisfy."""
+    """The identities the trace maps of a valid action satisfy, each checked
+    at every basis vector b_c of A.  Column c of a kept trace matrix T is
+    t(b_c), so T R_{1_i} = T reads t(b_c 1_i) = t(b_c), M_h T = R_{1_h} T
+    reads alpha_h(t(b_c)) = t(b_c) 1_h, and T L_x = L_x T reads
+    t(x b_c) = x t(b_c); the right-hand T R_x = R_x T is read only on
+    non-commutative A, since R_x = L_x on commutative A."""
     alg = pa.algebra
     g_oid = pa.groupoid
-    partition = g_oid.connected_components()
+    basis = [alg.basis_vector(c) for c in range(alg.dim)]
+    mul = alg.multiply
+
+    def columns(t) -> tuple:
+        return tuple(zip(*t.data))
+
+    def moves(g, us, vs) -> bool:
+        """alpha_g(u) == v 1_g for each u of us and v of vs in turn."""
+        e = pa.idem(g)
+        return all(pa.alpha(g, u) == mul(v, e) for u, v in zip(us, vs))
+
     restricted_to_source = True
     image_in_target = True
     image_invariant = True
     bimodule_linear = True
-    sum_decomposition = True
     trace_translation = True
-    for cls in partition.classes:
+    for cls in g_oid.connected_components().classes:
         for i in cls:
+            ei = pa.obj_idem(i)
             for j in cls:
                 t = trace_between(pa, i, j)
-                if t * alg.right_mul_matrix(pa.obj_idem(i)) != t:
+                cols = columns(t)
+                if any(t.apply(mul(b, ei)) != y for b, y in zip(basis, cols)):
                     restricted_to_source = False
                 try:
-                    for c in range(alg.dim):
-                        alg.ideal_coords(pa.obj_idem(j), t.col(c))
+                    for y in cols:
+                        alg.ideal_coords(pa.obj_idem(j), y)
                 except LinalgError:
                     image_in_target = False
-                for h in g_oid.hom_set(j, j):
-                    if pa.matrix(h) * t != alg.right_mul_matrix(pa.idem(h)) * t:
-                        image_invariant = False
+                if not all(moves(h, cols, cols) for h in g_oid.hom_set(j, j)):
+                    image_invariant = False
                 for x in invariant_subring(pa, i, j).rows:
-                    lx = alg.left_mul_matrix(x)
-                    rx = lx if alg.commutative else alg.right_mul_matrix(x)
-                    if t * lx != lx * t or (rx != lx and t * rx != rx * t):
-                        bimodule_linear = False
-    into = {j: trace_into(pa, j) for j in g_oid.objects}
-    acc = Matrix.zeros(alg.field, alg.dim, alg.dim)
-    for j in g_oid.objects:
-        acc = acc + into[j]
-    # a self-check: false is unreachable while trace_into and trace_total share _trace_sum
-    if acc != trace_total(pa):
-        sum_decomposition = False
+                    for b, y in zip(basis, cols):
+                        if t.apply(mul(x, b)) != mul(x, y) or (
+                                not alg.commutative and t.apply(mul(b, x)) != mul(y, x)):
+                            bimodule_linear = False
+    into = {j: columns(trace_into(pa, j)) for j in g_oid.objects}
+    acc = [alg.zero()] * alg.dim
+    for cols in into.values():
+        acc = [vadd(alg.field, a, y) for a, y in zip(acc, cols)]
     for g in g_oid.morphisms:
-        ti, tj = into[g_oid.src[g]], into[g_oid.tgt[g]]
-        if pa.matrix(g) * ti != alg.right_mul_matrix(pa.idem(g)) * tj:
+        if not moves(g, into[g_oid.src[g]], into[g_oid.tgt[g]]):
             trace_translation = False
     return {
         "trace_restricts_to_source_ideal": restricted_to_source,
         "trace_image_in_target_ideal": image_in_target,
         "trace_image_isotropy_invariant": image_invariant,
         "trace_invariant_bimodule_linear": bimodule_linear,
-        "total_trace_is_sum_of_object_traces": sum_decomposition,
+        # a self-check: false is unreachable while trace_into and trace_total share _trace_sum
+        "total_trace_is_sum_of_object_traces": acc == list(columns(trace_total(pa))),
         "trace_translation_along_arrows": trace_translation,
     }

@@ -12,7 +12,7 @@ from skewalg import (ActionError, AffineSolutionSet, Algebra, Echelon, Field,
 from skewalg.fuzz import random_skeleton
 from skewalg.groupoid import ValidationReport, Violation
 from skewalg.instances import load_instance, parse_instance
-from skewalg.linalg import DimensionMismatch, echelon, kernel, vadd
+from skewalg.linalg import DimensionMismatch, LinalgError, echelon, kernel, vadd
 from skewalg.separability import (SeparabilityCertificate, WitnessInvalid,
                                   idempotent_blocks, trace_into)
 from skewalg.skew_ring import psi_block, psi_left, psi_multiply, psi_right
@@ -221,7 +221,7 @@ def restricted_component_family(pa: PartialAction, cls, solve_at) -> AffineSolut
     rows: list = []
     rhs: list = []
     for f in solve_at:
-        rows.extend((trace_into(sub, f) * cmat).data)
+        rows.extend(matmul(trace_into(sub, f), cmat).data)
         rhs.extend(sub.obj_idem(f))
     sol = solve_affine(Matrix(field, rows, ncols=cmat.ncols), rhs)
     if sol.is_empty:
@@ -515,7 +515,7 @@ def dense_oracle_system(square):
     rhs = list(ring.unit())
     for p in range(ring.dim):
         b = ring.basis_coords(p)
-        rows.extend((side_matrix(square, left=b) - side_matrix(square, right=b)).data)
+        rows.extend(msub(side_matrix(square, left=b), side_matrix(square, right=b)).data)
         rhs.extend([field.zero] * square.dim)
     return Matrix(field, rows, ncols=square.dim), rhs
 
@@ -712,10 +712,68 @@ def column_blocks(tensor, x) -> dict:
 def reference_trace_sum(pa: PartialAction, arrows) -> Matrix:
     """The sum of the stored maps of `arrows`, which computes the trace
     a |-> sum of alpha_g(a 1_{g^-1}) matrix by matrix."""
-    m = Matrix.zeros(pa.algebra.field, pa.algebra.dim, pa.algebra.dim)
+    m = zero_matrix(pa.algebra.field, pa.algebra.dim, pa.algebra.dim)
     for g in arrows:
-        m = m + pa.matrix(g)
+        m = madd(m, pa.matrix(g))
     return m
+
+
+# -- the trace invariant suite as matrix identities ---------------------------------------
+
+def reference_invariant_subring(pa: PartialAction, i, j) -> Echelon:
+    """Reference for `invariant_subring`: the kernel of the stacked dense
+    differences M_g - R_{1_g} over the arrows g from i to j."""
+    alg = pa.algebra
+    rows = []
+    for g in pa.groupoid.hom_set(i, j):
+        rows.extend(msub(pa.matrix(g), alg.right_mul_matrix(pa.idem(g))).data)
+    basis = kernel(Matrix._trusted(alg.field, tuple(rows), alg.dim))
+    return Echelon(alg.field, alg.dim, basis,
+                   tuple(next(c for c, x in enumerate(r) if x) for r in basis))
+
+
+def reference_trace_invariant_suite(pa: PartialAction) -> dict:
+    """Reference for `trace_invariant_suite`: each identity an equation
+    between dense matrix products (`matmul`), on the trace matrices summed
+    from the stored maps (`reference_trace_sum`), with the left and right
+    multiplication matrices L_x and R_x of A."""
+    alg = pa.algebra
+    g_oid = pa.groupoid
+    checks = dict.fromkeys(("trace_restricts_to_source_ideal", "trace_image_in_target_ideal",
+                            "trace_image_isotropy_invariant",
+                            "trace_invariant_bimodule_linear",
+                            "total_trace_is_sum_of_object_traces",
+                            "trace_translation_along_arrows"), True)
+    for cls in g_oid.connected_components().classes:
+        for i in cls:
+            for j in cls:
+                t = reference_trace_sum(pa, g_oid.hom_set(i, j))
+                if matmul(t, alg.right_mul_matrix(pa.obj_idem(i))) != t:
+                    checks["trace_restricts_to_source_ideal"] = False
+                target = alg.ideal_basis(pa.obj_idem(j))
+                try:
+                    for c in range(alg.dim):
+                        target.coords(tuple(r[c] for r in t.data))
+                except LinalgError:
+                    checks["trace_image_in_target_ideal"] = False
+                for h in g_oid.hom_set(j, j):
+                    if matmul(pa.matrix(h), t) != matmul(alg.right_mul_matrix(pa.idem(h)), t):
+                        checks["trace_image_isotropy_invariant"] = False
+                for x in reference_invariant_subring(pa, i, j).rows:
+                    for m in (left_mul_matrix(alg, x), alg.right_mul_matrix(x)):
+                        if matmul(t, m) != matmul(m, t):
+                            checks["trace_invariant_bimodule_linear"] = False
+    into = {j: reference_trace_sum(pa, g_oid.arrows_into(j)) for j in g_oid.objects}
+    acc = zero_matrix(alg.field, alg.dim, alg.dim)
+    for t in into.values():
+        acc = madd(acc, t)
+    if acc != reference_trace_sum(pa, g_oid.morphisms):
+        checks["total_trace_is_sum_of_object_traces"] = False
+    for g in g_oid.morphisms:
+        ti, tj = into[g_oid.src[g]], into[g_oid.tgt[g]]
+        if matmul(pa.matrix(g), ti) != matmul(alg.right_mul_matrix(pa.idem(g)), tj):
+            checks["trace_translation_along_arrows"] = False
+    return checks
 
 
 # -- the certificate reference with the witness's own denominators ------------------------
@@ -792,7 +850,7 @@ def cut_component_family(pa: PartialAction, cls, solve_at) -> AffineSolutionSet:
     rows: list = []
     rhs: list = []
     for f in solve_at:
-        rows.extend((trace_into(pa, f) * cmat).data)
+        rows.extend(matmul(trace_into(pa, f), cmat).data)
         rhs.extend(pa.obj_idem(f))
     sol = solve_affine(Matrix(field, rows, ncols=cmat.ncols), rhs)
     if sol.is_empty:
@@ -862,7 +920,7 @@ def changed_basis(alg: Algebra, rng) -> tuple:
         p = Matrix(field, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
         if p.rank() == n:
             break
-    to_new = Matrix.from_cols(field, p.inverse().data)     # x -> x P^-1
+    to_new = Matrix.from_cols(field, gauss_jordan_inverse(field, p.data))  # x -> x P^-1
     structure = [[to_new.apply(alg.multiply(u, v)) for v in p.data] for u in p.data]
     return (Algebra(field, structure, to_new.apply(alg.unit)), to_new,
             Matrix.from_cols(field, p.data))
@@ -876,7 +934,7 @@ def changed_basis_action(pa: PartialAction, rng) -> PartialAction:
     alg, to_new, to_old = changed_basis(pa.algebra, rng)
     morphisms = pa.groupoid.morphisms
     return PartialAction(pa.groupoid, alg, {g: to_new.apply(pa.idem(g)) for g in morphisms},
-                         {g: to_new * pa.matrix(g) * to_old for g in morphisms})
+                         {g: matmul(matmul(to_new, pa.matrix(g)), to_old) for g in morphisms})
 
 
 # -- the isotropy-ring conjugation reference ------------------------------------------
@@ -929,15 +987,27 @@ def dense_center_basis(alg) -> tuple:
     every basis element b."""
     rows = []
     for b in alg._basis:
-        delta = alg.left_mul_matrix(b) - alg.right_mul_matrix(b)
+        delta = msub(left_mul_matrix(alg, b), alg.right_mul_matrix(b))
         rows.extend(delta.data)
     m = Matrix._trusted(alg.field, tuple(rows), alg.dim)
     return kernel(m)
 
 
-def dense_matrix_product(a: Matrix, b: Matrix) -> Matrix:
-    """Reference for `Matrix.__mul__`: each row of a times the rows of b,
-    over the dense rows of b."""
+# -- dense matrix arithmetic, for references and fixtures ------------------------------
+
+def identity_matrix(field: Field, n: int) -> Matrix:
+    return Matrix._trusted(field, tuple(tuple(field.one if i == j else field.zero
+                                              for j in range(n)) for i in range(n)), n)
+
+
+def zero_matrix(field: Field, nrows: int, ncols: int) -> Matrix:
+    return Matrix._trusted(field, ((field.zero,) * ncols,) * nrows, ncols)
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a b: each row of a times the dense rows of b."""
+    if a.ncols != b.nrows:
+        raise DimensionMismatch("%dx%d times %dx%d" % (a.nrows, a.ncols, b.nrows, b.ncols))
     field = a.field
     out = []
     for r in a.data:
@@ -949,6 +1019,27 @@ def dense_matrix_product(a: Matrix, b: Matrix) -> Matrix:
                         acc[j] += x * y
         out.append(field.reduce_vec(acc))
     return Matrix._trusted(field, tuple(out), b.ncols)
+
+
+def _entrywise(a: Matrix, b: Matrix, op) -> Matrix:
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise DimensionMismatch("%dx%d and %dx%d" % (a.nrows, a.ncols, b.nrows, b.ncols))
+    return Matrix._trusted(a.field, tuple(a.field.reduce_vec(map(op, r, s))
+                                          for r, s in zip(a.data, b.data)), a.ncols)
+
+
+def madd(a: Matrix, b: Matrix) -> Matrix:
+    return _entrywise(a, b, lambda x, y: x + y)
+
+
+def msub(a: Matrix, b: Matrix) -> Matrix:
+    return _entrywise(a, b, lambda x, y: x - y)
+
+
+def left_mul_matrix(alg: Algebra, x) -> Matrix:
+    """Matrix of y -> x y on coefficient columns."""
+    cols = [alg.multiply(x, alg.basis_vector(c)) for c in range(alg.dim)]
+    return Matrix._trusted(alg.field, tuple(zip(*cols)), alg.dim)
 
 
 class DenseEchelonizer:
@@ -1002,8 +1093,9 @@ def greedy_free(field: Field, vectors, ncols: int) -> tuple:
 
 
 def gauss_jordan_inverse(field: Field, rows) -> tuple | None:
-    """Reference for `Matrix.inverse`: the rows of M^-1, read off [M | I]
-    reduced densely to [I | M^-1], or None when M is singular."""
+    """Reference for the `inverse` rows of `free_basis`: the rows of M^-1,
+    read off [M | I] reduced densely to [I | M^-1], or None when M is
+    singular."""
     n = len(rows)
     red = dense_echelon(field, [tuple(r) + tuple(field.one if i == j else field.zero
                                                  for j in range(n))
@@ -1011,6 +1103,11 @@ def gauss_jordan_inverse(field: Field, rows) -> tuple | None:
     if red.pivots != tuple(range(n)):
         return None
     return tuple(r[n:] for r in red.rows)
+
+
+def matrix_inverse(m: Matrix) -> Matrix:
+    """M^-1 by `gauss_jordan_inverse`, for an invertible M."""
+    return Matrix._trusted(m.field, gauss_jordan_inverse(m.field, m.data), m.nrows)
 
 
 def dense_solve_affine(field: Field, rows, rhs, ncols: int) -> AffineSolutionSet:
@@ -1236,7 +1333,7 @@ def full_scan_validate_partial_action(pa: PartialAction) -> ValidationReport:
             gh = g_oid.compose[(g, h)]
             hinv_ideal = pa.ideal(g_oid.inv(h))
             meet = alg.multiply(pa.idem(g_oid.inv(g)), pa.idem(h))
-            coords = restricted_matrix(pa, h).inverse().apply(pa.ideal(h).coords(meet))
+            coords = matrix_inverse(restricted_matrix(pa, h)).apply(pa.ideal(h).coords(meet))
             p = hinv_ideal.combine(coords)
             if alg.multiply(p, pa.idem(g_oid.inv(gh))) != p:
                 flag("AxiomII",
@@ -1391,7 +1488,7 @@ def subspace_validate_partial_action(pa: PartialAction) -> ValidationReport:
             continue
         comp = alg.right_mul_matrix(
             alg.field.reduce_vec(a - b for a, b in zip(one, pa.idem(ginv))))
-        if not (m * comp).is_zero():
+        if not matmul(m, comp).is_zero():
             flag("NotRingIso",
                  "map of %s does not annihilate the complement of its domain ideal" % (g,))
             continue
@@ -1422,7 +1519,7 @@ def subspace_validate_partial_action(pa: PartialAction) -> ValidationReport:
         return ValidationReport(tuple(bad))
 
     # every restricted map is invertible once each morphism passed iso_ok
-    inverses = {h: restricted_matrix(pa, h).inverse() for h in g_oid.morphisms}
+    inverses = {h: matrix_inverse(restricted_matrix(pa, h)) for h in g_oid.morphisms}
     for g, h in g_oid.composable_pairs():
         gh = g_oid.compose[(g, h)]
         ginv, hinv = g_oid.inv(g), g_oid.inv(h)
@@ -1453,7 +1550,7 @@ def subspace_inverse_consistency(pa: PartialAction) -> bool:
         a = restricted_matrix(pa, g)
         b = restricted_matrix(pa, ginv)
         n = pa.ideal(ginv).dim
-        if b * a != Matrix.identity(pa.algebra.field, n):
+        if matmul(b, a) != identity_matrix(pa.algebra.field, n):
             return False
     return True
 
@@ -1479,8 +1576,8 @@ def subspace_composite_restriction(pa: PartialAction) -> bool:
     alg = pa.algebra
     for g, h in pa.groupoid.composable_pairs():
         gh = pa.groupoid.compose[(g, h)]
-        lhs = pa.matrix(g) * pa.matrix(h)
-        rhs = alg.right_mul_matrix(pa.idem(g)) * pa.matrix(gh)
+        lhs = matmul(pa.matrix(g), pa.matrix(h))
+        rhs = matmul(alg.right_mul_matrix(pa.idem(g)), pa.matrix(gh))
         if lhs != rhs:
             return False
     return True

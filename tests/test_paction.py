@@ -14,9 +14,10 @@ from skewalg.fuzz import FIELDS, random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
 from conftest import (INSTANCE_DIR, OverlappingObjects, full_scan_validate_partial_action,
-                      global_skeleton, glue_components, instance_data, load_action,
-                      renamed_instance, restricted_action, subspace_invariant_suite,
-                      subspace_validate_partial_action)
+                      global_skeleton, glue_components, identity_matrix, instance_data,
+                      load_action, matmul, renamed_instance, restricted_action,
+                      subspace_invariant_suite, subspace_validate_partial_action,
+                      zero_matrix)
 
 Q = Field.rationals()
 
@@ -42,7 +43,7 @@ def test_flip_action_is_valid(flip_q, flip_gf2, flip_gf3):
 
 def test_zeroed_map_is_not_a_ring_iso(bridge):
     maps = dict(bridge.maps)
-    maps["ginv"] = Matrix.zeros(Q, 4, 4)
+    maps["ginv"] = zero_matrix(Q, 4, 4)
     broken = PartialAction(bridge.groupoid, bridge.algebra, bridge.idems, maps)
     report = validate_partial_action(broken)
     assert not report.ok
@@ -138,9 +139,9 @@ def test_composition_axiom_violation_is_flagged():
     a = Algebra.diagonal(Q, 3)
     cycle = Matrix(Q, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     idems = {"id:e": [1, 1, 1], "g": [1, 1, 1], "g2": [1, 1, 1]}
-    ok = PartialAction(g, a, idems, {"g": cycle, "g2": cycle * cycle})
+    ok = PartialAction(g, a, idems, {"g": cycle, "g2": matmul(cycle, cycle)})
     assert validate_partial_action(ok).ok
-    bad = PartialAction(g, a, idems, {"g": cycle, "g2": Matrix.identity(Q, 3)})
+    bad = PartialAction(g, a, idems, {"g": cycle, "g2": identity_matrix(Q, 3)})
     report = validate_partial_action(bad)
     assert not report.ok
     assert "AxiomIII" in report.codes()
@@ -310,8 +311,8 @@ def _shrunk(pa: PartialAction, keep_maps: bool):
                 continue
             idems = {**pa.idems, g: f, ginv: f_src}
             maps = pa.maps if keep_maps else {
-                **pa.maps, g: pa.matrix(g) * alg.right_mul_matrix(f_src),
-                ginv: pa.matrix(ginv) * alg.right_mul_matrix(f)}
+                **pa.maps, g: matmul(pa.matrix(g), alg.right_mul_matrix(f_src)),
+                ginv: matmul(pa.matrix(ginv), alg.right_mul_matrix(f))}
             yield PartialAction(g_oid, alg, idems, maps)
 
 
@@ -383,7 +384,7 @@ def _twisted_x22() -> PartialAction:
     pa = load_action("conj_swap_m2_q.json")
     tau = [[int(i == j or (i, j) == (4, 3)) for j in range(8)] for i in range(8)]
     return PartialAction(pa.groupoid, pa.algebra, pa.idems,
-                         {**pa.maps, "s": pa.matrix("s") * Matrix(Q, tau)})
+                         {**pa.maps, "s": matmul(pa.matrix("s"), Matrix(Q, tau))})
 
 
 def _planted_mutants():

@@ -28,14 +28,15 @@ from conftest import (INSTANCE_DIR, RING_48, ambient_product, basis_oracle_solut
                       changed_basis_action, column_blocks, cut_component_family,
                       column_pairs, column_products, dense_oracle_system, from_coords,
                       full_oracle_system, global_skeleton, glue_components,
-                      greedy_psi_block, intersect,
-                      lift, load_action, product_classes, psi_of, psi_pair, pure_tensor,
-                      reference_build_certificate, reference_is_witness,
-                      reference_separability_checks, reference_square,
+                      greedy_psi_block, identity_matrix, intersect,
+                      lift, load_action, madd, matmul, msub, product_classes, psi_of, psi_pair, pure_tensor,
+                      reference_build_certificate, reference_invariant_subring,
+                      reference_is_witness, reference_separability_checks,
+                      reference_square, reference_trace_invariant_suite,
                       restricted_action, restricted_component_family, ring_coords,
-                      ring_isotropy_iso, side_matrix, square_certificate)
+                      ring_isotropy_iso, side_matrix, square_certificate, zero_matrix)
 from test_algebra import matrix_algebra_2x2
-from test_skewring import closed_form_corpus, psi_corpus
+from test_skewring import closed_form_corpus, m2_corpus, psi_corpus
 
 Q = Field.rationals()
 
@@ -71,14 +72,14 @@ def test_flip_trace_vanishes_in_characteristic_two(flip_gf2):
 
 
 def test_trivial_group_trace_is_identity(trivial_q):
-    assert trace_between(trivial_q, "e", "e") == Matrix.identity(Q, 1)
-    assert trace_total(trivial_q) == Matrix.identity(Q, 1)
+    assert trace_between(trivial_q, "e", "e") == identity_matrix(Q, 1)
+    assert trace_total(trivial_q) == identity_matrix(Q, 1)
 
 
 def test_total_trace_is_sum_of_object_traces(bridge):
-    acc = Matrix.zeros(Q, 4, 4)
+    acc = zero_matrix(Q, 4, 4)
     for e in bridge.groupoid.objects:
-        acc = acc + trace_into(bridge, e)
+        acc = madd(acc, trace_into(bridge, e))
     assert acc == trace_total(bridge)
 
 
@@ -115,6 +116,86 @@ def test_the_bimodule_invariant_reads_right_multiplications_on_noncommutative_a(
     assert alg.basis_vector(2) in invariant_subring(pa, "e", "e").rows
     assert not trace_invariant_suite(pa)["trace_invariant_bimodule_linear"]
     assert not pa.validate().ok
+
+
+def test_isotropy_invariance_and_translation_read_false_on_planted_actions():
+    # one object with Z/2 on k^2 whose stored map of s is the nilpotent
+    # b2 |-> b1: M_s T = M_s + M_s^2 differs from R_1 T = I + M_s; and two
+    # objects joined by a, 1_{e1} = b1, 1_{e2} = b2, whose map sends b1 to
+    # 2 b2: the isotropy groups are trivial, but M_a t_{e1} != R_{b2} t_{e2}
+    isotropy, translation = "trace_image_isotropy_invariant", "trace_translation_along_arrows"
+    z2 = build_groupoid(["e"], [("s", "e", "e")], [("s", "s", "id:e")], [("s", "s")])
+    nilpotent = PartialAction(z2, Algebra.diagonal(Q, 2), {"id:e": (1, 1), "s": (1, 1)},
+                              {"s": Matrix(Q, [[0, 1], [0, 0]])})
+    pair = build_groupoid(["e1", "e2"], [("a", "e1", "e2"), ("b", "e2", "e1")],
+                          [("a", "b", "id:e2"), ("b", "a", "id:e1")], [("a", "b")])
+    doubled = PartialAction(pair, Algebra.diagonal(Q, 2),
+                            {"id:e1": (1, 0), "id:e2": (0, 1), "a": (0, 1), "b": (1, 0)},
+                            {"a": Matrix(Q, [[0, 0], [2, 0]]),
+                             "b": Matrix(Q, [[0, 1], [0, 0]])})
+    for pa, broken, kept in ((nilpotent, isotropy, "trace_restricts_to_source_ideal"),
+                             (doubled, translation, isotropy)):
+        suite = trace_invariant_suite(pa)
+        assert not suite[broken] and suite[kept]
+        assert suite == reference_trace_invariant_suite(pa)
+        assert not pa.validate().ok
+
+
+def _same_suite(pa) -> None:
+    """The suite and every invariant subring of pa equal the dense references."""
+    assert trace_invariant_suite(pa) == reference_trace_invariant_suite(pa)
+    for cls in pa.groupoid.connected_components().classes:
+        for i in cls:
+            for j in cls:
+                got, want = invariant_subring(pa, i, j), reference_invariant_subring(pa, i, j)
+                assert (repr(got.rows), got.pivots) == (repr(want.rows), want.pivots)
+
+
+def test_trace_invariant_suite_matches_the_matrix_reference():
+    # the column-by-column suite against the dense matrix products, on the
+    # shipped instances and the psi corpus (fuzz actions over Q, GF(2),
+    # GF(3) and M_2(k)), and on fuzz and M_2 actions rewritten in a random
+    # basis, whose maps are dense and whose ideals are not spanned by basis
+    # vectors; all are valid, so every invariant holds
+    rng = random.Random(32)
+    changed = [changed_basis_action(parse_instance(skeleton_to_instance(
+        random_skeleton(rng), field)).action, rng) for _ in range(15) for field in ("Q", "GF(3)")]
+    changed += [changed_basis_action(pa, rng) for pa in m2_corpus()]
+    noncommutative = 0
+    for pa in [*psi_corpus(), *changed]:
+        assert all(trace_invariant_suite(pa).values())
+        _same_suite(pa)
+        noncommutative += not pa.algebra.commutative
+    assert noncommutative >= 12
+
+
+def _unvalidated(pa, rng) -> PartialAction:
+    """pa with each stored map kept, or replaced by a random sparse one with
+    entries in -1..2; the domain idempotents are pa's own, so every check of
+    the suite runs."""
+    field, n = pa.algebra.field, pa.algebra.dim
+    maps = {g: pa.matrix(g) if rng.random() < 0.5 else
+            Matrix(field, [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)]
+                           for _ in range(n)]) for g in pa.groupoid.morphisms}
+    return PartialAction(pa.groupoid, pa.algebra, pa.idems, maps)
+
+
+def test_trace_invariant_suite_matches_the_matrix_reference_on_unvalidated_actions():
+    # seeded random maps over Q and GF(3), on fuzz skeletons and on M_2(k):
+    # each invariant but the sum, which no input can break, reads false
+    # somewhere, and the suite gives the reference's dict every time
+    rng = random.Random(33)
+    actions = [parse_instance(skeleton_to_instance(random_skeleton(rng), field)).action
+               for _ in range(40) for field in ("Q", "GF(3)")]
+    actions += [pa for pa in m2_corpus() if pa.algebra.field.p != 2] * 5
+    false = {}
+    for pa in actions:
+        broken = _unvalidated(pa, rng)
+        _same_suite(broken)
+        for key, ok in trace_invariant_suite(broken).items():
+            false[key] = false.get(key, 0) + (not ok)
+    assert false.pop("total_trace_is_sum_of_object_traces") == 0
+    assert min(false.values()) > 0, false
 
 
 def test_the_traces_report_and_the_suite_build_each_trace_matrix_once(monkeypatch, capsys):
@@ -537,7 +618,7 @@ def test_commutator_rows_span_the_dense_difference():
             b = ring.basis_coords(p)
             rows = list(tensor.commutator_rows(k, v).values())
             assert all(any(r) for r in rows)
-            dense = side_matrix(square, left=b) - side_matrix(square, right=b)
+            dense = msub(side_matrix(square, left=b), side_matrix(square, right=b))
             restricted_rows = [tuple(r[c] for c in cols) for r in dense.data]
             assert (echelon(ring.field, rows, len(cols)) ==
                     echelon(ring.field, restricted_rows, len(cols)))
@@ -801,7 +882,7 @@ def test_psi_conjugation_is_an_isomorphism(pair_swap):
 def test_psi_on_identity_arrow_is_identity(pair_swap):
     psi = isotropy_transport_psi(pair_swap, "id:e1")
     dim = ring_isotropy_iso(pair_swap, "id:e1").source_ring.dim
-    assert psi.matrix == Matrix.identity(Q, dim)
+    assert psi.matrix == identity_matrix(Q, dim)
 
 
 def _global_corpus() -> list:
@@ -948,7 +1029,7 @@ def direct_full_system_separable(pa) -> bool:
     cmat = Matrix.from_cols(alg.field, list(center))
     rows, rhs = [], []
     for e in pa.groupoid.objects:
-        block = trace_into(pa, e) * cmat
+        block = matmul(trace_into(pa, e), cmat)
         rows.extend(block.data)
         rhs.extend(pa.obj_idem(e))
     return not solve_affine(Matrix(alg.field, rows, ncols=len(center)), rhs).is_empty

@@ -19,9 +19,11 @@ from skewalg.skew_ring import (InvalidSizeCap, SkewRing, SkewRingError,
 from conftest import (INSTANCE_DIR, component_blocks,
                       component_decomposition_failures, embedded,
                       factoring_failures, from_coords, greedy_psi_block,
-                      instance_data, load_action, non_central_domain,
+                      instance_data, load_action, matmul, matrix_inverse,
+                      non_central_domain,
                       pair_sum_tensor_dim, psi_coords, reference_square,
-                      reference_trace_sum, relation_quotient, ring_coords, skew_mul)
+                      reference_trace_sum, relation_quotient, ring_coords, skew_mul,
+                      zero_matrix)
 from test_algebra import matrix_algebra_2x2
 
 Q = Field.rationals()
@@ -372,7 +374,7 @@ def test_trace_matrices_match_the_sum_of_the_maps():
 
 def test_total_trace_without_morphisms_is_zero():
     pa = PartialAction(build_groupoid([], [], [], []), matrix_algebra_2x2(Q), {}, {})
-    assert trace_total(pa) == Matrix.zeros(Q, 4, 4) == reference_trace_sum(pa, ())
+    assert trace_total(pa) == zero_matrix(Q, 4, 4) == reference_trace_sum(pa, ())
 
 
 def psi_free_pairs(ring) -> tuple:
@@ -448,7 +450,7 @@ def test_psi_coords_solve_against_the_inverse():
                               ncols=len(pivots))
 
             assert (psi_coords(field, pivots, basis, ys) ==
-                    at_pivots(ys) * at_pivots(basis).inverse())
+                    matmul(at_pivots(ys), matrix_inverse(at_pivots(basis))))
 
 
 def m2_corpus():

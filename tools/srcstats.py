@@ -23,10 +23,11 @@ long as the plain suite.
 `src/skewalg` whose name no code there refers to, as `path:line:
 Class.name`.  References are read from the syntax tree: names, attribute
 names and imported names, but not docstrings or comments, and not the
-imports of `__init__.py`, which only re-export.  Dunder methods are
-skipped.  The scan works by name alone, so a definition whose name is also
-used for something else (an attribute such as `identity`, `coords` or
-`element`) counts as referenced.
+imports of `__init__.py`, which only re-export.  A method counts as
+referenced only through an attribute (`x.name`), so a local variable of
+the same name does not hide it.  Dunder methods are skipped.  The scan
+works by name alone, so a definition whose name is also used for something
+else (an attribute such as `identity` or `element`) counts as referenced.
 """
 
 from __future__ import annotations
@@ -148,28 +149,31 @@ def cmd_unreached() -> int:
 
 def cmd_uncalled() -> int:
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in _modules()}
-    used = set()
+    names, attributes = set(), set()
     for path, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "__init__.py":
-                used.update(alias.name.rpartition(".")[2] for alias in node.names)
+                names.update(alias.name.rpartition(".")[2] for alias in node.names)
+
     def definitions(node, owner):
-        """(definition, qualified name) of every definition inside node."""
+        """(definition, qualified name, whether it is a method) of every
+        definition inside node."""
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield child, owner + child.name
+                yield child, owner + child.name, isinstance(node, ast.ClassDef)
                 yield from definitions(child, owner + child.name + ".")
             else:
                 yield from definitions(child, owner)
 
     missed = 0
     for path, tree in trees.items():
-        for node, qualname in definitions(tree, ""):
+        for node, qualname, method in definitions(tree, ""):
             name = node.name
+            used = attributes if method else names | attributes
             if not (name.startswith("__") and name.endswith("__")) and name not in used:
                 missed += 1
                 print("%s:%d: %s" % (path.relative_to(ROOT), node.lineno, qualname))
