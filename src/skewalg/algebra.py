@@ -5,21 +5,21 @@ b_i * b_j = sum_k c[i][j][k] b_k, plus the coefficient vector of the unit.
 Elements are plain coefficient tuples.  The constants are kept only as a
 sparse table whose entry [i][j] maps each k to a nonzero c[i][j][k], built
 once from the nonzero constants: `Algebra(...)` takes each row of constants
-either dense (the n scalars c[i][j][0..n-1]) or as a dict {k: c[i][j][k]}
-of its nonzero ones, and checks each one with `Field.coerce`;
-`Algebra.diagonal` writes its n entries and its unit from `field.one` and
-skips that check.  `table_product` and `nonassociative_triple` are the one
-product and the one associativity audit over such tables, for this module
-and the skew ring A*G alike; the audit visits only the candidate pairs
-(i, j) whose triples can have a nonzero term.  The unit law and
-associativity of a table given to `Algebra(...)` are checked at
-construction; `Algebra.diagonal` writes a table whose laws hold by proof
-(in its docstring), so it is not audited.  The centre is the kernel of
-the system x*b_j - b_j*x = 0 read off the nonzero constants, one row per
-(j, k) that one of them reaches.  The ideal A*e of a central idempotent
-e has one membership test, `ideal_coords`: y is in A*e iff y*e == y, and
-then its coordinates in the canonical basis `ideal_basis(e)` are its
-entries at the pivots, with no elimination.
+dense, as the n scalars c[i][j][0..n-1], and checks each one with
+`Field.coerce`; `Algebra.diagonal` writes its sparse table and its unit
+from `field.one` and skips that check.  `table_product` and
+`nonassociative_triple` are the one product and the one associativity
+audit over such tables, for this module and the skew ring A*G alike; the
+audit visits only the candidate pairs (i, j) whose triples can have a
+nonzero term.  The unit law and associativity of a table given to
+`Algebra(...)` are checked at construction; `Algebra.diagonal` writes a
+table whose laws hold by proof (in its docstring), so it is not audited.
+The centre is the kernel of the system x*b_j - b_j*x = 0 read off the
+nonzero constants, one row per (j, k) that one of them reaches, kept as
+the `Echelon` that `kernel` returns.  The ideal A*e of a central
+idempotent e has one membership test, `ideal_coords`: y is in A*e iff
+y*e == y, and then its coordinates in the canonical basis `ideal_basis(e)`
+are its entries at the pivots, with no elimination.
 
 An `Algebra` computes each product x*y and each centrality verdict once:
 the checks of a partial action keep multiplying the same few canonical
@@ -38,7 +38,7 @@ proof for `Algebra.diagonal`.  On commutative A every x commutes with every
 basis vector, so `commutes_with_all` answers at once (after its length
 check), `is_central_idempotent` reduces to e*e == e, and the centre is all
 of A: its system has only zero rows, and the canonical basis of the kernel
-of such a system is the standard basis, returned with no elimination.
+of such a system is the standard basis, kept with no elimination.
 """
 
 from __future__ import annotations
@@ -143,14 +143,10 @@ class Algebra:
                     raise DimensionMismatch("structure constants are not dim^3")
                 rows = []
                 for row in plane:
-                    if isinstance(row, dict):
-                        entries = row.items()
-                        fits = all(type(k) is int and 0 <= k < dim for k in row)
-                    else:
-                        entries, fits = enumerate(row), len(row) == dim
-                    if not fits:
+                    # a dict would be read by its keys
+                    if isinstance(row, dict) or len(row) != dim:
                         raise DimensionMismatch("structure constants are not dim^3")
-                    rows.append({k: c for k, x in entries if (c := coerce(x))})
+                    rows.append({k: c for k, x in enumerate(row) if (c := coerce(x))})
                 table.append(tuple(rows))
             self._table = tuple(table)
             unit = tuple(coerce(c) for c in unit)
@@ -168,7 +164,7 @@ class Algebra:
         if len(self.basis_names) != self.dim:
             raise DimensionMismatch("basis name count mismatch")
         self._ideals: dict = {}
-        self._center: tuple | None = None
+        self._center: Echelon | None = None
         self._products: dict = {}      # (x, y) -> x*y
         self._central: dict = {}       # e -> is e a central idempotent
         if not _trusted:
@@ -250,7 +246,7 @@ class Algebra:
 
     # -- center, idempotents, ideals ----------------------------------------
 
-    def center_basis(self) -> tuple:
+    def center_basis(self) -> Echelon:
         """Canonical basis of {x : x*b == b*x for every basis element b}.
 
         x = sum_i x_i b_i commutes with b_j iff, for each k,
@@ -262,7 +258,7 @@ class Algebra:
         basis.
         """
         if self._center is None and self.commutative:
-            self._center = self._basis
+            self._center = Echelon(self.field, self.dim, self._basis, tuple(range(self.dim)))
         if self._center is None:
             field, dim = self.field, self.dim
             rows: dict = {}             # (j, k) -> unreduced row over i
@@ -279,9 +275,7 @@ class Algebra:
                     for k, c in ab.items():
                         row(b, k)[a] += c
                         row(a, k)[b] -= c
-            m = Matrix._trusted(field, tuple(field.reduce_vec(r) for r in rows.values()),
-                                dim)
-            self._center = kernel(m)
+            self._center = kernel(field, [field.reduce_vec(r) for r in rows.values()], dim)
         return self._center
 
     def is_central_idempotent(self, e) -> bool:
@@ -308,8 +302,8 @@ class Algebra:
 
         y lies in A*e iff y*e == y: y = a*e gives y*e = a*e*e = y.  A vector
         of the span of a reduced echelon basis is the combination of its rows
-        with its own entries at the pivots.  A y outside A*e raises the
-        LinalgError of `Echelon.coords`.
+        with its own entries at the pivots.  A y outside A*e raises
+        LinalgError.
         """
         basis = self.ideal_basis(e)
         if self.multiply(y, e) != tuple(y):

@@ -44,9 +44,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def codes(self) -> set:
-        return {v.code for v in self.violations}
-
 
 @dataclass(frozen=True)
 class ComponentPartition:

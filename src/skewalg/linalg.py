@@ -11,48 +11,46 @@ adds or multiplies scalars normalises its own output once, through
 `Field.reduce_vec` or `Field.reduce_dict`, so a zero scalar is always falsy
 and `str()` prints the same text whichever type holds the value.  Scalars
 from outside are checked once, where they enter: by `Field.parse` for
-instance files, and by `Field.coerce` in the public `Matrix(...)` and
-`Matrix.from_cols` and in `Algebra(...)` (each given structure constant,
-while the sparse table is built) and `Algebra.element`.  Matrices the
-package builds itself (parsed action maps, the systems of the center, the
-traces and the oracle, and the matrices whose columns are reduced vectors:
-the default identity maps, the trace maps, the center basis and the
-isotropy conjugation) wrap their reduced rows with `Matrix._trusted` and skip that
-check.
+instance files, and by `Field.coerce` in the public `Matrix(...)`, in the
+right-hand side of `solve_affine` and in `Algebra(...)` (each given
+structure constant, while the sparse table is built) and `Algebra.element`.
+The maps the package builds itself (parsed action maps, the default
+identity maps, the trace maps and the isotropy conjugation) wrap their
+reduced rows with `Matrix._trusted` and skip that check.
 
-Vectors are plain tuples and matrices are immutable tuples of rows.  A
-matrix is a linear map that is applied to vectors, eliminated and printed;
-there is no matrix arithmetic, and a product is read column by column
-through `apply`.  The kernels are sparse in effect: applications,
-eliminations and combinations skip zero entries by truthiness instead of
-computing with them.  `Matrix.apply` runs on a column index of the nonzero
-entries, built lazily on its first call and cached on the matrix, so it
-costs the nonzeros in the columns of the vector's support.  Row reduction
-uses deterministic leftmost-pivot elimination so that every downstream
-basis, solution set and certificate is byte-reproducible.
+Vectors are plain tuples and a linear system is a sequence of rows, each a
+tuple of scalars; a subspace is an `Echelon`.  A `Matrix` is only a linear
+map: it is built, applied to vectors and printed, and nothing else.  There
+is no matrix arithmetic, and a product is read column by column through
+`apply`.  The kernels are sparse in effect: applications, eliminations and
+combinations skip zero entries by truthiness instead of computing with
+them.  `Matrix.apply` runs on a column index of the nonzero entries, built
+lazily on its first call and cached on the matrix, so it costs the
+nonzeros in the columns of the vector's support.  Row reduction uses
+deterministic leftmost-pivot elimination so that every downstream basis,
+solution set and certificate is byte-reproducible.
 Every elimination is built in this module, on one core, `Echelonizer`,
 which keeps the reduced rows sparse, as {column: value} over their nonzero
 entries, and goes through one of two functions.  `echelon` (behind
-`kernel`, `solve_affine`, `Matrix.rank` and `Matrix.rref`) returns the
-nonzero rows and pivots of a span; only the public `Matrix.rref` pads them
-back to the original shape.  It inserts the rows shortest first (fewest
-nonzero entries), so the early pivot rows stay short and later rows pick
-up little fill-in.  The order cannot change the result, because a row
-space has exactly one reduced echelon form (leftmost pivots, pivot entries
-1, pivot columns cleared in every other row), whatever order its rows are
-taken in; every basis, `AffineSolutionSet` and certificate is a function
-of that form.  `free_basis` (behind the psi blocks of the tensor square
-and the validation's fallback preimage) scans vectors from the last, with
-a tag column each, and returns the free ones with the change of basis
-from their span's echelon rows to them; `free_coords`
-reads a vector's coordinates over the free ones off it.  Tuples go in and
-come out: only the rows of a finished echelon form are dense.
+`kernel` and `solve_affine`, which take a system's rows and its number of
+unknowns) returns the nonzero rows and pivots of a span.  It inserts the
+rows shortest first (fewest nonzero entries), so the early pivot rows stay
+short and later rows pick up little fill-in.  The order cannot change the
+result, because a row space has exactly one reduced echelon form (leftmost
+pivots, pivot entries 1, pivot columns cleared in every other row),
+whatever order its rows are taken in; every basis, `AffineSolutionSet` and
+certificate is a function of that form.  `kernel` returns the null space
+as its `Echelon`.  `free_basis` (behind the psi blocks of the tensor
+square and the validation's fallback preimage) scans vectors from the
+last, with a tag column each, and returns the free ones with the change of
+basis from their span's echelon rows to them; `free_coords` reads a
+vector's coordinates over the free ones off it.  Tuples go in and come
+out: only the rows of a finished echelon form are dense.
 `Echelonizer.insert` turns a zero row away before it eliminates anything,
 since a zero row cannot enlarge a span.
-`Echelon.contains` and `Echelon.coords` decide membership in any span by
-elimination; the package itself only reads vectors in the ideals A*e of
-central idempotents, through `Algebra.ideal_coords`, which tests y*e == y
-and eliminates nothing.
+Membership is not decided here: the package only reads vectors in the
+ideals A*e of central idempotents, through `Algebra.ideal_coords`, which
+tests y*e == y and eliminates nothing.
 """
 
 from __future__ import annotations
@@ -225,9 +223,10 @@ def vzero(field: Field, n: int) -> tuple:
 
 
 class Matrix:
-    """An immutable dense matrix over one Field.
+    """An immutable dense matrix over one Field: a linear map, applied to
+    column vectors.
 
-    The constructor and `from_cols` coerce every entry; `_trusted` wraps rows
+    The constructor coerces every entry; `_trusted` wraps rows
     the package built from field arithmetic, or parsed, as they are.  `apply`
     builds the column index `_cols` (per column j, the pairs (i, m_ij) with
     m_ij != 0) on its first call and reuses it; the matrix never changes, so
@@ -263,14 +262,6 @@ class Matrix:
         m._cols = None
         return m
 
-    @classmethod
-    def from_cols(cls, field: Field, cols: Sequence[Sequence]) -> "Matrix":
-        if not cols:
-            return cls(field, [])
-        n = len(cols[0])
-        return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)],
-                   ncols=len(cols))
-
     def apply(self, v: Sequence) -> tuple:
         """Matrix times column vector, over the nonzero entries of v's columns."""
         if len(v) != self.ncols:
@@ -292,18 +283,6 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.field, self.data))
-
-    def is_zero(self) -> bool:
-        return not any(any(r) for r in self.data)
-
-    def rref(self) -> "Matrix":
-        """Reduced row echelon form, same shape, row space preserved."""
-        red = echelon(self.field, self.data, self.ncols)
-        pad = (vzero(self.field, self.ncols),) * (self.nrows - red.dim)
-        return Matrix._trusted(self.field, red.rows + pad, self.ncols)
-
-    def rank(self) -> int:
-        return echelon(self.field, self.data, self.ncols).dim
 
     def __repr__(self):
         return "Matrix(%s, %r)" % (self.field, [[str(x) for x in r] for r in self.data])
@@ -408,16 +387,6 @@ class Echelon:
                         out[j] -= c * rj
         return self.field.reduce_vec(out)
 
-    def contains(self, v: Sequence) -> bool:
-        return not any(self.reduce(v))
-
-    def coords(self, v: Sequence) -> tuple:
-        """Coordinates of v in this basis (pivot entries); v must lie in the span."""
-        c = tuple(v[p] for p in self.pivots)
-        if any(self.reduce(v)):
-            raise LinalgError("vector is not in the subspace")
-        return c
-
     def combine(self, coeffs: Sequence) -> tuple:
         if len(coeffs) != len(self.rows):
             raise DimensionMismatch("coefficient count mismatch")
@@ -500,26 +469,27 @@ def free_coords(field: Field, pivots: tuple, inverse: tuple, y: Sequence) -> tup
     return field.reduce_vec(out)
 
 
-def _null_space(field: Field, red_rows, pivots, ncols: int) -> Echelon:
-    """Null space of the first `ncols` columns of a matrix in RREF (rows, pivots)."""
+def _null_space(red: Echelon, ncols: int) -> Echelon:
+    """Null space of the first `ncols` columns of a reduced echelon form."""
+    field = red.field
     zero, one = field.zero, field.one
-    piv = set(pivots)
+    piv = set(red.pivots)
     vecs = []
     for f in range(ncols):
         if f in piv:
             continue
         v = [zero] * ncols
         v[f] = one
-        for r, p in zip(red_rows, pivots):
+        for r, p in zip(red.rows, red.pivots):
             v[p] = -r[f]
         vecs.append(field.reduce_vec(v))
     return echelon(field, vecs, ncols)
 
 
-def kernel(m: Matrix) -> tuple:
-    """Canonical basis of the null space {x : m.apply(x) == 0}."""
-    red = echelon(m.field, m.data, m.ncols)
-    return _null_space(m.field, red.rows, red.pivots, m.ncols).rows
+def kernel(field: Field, rows: Iterable[Sequence], ncols: int) -> Echelon:
+    """The canonical basis of {x : sum_j r[j] x[j] == 0 for every row r}, the
+    null space of the system with these rows and `ncols` unknowns."""
+    return _null_space(echelon(field, rows, ncols), ncols)
 
 
 @dataclass(frozen=True)
@@ -554,17 +524,17 @@ class AffineSolutionSet:
         return self.field.reduce_vec(out)
 
 
-def solve_affine(a: Matrix, b: Sequence) -> AffineSolutionSet:
-    """Full solution set of a.apply(x) == b."""
-    if len(b) != a.nrows:
-        raise DimensionMismatch("rhs length %d != %d rows" % (len(b), a.nrows))
-    field = a.field
-    red = echelon(field, (row + (field.coerce(x),) for row, x in zip(a.data, b)),
-                  a.ncols + 1)
-    if a.ncols in red.pivots:
+def solve_affine(field: Field, rows: Sequence[Sequence], rhs: Sequence,
+                 ncols: int) -> AffineSolutionSet:
+    """Full solution set of sum_j rows[i][j] x[j] == rhs[i] for every i, in
+    `ncols` unknowns."""
+    if len(rhs) != len(rows):
+        raise DimensionMismatch("rhs length %d != %d rows" % (len(rhs), len(rows)))
+    red = echelon(field, ((*row, field.coerce(x)) for row, x in zip(rows, rhs)), ncols + 1)
+    if ncols in red.pivots:
         return AffineSolutionSet(None, (), field)
-    part = [field.zero] * a.ncols
+    part = [field.zero] * ncols
     for r, p in zip(red.rows, red.pivots):
-        part[p] = r[a.ncols]
-    ke = _null_space(field, red.rows, red.pivots, a.ncols)
+        part[p] = r[ncols]
+    ke = _null_space(red, ncols)
     return AffineSolutionSet(ke.reduce(part), ke.rows, field)

@@ -9,8 +9,11 @@ yields an explicit separability idempotent in the tensor square, held as
 its psi blocks and verified against the definition with the closed-form psi
 actions of `skew_ring`.  Each block and each component is eliminated once:
 the certificate reads its summand coefficients off the tag rows that
-`psi_block` keeps, and a lone component's solution set is canonical as
-`solve_affine` returns it, mapped through the center basis.
+`psi_block` keeps, and a component's solution set is canonical as
+`solve_affine` returns it, mapped through the center basis, since the rows
+a 1_f = 0 for the objects f outside the component cut the center down to
+Z(A) u_[e] within that one system.  Every system goes to `linalg` as its
+rows; a subspace comes back as an `Echelon`.
 Over Q a witness usually has denominators (1/2, 1/m), and every cached
 product or alpha-image of a `Fraction` vector is slow to hash, so the
 witness and certificate checks run on d a instead, d the least common
@@ -141,9 +144,7 @@ def invariant_subring(pa: PartialAction, i, j) -> Echelon:
     """Basis of {a : alpha_g(a 1_{g^-1}) == a 1_g for all arrows g from i to j};
     with no such arrow the system has no rows and its kernel is all of A.
     Column c of arrow g's block is alpha_g(b_c) - b_c 1_g, so its rows are
-    those columns transposed.  `kernel` returns the canonical reduced
-    echelon basis, so it is taken as it is, each row's pivot its first
-    nonzero entry."""
+    those columns transposed.  It is the `Echelon` that `kernel` returns."""
     alg = pa.algebra
     field = alg.field
     rows = []
@@ -152,9 +153,7 @@ def invariant_subring(pa: PartialAction, i, j) -> Echelon:
         cols = [field.reduce_vec(x - y for x, y in zip(pa.alpha(g, b), alg.multiply(b, e)))
                 for b in map(alg.basis_vector, range(alg.dim))]
         rows.extend(zip(*cols))
-    basis = kernel(Matrix._trusted(field, tuple(rows), alg.dim))
-    return Echelon(field, alg.dim, basis,
-                   tuple(next(c for c, x in enumerate(r) if x) for r in basis))
+    return kernel(field, rows, alg.dim)
 
 
 # -- verdicts and certificates -----------------------------------------------------
@@ -213,48 +212,46 @@ def _component_family(pa: PartialAction, cls, solve_at) -> AffineSolutionSet:
     """All central a in A_[e] = A u with t_f(a) = 1_f for f in `solve_at`,
     canonical in A's coordinates; u is the sum of 1_f over the component `cls`.
 
-    The object decomposition makes A = A u x A (1 - u) as rings, so the
-    center of A u is Z(A) u; every arrow into f starts in the component and
-    alpha_g kills A (1 - 1_{g^-1}), so t_f(a) = t_f(a u).  The system is
-    therefore solved over the (cached) center of A and its solutions are cut
-    down by u.
+    The unknowns are the coordinates c of a = sum c_i z_i over the (cached)
+    center basis z_1, ..., z_r, and the rows are the coordinates in A of
+    t_f(a) = 1_f for each f in `solve_at` and of a 1_f = 0 for each object f
+    outside the component; a lone component adds no row of the second kind.
+    Those rows cut Z(A) down to Z(A) u, the center of A u, exactly.  The
+    object idempotents are central, orthogonal and sum to 1
+    (`require_decomposition`), so 1 - u is the sum of the 1_f outside the
+    component.  A central a with a 1_f = 0 for each such f has a (1 - u) = 0,
+    so a = a u lies in Z(A) u; and each z u, z central, is central (u is)
+    with (z u) 1_f = z (u 1_f) = 0.  So the solutions are exactly the central
+    a in A u with the traces asked for.
 
-    When u = 1 (the component is the only one) there is no cut, and the
-    solution set of `solve_affine`, canonical over the center basis, maps to
-    a canonical one in A's coordinates: the center basis z_1, ..., z_r is a
-    reduced echelon basis (a kernel's, or the standard basis), with pivots
-    q_1 < ... < q_r, and c |-> sum c_i z_i sends a reduced echelon row with
-    pivot p to a row zero left of q_p and 1 at q_p, whose entry at each q_i
-    is c_i.  So the images of the kernel rows are a reduced echelon basis,
-    with pivots q_p, and the particular solution, zero at the kernel's
-    pivots p, maps to a vector zero at the q_p; the map is injective, so
-    this is the solution set, in the one canonical form.
+    The solution set of `solve_affine`, canonical over the center basis,
+    maps to a canonical one in A's coordinates: the center basis
+    z_1, ..., z_r is a reduced echelon basis (a kernel's, or the standard
+    basis), with pivots q_1 < ... < q_r, and c |-> sum c_i z_i sends a
+    reduced echelon row with pivot p to a row zero left of q_p and 1 at q_p,
+    whose entry at each q_i is c_i.  So the images of the kernel rows are a
+    reduced echelon basis, with pivots q_p, and the particular solution,
+    zero at the kernel's pivots p, maps to a vector zero at the q_p; the map
+    is injective, so this is the solution set, in the one canonical form.
     """
     alg = pa.algebra
     field = alg.field
     center = alg.center_basis()
-    cmat = Matrix._trusted(field, tuple(zip(*center)), len(center))
     rows: list = []
     rhs: list = []
     for f in solve_at:
         into = pa.groupoid.arrows_into(f)
-        rows.extend(zip(*(_trace_image(pa, into, c) for c in center)))
+        rows.extend(zip(*(_trace_image(pa, into, z) for z in center.rows)))
         rhs.extend(pa.obj_idem(f))
-    sol = solve_affine(Matrix._trusted(field, tuple(rows), cmat.ncols), rhs)
+    for f in pa.groupoid.objects:
+        if f not in cls:
+            rows.extend(zip(*(alg.multiply(z, pa.obj_idem(f)) for z in center.rows)))
+            rhs.extend(alg.zero())
+    sol = solve_affine(field, rows, rhs, center.dim)
     if sol.is_empty:
         return sol
-    u = alg.zero()
-    for f in cls:
-        u = vadd(field, u, pa.obj_idem(f))
-    if u == alg.unit:
-        return AffineSolutionSet(cmat.apply(sol.particular),
-                                 tuple(cmat.apply(k) for k in sol.kernel_basis), field)
-
-    def cut(c):
-        return alg.multiply(cmat.apply(c), u)
-
-    return _canonical_family(field, alg.dim, cut(sol.particular),
-                             [cut(k) for k in sol.kernel_basis])
+    return AffineSolutionSet(center.combine(sol.particular),
+                             tuple(center.combine(k) for k in sol.kernel_basis), field)
 
 
 def _canonical_family(field, dim, particular, kernel_vectors) -> AffineSolutionSet:
@@ -285,7 +282,7 @@ def _decide(pa: PartialAction, transversal_only: bool) -> SeparabilityVerdict:
             kern.extend(full.kernel_basis)
     if not separable:
         return SeparabilityVerdict(False, tuple(per), None, None)
-    # a lone component's family is canonical already (`_component_family`)
+    # a single component's family is the whole one, canonical already (`_component_family`)
     family = (per[0].witness_family if len(per) == 1
               else _canonical_family(alg.field, alg.dim, witness, kern))
     # `build_certificate` checks the witness on the whole trace system
@@ -422,13 +419,13 @@ def oracle_separability(pa: PartialAction) -> OracleResult:
     """
     tensor = tensor_over(pa)
     field = pa.algebra.field
-    rows = list(tensor.mult_matrix().data)
+    rows = tensor.mult_matrix()
     rhs = [c for e in pa.groupoid.objects for c in pa.obj_idem(e)]
     commutators = dict.fromkeys(row for k, v in ring_generators(pa)
                                 for row in tensor.commutator_rows(k, v).values())
     rows.extend(commutators)
     rhs.extend([field.zero] * len(commutators))
-    sol = solve_affine(Matrix._trusted(field, tuple(rows), len(tensor.columns)), rhs)
+    sol = solve_affine(field, rows, rhs, len(tensor.columns))
     return OracleResult(not sol.is_empty, tensor, sol)
 
 
@@ -551,16 +548,16 @@ def isotropy_transport_psi(pa: PartialAction, arrow) -> IsotropyIso:
         col = [field.zero] * dim
         col[starts[h]:starts[h] + pa.ideal(h).dim] = alg.ideal_coords(pa.idem(h), v)
         cols.append(col)
-    m = Matrix._trusted(field, tuple(zip(*cols)), len(cols))
     checks = {
-        "bijective": m.rank() == len(basis) == dim,
+        "bijective": echelon(field, cols, dim).dim == len(basis) == dim,
         "multiplicative": all(
             phi(*skew_product(pa, g, u, h, w)) == skew_product(pa, *phi(g, u), *phi(h, w))
             for g, u in basis for h, w in basis),
         "unit_to_unit": (phi(g_oid.identity[e_i], pa.obj_idem(e_i))
                          == (g_oid.identity[e_j], pa.obj_idem(e_j))),
     }
-    return IsotropyIso(arrow, e_i, e_j, m, checks)
+    return IsotropyIso(arrow, e_i, e_j, Matrix._trusted(field, tuple(zip(*cols)), len(cols)),
+                       checks)
 
 
 # -- invariant suite ------------------------------------------------------------

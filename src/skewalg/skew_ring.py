@@ -32,7 +32,7 @@ import os
 from collections import Counter
 
 from .algebra import nonassociative_triple, table_product
-from .linalg import Matrix, free_basis, vadd
+from .linalg import free_basis, vadd
 from .partial_action import PartialAction
 
 DEFAULT_MAX_TENSOR_DIM = 4096
@@ -172,9 +172,13 @@ class SkewRing:
 
 def build_skew_ring(action: PartialAction) -> SkewRing:
     """A*G of a valid action whose object idempotents decompose 1; the
-    `ActionError` of `ensure_valid` (or `DecompositionRequired`) otherwise."""
+    `ActionError` of `ensure_valid` (or `DecompositionRequired`) otherwise.
+    Its table holds (sum_g dim A_g)^2 basis-pair products, the ambient
+    dimension of the tensor square, so it is refused over the same cap
+    (`TensorTooLarge`) before any is computed."""
     action.ensure_valid()
     action.require_decomposition()
+    _check_cap(action)
     return SkewRing(action)
 
 
@@ -301,8 +305,11 @@ def psi_right(act: PartialAction, k, v, blocks) -> dict:
 # -- the oracle's square: the blocks (g, g^-1) in psi coordinates ------------------
 
 
-def _check_cap(ambient_dim: int) -> None:
-    """Refuse a tensor square with more basis pairs than SKEWALG_MAX_DIM."""
+def _check_cap(action: PartialAction) -> None:
+    """Refuse a tensor square, or a ring table, with more basis pairs than
+    SKEWALG_MAX_DIM: (sum_g dim A_g)^2, read off the ideal bases the algebra
+    keeps."""
+    ambient_dim = sum(action.ideal(g).dim for g in action.groupoid.morphisms) ** 2
     raw = os.environ.get("SKEWALG_MAX_DIM")
     try:
         cap = DEFAULT_MAX_TENSOR_DIM if raw is None else int(raw)
@@ -342,15 +349,14 @@ class TensorOverA:
                 columns.extend((g, j, images[kinds[j]]) for j in free)
         self.columns = tuple(columns)
 
-    def mult_matrix(self) -> Matrix:
-        """m on the columns, one row per object e and coordinate of A: m sends
-        block (g, g^-1) y to y d_{id_e}, e = tgt g."""
+    def mult_matrix(self) -> list:
+        """The rows of m on the columns, one per object e and coordinate of A:
+        m sends block (g, g^-1) y to y d_{id_e}, e = tgt g."""
         act = self.action
-        field = act.algebra.field
+        zero = act.algebra.field.zero
         tgt = act.groupoid.tgt
-        rows = tuple(tuple(y[a] if tgt[g] == e else field.zero for g, _, y in self.columns)
-                     for e in act.groupoid.objects for a in range(act.algebra.dim))
-        return Matrix._trusted(field, rows, len(self.columns))
+        return [tuple(y[a] if tgt[g] == e else zero for g, _, y in self.columns)
+                for e in act.groupoid.objects for a in range(act.algebra.dim)]
 
     def commutator_rows(self, k, v) -> dict:
         """The nonzero rows of x |-> b x - x b on the columns, keyed by
@@ -395,5 +401,5 @@ def tensor_over(action: PartialAction) -> TensorOverA:
     """
     action.ensure_valid()
     action.require_decomposition()
-    _check_cap(sum(action.ideal(g).dim for g in action.groupoid.morphisms) ** 2)
+    _check_cap(action)
     return TensorOverA(action)

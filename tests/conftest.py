@@ -204,8 +204,8 @@ def restricted_action(pa: PartialAction, objects) -> PartialAction:
     sub = Algebra(alg.field, structure, alg.ideal_coords(u, u),
                   tuple("u%d" % i for i in range(basis.dim)))
     idems = {g: alg.ideal_coords(u, pa.idem(g)) for g in keep}
-    maps = {g: Matrix.from_cols(alg.field, [alg.ideal_coords(u, pa.alpha(g, r))
-                                            for r in basis.rows]) for g in keep}
+    maps = {g: from_cols(alg.field, [alg.ideal_coords(u, pa.alpha(g, r))
+                                     for r in basis.rows]) for g in keep}
     return PartialAction(sub_oid, sub, idems, maps)
 
 
@@ -217,13 +217,13 @@ def restricted_component_family(pa: PartialAction, cls, solve_at) -> AffineSolut
     sub = restricted_action(pa, cls)
     field = pa.algebra.field
     basis = pa.algebra.ideal_basis(component_unit(pa, cls))
-    cmat = Matrix.from_cols(field, list(sub.algebra.center_basis()))
+    cmat = from_cols(field, sub.algebra.center_basis().rows)
     rows: list = []
     rhs: list = []
     for f in solve_at:
         rows.extend(matmul(trace_into(sub, f), cmat).data)
         rhs.extend(sub.obj_idem(f))
-    sol = solve_affine(Matrix(field, rows, ncols=cmat.ncols), rhs)
+    sol = solve_affine(field, rows, rhs, cmat.ncols)
     if sol.is_empty:
         return sol
 
@@ -256,7 +256,7 @@ def ring_coords(ring, parts: dict) -> tuple:
     out = [ring.field.zero] * ring.dim
     for g, v in parts.items():
         at = ring.starts[g]
-        for k, c in enumerate(ring.action.ideal(g).coords(v)):
+        for k, c in enumerate(span_coords(ring.action.ideal(g), v)):
             out[at + k] = c
     return tuple(out)
 
@@ -378,8 +378,8 @@ def relation_quotient(ring, lpos, rpos, mid_rows):
             rows = []
             for a in mid_rows:
                 moved = act.alpha(g, a)
-                ra = [g_ideal.coords(alg.multiply(u, moved)) for u in g_ideal.rows]
-                la = [h_ideal.coords(alg.multiply(a, w)) for w in h_ideal.rows]
+                ra = [span_coords(g_ideal, alg.multiply(u, moved)) for u in g_ideal.rows]
+                la = [span_coords(h_ideal, alg.multiply(a, w)) for w in h_ideal.rows]
                 for ui in range(nu):
                     for wi in range(nw):
                         row = [field.zero] * (nu * nw)
@@ -502,7 +502,8 @@ def side_matrix(square, **side) -> Matrix:
 
 
 def dense_oracle_system(square):
-    """Reference for `oracle_separability`: the dense system as (matrix, rhs).
+    """Reference for `oracle_separability`: the dense system as the
+    arguments (field, rows, rhs, ncols) of `solve_affine`.
 
     The rows of the `reference_square`'s `mult_matrix` with the ring unit as
     right-hand side, then, for every ring basis element b, all `square.dim`
@@ -517,13 +518,14 @@ def dense_oracle_system(square):
         b = ring.basis_coords(p)
         rows.extend(msub(side_matrix(square, left=b), side_matrix(square, right=b)).data)
         rhs.extend([field.zero] * square.dim)
-    return Matrix(field, rows, ncols=square.dim), rhs
+    return field, rows, rhs, square.dim
 
 
 def full_oracle_system(square):
     """Reference for `oracle_separability`: the system over the whole
-    `reference_square` as (matrix, rhs), as the oracle solved it before it
-    kept only the blocks (g, g^-1).
+    `reference_square` as the arguments (field, rows, rhs, ncols) of
+    `solve_affine`, as the oracle solved it before it kept only the blocks
+    (g, g^-1).
 
     The rows of `mult_matrix` with the ring unit as right-hand side, then,
     for each ring basis element b_p, the nonzero rows of x |-> b_p x - x b_p
@@ -562,7 +564,7 @@ def full_oracle_system(square):
         commutators.update(dict.fromkeys(tuple(out[j]) for j in sorted(out)))
     rows.extend(commutators)
     rhs.extend([zero] * len(commutators))
-    return Matrix(field, rows, ncols=dim), rhs
+    return field, rows, rhs, dim
 
 
 def basis_oracle_solutions(pa: PartialAction) -> AffineSolutionSet:
@@ -571,13 +573,13 @@ def basis_oracle_solutions(pa: PartialAction) -> AffineSolutionSet:
     ideal(k).rows) instead of those of the ring's generators."""
     tensor = tensor_over(pa)
     field = pa.algebra.field
-    rows = list(tensor.mult_matrix().data)
+    rows = tensor.mult_matrix()
     rhs = [c for e in pa.groupoid.objects for c in pa.obj_idem(e)]
     for k in pa.groupoid.morphisms:
         for v in pa.ideal(k).rows:
             rows.extend(tensor.commutator_rows(k, v).values())
     rhs.extend([field.zero] * (len(rows) - len(rhs)))
-    return solve_affine(Matrix(field, rows, ncols=len(tensor.columns)), rhs)
+    return solve_affine(field, rows, rhs, len(tensor.columns))
 
 
 def product_classes(groupoid) -> dict:
@@ -727,9 +729,7 @@ def reference_invariant_subring(pa: PartialAction, i, j) -> Echelon:
     rows = []
     for g in pa.groupoid.hom_set(i, j):
         rows.extend(msub(pa.matrix(g), alg.right_mul_matrix(pa.idem(g))).data)
-    basis = kernel(Matrix._trusted(alg.field, tuple(rows), alg.dim))
-    return Echelon(alg.field, alg.dim, basis,
-                   tuple(next(c for c, x in enumerate(r) if x) for r in basis))
+    return kernel(alg.field, rows, alg.dim)
 
 
 def reference_trace_invariant_suite(pa: PartialAction) -> dict:
@@ -753,7 +753,7 @@ def reference_trace_invariant_suite(pa: PartialAction) -> dict:
                 target = alg.ideal_basis(pa.obj_idem(j))
                 try:
                     for c in range(alg.dim):
-                        target.coords(tuple(r[c] for r in t.data))
+                        span_coords(target, tuple(r[c] for r in t.data))
                 except LinalgError:
                     checks["trace_image_in_target_ideal"] = False
                 for h in g_oid.hom_set(j, j):
@@ -846,13 +846,13 @@ def cut_component_family(pa: PartialAction, cls, solve_at) -> AffineSolutionSet:
     alg = pa.algebra
     field = alg.field
     center = alg.center_basis()
-    cmat = Matrix.from_cols(field, list(center))
+    cmat = from_cols(field, center.rows)
     rows: list = []
     rhs: list = []
     for f in solve_at:
         rows.extend(matmul(trace_into(pa, f), cmat).data)
         rhs.extend(pa.obj_idem(f))
-    sol = solve_affine(Matrix(field, rows, ncols=cmat.ncols), rhs)
+    sol = solve_affine(field, rows, rhs, cmat.ncols)
     if sol.is_empty:
         return sol
     u = alg.zero()
@@ -918,12 +918,12 @@ def changed_basis(alg: Algebra, rng) -> tuple:
     field, n = alg.field, alg.dim
     while True:
         p = Matrix(field, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        if p.rank() == n:
+        if rank(p) == n:
             break
-    to_new = Matrix.from_cols(field, gauss_jordan_inverse(field, p.data))  # x -> x P^-1
+    to_new = from_cols(field, gauss_jordan_inverse(field, p.data))  # x -> x P^-1
     structure = [[to_new.apply(alg.multiply(u, v)) for v in p.data] for u in p.data]
     return (Algebra(field, structure, to_new.apply(alg.unit)), to_new,
-            Matrix.from_cols(field, p.data))
+            from_cols(field, p.data))
 
 
 def changed_basis_action(pa: PartialAction, rng) -> PartialAction:
@@ -958,10 +958,10 @@ def ring_isotropy_iso(pa: PartialAction, arrow) -> SimpleNamespace:
         moved = pa.alpha(arrow, src_basis.combine(u_local))
         conj = g_oid.compose[(g_oid.compose[(arrow, g)], linv)]
         col = [dst_ring.field.zero] * dst_ring.dim
-        for k, c in dst_ring._scatter(conj, dst_basis.coords(moved)).items():
+        for k, c in dst_ring._scatter(conj, span_coords(dst_basis, moved)).items():
             col[k] = c
         cols.append(col)
-    m = Matrix.from_cols(dst_ring.field, cols)
+    m = from_cols(dst_ring.field, cols)
     mult_ok = True
     for p in range(src_ring.dim):
         for q in range(src_ring.dim):
@@ -971,7 +971,7 @@ def ring_isotropy_iso(pa: PartialAction, arrow) -> SimpleNamespace:
             if lhs != rhs:
                 mult_ok = False
     checks = {
-        "bijective": m.rank() == src_ring.dim == dst_ring.dim,
+        "bijective": rank(m) == src_ring.dim == dst_ring.dim,
         "multiplicative": mult_ok,
         "unit_to_unit": m.apply(src_ring.unit()) == dst_ring.unit(),
     }
@@ -981,7 +981,7 @@ def ring_isotropy_iso(pa: PartialAction, arrow) -> SimpleNamespace:
 
 # -- test-only constructions -----------------------------------------------------------
 
-def dense_center_basis(alg) -> tuple:
+def dense_center_basis(alg) -> Echelon:
     """Reference for `Algebra.center_basis`: the kernel of the stacked
     differences L_b - R_b of the left and right multiplication matrices of
     every basis element b."""
@@ -989,8 +989,7 @@ def dense_center_basis(alg) -> tuple:
     for b in alg._basis:
         delta = msub(left_mul_matrix(alg, b), alg.right_mul_matrix(b))
         rows.extend(delta.data)
-    m = Matrix._trusted(alg.field, tuple(rows), alg.dim)
-    return kernel(m)
+    return kernel(alg.field, rows, alg.dim)
 
 
 # -- dense matrix arithmetic, for references and fixtures ------------------------------
@@ -1040,6 +1039,34 @@ def left_mul_matrix(alg: Algebra, x) -> Matrix:
     """Matrix of y -> x y on coefficient columns."""
     cols = [alg.multiply(x, alg.basis_vector(c)) for c in range(alg.dim)]
     return Matrix._trusted(alg.field, tuple(zip(*cols)), alg.dim)
+
+
+def from_cols(field: Field, cols) -> Matrix:
+    """The matrix whose columns are `cols`, each entry coerced; with no
+    rows when the columns are empty."""
+    return Matrix(field, list(zip(*cols)), ncols=len(cols))
+
+
+def rank(m: Matrix) -> int:
+    """The dimension of the row space of m."""
+    return echelon(m.field, m.data, m.ncols).dim
+
+
+def span_coords(basis: Echelon, v) -> tuple:
+    """The coordinates of v over a reduced echelon basis, its entries at the
+    pivots, checked by elimination: LinalgError when v is outside the span."""
+    if any(basis.reduce(v)):
+        raise LinalgError("vector is not in the subspace")
+    return tuple(v[p] for p in basis.pivots)
+
+
+def in_span(basis: Echelon, v) -> bool:
+    return not any(basis.reduce(v))
+
+
+def violation_codes(report: ValidationReport) -> set:
+    """The codes of the violations of a report."""
+    return {v.code for v in report.violations}
 
 
 class DenseEchelonizer:
@@ -1333,7 +1360,8 @@ def full_scan_validate_partial_action(pa: PartialAction) -> ValidationReport:
             gh = g_oid.compose[(g, h)]
             hinv_ideal = pa.ideal(g_oid.inv(h))
             meet = alg.multiply(pa.idem(g_oid.inv(g)), pa.idem(h))
-            coords = matrix_inverse(restricted_matrix(pa, h)).apply(pa.ideal(h).coords(meet))
+            coords = matrix_inverse(restricted_matrix(pa, h)).apply(
+                span_coords(pa.ideal(h), meet))
             p = hinv_ideal.combine(coords)
             if alg.multiply(p, pa.idem(g_oid.inv(gh))) != p:
                 flag("AxiomII",
@@ -1432,8 +1460,7 @@ def intersect(a: Echelon, b: Echelon) -> Echelon:
     # v = x*A = y*B  <=>  (x, y) in ker [A^T | -B^T]
     field = a.field
     cols = list(a.rows) + [field.reduce_vec(-x for x in r) for r in b.rows]
-    m = Matrix._trusted(field, tuple(zip(*cols)), len(cols))
-    vecs = [a.combine(k[: a.dim]) for k in kernel(m)]
+    vecs = [a.combine(k[: a.dim]) for k in kernel(field, list(zip(*cols)), len(cols)).rows]
     return echelon(a.field, vecs, a.ncols)
 
 
@@ -1441,10 +1468,10 @@ def intersect(a: Echelon, b: Echelon) -> Echelon:
 
 def restricted_matrix(pa: PartialAction, g) -> Matrix:
     """The matrix of alpha_g from ideal(g^-1)-coordinates to ideal(g)-coordinates,
-    read by elimination (`Echelon.coords`)."""
+    read by elimination (`span_coords`)."""
     src = pa.ideal(pa.groupoid.inv(g))
     dst = pa.ideal(g)
-    cols = [dst.coords(pa.alpha(g, u)) for u in src.rows]
+    cols = [span_coords(dst, pa.alpha(g, u)) for u in src.rows]
     return Matrix._trusted(pa.algebra.field, tuple(zip(*cols)), len(cols))
 
 
@@ -1488,7 +1515,7 @@ def subspace_validate_partial_action(pa: PartialAction) -> ValidationReport:
             continue
         comp = alg.right_mul_matrix(
             alg.field.reduce_vec(a - b for a, b in zip(one, pa.idem(ginv))))
-        if not matmul(m, comp).is_zero():
+        if any(map(any, matmul(m, comp).data)):
             flag("NotRingIso",
                  "map of %s does not annihilate the complement of its domain ideal" % (g,))
             continue
@@ -1528,10 +1555,10 @@ def subspace_validate_partial_action(pa: PartialAction) -> ValidationReport:
         meet_basis = alg.ideal_basis(meet)
         inv_h = inverses[h]
         h_ideal, hinv_ideal = pa.ideal(h), pa.ideal(hinv)
-        pulled = [hinv_ideal.combine(inv_h.apply(h_ideal.coords(d)))
+        pulled = [hinv_ideal.combine(inv_h.apply(span_coords(h_ideal, d)))
                   for d in meet_basis.rows]
         target = pa.ideal(g_oid.inv(gh))
-        if not all(target.contains(x) for x in pulled):
+        if not all(in_span(target, x) for x in pulled):
             flag("AxiomII",
                  "preimage of A_%s^-1 /\\ A_%s under alpha_%s leaves A_(%s)^-1" %
                  (g, h, h, gh))

@@ -296,6 +296,20 @@ def test_oversized_tensor_square_exits_two(capsys, monkeypatch):
     assert report["error"]["type"] == "TensorTooLarge"
 
 
+def test_oversized_skew_table_exits_two(capsys, monkeypatch):
+    # the table of the bridge's ring dim 6 holds 36 products
+    path = str(instance_path("partial_bridge_q.json"))
+    monkeypatch.setenv("SKEWALG_MAX_DIM", "35")
+    code, out, _ = run_cli(capsys, "skew-table", path)
+    assert code == 2
+    report = json.loads(out)
+    assert not report["ok"]
+    assert report["error"]["type"] == "TensorTooLarge"
+    monkeypatch.setenv("SKEWALG_MAX_DIM", "36")
+    code, out, _ = run_cli(capsys, "skew-table", path)
+    assert code == 0 and json.loads(out)["ring_dim"] == 6
+
+
 def test_oversized_square_is_refused_before_the_decision(capsys, monkeypatch):
     def no_decision(pa):
         raise AssertionError("the trace decision ran")

@@ -8,7 +8,7 @@ from skewalg.groupoid import (Groupoid, GroupoidError, UnknownMorphism,
                               validate_groupoid)
 from skewalg.instances import parse_instance
 
-from conftest import INSTANCE_DIR, full_scan_validate_groupoid, load_action
+from conftest import INSTANCE_DIR, full_scan_validate_groupoid, load_action, violation_codes
 
 
 def one_object():
@@ -62,7 +62,7 @@ def test_dropped_inverse_is_flagged():
                       {m: v for m, v in g.inverse.items() if m != "ginv"})
     report = validate_groupoid(broken)
     assert not report.ok
-    assert "MissingInverse" in report.codes()
+    assert "MissingInverse" in violation_codes(report)
 
 
 def test_wrong_inverse_pairing_is_flagged():
@@ -71,7 +71,7 @@ def test_wrong_inverse_pairing_is_flagged():
     bad_inv["g"] = "g"  # endpoints cannot match
     report = validate_groupoid(Groupoid(g.objects, g.morphisms, g.src, g.tgt,
                                         g.identity, g.compose, bad_inv))
-    assert "MissingInverse" in report.codes()
+    assert "MissingInverse" in violation_codes(report)
 
 
 def test_missing_composition_entry_is_flagged():
@@ -79,7 +79,7 @@ def test_missing_composition_entry_is_flagged():
     compose = {k: v for k, v in g.compose.items() if k != ("g", "ginv")}
     report = validate_groupoid(Groupoid(g.objects, g.morphisms, g.src, g.tgt,
                                         g.identity, compose, g.inverse))
-    assert "BadComposition" in report.codes()
+    assert "BadComposition" in violation_codes(report)
 
 
 def test_non_associative_table_is_flagged():
@@ -89,7 +89,7 @@ def test_non_associative_table_is_flagged():
     report = validate_groupoid(Groupoid(g.objects, g.morphisms, g.src, g.tgt,
                                         g.identity, compose, g.inverse))
     assert not report.ok
-    assert report.codes() & {"NonAssociative", "MissingInverse", "BadIdentity"}
+    assert violation_codes(report) & {"NonAssociative", "MissingInverse", "BadIdentity"}
 
 
 def _replaced(g: Groupoid, **tables) -> Groupoid:
@@ -255,8 +255,8 @@ def test_indexed_validation_matches_the_full_scan_reference():
             assert report.violations == full_scan_validate_groupoid(g).violations
             assert list(g.composable_pairs()) == [
                 (a, b) for a in g.morphisms for b in g.morphisms if g.src[a] == g.tgt[b]]
-            seen |= report.codes()
-            identity_and_triples += {"BadIdentity", "NonAssociative"} <= report.codes()
+            seen |= violation_codes(report)
+            identity_and_triples += {"BadIdentity", "NonAssociative"} <= violation_codes(report)
             count += 1
     assert count > 300
     assert {"BadComposition", "BadIdentity", "MissingInverse", "NonAssociative"} <= seen

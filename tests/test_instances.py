@@ -281,13 +281,13 @@ def test_digest_equals_the_reference_on_any_scalars(entries, fdesc):
 
 
 @pytest.mark.parametrize("field", [Field.rationals(), Field.prime(3)], ids=str)
-def test_digest_equals_the_reference_on_structure_algebras_with_dict_rows(field):
-    # M_2(k) given with sparse dict rows, and one empty object besides
-    structure = [[{} for _ in range(4)] for _ in range(4)]
+def test_digest_equals_the_reference_on_a_structure_algebra_and_an_empty_object(field):
+    # M_2(k) given by its dense structure constants, and one empty object besides
+    structure = [[[0] * 4 for _ in range(4)] for _ in range(4)]
     for i in range(2):
         for j in range(2):
             for k in range(2):
-                structure[2 * i + j][2 * j + k] = {2 * i + k: 1}
+                structure[2 * i + j][2 * j + k][2 * i + k] = 1
     algebra = Algebra(field, structure, [1, 0, 0, 1], ["e11", "e12", "e21", "e22"])
     groupoid = build_groupoid(("x", "y"), [], [], [])
     pa = PartialAction(groupoid, algebra,

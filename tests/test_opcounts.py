@@ -70,6 +70,6 @@ def test_eliminations_count_every_echelonizer_built():
         linalg.Echelonizer(F, 2)
         Sub(F, 3).insert((1, 2, 3))
         linalg.echelon(F, [], 2)
-        linalg.kernel(linalg.Matrix(F, [[1, 0], [0, 1]]))
+        linalg.kernel(F, [(1, 0), (0, 1)], 2)
     assert counts["eliminations"] == 5
     assert counts["inserts"] == 3

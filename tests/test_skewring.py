@@ -64,8 +64,7 @@ def dense_tensor_quotient_dim(ring) -> int:
                 for j, c in enumerate(right):
                     row[p * ring.dim + j] = row[p * ring.dim + j] - c
                 rows.append(row)
-    rank = Matrix(ring.field, rows, ncols=n).rank()
-    return n - rank
+    return n - echelon(ring.field, rows, n).dim
 
 
 # -- construction ------------------------------------------------------------------
@@ -623,6 +622,26 @@ def test_malformed_cap_is_a_typed_error(monkeypatch, bridge, raw):
     monkeypatch.setenv("SKEWALG_MAX_DIM", raw)
     with pytest.raises(InvalidSizeCap, match="SKEWALG_MAX_DIM"):
         tensor_over(bridge)
+
+
+def test_ring_table_is_refused_over_the_cap_before_any_product(monkeypatch):
+    # the table holds (sum_g dim A_g)^2 = 36 basis-pair products, the
+    # ambient dimension of the tensor square, and obeys the same cap
+    pa = load_action("partial_bridge_q.json")
+    pa.ensure_valid()
+    monkeypatch.setenv("SKEWALG_MAX_DIM", "36")
+    assert build_skew_ring(pa).dim == 6
+
+    def no_product(*args):
+        raise AssertionError("a basis-pair product was computed")
+
+    monkeypatch.setattr(skew_ring, "skew_product", no_product)
+    monkeypatch.setenv("SKEWALG_MAX_DIM", "35")
+    with pytest.raises(TensorTooLarge, match="36 exceeds cap 35"):
+        build_skew_ring(pa)
+    monkeypatch.setenv("SKEWALG_MAX_DIM", "abc")
+    with pytest.raises(InvalidSizeCap, match="SKEWALG_MAX_DIM"):
+        build_skew_ring(pa)
 
 
 def test_skew_table_identity_rows(bridge):

@@ -1,8 +1,7 @@
-"""`tools/srcstats.py uncalled` lists exactly the definitions the README
-keeps on purpose."""
+"""`tools/srcstats.py uncalled` lists no definition of `src/`, and exits 1
+when it lists one."""
 
 import importlib.util
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -16,21 +15,9 @@ def load_tool():
     return tool
 
 
-def kept_on_purpose() -> set:
-    """The `Class.name` entries of the README paragraph that names what
-    `uncalled` lists, outside the parentheses that say why each is kept."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    paragraph = text.split("each kept on purpose:", 1)[1].split("\n\n", 1)[0]
-    return set(re.findall(r"`([A-Z]\w*\.\w+)`", re.sub(r"\([^()]*\)", "", paragraph)))
-
-
-def test_uncalled_lists_the_definitions_the_readme_keeps(capsys):
+def test_uncalled_lists_no_definition_in_src(capsys):
     assert load_tool().main(["uncalled"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    listed = {line.rpartition(": ")[2] for line in lines[:-1]}
-    assert lines[-1] == "%d definitions never named in src/" % len(listed)
-    assert listed == kept_on_purpose()
-    assert "Echelon.coords" in listed
+    assert capsys.readouterr().out.splitlines() == ["0 definitions never named in src/"]
 
 
 def test_a_local_variable_does_not_hide_a_method(tmp_path, monkeypatch, capsys):
@@ -49,6 +36,6 @@ def test_a_local_variable_does_not_hide_a_method(tmp_path, monkeypatch, capsys):
     tool = load_tool()
     monkeypatch.setattr(tool, "PACKAGE", tmp_path)
     monkeypatch.setattr(tool, "ROOT", tmp_path)
-    assert tool.main(["uncalled"]) == 0
+    assert tool.main(["uncalled"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "mod.py:2: Box.coords", "1 definitions never named in src/"]

@@ -2,7 +2,7 @@
 
 `perfbench/spans.py` leaves a per-layer metric out when its entry point is
 gone, so a rename or deletion in skewalg would silently drop a metric; these
-tests make it fail instead.  The tracer's table still names six methods
+tests make it fail instead.  The tracer's table still names seven methods
 that skewalg no longer has; no benchmark metric depends on them alone.
 """
 
@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
 SUBMODULES = ("algebra", "cli", "fuzz", "groupoid", "instances", "linalg",
               "partial_action", "separability", "skew_ring")
-DELETED = {"algebra.Algebra.subalgebra", "linalg.Matrix.__mul__",
+DELETED = {"algebra.Algebra.subalgebra", "linalg.Matrix.__mul__", "linalg.Matrix.rref",
            "partial_action.PartialAction.restrict_to_component",
            "partial_action.PartialAction.isotropy_action",
            "skew_ring.TensorOverA.left_matrix", "skew_ring.TensorOverA.right_matrix"}

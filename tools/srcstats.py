@@ -28,6 +28,7 @@ referenced only through an attribute (`x.name`), so a local variable of
 the same name does not hide it.  Dunder methods are skipped.  The scan
 works by name alone, so a definition whose name is also used for something
 else (an attribute such as `identity` or `element`) counts as referenced.
+It exits 1 when it lists any definition, so dead API can fail a run.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def cmd_uncalled() -> int:
                 missed += 1
                 print("%s:%d: %s" % (path.relative_to(ROOT), node.lineno, qualname))
     print("%d definitions never named in src/" % missed)
-    return 0
+    return 1 if missed else 0
 
 
 def main(argv=None) -> int:
