@@ -111,6 +111,9 @@ class PartialAction:
         return self._decomposes
 
     def require_decomposition(self) -> None:
+        """`ensure_valid`, then `DecompositionRequired` unless the object
+        idempotents are orthogonal with sum 1."""
+        self.ensure_valid()
         if not self.has_object_decomposition():
             raise DecompositionRequired(
                 "object idempotents are not orthogonal with sum 1")

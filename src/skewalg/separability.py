@@ -6,14 +6,16 @@ component, some central element a satisfies t_i(a) = 1_i for all objects i
 solves that affine system for each component [e] over Z(A) u_[e], u_[e] the
 sum of its object idempotents, in A's own coordinates; a positive answer
 yields an explicit separability idempotent in the tensor square, held as
-its psi blocks and verified against the definition with the closed-form psi
-actions of `skew_ring`.  Each block and each component is eliminated once:
-the certificate reads its summand coefficients off the tag rows that
-`psi_block` keeps, and a component's solution set is canonical as
-`solve_affine` returns it, mapped through the center basis, since the rows
-a 1_f = 0 for the objects f outside the component cut the center down to
-Z(A) u_[e] within that one system.  Every system goes to `linalg` as its
-rows; a subspace comes back as an `Echelon`.
+its psi blocks (g, g^-1) and verified against the definition, on the
+blocks its printed summands rebuild, with the closed form of b x - x b
+that the oracle solves (`skew_ring.commutator_terms`).  Each block and each
+component is eliminated once: the certificate reads its summand
+coefficients off the tag rows that `psi_block` keeps, and a component's
+solution set is canonical as `solve_affine` returns it, mapped through the
+center basis, since the rows a 1_f = 0 for the objects f outside the
+component cut the center down to Z(A) u_[e] within that one system.
+Every system goes to `linalg` as its rows; a subspace comes back as an
+`Echelon`.
 Over Q a witness usually has denominators (1/2, 1/m), and every cached
 product or alpha-image of a `Fraction` vector is slow to hash, so the
 witness and certificate checks run on d a instead, d the least common
@@ -32,8 +34,10 @@ since b x = x b.
 `oracle_separability` instead solves the defining conditions m(x) = 1 and
 bx = xb directly, not the trace criterion: an independent check of the
 criterion and of the certificate, though it shares `psi_block`,
-`skew_product` and the generators of A*G (`ring_generators`) with the
-certificate; it builds its rows without `psi_left`/`psi_right`.  A*G is
+`commutator_terms` and the generators of A*G (`ring_generators`) with the
+certificate: its rows are the certificate's check written over the
+unknowns.  The independent references are the trace decision, which
+`cross_check` compares it with, and the tests' square.  A*G is
 graded by the morphisms, so that system is block-diagonal over the
 conjugacy classes of the products gh of the square's blocks (g, h), and
 only the class of identities, the blocks (g, g^-1), has a nonzero
@@ -55,8 +59,8 @@ from dataclasses import dataclass
 from .linalg import (AffineSolutionSet, Echelon, LinalgError, Matrix, echelon,
                      free_coords, kernel, solve_affine, vadd)
 from .partial_action import PartialAction
-from .skew_ring import (TensorOverA, psi_block, psi_left, psi_multiply, psi_right,
-                        psi_tensor_dim, ring_generators, skew_product, tensor_over)
+from .skew_ring import (TensorOverA, commutator_terms, psi_block, psi_tensor_dim,
+                        ring_generators, skew_product, tensor_over)
 
 
 class SeparabilityError(Exception):
@@ -310,13 +314,14 @@ def build_certificate(pa: PartialAction, a,
     definition (`separability_checks`) and written out as the canonical
     representative: in each block, the free pairs of `psi_block` with the
     coordinates of the block's psi-image y over their psi-images, read off
-    its pivots and inverse rows by `free_coords`.  Over Q all
+    its pivots and inverse rows by `free_coords`.  The checks run on the
+    blocks those coordinates rebuild, sum_f coords[f] (psi-image of free
+    pair f), so they check the summands as written.  Over Q all
     of this runs on integral vectors: the witness check on d_a a, d_a the
     least common denominator of a, and the checks and coordinates on the
     blocks y = d x of d = d_a d_b, d_b that of the blocks of d_a a; the
     coordinates and the returned blocks are scaled back by d^-1 once.
     """
-    pa.ensure_valid()
     pa.require_decomposition()
     alg = pa.algebra
     field = alg.field
@@ -326,21 +331,26 @@ def build_certificate(pa: PartialAction, a,
         raise WitnessInvalid("witness is not central with t_e(a) = 1_e at every object")
     raw = idempotent_blocks(pa, da)
     db = field.denominator(raw.values())
-    scaled = {pair: _scaled(field, db, y) for pair, y in raw.items()}
     d *= db
-    checks = {"witness_central": True, "witness_traces": True,
-              **separability_checks(pa, scaled, d)}
     dinv = field.inv(d)
     summands = []
-    for (g, h), y in scaled.items():
-        _, _, free, pivots, inverse = psi_block(pa, g, h)
+    rebuilt = {}
+    for (g, h), y in raw.items():
+        images, kinds, free, pivots, inverse = psi_block(pa, g, h)
         us, ws = pa.ideal(g).rows, pa.ideal(h).rows
-        coords = free_coords(field, pivots, inverse, y)
-        for f, c in zip(free, _scaled(field, dinv, coords)):
+        coords = free_coords(field, pivots, inverse, _scaled(field, db, y))
+        z = [field.zero] * alg.dim
+        for f, c, s in zip(free, coords, _scaled(field, dinv, coords)):
             if c:
+                for p, t in enumerate(images[kinds[f]]):
+                    if t:
+                        z[p] += c * t
                 i, j = divmod(f, len(ws))
-                summands.append((g, _scaled(field, c, us[i]), h, ws[j]))
-    blocks = {pair: _scaled(field, dinv, y) for pair, y in scaled.items()}
+                summands.append((g, _scaled(field, s, us[i]), h, ws[j]))
+        rebuilt[g, h] = field.reduce_vec(z)
+    checks = {"witness_central": True, "witness_traces": True,
+              **separability_checks(pa, rebuilt, d)}
+    blocks = {pair: _scaled(field, dinv, y) for pair, y in rebuilt.items()}
     if family is None:
         family = AffineSolutionSet(a, (), field)
     return SeparabilityCertificate(a, family, psi_tensor_dim(pa), blocks,
@@ -357,8 +367,15 @@ def idempotent_blocks(pa: PartialAction, a) -> dict:
 
 def separability_checks(pa: PartialAction, blocks, d=1) -> dict:
     """m(x) = 1 and bx = xb for every ring basis element b, for the tensor
-    element x = d^-1 y given by the psi blocks of y (d a nonzero scalar):
-    checked on y as m(y) = d 1 and by = yb.
+    element x = d^-1 y given by the psi blocks (g, g^-1) of y (d a nonzero
+    scalar): checked on y as m(y) = d 1 and by = yb.
+
+    m sends block (g, g^-1) y_g to y_g d_{id_e}, e = tgt g, so m(y) = d 1
+    reads sum of y_g over the arrows g into e == d 1_e at each object e, the
+    rule `TensorOverA.mult_matrix` writes as rows.  by = yb is read with
+    `commutator_terms`, the formula the oracle solves: each output block gets
+    at most one left and one right term, so the two sides are compared block
+    by block, with no sums.
 
     `commutes_with_basis` tests by = yb on the generators of A*G that
     `ring_generators` lists, not on every basis element, and the two are
@@ -371,14 +388,29 @@ def separability_checks(pa: PartialAction, blocks, d=1) -> dict:
     """
     g_oid = pa.groupoid
     field = pa.algebra.field
-    unit = {g_oid.identity[e]: _scaled(field, d, pa.obj_idem(e)) for e in g_oid.objects}
+    sums: dict = {}
+    for (g, _), y in blocks.items():
+        e = g_oid.tgt[g]
+        sums[e] = vadd(field, sums[e], y) if e in sums else y
     return {
-        "multiplies_to_unit": psi_multiply(pa, blocks) == {
-            g: v for g, v in unit.items() if any(v)},
-        "commutes_with_basis": all(
-            psi_left(pa, k, v, blocks) == psi_right(pa, k, v, blocks)
-            for k, v in ring_generators(pa)),
+        "multiplies_to_unit": all(
+            sums.get(e, pa.algebra.zero()) == _scaled(field, d, pa.obj_idem(e))
+            for e in g_oid.objects),
+        "commutes_with_basis": all(_commutes(pa, k, v, blocks)
+                                   for k, v in ring_generators(pa)),
     }
+
+
+def _commutes(pa: PartialAction, k, v, blocks) -> bool:
+    """b y == y b for b = v d_k and y given by its blocks (g, g^-1): the
+    nonzero left and right terms of `commutator_terms`, keyed by output
+    block, are equal."""
+    sides: tuple = ({}, {})
+    for (g, _), y in blocks.items():
+        for side, term in zip(sides, commutator_terms(pa, k, v, g, y)):
+            if term is not None and any(term[1]):
+                side[term[0]] = term[1]
+    return sides[0] == sides[1]
 
 
 def oracle_separability(pa: PartialAction) -> OracleResult:
@@ -395,11 +427,12 @@ def oracle_separability(pa: PartialAction) -> OracleResult:
     psi-images of the output blocks (`TensorOverA.commutator_rows`), each
     distinct row once.  The elements that commute with x form a subalgebra,
     so x commutes with the generators iff with every ring basis element.
-    It shares `psi_block`, `skew_product` and the generators with the
-    certificate, but not `psi_left`/`psi_right` and not the trace
-    criterion, and builds no ring: that the ring table's products factor
-    through psi is checked only by the tests (`factoring_failures`), and
-    `skew-table` keeps the ring's associativity audit.
+    It shares `psi_block`, the closed form of b x - x b
+    (`skew_ring.commutator_terms`) and the generators with the certificate,
+    but not the trace criterion, and builds no ring: that the ring table's
+    products factor through psi is checked only by the tests
+    (`factoring_failures`), and `skew-table` keeps the ring's associativity
+    audit.
 
     This is exact because A*G is graded by the morphisms (the graded-ring
     argument of Nastasescu, Van den Bergh and Van Oystaeyen, "Separable
@@ -474,7 +507,6 @@ def isotropy_witness_transport(pa: PartialAction, class_objects, witness) -> Tra
     """
     if not pa.is_global():
         raise NotGlobal("isotropy transport needs a global action")
-    pa.ensure_valid()
     pa.require_decomposition()
     cls = tuple(class_objects)
     i = cls[0]
@@ -523,7 +555,6 @@ def isotropy_transport_psi(pa: PartialAction, arrow) -> IsotropyIso:
     """
     if not pa.is_global():
         raise NotGlobal("isotropy conjugation needs a global action")
-    pa.ensure_valid()
     pa.require_decomposition()
     g_oid = pa.groupoid
     if arrow not in g_oid.src:

@@ -10,20 +10,21 @@ psi(u d_g (x) w d_h) = u alpha_g(w 1_{g^-1}), which maps the (g, h) block of
 the quotient isomorphically onto the ideal A 1_g 1_{gh} and kills the block
 unless src g = tgt h; y in that ideal stands for y d_g (x) 1_h d_h.
 
-The square is held in this normal form only.  The `psi_*` functions
-hold an element as its psi blocks {(g, h): y} and need neither the ring
-table nor a basis of the square: multiplication, the two actions of a ring
-basis element v d_k and the dimension have closed forms there.  A block's
-canonical representatives are the basis pairs chosen greedily from the
-right whose psi-images are independent (`psi_block`), the free columns of
-the reduced echelon form of the balancing relations
-(b.a (x) b') - (b (x) a.b'), never built.  The same elimination
-(`linalg.free_basis`) also writes the block's image over them, so an
-element's coordinates on the representatives need no second elimination.
-`TensorOverA` holds those of the blocks (g, g^-1), the oracle's unknowns,
-with their psi-images.  Nothing
-here reads the ring table for the square: that every basis-pair product is
-its psi-image at d_{gh} is checked by the tests against the table.
+The square is held in this normal form only, and needs neither the ring
+table nor a basis of the square there: the dimension (`psi_tensor_dim`)
+and, on the blocks (g, g^-1) that a separability element lives on, the map
+x |-> b x - x b of a ring basis element b = v d_k (`commutator_terms`) have
+closed forms.  That one formula serves the oracle's rows and the
+certificate's check alike.  A block's canonical representatives are the
+basis pairs chosen greedily from the right whose psi-images are
+independent (`psi_block`), the free columns of the reduced echelon form of
+the balancing relations (b.a (x) b') - (b (x) a.b'), never built.  The same
+elimination (`linalg.free_basis`) also writes the block's image over them,
+so an element's coordinates on the representatives need no second
+elimination.  `TensorOverA` holds those of the blocks (g, g^-1), the
+oracle's unknowns, with their psi-images.  Nothing here reads the ring
+table for the square: that every basis-pair product is its psi-image at
+d_{gh} is checked by the tests against the table.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import os
 from collections import Counter
 
 from .algebra import nonassociative_triple, table_product
-from .linalg import free_basis, vadd
+from .linalg import free_basis
 from .partial_action import PartialAction
 
 DEFAULT_MAX_TENSOR_DIM = 4096
@@ -172,13 +173,13 @@ class SkewRing:
 
 def build_skew_ring(action: PartialAction) -> SkewRing:
     """A*G of a valid action whose object idempotents decompose 1; the
-    `ActionError` of `ensure_valid` (or `DecompositionRequired`) otherwise.
-    Its table holds (sum_g dim A_g)^2 basis-pair products, the ambient
-    dimension of the tensor square, so it is refused over the same cap
-    (`TensorTooLarge`) before any is computed."""
-    action.ensure_valid()
+    `ActionError` of `ensure_valid` (or `DecompositionRequired`) otherwise,
+    both raised by `require_decomposition`.  Its table holds
+    (sum_g dim A_g)^2 basis-pair products, the ambient dimension of the
+    tensor square, so it is refused over the same cap (`TensorTooLarge`)
+    before any is computed."""
     action.require_decomposition()
-    _check_cap(action)
+    _check_cap(action, "skew ring table size")
     return SkewRing(action)
 
 
@@ -268,47 +269,41 @@ def psi_tensor_dim(act: PartialAction) -> int:
     return total
 
 
-def _collect(field, terms) -> dict:
-    """Sum (key, vector) terms per key, dropping keys whose sum is 0."""
-    out: dict = {}
-    for key, v in terms:
-        out[key] = vadd(field, out[key], v) if key in out else v
-    return {key: v for key, v in out.items() if any(v)}
+def commutator_terms(act: PartialAction, k, v, g, y) -> tuple:
+    """b X - X b for b = v d_k (v in A_k) and X = y d_g (x) 1_{g^-1} d_{g^-1}
+    (y in A_g), as its two terms (left, right), each (output block,
+    psi-image) or None where the product is 0: b X is the `skew_product`
+    (v d_k)(y d_g) in block (kg, g^-1) when src k = tgt g, and X b is
+    y alpha_g(alpha_{g^-1}(v)) in block (g, g^-1 k) when tgt k = tgt g.
 
-
-def psi_multiply(act: PartialAction, blocks) -> dict:
-    """m(x) as {morphism: coefficient}: block (g, h) y maps to y d_{gh}."""
-    compose = act.groupoid.compose
-    return _collect(act.algebra.field,
-                    ((compose[pair], y) for pair, y in blocks.items()))
-
-
-def psi_left(act: PartialAction, k, v, blocks) -> dict:
-    """The psi blocks of (v d_k) x: block (g, h) y goes to block (kg, h)
-    as the `skew_product` (v d_k)(y d_g) when src k = tgt g."""
-    src, tgt = act.groupoid.src, act.groupoid.tgt
-    return _collect(act.algebra.field, (
-        ((kg, h), z) for (g, h), y in blocks.items() if src[k] == tgt[g]
-        for kg, z in (skew_product(act, k, v, g, y),)))
-
-
-def psi_right(act: PartialAction, k, v, blocks) -> dict:
-    """The psi blocks of x (v d_k): block (g, h) y goes to block (g, hk)
-    as y alpha_g(alpha_h(v)) when src h = tgt k."""
-    alg = act.algebra
+    On an element x given by its blocks (g, g^-1), the left term of block g
+    and the right term of block kg land in the same output block
+    (kg, g^-1), and no other term does: g |-> kg is a bijection from the
+    arrows into src k onto the arrows into tgt k, and distinct g give
+    distinct blocks.  So bx = xb iff the left and right terms agree block
+    by block, with no sums.  The oracle (`TensorOverA.commutator_rows`) and
+    the certificate (`separability.separability_checks`) both read it.
+    """
     g_oid = act.groupoid
-    return _collect(alg.field, (
-        ((g, g_oid.compose[(h, k)]), alg.multiply(y, act.alpha(g, act.alpha(h, v))))
-        for (g, h), y in blocks.items() if g_oid.src[h] == g_oid.tgt[k]))
+    at = g_oid.tgt[g]
+    left = right = None
+    if g_oid.src[k] == at:
+        kg, z = skew_product(act, k, v, g, y)
+        left = (kg, g_oid.inv(g)), z
+    if g_oid.tgt[k] == at:
+        ginv = g_oid.inv(g)
+        right = ((g, g_oid.compose[(ginv, k)]),
+                 act.algebra.multiply(y, act.alpha(g, act.alpha(ginv, v))))
+    return left, right
 
 
 # -- the oracle's square: the blocks (g, g^-1) in psi coordinates ------------------
 
 
-def _check_cap(action: PartialAction) -> None:
+def _check_cap(action: PartialAction, what: str) -> None:
     """Refuse a tensor square, or a ring table, with more basis pairs than
     SKEWALG_MAX_DIM: (sum_g dim A_g)^2, read off the ideal bases the algebra
-    keeps."""
+    keeps.  `what` names the refused size in the message."""
     ambient_dim = sum(action.ideal(g).dim for g in action.groupoid.morphisms) ** 2
     raw = os.environ.get("SKEWALG_MAX_DIM")
     try:
@@ -320,8 +315,7 @@ def _check_cap(action: PartialAction) -> None:
             "SKEWALG_MAX_DIM must be a non-negative integer, got %r" % raw[:40])
     if ambient_dim > cap:
         raise TensorTooLarge(
-            "tensor ambient dimension %d exceeds cap %d (SKEWALG_MAX_DIM)"
-            % (ambient_dim, cap))
+            "%s %d exceeds cap %d (SKEWALG_MAX_DIM)" % (what, ambient_dim, cap))
 
 
 class TensorOverA:
@@ -362,29 +356,19 @@ class TensorOverA:
         """The nonzero rows of x |-> b x - x b on the columns, keyed by
         (output block, coordinate in A), for a homogeneous b = v d_k, v in
         A_k: the oracle passes the generators of A*G (`ring_generators`).
-        Column y of block (g, g^-1) goes straight to its two output blocks:
-        b y to (kg, g^-1) as the `skew_product` (v d_k)(y d_g) when
-        src k = tgt g, and y b to (g, g^-1 k) as y alpha_g(alpha_{g^-1}(v))
-        when tgt k = tgt g.  The certificate's `psi_left`/`psi_right`, which
-        act on whole block dicts, are not used here."""
+        Column y of block (g, g^-1) enters the rows of its two output blocks
+        with the two terms of `commutator_terms`, the left one with sign +1
+        and the right one with sign -1."""
         act = self.action
-        alg = act.algebra
-        field = alg.field
-        g_oid = act.groupoid
+        field = act.algebra.field
         acc: dict = {}
         for c, (g, _, y) in enumerate(self.columns):
-            ginv = g_oid.inv(g)
-            terms = []
-            if g_oid.src[k] == g_oid.tgt[g]:
-                kg, z = skew_product(act, k, v, g, y)
-                terms.append((1, (kg, ginv), z))
-            if g_oid.tgt[k] == g_oid.tgt[g]:
-                terms.append((-1, (g, g_oid.compose[(ginv, k)]),
-                              alg.multiply(y, act.alpha(g, act.alpha(ginv, v)))))
-            for sign, out, z in terms:
-                for a, t in enumerate(z):
-                    if t:
-                        acc[out, a, c] = acc.get((out, a, c), field.zero) + sign * t
+            for sign, term in zip((1, -1), commutator_terms(act, k, v, g, y)):
+                if term is not None:
+                    out, z = term
+                    for a, t in enumerate(z):
+                        if t:
+                            acc[out, a, c] = acc.get((out, a, c), field.zero) + sign * t
         rows: dict = {}
         for (out, a, c), t in field.reduce_dict(acc).items():
             rows.setdefault((out, a), [field.zero] * len(self.columns))[c] = t
@@ -394,12 +378,12 @@ class TensorOverA:
 def tensor_over(action: PartialAction) -> TensorOverA:
     """The oracle's square of A*G over A.
 
-    The action is validated first (`ActionError` of `ensure_valid`, or
-    `DecompositionRequired`), since only a central idempotent has an ideal
-    basis; then the size cap is checked against (sum_g dim A_g)^2, read off
-    the ideal bases the algebra keeps, before any block is read.
+    The action is validated first by `require_decomposition` (`ActionError`
+    of `ensure_valid`, or `DecompositionRequired`), since only a central
+    idempotent has an ideal basis; then the size cap is checked against
+    (sum_g dim A_g)^2, read off the ideal bases the algebra keeps, before
+    any block is read.
     """
-    action.ensure_valid()
     action.require_decomposition()
-    _check_cap(action)
+    _check_cap(action, "tensor ambient dimension")
     return TensorOverA(action)

@@ -13,9 +13,10 @@ from skewalg.fuzz import random_skeleton
 from skewalg.groupoid import ValidationReport, Violation
 from skewalg.instances import load_instance, parse_instance
 from skewalg.linalg import DimensionMismatch, LinalgError, echelon, kernel, vadd
-from skewalg.separability import (SeparabilityCertificate, WitnessInvalid,
-                                  idempotent_blocks, trace_into)
-from skewalg.skew_ring import psi_block, psi_left, psi_multiply, psi_right
+from skewalg.separability import (OracleResult, SeparabilityCertificate,
+                                  WitnessInvalid, idempotent_blocks,
+                                  oracle_separability, trace_into)
+from skewalg.skew_ring import commutator_terms, psi_block
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -695,6 +696,17 @@ def psi_of(square, qcoords) -> dict:
     return {pair: y for pair, y in out.items() if any(y)}
 
 
+def opposite_oracle(pa: PartialAction) -> OracleResult:
+    """The oracle's result on pa with the opposite answer planted: no
+    solution where it finds one, and the zero element, whose extracted
+    witness is 0, where it finds none."""
+    real = oracle_separability(pa)
+    field = pa.algebra.field
+    particular = None if real.separable else (field.zero,) * len(real.tensor.columns)
+    return OracleResult(not real.separable, real.tensor,
+                        AffineSolutionSet(particular, (), field))
+
+
 def column_blocks(tensor, x) -> dict:
     """The nonzero psi blocks of an oracle solution x, in the column
     coordinates of `tensor` (a `TensorOverA`): block (g, g^-1) sums x_c y_c
@@ -896,17 +908,45 @@ def reference_build_certificate(pa: PartialAction, a,
                                    tuple(summands), checks)
 
 
+def psi_products(pa: PartialAction, blocks) -> dict:
+    """m(x) as {morphism: coefficient} for x given by its psi blocks: block
+    (g, h) y maps to y d_{gh}, summed per morphism, zero sums dropped."""
+    field = pa.algebra.field
+    out: dict = {}
+    for pair, y in blocks.items():
+        gh = pa.groupoid.compose[pair]
+        out[gh] = vadd(field, out[gh], y) if gh in out else y
+    return {g: v for g, v in out.items() if any(v)}
+
+
+def commutator_sides(pa: PartialAction, k, v, blocks) -> tuple:
+    """(b x, x b) for b = v d_k and x given by its psi blocks (g, g^-1), each
+    as its nonzero psi blocks: the left and the right terms of
+    `commutator_terms`, summed per output block."""
+    field = pa.algebra.field
+    sides: tuple = ({}, {})
+    for (g, _), y in blocks.items():
+        for side, term in zip(sides, commutator_terms(pa, k, v, g, y)):
+            if term is not None:
+                out, z = term
+                side[out] = vadd(field, side[out], z) if out in side else z
+    return tuple({out: z for out, z in side.items() if any(z)} for side in sides)
+
+
 def reference_separability_checks(pa: PartialAction, blocks) -> dict:
-    """m(x) = 1 and bx = xb for every ring basis element b, for the tensor
-    element x given by its psi blocks."""
+    """m(x) = 1 and bx = xb for every ring basis element b, not only the
+    generators, for the tensor element x given by its psi blocks (g, g^-1):
+    m through the groupoid's composition, and bx, xb summed per output
+    block (`commutator_sides`)."""
     g_oid = pa.groupoid
     unit = {g_oid.identity[e]: pa.obj_idem(e) for e in g_oid.objects}
     return {
-        "multiplies_to_unit": psi_multiply(pa, blocks) == {
+        "multiplies_to_unit": psi_products(pa, blocks) == {
             g: v for g, v in unit.items() if any(v)},
         "commutes_with_basis": all(
-            psi_left(pa, k, v, blocks) == psi_right(pa, k, v, blocks)
-            for k in g_oid.morphisms for v in pa.ideal(k).rows),
+            left == right for left, right in (
+                commutator_sides(pa, k, v, blocks)
+                for k in g_oid.morphisms for v in pa.ideal(k).rows)),
     }
 
 

@@ -16,7 +16,8 @@ from skewalg.cli import main, render
 from skewalg.fuzz import random_skeleton, run_differential, skeleton_to_instance
 from skewalg.skew_ring import SkewRing, TensorOverA
 
-from conftest import INSTANCE_DIR, instance_data, instance_path, non_central_domain
+from conftest import (INSTANCE_DIR, instance_data, instance_path, non_central_domain,
+                      opposite_oracle)
 
 
 def run_cli(capsys, *argv):
@@ -294,6 +295,8 @@ def test_oversized_tensor_square_exits_two(capsys, monkeypatch):
     report = json.loads(out)
     assert not report["ok"]
     assert report["error"]["type"] == "TensorTooLarge"
+    assert report["error"]["message"] == \
+        "tensor ambient dimension 36 exceeds cap 10 (SKEWALG_MAX_DIM)"
 
 
 def test_oversized_skew_table_exits_two(capsys, monkeypatch):
@@ -305,9 +308,26 @@ def test_oversized_skew_table_exits_two(capsys, monkeypatch):
     report = json.loads(out)
     assert not report["ok"]
     assert report["error"]["type"] == "TensorTooLarge"
+    assert report["error"]["message"] == \
+        "skew ring table size 36 exceeds cap 35 (SKEWALG_MAX_DIM)"
     monkeypatch.setenv("SKEWALG_MAX_DIM", "36")
     code, out, _ = run_cli(capsys, "skew-table", path)
     assert code == 0 and json.loads(out)["ring_dim"] == 6
+
+
+@pytest.mark.parametrize("name", ["partial_bridge_q.json", "z2_flip_gf2.json"])
+def test_a_disagreeing_oracle_fails_the_report(capsys, monkeypatch, name):
+    # an oracle of the opposite answer shows as agrees_with_decision false
+    # and exit 1, whichever the verdict; the planted solution's extracted
+    # witness, 0, is no witness
+    monkeypatch.setattr(cli, "oracle_separability", opposite_oracle)
+    code, out, _ = run_cli(capsys, "separability", str(instance_path(name)), "--oracle")
+    report = json.loads(out)
+    assert code == 1 and report["ok"] is False
+    assert report["oracle"]["agrees_with_decision"] is False
+    assert report["oracle"]["separable"] is not report["verdict"]["separable"]
+    assert report["oracle"].get("extracted_witness_ok") is (
+        None if report["verdict"]["separable"] else False)
 
 
 def test_oversized_square_is_refused_before_the_decision(capsys, monkeypatch):

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+import skewalg.fuzz as fuzz
 from skewalg.fuzz import (random_skeleton, run_differential, run_fuzz,
                           skeleton_to_instance)
 from skewalg.instances import parse_instance
 
-from conftest import RING_48
+from conftest import RING_48, instance_data, opposite_oracle
 
 
 def test_generated_instances_are_valid_by_construction():
@@ -45,6 +46,16 @@ def test_differential_record_shape():
     assert rec["decide_separable"] == rec["oracle_separable"]
     if rec["oracle_separable"]:
         assert rec["extracted_witness_ok"]
+
+
+@pytest.mark.parametrize("name", ["partial_bridge_q.json", "z2_flip_gf2.json"])
+def test_differential_record_of_a_disagreeing_oracle(monkeypatch, name):
+    # an oracle of the opposite answer makes the record disagree, whichever
+    # the verdict
+    monkeypatch.setattr(fuzz, "oracle_separability", opposite_oracle)
+    rec = run_differential(instance_data(name))
+    assert rec["valid"] and rec["agree"] is False
+    assert rec["oracle_separable"] is not rec["decide_separable"]
 
 
 def test_differential_record_of_an_invalid_instance():

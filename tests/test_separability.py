@@ -17,20 +17,20 @@ from skewalg.separability import (EmptyHomSet, NotGlobal, SeparabilityError,
                                   oracle_separability, separability_checks,
                                   trace_between, trace_into,
                                   trace_invariant_suite, trace_total)
-from skewalg.skew_ring import (build_skew_ring, psi_block, psi_left, psi_multiply,
-                               psi_right, psi_tensor_dim, ring_generators)
+from skewalg.skew_ring import build_skew_ring, psi_block, psi_tensor_dim, ring_generators
 from skewalg.cli import main
 from skewalg.fuzz import random_skeleton, skeleton_to_instance
 from skewalg.instances import parse_instance
 
 import skewalg.separability as separability
 from conftest import (INSTANCE_DIR, RING_48, ambient_product, basis_oracle_solutions,
-                      changed_basis_action, column_blocks, cut_component_family,
-                      column_pairs, column_products, dense_oracle_system, from_cols,
-                      from_coords,
+                      changed_basis_action, column_blocks, commutator_sides,
+                      cut_component_family, column_pairs, column_products,
+                      dense_oracle_system, from_cols, from_coords,
                       full_oracle_system, global_skeleton, glue_components,
                       greedy_psi_block, identity_matrix, intersect,
-                      lift, load_action, madd, matmul, msub, product_classes, psi_of, psi_pair, pure_tensor,
+                      lift, load_action, madd, matmul, msub, product_classes, psi_of,
+                      psi_pair, psi_products, pure_tensor,
                       reference_build_certificate, reference_invariant_subring,
                       reference_is_witness, reference_separability_checks,
                       reference_square, reference_trace_invariant_suite,
@@ -415,30 +415,81 @@ def test_psi_certificate_matches_the_square_reference():
 
 
 def test_psi_formulas_match_the_square_blockwise():
-    # m, and the left and right actions of every ring basis element, on random
-    # tensor elements: the closed psi formulas against the square's own maps,
-    # read back blockwise through the psi-images of the lifts (psi_of)
+    # m, and the two terms of b x - x b (`commutator_terms`) for every ring
+    # basis element b, on random elements of the identity class, the blocks
+    # (g, g^-1): the closed psi formulas against the square's own maps, read
+    # back blockwise through the psi-images of the lifts (psi_of)
     rng = random.Random(41)
     for pa in closed_form_corpus():
         ring = build_skew_ring(pa)
         square = reference_square(ring)
         mult = square.mult_matrix()
         for _ in range(2):
-            q = _random_vector(ring.field, rng, square.dim)
+            q = [ring.field.zero] * square.dim
+            for c, t in zip(square.unit_class,
+                            _random_vector(ring.field, rng, len(square.unit_class))):
+                q[c] = t
             blocks = psi_of(square, q)
+            assert all(h == pa.groupoid.inv(g) for g, h in blocks)
             lifted = lift(square, q)
-            assert psi_multiply(pa, blocks) == from_coords(ring, mult.apply(q))
+            assert psi_products(pa, blocks) == from_coords(ring, mult.apply(q))
             for p, (k, v) in enumerate(ring.basis):
                 b = ring.basis_coords(p)
                 left = square.project(ambient_product(square, lifted, left=b))
                 right = square.project(ambient_product(square, lifted, right=b))
-                assert psi_left(pa, k, v, blocks) == psi_of(square, left)
-                assert psi_right(pa, k, v, blocks) == psi_of(square, right)
+                assert commutator_sides(pa, k, v, blocks) == (psi_of(square, left),
+                                                              psi_of(square, right))
 
 
 def test_invalid_witness_is_rejected(bridge):
     with pytest.raises(WitnessInvalid):
         build_certificate(bridge, [1, 1, 1, 1])  # t2 gives 2 v3 + v4 != 1_2
+
+
+def test_a_non_central_solution_of_the_traces_is_no_witness():
+    # on M_2 x M_2 the trace system over all of A, not only its centre, has
+    # a 4-dimensional family; the particular solution is the central
+    # witness, and adding any kernel vector keeps t_e(a) = 1_e but leaves
+    # the centre, so the centrality half of the witness check must refuse it
+    pa = load_action("conj_swap_m2_q.json")
+    alg = pa.algebra
+    field = alg.field
+    rows, rhs = [], []
+    for e in pa.groupoid.objects:
+        rows.extend(trace_into(pa, e).data)
+        rhs.extend(pa.obj_idem(e))
+    family = solve_affine(field, rows, rhs, alg.dim)
+    assert family.dim == 4
+    assert is_witness(pa, family.particular)
+    for k in family.kernel_basis:
+        a = vadd(field, family.particular, k)
+        assert all(trace_into(pa, e).apply(a) == pa.obj_idem(e) for e in pa.groupoid.objects)
+        assert not alg.commutes_with_all(a)
+        assert not is_witness(pa, a)
+        with pytest.raises(WitnessInvalid):
+            build_certificate(pa, a)
+
+
+@pytest.mark.parametrize("name", ["z2_flip_q.json", "partial_bridge_q.json",
+                                  "rotated_swap_gf5.json", "two_components_q.json"])
+def test_the_certificate_checks_the_summands_it_writes(name, monkeypatch):
+    # the checks run on the blocks that the summand coordinates rebuild, so
+    # a wrong coordinate from free_coords fails them
+    pa = load_action(name)
+    witness = decide_separability(pa).witness
+    cert = build_certificate(pa, witness)
+    assert cert.ok
+    free_coords = separability.free_coords
+
+    def shifted(field, pivots, inverse, y):
+        coords = free_coords(field, pivots, inverse, y)
+        return field.reduce_vec((coords[0] + 1, *coords[1:]))
+
+    monkeypatch.setattr(separability, "free_coords", shifted)
+    wrong = build_certificate(pa, witness)
+    assert wrong.summands != cert.summands
+    assert not wrong.ok
+    assert wrong.checks["multiplies_to_unit"] is False
 
 
 def test_glued_double_verdict_is_the_conjunction(glued_double, bridge):
@@ -652,7 +703,8 @@ def test_the_generators_generate_the_ring():
 
 
 def _commutes(pa, blocks, gens) -> list:
-    return [psi_left(pa, k, v, blocks) == psi_right(pa, k, v, blocks) for k, v in gens]
+    return [left == right for left, right in (commutator_sides(pa, k, v, blocks)
+                                              for k, v in gens)]
 
 
 @pytest.mark.parametrize("name", ["z2_flip_q.json", "partial_bridge_q.json",
@@ -1050,10 +1102,11 @@ def assert_families_match_restricted_route(pa):
 
 
 def test_component_families_match_the_cut_route():
-    # a lone component's family is solve_affine's set mapped through the
-    # center basis, with no cut and no second elimination, and the verdict
-    # keeps it as it is; several components keep the cut.  Each family, and
-    # the verdict's, equals the route that cuts and canonicalises every one
+    # every component's family is solve_affine's set mapped through the
+    # center basis, with no cut and no second elimination; the verdict keeps
+    # a lone component's family as it is, and puts the sum of several in
+    # canonical form.  Each family, and the verdict's, equals the route that
+    # cuts and canonicalises every one
     lone = several = 0
     for pa in psi_corpus():
         deciders = (decide_separability, decide_global) if pa.is_global() else \
