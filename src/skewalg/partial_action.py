@@ -70,6 +70,8 @@ class PartialAction:
             self.maps[g] = m
         self._images: dict = {}        # (g, v) -> alpha_g(v)
         self._psi_blocks: dict = {}    # (g, h) -> skew_ring.psi_block(self, g, h)
+        self._generators: tuple | None = None     # skew_ring.ring_generators(self)
+        self._tensor_dim: int | None = None       # skew_ring.psi_tensor_dim(self)
         self._traces: dict = {}        # arrows -> separability._trace_sum(self, arrows)
         self._report: ValidationReport | None = None
         self._decomposes: bool | None = None

@@ -34,10 +34,11 @@ since b x = x b.
 `oracle_separability` instead solves the defining conditions m(x) = 1 and
 bx = xb directly, not the trace criterion: an independent check of the
 criterion and of the certificate, though it shares `psi_block`,
-`commutator_terms` and the generators of A*G (`ring_generators`) with the
-certificate: its rows are the certificate's check written over the
-unknowns.  The independent references are the trace decision, which
-`cross_check` compares it with, and the tests' square.  A*G is
+`commutator_terms` and the small generating set of A*G (`ring_generators`,
+found once per action) with the certificate: its rows are the
+certificate's check written over the unknowns.  The independent
+references are the trace decision, which `cross_check` compares it with,
+and the tests' square.  A*G is
 graded by the morphisms, so that system is block-diagonal over the
 conjugacy classes of the products gh of the square's blocks (g, h), and
 only the class of identities, the blocks (g, g^-1), has a nonzero
@@ -377,14 +378,17 @@ def separability_checks(pa: PartialAction, blocks, d=1) -> dict:
     at most one left and one right term, so the two sides are compared block
     by block, with no sums.
 
-    `commutes_with_basis` tests by = yb on the generators of A*G that
-    `ring_generators` lists, not on every basis element, and the two are
-    equivalent.  For u in A_k, (u d_{id_t(k)})(1_k d_k) = u d_k, so the
-    a d_{id_e} (a in the basis of A_{id_e}) and the 1_k d_k generate A*G as
-    an algebra; the elements that commute with y form a subalgebra, so it
-    contains every basis element once it contains every generator.  The
-    generators scale 1_k by its common denominator, which changes nothing
-    because commutation is linear.
+    `commutes_with_basis` tests by = yb on the small generating set that
+    `ring_generators` finds once per action, not on every basis element,
+    and the two are equivalent; the proof is in its docstring, in three
+    steps.  The elements that commute with y form a subalgebra C.  C holds
+    A: on non-commutative A through the listed a d_{id_e}, and on
+    commutative A for every y on the blocks (g, g^-1), since a y = y a
+    there.  If 1_k d_k is in C, so is 1_{k^-1} d_{k^-1}.  And C then holds
+    A c_g d_g, c_g the join of the idempotents that the words in S u S^-1
+    with product g move 1_e to, which is 1_g on every arrow outside S with
+    A_g != 0; for a global action, on every arrow that the words reach.
+    The key keeps its name, so the reports do not change.
     """
     g_oid = pa.groupoid
     field = pa.algebra.field
@@ -420,13 +424,19 @@ def oracle_separability(pa: PartialAction) -> OracleResult:
     the trace criterion: the two must agree on every instance.  Only the
     unknowns of the blocks (g, g^-1) are solved for (`TensorOverA.columns`,
     ring.dim of them): the system is the rows of m, one per object e and
-    coordinate of A with right-hand side 1_e, and, for each generator
-    b = v d_k of A*G (`ring_generators`: A's basis at the identities and a
-    multiple of 1_k d_k for every other arrow with A_k != 0), the nonzero
+    coordinate of A with right-hand side 1_e, and, for each b = v d_k of
+    the small generating set (`ring_generators`: A's basis at the
+    identities on non-commutative A only, and a multiple of 1_k d_k for
+    each arrow k of a set S whose words in S u S^-1 cover A*G), the nonzero
     rows of x |-> b x - x b on those unknowns, coordinates in A of
     psi-images of the output blocks (`TensorOverA.commutator_rows`), each
-    distinct row once.  The elements that commute with x form a subalgebra,
-    so x commutes with the generators iff with every ring basis element.
+    distinct row once.  An x on the blocks (g, g^-1) commutes with those
+    iff with every ring basis element: the elements that commute with x
+    form a subalgebra C; C holds A (on commutative A, a y = y a on each
+    block); with 1_k d_k it holds 1_{k^-1} d_{k^-1}; and then A c_g d_g,
+    c_g the join of what the words in S u S^-1 with product g move 1_e
+    to, which is 1_g for every arrow (the proof is in `ring_generators`;
+    for a global action c_g = 1_g wherever a word reaches).
     It shares `psi_block`, the closed form of b x - x b
     (`skew_ring.commutator_terms`) and the generators with the certificate,
     but not the trace criterion, and builds no ring: that the ring table's

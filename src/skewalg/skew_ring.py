@@ -227,24 +227,144 @@ def psi_block(act: PartialAction, g, h) -> tuple:
     return kept
 
 
-def ring_generators(act: PartialAction) -> list:
-    """Generators v d_k of A*G as an algebra, as pairs (k, v) in morphism
-    order: a d_{id_e} for each a in ideal(id_e).rows, and c_k 1_k d_k for
-    each other arrow k with A_k != 0, c_k the common denominator of 1_k
-    (`Field.denominator`), so no generator has a fraction.  They generate,
-    since (u d_{id_t(k)})(1_k d_k) = u d_k for u in A_k; why commuting with
-    them is commuting with A*G is in `separability.separability_checks`.
+def ring_generators(act: PartialAction) -> tuple:
+    """A small generating set of A*G for commutation, as pairs (k, v), each
+    the element v d_k, in morphism order: an x on the blocks (g, g^-1) of
+    the square commutes with every element of A*G iff it commutes with each
+    of them.  Found once per action and kept on it; the action must be valid
+    with object idempotents that decompose 1.
+
+    They are a d_{id_e} for each a in ideal(id_e).rows, on non-commutative A
+    only, and c_k 1_k d_k for each arrow k of S (`_covering_arrows`), c_k the
+    common denominator of 1_k (`Field.denominator`), so no generator has a
+    fraction; commutation is linear, so c_k changes nothing.  The elements b
+    with b x = x b form a subalgebra C of A*G, and C is all of A*G:
+    - C contains A = sum_e A_e d_{id_e}.  On non-commutative A it contains
+      the listed a d_{id_e}.  On commutative A it does for every x on the
+      blocks (g, g^-1): for b = a d_{id_e} and a block y with tgt g = e,
+      b X = a y and X b = y alpha_g(alpha_{g^-1}(a)) = y a 1_g = y a, in
+      the same output block (g, g^-1) (`commutator_terms`), and b leaves
+      the blocks with tgt g != e alone.
+    - If b = 1_k d_k is in C, so is b' = 1_{k^-1} d_{k^-1}: p = b b' = 1_k
+      d_{id} and q = b' b = 1_{k^-1} d_{id} lie in A, inside C, and
+      b' = q b' = b' p, so x b' = x b' b b' = (x q) b' = (q x) b' =
+      b' (b x) b' = b' (x b) b' = b' x p = b' p x = b' x.
+    - Words in S u S^-1 cover A*G.  For s in S u S^-1, src s = tgt h, and a
+      central idempotent c of A_h, (1_s d_s)(a c d_h) = alpha_s(1_{s^-1} a c)
+      d_{sh}, and as a runs over A these run over A alpha_s(1_{s^-1} c)
+      d_{sh}: alpha_s is a ring isomorphism A_{s^-1} -> A_s, so it sends
+      central idempotents to central idempotents and the ideal of one to
+      the ideal of its image.  A c d_g + A c' d_g = A (c v c') d_g, the join
+      c v c' = c + c' - c c'.  So C contains A c_g d_g, c_g the join over
+      the words s_1 ... s_n in S u S^-1 with product g of the idempotents
+      alpha_{s_1}(1_{s_1^-1} ... alpha_{s_n}(1_{s_n^-1} 1_e)), e = src g,
+      that the word moves 1_e d_{id_e} in A to.  Every arrow
+      k with A_k != 0 is in S or has c_k = 1_k, so C contains each A_k d_k.
+    For a global action c_g is 1_g on the arrows that words reach, and the
+    cover is plain reachability (`_covering_arrows`).  The full list, A's
+    basis at the identities and every c_k 1_k d_k with A_k != 0, also
+    generates, since (u d_{id_t(k)})(1_k d_k) = u d_k for u in A_k; the
+    tests keep it as the reference.
     """
-    field = act.algebra.field
+    kept = act._generators
+    if kept is None:
+        alg = act.algebra
+        field = alg.field
+        g_oid = act.groupoid
+        arrows = set(_covering_arrows(act))
+        if not alg.commutative:
+            arrows.update(g_oid.identity.values())
+        gens = []
+        for k in g_oid.morphisms:
+            if k not in arrows:
+                continue
+            if g_oid.is_identity(k):
+                gens.extend((k, a) for a in act.ideal(k).rows)
+            else:
+                c = field.denominator((act.idem(k),))
+                gens.append((k, act.idem(k) if c == 1 else
+                             field.reduce_vec(c * x for x in act.idem(k))))
+        kept = act._generators = tuple(gens)
+    return kept
+
+
+def _covering_arrows(act: PartialAction) -> list:
+    """S: the arrows k != id with A_k != 0, chosen greedily in morphism order,
+    where k joins S only if the words in S u S^-1 do not yet cover it,
+    c_k != 1_k (`ring_generators`).  Once in S, k is covered: the word k
+    gives alpha_k(1_{k^-1} 1_{src k}) = 1_k.
+
+    c is kept per arrow and grown by a worklist: c_{id_e} = 1_e, and an item
+    (h, moves) joins alpha_s(1_{s^-1} c_h) into c_{sh} for each s of
+    `moves` (the stored map of s computes alpha_s(a 1_{s^-1})).  An arrow
+    whose c grows is queued with every move out of its target; adding k to
+    S queues the arrows already reached at src k or tgt k with the moves k
+    and k^-1 alone.  Pushing the join of c_h, not each word, is enough:
+    a |-> alpha_s(1_{s^-1} a) preserves joins of central idempotents.  c_g
+    only grows, each time to a larger ideal A c_g, so the worklist ends.  An
+    arrow with c_g = 1_g is full and grows no more, since c_g <= 1_g always;
+    from a full h, alpha_s(1_{s^-1} 1_h) is read as the product 1_s 1_{sh},
+    with no alpha-image: it is the identity of alpha_s(A_{s^-1} /\\ A_h) =
+    A_s /\\ A_{sh}, which holds on every valid action (Bagio and Paques,
+    Comm. Algebra 40, 2012; `partial_action.check_intersection_transport`).
+
+    A global action needs no algebra: there 1_g = 1_{tgt g} for every g, so
+    alpha_s(1_{s^-1} c_h) = alpha_s(1_{src s}) = 1_s = 1_{sh} whenever
+    c_h = 1_h, and c_g is 1_g or 0: the full arrows are those reachable from
+    the identities by left multiplication with S u S^-1, the subgroupoid
+    that S generates.
+    """
+    alg = act.algebra
     g_oid = act.groupoid
-    gens = []
+    src, tgt, compose = g_oid.src, g_oid.tgt, g_oid.compose
+    idem = act.idems
+    identities = set(g_oid.identity.values())
+    reached = {i: idem[i] for i in identities}          # g -> c_g, where c_g != 0
+    full = set(identities)                              # the g with c_g = 1_g
+    partial = not act.is_global()
+
+    def grow(s, h):
+        """Join alpha_s(1_{s^-1} c_h) into c_{sh}; sh if c_{sh} grew, else None."""
+        sh = compose[s, h]
+        if sh in full:
+            return None
+        if partial:
+            y = (alg.multiply(idem[s], idem[sh]) if h in full
+                 else act.alpha(s, reached[h]))
+            if not any(y):
+                return None
+            old = reached.get(sh)
+            if old is not None:
+                meet = alg.multiply(old, y)
+                if meet == y:
+                    return None
+                y = alg.field.reduce_vec(o + t - m for o, t, m in zip(old, y, meet))
+        else:
+            y = idem[sh]
+        reached[sh] = y
+        if y == idem[sh]:
+            full.add(sh)
+        return sh
+
+    moves: dict = {e: [] for e in g_oid.objects}
+    chosen = []
     for k in g_oid.morphisms:
-        if g_oid.is_identity(k):
-            gens.extend((k, a) for a in act.ideal(k).rows)
-        elif any(act.idem(k)):
-            c = field.denominator((act.idem(k),))
-            gens.append((k, field.reduce_vec(c * x for x in act.idem(k))))
-    return gens
+        if k in full or not any(idem[k]):
+            continue
+        chosen.append(k)
+        kinv = g_oid.inv(k)
+        new = (k,) if kinv == k else (k, kinv)
+        for s in new:
+            moves[src[s]].append(s)
+        work = [(h, [s for s in new if src[s] == tgt[h]]) for h in reached
+                if tgt[h] in (src[k], tgt[k])]
+        while work:
+            h, ss = work.pop()
+            for s in ss:
+                sh = grow(s, h)
+                if sh is not None:
+                    work.append((sh, moves[tgt[sh]]))
+    return chosen
 
 
 def psi_tensor_dim(act: PartialAction) -> int:
@@ -256,17 +376,20 @@ def psi_tensor_dim(act: PartialAction) -> int:
     dim A 1_g 1_f.  That term depends on the two domain idempotents alone, so
     it is read once per distinct pair of them at e and counted with the
     product of their multiplicities; 1_g 1_f is 1_g itself when the two are
-    equal.
+    equal.  Kept on the action, since the oracle's square and the
+    certificate both report it.
     """
-    alg = act.algebra
-    g_oid = act.groupoid
-    total = 0
-    for e in g_oid.objects:
-        counts = Counter(act.idem(g) for g in g_oid.arrows_into(e))
-        for p, m in counts.items():
-            for q, n in counts.items():
-                total += m * n * alg.ideal_basis(p if p == q else alg.multiply(p, q)).dim
-    return total
+    if act._tensor_dim is None:
+        alg = act.algebra
+        g_oid = act.groupoid
+        total = 0
+        for e in g_oid.objects:
+            counts = Counter(act.idem(g) for g in g_oid.arrows_into(e))
+            for p, m in counts.items():
+                for q, n in counts.items():
+                    total += m * n * alg.ideal_basis(p if p == q else alg.multiply(p, q)).dim
+        act._tensor_dim = total
+    return act._tensor_dim
 
 
 def commutator_terms(act: PartialAction, k, v, g, y) -> tuple:
@@ -358,11 +481,16 @@ class TensorOverA:
         A_k: the oracle passes the generators of A*G (`ring_generators`).
         Column y of block (g, g^-1) enters the rows of its two output blocks
         with the two terms of `commutator_terms`, the left one with sign +1
-        and the right one with sign -1."""
+        and the right one with sign -1.  Both terms are 0 unless tgt g is
+        src k or tgt k, so only those columns are read."""
         act = self.action
         field = act.algebra.field
+        tgt = act.groupoid.tgt
+        ends = (act.groupoid.src[k], tgt[k])
         acc: dict = {}
         for c, (g, _, y) in enumerate(self.columns):
+            if tgt[g] not in ends:
+                continue
             for sign, term in zip((1, -1), commutator_terms(act, k, v, g, y)):
                 if term is not None:
                     out, z = term

@@ -568,6 +568,24 @@ def full_oracle_system(square):
     return field, rows, rhs, dim
 
 
+def reference_ring_generators(pa: PartialAction) -> list:
+    """Reference for `ring_generators`: the full list it was cut from, in
+    morphism order, a d_{id_e} for each a in ideal(id_e).rows and c_k 1_k d_k
+    for every other arrow k with A_k != 0, c_k the common denominator of
+    1_k.  They generate A*G as an algebra, since (u d_{id_t(k)})(1_k d_k) =
+    u d_k for u in A_k."""
+    field = pa.algebra.field
+    g_oid = pa.groupoid
+    gens = []
+    for k in g_oid.morphisms:
+        if g_oid.is_identity(k):
+            gens.extend((k, a) for a in pa.ideal(k).rows)
+        elif any(pa.idem(k)):
+            c = field.denominator((pa.idem(k),))
+            gens.append((k, field.reduce_vec(c * x for x in pa.idem(k))))
+    return gens
+
+
 def basis_oracle_solutions(pa: PartialAction) -> AffineSolutionSet:
     """Reference for `oracle_separability`'s solution set: the same system,
     with the commutator rows of every ring basis element v d_k (v in

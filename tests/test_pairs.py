@@ -62,3 +62,30 @@ def test_paired_ops_compare_digest_and_stdout_not_time(pairs):
     change = [["d1", "s1", 0.5], ["d2", "sX", 0.02]]
     assert pairs.mismatched_ops(parent, change) == 1
     assert pairs.mismatched_ops(parent, parent) == 0
+
+
+def test_a_median_within_the_bound_is_within(pairs):
+    change = [p * 1.05 for p in PARENT]
+    assert pairs.no_regression(PARENT, change, "lower", 0.15) == "within bound"
+
+
+def test_a_median_beyond_the_bound_is_worse(pairs):
+    change = [p * 1.2 for p in PARENT]
+    assert pairs.no_regression(PARENT, change, "lower", 0.15) == "worse than bound"
+    assert pairs.no_regression(PARENT, [p * 0.8 for p in PARENT], "higher", 0.15) == \
+        "worse than bound"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved(pairs):
+    # the parent's IQR is about 37% of its median; a 25% bound cannot be read
+    parent = [1.0, 1.5, 0.9, 1.3, 1.1, 1.4, 0.95, 1.6, 1.0, 1.2]
+    assert pairs.no_regression(parent, list(parent), "lower", 0.25) == "unresolved"
+    assert pairs.no_regression(parent, [p * 1.5 for p in parent], "lower", 0.25) == \
+        "unresolved"
+
+
+def test_every_change_run_better_than_every_parent_run_resolves_the_spread(pairs):
+    parent = [1.0, 1.5, 0.9, 1.3, 1.1, 1.4, 0.95, 1.6, 1.0, 1.2]
+    assert pairs.no_regression(parent, [0.8] * 9 + [0.89], "lower", 0.25) == "within bound"
+    assert pairs.no_regression(parent, [0.8] * 9 + [0.9], "lower", 0.25) == "unresolved"
+    assert pairs.no_regression(parent, [1.7] * 10, "higher", 0.25) == "within bound"

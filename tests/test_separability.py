@@ -32,7 +32,8 @@ from conftest import (INSTANCE_DIR, RING_48, ambient_product, basis_oracle_solut
                       lift, load_action, madd, matmul, msub, product_classes, psi_of,
                       psi_pair, psi_products, pure_tensor,
                       reference_build_certificate, reference_invariant_subring,
-                      reference_is_witness, reference_separability_checks,
+                      reference_is_witness, reference_ring_generators,
+                      reference_separability_checks,
                       reference_square, reference_trace_invariant_suite,
                       restricted_action, restricted_component_family, ring_coords,
                       ring_isotropy_iso, side_matrix, span_coords, square_certificate,
@@ -684,14 +685,38 @@ def test_the_oracle_on_generators_matches_every_basis_element():
         assert oracle_separability(pa).solutions == basis_oracle_solutions(pa)
 
 
+def _partial_z4(sigma, letters):
+    """Z/4 on one object, s^t moving the letters by sigma^t, restricted to
+    `letters`: a partial action on k^len(letters)."""
+    skel = {"components": [{"k": 1, "m": 4, "d": len(sigma), "sigma": sigma,
+                            "tau": [list(range(len(sigma)))], "T": [letters]}]}
+    return parse_instance(skeleton_to_instance(skel, "Q")).action
+
+
+# (sigma, letters, generating arrows): on the transposition restricted to
+# two letters, s and s^3 are defined on one letter and s^2 on two, and s s
+# reaches s^2 on one letter only, so s^2 joins S.  On the 4-cycle restricted
+# to three letters, s s and s^3 s^3 reach s^2 on one letter each, and their
+# join covers it
+PARTIAL_JOINS = (([0, 2, 1], [0, 2], ["m0.0.0.1", "m0.0.0.2"]),
+                 ([1, 2, 3, 0], [0, 1, 2], ["m0.0.0.1"]))
+
+
 def test_the_generators_generate_the_ring():
-    # the span of the generators, closed under the ring's product, is A*G
-    for pa in closed_form_corpus():
+    # A at the identities, the generators and the inverse 1_{k^-1} d_{k^-1}
+    # of each generator's arrow k, closed under the ring's product, span A*G:
+    # the algebra that `ring_generators`' exactness argument puts inside the
+    # elements commuting with x.  The corpus has partial actions and
+    # non-commutative A (conj_swap_m2_q.json, M_2(k))
+    kinds = set()
+    for pa in (*closed_form_corpus(), *(_partial_z4(*case[:2]) for case in PARTIAL_JOINS)):
         ring = build_skew_ring(pa)
-        gens = [ring_coords(ring, {k: v}) for k, v in ring_generators(pa)]
         g_oid = pa.groupoid
-        assert len(gens) == sum(pa.ideal(g_oid.identity[e]).dim for e in g_oid.objects) + \
-            sum(1 for k in g_oid.morphisms if not g_oid.is_identity(k) and pa.ideal(k).dim)
+        gens = [ring_coords(ring, {i: a}) for i in g_oid.identity.values()
+                for a in pa.ideal(i).rows]
+        for k, v in ring_generators(pa):
+            kinv = g_oid.inv(k)
+            gens += [ring_coords(ring, {k: v}), ring_coords(ring, {kinv: pa.idem(kinv)})]
         span = echelon(ring.field, gens, ring.dim)
         while True:
             products = [ring.mul_coords(x, y) for x in span.rows for y in gens]
@@ -700,6 +725,60 @@ def test_the_generators_generate_the_ring():
                 break
             span = grown
         assert span.dim == ring.dim
+        kinds.add((pa.is_global(), pa.algebra.commutative))
+    assert (False, True) in kinds and (True, False) in kinds
+
+
+def test_the_generators_give_the_answers_of_the_full_list(monkeypatch):
+    # the oracle's solution set and the certificate checks are the same with
+    # the small generating set as with the full list of
+    # `reference_ring_generators`, on the closed-form corpus: the shipped
+    # instances and, among the fuzz skeletons, those of `fuzz --seed 1
+    # --count 25` over Q and GF(2).  The checks run on the certificate's
+    # blocks and on blocks that fail them: sum_e 1_e d_e (x) 1_e d_e and the
+    # idempotent blocks of each basis vector of A
+    failed = 0
+    for pa in closed_form_corpus():
+        g_oid = pa.groupoid
+        planted = [{(i, i): pa.obj_idem(e) for e, i in g_oid.identity.items()
+                    if any(pa.obj_idem(e))}]
+        planted += [idempotent_blocks(pa, pa.algebra.basis_vector(c))
+                    for c in range(pa.algebra.dim)]
+        verdict = decide_separability(pa)
+        if verdict.separable:
+            planted.append(verdict.certificate.blocks)
+
+        def answers() -> tuple:
+            return (oracle_separability(pa).solutions,
+                    [separability_checks(pa, blocks) for blocks in planted])
+
+        small = answers()
+        with monkeypatch.context() as m:
+            m.setattr(separability, "ring_generators", reference_ring_generators)
+            assert answers() == small
+        failed += sum(not c["commutes_with_basis"] for c in small[1])
+    assert failed
+
+
+def test_commutative_a_lists_no_identity_and_one_arrow_generates_a_cycle():
+    # on commutative A no a d_{id_e} is listed; Z/6 acting globally on one
+    # object needs its first arrow alone, a generator of Z/6, where the full
+    # list has all five; the set is found once and kept on the action.  On a
+    # partial action an arrow joins S unless the join of what words reach
+    # is its whole ideal
+    for pa in closed_form_corpus():
+        if pa.algebra.commutative:
+            assert not any(pa.groupoid.is_identity(k) for k, _ in ring_generators(pa))
+    skel = {"components": [{"k": 1, "m": 6, "d": 3, "sigma": [1, 2, 0],
+                            "tau": [[0, 1, 2]], "T": [[0, 1, 2]]}]}
+    pa = parse_instance(skeleton_to_instance(skel, "Q")).action
+    assert pa.is_global() and len(reference_ring_generators(pa)) == 3 + 5
+    gens = ring_generators(pa)
+    assert [k for k, _ in gens] == ["m0.0.0.1"]
+    assert ring_generators(pa) is gens
+    for sigma, letters, arrows in PARTIAL_JOINS:
+        pa = _partial_z4(sigma, letters)
+        assert not pa.is_global() and [k for k, _ in ring_generators(pa)] == arrows
 
 
 def _commutes(pa, blocks, gens) -> list:

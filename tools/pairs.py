@@ -15,7 +15,9 @@ have the same instance digest and the same stdout sha256 on both sides.
 
 At the end, each end-to-end metric of `BENCHMARK.json` (read from CHANGE)
 gets one line: the median [Q1-Q3] of each side, the change of the medians
-against the metric's bound, the pairs the change wins, and whether the
+against the metric's bound, the pairs the change wins, the no-regression
+verdict (`no_regression`: within bound, worse than bound, or unresolved
+where the parent's own spread is wider than the bound), and whether the
 speed-claim rule holds: the change wins at least 9 of every 10 pairs and
 the medians differ, in the better direction, by more than the parent's
 interquartile range.  Exit code 0 iff every run was correct and every
@@ -52,6 +54,24 @@ def summarise(parent: list, change: list, better: str) -> dict:
             "relative": (cmed - pmed) / pmed if pmed else 0.0,
             "wins": wins, "pairs": len(parent),
             "holds": 10 * wins >= 9 * len(parent) and gap > p3 - p1}
+
+
+def no_regression(parent: list, change: list, better: str, bound: float) -> str:
+    """The no-regression verdict of one metric, `bound` relative to the
+    parent's median: "unresolved" when the parent's interquartile range,
+    relative to its median, is wider than the bound, unless every change run
+    is better than every parent run; else "worse than bound" when the
+    change's median is worse than the parent's by more than the bound, and
+    "within bound" otherwise."""
+    sign = 1 if better == "lower" else -1
+    p1, pmed, p3 = quartiles(parent)
+    cmed = statistics.median(change)
+    if max(sign * c for c in change) < min(sign * p for p in parent):
+        return "within bound"
+    scale = abs(pmed) or 1.0
+    if (p3 - p1) / scale > bound:
+        return "unresolved"
+    return "worse than bound" if sign * (cmed - pmed) / scale > bound else "within bound"
 
 
 def mismatched_ops(parent_ops: list, change_ops: list) -> int:
@@ -109,14 +129,16 @@ def main(argv=None) -> int:
         print("seed %d: %d paired ops, %d differ in digest or stdout" % (seed, paired, bad))
         ok = ok and bad == 0
         sys.stdout.flush()
-    print("\n%-12s %-28s %-28s %8s %6s %5s  %s"
+    print("\n%-12s %-28s %-28s %8s %6s %5s  %-17s %s"
           % ("metric", "parent median [Q1-Q3]", "change median [Q1-Q3]", "change", "bound",
-             "wins", "9/10 and IQR rule"))
+             "wins", "no regression", "9/10 and IQR rule"))
     for name, m in metrics.items():
-        s = summarise(values["parent"][name], values["change"][name], m["better"])
-        print("%-12s %-28s %-28s %+7.1f%% %5.0f%% %2d/%-2d  %s" % (
+        parent, change = values["parent"][name], values["change"][name]
+        s = summarise(parent, change, m["better"])
+        print("%-12s %-28s %-28s %+7.1f%% %5.0f%% %2d/%-2d  %-17s %s" % (
             name, "%.4g [%.4g-%.4g]" % s["parent"], "%.4g [%.4g-%.4g]" % s["change"],
             100 * s["relative"], 100 * m["bound"], s["wins"], s["pairs"],
+            no_regression(parent, change, m["better"], m["bound"]),
             "holds" if s["holds"] else "does not hold"))
     return 0 if ok else 1
 
