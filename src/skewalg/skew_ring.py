@@ -282,8 +282,7 @@ def ring_generators(act: PartialAction) -> tuple:
                 gens.extend((k, a) for a in act.ideal(k).rows)
             else:
                 c = field.denominator((act.idem(k),))
-                gens.append((k, act.idem(k) if c == 1 else
-                             field.reduce_vec(c * x for x in act.idem(k))))
+                gens.append((k, field.reduce_vec(c * x for x in act.idem(k))))
         kept = act._generators = tuple(gens)
     return kept
 
@@ -301,55 +300,47 @@ def _covering_arrows(act: PartialAction) -> list:
     S queues the arrows already reached at src k or tgt k with the moves k
     and k^-1 alone.  Pushing the join of c_h, not each word, is enough:
     a |-> alpha_s(1_{s^-1} a) preserves joins of central idempotents.  c_g
-    only grows, each time to a larger ideal A c_g, so the worklist ends.  An
-    arrow with c_g = 1_g is full and grows no more, since c_g <= 1_g always;
-    from a full h, alpha_s(1_{s^-1} 1_h) is read as the product 1_s 1_{sh},
-    with no alpha-image: it is the identity of alpha_s(A_{s^-1} /\\ A_h) =
-    A_s /\\ A_{sh}, which holds on every valid action (Bagio and Paques,
-    Comm. Algebra 40, 2012; `partial_action.check_intersection_transport`).
+    only grows, each time to a larger ideal A c_g, so the worklist ends.
 
     A global action needs no algebra: there 1_g = 1_{tgt g} for every g, so
-    alpha_s(1_{s^-1} c_h) = alpha_s(1_{src s}) = 1_s = 1_{sh} whenever
-    c_h = 1_h, and c_g is 1_g or 0: the full arrows are those reachable from
-    the identities by left multiplication with S u S^-1, the subgroupoid
-    that S generates.
+    alpha_s(1_{s^-1} 1_h) = alpha_s(1_{src s}) = 1_s = 1_{sh}, and c_g is 1_g
+    on the arrows reachable from the identities by left multiplication with
+    S u S^-1, the subgroupoid that S generates, and 0 elsewhere.  Reading it
+    so also keeps the certificate's lookups integral: its 1_g may have
+    denominators (rotated_swap_q.json's 1/2(1 +- x)), and the check clears
+    them from every vector it looks up.
     """
     alg = act.algebra
     g_oid = act.groupoid
     src, tgt, compose = g_oid.src, g_oid.tgt, g_oid.compose
     idem = act.idems
-    identities = set(g_oid.identity.values())
-    reached = {i: idem[i] for i in identities}          # g -> c_g, where c_g != 0
-    full = set(identities)                              # the g with c_g = 1_g
+    reached = {i: idem[i] for i in g_oid.identity.values()}   # g -> c_g, where c_g != 0
     partial = not act.is_global()
 
     def grow(s, h):
         """Join alpha_s(1_{s^-1} c_h) into c_{sh}; sh if c_{sh} grew, else None."""
         sh = compose[s, h]
-        if sh in full:
-            return None
-        if partial:
-            y = (alg.multiply(idem[s], idem[sh]) if h in full
-                 else act.alpha(s, reached[h]))
-            if not any(y):
+        if not partial:
+            if sh in reached:
                 return None
-            old = reached.get(sh)
-            if old is not None:
-                meet = alg.multiply(old, y)
-                if meet == y:
-                    return None
-                y = alg.field.reduce_vec(o + t - m for o, t, m in zip(old, y, meet))
-        else:
-            y = idem[sh]
+            reached[sh] = idem[sh]
+            return sh
+        y = act.alpha(s, reached[h])
+        if not any(y):
+            return None
+        old = reached.get(sh)
+        if old is not None:
+            meet = alg.multiply(old, y)
+            if meet == y:
+                return None
+            y = alg.field.reduce_vec(o + t - m for o, t, m in zip(old, y, meet))
         reached[sh] = y
-        if y == idem[sh]:
-            full.add(sh)
         return sh
 
     moves: dict = {e: [] for e in g_oid.objects}
     chosen = []
     for k in g_oid.morphisms:
-        if k in full or not any(idem[k]):
+        if reached.get(k) == idem[k] or not any(idem[k]):
             continue
         chosen.append(k)
         kinv = g_oid.inv(k)

@@ -732,13 +732,14 @@ def test_the_generators_generate_the_ring():
 def test_the_generators_give_the_answers_of_the_full_list(monkeypatch):
     # the oracle's solution set and the certificate checks are the same with
     # the small generating set as with the full list of
-    # `reference_ring_generators`, on the closed-form corpus: the shipped
+    # `reference_ring_generators`, on the closed-form corpus (the shipped
     # instances and, among the fuzz skeletons, those of `fuzz --seed 1
-    # --count 25` over Q and GF(2).  The checks run on the certificate's
+    # --count 25` over Q and GF(2)) and on the two partial Z/4 actions where
+    # an arrow is covered by a join.  The checks run on the certificate's
     # blocks and on blocks that fail them: sum_e 1_e d_e (x) 1_e d_e and the
     # idempotent blocks of each basis vector of A
     failed = 0
-    for pa in closed_form_corpus():
+    for pa in (*closed_form_corpus(), *(_partial_z4(*case[:2]) for case in PARTIAL_JOINS)):
         g_oid = pa.groupoid
         planted = [{(i, i): pa.obj_idem(e) for e, i in g_oid.identity.items()
                     if any(pa.obj_idem(e))}]
