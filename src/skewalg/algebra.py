@@ -14,6 +14,11 @@ audit visits only the candidate pairs (i, j) whose triples can have a
 nonzero term.  The unit law and associativity of a table given to
 `Algebra(...)` are checked at construction; `Algebra.diagonal` writes a
 table whose laws hold by proof (in its docstring), so it is not audited.
+So `multiply` returns the other factor, reduced and kept, when one factor
+is the unit, by the unit law; the check itself calls `table_product`, so
+it does not rest on what it checks.  `table_product` computes the product
+of two vectors with one nonzero entry each, c b_i and c' b_j, as c c'
+times the table entry [i][j], by bilinearity.
 The centre is the kernel of the system x*b_j - b_j*x = 0 read off the
 nonzero constants, one row per (j, k) that one of them reaches, kept as
 the `Echelon` that `kernel` returns.  The ideal A*e of a central
@@ -43,6 +48,8 @@ of such a system is the standard basis, kept with no elimination.
 
 from __future__ import annotations
 
+from itertools import compress, count
+
 from .linalg import (DimensionMismatch, Echelon, Field, LinalgError, Matrix,
                      echelon, kernel, vadd, vzero)
 
@@ -50,6 +57,17 @@ from .linalg import (DimensionMismatch, Echelon, Field, LinalgError, Matrix,
 def table_product(table, x, y, field) -> tuple:
     """Coordinates of x*y over a sparse structure-constant table."""
     out = [field.zero] * len(table)
+    if len(x) - x.count(0) == 1 and len(y) - y.count(0) == 1:
+        # c b_i b_j, whose constants are reduced: as they are if c is 1
+        i, j = next(compress(count(), x)), next(compress(count(), y))
+        c = x[i] * y[j]
+        if c == 1 and type(c) is int:
+            for k, t in table[i][j].items():
+                out[k] = t
+            return tuple(out)
+        for k, t in table[i][j].items():
+            out[k] = c * t
+        return field.reduce_vec(out)
     support = [(j, yj) for j, yj in enumerate(y) if yj]
     for i, xi in enumerate(x):
         if not xi:
@@ -187,8 +205,11 @@ class Algebra:
         return cls(field, table, (one,) * n, basis_names, _trusted=True)
 
     def _check_laws(self) -> None:
-        for bi in self._basis:
-            if self.multiply(self.unit, bi) != bi or self.multiply(bi, self.unit) != bi:
+        # on the table itself: `multiply` trusts the unit law checked here
+        table, unit, field = self._table, self.unit, self.field
+        for b in self._basis:
+            if (table_product(table, unit, b, field) != b
+                    or b != unit and table_product(table, b, unit, field) != b):
                 raise AlgebraError("declared unit is not a two-sided identity")
         bad = nonassociative_triple(self._table, self.field)
         if bad is not None:
@@ -214,6 +235,18 @@ class Algebra:
             raise DimensionMismatch("element length %d != dim %d" % (len(v), self.dim))
         return self._values.setdefault(v, v)
 
+    def _reduced(self, v) -> tuple:
+        """The kept copy of v with its scalars brought into the field: a
+        kept vector equal to v is v reduced."""
+        try:
+            kept = self._values.get(v)
+        except TypeError:       # a list
+            kept = None
+        if kept is None:
+            v = self.field.reduce_vec(v)
+            kept = self._values.setdefault(v, v)
+        return kept
+
     def basis_vector(self, i: int) -> tuple:
         return self._basis[i]
 
@@ -225,11 +258,23 @@ class Algebra:
     def multiply(self, x, y) -> tuple:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("element does not match algebra dimension")
+        # by the unit law; a copy of the unit is found at the pair's first call
+        unit = self.unit
+        if x is unit:
+            return self._reduced(y)
+        if y is unit:
+            return self._reduced(x)
         key = (tuple(x), tuple(y))
         out = self._products.get(key)
         if out is None:
-            out = table_product(self._table, x, y, self.field)
-            out = self._products[key] = self._values.setdefault(out, out)
+            if key[0] == unit:
+                out = self._reduced(y)
+            elif key[1] == unit:
+                out = self._reduced(x)
+            else:
+                out = table_product(self._table, x, y, self.field)
+                out = self._values.setdefault(out, out)
+            self._products[key] = out
         return out
 
     def right_mul_matrix(self, x) -> Matrix:

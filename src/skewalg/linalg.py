@@ -48,6 +48,16 @@ vector's coordinates over the free ones off it.  Tuples go in and come
 out: only the rows of a finished echelon form are dense.
 `Echelonizer.insert` turns a zero row away before it eliminates anything,
 since a zero row cannot enlarge a span.
+An input that already settles the answer skips the general work, chosen
+from the input alone.  Vectors whose nonzero members are already a
+reduced echelon basis (each starts with 1, no two at the same column, each
+0 at the others' starting columns) are their own echelon form, ordered by
+pivot, because a row space has exactly one; `free_basis` finds each of
+them free, at its starting column, with unit change-of-basis rows, and
+builds no `Echelonizer`.  `Matrix.apply` maps a zero vector to zero and a
+vector with one nonzero entry x at j to x times column j, by linearity.
+Every other input takes the general path, and a shortcut returns the same
+scalars and raises the same `DimensionMismatch` as that path would.
 Membership is not decided here: the package only reads vectors in the
 ideals A*e of central idempotents, through `Algebra.ideal_coords`, which
 tests y*e == y and eliminates nothing.
@@ -59,6 +69,8 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -266,11 +278,25 @@ class Matrix:
         """Matrix times column vector, over the nonzero entries of v's columns."""
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length %d != %d columns" % (len(v), self.ncols))
+        support = len(v) - v.count(0)
+        if not support or not self.nrows:
+            return (self.field.zero,) * self.nrows
         cols = self._cols
         if cols is None:
             cols = self._cols = tuple(tuple((i, x) for i, x in enumerate(c) if x)
                                       for c in zip(*self.data))
         out = [self.field.zero] * self.nrows
+        if support == 1:
+            # x times column j, whose entries are reduced: as they are if x is 1
+            j = next(compress(count(), v))
+            x = v[j]
+            if x == 1 and type(x) is int:
+                for i, m in cols[j]:
+                    out[i] = m
+                return tuple(out)
+            for i, m in cols[j]:
+                out[i] = m * x
+            return self.field.reduce_vec(out)
         for x, col in zip(v, cols):
             if x:
                 for i, m in col:
@@ -403,9 +429,42 @@ class Echelon:
                 and self.ncols == other.ncols and self.rows == other.rows)
 
 
+def _reduced_leads(vectors: Sequence[Sequence], ncols: int) -> list | None:
+    """The column of each vector's first nonzero entry (None for a zero
+    vector) when the nonzero vectors are already a reduced echelon basis,
+    else None.  The test: every vector has `ncols` entries, each nonzero
+    vector's first nonzero entry is 1, no two start at the same column, and
+    each is 0 at every other one's starting column.  Entries not yet
+    brought into the field are read as given: a vector passes only if its
+    reduced copy would."""
+    leads = []
+    for v in vectors:
+        if len(v) != ncols:
+            return None
+        lead = next(compress(count(), v), None)
+        if lead is not None and (v[lead] != 1 or lead in leads):
+            return None
+        leads.append(lead)
+    starts = [p for p in leads if p is not None]
+    if len(starts) > 1:
+        at = itemgetter(*starts)
+        if any(at(v).count(0) != len(starts) - 1 for v, p in zip(vectors, leads)
+               if p is not None):
+            return None
+    return leads
+
+
 def echelon(field: Field, vectors: Iterable[Sequence], ncols: int) -> Echelon:
     """The reduced echelon basis of the span of `vectors`, inserted shortest
-    first (fewest nonzero entries), which keeps the reduced rows sparse."""
+    first (fewest nonzero entries), which keeps the reduced rows sparse.
+    Vectors that are already a reduced echelon basis are their own form,
+    ordered by pivot, with no elimination."""
+    vectors = list(vectors)
+    leads = _reduced_leads(vectors, ncols)
+    if leads is not None:
+        rows = sorted((p, v) for p, v in zip(leads, vectors) if p is not None)
+        return Echelon(field, ncols, tuple(field.reduce_vec(v) for _, v in rows),
+                       tuple(p for p, _ in rows))
     ech = Echelonizer(field, ncols)
     for v in sorted(vectors, key=lambda v: len(v) - v.count(0)):
         ech.insert(v)
@@ -443,6 +502,14 @@ def free_basis(field: Field, vectors: Sequence[tuple], ncols: int) -> tuple:
     pivot among the vectors' columns, read at the free tags, writes it over
     the free vectors.
     """
+    leads = _reduced_leads(vectors, ncols)
+    if leads is not None:
+        # every nonzero vector is free and is the echelon row at its lead
+        free = tuple(i for i, p in enumerate(leads) if p is not None)
+        pivots = tuple(sorted(leads[i] for i in free))
+        at = {leads[i]: k for k, i in enumerate(free)}
+        return free, pivots, tuple(tuple(field.one if k == at[p] else field.zero
+                                         for k in range(len(free))) for p in pivots)
     n = len(vectors)
     ech = Echelonizer(field, ncols + n)
     zeros = (field.zero,) * n

@@ -1168,6 +1168,15 @@ def dense_echelon(field: Field, vectors, ncols: int) -> Echelon:
     return Echelon(field, ncols, tuple(ech.rows), tuple(ech.pivots))
 
 
+def is_reduced_basis(field: Field, vectors, ncols: int) -> bool:
+    """Reference for the input `echelon` and `free_basis` settle without an
+    elimination: the nonzero vectors, none repeated, are the rows of the
+    reduced echelon form of their span."""
+    nonzero = [tuple(v) for v in vectors if any(v)]
+    return (len(set(nonzero)) == len(nonzero)
+            and set(nonzero) == set(dense_echelon(field, nonzero, ncols).rows))
+
+
 def greedy_free(field: Field, vectors, ncols: int) -> tuple:
     """Reference for the free indices and pivots of `free_basis`: the vectors
     alone go into `DenseEchelonizer`, from the last, and a vector is free when

@@ -13,8 +13,8 @@ from skewalg.partial_action import invariant_suite
 from skewalg.skew_ring import build_skew_ring
 
 from conftest import (INSTANCE_DIR, changed_basis, dense_center_basis,
-                      dense_nonassociative_triple, law_failures, product_central_idempotent,
-                      product_commutes_with_all, span_coords)
+                      dense_nonassociative_triple, dense_table_product, law_failures,
+                      product_central_idempotent, product_commutes_with_all, span_coords)
 
 Q = Field.rationals()
 
@@ -109,6 +109,63 @@ def test_multiply_matches_the_structure_constants(field):
         for _ in range(2):
             assert m.multiply(x, y) == reference
             assert m.multiply(list(x), list(y)) == reference
+
+
+def _unreduced(field, v) -> tuple:
+    """v with its entries not brought into the field: over GF(p) shifted by
+    p, over Q the integral ones as Fractions."""
+    if field.p is None:
+        return tuple(Fraction(x) if type(x) is int else x for x in v)
+    return tuple(x + field.p for x in v)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5])
+def test_one_entry_factors_match_the_dense_product(p):
+    # c b_i times c' b_j is c c' times one table entry: on random tables,
+    # associative or not, and on every shipped algebra and skew ring, the
+    # product and its scalar types are the dense sum's, for c c' = 1 too
+    field = Field(p)
+    rng = random.Random(23)
+    tables = [_random_table(rng, field, rng.randint(1, 6), density)
+              for density in (0.15, 0.3, 0.6, 1.0) for _ in range(10)]
+    tables += [table for f, table in _valid_tables() if f == field]
+    units = 0
+    for table in tables:
+        n = len(table)
+        for _ in range(20):
+            x, y = [field.zero] * n, [field.zero] * n
+            x[rng.randrange(n)] = field.one if rng.random() < 0.5 else _random_scalar(rng, field)
+            y[rng.randrange(n)] = field.one if rng.random() < 0.5 else _random_scalar(rng, field)
+            x, y = tuple(x), tuple(y)
+            for a, b in ((x, y), (_unreduced(field, x), y), (list(x), list(y))):
+                assert repr(table_product(table, a, b, field)) == repr(
+                    dense_table_product(table, a, b, field))
+            units += sum(x) * sum(y) == 1
+    assert len(tables) > 40 and units > 100
+
+
+def test_a_unit_factor_gives_the_table_product():
+    # multiply returns the other factor, reduced and kept, where the table
+    # product with the unit gives it: on diagonal, matrix, changed-basis and
+    # shipped algebras, for a unit equal to the kept one and not it, and for
+    # reduced, unreduced and list factors
+    rng = random.Random(5)
+    algebras = [Algebra.diagonal(Q, 3), Algebra.diagonal(Field.prime(5), 4),
+                matrix_algebra_2x2(), matrix_algebra_2x2(Field.prime(3))]
+    algebras += [changed_basis(alg, rng)[0] for alg in algebras]
+    algebras += [load_instance(path).action.algebra
+                 for path in sorted(INSTANCE_DIR.glob("*.json"))]
+    for alg in algebras:
+        field, table = alg.field, alg._table
+        for _ in range(10):
+            y = alg.element([_random_scalar(rng, field) if rng.random() < 0.5 else 0
+                             for _ in range(alg.dim)])
+            for unit in (alg.unit, tuple(list(alg.unit))):
+                for v in (y, _unreduced(field, y), list(y)):
+                    for got, want in ((alg.multiply(unit, v), table_product(table, unit, v, field)),
+                                      (alg.multiply(v, unit), table_product(table, v, unit, field))):
+                        assert repr(got) == repr(want)
+                        assert alg._values[got] is got
 
 
 # -- construction-time checks --------------------------------------------------------

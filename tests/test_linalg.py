@@ -1,5 +1,6 @@
 import json
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
@@ -15,7 +16,8 @@ from skewalg.linalg import (MAX_MODULUS, AffineSolutionSet, DimensionMismatch,
 
 from conftest import (DenseEchelonizer, dense_echelon, dense_solve_affine, from_cols,
                       gauss_jordan_inverse, greedy_free, identity_matrix, in_span,
-                      instance_data, intersect, matmul, span_coords, zero_matrix)
+                      instance_data, intersect, is_reduced_basis, matmul, span_coords,
+                      zero_matrix)
 
 Q = Field.rationals()
 GF2 = Field.prime(2)
@@ -399,12 +401,23 @@ def test_apply_matches_the_dense_row_sum(p, nrows, ncols, data):
     def draw_vec(n):
         return tuple(f.coerce(data.draw(entry)) for _ in range(n))
 
+    def draw_input(n):
+        # zero and one-entry vectors (the entry often 1) skip the sweep
+        kind = data.draw(st.sampled_from(("drawn", "zero", "one")))
+        if kind == "drawn" or not n:
+            return draw_vec(n)
+        v = [f.zero] * n
+        if kind == "one":
+            x = data.draw(st.one_of(st.just(1), entry.filter(bool)))
+            v[data.draw(st.integers(0, n - 1))] = f.coerce(x)
+        return tuple(v)
+
     m = Matrix(f, [draw_vec(ncols) for _ in range(nrows)], ncols=ncols)
     # from_cols cannot carry the row count of a matrix without columns
     cols = [tuple(r[j] for r in m.data) for j in range(ncols)]
     ms = [m, from_cols(f, cols)] if ncols else [m]
     for _ in range(3):
-        v = draw_vec(ncols)
+        v = draw_input(ncols)
         want = _dense_apply(f, m.data, v)
         for mm in ms:
             got = mm.apply(v)
@@ -659,6 +672,109 @@ def test_free_basis_of_nothing_and_of_zeros():
             assert len(free_basis(f, singular, 2)[0]) < 2
     half = Fraction(1, 2)
     assert free_basis(Q, [(2, 0), (1, 1)], 2) == ((0, 1), (0, 1), ((half, 0), (-half, 1)))
+
+
+# -- inputs that are already a reduced echelon basis -----------------------------------
+
+@st.composite
+def near_reduced_system(draw):
+    """A field, a width and vectors built on a reduced echelon basis: its
+    rows in shuffled order, with zero vectors, repeats and near misses (a
+    leading entry other than 1, a nonzero at another row's pivot) added, and
+    each vector either in the field or written with entries that are not
+    brought into it (over GF(p) an int outside range(p), over Q an integral
+    Fraction)."""
+    p = draw(st.sampled_from((None, 2, 3, 5)))
+    f = Field(p)
+    ncols = draw(st.integers(1, 6))
+    pivots = sorted(draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)))
+    entry = sparse_fraction if p is None else st.integers(0, p - 1)
+    nonzero = entry.map(f.coerce).filter(bool)
+    rows = []
+    for q in pivots:
+        row = [f.zero] * ncols
+        row[q] = f.one
+        for j in range(q + 1, ncols):
+            if j not in pivots:
+                row[j] = f.coerce(draw(entry))
+        rows.append(row)
+    for change in draw(st.lists(st.sampled_from(("zero", "repeat", "lead", "pivot")),
+                                max_size=3)):
+        if change == "zero":
+            rows.append([f.zero] * ncols)
+        elif change == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif change == "lead" and pivots:
+            k = draw(st.integers(0, len(pivots) - 1))
+            rows[k][pivots[k]] = draw(nonzero)
+        elif change == "pivot" and len(pivots) > 1:
+            k, other = draw(st.lists(st.integers(0, len(pivots) - 1), min_size=2,
+                                     max_size=2, unique=True))
+            rows[k][pivots[other]] = draw(nonzero)
+    order = draw(st.permutations(range(len(rows))))
+    vectors = [tuple(rows[i]) for i in order]
+    raw = []
+    for v in vectors:
+        if draw(st.booleans()):
+            raw.append(v)
+        elif p is None:
+            raw.append(tuple(Fraction(x) if type(x) is int else x for x in v))
+        else:
+            raw.append(tuple(x + p * draw(st.integers(-1, 1)) for x in v))
+    return f, ncols, vectors, raw
+
+
+@contextmanager
+def eliminations():
+    """The argument tuples of the `Echelonizer`s built while it is open."""
+    built = []
+    init = Echelonizer.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    Echelonizer.__init__ = counted
+    try:
+        yield built
+    finally:
+        Echelonizer.__init__ = init
+
+
+@given(near_reduced_system())
+@settings(max_examples=300, deadline=None)
+def test_reduced_inputs_match_the_dense_references(system):
+    # a reduced echelon basis is its own echelon form and all of it is free,
+    # with no elimination; every near miss is eliminated; either way the
+    # echelon form, free vectors, pivots and inverse rows are the dense
+    # references', with the same scalar types
+    f, ncols, vectors, raw = system
+    reduced = is_reduced_basis(f, vectors, ncols)
+    with eliminations() as built:
+        ech = echelon(f, raw, ncols)
+        free, pivots, inverse = free_basis(f, raw, ncols)
+    if raw == vectors:
+        assert len(built) == (0 if reduced else 2)
+    else:
+        assert reduced or len(built) == 2
+    ref = dense_echelon(f, vectors, ncols)
+    assert (repr(ech.rows), ech.pivots) == (repr(ref.rows), ref.pivots)
+    assert (free, pivots) == greedy_free(f, vectors, ncols)
+    expected = gauss_jordan_inverse(f, [tuple(vectors[i][q] for q in pivots) for i in free])
+    assert repr(inverse) == repr(expected)
+
+
+def test_settled_inputs_keep_the_general_paths_errors():
+    # a vector of the wrong width, a zero one too, raises what the general
+    # path raises, whatever the other vectors are
+    for f in (Q, GF2):
+        for vectors in ([(1, 0), (0, 0, 0)], [(0, 0, 0)], [(0, 1), (1,)]):
+            width = len(next(v for v in vectors if len(v) != 2))
+            with pytest.raises(DimensionMismatch, match="row width %d != 2" % width):
+                echelon(f, vectors, 2)
+            with pytest.raises(DimensionMismatch, match="row width %d != %d" % (
+                    width + len(vectors), 2 + len(vectors))):
+                free_basis(f, vectors, 2)
 
 
 def test_only_linalg_builds_an_echelonizer():

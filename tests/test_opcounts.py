@@ -5,13 +5,17 @@ import importlib.util
 import shlex
 from pathlib import Path
 
-from skewalg import algebra, cli, linalg, partial_action, skew_ring
+from skewalg import algebra, cli, linalg, partial_action, separability, skew_ring
 
 from conftest import INSTANCE_DIR
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "opcounts.py"
 OPS = [["traces", str(INSTANCE_DIR / "z2_flip_q.json")],
        ["separability", str(INSTANCE_DIR / "conj_swap_m2_q.json"), "--oracle"]]
+# (eliminations, inserts, useful, echelon, free_basis) of each op: every
+# vector set the traces of z2_flip_q hand to `echelon` is already a reduced
+# echelon basis, so that op eliminates nothing
+ELIMINATION_COUNTS = [(0, 0, 0, 15, 0), (6, 101, 43, 8, 2)]
 
 
 def load_tool():
@@ -24,7 +28,8 @@ def load_tool():
 def _entry_points() -> tuple:
     return (algebra.Algebra.multiply, partial_action.PartialAction.alpha,
             linalg.Matrix.apply, linalg.Echelonizer.insert, algebra.table_product,
-            skew_ring.table_product)
+            skew_ring.table_product, linalg.echelon, algebra.echelon, separability.echelon,
+            linalg.free_basis, partial_action.free_basis, skew_ring.free_basis)
 
 
 def test_counts_repeat_and_the_package_is_left_as_it_was(capsys):
@@ -34,12 +39,12 @@ def test_counts_repeat_and_the_package_is_left_as_it_was(capsys):
     first = [tool.count_op(modules, op) for op in OPS]
     assert _entry_points() == before
     assert [tool.count_op(modules, op) for op in OPS] == first
-    for op, row in zip(OPS, first):
+    for op, row, eliminated in zip(OPS, first, ELIMINATION_COUNTS):
         assert row["code"] == 0
         assert 0 < row["table_product"] <= row["multiply"]
         assert 0 < row["alpha_apply"] <= row["alpha"]
-        assert 0 < row["useful"] <= row["inserts"]
-        assert row["eliminations"] > 0
+        assert tuple(row[k] for k in ("eliminations", "inserts", "useful", "echelon",
+                                      "free_basis")) == eliminated
         # the counted op prints the report an uncounted one prints
         capsys.readouterr()
         assert cli.main(op) == 0
@@ -57,7 +62,8 @@ def test_the_command_line_prints_a_row_per_op_and_the_mean(capsys):
 
 def test_eliminations_count_every_echelonizer_built():
     # an Echelonizer built by any caller counts, a subclass's too, whether
-    # or not a row is inserted into it
+    # or not a row is inserted into it; `kernel` calls `echelon` twice, and
+    # vectors that are already a reduced echelon basis build none
     tool = load_tool()
     modules = tool.import_skewalg()
     F = linalg.Field.rationals()
@@ -69,7 +75,15 @@ def test_eliminations_count_every_echelonizer_built():
     with tool.counting(modules, counts):
         linalg.Echelonizer(F, 2)
         Sub(F, 3).insert((1, 2, 3))
+        linalg.echelon(F, [(2, 0)], 2)
+        # the rows reduce to (1, 1, 0); the null space (-1, 1, 0), (0, 0, 1) is not reduced
+        linalg.kernel(F, [(2, 2, 0)], 3)
+        linalg.free_basis(F, [(1, 1), (1, 0)], 2)
+    assert (counts["eliminations"], counts["inserts"]) == (6, 7)
+    assert (counts["echelon"], counts["free_basis"]) == (3, 1)
+    with tool.counting(modules, counts):
         linalg.echelon(F, [], 2)
         linalg.kernel(F, [(1, 0), (0, 1)], 2)
-    assert counts["eliminations"] == 5
-    assert counts["inserts"] == 3
+        linalg.free_basis(F, [(0, 1), (0, 0), (1, 0)], 2)
+    assert (counts["eliminations"], counts["inserts"]) == (6, 7)
+    assert (counts["echelon"], counts["free_basis"]) == (6, 2)

@@ -1514,3 +1514,39 @@ def test_the_decision_builds_no_trace_matrix(monkeypatch):
                                                 comp.witness_family.particular)
                 assert all(tr.checks.values())
     assert calls == []
+
+
+@pytest.mark.parametrize("field", ["Q", "GF(2)", "GF(3)"])
+def test_a_partial_shift_eliminates_only_in_the_trace_system(field, monkeypatch):
+    # Z/3 acts on k^8 by shifting the letters of the blocks 012, 345 and
+    # 678, letter 8 dropped: every ideal basis, span of alpha-images, psi
+    # block and witness family is already a reduced echelon basis, so
+    # validating and deciding builds an Echelonizer only inside the trace
+    # system's `solve_affine`
+    from skewalg import linalg
+    from skewalg.partial_action import validate_partial_action
+
+    skeleton = {"components": [{"k": 1, "m": 3, "d": 9, "sigma": [1, 2, 0, 4, 5, 3, 7, 8, 6],
+                                "tau": [list(range(9))], "T": [list(range(8))]}]}
+    pa = parse_instance(skeleton_to_instance(skeleton, field)).action
+    built, solving = [], [False]
+    init, solve = linalg.Echelonizer.__init__, separability.solve_affine
+
+    def counted(self, *args):
+        built.append(solving[0])
+        init(self, *args)
+
+    def traced(*args):
+        solving[0] = True
+        try:
+            return solve(*args)
+        finally:
+            solving[0] = False
+
+    monkeypatch.setattr(linalg.Echelonizer, "__init__", counted)
+    monkeypatch.setattr(separability, "solve_affine", traced)
+    assert validate_partial_action(pa).ok
+    verdict = decide_separability(pa)
+    assert verdict.separable and verdict.certificate.ok
+    assert pa.algebra.dim == 8 and len(pa.groupoid.morphisms) == 3
+    assert True in built and False not in built

@@ -19,7 +19,7 @@ from skewalg.skew_ring import (InvalidSizeCap, SkewRing, SkewRingError,
 from conftest import (INSTANCE_DIR, component_blocks,
                       component_decomposition_failures, embedded,
                       factoring_failures, from_coords, greedy_psi_block,
-                      instance_data, load_action, matmul, matrix_inverse,
+                      instance_data, is_reduced_basis, load_action, matmul, matrix_inverse,
                       non_central_domain,
                       pair_sum_tensor_dim, psi_coords, reference_square,
                       reference_trace_sum, relation_quotient, ring_coords, skew_mul,
@@ -480,7 +480,8 @@ def test_psi_block_eliminates_once_and_matches_the_second_elimination(monkeypatc
     # alone (`greedy_psi_block`), and its `inverse` is what psi_coords, a
     # second elimination, gives for the echelon rows of the free images;
     # some blocks have distinct nonzero images that are dependent, which
-    # leave inert rows
+    # leave inert rows; a block whose distinct nonzero images are already a
+    # reduced echelon basis builds no elimination, any other block one
     built = []
     init = linalg.Echelonizer.__init__
 
@@ -488,7 +489,7 @@ def test_psi_block_eliminates_once_and_matches_the_second_elimination(monkeypatc
         built.append(args)
         init(self, *args)
 
-    count = inert = 0
+    count = inert = settled = 0
     for pa in psi_corpus():
         field, n = pa.algebra.field, pa.algebra.dim
         for g, h in composable_blocks(pa):
@@ -497,7 +498,8 @@ def test_psi_block_eliminates_once_and_matches_the_second_elimination(monkeypatc
             with monkeypatch.context() as patch:
                 patch.setattr(linalg.Echelonizer, "__init__", counted)
                 images, kinds, free, pivots, inverse = psi_block(pa, g, h)
-            assert len(built) == 1
+            reduced = is_reduced_basis(field, images, n)
+            assert len(built) == (0 if reduced else 1)
             assert (images, kinds, free, pivots) == reference
             basis = [images[kinds[f]] for f in free]
             red = echelon(field, basis, n)
@@ -506,7 +508,8 @@ def test_psi_block_eliminates_once_and_matches_the_second_elimination(monkeypatc
             assert repr(Matrix._trusted(field, inverse, len(free))) == repr(coords)
             count += 1
             inert += sum(1 for y in images if any(y)) > len(free)
-    assert count > 1000 and inert > 5
+            settled += reduced
+    assert count > 1000 and inert > 5 and settled > 1000 and count - settled > 20
 
 
 def test_psi_tensor_dim_matches_the_pair_sum():

@@ -14,7 +14,14 @@ Around each op a few entry points are wrapped to count:
   calls made inside one, the alpha-images computed;
 - `eliminations`: `Echelonizer` instances built, by any caller, one per
   elimination; `inserts`: calls of `Echelonizer.insert`; `useful`: those
-  that enlarged the span.
+  that enlarged the span;
+- `echelon`, `free_basis`: calls of `linalg.echelon` and
+  `linalg.free_basis`, in any module that binds them.  Every `Echelonizer`
+  of the package is built by one call of either (`kernel` and
+  `solve_affine` eliminate through `echelon`), and a call whose vectors
+  are already a reduced echelon basis builds none, so
+  `echelon + free_basis - eliminations` counts the calls whose input
+  settled the answer.
 
 The counts repeat exactly for one checkout and one op list, so two
 checkouts compare without timing noise.  `--workload` generates the ops of
@@ -44,7 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 BENCH = ROOT / "perfbench"
 COUNTS = ("multiply", "table_product", "alpha", "alpha_apply", "eliminations", "inserts",
-          "useful")
+          "useful", "echelon", "free_basis")
 
 
 def import_skewalg():
@@ -65,18 +72,22 @@ def counting(modules: dict, counts: dict):
     originals = {"multiply": algebra.Algebra.multiply, "alpha": action.alpha,
                  "apply": linalg.Matrix.apply, "init": linalg.Echelonizer.__init__,
                  "insert": linalg.Echelonizer.insert}
-    product = algebra.table_product
-    sites = [(m, name) for m in modules.values()
-             for name, value in vars(m).items() if value is product]
+    counted = (("table_product", algebra.table_product), ("echelon", linalg.echelon),
+               ("free_basis", linalg.free_basis))
+    sites = [(m, name, key, function) for m in modules.values()
+             for name, value in vars(m).items()
+             for key, function in counted if value is function]
     depth = [0]
 
     def multiply(self, x, y):
         counts["multiply"] += 1
         return originals["multiply"](self, x, y)
 
-    def table_product(*args):
-        counts["table_product"] += 1
-        return product(*args)
+    def calls(key, function):
+        def wrapper(*args):
+            counts[key] += 1
+            return function(*args)
+        return wrapper
 
     def alpha(self, g, v):
         counts["alpha"] += 1
@@ -103,7 +114,7 @@ def counting(modules: dict, counts: dict):
     patches = [(algebra.Algebra, "multiply", multiply), (action, "alpha", alpha),
                (linalg.Matrix, "apply", apply), (linalg.Echelonizer, "__init__", init),
                (linalg.Echelonizer, "insert", insert)]
-    patches += [(m, name, table_product) for m, name in sites]
+    patches += [(m, name, calls(key, function)) for m, name, key, function in sites]
     saved = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
     try:
         for owner, name, wrapper in patches:
