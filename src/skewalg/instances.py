@@ -35,7 +35,8 @@ of the parsed instance with every scalar written as `str`, the field as
 `str(field)`, every identity's "dom" and "map", and the structure dense.
 `_digest` writes those exact bytes into the hash one morphism entry or
 structure plane at a time and never builds the form, so it holds one dense
-matrix as text at a time, not the whole dense table.
+matrix as text at a time, not the whole dense table.  Each distinct vector
+or matrix row is written as text once per instance.
 """
 
 from __future__ import annotations
@@ -149,7 +150,10 @@ def parse_instance(data: dict) -> Instance:
                   for m in _array(gdata.get("morphisms", []), "morphisms")]
         groupoid = build_groupoid(
             _names(gdata["objects"], "objects"), arrows,
-            [_names(t, "compose triple", 3) for t in _array(gdata.get("compose", []), "compose")],
+            # a list of 3 strings passes as it is; `_names` raises on any other
+            [t if type(t) is list and len(t) == 3 and type(t[0]) is type(t[1]) is type(t[2]) is str
+             else _names(t, "compose triple", 3)
+             for t in _array(gdata.get("compose", []), "compose")],
             [_names(p, "inverse pair", 2) for p in _array(gdata.get("inverse", []), "inverse")])
         adata = data["algebra"]
         if "diagonal" in adata:
@@ -203,14 +207,14 @@ def load_instance(path) -> Instance:
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _scalars(values) -> str:
-    """The compact JSON array of the scalars' `str`s, which need no escape."""
-    return '["%s"]' % '","'.join(map(str, values)) if values else "[]"
+class _Joined(dict):
+    """Each vector's scalars as `str`s, which need no escape, joined by
+    '","': the text between the outer quotes of its compact JSON array.
+    A vector's text is written once, on its first lookup."""
 
-
-def _matrix(rows) -> str:
-    """The compact JSON array of a square matrix's rows, each as `_scalars` writes it."""
-    return '[["%s"]]' % '"],["'.join(['","'.join(map(str, r)) for r in rows]) if rows else "[]"
+    def __missing__(self, v: tuple) -> str:
+        out = self[v] = '","'.join(map(str, v))
+        return out
 
 
 def _canonical_text(pa: PartialAction):
@@ -233,10 +237,18 @@ def _canonical_text(pa: PartialAction):
     the sparse table has no entry).
     """
     g, alg = pa.groupoid, pa.algebra
+    joined = _Joined()
+
+    def vector(v) -> str:
+        return '["%s"]' % joined[v] if v else "[]"
+
+    def matrix(rows) -> str:
+        return '[["%s"]]' % '"],["'.join([joined[r] for r in rows]) if rows else "[]"
+
     yield '{"action":{'
     for n, m in enumerate(sorted(g.morphisms)):
         yield '%s%s:{"dom":%s,"map":%s}' % ("," if n else "", _encode(m),
-                                            _scalars(pa.idem(m)), _matrix(pa.matrix(m).data))
+                                            vector(pa.idem(m)), matrix(pa.matrix(m).data))
     yield '},"algebra":{"basis_names":%s,"structure":[' % _encode(list(alg.basis_names))
     zero_row = '","'.join(("0",) * alg.dim)
     for n, plane in enumerate(alg._table):
@@ -253,7 +265,7 @@ def _canonical_text(pa: PartialAction):
         "inverse": sorted([a, b] for a, b in g.inverse.items() if a <= b and a not in ids),
     }
     yield '],"unit":%s},"field":%s,"groupoid":%s}' % (
-        _scalars(alg.unit), _encode(str(alg.field)), _encode(groupoid))
+        vector(alg.unit), _encode(str(alg.field)), _encode(groupoid))
 
 
 def _digest(pa: PartialAction) -> str:

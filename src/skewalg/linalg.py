@@ -458,7 +458,8 @@ def echelon(field: Field, vectors: Iterable[Sequence], ncols: int) -> Echelon:
     """The reduced echelon basis of the span of `vectors`, inserted shortest
     first (fewest nonzero entries), which keeps the reduced rows sparse.
     Vectors that are already a reduced echelon basis are their own form,
-    ordered by pivot, with no elimination."""
+    ordered by pivot, with no elimination.  A zero vector spans nothing and
+    is not inserted; its width is still checked."""
     vectors = list(vectors)
     leads = _reduced_leads(vectors, ncols)
     if leads is not None:
@@ -467,7 +468,10 @@ def echelon(field: Field, vectors: Iterable[Sequence], ncols: int) -> Echelon:
                        tuple(p for p, _ in rows))
     ech = Echelonizer(field, ncols)
     for v in sorted(vectors, key=lambda v: len(v) - v.count(0)):
-        ech.insert(v)
+        if any(v):
+            ech.insert(v)
+        elif len(v) != ncols:
+            raise DimensionMismatch("row width %d != %d" % (len(v), ncols))
     return ech.to_echelon()
 
 

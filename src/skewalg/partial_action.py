@@ -5,9 +5,9 @@ A_g = A*1_g) and a full dim x dim matrix which must restrict to a ring
 isomorphism A_{g^-1} -> A_g and annihilate the complement A*(1 - 1_{g^-1}).
 With that convention the stored matrix computes a |-> alpha_g(a * 1_{g^-1})
 on the whole algebra, which is exactly the summand appearing in trace maps.
-The basis of A_g is `Algebra.ideal_basis(1_g)`, kept by the algebra only,
-and a vector is read in its coordinates through `Algebra.ideal_coords(1_g, y)`
-(y in A_g iff y 1_g == y).
+The basis of A_g is `Algebra.ideal_basis(1_g)`, kept per arrow by
+`PartialAction.ideal`, and a vector is read in its coordinates through
+`Algebra.ideal_coords(1_g, y)` (y in A_g iff y 1_g == y).
 
 `validate_partial_action` runs the ring-isomorphism checks on an arrow only
 where they can fail: an identity arrow that fixes its ideal, and the second
@@ -17,7 +17,8 @@ For the same reason it skips two kinds of work that cannot flag anything:
 on commutative A the multiplicativity of alpha_g is tested on unordered
 pairs of basis rows, and once the identity axiom holds at every object,
 axioms II and III are not tested on the composable pairs with an identity,
-which the earlier checks prove.
+which the earlier checks prove, nor on the pairs (g^-1, g) where the
+ring-isomorphism check accepted g or g^-1 as the inverse of the other.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ class PartialAction:
                 raise ActionError("map for %r is not %d x %d" % (g, algebra.dim, algebra.dim))
             self.maps[g] = m
         self._images: dict = {}        # (g, v) -> alpha_g(v)
+        self._ideals: dict = {}        # g -> ideal(g)
         self._psi_blocks: dict = {}    # (g, h) -> skew_ring.psi_block(self, g, h)
         self._generators: tuple | None = None     # skew_ring.ring_generators(self)
         self._tensor_dim: int | None = None       # skew_ring.psi_tensor_dim(self)
@@ -96,8 +98,12 @@ class PartialAction:
         return out
 
     def ideal(self, g) -> Echelon:
-        """Canonical basis of A_g = A * 1_g, kept by `Algebra.ideal_basis`."""
-        return self.algebra.ideal_basis(self.idems[g])
+        """Canonical basis of A_g = A * 1_g, `Algebra.ideal_basis(1_g)`, kept
+        per arrow."""
+        out = self._ideals.get(g)
+        if out is None:
+            out = self._ideals[g] = self.algebra.ideal_basis(self.idems[g])
+        return out
 
     # -- spec operations -----------------------------------------------------
 
@@ -185,13 +191,16 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
     in their `free_basis`, built once per such h, and `free_coords` gives
     the coefficients.
 
-    The pairs (g, h) with g or h an identity are skipped when nothing has
-    been flagged before them, that is when every arrow passed the checks
-    above and the identity axiom holds at every object; II and III then
-    hold on them.  The groupoid's laws are presupposed, as
-    `PartialAction.validate` checks them first: id^-1 = id, id h = h and
-    g id = g.  Every arrow k passed containment (1_k 1_{t(k)} = 1_k) and the
-    complement check, and sends 1_{k^-1} to 1_k.
+    Each h's ideal(h^-1) and the images alpha_h(u) of its rows are read
+    once, for all the pairs (g, h).  The pairs (g, h) with g or h an
+    identity, and the pairs (h^-1, h) of an inverse pair case (b) accepted,
+    are skipped when nothing has been flagged before them, that is when
+    every arrow passed the checks above and the identity axiom holds at
+    every object; II and III then hold on them.  The groupoid's laws are
+    presupposed, as `PartialAction.validate` checks them first: id^-1 = id,
+    id h = h, g id = g and h^-1 h = id_{s(h)}.  Every arrow k passed
+    containment (1_k 1_{t(k)} = 1_k) and the complement check, and sends
+    1_{k^-1} to 1_k.
     - g = id_e, e = t(h): gh = h and 1_e 1_h = 1_h by containment, so
       c = alpha_{h^-1}(1_h) = 1_{h^-1} is accepted as p, since
       alpha_h(1_{h^-1}) = 1_h.  II: p 1_{h^-1} = p.  III: u p = u for u in
@@ -202,6 +211,15 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
       axiom, accepted as p.  II: p 1_{g^-1} = p.  III: for u in A_e,
       alpha_e(u) = u, and alpha_g(u) = alpha_g(u 1_{g^-1}) = alpha_g(u p) by
       the complement check.
+    - g = h^-1 != h, where case (b) accepted h or h^-1: gh = id_e, e = s(h).
+      If it accepted h^-1, alpha_{h^-1} alpha_h = id on A_{h^-1} is its
+      test; if it accepted h, alpha_h on A_{h^-1} inverts alpha_{h^-1} on
+      A_h, which gives the same.  1_{g^-1} 1_h = 1_h, and
+      c = alpha_{h^-1}(1_h) = 1_{h^-1} is accepted as p.  II:
+      p 1_e = p by containment (t(h^-1) = e).  III: alpha_{h^-1}(alpha_h(u))
+      = u = alpha_e(u p) for u in A_{h^-1}, inside A_e, by the identity
+      axiom.  A self-inverse non-identity arrow never passes case (b), whose
+      g^-1 must pass before g, so its pair (g, g) is tested.
     """
     g_oid = pa.groupoid
     alg = pa.algebra
@@ -228,6 +246,7 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
 
     basis = [alg.basis_vector(i) for i in range(alg.dim)]
     iso_ok = set()
+    paired = set()      # the arrows of the inverse pairs case (b) accepted
     for g in g_oid.morphisms:
         ginv = g_oid.inverse.get(g)
         if ginv is None or ginv not in pa.idems:
@@ -239,12 +258,13 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
                  "map of %s does not annihilate the complement of its domain ideal" % (g,))
             continue
         if ginv == g and g_oid.is_identity(g):
-            implied = all(pa.alpha(g, u) == u for u in pa.ideal(g).rows)
-        else:
-            implied = (ginv in iso_ok and g_oid.inverse.get(ginv) == g and
-                       all(pa.alpha(g, pa.alpha(ginv, v)) == v for v in pa.ideal(g).rows))
-        if implied:
+            if all(pa.alpha(g, u) == u for u in pa.ideal(g).rows):
+                iso_ok.add(g)
+                continue
+        elif (ginv in iso_ok and g_oid.inverse.get(ginv) == g and
+              all(pa.alpha(g, pa.alpha(ginv, v)) == v for v in pa.ideal(g).rows)):
             iso_ok.add(g)
+            paired |= {g, ginv}
             continue
         src, dst = pa.ideal(ginv), pa.ideal(g)
         images = [pa.alpha(g, u) for u in src.rows]
@@ -269,30 +289,42 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
     if iso_ok != set(g_oid.morphisms):
         return ValidationReport(tuple(bad))
 
+    compose, inverse = g_oid.compose, g_oid.inverse
+    idems, alpha, multiply = pa.idems, pa.alpha, alg.multiply
+    # with the identity axiom passed, pairs with an identity hold II and III,
+    # and so do the pairs (x^-1, x) of an inverse pair case (b) accepted
+    if bad:
+        identities, paired = set(), set()
+    else:
+        identities = set(g_oid.identity.values())
+    moved = {}          # h -> (ideal(h^-1), the pairs (u, alpha_h(u)) over its rows)
     inverses = {}
-    # with the identity axiom passed, pairs with an identity hold II and III
-    identities = set() if bad else set(g_oid.identity.values())
-    for g, h in g_oid.composable_pairs():
-        if g in identities or h in identities:
+    for g in g_oid.morphisms:
+        if g in identities:
             continue
-        gh = g_oid.compose[(g, h)]
-        hinv = g_oid.inv(h)
-        hinv_ideal = pa.ideal(hinv)
-        meet = alg.multiply(pa.idem(g_oid.inv(g)), pa.idem(h))
-        p = pa.alpha(hinv, meet)
-        if pa.alpha(h, p) != meet:
-            if h not in inverses:
-                inverses[h] = free_basis(alg.field, [pa.alpha(h, u) for u in hinv_ideal.rows],
-                                         alg.dim)
-            _, pivots, inverse = inverses[h]
-            p = hinv_ideal.combine(free_coords(alg.field, pivots, inverse, meet))
-        if alg.multiply(p, pa.idem(g_oid.inv(gh))) != p:
-            flag("AxiomII",
-                 "preimage of A_%s^-1 /\\ A_%s under alpha_%s leaves A_(%s)^-1" %
-                 (g, h, h, gh))
-        elif any(pa.alpha(g, pa.alpha(h, u)) != pa.alpha(gh, alg.multiply(u, p))
-                 for u in hinv_ideal.rows):
-            flag("AxiomIII", "alpha_%s alpha_%s != alpha_%s on the overlap" % (g, h, gh))
+        ginv = inverse[g]
+        ginv_idem = idems[ginv]
+        for h in g_oid.arrows_into(g_oid.src[g]):
+            if h in identities or (h == ginv and g in paired):
+                continue
+            if h not in moved:
+                hinv_ideal = pa.ideal(inverse[h])
+                moved[h] = hinv_ideal, [(u, alpha(h, u)) for u in hinv_ideal.rows]
+            hinv_ideal, images = moved[h]
+            gh = compose[g, h]
+            meet = multiply(ginv_idem, idems[h])
+            p = alpha(inverse[h], meet)
+            if alpha(h, p) != meet:
+                if h not in inverses:
+                    inverses[h] = free_basis(alg.field, [au for _, au in images], alg.dim)
+                _, pivots, coeffs = inverses[h]
+                p = hinv_ideal.combine(free_coords(alg.field, pivots, coeffs, meet))
+            if multiply(p, idems[g_oid.inv(gh)]) != p:
+                flag("AxiomII",
+                     "preimage of A_%s^-1 /\\ A_%s under alpha_%s leaves A_(%s)^-1" %
+                     (g, h, h, gh))
+            elif any(alpha(g, au) != alpha(gh, multiply(u, p)) for u, au in images):
+                flag("AxiomIII", "alpha_%s alpha_%s != alpha_%s on the overlap" % (g, h, gh))
     return ValidationReport(tuple(bad))
 
 

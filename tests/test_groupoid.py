@@ -261,3 +261,119 @@ def test_indexed_validation_matches_the_full_scan_reference():
     assert count > 300
     assert {"BadComposition", "BadIdentity", "MissingInverse", "NonAssociative"} <= seen
     assert identity_and_triples > 20
+
+
+# -- associativity on a generating set (Light's test) ------------------------------------------
+
+def _corpus() -> list:
+    shipped = [load_action(p.name).groupoid for p in sorted(INSTANCE_DIR.glob("*.json"))]
+    rng = random.Random(39)
+    fuzzed = [parse_instance(skeleton_to_instance(random_skeleton(rng), "Q")).action.groupoid
+              for _ in range(20)]
+    return [one_object(), bridge_groupoid(), flip_groupoid(), *shipped, *fuzzed]
+
+
+def _closure(g: Groupoid, gens) -> set:
+    """The identities and `gens`, closed under every composable product."""
+    reached = set(g.identity.values()) | set(gens)
+    while True:
+        new = {g.compose[a, b] for a in reached for b in reached if g.src[a] == g.tgt[b]}
+        if new <= reached:
+            return reached
+        reached |= new
+
+
+def _failing_triples(g: Groupoid) -> list:
+    return [(a, b, c) for a, b in g.composable_pairs() for c in g.arrows_into(g.src[b])
+            if g.compose[g.compose[a, b], c] != g.compose[a, g.compose[b, c]]]
+
+
+def _reassigned(g: Groupoid, rng: random.Random):
+    """g with one product a*b of non-identities set to another arrow of its
+    hom set: every endpoint and identity law still holds, associativity may
+    not."""
+    ids = set(g.identity.values())
+    keys = [k for k in g.compose if not set(k) & ids]
+    for a, b in rng.sample(keys, min(len(keys), 8)):
+        others = [x for x in g.hom_set(g.src[b], g.tgt[a]) if x != g.compose[a, b]]
+        if others:
+            yield Groupoid(g.objects, g.morphisms, g.src, g.tgt, g.identity,
+                           {**g.compose, (a, b): rng.choice(others)}, g.inverse)
+
+
+def test_the_generators_reach_every_arrow_and_each_was_needed():
+    for g in _corpus():
+        gens = g.generators()
+        ids = set(g.identity.values())
+        assert list(gens) == [m for m in g.morphisms if m in gens]
+        assert not set(gens) & ids
+        assert _closure(g, gens) == set(g.morphisms)
+        # greedy: no generator is a word in the ones chosen before it
+        assert all(s not in _closure(g, gens[:i]) for i, s in enumerate(gens))
+    assert flip_groupoid().generators() == ("g", "h", "x", "xinv")
+
+
+def test_a_failure_on_the_generators_scans_every_triple():
+    # every reassigned table lists what the full scan lists; some of its
+    # failing triples have their middle arrow outside the generators, and
+    # only the scan after a failed generator triple finds those
+    rng = random.Random(40)
+    light = outside = 0
+    for base in _corpus():
+        for g in _reassigned(base, rng):
+            report = validate_groupoid(g)
+            assert report.violations == full_scan_validate_groupoid(g).violations
+            ids = set(g.identity.values())
+            failing = [t for t in _failing_triples(g) if not set(t) & ids]
+            assert [v.message for v in report.violations if v.code == "NonAssociative"] == [
+                "(%r*%r)*%r != %r*(%r*%r)" % (a, b, c, a, b, c) for a, b, c in failing]
+            gens = set(g.generators())
+            if failing:
+                # Light's test: a non-associative table fails on a generator
+                assert any(b in gens for _, b, _ in failing)
+            light += len(gens) < len(g.morphisms) - len(ids)
+            outside += any(b not in gens for _, b, _ in failing)
+    assert light > 50 and outside > 50
+
+
+def test_a_table_is_tested_on_its_generators_only_when_they_are_fewer(monkeypatch):
+    from skewalg import groupoid
+
+    middles = []
+    associates_at = groupoid._associates_at
+
+    def recorded(g, gens, identities):
+        middles.append(tuple(gens))
+        return associates_at(g, gens, identities)
+
+    monkeypatch.setattr(groupoid, "_associates_at", recorded)
+    z2 = build_groupoid(["e"], [("s", "e", "e")], [("s", "s", "id:e")], [("s", "s")])
+    z3 = build_groupoid(["e"], [("s", "e", "e"), ("t", "e", "e")],
+                        [("s", "s", "t"), ("s", "t", "id:e"), ("t", "s", "id:e"),
+                         ("t", "t", "s")], [("s", "t")])
+    # too few arrows (S = {s} on Z/3), or S is every arrow (the bridge)
+    for g in (one_object(), bridge_groupoid(), z2, z3):
+        assert validate_groupoid(g).ok
+    assert middles == []
+    assert validate_groupoid(flip_groupoid()).ok
+    assert middles == [("g", "h", "x", "xinv")]
+
+
+def test_a_table_whose_identity_laws_fail_scans_every_triple():
+    # Z/3 = {id, s, t} at e with four entries changed, beside Z/2 = {id, u}
+    # at f: the triples (a, s, c) and (a, u, c) all associate, id included
+    # as a or c, but the ones through id:e do not, so the generators decide
+    # nothing without the identity laws
+    z3 = build_groupoid(["e", "f"], [("s", "e", "e"), ("t", "e", "e"), ("u", "f", "f")],
+                        [("s", "s", "t"), ("s", "t", "id:e"), ("t", "s", "id:e"),
+                         ("t", "t", "s"), ("u", "u", "id:f")], [("s", "t"), ("u", "u")])
+    g = _replaced(z3, compose={**z3.compose, ("id:e", "id:e"): "s", ("s", "t"): "t",
+                               ("t", "s"): "t", ("t", "t"): "t"})
+    assert g.generators() == ("s", "u")
+    assert all(g.compose[g.compose[a, b], c] == g.compose[a, g.compose[b, c]]
+               for a, b in g.composable_pairs() if b in ("s", "u")
+               for c in g.arrows_into(g.src[b]))
+    report = validate_groupoid(g)
+    assert report.violations == full_scan_validate_groupoid(g).violations
+    assert [v.message for v in report.violations if v.code == "NonAssociative"] == [
+        "('id:e'*'id:e')*'s' != 'id:e'*('id:e'*'s')", "('s'*'id:e')*'id:e' != 's'*('id:e'*'id:e')"]

@@ -14,8 +14,8 @@ OPS = [["traces", str(INSTANCE_DIR / "z2_flip_q.json")],
        ["separability", str(INSTANCE_DIR / "conj_swap_m2_q.json"), "--oracle"]]
 # (eliminations, inserts, useful, echelon, free_basis) of each op: every
 # vector set the traces of z2_flip_q hand to `echelon` is already a reduced
-# echelon basis, so that op eliminates nothing
-ELIMINATION_COUNTS = [(0, 0, 0, 15, 0), (6, 101, 43, 8, 2)]
+# echelon basis, so that op eliminates nothing; `echelon` inserts no zero vector
+ELIMINATION_COUNTS = [(0, 0, 0, 15, 0), (6, 93, 43, 8, 2)]
 
 
 def load_tool():
@@ -26,7 +26,8 @@ def load_tool():
 
 
 def _entry_points() -> tuple:
-    return (algebra.Algebra.multiply, partial_action.PartialAction.alpha,
+    return (algebra.Algebra.multiply, algebra.Algebra.ideal_basis,
+            partial_action.PartialAction.alpha,
             linalg.Matrix.apply, linalg.Echelonizer.insert, algebra.table_product,
             skew_ring.table_product, linalg.echelon, algebra.echelon, separability.echelon,
             linalg.free_basis, partial_action.free_basis, skew_ring.free_basis)
@@ -63,7 +64,8 @@ def test_the_command_line_prints_a_row_per_op_and_the_mean(capsys):
 def test_eliminations_count_every_echelonizer_built():
     # an Echelonizer built by any caller counts, a subclass's too, whether
     # or not a row is inserted into it; `kernel` calls `echelon` twice, and
-    # vectors that are already a reduced echelon basis build none
+    # vectors that are already a reduced echelon basis build none, and
+    # `echelon` inserts no zero vector
     tool = load_tool()
     modules = tool.import_skewalg()
     F = linalg.Field.rationals()
@@ -75,7 +77,7 @@ def test_eliminations_count_every_echelonizer_built():
     with tool.counting(modules, counts):
         linalg.Echelonizer(F, 2)
         Sub(F, 3).insert((1, 2, 3))
-        linalg.echelon(F, [(2, 0)], 2)
+        linalg.echelon(F, [(0, 0), (2, 0), (0, 0)], 2)
         # the rows reduce to (1, 1, 0); the null space (-1, 1, 0), (0, 0, 1) is not reduced
         linalg.kernel(F, [(2, 2, 0)], 3)
         linalg.free_basis(F, [(1, 1), (1, 0)], 2)

@@ -652,3 +652,31 @@ def test_identities_and_second_arrows_build_no_image_echelon(monkeypatch, field)
         # only g's images, none of id:e or of g^-1
         assert calls == images
         monkeypatch.undo()
+
+
+# -- the pairs (g^-1, g) that case (b) settles ------------------------------------------------
+
+@pytest.mark.parametrize("field", [Q, Field.prime(2), Field.prime(3)], ids=str)
+def test_a_self_inverse_arrow_tests_its_own_pair(field):
+    # g = g^-1 with alpha_g the 3-cycle: a ring isomorphism, never accepted
+    # by case (b), with alpha_g alpha_g != id = alpha_{gg}
+    z2 = build_groupoid(["e"], [("g", "e", "e")], [("g", "g", "id:e")], [("g", "g")])
+    pa = PartialAction(z2, Algebra.diagonal(field, 3), {"id:e": [1] * 3, "g": [1] * 3},
+                       {"g": _SHIFT})
+    report = validate_partial_action(pa)
+    assert report.violations == (
+        Violation("AxiomIII", "alpha_g alpha_g != alpha_id:e on the overlap"),)
+    assert report.violations == full_scan_validate_partial_action(pa).violations
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(2), Field.prime(3)], ids=str)
+def test_ring_isomorphisms_that_are_not_mutually_inverse_test_their_pairs(field):
+    # alpha_g = alpha_{g^-1} = the 3-cycle: each passes the ring-isomorphism
+    # checks, so case (b) accepts neither, and both pairs (g^-1, g) fail III
+    pa = _global_z3(field, _SHIFT, _SHIFT)
+    messages = [v.message for v in validate_partial_action(pa).violations]
+    assert {"alpha_g alpha_ginv != alpha_id:e on the overlap",
+            "alpha_ginv alpha_g != alpha_id:e on the overlap"} <= set(messages)
+    assert validate_partial_action(pa).violations == \
+        full_scan_validate_partial_action(pa).violations
+    assert validate_partial_action(_global_z3(field, _SHIFT, _UNSHIFT)).ok

@@ -12,6 +12,8 @@ Around each op a few entry points are wrapped to count:
   any module that binds it;
 - `alpha`: calls of `PartialAction.alpha`; `alpha_apply`: the `Matrix.apply`
   calls made inside one, the alpha-images computed;
+- `ideal_basis`: calls of `Algebra.ideal_basis`, lookups keyed by the
+  idempotent's value;
 - `eliminations`: `Echelonizer` instances built, by any caller, one per
   elimination; `inserts`: calls of `Echelonizer.insert`; `useful`: those
   that enlarged the span;
@@ -50,8 +52,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 BENCH = ROOT / "perfbench"
-COUNTS = ("multiply", "table_product", "alpha", "alpha_apply", "eliminations", "inserts",
-          "useful", "echelon", "free_basis")
+COUNTS = ("multiply", "table_product", "alpha", "alpha_apply", "ideal_basis", "eliminations",
+          "inserts", "useful", "echelon", "free_basis")
 
 
 def import_skewalg():
@@ -69,19 +71,14 @@ def counting(modules: dict, counts: dict):
     """Install the counting wrappers; `counts` accumulates until they are removed."""
     algebra, linalg = modules["algebra"], modules["linalg"]
     action = modules["partial_action"].PartialAction
-    originals = {"multiply": algebra.Algebra.multiply, "alpha": action.alpha,
-                 "apply": linalg.Matrix.apply, "init": linalg.Echelonizer.__init__,
-                 "insert": linalg.Echelonizer.insert}
+    originals = {"alpha": action.alpha, "apply": linalg.Matrix.apply,
+                 "init": linalg.Echelonizer.__init__, "insert": linalg.Echelonizer.insert}
     counted = (("table_product", algebra.table_product), ("echelon", linalg.echelon),
                ("free_basis", linalg.free_basis))
     sites = [(m, name, key, function) for m in modules.values()
              for name, value in vars(m).items()
              for key, function in counted if value is function]
     depth = [0]
-
-    def multiply(self, x, y):
-        counts["multiply"] += 1
-        return originals["multiply"](self, x, y)
 
     def calls(key, function):
         def wrapper(*args):
@@ -111,7 +108,10 @@ def counting(modules: dict, counts: dict):
         counts["useful"] += grew
         return grew
 
-    patches = [(algebra.Algebra, "multiply", multiply), (action, "alpha", alpha),
+    patches = [(algebra.Algebra, "multiply", calls("multiply", algebra.Algebra.multiply)),
+               (algebra.Algebra, "ideal_basis",
+                calls("ideal_basis", algebra.Algebra.ideal_basis)),
+               (action, "alpha", alpha),
                (linalg.Matrix, "apply", apply), (linalg.Echelonizer, "__init__", init),
                (linalg.Echelonizer, "insert", insert)]
     patches += [(m, name, calls(key, function)) for m, name, key, function in sites]
