@@ -16,9 +16,12 @@ nonzero term.  The unit law and associativity of a table given to
 table whose laws hold by proof (in its docstring), so it is not audited.
 So `multiply` returns the other factor, reduced and kept, when one factor
 is the unit, by the unit law; the check itself calls `table_product`, so
-it does not rest on what it checks.  `table_product` computes the product
-of two vectors with one nonzero entry each, c b_i and c' b_j, as c c'
-times the table entry [i][j], by bilinearity.
+it does not rest on what it checks.  The unit is recognised by identity
+alone: a vector equal to it that the package computed is that same object,
+since `element`, `multiply` and `PartialAction.alpha` keep what they
+return, and any other copy takes the general path.  `table_product`
+computes the product of two vectors with one nonzero entry each, c b_i and
+c' b_j, as c c' times the table entry [i][j], by bilinearity.
 The centre is the kernel of the system x*b_j - b_j*x = 0 read off the
 nonzero constants, one row per (j, k) that one of them reaches, kept as
 the `Echelon` that `kernel` returns.  The ideal A*e of a central
@@ -34,7 +37,8 @@ and bools, in dicts on the instance.  Equal products share one tuple: most
 kept products of a large algebra are the zero vector.  `right_mul_matrix`
 keeps nothing: it builds the default map R_e of an identity arrow, once
 per object.  `element` checks each scalar of a vector given from outside,
-and passes a vector it or `multiply` returned as it is.
+and passes a kept vector (one it, `multiply` or `PartialAction.alpha`
+returned) as it is.
 
 Whether A is commutative is decided once, when it is built: one pass over
 the sparse table comparing entry [i][j] with entry [j][i] (zero constants
@@ -220,8 +224,9 @@ class Algebra:
 
     def element(self, coeffs) -> tuple:
         """coeffs as a vector of this algebra.  A vector kept in `_values` (one
-        `element` or `multiply` returned) passes as it is; any other, a float
-        twin of a kept vector too, has each scalar checked with `Field.coerce`."""
+        `element`, `multiply` or `PartialAction.alpha` returned) passes as it
+        is; any other, a float twin of a kept vector too, has each scalar
+        checked with `Field.coerce`."""
         try:
             if self._values.get(coeffs) is coeffs:
                 return coeffs
@@ -258,7 +263,7 @@ class Algebra:
     def multiply(self, x, y) -> tuple:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("element does not match algebra dimension")
-        # by the unit law; a copy of the unit is found at the pair's first call
+        # by the unit law
         unit = self.unit
         if x is unit:
             return self._reduced(y)
@@ -267,14 +272,8 @@ class Algebra:
         key = (tuple(x), tuple(y))
         out = self._products.get(key)
         if out is None:
-            if key[0] == unit:
-                out = self._reduced(y)
-            elif key[1] == unit:
-                out = self._reduced(x)
-            else:
-                out = table_product(self._table, x, y, self.field)
-                out = self._values.setdefault(out, out)
-            self._products[key] = out
+            out = table_product(self._table, x, y, self.field)
+            out = self._products[key] = self._values.setdefault(out, out)
         return out
 
     def right_mul_matrix(self, x) -> Matrix:

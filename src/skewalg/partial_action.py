@@ -46,7 +46,9 @@ class PartialAction:
     so a mostly permutation-like alpha_g costs about the support of its
     argument.  `alpha` keeps each image alpha_g(v) it computes, since the
     axiom checks, the traces and the certificate move the same ideal rows
-    and idempotents again and again.
+    and idempotents again and again, and keeps it through the algebra
+    (`Algebra._keep`), so an image equal to the unit or to a domain
+    idempotent is that same object.
     """
 
     def __init__(self, groupoid: Groupoid, algebra: Algebra, idems: dict, maps: dict):
@@ -94,7 +96,7 @@ class PartialAction:
         key = (g, tuple(v))
         out = self._images.get(key)
         if out is None:
-            out = self._images[key] = self.maps[g].apply(v)
+            out = self._images[key] = self.algebra._keep(self.maps[g].apply(v))
         return out
 
     def ideal(self, g) -> Echelon:

@@ -385,9 +385,9 @@ def separability_checks(pa: PartialAction, blocks, d=1) -> dict:
     A: on non-commutative A through the listed a d_{id_e}, and on
     commutative A for every y on the blocks (g, g^-1), since a y = y a
     there.  If 1_k d_k is in C, so is 1_{k^-1} d_{k^-1}.  And C then holds
-    A c_g d_g, c_g the join of the idempotents that the words in S u S^-1
-    with product g move 1_e to, which is 1_g on every arrow outside S with
-    A_g != 0; for a global action, on every arrow that the words reach.
+    A_{sh} d_{sh} whenever it holds A_h d_h and 1_{sh} <= 1_s for a move s
+    in S u S^-1, since alpha_s(1_{s^-1} 1_h) = 1_s 1_{sh}; every arrow with
+    A_g != 0 is reached so from the identities or is in S.
     The key keeps its name, so the reports do not change.
     """
     g_oid = pa.groupoid
@@ -433,10 +433,10 @@ def oracle_separability(pa: PartialAction) -> OracleResult:
     distinct row once.  An x on the blocks (g, g^-1) commutes with those
     iff with every ring basis element: the elements that commute with x
     form a subalgebra C; C holds A (on commutative A, a y = y a on each
-    block); with 1_k d_k it holds 1_{k^-1} d_{k^-1}; and then A c_g d_g,
-    c_g the join of what the words in S u S^-1 with product g move 1_e
-    to, which is 1_g for every arrow (the proof is in `ring_generators`;
-    for a global action c_g = 1_g wherever a word reaches).
+    block); with 1_k d_k it holds 1_{k^-1} d_{k^-1}; and with A_h d_h it
+    holds A_{sh} d_{sh} for each s in S u S^-1 with 1_{sh} <= 1_s, which
+    reaches every arrow with A_g != 0 outside S (the proof is in
+    `ring_generators`).
     It shares `psi_block`, the closed form of b x - x b
     (`skew_ring.commutator_terms`) and the generators with the certificate,
     but not the trace criterion, and builds no ring: that the ring table's

@@ -249,22 +249,22 @@ def ring_generators(act: PartialAction) -> tuple:
       d_{id} and q = b' b = 1_{k^-1} d_{id} lie in A, inside C, and
       b' = q b' = b' p, so x b' = x b' b b' = (x q) b' = (q x) b' =
       b' (b x) b' = b' (x b) b' = b' x p = b' p x = b' x.
-    - Words in S u S^-1 cover A*G.  For s in S u S^-1, src s = tgt h, and a
-      central idempotent c of A_h, (1_s d_s)(a c d_h) = alpha_s(1_{s^-1} a c)
-      d_{sh}, and as a runs over A these run over A alpha_s(1_{s^-1} c)
-      d_{sh}: alpha_s is a ring isomorphism A_{s^-1} -> A_s, so it sends
-      central idempotents to central idempotents and the ideal of one to
-      the ideal of its image.  A c d_g + A c' d_g = A (c v c') d_g, the join
-      c v c' = c + c' - c c'.  So C contains A c_g d_g, c_g the join over
-      the words s_1 ... s_n in S u S^-1 with product g of the idempotents
-      alpha_{s_1}(1_{s_1^-1} ... alpha_{s_n}(1_{s_n^-1} 1_e)), e = src g,
-      that the word moves 1_e d_{id_e} in A to.  Every arrow
-      k with A_k != 0 is in S or has c_k = 1_k, so C contains each A_k d_k.
-    For a global action c_g is 1_g on the arrows that words reach, and the
-    cover is plain reachability (`_covering_arrows`).  The full list, A's
-    basis at the identities and every c_k 1_k d_k with A_k != 0, also
-    generates, since (u d_{id_t(k)})(1_k d_k) = u d_k for u in A_k; the
-    tests keep it as the reference.
+    - C contains A_g d_g for every arrow g that `_covering_arrows` covers,
+      which is every arrow with A_g != 0.  It does for the identities, by
+      the first step.  Let h be covered, s in S u S^-1 with src s = tgt h,
+      so 1_s d_s is in C by the second step, and 1_{sh} <= 1_s.  Write
+      A_f A_g = A 1_f 1_g for the intersection of two domains.  By axiom
+      II on (s, h), alpha_{h^-1}(A_{s^-1} A_h) lies in A_{(sh)^-1}, and by
+      axiom III, alpha_s(A_{s^-1} A_h) = alpha_{sh}(alpha_{h^-1}(A_{s^-1}
+      A_h)) lies in A_s A_{sh}.  The same on (s^-1, sh), with alpha_s
+      alpha_{s^-1} = id on A_s, gives the reverse inclusion.  alpha_s is a
+      ring isomorphism A_{s^-1} -> A_s, so it maps the ideal of a central
+      idempotent onto the ideal of its image, and alpha_s(1_{s^-1} 1_h) =
+      1_s 1_{sh}.  As a runs over A_h, (1_s d_s)(a d_h) = alpha_s(1_{s^-1} a)
+      d_{sh} then spans A 1_s 1_{sh} d_{sh} = A_{sh} d_{sh}.
+    The full list, A's basis at the identities and every c_k 1_k d_k with
+    A_k != 0, also generates, since (u d_{id_t(k)})(1_k d_k) = u d_k for u
+    in A_k; the tests keep it as the reference.
     """
     kept = act._generators
     if kept is None:
@@ -288,73 +288,43 @@ def ring_generators(act: PartialAction) -> tuple:
 
 
 def _covering_arrows(act: PartialAction) -> list:
-    """S: the arrows k != id with A_k != 0, chosen greedily in morphism order,
-    where k joins S only if the words in S u S^-1 do not yet cover it,
-    c_k != 1_k (`ring_generators`).  Once in S, k is covered: the word k
-    gives alpha_k(1_{k^-1} 1_{src k}) = 1_k.
+    """S: the arrows k with A_k != 0 that reachability does not cover, chosen
+    greedily in morphism order (`ring_generators`).
 
-    c is kept per arrow and grown by a worklist: c_{id_e} = 1_e, and an item
-    (h, moves) joins alpha_s(1_{s^-1} c_h) into c_{sh} for each s of
-    `moves` (the stored map of s computes alpha_s(a 1_{s^-1})).  An arrow
-    whose c grows is queued with every move out of its target; adding k to
-    S queues the arrows already reached at src k or tgt k with the moves k
-    and k^-1 alone.  Pushing the join of c_h, not each word, is enough:
-    a |-> alpha_s(1_{s^-1} a) preserves joins of central idempotents.  c_g
-    only grows, each time to a larger ideal A c_g, so the worklist ends.
-
-    A global action needs no algebra: there 1_g = 1_{tgt g} for every g, so
-    alpha_s(1_{s^-1} 1_h) = alpha_s(1_{src s}) = 1_s = 1_{sh}, and c_g is 1_g
-    on the arrows reachable from the identities by left multiplication with
-    S u S^-1, the subgroupoid that S generates, and 0 elsewhere.  Reading it
-    so also keeps the certificate's lookups integral: its 1_g may have
-    denominators (rotated_swap_q.json's 1/2(1 +- x)), and the check clears
-    them from every vector it looks up.
+    The identities start covered.  An arrow k not yet covered, taken in
+    morphism order, joins S, and k and k^-1 become moves out of their
+    sources; each covered arrow into src s is pushed with each new move s.
+    Popping (s, h) covers sh when 1_{sh} <= 1_s, tested as 1_{sh} == 1_s or
+    1_s 1_{sh} == 1_{sh}, and pushes sh with every move out of tgt sh.  k
+    itself is covered by the pair (k, id_{src k}).  On a global action
+    1_{sh} = 1_{tgt s} = 1_s, so the equality answers and no product is
+    looked up: the certificate's lookups stay integral where 1_g has
+    denominators (rotated_swap_q.json's 1/2(1 +- x)).
     """
-    alg = act.algebra
     g_oid = act.groupoid
     src, tgt, compose = g_oid.src, g_oid.tgt, g_oid.compose
-    idem = act.idems
-    reached = {i: idem[i] for i in g_oid.identity.values()}   # g -> c_g, where c_g != 0
-    partial = not act.is_global()
-
-    def grow(s, h):
-        """Join alpha_s(1_{s^-1} c_h) into c_{sh}; sh if c_{sh} grew, else None."""
-        sh = compose[s, h]
-        if not partial:
-            if sh in reached:
-                return None
-            reached[sh] = idem[sh]
-            return sh
-        y = act.alpha(s, reached[h])
-        if not any(y):
-            return None
-        old = reached.get(sh)
-        if old is not None:
-            meet = alg.multiply(old, y)
-            if meet == y:
-                return None
-            y = alg.field.reduce_vec(o + t - m for o, t, m in zip(old, y, meet))
-        reached[sh] = y
-        return sh
-
+    idem, multiply = act.idems, act.algebra.multiply
+    covered = dict.fromkeys(g_oid.identity.values())
     moves: dict = {e: [] for e in g_oid.objects}
     chosen = []
     for k in g_oid.morphisms:
-        if reached.get(k) == idem[k] or not any(idem[k]):
+        if k in covered or not any(idem[k]):
             continue
         chosen.append(k)
         kinv = g_oid.inv(k)
         new = (k,) if kinv == k else (k, kinv)
         for s in new:
             moves[src[s]].append(s)
-        work = [(h, [s for s in new if src[s] == tgt[h]]) for h in reached
-                if tgt[h] in (src[k], tgt[k])]
+        work = [(s, h) for s in new for h in covered if tgt[h] == src[s]]
         while work:
-            h, ss = work.pop()
-            for s in ss:
-                sh = grow(s, h)
-                if sh is not None:
-                    work.append((sh, moves[tgt[sh]]))
+            s, h = work.pop()
+            sh = compose[s, h]
+            if sh in covered:
+                continue
+            one_s, one_sh = idem[s], idem[sh]
+            if one_sh == one_s or multiply(one_s, one_sh) == one_sh:
+                covered[sh] = None
+                work.extend((t, sh) for t in moves[tgt[sh]])
     return chosen
 
 

@@ -351,10 +351,14 @@ def test_a_table_is_tested_on_its_generators_only_when_they_are_fewer(monkeypatc
     z3 = build_groupoid(["e"], [("s", "e", "e"), ("t", "e", "e")],
                         [("s", "s", "t"), ("s", "t", "id:e"), ("t", "s", "id:e"),
                          ("t", "t", "s")], [("s", "t")])
-    # too few arrows (S = {s} on Z/3), or S is every arrow (the bridge)
-    for g in (one_object(), bridge_groupoid(), z2, z3):
+    # S is every non-identity arrow (the bridge, Z/2) or there is none;
+    # on Z/3, S = {s} is one of two
+    for g in (one_object(), bridge_groupoid(), z2):
         assert validate_groupoid(g).ok
     assert middles == []
+    assert validate_groupoid(z3).ok
+    assert middles == [("s",)]
+    middles.clear()
     assert validate_groupoid(flip_groupoid()).ok
     assert middles == [("g", "h", "x", "xinv")]
 

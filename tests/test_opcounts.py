@@ -16,6 +16,9 @@ OPS = [["traces", str(INSTANCE_DIR / "z2_flip_q.json")],
 # vector set the traces of z2_flip_q hand to `echelon` is already a reduced
 # echelon basis, so that op eliminates nothing; `echelon` inserts no zero vector
 ELIMINATION_COUNTS = [(0, 0, 0, 15, 0), (6, 93, 43, 8, 2)]
+# the size of each op's generating set of A*G: traces asks for none, and
+# conj_swap_m2_q's is A's 8 basis vectors at the identity and the arrow s
+GENERATORS = [0, 9]
 
 
 def load_tool():
@@ -30,7 +33,8 @@ def _entry_points() -> tuple:
             partial_action.PartialAction.alpha,
             linalg.Matrix.apply, linalg.Echelonizer.insert, algebra.table_product,
             skew_ring.table_product, linalg.echelon, algebra.echelon, separability.echelon,
-            linalg.free_basis, partial_action.free_basis, skew_ring.free_basis)
+            linalg.free_basis, partial_action.free_basis, skew_ring.free_basis,
+            skew_ring.ring_generators, separability.ring_generators)
 
 
 def test_counts_repeat_and_the_package_is_left_as_it_was(capsys):
@@ -40,6 +44,7 @@ def test_counts_repeat_and_the_package_is_left_as_it_was(capsys):
     first = [tool.count_op(modules, op) for op in OPS]
     assert _entry_points() == before
     assert [tool.count_op(modules, op) for op in OPS] == first
+    assert [row["generators"] for row in first] == GENERATORS
     for op, row, eliminated in zip(OPS, first, ELIMINATION_COUNTS):
         assert row["code"] == 0
         assert 0 < row["table_product"] <= row["multiply"]

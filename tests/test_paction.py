@@ -275,6 +275,34 @@ def test_alpha_is_the_stored_map_on_every_shipped_instance():
                     assert pa.alpha(g, w) == pa.matrix(g).apply(v), (path.name, g)
 
 
+def test_an_alpha_image_equal_to_a_kept_vector_is_that_vector(monkeypatch):
+    # alpha keeps each new image through the algebra, so an image equal to
+    # the unit is `Algebra.unit` itself, one equal to a domain idempotent is
+    # that idempotent, and `multiply` takes the unit law on it by identity
+    from skewalg import algebra
+
+    products = []
+    table_product = algebra.table_product
+    monkeypatch.setattr(algebra, "table_product",
+                        lambda *args: products.append(args) or table_product(*args))
+    units = 0
+    for path in sorted(INSTANCE_DIR.glob("*.json")):
+        pa = load_action(path.name)
+        alg = pa.algebra
+        kept = {v: v for v in (alg.unit, *pa.idems.values())}
+        for g in pa.groupoid.morphisms:
+            for v in kept:
+                image = pa.alpha(g, list(v))
+                assert kept.get(image, image) is image, (path.name, g)
+                if image == alg.unit:
+                    units += 1
+                    assert image is alg.unit
+                    products.clear()
+                    assert [alg.multiply(image, b) for b in alg._basis] == list(alg._basis)
+                    assert products == []
+    assert units
+
+
 # -- the alpha-image checks against the subspace references ---------------------------------
 
 def _relabelled(pa: PartialAction):

@@ -685,21 +685,30 @@ def test_the_oracle_on_generators_matches_every_basis_element():
         assert oracle_separability(pa).solutions == basis_oracle_solutions(pa)
 
 
-def _partial_z4(sigma, letters):
+def _partial_z4(sigma, letters) -> dict:
     """Z/4 on one object, s^t moving the letters by sigma^t, restricted to
-    `letters`: a partial action on k^len(letters)."""
-    skel = {"components": [{"k": 1, "m": 4, "d": len(sigma), "sigma": sigma,
-                            "tau": [list(range(len(sigma)))], "T": [letters]}]}
-    return parse_instance(skeleton_to_instance(skel, "Q")).action
+    `letters`: the skeleton of a partial action on k^len(letters)."""
+    return {"k": 1, "m": 4, "d": len(sigma), "sigma": sigma,
+            "tau": [list(range(len(sigma)))], "T": [letters]}
 
 
-# (sigma, letters, generating arrows): on the transposition restricted to
-# two letters, s and s^3 are defined on one letter and s^2 on two, and s s
-# reaches s^2 on one letter only, so s^2 joins S.  On the 4-cycle restricted
-# to three letters, s s and s^3 s^3 reach s^2 on one letter each, and their
-# join covers it
-PARTIAL_JOINS = (([0, 2, 1], [0, 2], ["m0.0.0.1", "m0.0.0.2"]),
-                 ([1, 2, 3, 0], [0, 1, 2], ["m0.0.0.1"]))
+def _partial(component):
+    return parse_instance(skeleton_to_instance({"components": [component]}, "Q")).action
+
+
+# (one component's skeleton, generating arrows) of partial actions; an arrow
+# sh is covered from a covered h and a move s only when 1_{sh} <= 1_s.  On
+# the transposition restricted to two letters, s and s^3 are defined on one
+# letter and s^2 on both, so s^2 joins S.  On the 4-cycle restricted to
+# three letters, 1_{s^2} lies under neither 1_s nor 1_{s^3}, so s^2 joins S.
+# On the fuzz skeleton, s = m0.0.0.1 moves h = m0.0.1.0 to sh = m0.0.1.1,
+# and 1_{sh} is one of the two letters of 1_s: a proper containment, which
+# equality alone misses
+PARTIAL_COVERS = ((_partial_z4([0, 2, 1], [0, 2]), ["m0.0.0.1", "m0.0.0.2"]),
+                  (_partial_z4([1, 2, 3, 0], [0, 1, 2]), ["m0.0.0.1", "m0.0.0.2"]),
+                  ({"k": 2, "m": 2, "d": 3, "sigma": [0, 1, 2],
+                    "tau": [[1, 0, 2], [2, 0, 1]], "T": [[1, 2], [2]]},
+                   ["m0.0.0.1", "m0.0.1.0"]))
 
 
 def test_the_generators_generate_the_ring():
@@ -709,7 +718,7 @@ def test_the_generators_generate_the_ring():
     # elements commuting with x.  The corpus has partial actions and
     # non-commutative A (conj_swap_m2_q.json, M_2(k))
     kinds = set()
-    for pa in (*closed_form_corpus(), *(_partial_z4(*case[:2]) for case in PARTIAL_JOINS)):
+    for pa in (*closed_form_corpus(), *(_partial(c) for c, _ in PARTIAL_COVERS)):
         ring = build_skew_ring(pa)
         g_oid = pa.groupoid
         gens = [ring_coords(ring, {i: a}) for i in g_oid.identity.values()
@@ -734,12 +743,12 @@ def test_the_generators_give_the_answers_of_the_full_list(monkeypatch):
     # the small generating set as with the full list of
     # `reference_ring_generators`, on the closed-form corpus (the shipped
     # instances and, among the fuzz skeletons, those of `fuzz --seed 1
-    # --count 25` over Q and GF(2)) and on the two partial Z/4 actions where
-    # an arrow is covered by a join.  The checks run on the certificate's
+    # --count 25` over Q and GF(2)) and on the partial actions of
+    # `PARTIAL_COVERS`.  The checks run on the certificate's
     # blocks and on blocks that fail them: sum_e 1_e d_e (x) 1_e d_e and the
     # idempotent blocks of each basis vector of A
     failed = 0
-    for pa in (*closed_form_corpus(), *(_partial_z4(*case[:2]) for case in PARTIAL_JOINS)):
+    for pa in (*closed_form_corpus(), *(_partial(c) for c, _ in PARTIAL_COVERS)):
         g_oid = pa.groupoid
         planted = [{(i, i): pa.obj_idem(e) for e, i in g_oid.identity.items()
                     if any(pa.obj_idem(e))}]
@@ -765,8 +774,8 @@ def test_commutative_a_lists_no_identity_and_one_arrow_generates_a_cycle():
     # on commutative A no a d_{id_e} is listed; Z/6 acting globally on one
     # object needs its first arrow alone, a generator of Z/6, where the full
     # list has all five; the set is found once and kept on the action.  On a
-    # partial action an arrow joins S unless the join of what words reach
-    # is its whole ideal
+    # partial action an arrow joins S unless words reach it through moves s
+    # with 1_{sh} <= 1_s
     for pa in closed_form_corpus():
         if pa.algebra.commutative:
             assert not any(pa.groupoid.is_identity(k) for k, _ in ring_generators(pa))
@@ -777,8 +786,8 @@ def test_commutative_a_lists_no_identity_and_one_arrow_generates_a_cycle():
     gens = ring_generators(pa)
     assert [k for k, _ in gens] == ["m0.0.0.1"]
     assert ring_generators(pa) is gens
-    for sigma, letters, arrows in PARTIAL_JOINS:
-        pa = _partial_z4(sigma, letters)
+    for component, arrows in PARTIAL_COVERS:
+        pa = _partial(component)
         assert not pa.is_global() and [k for k, _ in ring_generators(pa)] == arrows
 
 

@@ -23,7 +23,10 @@ Around each op a few entry points are wrapped to count:
   `solve_affine` eliminate through `echelon`), and a call whose vectors
   are already a reduced echelon basis builds none, so
   `echelon + free_basis - eliminations` counts the calls whose input
-  settled the answer.
+  settled the answer;
+- `generators`: the size of the set `skew_ring.ring_generators` returned,
+  in any module that binds it, summed over the distinct sets of the op
+  (one per action), or 0 when it was not called.
 
 The counts repeat exactly for one checkout and one op list, so two
 checkouts compare without timing noise.  `--workload` generates the ops of
@@ -53,7 +56,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 BENCH = ROOT / "perfbench"
 COUNTS = ("multiply", "table_product", "alpha", "alpha_apply", "ideal_basis", "eliminations",
-          "inserts", "useful", "echelon", "free_basis")
+          "inserts", "useful", "echelon", "free_basis", "generators")
 
 
 def import_skewalg():
@@ -75,10 +78,12 @@ def counting(modules: dict, counts: dict):
                  "init": linalg.Echelonizer.__init__, "insert": linalg.Echelonizer.insert}
     counted = (("table_product", algebra.table_product), ("echelon", linalg.echelon),
                ("free_basis", linalg.free_basis))
+    generators = modules["skew_ring"].ring_generators
     sites = [(m, name, key, function) for m in modules.values()
              for name, value in vars(m).items()
              for key, function in counted if value is function]
     depth = [0]
+    found: dict = {}        # id -> each set ring_generators returned, kept alive
 
     def calls(key, function):
         def wrapper(*args):
@@ -98,6 +103,13 @@ def counting(modules: dict, counts: dict):
         counts["alpha_apply"] += depth[0] > 0
         return originals["apply"](self, v)
 
+    def generated(act):
+        gens = generators(act)
+        if id(gens) not in found:
+            found[id(gens)] = gens
+            counts["generators"] += len(gens)
+        return gens
+
     def init(self, *args):
         counts["eliminations"] += 1
         originals["init"](self, *args)
@@ -115,6 +127,8 @@ def counting(modules: dict, counts: dict):
                (linalg.Matrix, "apply", apply), (linalg.Echelonizer, "__init__", init),
                (linalg.Echelonizer, "insert", insert)]
     patches += [(m, name, calls(key, function)) for m, name, key, function in sites]
+    patches += [(m, name, generated) for m in modules.values()
+                for name, value in vars(m).items() if value is generators]
     saved = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
     try:
         for owner, name, wrapper in patches:
