@@ -8,16 +8,15 @@ from .groupoid import (ComponentPartition, Groupoid, GroupoidError,
 from .linalg import (AffineSolutionSet, DimensionMismatch, Echelon, Field,
                      LinalgError, Matrix, echelon, kernel, solve_affine)
 from .partial_action import (ActionError, DecompositionRequired, PartialAction,
-                             invariant_suite, validate_partial_action)
+                             validate_partial_action)
 from .separability import (ComponentVerdict, EmptyHomSet, IsotropyIso,
                            NotGlobal, OracleResult, SeparabilityCertificate,
                            SeparabilityVerdict, TransportResult,
                            WitnessInvalid, build_certificate, cross_check,
                            decide_global, decide_separability, extract_witness,
-                           invariant_subring, is_witness, isotropy_transport_psi,
+                           is_witness, isotropy_transport_psi,
                            isotropy_witness_transport, oracle_separability,
-                           trace_between, trace_into, trace_invariant_suite,
-                           trace_total)
+                           trace_between, trace_into, trace_total)
 from .skew_ring import (InvalidSizeCap, SkewRing, SkewRingError, TensorOverA,
                         TensorTooLarge, build_skew_ring, tensor_over)
 

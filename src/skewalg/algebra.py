@@ -19,9 +19,11 @@ is the unit, by the unit law; the check itself calls `table_product`, so
 it does not rest on what it checks.  The unit is recognised by identity
 alone: a vector equal to it that the package computed is that same object,
 since `element`, `multiply` and `PartialAction.alpha` keep what they
-return, and any other copy takes the general path.  `table_product`
-computes the product of two vectors with one nonzero entry each, c b_i and
-c' b_j, as c c' times the table entry [i][j], by bilinearity.
+return, the basis vectors are kept, and the only ideal basis with a row
+equal to the unit is the standard basis of A*1; any other copy takes the
+general path.  `table_product` computes the product of two vectors with one
+nonzero entry each, c b_i and c' b_j, as c c' times the table entry
+[i][j], by bilinearity.
 The centre is the kernel of the system x*b_j - b_j*x = 0 read off the
 nonzero constants, one row per (j, k) that one of them reaches, kept as
 the `Echelon` that `kernel` returns.  The ideal A*e of a central
@@ -176,10 +178,10 @@ class Algebra:
         self.commutative = _trusted or all(row[j] == table[j][i] for i, row in enumerate(table)
                                            for j in range(i))
         one, zero = field.one, field.zero
-        self._basis = tuple(tuple(one if j == i else zero for j in range(dim))
-                            for i in range(dim))
         self._values: dict = {}        # each distinct product or element, kept once
         self.unit = self._keep(unit)
+        self._basis = tuple(self._keep(tuple(one if j == i else zero for j in range(dim)))
+                            for i in range(dim))
         if basis_names is None:
             basis_names = tuple("b%d" % i for i in range(self.dim))
         self.basis_names = tuple(basis_names)
@@ -331,14 +333,23 @@ class Algebra:
         return verdict
 
     def ideal_basis(self, e) -> Echelon:
-        """Canonical basis of A*e for a central idempotent e."""
+        """Canonical basis of A*e for a central idempotent e.
+
+        A*1 = A has the standard basis, whose vectors are kept, so a row
+        equal to the unit is the unit object; no other ideal has such a row,
+        since 1 = a e gives e = 1 e = a e e = a e = 1.
+        """
         e = self.element(e)
         basis = self._ideals.get(e)
         if basis is None:
-            if not self.is_central_idempotent(e):
+            if e is self.unit:
+                basis = Echelon(self.field, self.dim, self._basis, tuple(range(self.dim)))
+            elif not self.is_central_idempotent(e):
                 raise NotCentralIdempotent("%r is not a central idempotent" % (e,))
-            images = [self.multiply(b, e) for b in self._basis]
-            basis = self._ideals[e] = echelon(self.field, images, self.dim)
+            else:
+                images = [self.multiply(b, e) for b in self._basis]
+                basis = echelon(self.field, images, self.dim)
+            self._ideals[e] = basis
         return basis
 
     def ideal_coords(self, e, y) -> tuple:

@@ -329,46 +329,3 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
                 flag("AxiomIII", "alpha_%s alpha_%s != alpha_%s on the overlap" % (g, h, gh))
     return ValidationReport(tuple(bad))
 
-
-# -- invariant suite ----------------------------------------------------------
-
-def check_inverse_consistency(pa: PartialAction) -> bool:
-    """The restriction of alpha_{g^-1} inverts the restriction of alpha_g:
-    alpha_{g^-1}(alpha_g(u)) == u on the basis of A_{g^-1}."""
-    g_oid = pa.groupoid
-    return all(pa.alpha(g_oid.inv(g), pa.alpha(g, u)) == u
-               for g in g_oid.morphisms for u in pa.ideal(g_oid.inv(g)).rows)
-
-
-def check_intersection_transport(pa: PartialAction) -> bool:
-    """alpha_g maps A_{g^-1} /\\ A_h onto A_g /\\ A_{gh}, as subspaces: the
-    ideals of the central idempotents 1_{g^-1} 1_h and 1_g 1_{gh}.  A ring
-    isomorphism sends the ideal of a central idempotent to the ideal of its
-    image, and one ideal has one such generator, so the check is
-    alpha_g(1_{g^-1} 1_h) == 1_g 1_{gh}."""
-    alg = pa.algebra
-    g_oid = pa.groupoid
-    return all(pa.alpha(g, alg.multiply(pa.idem(g_oid.inv(g)), pa.idem(h))) ==
-               alg.multiply(pa.idem(g), pa.idem(g_oid.compose[(g, h)]))
-               for g, h in g_oid.composable_pairs())
-
-
-def check_composite_restriction(pa: PartialAction) -> bool:
-    """alpha_g(alpha_h(a 1_{h^-1}) 1_{g^-1}) == alpha_{gh}(a 1_{(gh)^-1}) 1_g, all a:
-    alpha_g(alpha_h(b)) == alpha_gh(b) 1_g on the basis, since the stored maps
-    compute the restricted ones."""
-    alg = pa.algebra
-    g_oid = pa.groupoid
-    basis = [alg.basis_vector(i) for i in range(alg.dim)]
-    return all(pa.alpha(g, pa.alpha(h, b)) ==
-               alg.multiply(pa.alpha(g_oid.compose[(g, h)], b), pa.idem(g))
-               for g, h in g_oid.composable_pairs() for b in basis)
-
-
-def invariant_suite(pa: PartialAction) -> dict:
-    """The post-validation identities every valid unital partial action obeys."""
-    return {
-        "inverse_mutual": check_inverse_consistency(pa),
-        "intersection_transport": check_intersection_transport(pa),
-        "composite_restriction": check_composite_restriction(pa),
-    }

@@ -753,8 +753,9 @@ def reference_trace_sum(pa: PartialAction, arrows) -> Matrix:
 # -- the trace invariant suite as matrix identities ---------------------------------------
 
 def reference_invariant_subring(pa: PartialAction, i, j) -> Echelon:
-    """Reference for `invariant_subring`: the kernel of the stacked dense
-    differences M_g - R_{1_g} over the arrows g from i to j."""
+    """The invariant subring {a : alpha_g(a 1_{g^-1}) = a 1_g for every arrow
+    g from i to j}: the kernel of the stacked dense differences
+    M_g - R_{1_g}, all of A when there is no such arrow."""
     alg = pa.algebra
     rows = []
     for g in pa.groupoid.hom_set(i, j):
@@ -763,10 +764,11 @@ def reference_invariant_subring(pa: PartialAction, i, j) -> Echelon:
 
 
 def reference_trace_invariant_suite(pa: PartialAction) -> dict:
-    """Reference for `trace_invariant_suite`: each identity an equation
-    between dense matrix products (`matmul`), on the trace matrices summed
-    from the stored maps (`reference_trace_sum`), with the left and right
-    multiplication matrices L_x and R_x of A."""
+    """The six identities the trace maps of a valid action obey (proved from
+    the axioms in `test_trace_invariant_suite` of test_separability): each
+    an equation between dense matrix products (`matmul`), on the trace
+    matrices summed from the stored maps (`reference_trace_sum`), with the
+    left and right multiplication matrices L_x and R_x of A."""
     alg = pa.algebra
     g_oid = pa.groupoid
     checks = dict.fromkeys(("trace_restricts_to_source_ideal", "trace_image_in_target_ideal",
@@ -1678,8 +1680,9 @@ def subspace_composite_restriction(pa: PartialAction) -> bool:
 
 
 def subspace_invariant_suite(pa: PartialAction) -> dict:
-    """Reference for `invariant_suite`: restricted matrices, echelon spans and
-    dense matrix products."""
+    """The three identities every valid action obeys (proved from the axioms
+    in `test_invariant_suite_on_known_instances` of test_paction), on
+    restricted matrices, echelon spans and dense matrix products."""
     return {
         "inverse_mutual": subspace_inverse_consistency(pa),
         "intersection_transport": subspace_intersection_transport(pa),

@@ -10,17 +10,17 @@ from fractions import Fraction
 from skewalg import Field, build_skew_ring
 from skewalg.fuzz import random_skeleton, run_fuzz, skeleton_to_instance
 from skewalg.instances import parse_instance
-from skewalg.partial_action import invariant_suite
 from skewalg.separability import (build_certificate, decide_global,
                                   decide_separability, extract_witness,
                                   isotropy_transport_psi,
                                   isotropy_witness_transport,
                                   oracle_separability, trace_between,
-                                  trace_into, trace_invariant_suite)
+                                  trace_into)
 
 from conftest import (component_decomposition_failures, glue_components,
-                      instance_data, load_action, renamed_instance,
-                      restricted_action, ring_isotropy_iso)
+                      instance_data, load_action, reference_trace_invariant_suite,
+                      renamed_instance, restricted_action, ring_isotropy_iso,
+                      subspace_invariant_suite)
 from test_separability import hand_built_idempotent
 
 Q = Field.rationals()
@@ -89,8 +89,11 @@ def test_acceptance_3_decide_vs_oracle_fuzz():
 
 
 def _theorem_style_checks(pa) -> bool:
-    ok = all(invariant_suite(pa).values())          # inverse/intersection/composite
-    ok = ok and all(trace_invariant_suite(pa).values())
+    # the identities a valid action obeys by its axioms (proved in
+    # test_paction and test_separability)
+    ok = pa.validate().ok
+    ok = ok and all(subspace_invariant_suite(pa).values())   # inverse/intersection/composite
+    ok = ok and all(reference_trace_invariant_suite(pa).values())
     ok = ok and component_decomposition_failures(pa) == []
     # component reduction: the overall verdict is the conjunction of the
     # per-component verdicts, each matching an independent restricted decision

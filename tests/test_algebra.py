@@ -9,12 +9,12 @@ from skewalg.algebra import (Algebra, AlgebraError, NotCentralIdempotent,
                              nonassociative_triple, table_product)
 from skewalg.instances import load_instance
 from skewalg.linalg import DimensionMismatch, Field, LinalgError
-from skewalg.partial_action import invariant_suite
 from skewalg.skew_ring import build_skew_ring
 
 from conftest import (INSTANCE_DIR, changed_basis, dense_center_basis,
                       dense_nonassociative_triple, dense_table_product, law_failures,
-                      product_central_idempotent, product_commutes_with_all, span_coords)
+                      product_central_idempotent, product_commutes_with_all, span_coords,
+                      subspace_invariant_suite)
 
 Q = Field.rationals()
 
@@ -512,7 +512,8 @@ def test_float_or_string_twin_of_a_kept_vector_is_rejected():
 
 def test_validation_checks_no_scalar_the_package_computed(monkeypatch):
     # every scalar is checked where it enters: once an instance is parsed,
-    # validating it, its invariants and its object decomposition coerce none
+    # validating it and its object decomposition coerce none; the identities
+    # a valid action obeys, which the tests' own references compute, hold
     calls = []
     coerce = Field.coerce
 
@@ -524,15 +525,30 @@ def test_validation_checks_no_scalar_the_package_computed(monkeypatch):
         pa = load_instance(path).action
         monkeypatch.setattr(Field, "coerce", counted)
         assert pa.validate().ok
-        assert all(invariant_suite(pa).values())
         assert pa.has_object_decomposition()
         monkeypatch.setattr(Field, "coerce", coerce)
         assert calls == [], path.name
+        assert all(subspace_invariant_suite(pa).values())
 
 
 def test_ideal_of_unit_is_everything():
     a = diag4()
     assert a.ideal_basis(a.unit).dim == 4
+
+
+def test_a_unit_row_of_an_ideal_basis_is_the_unit(monkeypatch):
+    # on A = k the one row of A*1 equals the unit, and `multiply` knows the
+    # unit by identity: the row is the unit object and takes no product
+    for field in (Q, Field.prime(2)):
+        alg = Algebra.diagonal(field, 1)
+        row = alg.ideal_basis(alg.unit).rows[0]
+        assert row is alg.unit
+        x = alg.element([3])
+        products = []
+        monkeypatch.setattr(algebra_module, "table_product",
+                            lambda *args: products.append(args))
+        assert alg.multiply(row, x) is x and products == []
+        monkeypatch.undo()
 
 
 def test_ideal_of_zero_is_zero():

@@ -16,8 +16,9 @@ from skewalg.cli import main, render
 from skewalg.fuzz import random_skeleton, run_differential, skeleton_to_instance
 from skewalg.skew_ring import SkewRing, TensorOverA
 
-from conftest import (INSTANCE_DIR, instance_data, instance_path, non_central_domain,
-                      opposite_oracle)
+from conftest import (INSTANCE_DIR, instance_data, instance_path, load_action,
+                      non_central_domain, opposite_oracle, reference_trace_invariant_suite,
+                      subspace_invariant_suite)
 
 
 def run_cli(capsys, *argv):
@@ -34,7 +35,8 @@ def test_validate_good_instance(capsys):
     assert report["groupoid_violations"] == []
     assert report["action_violations"] == []
     assert report["object_decomposition"]
-    assert all(report["invariants"].values())
+    assert "invariants" not in report
+    assert all(subspace_invariant_suite(load_action("partial_bridge_q.json")).values())
     assert report["metadata"]["map_convention"] == "annihilate_complement"
     assert "elapsed_ms" in err
 
@@ -254,7 +256,44 @@ def test_traces_command(capsys):
     by_target = {t["target"]: t["matrix"] for t in report["trace_into"]}
     # doubling map vanishes mod 2
     assert by_target["e1"] == [["0", "0"], ["0", "0"]]
-    assert all(report["invariants"].values())
+    assert "invariants" not in report
+    assert all(reference_trace_invariant_suite(load_action("z2_flip_gf2.json")).values())
+
+
+def test_validate_and_traces_print_no_identity_of_a_valid_action(capsys, tmp_path):
+    # the identities of a valid action follow from its axioms (proofs in
+    # test_paction and test_separability), so neither report prints them:
+    # `traces` exits 0 once the action is valid, and `validate`'s ok is its
+    # object decomposition
+    for path in sorted(INSTANCE_DIR.glob("*.json")):
+        for cmd in ("validate", "traces"):
+            code, out, _ = run_cli(capsys, cmd, str(path))
+            report = json.loads(out)
+            assert (code, report["ok"]) == (0, True), (cmd, path.name)
+            assert "invariants" not in report
+    # a planted invalid action is refused before any trace matrix
+    data = instance_data("z2_flip_q.json")
+    data["action"]["g"]["map"] = [[2, 0], [0, 0]]
+    bad = tmp_path / "doubled.json"
+    bad.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "traces", str(bad))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ActionError"
+
+
+def test_validate_ok_is_the_object_decomposition(capsys, tmp_path):
+    # a valid action on k^2 with one object, 1_e = b1: every axiom holds, but
+    # the object idempotents do not sum to 1
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"field": "Q", "groupoid": {"objects": ["e"]},
+                                "algebra": {"diagonal": 2},
+                                "action": {"id:e": {"dom": ["1", "0"]}}}))
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    report = json.loads(out)
+    assert report["groupoid_violations"] == report["action_violations"] == []
+    assert report["object_decomposition"] is False
+    assert report["ok"] is report["object_decomposition"] and code == 1
+    assert "invariants" not in report
 
 
 # no objects; one object over the zero algebra; two objects over k, one

@@ -465,11 +465,10 @@ def test_apply_cache_leaves_equality_and_hash_alone():
        st.integers(0, 4), st.data())
 @settings(max_examples=150, deadline=None)
 def test_product_matches_the_dense_row_sum(p, nrows, inner, ncols, data):
-    # a product is read column by column, as the trace invariant suite reads
-    # it: column j of a b is a applied to column j of b, which is the dense
-    # row sum sum_k a_ik b_kj, on sparse matrices over Q with non-integral
-    # entries and over GF(p) on residues, for every shape with a zero
-    # dimension too, with a's column index reused
+    # a product read column by column: column j of a b is a applied to
+    # column j of b, which is the dense row sum sum_k a_ik b_kj, on sparse
+    # matrices over Q with non-integral entries and over GF(p) on residues,
+    # for every shape with a zero dimension too, with a's column index reused
     f = Field(p)
     entry = sparse_fraction if p is None else sparse_int
 

@@ -3,7 +3,8 @@
 `perfbench/spans.py` leaves a per-layer metric out when its entry point is
 gone, so a rename or deletion in skewalg would silently drop a metric; these
 tests make it fail instead.  The tracer's table still names seven methods
-that skewalg no longer has; no benchmark metric depends on them alone.
+and two functions that skewalg no longer has; no benchmark metric depends
+on them alone.
 """
 
 import importlib
@@ -17,8 +18,10 @@ SPANS = ROOT / "perfbench" / "spans.py"
 SUBMODULES = ("algebra", "cli", "fuzz", "groupoid", "instances", "linalg",
               "partial_action", "separability", "skew_ring")
 DELETED = {"algebra.Algebra.subalgebra", "linalg.Matrix.__mul__", "linalg.Matrix.rref",
+           "partial_action.invariant_suite",
            "partial_action.PartialAction.restrict_to_component",
            "partial_action.PartialAction.isotropy_action",
+           "separability.trace_invariant_suite",
            "skew_ring.TensorOverA.left_matrix", "skew_ring.TensorOverA.right_matrix"}
 # computed by perfbench/run.py itself, not by the tracer
 RUN_METRICS = {"cli.max_coeff_bits", "trace.overhead_ratio"}
