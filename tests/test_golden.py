@@ -15,15 +15,18 @@ own restricted subalgebra), so a representation change
 that alters any report byte fails this test.  `instance.path` is dropped
 before hashing, so the digest does not depend on where the checkout lives.
 
+The outputs, their keys and the in-process run come from
+`tools/parity.py`, which compares the same outputs between two checkouts,
+so the two cover one list.
+
 To print the current digests in the same layout (only for a deliberate
 change of report format, never to make a failing test pass):
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
-import contextlib
 import hashlib
-import io
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -32,20 +35,12 @@ import pytest
 
 from skewalg.cli import main
 
-INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCE_DIR = ROOT / "instances"
 
-COMMANDS = (
-    ("validate",),
-    ("traces",),
-    ("separability", "--oracle"),
-    ("separability", "--global"),
-    ("separability", "--isotropy"),
-    ("skew-table",),
-    ("separability",),
-    ("components",),
-)
-
-FUZZ = ("fuzz", "--seed", "1", "--count", "25")
+_spec = importlib.util.spec_from_file_location("parity_tool", ROOT / "tools" / "parity.py")
+parity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(parity)
 
 GOLDEN = {
     "validate conj_swap_m2_q.json": (0, "b39612abad73b67bfb0a45b4b055431ba33aafa686802a5d0a593361eeeb87a6"),
@@ -132,27 +127,6 @@ GOLDEN = {
 }
 
 
-def _jobs() -> list:
-    jobs = []
-    for path in sorted(INSTANCE_DIR.glob("*.json")):
-        for cmd in COMMANDS:
-            jobs.append((cmd[0], str(path)) + cmd[1:])
-    jobs.append(FUZZ)
-    return jobs
-
-
-def _key(argv) -> str:
-    return " ".join(Path(a).name if a.endswith(".json") else a for a in argv)
-
-
-def _run(argv) -> tuple:
-    """(exit code, raw stdout) of one in-process CLI call."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
-    return code, buf.getvalue()
-
-
 def _digest(code, stdout) -> tuple:
     report = json.loads(stdout)
     report.get("instance", {}).pop("path", None)
@@ -160,20 +134,20 @@ def _digest(code, stdout) -> tuple:
     return code, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("argv", _jobs(), ids=_key)
+@pytest.mark.parametrize("argv", parity.jobs(INSTANCE_DIR), ids=parity.key)
 def test_report_matches_golden_digest(argv):
-    code, stdout = _run(argv)
+    code, stdout = parity.run(main, argv)
     # the digest is taken on a re-rendering, so pin the printed bytes too:
     # stdout is exactly json's indented, key-sorted rendering of the report
     assert stdout == json.dumps(json.loads(stdout), indent=2, sort_keys=True) + "\n"
-    assert _digest(code, stdout) == GOLDEN[_key(argv)]
+    assert _digest(code, stdout) == GOLDEN[parity.key(argv)]
 
 
 def test_golden_covers_every_job():
-    assert sorted(GOLDEN) == sorted(_key(a) for a in _jobs())
+    assert sorted(GOLDEN) == sorted(parity.key(a) for a in parity.jobs(INSTANCE_DIR))
 
 
 if __name__ == "__main__":
-    for argv in _jobs():
-        code, digest = _digest(*_run(argv))
-        sys.stdout.write('    "%s": (%d, "%s"),\n' % (_key(argv), code, digest))
+    for argv in parity.jobs(INSTANCE_DIR):
+        code, digest = _digest(*parity.run(main, argv))
+        sys.stdout.write('    "%s": (%d, "%s"),\n' % (parity.key(argv), code, digest))

@@ -1,6 +1,6 @@
 """Byte parity of the CLI's outputs between two checkouts, with the standard library only.
 
-    python3 tools/parity.py PARENT CHANGE [--expect FILE] [--seeds 0 1 12345]
+    python3 tools/parity.py PARENT CHANGE [--expect FILE]
 
 The outputs are every shipped instance (`instances/*.json`) under each of
 the eight report commands below, and `fuzz --seed 1 --count 25`: 81
@@ -8,8 +8,10 @@ outputs on the ten shipped instances.  For each checkout and each
 `PYTHONHASHSEED` one process runs all of them through `cli.main`, in
 process, with the checkout as its working directory and its own `src/` on
 the path, and keeps each output's exit code and the sha256 of its stdout.
-A full run starts one process per checkout and seed, 6 with the default
-seeds, at most 2 at a time (the two checkouts of one seed).
+A full run starts one process per checkout and seed, 6 under the seeds
+0, 1 and 12345, at most 2 at a time (the two checkouts of one seed).  The
+output list, its keys and the in-process run are shared with
+`tests/test_golden.py`, which pins the same outputs' digests.
 
 One line is printed for each output that differs:
 - within a checkout, between its first seed and another seed;
@@ -52,18 +54,29 @@ FUZZ = ("fuzz", "--seed", "1", "--count", "25")
 SEEDS = (0, 1, 12345)
 
 
-def jobs(checkout: Path) -> list:
-    """The argv of every output, instance paths relative to the checkout."""
+def jobs(instance_dir: Path) -> list:
+    """The argv of every output, with the instance paths under `instance_dir`."""
     out = []
-    for path in sorted((checkout / "instances").glob("*.json")):
+    for path in sorted(instance_dir.glob("*.json")):
         for cmd in COMMANDS:
-            out.append([cmd[0], "instances/" + path.name, *cmd[1:]])
+            out.append([cmd[0], str(path), *cmd[1:]])
     out.append(list(FUZZ))
     return out
 
 
 def key(argv) -> str:
     return " ".join(Path(a).name if a.endswith(".json") else a for a in argv)
+
+
+def run(main, argv) -> tuple:
+    """(exit code, raw stdout) of one in-process call of the CLI's `main`."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, buf.getvalue()
 
 
 def run_outputs() -> dict:
@@ -75,14 +88,11 @@ def run_outputs() -> dict:
     if Path(skewalg.cli.__file__).resolve().parent != (src / "skewalg").resolve():
         sys.exit("parity: imported skewalg from %s" % skewalg.cli.__file__)
     outputs = {}
-    for argv in jobs(Path.cwd()):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = skewalg.cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        outputs[key(argv)] = [code, hashlib.sha256(buf.getvalue().encode()).hexdigest()]
+    # relative instance paths, so a report that names its file reads the
+    # same in both checkouts
+    for argv in jobs(Path("instances")):
+        code, stdout = run(skewalg.cli.main, argv)
+        outputs[key(argv)] = [code, hashlib.sha256(stdout.encode()).hexdigest()]
     return outputs
 
 
@@ -174,7 +184,6 @@ def main(argv=None) -> int:
     p.add_argument("parent", type=Path, nargs="?")
     p.add_argument("change", type=Path, nargs="?")
     p.add_argument("--expect", help="file of fnmatch patterns of the outputs expected to change")
-    p.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
     p.add_argument("--outputs", action="store_true",
                    help="run the outputs of the checkout in the working directory and "
                         "print them as JSON (one side of one seed)")
@@ -185,7 +194,7 @@ def main(argv=None) -> int:
     if args.parent is None or args.change is None:
         p.error("give PARENT and CHANGE")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    lines, ok = compare(collect(sides, args.seeds), read_expect(args.expect))
+    lines, ok = compare(collect(sides, SEEDS), read_expect(args.expect))
     print("\n".join(lines))
     return 0 if ok else 1
 
