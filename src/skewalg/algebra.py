@@ -19,9 +19,9 @@ is the unit, by the unit law; the check itself calls `table_product`, so
 it does not rest on what it checks.  The unit is recognised by identity
 alone: a vector equal to it that the package computed is that same object,
 since `element`, `multiply` and `PartialAction.alpha` keep what they
-return, the basis vectors are kept, and the only ideal basis with a row
-equal to the unit is the standard basis of A*1; any other copy takes the
-general path.  `table_product` computes the product of two vectors with one
+return, so do the certificate's rebuilt blocks (`_reduced`), the basis
+vectors are kept, and the only ideal basis with a row equal to the unit is
+the standard basis of A*1; any other copy takes the general path.  `table_product` computes the product of two vectors with one
 nonzero entry each, c b_i and c' b_j, as c c' times the table entry
 [i][j], by bilinearity.
 The centre is the kernel of the system x*b_j - b_j*x = 0 read off the

@@ -10,18 +10,25 @@ The basis of A_g is `Algebra.ideal_basis(1_g)`, kept per arrow by
 `Algebra.ideal_coords(1_g, y)` (y in A_g iff y 1_g == y).
 
 `validate_partial_action` runs the ring-isomorphism checks on an arrow only
-where they can fail: an identity arrow that fixes its ideal, and the second
-arrow of an inverse pair that inverts the first, already checked one, are
-ring isomorphisms by the checks they passed (proofs in its docstring).
-For the same reason it skips two kinds of work that cannot flag anything:
-on commutative A the multiplicativity of alpha_g is tested on unordered
-pairs of basis rows, and once the identity axiom holds at every object,
-axioms II and III are not tested on the composable pairs with an identity,
-which the earlier checks prove, nor on the pairs (g^-1, g) where the
-ring-isomorphism check accepted g or g^-1 as the inverse of the other.
+where they can fail: an arrow with 1_{g^-1} == 1_g that fixes its ideal,
+and the second arrow of an inverse pair that inverts the first, already
+checked one, are ring isomorphisms by the checks they passed (proofs in its
+docstring).  For the same reason it skips work that cannot flag anything:
+the complement check where 1_{g^-1} is the unit; on commutative A the
+multiplicativity of alpha_g on reversed pairs of basis rows; and once the
+identity axiom holds at every object, axioms II and III on the composable
+pairs with an identity, which the earlier checks prove, and on the pairs
+(g^-1, g) where the ring-isomorphism check accepted g or g^-1 as the
+inverse of the other.  A global action is first checked on the groupoid's
+generating set only: the ring-isomorphism checks on its arrows s, and III
+on the pairs (s, h), which by induction on the words in s prove the rest;
+if that attempt flags anything, the full scan runs, so every violation
+list is the full scan's.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .algebra import Algebra
 from .groupoid import (Groupoid, ValidationReport, Violation,
@@ -148,7 +155,9 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
 
     alpha_g must be a ring isomorphism A_{g^-1} -> A_g with
     alpha_g(b) == alpha_g(b 1_{g^-1}) on the basis: it annihilates
-    A(1 - 1_{g^-1}).  It then sends 1_{g^-1} to 1_g with no check: once
+    A(1 - 1_{g^-1}).  Where 1_{g^-1} is the unit object that complement is
+    A(1 - 1) = 0 and b 1 = b, so the check is skipped.  alpha_g then sends
+    1_{g^-1} to 1_g with no check: once
     alpha_g maps A_{g^-1} bijectively onto A_g and is multiplicative there,
     each y in A_g is alpha_g(x) for an x in A_{g^-1}, so
     alpha_g(1_{g^-1}) y = alpha_g(1_{g^-1} x) = y = y alpha_g(1_{g^-1}):
@@ -156,9 +165,11 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
     After the complement check, two cases are accepted as ring
     isomorphisms without the image echelon and the multiplicativity loop,
     because those two checks would pass:
-    - (a) g is an identity with g^-1 = g and alpha_g(u) == u on
-      ideal(g).rows.  Then alpha_g is the identity on A_g = A_{g^-1}, a
-      linear map fixing a basis: a bijection onto A_g, and multiplicative.
+    - (a) 1_{g^-1} == 1_g and alpha_g(u) == u on ideal(g).rows.  Then
+      alpha_g is the identity on A_g = A_{g^-1}, a linear map fixing a
+      basis: a bijection onto A_g, and multiplicative.  Every identity
+      arrow has 1_{g^-1} == 1_g, and so has every loop of a global action
+      (1_{g^-1} = 1_{s(g)} = 1_{t(g)} = 1_g).
     - (b) g^-1 already passed every check with (g^-1)^-1 = g, and
       alpha_g(alpha_{g^-1}(v)) == v on ideal(g).rows.  Then
       phi = alpha_{g^-1} restricted to A_g is a ring isomorphism
@@ -222,49 +233,117 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
       = u = alpha_e(u p) for u in A_{h^-1}, inside A_e, by the identity
       axiom.  A self-inverse non-identity arrow never passes case (b), whose
       g^-1 must pass before g, so its pair (g, g) is tested.
+
+    A global action (1_g = 1_{t(g)} for every g, `PartialAction.is_global`)
+    is first checked on the generating set S = `Groupoid.generators()`
+    only, by the same loops over fewer arrows: III on the pairs (s, h) with
+    s in S and h a non-identity arrow into s(s), taking p = 1_{h^-1}; the
+    complement check on every arrow; the ring-isomorphism checks on S
+    alone; and the identity axiom.  If none of them flags anything, every
+    check of the full scan passes, as follows, and the report is empty;
+    otherwise the full scan runs, so the violations and their order are
+    the full scan's.  Write x*y for the composite (y first) and beta_g for
+    the stored map of g on A_{s(g)} = A_{g^-1}.
+    - Every beta_g is a ring isomorphism A_{s(g)} -> A_{t(g)}.  Identities
+      are, by the identity axiom.  `generators()` reaches each non-identity
+      arrow as an s in S, checked, or as a word s*y with s in S and y a
+      non-identity arrow reached before it.  By induction beta_y is a ring
+      isomorphism onto A_{t(y)} = A_{s(s)}, and the tested pair (s, y)
+      reads beta_s(beta_y(u)) = beta_{s*y}(u 1_{s(y)}) = beta_{s*y}(u) on
+      a basis of A_{s(y)}: beta_{s*y} = beta_s beta_y, a composite of ring
+      isomorphisms, onto A_{t(s)} = A_{t(s*y)}.
+    - So every arrow passes the ring-isomorphism checks and the complement
+      check, and sends 1_{s(g)} to 1_{t(g)}; cases (a) and (b) accept only
+      ring isomorphisms, so no check flags an arrow.  In every pair (g, h),
+      1_{g^-1} 1_h = 1_{s(g)} 1_{t(h)} = 1_h, so p = 1_{h^-1} (the
+      pull-back is accepted), and II holds: 1_{h^-1} 1_{(g*h)^-1} =
+      1_{s(h)} 1_{s(g*h)} = 1_{s(h)}.
+    - III holds on every pair (g, h): beta_g beta_h = beta_{g*h} on
+      A_{s(h)}.  With g or h an identity it holds as above.  Call g good
+      when it holds for every h into s(g).  Each s in S is good, by the
+      tested pairs and the pairs with h an identity.  If y is good, so is
+      s*y for s in S: for h into s(y), beta_h maps into A_{s(y)}, so
+      beta_{s*y} beta_h = beta_s beta_y beta_h (pair (s, y))
+      = beta_s beta_{y*h} (y good) = beta_{s*(y*h)} (pair (s, y*h), tested,
+      or with y*h an identity) = beta_{(s*y)*h} (associativity).  By
+      induction on the words every arrow is good.
+    No pull-back is computed on this path: p = 1_{h^-1} is exact once every
+    arrow is a ring isomorphism, which the passing checks prove, and a
+    non-generator arrow that is not one makes some check flag, so the full
+    scan reports it.  III runs first, so an action that breaks it falls
+    back before any image echelon is built.
     """
+    g_oid = pa.groupoid
+    bad = _domain_violations(pa)
+    if bad:
+        return ValidationReport(tuple(bad))
+    identities = set(g_oid.identity.values())
+    if pa.is_global():
+        gens = g_oid.generators()
+        attempt = chain(_pair_violations(pa, gens, identities, (), pull_back=False),
+                        _arrow_violations(pa, set(gens), set(), set()),
+                        _identity_violations(pa))
+        if next(attempt, None) is None:
+            return ValidationReport(())
+    iso_ok, paired = set(), set()
+    bad = list(_arrow_violations(pa, set(g_oid.morphisms), iso_ok, paired))
+    bad += _identity_violations(pa)
+    if iso_ok != set(g_oid.morphisms):
+        return ValidationReport(tuple(bad))
+    # with the identity axiom passed, pairs with an identity hold II and III,
+    # and so do the pairs (x^-1, x) of an inverse pair case (b) accepted
+    if bad:
+        identities, paired = set(), set()
+    bad += _pair_violations(pa, g_oid.morphisms, identities, paired, pull_back=True)
+    return ValidationReport(tuple(bad))
+
+
+def _domain_violations(pa: PartialAction) -> list:
+    """The arrows g whose 1_g is not a central idempotent inside the ideal
+    of t(g), in morphism order."""
     g_oid = pa.groupoid
     alg = pa.algebra
     bad = []
-
-    def flag(code, msg):
-        bad.append(Violation(code, msg))
-
-    usable = set()
     for g in g_oid.morphisms:
         if not alg.is_central_idempotent(pa.idem(g)):
-            flag("NotIdempotentDomain", "1_%s is not a central idempotent" % (g,))
+            bad.append(Violation("NotIdempotentDomain",
+                                 "1_%s is not a central idempotent" % (g,)))
             continue
         # A_g must sit inside the object ideal A_{t(g)}
         e_t = pa.obj_idem(g_oid.tgt[g])
-        if alg.is_central_idempotent(e_t):
-            if alg.multiply(pa.idem(g), e_t) != pa.idem(g):
-                flag("NotIdempotentDomain",
-                     "A_%s is not contained in the ideal of its target object" % (g,))
-                continue
-        usable.add(g)
-    if usable != set(g_oid.morphisms):
-        return ValidationReport(tuple(bad))
+        if alg.is_central_idempotent(e_t) and alg.multiply(pa.idem(g), e_t) != pa.idem(g):
+            bad.append(Violation(
+                "NotIdempotentDomain",
+                "A_%s is not contained in the ideal of its target object" % (g,)))
+    return bad
 
+
+def _arrow_violations(pa: PartialAction, checked, iso_ok: set, paired: set):
+    """The complement check on every arrow, then the ring-isomorphism checks
+    on the arrows in `checked`, adding those that pass to `iso_ok` and the
+    inverse pairs case (b) accepts to `paired`."""
+    g_oid = pa.groupoid
+    alg = pa.algebra
     basis = [alg.basis_vector(i) for i in range(alg.dim)]
-    iso_ok = set()
-    paired = set()      # the arrows of the inverse pairs case (b) accepted
     for g in g_oid.morphisms:
         ginv = g_oid.inverse.get(g)
         if ginv is None or ginv not in pa.idems:
-            flag("NotRingIso", "morphism %r has no usable inverse" % (g,))
+            yield Violation("NotRingIso", "morphism %r has no usable inverse" % (g,))
             continue
-        if any(pa.alpha(g, b) != pa.alpha(g, alg.multiply(b, pa.idem(ginv)))
-               for b in basis):
-            flag("NotRingIso",
-                 "map of %s does not annihilate the complement of its domain ideal" % (g,))
+        ginv_idem = pa.idem(ginv)
+        if ginv_idem is not alg.unit and any(
+                pa.alpha(g, b) != pa.alpha(g, alg.multiply(b, ginv_idem)) for b in basis):
+            yield Violation(
+                "NotRingIso",
+                "map of %s does not annihilate the complement of its domain ideal" % (g,))
             continue
-        if ginv == g and g_oid.is_identity(g):
-            if all(pa.alpha(g, u) == u for u in pa.ideal(g).rows):
-                iso_ok.add(g)
-                continue
-        elif (ginv in iso_ok and g_oid.inverse.get(ginv) == g and
-              all(pa.alpha(g, pa.alpha(ginv, v)) == v for v in pa.ideal(g).rows)):
+        if g not in checked:
+            continue
+        if ginv_idem == pa.idem(g) and all(pa.alpha(g, u) == u for u in pa.ideal(g).rows):
+            iso_ok.add(g)
+            continue
+        if (ginv in iso_ok and g_oid.inverse.get(ginv) == g and
+                all(pa.alpha(g, pa.alpha(ginv, v)) == v for v in pa.ideal(g).rows)):
             iso_ok.add(g)
             paired |= {g, ginv}
             continue
@@ -272,60 +351,66 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
         images = [pa.alpha(g, u) for u in src.rows]
         img_span = echelon(alg.field, images, alg.dim)
         if img_span.dim != src.dim or img_span != dst:
-            flag("NotRingIso", "map of %s is not a bijection onto its ideal" % (g,))
+            yield Violation("NotRingIso", "map of %s is not a bijection onto its ideal" % (g,))
             continue
         pairs = tuple(zip(src.rows, images))
-        hom = all(pa.alpha(g, alg.multiply(u, v)) == alg.multiply(au, av)
-                  for i, (u, au) in enumerate(pairs)
-                  for v, av in (pairs[i:] if alg.commutative else pairs))
-        if not hom:
-            flag("NotRingIso", "map of %s is not multiplicative on its ideal" % (g,))
+        if not all(pa.alpha(g, alg.multiply(u, v)) == alg.multiply(au, av)
+                   for i, (u, au) in enumerate(pairs)
+                   for v, av in (pairs[i:] if alg.commutative else pairs)):
+            yield Violation("NotRingIso", "map of %s is not multiplicative on its ideal" % (g,))
             continue
         iso_ok.add(g)
 
+
+def _identity_violations(pa: PartialAction):
+    """The identity axiom: alpha_e fixes A_e, at every object e."""
+    g_oid = pa.groupoid
     for e in g_oid.objects:
         i = g_oid.identity[e]
         if any(pa.alpha(i, u) != u for u in pa.ideal(i).rows):
-            flag("IdentityAxiom", "identity map at %r is not the identity on A_%r" % (e, e))
+            yield Violation("IdentityAxiom",
+                            "identity map at %r is not the identity on A_%r" % (e, e))
 
-    if iso_ok != set(g_oid.morphisms):
-        return ValidationReport(tuple(bad))
 
+def _pair_violations(pa: PartialAction, firsts, skipped, paired, pull_back: bool):
+    """II and III on the composable pairs (g, h) with g in `firsts`, neither
+    in `skipped`, other than the pairs (g^-1, g) with g in `paired`.  With
+    `pull_back` p is pulled back as above; without it (a global action)
+    p = 1_{h^-1} and II is not tested."""
+    g_oid = pa.groupoid
+    alg = pa.algebra
     compose, inverse = g_oid.compose, g_oid.inverse
     idems, alpha, multiply = pa.idems, pa.alpha, alg.multiply
-    # with the identity axiom passed, pairs with an identity hold II and III,
-    # and so do the pairs (x^-1, x) of an inverse pair case (b) accepted
-    if bad:
-        identities, paired = set(), set()
-    else:
-        identities = set(g_oid.identity.values())
     moved = {}          # h -> (ideal(h^-1), the pairs (u, alpha_h(u)) over its rows)
     inverses = {}
-    for g in g_oid.morphisms:
-        if g in identities:
+    for g in firsts:
+        if g in skipped:
             continue
         ginv = inverse[g]
         ginv_idem = idems[ginv]
         for h in g_oid.arrows_into(g_oid.src[g]):
-            if h in identities or (h == ginv and g in paired):
+            if h in skipped or (h == ginv and g in paired):
                 continue
             if h not in moved:
                 hinv_ideal = pa.ideal(inverse[h])
                 moved[h] = hinv_ideal, [(u, alpha(h, u)) for u in hinv_ideal.rows]
             hinv_ideal, images = moved[h]
             gh = compose[g, h]
-            meet = multiply(ginv_idem, idems[h])
-            p = alpha(inverse[h], meet)
-            if alpha(h, p) != meet:
-                if h not in inverses:
-                    inverses[h] = free_basis(alg.field, [au for _, au in images], alg.dim)
-                _, pivots, coeffs = inverses[h]
-                p = hinv_ideal.combine(free_coords(alg.field, pivots, coeffs, meet))
-            if multiply(p, idems[g_oid.inv(gh)]) != p:
-                flag("AxiomII",
-                     "preimage of A_%s^-1 /\\ A_%s under alpha_%s leaves A_(%s)^-1" %
-                     (g, h, h, gh))
-            elif any(alpha(g, au) != alpha(gh, multiply(u, p)) for u, au in images):
-                flag("AxiomIII", "alpha_%s alpha_%s != alpha_%s on the overlap" % (g, h, gh))
-    return ValidationReport(tuple(bad))
-
+            if not pull_back:
+                p = idems[inverse[h]]
+            else:
+                meet = multiply(ginv_idem, idems[h])
+                p = alpha(inverse[h], meet)
+                if alpha(h, p) != meet:
+                    if h not in inverses:
+                        inverses[h] = free_basis(alg.field, [au for _, au in images], alg.dim)
+                    _, pivots, coeffs = inverses[h]
+                    p = hinv_ideal.combine(free_coords(alg.field, pivots, coeffs, meet))
+                if multiply(p, idems[g_oid.inv(gh)]) != p:
+                    yield Violation(
+                        "AxiomII", "preimage of A_%s^-1 /\\ A_%s under alpha_%s leaves A_(%s)^-1"
+                        % (g, h, h, gh))
+                    continue
+            if any(alpha(g, au) != alpha(gh, multiply(u, p)) for u, au in images):
+                yield Violation("AxiomIII",
+                                "alpha_%s alpha_%s != alpha_%s on the overlap" % (g, h, gh))

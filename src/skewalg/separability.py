@@ -332,7 +332,7 @@ def build_certificate(pa: PartialAction, a,
                         z[p] += c * t
                 i, j = divmod(f, len(ws))
                 summands.append((g, _scaled(field, s, us[i]), h, ws[j]))
-        rebuilt[g, h] = field.reduce_vec(z)
+        rebuilt[g, h] = alg._reduced(z)
     checks = {"witness_central": True, "witness_traces": True,
               **separability_checks(pa, rebuilt, d)}
     blocks = {pair: _scaled(field, dinv, y) for pair, y in rebuilt.items()}

@@ -15,8 +15,10 @@ OPS = [["traces", str(INSTANCE_DIR / "z2_flip_q.json")],
 # (eliminations, inserts, useful, echelon, free_basis) of each op: every
 # vector set the traces of z2_flip_q hand to `echelon` is already a reduced
 # echelon basis, so that op eliminates nothing; `echelon` inserts no zero
-# vector, and the ideal A*1 is the standard basis, with no `echelon` call
-ELIMINATION_COUNTS = [(0, 0, 0, 7, 0), (6, 93, 43, 7, 2)]
+# vector, and the ideal A*1 is the standard basis, with no `echelon` call;
+# z2_flip_q's validation builds no image echelon: g, h, x and y have
+# 1_{g^-1} == 1_g and fix their ideal (case (a)), xinv and yinv invert x, y
+ELIMINATION_COUNTS = [(0, 0, 0, 3, 0), (6, 93, 43, 7, 2)]
 # the size of each op's generating set of A*G: traces asks for none, and
 # conj_swap_m2_q's is A's 8 basis vectors at the identity and the arrow s
 GENERATORS = [0, 9]

@@ -744,3 +744,129 @@ def test_ring_isomorphisms_that_are_not_mutually_inverse_test_their_pairs(field)
     assert validate_partial_action(pa).violations == \
         full_scan_validate_partial_action(pa).violations
     assert validate_partial_action(_global_z3(field, _SHIFT, _UNSHIFT)).ok
+
+
+# -- global actions: the generating set first, the full scan as fallback ------------------
+
+def _global_actions():
+    """Valid global actions: the shipped global instances, global fuzz actions
+    and the ring-48 skeleton over Q, GF(2) and GF(3), and these and the M_2
+    actions in a random basis (dense maps; non-commutative A for M_2)."""
+    rng = random.Random(43)
+    shipped = [load_action(p.name) for p in sorted(INSTANCE_DIR.glob("*.json"))]
+    skeletons = [global_skeleton(rng) for _ in range(8)] + [_ring48_skeleton()]
+    fuzzed = [parse_instance(skeleton_to_instance(skel, f)).action
+              for skel in skeletons for f in ("Q", "GF(2)", "GF(3)")]
+    actions = [pa for pa in shipped + fuzzed if pa.is_global()]
+    moved = [changed_basis_action(pa, rng) for pa in [*fuzzed[::4], *m2_corpus()]]
+    return actions + moved
+
+
+def _planted_non_generators(pa: PartialAction):
+    """(action, kind) per non-identity arrow h outside `generators()` of a
+    global action on a diagonal algebra, with only alpha_h changed on the
+    basis vectors b_i, b_j of A_{s(h)} and b_k outside it:
+    - "complement": b_k goes where b_i goes, so A(1 - 1_{s(h)}) is not annihilated;
+    - "shear": b_i goes to alpha_h(b_i + b_j), a bijection onto A_h that is
+      not multiplicative;
+    - "swap": b_i and b_j trade images, a ring isomorphism that breaks III
+      on the pairs that compose to h or start at h;
+    - "zeroed": b_i goes to 0, not a bijection."""
+    g_oid = pa.groupoid
+    alg = pa.algebra
+    gens = set(g_oid.generators())
+    for h in g_oid.morphisms:
+        if h in gens or g_oid.is_identity(h):
+            continue
+        inside = [i for i, c in enumerate(pa.idem(g_oid.inv(h))) if c]
+        outside = [k for k, c in enumerate(pa.idem(g_oid.inv(h))) if not c]
+        cols = [pa.alpha(h, alg.basis_vector(i)) for i in range(alg.dim)]
+        planted = []
+        if len(inside) >= 2:
+            i, j = inside[:2]
+            shear = list(cols)
+            shear[i] = tuple(a + b for a, b in zip(cols[i], cols[j]))
+            swap = list(cols)
+            swap[i], swap[j] = cols[j], cols[i]
+            planted += [(shear, "shear"), (swap, "swap")]
+        if inside and outside:
+            complement = list(cols)
+            complement[outside[0]] = cols[inside[0]]
+            planted.append((complement, "complement"))
+        if inside:
+            zeroed = list(cols)
+            zeroed[inside[0]] = alg.zero()
+            planted.append((zeroed, "zeroed"))
+        for changed, kind in planted:
+            yield PartialAction(g_oid, alg, pa.idems,
+                                {**pa.maps, h: from_cols(alg.field, changed)}), kind
+
+
+_PLANTED_FAULTS = {
+    "complement": "does not annihilate the complement of its domain ideal",
+    "shear": "is not multiplicative on its ideal",
+    "zeroed": "is not a bijection onto its ideal",
+}
+
+
+def _planted_global_corpus():
+    """The planted faults of `_planted_non_generators` on the global fuzz
+    actions, the ring-48 skeleton and Z/3 on k^3, with the kind of each."""
+    rng = random.Random(44)
+    skeletons = [global_skeleton(rng) for _ in range(8)] + [_ring48_skeleton()]
+    for field in (Q, Field.prime(2), Field.prime(3)):
+        bases = [parse_instance(skeleton_to_instance(skel, str(field))).action
+                 for skel in skeletons]
+        for pa in [*bases, _global_z3(field, _SHIFT, _UNSHIFT)]:
+            assert pa.is_global() and validate_partial_action(pa).ok
+            yield from _planted_non_generators(pa)
+
+
+def test_global_actions_match_both_references():
+    actions = _global_actions() + list(_fuzz_seed_one())
+    for pa in actions:
+        report = validate_partial_action(pa)
+        assert report.violations == full_scan_validate_partial_action(pa).violations
+        assert report.violations == subspace_validate_partial_action(pa).violations
+    assert sum(pa.is_global() for pa in actions) > 50
+    assert any(not pa.algebra.commutative and pa.is_global() and pa.groupoid.generators()
+               for pa in actions)
+
+
+def test_a_fault_on_a_non_generator_falls_back_to_the_full_scan(monkeypatch):
+    # each planted arrow is outside the generating set, where the global
+    # path runs no ring-isomorphism check; its fault still shows, through
+    # the complement check or through III on a pair (s, h), and the full
+    # scan then lists the violations; p = 1_{h^-1} on the global path, so
+    # nothing is pulled back there, and the full scan pulls back nothing on
+    # a global action whose arrows are all ring isomorphisms
+    calls = _count_inverses(monkeypatch)
+    kinds = set()
+    for pa, kind in _planted_global_corpus():
+        report = validate_partial_action(pa)
+        assert report.violations == full_scan_validate_partial_action(pa).violations
+        assert report.violations == subspace_validate_partial_action(pa).violations
+        if kind == "swap":
+            assert violation_codes(report) == {"AxiomIII"}
+        else:
+            faults = [v.message for v in report.violations if v.code == "NotRingIso"]
+            assert len(faults) == 1 and faults[0].endswith(_PLANTED_FAULTS[kind])
+        kinds.add(kind)
+    assert kinds == {"complement", "shear", "swap", "zeroed"}
+    assert calls == []
+
+
+def test_a_valid_global_action_builds_image_echelons_for_the_generators_only(monkeypatch):
+    built = skipped = 0
+    for pa in _global_actions():
+        g_oid = pa.groupoid
+        gens = g_oid.generators()
+        calls = _count_image_echelons(monkeypatch)
+        assert validate_partial_action(pa).ok
+        monkeypatch.undo()
+        images = [[pa.alpha(s, u) for u in pa.ideal(g_oid.inv(s)).rows] for s in gens]
+        assert all(vectors in images for vectors in calls)
+        assert len(calls) <= len(gens)
+        built += len(calls)
+        skipped += len(g_oid.morphisms) - len(g_oid.identity) - len(gens)
+    assert built and skipped

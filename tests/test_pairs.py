@@ -1,4 +1,5 @@
-"""The summary rule of `tools/pairs.py` on synthetic numbers; no benchmark runs."""
+"""The summary and expectation rules of `tools/pairs.py` on synthetic numbers and
+generated op lists; no benchmark runs and no process is started."""
 
 import importlib.util
 from pathlib import Path
@@ -60,8 +61,31 @@ def test_unequal_or_short_runs_are_refused(pairs):
 def test_paired_ops_compare_digest_and_stdout_not_time(pairs):
     parent = [["d1", "s1", 0.01], ["d2", "s2", 0.02], ["d3", "s3", 0.03]]
     change = [["d1", "s1", 0.5], ["d2", "sX", 0.02]]
-    assert pairs.mismatched_ops(parent, change) == 1
-    assert pairs.mismatched_ops(parent, parent) == 0
+    assert pairs.mismatched_ops(parent, change) == [1]
+    assert pairs.mismatched_ops(parent, parent) == []
+
+
+def test_differing_ops_must_match_an_expected_pattern(pairs):
+    keys = ["validate op00000.json", "traces op00003.json", "validate op00009.json"]
+    assert pairs.sort_differences(keys, []) == ([], keys, set())
+    expected, unexpected, used = pairs.sort_differences(keys, ["validate *", "skew-table *"])
+    assert expected == ["validate op00000.json", "validate op00009.json"]
+    assert unexpected == ["traces op00003.json"]
+    # the unused pattern is what main reports as matching no differing op
+    assert used == {"validate *"}
+    assert pairs.sort_differences([], ["validate *"]) == ([], [], set())
+
+
+def test_op_keys_are_the_workload_command_lines(pairs):
+    # generated in process, as `tools/opcounts.py` writes the ops; the
+    # certify-wide rungs cycle through validate, traces and separability
+    keys = pairs.op_keys("certify-wide", 1, 10)
+    assert keys == ["%s op%05d.json" % (cmd, i) for i, cmd in
+                    enumerate(["validate"] * 3 + ["traces"] * 3 + ["separability"] * 3
+                              + ["validate"])]
+    assert pairs.op_keys("differential", 2, 2) == ["separability op00000.json --oracle",
+                                                   "separability op00001.json --oracle"]
+    assert pairs.sort_differences(keys, ["validate *", "traces *"])[1] == keys[6:9]
 
 
 def test_a_median_within_the_bound_is_within(pairs):

@@ -870,6 +870,35 @@ def test_the_dense_system_is_block_diagonal_over_product_classes():
                 assert read <= identities
 
 
+def test_a_rebuilt_block_equal_to_the_unit_is_the_unit(monkeypatch):
+    # `build_certificate` keeps the blocks it rebuilds from the printed
+    # summands through `Algebra._reduced`, so a block equal to 1 reaches
+    # `multiply` (through `commutator_terms` and `skew_product`) as the
+    # unit itself and takes the unit-law shortcut, not as a copy
+    corpus = [load_action(p.name) for p in sorted(INSTANCE_DIR.glob("*.json"))]
+    rng = random.Random(1)
+    corpus += [parse_instance(skeleton_to_instance(random_skeleton(rng), f)).action
+               for _ in range(10) for f in ("Q", "GF(2)")]
+    factors = []
+    multiply = Algebra.multiply
+
+    def recorded(self, x, y):
+        factors.extend(v is self.unit for v in (x, y) if v == self.unit)
+        return multiply(self, x, y)
+
+    blocks = 0
+    for pa in corpus:
+        verdict = decide_separability(pa)
+        if not verdict.separable:
+            continue
+        monkeypatch.setattr(Algebra, "multiply", recorded)
+        cert = build_certificate(pa, verdict.witness)
+        monkeypatch.undo()
+        assert all(cert.checks.values())
+        blocks += sum(y == pa.algebra.unit for y in cert.blocks.values())
+    assert blocks and factors and all(factors)
+
+
 @pytest.mark.parametrize("name", ["partial_bridge_q.json", "ring 48"])
 def test_the_certificate_builds_no_elimination_once_the_blocks_are_kept(
         name, monkeypatch, tmp_path, capsys):
