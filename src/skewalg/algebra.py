@@ -6,8 +6,9 @@ Elements are plain coefficient tuples.  The constants are kept only as a
 sparse table whose entry [i][j] maps each k to a nonzero c[i][j][k], built
 once from the nonzero constants: `Algebra(...)` takes each row of constants
 dense, as the n scalars c[i][j][0..n-1], and checks each one with
-`Field.coerce`; `Algebra.diagonal` writes its sparse table and its unit
-from `field.one` and skips that check.  `table_product` and
+`Field.coerce`; the instance reader builds the sparse table of the
+constants it parsed, and `Algebra.diagonal` writes its sparse table and
+its unit from `field.one`, and both skip that check.  `table_product` and
 `nonassociative_triple` are the one product and the one associativity
 audit over such tables, for this module and the skew ring A*G alike; the
 audit visits only the candidate pairs (i, j) whose triples can have a
@@ -150,14 +151,17 @@ class NotCentralIdempotent(AlgebraError):
 class Algebra:
 
     def __init__(self, field: Field, structure, unit, basis_names=None, *,
-                 _trusted=False):
+                 _sparse=False, _proved=False):
         """Each constant and unit scalar is checked with `Field.coerce`, and
-        the unit law and associativity are audited, except with `_trusted`:
-        `diagonal` passes its finished sparse table and unit tuple, written
-        from `field.one`, whose laws and commutativity it proves."""
+        the unit law and associativity are audited.  Two callers pass a
+        finished sparse table and unit tuple of field scalars instead
+        (`_sparse`), whose scalars are not checked again: the instance
+        reader, which parsed each one with `Field.parse`, and `diagonal`,
+        which writes them from `field.one` and proves their laws and
+        commutativity (`_proved`), so they are not audited either."""
         self.field = field
         self.dim = dim = len(structure)
-        if _trusted:
+        if _sparse:
             self._table = structure
         else:
             coerce = field.coerce
@@ -175,8 +179,8 @@ class Algebra:
             self._table = tuple(table)
             unit = tuple(coerce(c) for c in unit)
         table = self._table
-        self.commutative = _trusted or all(row[j] == table[j][i] for i, row in enumerate(table)
-                                           for j in range(i))
+        self.commutative = _proved or all(row[j] == table[j][i] for i, row in enumerate(table)
+                                          for j in range(i))
         one, zero = field.one, field.zero
         self._values: dict = {}        # each distinct product or element, kept once
         self.unit = self._keep(unit)
@@ -191,7 +195,7 @@ class Algebra:
         self._center: Echelon | None = None
         self._products: dict = {}      # (x, y) -> x*y
         self._central: dict = {}       # e -> is e a central idempotent
-        if not _trusted:
+        if not _proved:
             self._check_laws()
 
     @classmethod
@@ -208,7 +212,7 @@ class Algebra:
         """
         one = field.one
         table = tuple(tuple({i: one} if i == j else {} for j in range(n)) for i in range(n))
-        return cls(field, table, (one,) * n, basis_names, _trusted=True)
+        return cls(field, table, (one,) * n, basis_names, _sparse=True, _proved=True)
 
     def _check_laws(self) -> None:
         # on the table itself: `multiply` trusts the unit law checked here

@@ -12,7 +12,15 @@ seeds; wall-clock timing goes to stderr.  Exit code 0 iff every requested
 check passed; 1 on failed checks; 2 on unusable input.  A report is printed
 as exactly `json.dumps(report, indent=2, sort_keys=True)`, written by
 `render` in one pass: with `indent`, json leaves its C encoder for a
-generator per container.
+generator per container.  A vector of scalars, as `_vec` and `_mat` build
+it, is written with one join.
+
+`main` parses its arguments in one argparse pass.  When the first one names
+a command, the rest go straight to that command's own subparser, which the
+top-level parser would hand them to in any case; arguments it leaves over
+go to the top-level parser's "unrecognized arguments" error, as
+`parse_args` does.  Help, a missing command and an unknown command go
+through the top-level parser.
 """
 
 from __future__ import annotations
@@ -41,12 +49,18 @@ from .skew_ring import (InvalidSizeCap, SkewRingError, TensorTooLarge,
 MAP_CONVENTION = "annihilate_complement"
 
 
+class _Scalars(list):
+    """The `str`s of a vector's field scalars, which need no escape: ints
+    and fractions print as digits, "-" and "/".  `render` writes one with
+    one join."""
+
+
 def _vec(v) -> list:
-    return [str(c) for c in v]
+    return _Scalars(map(str, v))
 
 
 def _mat(m) -> list:
-    return [[str(c) for c in row] for row in m.data]
+    return [_Scalars(map(str, row)) for row in m.data]
 
 
 def _family(fam) -> dict:
@@ -87,7 +101,9 @@ def render(report) -> str:
     A report holds only dicts with `str` keys, lists, tuples, `str`, `int`,
     `True`, `False` and `None`; anything else, a float or a subclass too,
     raises TypeError rather than risk a rendering that differs from json's.
-    Strings are escaped by json's own ASCII escaper.
+    Strings are escaped by json's own ASCII escaper.  The one subclass
+    rendered is `_Scalars`, the printed vectors, whose strings need no
+    escape: each is written with one join, not one write per scalar.
     """
     # one growing buffer: a list holding every piece until a join
     # fragmented the heap enough to raise perfbench's peak_rss_mb by 4%
@@ -102,8 +118,11 @@ def render(report) -> str:
             put(int.__repr__(o))
         elif o is None or t is bool:
             put("null" if o is None else "true" if o else "false")
-        elif not o and (t is dict or t is list or t is tuple):
+        elif not o and (t is dict or t is list or t is tuple or t is _Scalars):
             put("{}" if t is dict else "[]")
+        elif t is _Scalars:
+            inner = pad + "  "
+            put('[\n%s"%s"\n%s]' % (inner, ('",\n%s"' % inner).join(o), pad))
         elif t is dict:
             inner = pad + "  "
             sep = "{\n" + inner
@@ -268,36 +287,55 @@ def _int_at_least(low: int):
 
 
 @functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared afterwards."""
+def build_parser() -> tuple:
+    """The top-level argument parser and each command's own subparser, by
+    command name, built on the first call and shared afterwards."""
     p = argparse.ArgumentParser(prog="skewalg",
                                 description="partial skew groupoid rings: "
                                             "validation, traces, separability")
     sub = p.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def with_file(sp):
+    def with_file(name, help):
+        sp = commands[name] = sub.add_parser(name, help=help)
         sp.add_argument("file", help="instance file (JSON)")
         sp.add_argument("--out", help="also write the report to this path")
         return sp
 
-    with_file(sub.add_parser("validate", help="structural and axiom checks"))
-    with_file(sub.add_parser("components", help="connected components"))
-    with_file(sub.add_parser("traces", help="trace-map matrices"))
-    sp = with_file(sub.add_parser("separability", help="decide and certify"))
+    with_file("validate", "structural and axiom checks")
+    with_file("components", "connected components")
+    with_file("traces", "trace-map matrices")
+    sp = with_file("separability", "decide and certify")
     sp.add_argument("--oracle", action="store_true",
                     help="also solve the defining tensor system and compare")
     sp.add_argument("--global", dest="use_global", action="store_true",
                     help="use the global-action single-object criterion")
     sp.add_argument("--isotropy", action="store_true",
                     help="transport witnesses to isotropy groups (global actions)")
-    with_file(sub.add_parser("skew-table", help="basis multiplication table"))
-    sp = sub.add_parser("fuzz", help="random differential testing")
+    with_file("skew-table", "basis multiplication table")
+    sp = commands["fuzz"] = sub.add_parser("fuzz", help="random differential testing")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=_int_at_least(0), default=10)
     sp.add_argument("--max-morphisms", type=_int_at_least(1), default=6)
     sp.add_argument("--max-dim", type=_int_at_least(1), default=6)
     sp.add_argument("--out", help="also write the report to this path")
-    return p
+    return p, commands
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """`build_parser()[0].parse_args(argv)`, in one argparse pass when
+    argv[0] names a command: the top-level parser would only hand the rest
+    to that command's subparser and report what it leaves over."""
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error("unrecognized arguments: %s" % " ".join(extra))
+    args.command = argv[0]
+    return args
 
 
 _HANDLERS = {
@@ -311,7 +349,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     started = time.perf_counter()
     out = None
     with contextlib.ExitStack() as stack:

@@ -29,8 +29,11 @@ dim^3 is built.
 
 Each distinct raw scalar is parsed once per instance: `Field.parse` is
 memoised on (type, value) of the JSON value, so `true` and `1` never share
-an entry.  An `Instance` keeps the action and its digest, the sha256 of the
-canonical form: `json.dumps(form, sort_keys=True, separators=(",", ":"))`
+an entry.  Parsed scalars are field scalars and are not checked again: a
+"structure" algebra enters `Algebra` as the sparse table of its parsed
+constants, with its parsed unit, whose laws it still audits.  An
+`Instance` keeps the action and its digest, the sha256 of the canonical
+form: `json.dumps(form, sort_keys=True, separators=(",", ":"))`
 of the parsed instance with every scalar written as `str`, the field as
 `str(field)`, every identity's "dom" and "map", and the structure dense.
 `_digest` writes those exact bytes into the hash one morphism entry or
@@ -134,11 +137,12 @@ def _parse_vector(parse, raw, dim: int) -> tuple:
     return tuple(map(parse, raw))
 
 
-def _parse_matrix(field: Field, parse, raw, dim: int) -> Matrix:
+def _parse_rows(parse, raw, dim: int) -> tuple:
+    """The rows of a dim x dim matrix of raw scalars, parsed."""
     if (len(_array(raw, "matrix")) != dim
             or any(len(_array(r, "matrix row")) != dim for r in raw)):
         raise InstanceFormatError("matrix is not %d x %d" % (dim, dim))
-    return Matrix._trusted(field, tuple(tuple(map(parse, row)) for row in raw), dim)
+    return tuple(tuple(map(parse, row)) for row in raw)
 
 
 def parse_instance(data: dict) -> Instance:
@@ -161,10 +165,12 @@ def parse_instance(data: dict) -> Instance:
             algebra = Algebra.diagonal(field, dim, _basis_names(adata, dim))
         else:
             dim = _algebra_dim(len(_array(adata["structure"], "structure")))
-            structure = [_parse_matrix(field, parse, plane, dim).data
-                         for plane in adata["structure"]]
-            algebra = Algebra(field, structure, _parse_vector(parse, adata["unit"], dim),
-                              _basis_names(adata, dim))
+            # parsed scalars are field scalars: the sparse table enters unchecked
+            table = tuple(tuple({k: c for k, c in enumerate(row) if c}
+                                for row in _parse_rows(parse, plane, dim))
+                          for plane in adata["structure"])
+            algebra = Algebra(field, table, _parse_vector(parse, adata["unit"], dim),
+                              _basis_names(adata, dim), _sparse=True)
         act = data.get("action", {})
         idems = {}
         maps = {}
@@ -175,7 +181,8 @@ def parse_instance(data: dict) -> Instance:
             # parsed scalars are field scalars: the vector enters as a kept one
             idems[g] = algebra._keep(_parse_vector(parse, entry["dom"], algebra.dim))
             if "map" in entry:
-                maps[g] = _parse_matrix(field, parse, entry["map"], algebra.dim)
+                maps[g] = Matrix._trusted(field, _parse_rows(parse, entry["map"], algebra.dim),
+                                          algebra.dim)
             elif not groupoid.is_identity(g):
                 raise InstanceFormatError("morphism %r needs an explicit map" % (g,))
         extra = set(act) - set(groupoid.morphisms)

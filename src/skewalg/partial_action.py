@@ -23,7 +23,12 @@ inverse of the other.  A global action is first checked on the groupoid's
 generating set only: the ring-isomorphism checks on its arrows s, and III
 on the pairs (s, h), which by induction on the words in s prove the rest;
 if that attempt flags anything, the full scan runs, so every violation
-list is the full scan's.
+list is the full scan's.  An identity arrow given no map is stored as R,
+right multiplication by 1_e; such a map passes every arrow check and the
+identity axiom once 1_e is a central idempotent, so validation counts it
+as a ring isomorphism and computes none of its alpha-images (proof in the
+docstring of `validate_partial_action`).  A map given explicitly, even one
+equal to R, runs every check.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ class PartialAction:
         self.algebra = algebra
         self.idems = {}
         self.maps = {}
+        self.defaulted = set()       # the identity arrows given no map, stored as R
         for g in groupoid.morphisms:
             if g not in idems:
                 raise ActionError("no domain idempotent for morphism %r" % (g,))
@@ -73,6 +79,7 @@ class PartialAction:
                 if not groupoid.is_identity(g):
                     raise ActionError("no map given for non-identity morphism %r" % (g,))
                 m = algebra.right_mul_matrix(self.idems[g])
+                self.defaulted.add(g)
             elif not isinstance(m, Matrix):
                 m = Matrix(algebra.field, m)
             if m.nrows != algebra.dim or m.ncols != algebra.dim:
@@ -272,6 +279,17 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
     non-generator arrow that is not one makes some check flag, so the full
     scan reports it.  III runs first, so an action that breaks it falls
     back before any image echelon is built.
+
+    The identity arrows in `pa.defaulted`, which were given no map, enter
+    `iso_ok` before any check, on both paths, and run neither the arrow
+    checks nor the identity axiom; none of them could flag such an arrow.
+    Its stored map is R(b) = b 1_e, and once the domain checks pass, 1_e is
+    a central idempotent.  id_e^-1 = id_e by the groupoid's laws, so
+    1_{g^-1} = 1_g = 1_e, and the inverse is usable.  Complement check:
+    R(b 1_e) = b 1_e 1_e = b 1_e = R(b) for every basis vector b.  Case (a)
+    accepts it: for u in A_e, u = a 1_e, so R(u) = a 1_e 1_e = u.  The
+    identity axiom is the same test, alpha_e(u) = u on A_e.  So the full
+    scan would add id_e to `iso_ok` with no violation, as it is added here.
     """
     g_oid = pa.groupoid
     bad = _domain_violations(pa)
@@ -281,11 +299,11 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
     if pa.is_global():
         gens = g_oid.generators()
         attempt = chain(_pair_violations(pa, gens, identities, (), pull_back=False),
-                        _arrow_violations(pa, set(gens), set(), set()),
+                        _arrow_violations(pa, set(gens), set(pa.defaulted), set()),
                         _identity_violations(pa))
         if next(attempt, None) is None:
             return ValidationReport(())
-    iso_ok, paired = set(), set()
+    iso_ok, paired = set(pa.defaulted), set()
     bad = list(_arrow_violations(pa, set(g_oid.morphisms), iso_ok, paired))
     bad += _identity_violations(pa)
     if iso_ok != set(g_oid.morphisms):
@@ -319,13 +337,15 @@ def _domain_violations(pa: PartialAction) -> list:
 
 
 def _arrow_violations(pa: PartialAction, checked, iso_ok: set, paired: set):
-    """The complement check on every arrow, then the ring-isomorphism checks
-    on the arrows in `checked`, adding those that pass to `iso_ok` and the
-    inverse pairs case (b) accepts to `paired`."""
+    """The complement check on every arrow not in `iso_ok`, then the
+    ring-isomorphism checks on those in `checked`, adding those that pass
+    to `iso_ok` and the inverse pairs case (b) accepts to `paired`."""
     g_oid = pa.groupoid
     alg = pa.algebra
     basis = [alg.basis_vector(i) for i in range(alg.dim)]
     for g in g_oid.morphisms:
+        if g in iso_ok:
+            continue
         ginv = g_oid.inverse.get(g)
         if ginv is None or ginv not in pa.idems:
             yield Violation("NotRingIso", "morphism %r has no usable inverse" % (g,))
@@ -363,11 +383,12 @@ def _arrow_violations(pa: PartialAction, checked, iso_ok: set, paired: set):
 
 
 def _identity_violations(pa: PartialAction):
-    """The identity axiom: alpha_e fixes A_e, at every object e."""
+    """The identity axiom: alpha_e fixes A_e, at every object e whose map
+    was given."""
     g_oid = pa.groupoid
     for e in g_oid.objects:
         i = g_oid.identity[e]
-        if any(pa.alpha(i, u) != u for u in pa.ideal(i).rows):
+        if i not in pa.defaulted and any(pa.alpha(i, u) != u for u in pa.ideal(i).rows):
             yield Violation("IdentityAxiom",
                             "identity map at %r is not the identity on A_%r" % (e, e))
 

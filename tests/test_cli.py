@@ -750,6 +750,59 @@ def test_one_process_parses_like_fresh_processes(capsys, monkeypatch):
             assert "unrecognized arguments: --no-such-flag" in err
 
 
+def _parsed(capsys, parse, argv) -> tuple:
+    """(exit code or the parsed namespace's attributes, stdout, stderr) of
+    one parse."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def _parser_corpus(path: str, out: str) -> list:
+    return [
+        *([cmd, path] for cmd in ("validate", "components", "traces", "separability",
+                                  "skew-table")),
+        ["fuzz"], ["fuzz", "--seed", "3", "--count", "2", "--max-morphisms", "4",
+                   "--max-dim", "2", "--out", out],
+        ["validate", path, "--out", out], ["traces", "--out=%s" % out, path],
+        ["separability", path, "--oracle", "--global", "--isotropy"],
+        ["separability", path, "--orac"], ["separability", path, "--glo", "--out", out],
+        ["validate", "--", path], ["separability", "--oracle", "--", path],
+        ["validate", path, "--no-such-flag"], ["separability", path, "extra", "--oracle"],
+        ["separability", path, "--oracle", "--oracle=1"], ["validate"], ["skew-table", "--out"],
+        ["validate", "-h"], ["separability", path, "--help"], ["fuzz", "-h"], ["-h"],
+        ["--help", "validate"], [], ["frobnicate", path], ["--", "validate", path],
+        ["-x", "validate", path],
+        ["fuzz", "--count", "-1"], ["fuzz", "--max-morphisms", "0"], ["fuzz", "--max-dim", "-3"],
+        ["fuzz", "--count", "x"], ["fuzz", "--seed"],
+    ]
+
+
+def test_one_pass_parsing_is_the_top_level_parse(capsys, monkeypatch, tmp_path):
+    # every argv parses, or fails with the same exit code, stdout and stderr,
+    # as through the top-level parser; argv[0] naming a command sends the
+    # rest straight to its subparser
+    monkeypatch.setenv("COLUMNS", "80")
+    top = cli.build_parser()[0]
+    path = str(instance_path("z2_flip_q.json"))
+    for argv in _parser_corpus(path, str(tmp_path / "out.json")):
+        one_pass = _parsed(capsys, cli.parse_args, list(argv))
+        assert one_pass == _parsed(capsys, top.parse_args, list(argv)), argv
+    # with no argv, both read sys.argv
+    for argv in (["validate", path, "--orac"], ["separability", path, "--oracle"], ["-h"]):
+        monkeypatch.setattr(sys, "argv", ["skewalg", *argv])
+        assert _parsed(capsys, lambda _: cli.parse_args(), None) == \
+            _parsed(capsys, lambda _: top.parse_args(), None)
+    # and main() runs the command sys.argv names
+    monkeypatch.setattr(sys, "argv", ["skewalg", "separability", path, "--orac"])
+    assert main() == 0
+    out = capsys.readouterr().out
+    assert (main(["separability", path, "--oracle"]), capsys.readouterr().out) == (0, out)
+
+
 def test_package_runs_as_a_module_from_a_checkout(capsys):
     # `PYTHONPATH=src python -m skewalg` is `cli.main` in a fresh process
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -361,6 +361,45 @@ def test_a_diagonal_algebra_is_parsed_without_a_coercion_per_constant(monkeypatc
     assert len(calls) < n * n
 
 
+def test_a_structure_algebra_is_parsed_without_a_second_coercion(monkeypatch):
+    # each structure constant and unit scalar is checked by `Field.parse`
+    # alone; the laws of the parsed table are still audited, and
+    # `Algebra(...)` called from outside still coerces every scalar
+    parse, coerce = Field.parse, Field.coerce
+    parsing, outside = [], []
+
+    def traced(self, x):
+        parsing.append(x)
+        try:
+            return parse(self, x)
+        finally:
+            parsing.pop()
+
+    def counted(self, x):
+        if not parsing:
+            outside.append(x)
+        return coerce(self, x)
+
+    monkeypatch.setattr(Field, "parse", traced)
+    monkeypatch.setattr(Field, "coerce", counted)
+    algebra = parse_instance(instance_data("conj_swap_m2_q.json")).action.algebra
+    assert outside == []
+    assert algebra.dim == 8 and not algebra.commutative
+    data = instance_data("conj_swap_m2_q.json")
+    data["algebra"]["unit"][0] = "0"
+    with pytest.raises(InstanceFormatError, match="declared unit is not a two-sided identity"):
+        parse_instance(data)
+    data = instance_data("conj_swap_m2_q.json")
+    # X12 X12 = X12 keeps the unit law: (X12 X12) X21 = X11, X12 (X12 X21) = 0
+    data["algebra"]["structure"][1][1] = ["0", "1"] + ["0"] * 6
+    with pytest.raises(InstanceFormatError, match="not associative"):
+        parse_instance(data)
+    Algebra(Field.rationals(), [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1])
+    assert len(outside) == 8 + 2
+    with pytest.raises(ValueError, match="does not belong"):
+        Algebra(Field.rationals(), [[[1, 0], [0, 0]], [[0, 0], [0, 1.0]]], [1, 1])
+
+
 def test_parsed_domain_idempotents_are_not_coerced_again(monkeypatch):
     # the parser's vectors enter `PartialAction(...)` as kept vectors; a
     # vector given to the constructor from outside is still checked

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from skewalg import (ActionError, Algebra, DecompositionRequired, Echelon, Field
                      validate_partial_action)
 from skewalg import partial_action
 from skewalg.fuzz import FIELDS, random_skeleton, skeleton_to_instance
-from skewalg.instances import parse_instance
+from skewalg.instances import load_instance, parse_instance
 
 from conftest import (INSTANCE_DIR, OverlappingObjects, changed_basis_action, from_cols,
                       full_scan_validate_partial_action,
@@ -213,6 +214,72 @@ def test_identity_maps_are_forced_when_omitted(bridge):
     pa = PartialAction(bridge.groupoid, bridge.algebra, bridge.idems, maps)
     assert pa.matrix("id:e1") == bridge.algebra.right_mul_matrix(pa.idem("id:e1"))
     assert pa.validate().ok
+
+
+def _alpha_arrows(monkeypatch) -> list:
+    """Record the arrow of each `PartialAction.alpha` call from now on."""
+    arrows = []
+    alpha = PartialAction.alpha
+
+    def recorded(self, g, v):
+        arrows.append(g)
+        return alpha(self, g, v)
+
+    monkeypatch.setattr(PartialAction, "alpha", recorded)
+    return arrows
+
+
+def test_default_identity_maps_are_checked_by_construction(monkeypatch):
+    # an identity arrow given no map is stored as R: b -> b 1_e, which no
+    # arrow check and no identity axiom can flag once 1_e is a central
+    # idempotent, so they compute no alpha-image of it; the same map given
+    # explicitly runs them all, to the same report
+    with_defaults = 0
+    for path in sorted(INSTANCE_DIR.glob("*.json")):
+        entries = json.loads(path.read_text())["action"]
+        pa = load_instance(path).action
+        g_oid = pa.groupoid
+        identities = set(g_oid.identity.values())
+        assert pa.defaulted == {g for g in g_oid.morphisms if "map" not in entries[g]}
+        assert pa.defaulted <= identities
+        explicit = PartialAction(g_oid, pa.algebra, pa.idems, dict(pa.maps))
+        assert explicit.defaulted == set()
+        assert validate_partial_action(explicit).violations == pa.validate().violations == ()
+        for action in (pa, explicit):
+            arrows = _alpha_arrows(monkeypatch)
+            iso_ok = set(action.defaulted)
+            assert not list(partial_action._arrow_violations(
+                action, set(g_oid.morphisms), iso_ok, set()))
+            assert not list(partial_action._identity_violations(action))
+            monkeypatch.undo()
+            assert iso_ok == set(g_oid.morphisms)
+            assert identities & set(arrows) == identities - action.defaulted, path.name
+        with_defaults += bool(pa.defaulted)
+    # every shipped instance but the two two_components_* leaves them out
+    assert with_defaults == 8
+
+
+def test_explicit_identity_maps_run_every_check():
+    # planted identity maps, right or wrong, are validated as the full scan
+    # validates them: the unit map, which fails the complement check where
+    # 1_e != 1; the zero map; and 2 R, a bijection that is not multiplicative
+    flagged = set()
+    for path in sorted(INSTANCE_DIR.glob("*.json")):
+        pa = load_instance(path).action
+        field, dim = pa.algebra.field, pa.algebra.dim
+        for e in pa.groupoid.objects:
+            i = pa.groupoid.identity[e]
+            right = pa.algebra.right_mul_matrix(pa.idem(i))
+            planted = [identity_matrix(field, dim), zero_matrix(field, dim, dim),
+                       Matrix(field, [[2 * x for x in row] for row in right.data])]
+            for m in planted:
+                bad = PartialAction(pa.groupoid, pa.algebra, pa.idems, {**pa.maps, i: m})
+                assert i not in bad.defaulted
+                report = validate_partial_action(bad)
+                assert report.violations == full_scan_validate_partial_action(bad).violations
+                assert report.ok == (m == right), (path.name, e)
+                flagged |= violation_codes(report)
+    assert flagged == {"NotRingIso", "IdentityAxiom"}
 
 
 # -- post-validation invariants ----------------------------------------------------------------
