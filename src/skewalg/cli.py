@@ -40,9 +40,9 @@ from .groupoid import GroupoidError, validate_groupoid
 from .linalg import LinalgError
 from .partial_action import ActionError, validate_partial_action
 from .separability import (SeparabilityError, cross_check, decide_global,
-                           decide_separability, isotropy_transport_psi,
-                           isotropy_witness_transport, oracle_separability,
-                           trace_between, trace_into, trace_total)
+                           decide_separability, isotropy_witness_transport,
+                           oracle_separability, trace_between, trace_into,
+                           trace_total)
 from .skew_ring import (InvalidSizeCap, SkewRingError, TensorTooLarge,
                         build_skew_ring)
 
@@ -242,15 +242,6 @@ def cmd_separability(args) -> tuple:
                      "witness": _vec(tr.witness),
                      "arrows": dict(tr.arrows), "checks": dict(tr.checks)}
             ok = ok and all(tr.checks.values())
-            psis = []
-            for kobj, arrow in tr.arrows.items():
-                if kobj == tr.obj:
-                    continue
-                psi = isotropy_transport_psi(pa, arrow)
-                psis.append({"arrow": arrow, "source": psi.source_object,
-                             "target": psi.target_object, "checks": dict(psi.checks)})
-                ok = ok and all(psi.checks.values())
-            entry["isotropy_isomorphisms"] = psis
             transports.append(entry)
         report["isotropy_transport"] = transports
     report["ok"] = ok

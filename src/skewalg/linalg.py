@@ -15,7 +15,7 @@ instance files, and by `Field.coerce` in the public `Matrix(...)`, in the
 right-hand side of `solve_affine` and in `Algebra(...)` (each given
 structure constant, while the sparse table is built) and `Algebra.element`.
 The maps the package builds itself (parsed action maps, the default
-identity maps, the trace maps and the isotropy conjugation) wrap their
+identity maps and the trace maps) wrap their
 reduced rows with `Matrix._trusted` and skip that check.
 
 Vectors are plain tuples and a linear system is a sequence of rows, each a

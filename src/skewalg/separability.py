@@ -46,11 +46,15 @@ right-hand side (Nastasescu, Van den Bergh and Van Oystaeyen, "Separable
 functors applied to graded rings", J. Algebra 123, 1989); the oracle
 solves that class alone, in the psi coordinates of `TensorOverA`, ring.dim
 unknowns.  No ring table is built for it: that table products factor
-through psi is checked only by the tests (`factoring_failures`), and
-`skew-table` keeps the ring's associativity audit.
-For global actions, `isotropy_transport_psi` checks the conjugation
-isomorphism between the isotropy skew group rings A_i * G(e_i) and
-A_j * G(e_j) on A's vectors as well, through `skew_ring.skew_product`.
+through psi is checked only by the tests (`factoring_failures`).
+For global actions, `isotropy_witness_transport` pushes a component's
+witness to the isotropy group of its transversal object and checks the
+element it computes.  The conjugation u d_g |-> alpha_l(u) d_{l g l^-1}
+between the isotropy skew group rings A_i * G(e_i) and A_j * G(e_j) is an
+isomorphism for every valid global action (g |-> l g l^-1 is a group
+isomorphism, alpha_l a ring isomorphism A_i -> A_j, and
+alpha_l alpha_g = alpha_{l g l^-1} alpha_l by axiom III), so it is not
+checked here: the tests keep it, with that proof.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from .linalg import (AffineSolutionSet, Matrix, echelon, free_coords, solve_affi
                      vadd)
 from .partial_action import PartialAction
 from .skew_ring import (TensorOverA, commutator_terms, psi_block, psi_tensor_dim,
-                        ring_generators, skew_product, tensor_over)
+                        ring_generators, tensor_over)
 
 
 class SeparabilityError(Exception):
@@ -425,8 +429,7 @@ def oracle_separability(pa: PartialAction) -> OracleResult:
     (`skew_ring.commutator_terms`) and the generators with the certificate,
     but not the trace criterion, and builds no ring: that the ring table's
     products factor through psi is checked only by the tests
-    (`factoring_failures`), and `skew-table` keeps the ring's associativity
-    audit.
+    (`factoring_failures`).
 
     This is exact because A*G is graded by the morphisms (the graded-ring
     argument of Nastasescu, Van den Bergh and Van Oystaeyen, "Separable
@@ -524,63 +527,3 @@ def isotropy_witness_transport(pa: PartialAction, class_objects, witness) -> Tra
                                 == pa.obj_idem(i)),
     }
     return TransportResult(i, a, arrows, checks)
-
-
-@dataclass(frozen=True)
-class IsotropyIso:
-    arrow: str
-    source_object: str
-    target_object: str
-    matrix: Matrix
-    checks: dict
-
-
-def isotropy_transport_psi(pa: PartialAction, arrow) -> IsotropyIso:
-    """The isomorphism u d_g |-> alpha_l(u) d_{l g l^-1} between isotropy rings.
-
-    For a global action and an arrow l: e_i -> e_j this conjugation maps
-    A_i * G(e_i), the span in A*G of the u d_g with g in G(e_i), isomorphically
-    onto A_j * G(e_j).  It is checked on A's vectors, with no isotropy ring:
-    on the basis pairs (g, u), g in G(e_i) in morphism order and u in
-    ideal(g).rows, it is multiplicative under `skew_product` and sends
-    1_{e_i} d_{e_i} to 1_{e_j} d_{e_j}; it is bijective by the rank of
-    `matrix`, whose column (g, u) holds the ideal(l g l^-1)-coordinates of
-    alpha_l(u) at the offset of l g l^-1 among the ideals of G(e_j).
-    """
-    if not pa.is_global():
-        raise NotGlobal("isotropy conjugation needs a global action")
-    pa.require_decomposition()
-    g_oid = pa.groupoid
-    if arrow not in g_oid.src:
-        raise SeparabilityError("unknown arrow %r" % (arrow,))
-    e_i, e_j = g_oid.src[arrow], g_oid.tgt[arrow]
-    linv = g_oid.inv(arrow)
-
-    def phi(g, u) -> tuple:
-        return g_oid.compose[(g_oid.compose[(arrow, g)], linv)], pa.alpha(arrow, u)
-
-    basis = [(g, u) for g in g_oid.hom_set(e_i, e_i) for u in pa.ideal(g).rows]
-    starts = {}
-    dim = 0
-    for h in g_oid.hom_set(e_j, e_j):
-        starts[h] = dim
-        dim += pa.ideal(h).dim
-    alg = pa.algebra
-    field = alg.field
-    cols = []
-    for g, u in basis:
-        h, v = phi(g, u)
-        col = [field.zero] * dim
-        col[starts[h]:starts[h] + pa.ideal(h).dim] = alg.ideal_coords(pa.idem(h), v)
-        cols.append(col)
-    checks = {
-        "bijective": echelon(field, cols, dim).dim == len(basis) == dim,
-        "multiplicative": all(
-            phi(*skew_product(pa, g, u, h, w)) == skew_product(pa, *phi(g, u), *phi(h, w))
-            for g, u in basis for h, w in basis),
-        "unit_to_unit": (phi(g_oid.identity[e_i], pa.obj_idem(e_i))
-                         == (g_oid.identity[e_j], pa.obj_idem(e_j))),
-    }
-    return IsotropyIso(arrow, e_i, e_j, Matrix._trusted(field, tuple(zip(*cols)), len(cols)),
-                       checks)
-

@@ -4,8 +4,33 @@ The ring is the direct sum over morphisms g of the ideals A_g, with
 (a_g d_g)(b_h d_h) = alpha_g(alpha_{g^-1}(a_g) b_h) d_{gh} on composable
 pairs and 0 otherwise; `SkewRing` holds its multiplication table.  A
 product v d_g enters it as v's coordinates in A_g, read by
-`Algebra.ideal_coords(1_g, v)` (v is in A_g iff v 1_g == v).  The
-tensor square over A is realised concretely in the normal form
+`Algebra.ideal_coords(1_g, v)` (v is in A_g iff v 1_g == v).
+
+The ring of a valid action is associative, so its table is not audited
+(Dokuchaev-Exel, Trans. AMS 357, 2005, for groups; Bagio-Paques, Comm.
+Algebra 40, 2012, for groupoids).  The short proof for domains generated
+by central idempotents: write b_g(x) = alpha_g(x 1_{g^-1}), the stored map
+of g, and e = 1_{g^-1} 1_h for composable g, h.
+- b_g is multiplicative on A, since alpha_g is on A_{g^-1} and 1_{g^-1} is
+  a central idempotent; and alpha_g alpha_{g^-1} = id on A_g by axiom III at
+  (g, g^-1) and the identity axiom.
+- (a d_g)(b d_h) = a b_g(b) d_{gh} for a in A_g: alpha_{g^-1}(a) b =
+  alpha_{g^-1}(a) (b 1_{g^-1}), and alpha_g maps it to a b_g(b).
+- alpha_g(e) = 1_g 1_{gh}.  With p = alpha_{h^-1}(e), axiom II puts p in
+  A_{(gh)^-1} and III gives alpha_g(e) = alpha_g(alpha_h(p)) =
+  alpha_{gh}(p), so alpha_g(e) <= 1_g 1_{gh}; the same at (g^-1, gh), with
+  alpha_g applied, gives 1_g 1_{gh} <= alpha_g(e).
+- b_g(b_h(c)) = b_{gh}(c) 1_g 1_{gh} for every c in A: b_h(c) 1_{g^-1} =
+  b_h(c) alpha_h(p) = b_h(c p), c p lies in A p, where III gives
+  alpha_g alpha_h = alpha_{gh}, and b_{gh}(c p) = b_{gh}(c) alpha_{gh}(p).
+- So for a in A_g, b in A_h, c in A_k with g, h, k composable, y = a b_g(b)
+  = a b_g(b 1_h) = y 1_g 1_{gh}, and both bracketings give
+  y b_{gh}(c) d_{ghk}: a b_g(b b_h(c)) = y b_g(b_h(c)) = y b_{gh}(c).  A
+  triple that is not composable gives 0 both ways.
+The tests run the audit (`algebra.nonassociative_triple`) on the tables of
+the shipped instances and the fuzzed actions.
+
+The tensor square over A is realised concretely in the normal form
 psi(u d_g (x) w d_h) = u alpha_g(w 1_{g^-1}), which maps the (g, h) block of
 the quotient isomorphically onto the ideal A 1_g 1_{gh} and kills the block
 unless src g = tgt h; y in that ideal stands for y d_g (x) 1_h d_h.
@@ -32,7 +57,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 
-from .algebra import nonassociative_triple, table_product
+from .algebra import table_product
 from .linalg import free_basis
 from .partial_action import PartialAction
 
@@ -60,7 +85,8 @@ def skew_product(act: PartialAction, g, u, h, w) -> tuple:
 
 
 class SkewRing:
-    """Built by `build_skew_ring`; verifies associativity on basis triples.
+    """Built by `build_skew_ring`, with no associativity audit (the proof is
+    in the module docstring).
 
     The basis runs over the morphisms in groupoid order: positions
     `starts[g]` to `starts[g] + dim A_g - 1` hold the ideal basis of A_g,
@@ -68,10 +94,7 @@ class SkewRing:
     `_table[i][j]` maps each ring coordinate k to the nonzero coefficient of
     b_k in b_i * b_j, the `skew_product` of the pair, and a product of basis
     elements on non-composable morphisms is the empty dict.  `mul_coords` is
-    `algebra.table_product` and the associativity audit is
-    `algebra.nonassociative_triple`, the same functions `Algebra` uses; the
-    audit sums only the basis triples with a nonzero term, which on a skew
-    ring are the composable chains.
+    `algebra.table_product`, the product `Algebra` uses.
     Elements are held as coordinate tuples: `basis_coords`, `product_coords`,
     `unit` and `multiplication_rows` return dense coordinates.  The tests
     check the table against a skew product computed straight from the action.
@@ -91,7 +114,6 @@ class SkewRing:
         self.dim = len(basis)
         self.field = action.algebra.field
         self._build_table()
-        self._check_associativity()
         self._unit = None
 
     # -- construction ------------------------------------------------------
@@ -116,12 +138,6 @@ class SkewRing:
         local = act.algebra.ideal_coords(act.idem(g), v)
         at = self.starts[g]
         return {at + k: c for k, c in enumerate(local) if c}
-
-    def _check_associativity(self) -> None:
-        bad = nonassociative_triple(self._table, self.field)
-        if bad is not None:
-            raise SkewRingError(
-                "skew product not associative at basis triple (%d, %d, %d)" % bad)
 
     # -- coordinates ---------------------------------------------------------
 

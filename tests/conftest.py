@@ -1000,9 +1000,11 @@ def changed_basis_action(pa: PartialAction, rng) -> PartialAction:
 # -- the isotropy-ring conjugation reference ------------------------------------------
 
 def ring_isotropy_iso(pa: PartialAction, arrow) -> SimpleNamespace:
-    """Reference for `isotropy_transport_psi`: the conjugation checked between
-    the skew rings of the two isotropy actions (`restricted_action` on one
-    object, echelon coordinates of A_{e_i} and A_{e_j}), one ring per end.
+    """The conjugation u d_g |-> alpha_l(u) d_{l g l^-1} for an arrow l:
+    e_i -> e_j, checked between the skew rings of the two isotropy actions
+    (`restricted_action` on one object, echelon coordinates of A_{e_i} and
+    A_{e_j}), one ring per end.  On a valid global action every check holds
+    (the proof is in `test_psi_conjugation_is_an_isomorphism_on_the_global_corpus`).
 
     Returns the `matrix` and `checks` to compare, and the two rings.
     """

@@ -12,7 +12,6 @@ from skewalg.fuzz import random_skeleton, run_fuzz, skeleton_to_instance
 from skewalg.instances import parse_instance
 from skewalg.separability import (build_certificate, decide_global,
                                   decide_separability, extract_witness,
-                                  isotropy_transport_psi,
                                   isotropy_witness_transport,
                                   oracle_separability, trace_between,
                                   trace_into)
@@ -139,10 +138,9 @@ def test_acceptance_5_global_case():
     ok = ok and trace_between(pa, tr.obj, tr.obj).apply(tr.witness) == \
         pa.obj_idem(tr.obj)
     ok = ok and all(tr.checks.values())
-    psi = isotropy_transport_psi(pa, "s")
-    ok = ok and all(psi.checks.values())
     rings = ring_isotropy_iso(pa, "s")
-    ok = ok and psi.matrix.apply(rings.source_ring.unit()) == rings.target_ring.unit()
+    ok = ok and all(rings.checks.values())
+    ok = ok and rings.matrix.apply(rings.source_ring.unit()) == rings.target_ring.unit()
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 1.0
     _report(5, ok, "global pair-swap: transversal decision matches, transport "

@@ -439,8 +439,10 @@ def test_separability_global_and_isotropy_flags(capsys):
     assert report["verdict"]["separable"]
     tr = report["isotropy_transport"][0]
     assert tr["object"] == "e1"
-    assert all(tr["checks"].values())
-    assert all(all(p["checks"].values()) for p in tr["isotropy_isomorphisms"])
+    # the conjugations between isotropy rings are theorems of a valid
+    # global action, so only the transported witness is checked
+    assert set(tr) == {"objects", "object", "witness", "arrows", "checks"}
+    assert tr["checks"] == {"witness_central": True, "single_object_trace": True}
 
 
 def test_global_flag_on_partial_action_fails(capsys):
@@ -616,7 +618,7 @@ def _global_instances() -> list:
 def test_separability_oracle_builds_no_ring_and_one_square(capsys, monkeypatch,
                                                            flags, squares):
     # no separability path builds the ring; only the oracle builds its
-    # square, and the certificate and the isotropy conjugations do not
+    # square, and the certificate and the isotropy transport do not
     paths = (_global_instances() if {"--global", "--isotropy"} & set(flags)
              else sorted(INSTANCE_DIR.glob("*.json")))
     assert paths
@@ -642,7 +644,7 @@ def test_skew_table_builds_one_ring_and_no_square(capsys, monkeypatch):
                          ids=["plain", "global", "oracle", "isotropy", "global-isotropy"])
 def test_separability_constructs_only_the_parsed_algebra_and_action(capsys, monkeypatch,
                                                                    flags):
-    # each component is decided, and each isotropy conjugation checked, on A
+    # each component is decided, and each witness transported, on A
     # itself: no restricted subalgebra or sub-action is built, so the parsed
     # ones are the only ones
     paths = sorted(INSTANCE_DIR.glob("*.json"))
@@ -666,9 +668,9 @@ def test_differential_builds_no_ring_and_one_square(monkeypatch):
 
 
 def test_isotropy_builds_no_ring_and_no_sub_action(capsys, monkeypatch, tmp_path):
-    # a global component on three objects: both conjugations are checked on
-    # A's vectors, so no isotropy action or ring is built next to the parsed
-    # action
+    # a global component on three objects: the witness is transported and
+    # checked on A's vectors, so no isotropy action or ring is built next to
+    # the parsed action, and no conjugation is reported
     skel = {"components": [{"k": 3, "m": 2, "d": 2, "sigma": [1, 0],
                             "tau": [[0, 1], [1, 0], [0, 1]],
                             "T": [[0, 1], [0, 1], [0, 1]]}]}
@@ -677,7 +679,10 @@ def test_isotropy_builds_no_ring_and_no_sub_action(capsys, monkeypatch, tmp_path
     counts = _count_builds(monkeypatch, (SkewRing, PartialAction))
     code, out, _ = run_cli(capsys, "separability", str(path), "--isotropy")
     assert code == 0
-    assert len(json.loads(out)["isotropy_transport"][0]["isotropy_isomorphisms"]) == 2
+    tr = json.loads(out)["isotropy_transport"][0]
+    assert "isotropy_isomorphisms" not in tr
+    assert len(tr["arrows"]) == 3
+    assert tr["checks"] == {"witness_central": True, "single_object_trace": True}
     assert counts == {SkewRing: 0, PartialAction: 1}
 
 

@@ -47,7 +47,7 @@ GOLDEN = {
     "traces conj_swap_m2_q.json": (0, "0af8e565adab0d554aa5e7ffb343a6f3ea93a0509a0638136c19383a4bfc96fc"),
     "separability conj_swap_m2_q.json --oracle": (0, "6feec8c231d7f966e808826798faab9986af6ced3c1c720f7d523d109e933f38"),
     "separability conj_swap_m2_q.json --global": (0, "ce8cdee59e3a31a6b5f8967c2a3b3974f45ebde9b660188e297478cad483b838"),
-    "separability conj_swap_m2_q.json --isotropy": (0, "cf22c7550d5f1d52a362cf97dab55855e48d52766d80ca9ce59e9518f0079156"),
+    "separability conj_swap_m2_q.json --isotropy": (0, "ec9859b5fbc3980d403f3597c89bb46bc83e4c3b591145b4bb6090253f3aefc1"),
     "skew-table conj_swap_m2_q.json": (0, "f2a1040aefe29d5b55739da561dd439c70b98439aa4757af1f7e0b180a1bb257"),
     "separability conj_swap_m2_q.json": (0, "0bd1e69694ff1f4bdab6f8316d73e5874e0764eb1486ecd928e8474c1aa5e328"),
     "components conj_swap_m2_q.json": (0, "cd5d9f9a0c0fe498ceccdb03245d719c8d5dfb93e1805d35e65ad0312137e785"),
@@ -55,7 +55,7 @@ GOLDEN = {
     "traces pair_swap_global_q.json": (0, "b19e5a7cd0b0f4e731915ba8600238b798e0c9d30612ab3584496176e85df90c"),
     "separability pair_swap_global_q.json --oracle": (0, "9694ab24066743e745cd4e8d0ed5cf95493399e097e3098f10df59fc3e1feecf"),
     "separability pair_swap_global_q.json --global": (0, "bfcd2acf41ee759b6f41fe67fb0cc6072b6a4e50ae49df08f5b5f7762c4d276c"),
-    "separability pair_swap_global_q.json --isotropy": (0, "81436043966d9ead537b7a7d1495f41a1db4a2c85ff9039099c45d9fd56fd78d"),
+    "separability pair_swap_global_q.json --isotropy": (0, "46307fa653e6399dffd8ce8a93f1c0fbae354dc1d34fb78cfec5718251d12429"),
     "skew-table pair_swap_global_q.json": (0, "216fc69ba771d1c9f57c2f9ddbd931574d696494a1ca1272652014de9c8cd9b5"),
     "separability pair_swap_global_q.json": (0, "7c4088d54fb45638cfb91d8ac2e792f3f26e3c12bb67bc7ada4778e6cde3761e"),
     "components pair_swap_global_q.json": (0, "c518222212f5dca4c31aef8ad5b283877751adb4185820aee9fe44f22cd4dfa4"),
@@ -71,7 +71,7 @@ GOLDEN = {
     "traces rotated_swap_gf5.json": (0, "5d2e2f7774501857b394c9e2d92ff671ae64ab1b1e32448e677b9176eb733518"),
     "separability rotated_swap_gf5.json --oracle": (0, "0a001eb5cf2a2d87afabc7e97bf6e93acf2470fa9f18e3eca966391bd6df0844"),
     "separability rotated_swap_gf5.json --global": (0, "3cff9ffa79ef95d93c5d519fb5034a326449b731fd754c9ba550720d76c09d83"),
-    "separability rotated_swap_gf5.json --isotropy": (0, "c01c38d3b678e8ba6915c72685926eb56d75f55672e021468980b310be2d3734"),
+    "separability rotated_swap_gf5.json --isotropy": (0, "254f7f4e495231dffe0e02c5c28b2e5b69c2457fb084374fca1938fe3797e852"),
     "skew-table rotated_swap_gf5.json": (0, "ec265c070b727d978ceea0beb6203cdd0d22c58c986030425d0ccc877fb222a1"),
     "separability rotated_swap_gf5.json": (0, "93322c6afef2608fe7259e5cd998d18d371202560835c6d8a32a45f535f94936"),
     "components rotated_swap_gf5.json": (0, "227b96424eeeff8d2611974d5db79b7e8fc2d970950e6cb3026793803b46afd4"),
@@ -79,7 +79,7 @@ GOLDEN = {
     "traces rotated_swap_q.json": (0, "608d1f0514887c54bd9e8859f2f0474cfa0e2fe03aae93da95fad3b4d2685893"),
     "separability rotated_swap_q.json --oracle": (0, "acc75b8598440d34843820463931b7ab3d84f12d075ba46476894d0de6e810a0"),
     "separability rotated_swap_q.json --global": (0, "5950e5161d65c19e67a8b722a5aa432e3ab504ef29d6a674ab572034c4c8c707"),
-    "separability rotated_swap_q.json --isotropy": (0, "def7ffbe585eed400b84789baef0a62e261fdb26c21216badc545b22b51df224"),
+    "separability rotated_swap_q.json --isotropy": (0, "9c7f73f3aa1a6ae6d045fb200d3915da9f2bbaed883bf5288feb657fd3578f6f"),
     "skew-table rotated_swap_q.json": (0, "a62838c7432b24ea3954aac3755b5220024dc6228dd1be53c3b073625602d30b"),
     "separability rotated_swap_q.json": (0, "90927cf0b0c145ab48c27204e864d77e532dba9bb269c681c5974044d6772fbd"),
     "components rotated_swap_q.json": (0, "1bcaeaa4fa0437db6806f2c1fd3df3c208f302d1ad6bf0ea2a9c4d8e23d72bcb"),
@@ -95,7 +95,7 @@ GOLDEN = {
     "traces two_components_q.json": (0, "ca5266c0a68e1faa776274dfc972549baf012a326a8dddd25963668ab25f6f7b"),
     "separability two_components_q.json --oracle": (0, "114c79177b448bdd7bd2d6eae9b97f33db3bd347fae2841da7743fd166892ad8"),
     "separability two_components_q.json --global": (0, "bcf908b09142c7d48bdb2b80d3a870fcdcd309d2525b108e56f3d26dc59a1b0b"),
-    "separability two_components_q.json --isotropy": (0, "79b96786900a668695055684d68d406f462df09b72c8c531c4845438801319c8"),
+    "separability two_components_q.json --isotropy": (0, "d3058ceba6dd1404e21183dfd9dc71575a7781a311dae24410a1c112cdbb54f1"),
     "skew-table two_components_q.json": (0, "ac6282a164e1a28ab4bc97652ebb236a34e1a4b80541b4c8516fab614a4e43b0"),
     "separability two_components_q.json": (0, "bb5ed7b065066a8fc5c00545534b6dd79638c0e6d3d630260de26e67f646b3f0"),
     "components two_components_q.json": (0, "0f757fe73f8c43025b41a4d9a273e62a80c961ede1d982a582faa326972a1009"),

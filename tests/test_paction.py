@@ -7,7 +7,7 @@ import pytest
 from skewalg import (ActionError, Algebra, DecompositionRequired, Echelon, Field,
                      Groupoid, Matrix, PartialAction, Violation, build_groupoid,
                      build_skew_ring, decide_separability,
-                     isotropy_transport_psi, oracle_separability,
+                     isotropy_witness_transport, oracle_separability,
                      validate_partial_action)
 from skewalg import partial_action
 from skewalg.fuzz import FIELDS, random_skeleton, skeleton_to_instance
@@ -666,7 +666,7 @@ def test_a_rejected_pull_back_falls_back_to_the_restricted_inverse(monkeypatch):
 def test_no_ideal_member_is_read_by_elimination(monkeypatch):
     # every ideal read goes through `Algebra.ideal_coords`, which tests
     # y 1_g == y: the oracle, the ring of skew-table, the isotropy
-    # conjugation and the validation fallback eliminate none
+    # transport and the validation fallback eliminate none
     paths = sorted(INSTANCE_DIR.glob("*.json"))
     shipped = [load_action(p.name) for p in paths]
     fallbacks = [_unwound_z3(field) for field in (Q, Field.prime(2), Field.prime(3))]
@@ -687,8 +687,11 @@ def test_no_ideal_member_is_read_by_elimination(monkeypatch):
         # parse its own action, whose ideal bases are not watched
         build_skew_ring(pa).multiplication_rows()
         if pa.is_global():
-            for arrow in pa.groupoid.morphisms:
-                assert all(isotropy_transport_psi(pa, arrow).checks.values())
+            for comp in decide_separability(pa).per_component:
+                if comp.separable:
+                    tr = isotropy_witness_transport(pa, comp.objects,
+                                                    comp.witness_family.particular)
+                    assert all(tr.checks.values())
     inverses = _count_inverses(monkeypatch)
     for pa in fallbacks:
         taken = len(inverses)

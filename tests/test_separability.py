@@ -7,11 +7,11 @@ import pytest
 from skewalg import (AffineSolutionSet, Algebra, Field, Matrix, PartialAction,
                      build_groupoid)
 from skewalg.linalg import echelon, solve_affine, vadd
-from skewalg.separability import (EmptyHomSet, NotGlobal, SeparabilityError,
-                                  WitnessInvalid, build_certificate, cross_check,
-                                  decide_global,
+from skewalg.partial_action import validate_partial_action
+from skewalg.separability import (EmptyHomSet, NotGlobal, WitnessInvalid,
+                                  build_certificate, cross_check, decide_global,
                                   decide_separability, extract_witness,
-                                  idempotent_blocks, is_witness, isotropy_transport_psi,
+                                  idempotent_blocks, is_witness,
                                   isotropy_witness_transport,
                                   oracle_separability, separability_checks,
                                   trace_between, trace_into, trace_total)
@@ -1046,25 +1046,16 @@ def test_transport_needs_a_connected_class():
         isotropy_witness_transport(pa, ("e1", "e2"), (1, 0))
 
 
-def test_psi_conjugation_needs_a_global_action_and_a_known_arrow(bridge, pair_swap):
-    with pytest.raises(NotGlobal, match="isotropy conjugation needs a global action"):
-        isotropy_transport_psi(bridge, "g")
-    with pytest.raises(SeparabilityError, match="^unknown arrow 'nope'$"):
-        isotropy_transport_psi(pair_swap, "nope")
-
-
 def test_psi_conjugation_is_an_isomorphism(pair_swap):
-    psi = isotropy_transport_psi(pair_swap, "s")
-    assert psi.source_object == "e1"
-    assert psi.target_object == "e2"
-    assert psi.checks == {"bijective": True, "multiplicative": True,
+    iso = ring_isotropy_iso(pair_swap, "s")
+    assert iso.source_ring.dim == iso.target_ring.dim == 1
+    assert iso.checks == {"bijective": True, "multiplicative": True,
                           "unit_to_unit": True}
 
 
 def test_psi_on_identity_arrow_is_identity(pair_swap):
-    psi = isotropy_transport_psi(pair_swap, "id:e1")
-    dim = ring_isotropy_iso(pair_swap, "id:e1").source_ring.dim
-    assert psi.matrix == identity_matrix(Q, dim)
+    iso = ring_isotropy_iso(pair_swap, "id:e1")
+    assert iso.matrix == identity_matrix(Q, iso.source_ring.dim)
 
 
 def _global_corpus() -> list:
@@ -1077,18 +1068,28 @@ def _global_corpus() -> list:
     return [pa for pa in shipped if pa.is_global()] + fuzzed
 
 
-def test_psi_conjugation_matches_the_isotropy_ring_reference():
+def test_psi_conjugation_is_an_isomorphism_on_the_global_corpus():
+    """For a valid global action and an arrow l: e_i -> e_j, the conjugation
+    u d_g |-> alpha_l(u) d_{l g l^-1} is a ring isomorphism
+    A_i * G(e_i) -> A_j * G(e_j), so `separability --isotropy` does not
+    check it.  Proof: 1_g = 1_{e_i} for every g in G(e_i), so A_g = A_i;
+    g |-> l g l^-1 is a group isomorphism G(e_i) -> G(e_j); alpha_l is a
+    ring isomorphism A_i -> A_j; the map is therefore bijective and sends
+    1_i d_{e_i} to alpha_l(1_i) d_{e_j} = 1_j d_{e_j}.  It is
+    multiplicative: (u d_g)(w d_h) = u alpha_g(w) d_{gh} on a global
+    action, and alpha_l(u alpha_g(w)) = alpha_l(u) alpha_l(alpha_g(w)) =
+    alpha_l(u) alpha_{l g l^-1}(alpha_l(w)), since axiom III gives
+    alpha_l alpha_g = alpha_{lg} = alpha_{(l g l^-1) l} =
+    alpha_{l g l^-1} alpha_l.  The reference checks all three on the
+    isotropy rings' tables, on every arrow of the corpus."""
     corpus = _global_corpus()
     assert len(corpus) > 36
     arrows = 0
     for pa in corpus:
         assert pa.is_global()
         for arrow in pa.groupoid.morphisms:
-            psi = isotropy_transport_psi(pa, arrow)
-            ref = ring_isotropy_iso(pa, arrow)
-            assert psi.matrix == ref.matrix, arrow
-            assert psi.checks == ref.checks, arrow
-            assert all(psi.checks.values()), arrow
+            assert ring_isotropy_iso(pa, arrow).checks == {
+                "bijective": True, "multiplicative": True, "unit_to_unit": True}, arrow
             arrows += 1
     assert arrows > 100
 
@@ -1097,7 +1098,9 @@ def test_psi_conjugation_matches_the_isotropy_ring_reference():
                                   "rotated_swap_gf5.json", "two_components_q.json"])
 def test_corrupted_alpha_image_fails_multiplicativity_on_both_routes(name):
     # a fresh action, validated, then one cached alpha_l-image of a basis row
-    # of A_{e_i} is doubled: it stays in A_{e_j}, so every coordinate exists
+    # of A_{e_i} is doubled: it stays in A_{e_j}, so every coordinate exists;
+    # the conjugation is no longer multiplicative, and the action the cache
+    # now describes is invalid, which a fresh validation reports
     pa = load_action(name)
     pa.ensure_valid()
     arrow = next(g for g in pa.groupoid.morphisms
@@ -1105,8 +1108,8 @@ def test_corrupted_alpha_image_fails_multiplicativity_on_both_routes(name):
     row = pa.ideal(pa.groupoid.identity[pa.groupoid.src[arrow]]).rows[0]
     field = pa.algebra.field
     pa._images[(arrow, row)] = field.reduce_vec(2 * x for x in pa.alpha(arrow, row))
-    assert not isotropy_transport_psi(pa, arrow).checks["multiplicative"]
     assert not ring_isotropy_iso(pa, arrow).checks["multiplicative"]
+    assert not validate_partial_action(pa).ok
 
 
 def test_psi_on_flip_style_global_instance():
@@ -1117,8 +1120,7 @@ def test_psi_on_flip_style_global_instance():
     pa = parse_instance(data).action
     assert pa.is_global()
     arrow = pa.groupoid.hom_set("o0", "o1")[0]
-    psi = isotropy_transport_psi(pa, arrow)
-    assert all(psi.checks.values())
+    assert all(ring_isotropy_iso(pa, arrow).checks.values())
 
 
 # -- a non-diagonal presentation ------------------------------------------------------------
@@ -1184,8 +1186,7 @@ def test_rotated_swap_over_odd_prime_fields():
         assert v.certificate.ok
         assert oracle_separability(pa).separable
         assert decide_global(pa).separable
-        psi = isotropy_transport_psi(pa, "s")
-        assert all(psi.checks.values())
+        assert all(ring_isotropy_iso(pa, "s").checks.values())
 
 
 def test_rotated_swap_restriction_works_in_echelon_coordinates():
@@ -1198,8 +1199,7 @@ def test_rotated_swap_restriction_works_in_echelon_coordinates():
     assert sub.algebra.dim == 2
     tr = isotropy_witness_transport(pa, ("o1", "o2"), decide_separability(pa).witness)
     assert all(tr.checks.values())
-    psi = isotropy_transport_psi(pa, "s")
-    assert all(psi.checks.values())
+    assert all(ring_isotropy_iso(pa, "s").checks.values())
 
 
 # -- differential corpus -------------------------------------------------------------------------
